@@ -487,6 +487,11 @@ func (c *Client) postBatchFramed(version int, subs []v2Sub, rep *FetchReport, st
 		sub := &subs[f.Index]
 		exec(func() { sub.merge(fr) })
 	}
+	// Every frame is in, but the chunked terminator is still unread: a
+	// body closed short of EOF makes net/http discard the connection,
+	// and the next batch would pay a TCP handshake. Read the (bounded)
+	// tail so the connection goes back to the pool.
+	_, _ = io.Copy(io.Discard, io.LimitReader(br, 64<<10))
 	addWire()
 	return firstErr
 }

@@ -167,14 +167,14 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, req *Ba
 			ictx, isp := s.tracer().Start(ctx, "item")
 			isp.Attr("kind", "tile")
 			itemStart := time.Now()
-			payload, err := s.serveTile(ictx, pl, design, codec, req.Size, geom.TileID{Col: ref.Col, Row: ref.Row}, false)
+			p, err := s.serveTile(ictx, pl, design, codec, req.Size, geom.TileID{Col: ref.Col, Row: ref.Row}, false)
 			s.obs.stageItem.Observe(time.Since(itemStart))
 			isp.End()
 			if err != nil {
 				bt.Err = err.Error()
 				return
 			}
-			bt.Data = payload
+			bt.Data = p.raw
 		}(ref, bt)
 	}
 	wg.Wait()

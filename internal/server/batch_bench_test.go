@@ -310,3 +310,61 @@ func (c *countingRd) Read(p []byte) (int, error) {
 	c.n += int64(n)
 	return n, err
 }
+
+// discardResponse is a ResponseWriter that counts body bytes and keeps
+// nothing, so the benchmark measures the handler, not a recorder.
+type discardResponse struct {
+	h http.Header
+	n int64
+}
+
+func (d *discardResponse) Header() http.Header { return d.h }
+func (d *discardResponse) WriteHeader(int)     {}
+func (d *discardResponse) Write(p []byte) (int, error) {
+	d.n += int64(len(p))
+	return len(p), nil
+}
+
+// BenchmarkBatchV3Hit is the server side of one hot pan step, in
+// process: a single-item v3 batch whose payload is an L1 hit, through
+// the real handler. "full" ships the cached DEFLATE body; "delta" plans
+// against a cached base from the two cached row indexes and deflates
+// only the delta body. allocs/op and B/op are the regression signal: a
+// hit must not hash, deflate or decode its payload again.
+func BenchmarkBatchV3Hit(b *testing.B) {
+	srv, hsURL, _ := benchBatchServer(b)
+	h := srv.Handler()
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		base := BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800}
+		_, baseID := fetchBoxPayload(b, hsURL, base, codec)
+		pan := BatchItem{Kind: "dbox", Layer: 0, MinX: 200, MinY: 0, MaxX: 1200, MaxY: 800,
+			Base: &BaseRef{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800, ID: strconv.FormatUint(baseID, 16)}}
+		for _, bc := range []struct {
+			name string
+			item BatchItem
+		}{{"full", base}, {"delta", pan}} {
+			body, _ := json.Marshal(BatchRequestV2{V: BatchV3Version, Canvas: "main", Codec: codec, Items: []BatchItem{bc.item}})
+			b.Run(string(codec)+"/"+bc.name, func(b *testing.B) {
+				serve := func() *discardResponse {
+					w := &discardResponse{h: make(http.Header)}
+					req, _ := http.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body))
+					h.ServeHTTP(w, req)
+					return w
+				}
+				serve() // fill L1 and the wire memo
+				deltas := srv.Stats.DeltaFrames.Load()
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wireBytes int64
+				for i := 0; i < b.N; i++ {
+					wireBytes += serve().n
+				}
+				b.StopTimer()
+				if got := srv.Stats.DeltaFrames.Load() - deltas; (bc.name == "delta") != (got == int64(b.N)) {
+					b.Fatalf("%d of %d responses were delta frames", got, b.N)
+				}
+				b.ReportMetric(float64(wireBytes)/float64(b.N), "wire-B/op")
+			})
+		}
+	}
+}

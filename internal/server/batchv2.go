@@ -255,8 +255,8 @@ func (fw *frameWriter) totals() (bytes, rawBytes int64) {
 // sub-requests against one canvas, served concurrently under the
 // bounded worker pool and streamed back as binary frames in completion
 // order. Every item goes through the same cache + coalescing path as
-// its single-request equivalent; v3 additionally compresses and
-// delta-encodes OK payloads per frame (batchv3.go).
+// its single-request equivalent; v3 additionally ships OK payloads in
+// their compressed form or as a delta (batchv3.go).
 func (s *Server) handleBatchV2(ctx context.Context, w http.ResponseWriter, req *BatchRequestV2) {
 	if len(req.Items) == 0 {
 		http.Error(w, "empty batch", http.StatusBadRequest)
@@ -369,7 +369,7 @@ func (s *Server) handleBatchV2(ctx context.Context, w http.ResponseWriter, req *
 				s.obs.stageItem.Observe(time.Since(itemStart))
 				isp.End()
 			}()
-			payload, err := s.serveItem(ictx, req.Canvas, it, codec, version == wire.V3, false)
+			p, err := s.serveItem(ictx, req.Canvas, it, codec, false)
 			if err != nil {
 				f.Payload = []byte(err.Error())
 				rawLen = len(f.Payload)
@@ -380,10 +380,10 @@ func (s *Server) handleBatchV2(ctx context.Context, w http.ResponseWriter, req *
 				}
 				return
 			}
-			f.Payload = payload
-			rawLen = len(payload)
+			f.Payload = p.raw
+			rawLen = len(p.raw)
 			if version == wire.V3 {
-				f.Payload, f.Codec = s.encodeFrameV3(ictx, req.Canvas, it, codec, payload, compress)
+				f.Payload, f.Codec = s.encodeFrameV3(ictx, req.Canvas, it, codec, p, compress)
 			}
 		}(i, req.Items[i])
 	}
@@ -396,10 +396,9 @@ func (s *Server) handleBatchV2(ctx context.Context, w http.ResponseWriter, req *
 }
 
 // serveItem resolves and serves one framed batch item through the same
-// cache/coalescing path as the single-request endpoints. memoDBox asks
-// dbox queries to park decoded rows for the v3 delta planner; localOnly
+// cache/coalescing path as the single-request endpoints. localOnly
 // (peer-originated fills) suppresses cluster forwarding.
-func (s *Server) serveItem(ctx context.Context, canvas string, it BatchItem, codec Codec, memoDBox, localOnly bool) ([]byte, error) {
+func (s *Server) serveItem(ctx context.Context, canvas string, it BatchItem, codec Codec, localOnly bool) (*payload, error) {
 	pl, ok := s.Layer(canvas, it.Layer)
 	if !ok || pl.Table == "" {
 		return nil, badRequestError{fmt.Errorf("no data layer %s/%d", canvas, it.Layer)}
@@ -422,7 +421,7 @@ func (s *Server) serveItem(ctx context.Context, canvas string, it BatchItem, cod
 		if !box.Valid() {
 			return nil, badRequestError{fmt.Errorf("invalid box %+v", box)}
 		}
-		return s.serveBox(ctx, pl, codec, box, memoDBox, localOnly)
+		return s.serveBox(ctx, pl, codec, box, localOnly)
 	}
 	return nil, badRequestError{fmt.Errorf("unknown item kind %q", it.Kind)}
 }

@@ -15,7 +15,7 @@ import (
 
 // postBatchV3Raw posts a v3 request and fully decodes the framed
 // stream, returning frames indexed by item position.
-func postBatchV3Raw(t *testing.T, url string, req BatchRequestV2) []Frame {
+func postBatchV3Raw(t testing.TB, url string, req BatchRequestV2) []Frame {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/batch", "application/json", bytes.NewReader(body))
@@ -61,7 +61,7 @@ func postBatchV3Raw(t *testing.T, url string, req BatchRequestV2) []Frame {
 }
 
 // inflateFrame recovers the full payload of a non-delta v3 frame.
-func inflateFrame(t *testing.T, f Frame) []byte {
+func inflateFrame(t testing.TB, f Frame) []byte {
 	t.Helper()
 	if !f.Codec.Compressed() {
 		return f.Payload
@@ -142,7 +142,7 @@ func TestBatchV3CompressionMatchesV2(t *testing.T) {
 
 // fetchBoxPayload grabs one dbox payload (and its wire id) via a plain
 // v3 batch with no base, simulating the client's first full fetch.
-func fetchBoxPayload(t *testing.T, url string, it BatchItem, codec Codec) ([]byte, uint64) {
+func fetchBoxPayload(t testing.TB, url string, it BatchItem, codec Codec) ([]byte, uint64) {
 	t.Helper()
 	frames := postBatchV3Raw(t, url, BatchRequestV2{
 		V: BatchV3Version, Canvas: "main", Codec: codec, Comp: CompOff,

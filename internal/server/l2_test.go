@@ -50,7 +50,7 @@ func TestL2WarmRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[tid] = payload
+		want[tid] = payload.raw
 	}
 	if got := srv1.Stats.DBQueries.Load(); got != int64(len(tiles)) {
 		t.Fatalf("cold serve ran %d db queries, want %d", got, len(tiles))
@@ -74,7 +74,7 @@ func TestL2WarmRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(payload, want[tid]) {
+		if !bytes.Equal(payload.raw, want[tid]) {
 			t.Fatalf("tile %v: restarted payload differs from original", tid)
 		}
 	}
@@ -157,7 +157,7 @@ func TestL2UpdateInvalidates(t *testing.T) {
 	// The post-update fill was persisted under the new generation, so
 	// it may legitimately be served from L2 — but it must be the
 	// post-update payload, never the pre-update one.
-	if !bytes.Equal(payload, post) {
+	if !bytes.Equal(payload.raw, post.raw) {
 		t.Fatal("restarted server served a pre-update payload from L2")
 	}
 	_ = dbqBefore

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -135,6 +136,66 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("build info incomplete: %+v", snap.Build)
 	}
 	_ = srv
+}
+
+// TestWireMemoObservability: the trace and the counters say whether a
+// response was shipped from cached forms. The second response of one
+// payload shows a compress span with cached=true, the compress stage
+// histogram still counts the single real deflate, and /stats and
+// /metrics report the same memo hit and miss.
+func TestWireMemoObservability(t *testing.T) {
+	srv, hs := newPointsServer(t, 3000, 4096, 2048)
+	box := BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1500, MaxY: 1200}
+	spanAttr := func(name, key string) string {
+		t.Helper()
+		recent := srv.FlightRecorder().Snapshot().Recent
+		sp := findSpan(recent[0], name) // newest first
+		if sp == nil {
+			t.Fatalf("no %s span in the latest trace", name)
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == key {
+				return a.Value
+			}
+		}
+		t.Fatalf("%s span has no %q attr: %+v", name, key, sp.Attrs)
+		return ""
+	}
+	for i, want := range []string{"false", "true"} {
+		if f, err := postOneV3(hs.URL, CodecJSON, box); err != nil || f.Codec != FrameFlate {
+			t.Fatalf("response %d: codec %d, %v", i, f.Codec, err)
+		}
+		if got := spanAttr("compress", "cached"); got != want {
+			t.Fatalf("response %d: compress span cached=%s, want %s", i, got, want)
+		}
+	}
+	_, id := fetchBoxPayload(t, hs.URL, box, CodecJSON)
+	pan := BatchItem{Kind: "dbox", Layer: 0, MinX: 200, MinY: 0, MaxX: 1700, MaxY: 1200,
+		Base: &BaseRef{MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY, ID: strconv.FormatUint(id, 16)}}
+	for i, want := range []string{"false", "true"} {
+		if f, err := postOneV3(hs.URL, CodecJSON, pan); err != nil || !f.Codec.IsDelta() {
+			t.Fatalf("pan %d: codec %d, %v", i, f.Codec, err)
+		}
+		if got := spanAttr("delta.plan", "cached"); got != want {
+			t.Fatalf("pan %d: delta.plan span cached=%s, want %s", i, got, want)
+		}
+	}
+
+	exp := scrape(t, hs.URL)
+	// One full payload deflated once, two delta bodies deflated per
+	// response; the memo built one DEFLATE body and two row indexes.
+	if got := sampleValue(exp, "kyrix_stage_duration_seconds_count", "stage", "compress"); got != 3 {
+		t.Errorf("compress stage count = %v, want 3", got)
+	}
+	var snap StatsSnapshot
+	getJSON(t, hs.URL+"/stats", &snap)
+	if snap.Serving.WireMemoMisses != 3 || snap.Serving.WireMemoHits != 3 {
+		t.Errorf("wire memo: %d hits %d misses, want 3 and 3", snap.Serving.WireMemoHits, snap.Serving.WireMemoMisses)
+	}
+	if hit, miss := sampleValue(exp, "kyrix_wire_memo_events_total", "event", "hit"),
+		sampleValue(exp, "kyrix_wire_memo_events_total", "event", "miss"); int64(hit) != snap.Serving.WireMemoHits || int64(miss) != snap.Serving.WireMemoMisses {
+		t.Errorf("/metrics wire memo %v/%v disagrees with /stats %d/%d", hit, miss, snap.Serving.WireMemoHits, snap.Serving.WireMemoMisses)
+	}
 }
 
 // TestStatsV1Golden pins the legacy ?v=1 flat map's exact key set on a

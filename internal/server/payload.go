@@ -1,0 +1,452 @@
+package server
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"slices"
+	"strconv"
+	"time"
+
+	"kyrix/internal/storage"
+	"kyrix/internal/wire"
+)
+
+// A cached payload exists in three forms, each computed once:
+//
+//   - raw + id: the rows in the request codec and their content hash
+//     (wire.PayloadID). Built in the fill flight — database query, L2
+//     promote or peer fill — and stored in L1 as one immutable *payload.
+//     L1 and L2 account for the raw bytes only.
+//   - the DEFLATE body, or the verdict that compressing is not worth it.
+//   - the row index: each row's id and byte range inside raw.
+//
+// The two derived forms are built on first need and live in the
+// content-addressed wire memo (Server.wireMemo), keyed by id. Content
+// addressing makes them immutable too: an /update produces new bytes
+// under a new id, so the memo needs no invalidation, only its LRU bound.
+
+// payload is the L1 value: one tile's or box's encoded rows plus the
+// identity of those exact bytes. Never mutated after construction.
+type payload struct {
+	raw []byte
+	id  uint64
+}
+
+func newPayload(raw []byte) *payload {
+	return &payload{raw: raw, id: wire.PayloadID(raw)}
+}
+
+// memoEntryOverhead is charged per memo entry on top of its slices, so
+// "not worth compressing" verdicts and empty indexes are not free.
+const memoEntryOverhead = 64
+
+// Memo key kinds: one derived form per (kind, payload id). The row
+// index depends on how the bytes are parsed, so each codec has its own.
+const (
+	memoFlate       = 'z'
+	memoIndexJSON   = 'j'
+	memoIndexBinary = 'b'
+)
+
+type memoKey [9]byte
+
+func newMemoKey(kind byte, id uint64) memoKey {
+	var k memoKey
+	k[0] = kind
+	binary.BigEndian.PutUint64(k[1:], id)
+	return k
+}
+
+// memoGet looks one derived form up in the wire memo.
+func (s *Server) memoGet(k memoKey) (any, bool) {
+	return s.wireMemo.Get(string(k[:]))
+}
+
+// memoBuild builds the derived form a memoGet just missed and stores it
+// charged at size, at most once per residency: concurrent first
+// requests for a hot payload share one build.
+func (s *Server) memoBuild(k memoKey, build func() (v any, size int64)) any {
+	key := string(k[:])
+	v, _, _ := s.memoFlight.Do(key, func() (any, error) {
+		// A flight that finished while this caller queued has already
+		// stored the form.
+		if v, ok := s.wireMemo.Peek(key); ok {
+			return v, nil
+		}
+		v, size := build()
+		s.wireMemo.Put(key, v, memoEntryOverhead+size)
+		return v, nil
+	})
+	return v
+}
+
+// deflate is the server's one real DEFLATE call site: the worth-it
+// heuristic, then the pass itself, sampled into the compress stage
+// histogram — so that histogram's count is the number of deflate passes
+// run. nil means "ship it uncompressed".
+func (s *Server) deflate(body []byte) []byte {
+	if !wire.ShouldCompress(body) {
+		return nil
+	}
+	start := time.Now()
+	cb, err := wire.Compress(body)
+	s.obs.stageComp.Observe(time.Since(start))
+	if err != nil || len(cb) >= len(body) {
+		return nil
+	}
+	return cb
+}
+
+// flateOf returns p's DEFLATE body (nil: not worth compressing),
+// deflating on the first request only.
+func (s *Server) flateOf(p *payload) (body []byte, cached bool) {
+	k := newMemoKey(memoFlate, p.id)
+	if v, ok := s.memoGet(k); ok {
+		return v.([]byte), true
+	}
+	return s.memoBuild(k, func() (any, int64) {
+		cb := s.deflate(p.raw)
+		return cb, int64(len(cb))
+	}).([]byte), false
+}
+
+// rowIndex locates every row of a payload inside its raw bytes, so the
+// delta planner can diff two payloads by id and assemble the entering
+// rows by copying byte ranges — no row is ever decoded or re-encoded.
+type rowIndex struct {
+	// hdr is where the codec's per-payload row section starts: the row
+	// count varint (binary) or the first byte after `"rows":[` (JSON).
+	// raw[:hdr] is the schema header, identical for any subset of rows.
+	hdr uint32
+	// off[i] is where row i starts; row i ends at off[i+1]-sep, where
+	// sep is 1 for JSON's comma between rows and 0 for binary, whose
+	// rows abut. len(off) == rows+1.
+	off []uint32
+	sep uint32
+	// ids[i] is row i's integer first column; perm lists row positions
+	// in ascending id order. Both nil unless diffable.
+	ids  []int64
+	perm []uint32
+	// diffable: the rows carry a unique integer identity in column 0
+	// (or there are no rows), which is what the id-based delta needs.
+	diffable bool
+}
+
+func (ix *rowIndex) rows() int { return len(ix.off) - 1 }
+
+// rowIndexOf returns p's row index under codec (nil: the bytes do not
+// scan as a payload of that codec), scanning on the first request only.
+func (s *Server) rowIndexOf(p *payload, codec Codec) (ix *rowIndex, cached bool) {
+	kind := byte(memoIndexJSON)
+	if codec == CodecBinary {
+		kind = memoIndexBinary
+	}
+	k := newMemoKey(kind, p.id)
+	if v, ok := s.memoGet(k); ok {
+		return v.(*rowIndex), true
+	}
+	return s.memoBuild(k, func() (any, int64) {
+		ix := buildRowIndex(p.raw, codec)
+		if ix == nil {
+			return ix, 0
+		}
+		return ix, int64(8*len(ix.ids) + 4*len(ix.off) + 4*len(ix.perm))
+	}).(*rowIndex), false
+}
+
+// buildRowIndex scans raw once. The bytes may come from the L2 store or
+// a peer, so every count and length is checked against what remains.
+func buildRowIndex(raw []byte, codec Codec) *rowIndex {
+	if len(raw) > int(^uint32(0)>>1) {
+		return nil
+	}
+	var ix *rowIndex
+	var intID bool
+	switch codec {
+	case CodecBinary:
+		ix, intID = scanBinaryRows(raw)
+	default:
+		ix, intID = scanJSONRows(raw)
+	}
+	if ix == nil {
+		return nil
+	}
+	n := ix.rows()
+	if n == 0 {
+		ix.diffable = intID
+		return ix
+	}
+	if !intID {
+		return ix
+	}
+	ix.ids = make([]int64, n)
+	for i := range ix.ids {
+		id, ok := rowID(raw[ix.off[i]:ix.off[i+1]-ix.sep], codec)
+		if !ok {
+			ix.ids = nil
+			return ix
+		}
+		ix.ids[i] = id
+	}
+	ix.perm = make([]uint32, n)
+	for i := range ix.perm {
+		ix.perm[i] = uint32(i)
+	}
+	slices.SortFunc(ix.perm, func(a, b uint32) int { return cmp.Compare(ix.ids[a], ix.ids[b]) })
+	// The diff is a set diff: duplicate ids within a box would collapse
+	// and reconstruct a wrong row multiset client-side. A layer emitting
+	// non-unique ids gets full frames instead.
+	ix.diffable = true
+	for i := 1; i < n; i++ {
+		if ix.ids[ix.perm[i]] == ix.ids[ix.perm[i-1]] {
+			ix.diffable = false
+			break
+		}
+	}
+	return ix
+}
+
+// rowID reads the integer first column of one encoded row.
+func rowID(row []byte, codec Codec) (int64, bool) {
+	if codec == CodecBinary {
+		if len(row) < 8 {
+			return 0, false
+		}
+		return int64(binary.LittleEndian.Uint64(row)), true
+	}
+	// `[123,...]` or `[123]`.
+	end := bytes.IndexAny(row, ",]")
+	if len(row) < 2 || end < 1 {
+		return 0, false
+	}
+	id, err := strconv.ParseInt(string(row[1:end]), 10, 64)
+	return id, err == nil
+}
+
+// scanBinaryRows indexes a binary payload. intID reports whether the
+// rows can carry an integer identity: a non-empty schema whose first
+// column is an integer — or, with no rows to say otherwise, any
+// non-empty schema (an empty result carries fallback column types).
+func scanBinaryRows(raw []byte) (ix *rowIndex, intID bool) {
+	h, err := parseBinaryHeader(raw)
+	if err != nil {
+		return nil, false
+	}
+	ix = &rowIndex{hdr: uint32(h.countOff), off: make([]uint32, h.nrows+1)}
+	pos := h.rowsOff
+	for i := 0; i < h.nrows; i++ {
+		ix.off[i] = uint32(pos)
+		n, err := binaryRowLen(raw[pos:], h.types)
+		if err != nil {
+			return nil, false
+		}
+		pos += n
+	}
+	if pos != len(raw) {
+		return nil, false
+	}
+	ix.off[h.nrows] = uint32(pos)
+	return ix, len(h.types) > 0 && (h.nrows == 0 || h.types[0] == storage.TInt64)
+}
+
+var errTruncatedRow = errors.New("server: truncated binary row")
+
+// binaryRowLen is the encoded length of the row at the front of buf
+// (storage.EncodeRow's layout) without materializing it.
+func binaryRowLen(buf []byte, types ColTypes) (int, error) {
+	off := 0
+	for _, t := range types {
+		switch t {
+		case storage.TInt64, storage.TFloat64:
+			off += 8
+		case storage.TBool:
+			off++
+		case storage.TString:
+			if off > len(buf) {
+				return 0, errTruncatedRow
+			}
+			n, sz := binary.Uvarint(buf[off:])
+			if sz <= 0 || n > uint64(len(buf)-off-sz) {
+				return 0, errTruncatedRow
+			}
+			off += sz + int(n)
+		}
+	}
+	if off > len(buf) {
+		return 0, errTruncatedRow
+	}
+	return off, nil
+}
+
+// scanJSONRows indexes a JSON payload as Encode lays it out:
+// {"cols":[…],"types":[…],"rows":[[…],[…]]} with "rows" last and no
+// insignificant whitespace. Anything else is "no index", which only
+// costs the delta — the full frame never needs one.
+func scanJSONRows(raw []byte) (ix *rowIndex, intID bool) {
+	pos := 0
+	if len(raw) == 0 || raw[0] != '{' {
+		return nil, false
+	}
+	pos++
+	for {
+		if pos >= len(raw) || raw[pos] != '"' {
+			return nil, false
+		}
+		end := skipJSONString(raw, pos)
+		if end < 0 || end >= len(raw) || raw[end] != ':' {
+			return nil, false
+		}
+		key := raw[pos+1 : end-1]
+		pos = end + 1
+		if string(key) == "rows" {
+			break
+		}
+		if pos = skipJSONValue(raw, pos); pos < 0 || pos >= len(raw) || raw[pos] != ',' {
+			return nil, false
+		}
+		pos++
+	}
+	if pos >= len(raw) || raw[pos] != '[' {
+		return nil, false
+	}
+	pos++
+	ix = &rowIndex{hdr: uint32(pos), sep: 1}
+	for pos < len(raw) && raw[pos] == '[' {
+		ix.off = append(ix.off, uint32(pos))
+		if pos = skipJSONValue(raw, pos); pos < 0 || pos >= len(raw) {
+			return nil, false
+		}
+		if raw[pos] == ',' {
+			pos++
+		}
+	}
+	if string(raw[pos:]) != "]}" {
+		return nil, false
+	}
+	if len(ix.off) == 0 {
+		ix.off = append(ix.off, ix.hdr)
+	} else {
+		// One past the position a separator after the last row would
+		// occupy, so every row ends at off[i+1]-sep.
+		ix.off = append(ix.off, uint32(pos)+1)
+	}
+	// The schema header closes into a valid document of its own.
+	var hdr struct {
+		Cols  []string `json:"cols"`
+		Types ColTypes `json:"types"`
+	}
+	if err := json.Unmarshal(append(raw[:ix.hdr:ix.hdr], "]}"...), &hdr); err != nil {
+		return nil, false
+	}
+	return ix, len(hdr.Cols) > 0 && len(hdr.Types) > 0 && (ix.rows() == 0 || hdr.Types[0] == storage.TInt64)
+}
+
+// skipJSONString returns the index just past the string opening at
+// b[i], or -1 when it never closes.
+func skipJSONString(b []byte, i int) int {
+	for i++; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
+	return -1
+}
+
+// skipJSONValue returns the index just past the value starting at b[i]:
+// a string, a bracketed array/object (nesting and strings respected),
+// or a scalar running up to the next ',', ']' or '}'. -1 on truncation.
+func skipJSONValue(b []byte, i int) int {
+	depth := 0
+	for i < len(b) {
+		switch b[i] {
+		case '"':
+			if i = skipJSONString(b, i); i < 0 {
+				return -1
+			}
+			if depth == 0 {
+				return i
+			}
+			continue
+		case '[', '{':
+			depth++
+		case ']', '}':
+			if depth == 0 {
+				return i
+			}
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		case ',':
+			if depth == 0 {
+				return i
+			}
+		}
+		i++
+	}
+	return -1
+}
+
+// diff computes the delta from base to next by id: the ids leaving (in
+// base order) and the positions of the rows entering (in next order) —
+// the same orders the rows-based planner produced, so frames stay
+// byte-identical. One merge over the two id-sorted permutations.
+func (base *rowIndex) diff(next *rowIndex) (tombstones []int64, entering []uint32) {
+	inNext := make([]bool, len(base.ids))
+	inBase := make([]bool, len(next.ids))
+	for i, j := 0, 0; i < len(base.perm) && j < len(next.perm); {
+		bp, np := base.perm[i], next.perm[j]
+		switch b, n := base.ids[bp], next.ids[np]; {
+		case b < n:
+			i++
+		case b > n:
+			j++
+		default:
+			inNext[bp], inBase[np] = true, true
+			i++
+			j++
+		}
+	}
+	for i, id := range base.ids {
+		if !inNext[i] {
+			tombstones = append(tombstones, id)
+		}
+	}
+	for j := range next.ids {
+		if !inBase[j] {
+			entering = append(entering, uint32(j))
+		}
+	}
+	return tombstones, entering
+}
+
+// subset assembles the payload holding only the given rows of raw (in
+// the given order): the schema header, the row section re-opened for the
+// new count, and each row's bytes copied verbatim — exactly what Encode
+// would produce for those rows.
+func (ix *rowIndex) subset(raw []byte, rows []uint32) []byte {
+	n := int(ix.hdr) + binary.MaxVarintLen64 + 2
+	for _, r := range rows {
+		n += int(ix.off[r+1] - ix.off[r])
+	}
+	out := append(make([]byte, 0, n), raw[:ix.hdr]...)
+	if ix.sep == 0 { // binary: the row count, then abutting rows
+		out = binary.AppendUvarint(out, uint64(len(rows)))
+		for _, r := range rows {
+			out = append(out, raw[ix.off[r]:ix.off[r+1]]...)
+		}
+		return out
+	}
+	for i, r := range rows {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, raw[ix.off[r]:ix.off[r+1]-1]...)
+	}
+	return append(out, "]}"...)
+}

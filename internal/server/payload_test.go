@@ -1,0 +1,519 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"kyrix/internal/storage"
+	"kyrix/internal/wire"
+)
+
+// rowsDelta is the reference delta planner: the rows-based algorithm
+// the server ran before payloads carried a row index — decode both
+// payloads, diff through two id sets, re-encode the entering rows. The
+// index-built delta must equal its output byte for byte.
+func rowsDelta(t *testing.T, basePayload, full []byte, codec Codec) ([]byte, bool) {
+	t.Helper()
+	intIdentity := func(dr *DataResponse) bool {
+		if len(dr.Cols) == 0 || len(dr.Types) == 0 {
+			return false
+		}
+		return len(dr.Rows) == 0 || dr.Types[0] == storage.TInt64
+	}
+	baseDR, err := Decode(basePayload, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newDR, err := Decode(full, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !intIdentity(baseDR) || !intIdentity(newDR) {
+		return nil, false
+	}
+	newIDs := make(map[int64]bool, len(newDR.Rows))
+	for _, row := range newDR.Rows {
+		newIDs[row[0].AsInt()] = true
+	}
+	baseIDs := make(map[int64]bool, len(baseDR.Rows))
+	var tombstones []int64
+	for _, row := range baseDR.Rows {
+		id := row[0].AsInt()
+		baseIDs[id] = true
+		if !newIDs[id] {
+			tombstones = append(tombstones, id)
+		}
+	}
+	if len(newIDs) != len(newDR.Rows) || len(baseIDs) != len(baseDR.Rows) {
+		return nil, false
+	}
+	var entering []storage.Row
+	for _, row := range newDR.Rows {
+		if !baseIDs[row[0].AsInt()] {
+			entering = append(entering, row)
+		}
+	}
+	enterPayload, err := Encode(&DataResponse{Cols: newDR.Cols, Types: newDR.Types, Rows: entering}, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := wire.EncodeDelta(wire.Delta{
+		FullLen: len(full), NewID: wire.PayloadID(full),
+		Tombstones: tombstones, Entering: enterPayload,
+	})
+	if len(body) >= len(full) {
+		return nil, false
+	}
+	return body, true
+}
+
+// indexDelta plans the same delta from row indexes scanned out of the
+// payload bytes, as planDeltaFrame does past its request-level guards.
+func indexDelta(basePayload, full []byte, codec Codec) ([]byte, bool) {
+	bix, nix := buildRowIndex(basePayload, codec), buildRowIndex(full, codec)
+	if bix == nil || nix == nil || !bix.diffable || !nix.diffable {
+		return nil, false
+	}
+	return deltaBody(bix, nix, newPayload(full))
+}
+
+var awkwardStrings = []string{
+	"", "plain", `quo"te`, `back\slash`, "a,b", "]}", "[[", `"rows":[`, "<&>", "ünï-✓", "tab\tnl\n", `\"`, " ",
+}
+
+// randomUniverse draws a schema (integer id first, then a random mix
+// of column types with awkward names) and one fixed row per id, so two
+// payloads cut from it agree on every shared row — the same-id ⇒
+// same-content premise of the id diff.
+func randomUniverse(rng *rand.Rand, n int) (cols []string, types ColTypes, rows []storage.Row) {
+	cols, types = []string{"id"}, ColTypes{storage.TInt64}
+	for i, extra := 0, rng.Intn(5); i < extra; i++ {
+		cols = append(cols, awkwardStrings[rng.Intn(len(awkwardStrings))]+strconv.Itoa(i))
+		types = append(types, []storage.ColType{storage.TInt64, storage.TFloat64, storage.TString, storage.TBool}[rng.Intn(4)])
+	}
+	for _, id := range rng.Perm(n) {
+		row := storage.Row{storage.I64(int64(id)*7919 - int64(n)*3000)}
+		for _, typ := range types[1:] {
+			switch typ {
+			case storage.TInt64:
+				row = append(row, storage.I64(rng.Int63n(1<<50)-1<<49))
+			case storage.TFloat64:
+				row = append(row, storage.F64([]float64{0, 1, -2.5, 1e21, 1e-7, rng.NormFloat64() * 1e4}[rng.Intn(6)]))
+			case storage.TString:
+				row = append(row, storage.Str(awkwardStrings[rng.Intn(len(awkwardStrings))]))
+			case storage.TBool:
+				row = append(row, storage.Bool(rng.Intn(2) == 0))
+			}
+		}
+		rows = append(rows, row)
+	}
+	return cols, types, rows
+}
+
+func randomSubset(rng *rand.Rand, rows []storage.Row, keep float64) []storage.Row {
+	var out []storage.Row
+	for _, i := range rng.Perm(len(rows)) {
+		if rng.Float64() < keep {
+			out = append(out, rows[i])
+		}
+	}
+	return out
+}
+
+// TestIndexDeltaMatchesRowsPlanner: over random payload pairs and both
+// codecs, the delta assembled from row indexes (byte ranges copied out
+// of the new payload) is exactly the delta the rows-based planner
+// encodes — and the two planners agree on when not to delta at all.
+func TestIndexDeltaMatchesRowsPlanner(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		deltas := 0
+		for trial := 0; trial < 300; trial++ {
+			cols, types, universe := randomUniverse(rng, 1+rng.Intn(60))
+			keep := []float64{0, 0.3, 0.8, 1}
+			baseRows := randomSubset(rng, universe, keep[rng.Intn(4)])
+			newRows := randomSubset(rng, universe, keep[rng.Intn(4)])
+			switch trial % 25 {
+			case 7: // duplicate id on one side: the set diff would be wrong
+				if len(newRows) > 0 {
+					newRows = append(newRows, newRows[0])
+				}
+			case 13: // no integer identity
+				cols, types = cols[1:], types[1:]
+				for i := range baseRows {
+					baseRows[i] = baseRows[i][1:]
+				}
+				baseRows, newRows = baseRows[:len(baseRows):len(baseRows)], nil
+			}
+			base, err := Encode(&DataResponse{Cols: cols, Types: types, Rows: baseRows}, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := Encode(&DataResponse{Cols: cols, Types: types, Rows: newRows}, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantOK := rowsDelta(t, base, full, codec)
+			got, gotOK := indexDelta(base, full, codec)
+			if gotOK != wantOK {
+				t.Fatalf("%s trial %d: index planner ok=%v, rows planner ok=%v", codec, trial, gotOK, wantOK)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s trial %d: delta bytes differ\n index %q\n rows  %q", codec, trial, got, want)
+			}
+			if gotOK {
+				deltas++
+			}
+		}
+		if deltas < 50 {
+			t.Fatalf("%s: only %d of 300 trials produced a delta; the generator is not exercising the planner", codec, deltas)
+		}
+	}
+}
+
+// samplePayload is a real binary payload: four columns, a handful of
+// rows, as a query would produce it.
+func samplePayload(t testing.TB) []byte {
+	t.Helper()
+	raw, err := Encode(&DataResponse{
+		Cols:  []string{"id", "x", "name", "ok"},
+		Types: ColTypes{storage.TInt64, storage.TFloat64, storage.TString, storage.TBool},
+		Rows: []storage.Row{
+			{storage.I64(1), storage.F64(0.5), storage.Str("a"), storage.Bool(true)},
+			{storage.I64(2), storage.F64(-3), storage.Str(""), storage.Bool(false)},
+			{storage.I64(3), storage.F64(1e9), storage.Str("long enough to matter"), storage.Bool(true)},
+		},
+	}, CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestDecodeBinaryBounded: counts and lengths read off the wire are
+// bounded by the bytes behind them, so a corrupt or hostile header is
+// an error — before this, an inflated count reached make() and
+// panicked or exhausted memory. The row-index scan shares the reader.
+func TestDecodeBinaryBounded(t *testing.T) {
+	good := samplePayload(t)
+	huge := binary.AppendUvarint(nil, 1<<62)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"inflated column count", append(append([]byte{}, huge...), good[1:]...)},
+		{"column count past input", []byte{40, 1, 'a', 1}},
+		{"inflated name length", append(append([]byte{4}, huge...), good[2:]...)},
+		{"name runs off the end", []byte{1, 9, 'a', 'b'}},
+		{"missing type byte", []byte{1, 2, 'i', 'd'}},
+		{"unknown column type", []byte{1, 2, 'i', 'd', 99, 0}},
+		{"missing row count", []byte{1, 2, 'i', 'd', 1}},
+		{"inflated row count", append(append([]byte{1, 2, 'i', 'd', 1}, huge...), make([]byte, 16)...)},
+		{"row count past input", []byte{1, 2, 'i', 'd', 1, 3, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"inflated string length", append(append([]byte{1, 1, 's', 3, 1}, huge...), 'x')},
+		{"truncated last row", good[:len(good)-3]},
+	} {
+		if dr, err := Decode(tc.data, CodecBinary); err == nil {
+			t.Errorf("%s: decoded %d rows from a corrupt payload, want an error", tc.name, len(dr.Rows))
+		}
+		if ix := buildRowIndex(tc.data, CodecBinary); ix != nil {
+			t.Errorf("%s: corrupt payload indexed as %d rows", tc.name, ix.rows())
+		}
+	}
+	if dr, err := Decode(good, CodecBinary); err != nil || len(dr.Rows) != 3 {
+		t.Fatalf("intact payload: %v", err)
+	}
+	if ix := buildRowIndex(good, CodecBinary); ix == nil || ix.rows() != 3 || !ix.diffable {
+		t.Fatalf("intact payload index = %+v", ix)
+	}
+}
+
+// FuzzDecodeBinary: no input may panic the decoder or the row-index
+// scan, and whenever both accept a payload they agree on its rows.
+func FuzzDecodeBinary(f *testing.F) {
+	good := samplePayload(f)
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte{0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dr, err := Decode(data, CodecBinary)
+		ix := buildRowIndex(data, CodecBinary)
+		if err != nil || ix == nil {
+			return
+		}
+		if ix.rows() != len(dr.Rows) {
+			t.Fatalf("index sees %d rows, decoder %d", ix.rows(), len(dr.Rows))
+		}
+		for i := range ix.ids {
+			if ix.ids[i] != dr.Rows[i][0].AsInt() {
+				t.Fatalf("row %d: index id %d, decoded id %d", i, ix.ids[i], dr.Rows[i][0].AsInt())
+			}
+		}
+	})
+}
+
+// postV3Stream posts one v3 batch and returns the raw response body
+// and its frames by item index. It reports failures as an error, so
+// reader goroutines can call it.
+func postV3Stream(url string, req BatchRequestV2) ([]byte, []Frame, error) {
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(url+"/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	stream, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, nil, fmt.Errorf("%s: %s", resp.Status, stream)
+	}
+	r := bufio.NewReader(bytes.NewReader(stream))
+	_, n, err := wire.ReadHeader(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	frames := make([]Frame, n)
+	for i := 0; i < n; i++ {
+		f, err := wire.ReadFrame(r, wire.V3)
+		if err != nil {
+			return nil, nil, err
+		}
+		frames[f.Index] = f
+	}
+	return stream, frames, nil
+}
+
+// postOneV3 posts a single-item v3 batch and returns its frame.
+func postOneV3(url string, codec Codec, it BatchItem) (Frame, error) {
+	_, frames, err := postV3Stream(url, BatchRequestV2{V: BatchV3Version, Canvas: "main", Codec: codec, Items: []BatchItem{it}})
+	if err != nil {
+		return Frame{}, err
+	}
+	return frames[0], nil
+}
+
+// TestHotBoxConcurrentV3 hammers one hot box from 16 goroutines over
+// v3, each declaring the payload it last received as its delta base,
+// while /update keeps rewriting every row. A stale base id must fall
+// back to a full frame, no reader may see a value older than the last
+// update acked before it asked, and the server deflates each distinct
+// payload exactly once however many responses ship it.
+func TestHotBoxConcurrentV3(t *testing.T) {
+	srv, hs := newPointsServer(t, 3000, 4096, 2048)
+	box := BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1500, MaxY: 1200}
+	const codec = CodecBinary
+
+	var (
+		mu         sync.Mutex
+		fullIDs    = map[uint64]bool{} // distinct payloads shipped as flate frames
+		perFrame   int                 // delta+flate frames: deflated per response
+		deltaOnce  sync.Once
+		firstDelta = make(chan struct{})
+	)
+
+	// Phase 1, no writer: 16 cold-memo readers, one deflate.
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				f, err := postOneV3(hs.URL, codec, box)
+				if err != nil || f.Status != FrameOK || f.Codec != FrameFlate {
+					t.Errorf("hot full frame: codec %d, %v", f.Codec, err)
+					return
+				}
+				mu.Lock()
+				fullIDs[wire.PayloadID(inflateFrame(t, f))] = true
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := srv.obs.stageComp.Count(); got != 1 || len(fullIDs) != 1 {
+		t.Fatalf("128 responses of %d payload(s) ran %d deflate passes, want 1 of 1", len(fullIDs), got)
+	}
+
+	// Phase 2: readers chase a writer.
+	var acked atomic.Int64 // val every row carries after the last acked update
+	update := func(k int) {
+		t.Helper()
+		upd, _ := json.Marshal(UpdateRequest{
+			SQL:  "UPDATE points SET val = ?",
+			Args: []ArgValue{{Kind: storage.TFloat64, F: float64(k)}},
+		})
+		resp, err := http.Post(hs.URL+"/update", "application/json", bytes.NewReader(upd))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/update: %s", resp.Status)
+		}
+		acked.Store(int64(k))
+	}
+	update(0)
+	stop := make(chan struct{})
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held *DataResponse
+			var heldID uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				floor := float64(acked.Load())
+				it := box
+				if held != nil {
+					it.Base = &BaseRef{MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY,
+						ID: strconv.FormatUint(heldID, 16)}
+				}
+				f, err := postOneV3(hs.URL, codec, it)
+				if err != nil || f.Status != FrameOK {
+					t.Errorf("reader: %v %s", err, f.Payload)
+					return
+				}
+				body := f.Payload
+				if f.Codec.Compressed() {
+					if body, err = wire.Decompress(body, wire.MaxFramePayload); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				mu.Lock()
+				if f.Codec == FrameDeltaFlate {
+					perFrame++
+				} else if f.Codec == FrameFlate {
+					fullIDs[wire.PayloadID(body)] = true
+				}
+				mu.Unlock()
+				if f.Codec.IsDelta() {
+					// Same box, base accepted: the server vouches that what
+					// this reader holds is still current.
+					d, err := wire.DecodeDelta(body)
+					if err != nil || len(d.Tombstones) != 0 {
+						t.Errorf("same-box delta: %v, %d tombstones", err, len(d.Tombstones))
+						return
+					}
+					heldID = d.NewID
+					deltaOnce.Do(func() { close(firstDelta) })
+				} else {
+					if held, err = Decode(body, codec); err != nil {
+						t.Error(err)
+						return
+					}
+					heldID = wire.PayloadID(body)
+				}
+				for _, row := range held.Rows {
+					if v := row[3].AsFloat(); v < floor {
+						t.Errorf("row %d carries val %g after the update to %g was acked (delta frame: %v)",
+							row[0].AsInt(), v, floor, f.Codec.IsDelta())
+						return
+					}
+				}
+			}
+		}()
+	}
+	for k := 1; k <= 12; k++ {
+		update(k)
+	}
+	// Every reader now holds (or is about to hold) the final payload, so
+	// a base-accepted delta frame is certain to follow.
+	select {
+	case <-firstDelta:
+	case <-time.After(30 * time.Second):
+		t.Error("no reader ever got a delta frame: the base-accepted path went untested")
+	}
+	close(stop)
+	wg.Wait()
+	// One deflate per distinct payload shipped in full, one per delta
+	// body big enough to compress — however many responses carried them.
+	if got, want := srv.obs.stageComp.Count(), uint64(len(fullIDs)+perFrame); got != want {
+		t.Errorf("deflate ran %d times for %d distinct payloads and %d per-response delta bodies", got, len(fullIDs), perFrame)
+	}
+}
+
+// TestDeltaIndexRebuiltFromBytes: the row index is a cache, never a
+// dependency. After the wire memo is emptied, and after a restart that
+// promotes both boxes out of the L2 store (bytes the new process never
+// encoded), the planner rescans the bytes and ships the same delta.
+func TestDeltaIndexRebuiltFromBytes(t *testing.T) {
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		dir := t.TempDir()
+		db, ca := newPointsApp(t, 4000, 4096, 2048)
+		srv, err := New(db, ca, l2Options(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(srv.Handler())
+		a := BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800}
+		b := BatchItem{Kind: "dbox", Layer: 0, MinX: 200, MinY: 0, MaxX: 1200, MaxY: 800}
+		_, idA := fetchBoxPayload(t, hs.URL, a, codec)
+		b.Base = &BaseRef{MinX: a.MinX, MinY: a.MinY, MaxX: a.MaxX, MaxY: a.MaxY, ID: strconv.FormatUint(idA, 16)}
+		deltaOf := func(url string) []byte {
+			t.Helper()
+			f, err := postOneV3(url, codec, b)
+			if err != nil || !f.Codec.IsDelta() {
+				t.Fatalf("%s: want a delta frame, got codec %d (%v)", codec, f.Codec, err)
+			}
+			return f.Payload
+		}
+		want := deltaOf(hs.URL)
+
+		builds := srv.wireMemo.Stats().Misses
+		srv.wireMemo.Clear()
+		if got := deltaOf(hs.URL); !bytes.Equal(got, want) {
+			t.Fatalf("%s: delta after memo eviction differs", codec)
+		}
+		if srv.wireMemo.Stats().Misses == builds {
+			t.Fatalf("%s: emptied memo rebuilt nothing", codec)
+		}
+
+		hs.Close()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db2, ca2 := newPointsApp(t, 4000, 4096, 2048)
+		srv2, err := New(db2, ca2, l2Options(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs2 := httptest.NewServer(srv2.Handler())
+		// The client still holds box A; the restarted server finds it in
+		// L2, hashes it on promotion, and accepts it as a base.
+		if _, err := srv2.serveItem(context.Background(), "main", a, codec, false); err != nil {
+			t.Fatal(err)
+		}
+		if got := deltaOf(hs2.URL); !bytes.Equal(got, want) {
+			t.Fatalf("%s: delta after restart differs", codec)
+		}
+		if q := srv2.Stats.DBQueries.Load(); q != 0 {
+			t.Fatalf("%s: restarted server ran %d queries, want both boxes from L2", codec, q)
+		}
+		hs2.Close()
+		if err := srv2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

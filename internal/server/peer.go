@@ -60,14 +60,18 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := s.startRequestSpan(r, "peer.serve")
 	sp.Attr("kind", fr.Kind)
 	srvStart := time.Now()
-	payload, err := s.serveItem(ctx, fr.Canvas, it, codec, false, true)
+	p, err := s.serveItem(ctx, fr.Canvas, it, codec, true)
 	s.obs.stagePeerSrv.Observe(time.Since(srvStart))
 	sp.End()
 	if v := obs.EncodeSpansHeader(sp.Data()); v != "" {
 		w.Header().Set(obs.SpansHeader, v)
 	}
+	var raw []byte
+	if err == nil {
+		raw = p.raw
+	}
 	badReq := err != nil && httpStatusOf(err) == http.StatusBadRequest
-	_ = cluster.WritePeerResponse(w, s.cluster.EpochVec(), cluster.FrameKindOf(fr.Kind), payload, err, badReq)
+	_ = cluster.WritePeerResponse(w, s.cluster.EpochVec(), cluster.FrameKindOf(fr.Kind), raw, err, badReq)
 }
 
 // peerQuery fills a locally missed key this node does not own: forward
@@ -85,7 +89,7 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 // the cluster's aggregate cache capacity scales with node count. With
 // admission off (no sketch) every fill replicates, the plain
 // groupcache behavior.
-func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequest, sql string, args []storage.Value, codec Codec, memoize bool) ([]byte, error) {
+func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequest, sql string, args []storage.Value, codec Codec) (*payload, error) {
 	gen := s.cacheGen.Load()
 	l2gen := s.l2Gen()
 	owner := s.cluster.Owner(key)
@@ -94,25 +98,26 @@ func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequ
 		// replication) may have populated the cache while queuing.
 		if data, ok := s.bcache.Peek(key); ok {
 			s.Stats.CacheHits.Add(1)
-			return data.([]byte), nil
+			return data.(*payload), nil
 		}
 		// The local persistent tier answers before the peer hop: a
 		// payload this node once fetched (or served) survives in L2
 		// across restarts, and a checksum-verified local disk read
 		// beats a network exchange. L1 admission for non-owned keys
 		// stays behind the hot-replicate gate, same as a peer fill.
-		if payload, ok := s.l2ReadTraced(ctx, key); ok {
+		if raw, ok := s.l2ReadTraced(ctx, key); ok {
+			p := newPayload(raw)
 			if hr := s.cluster.HotReplicate(); hr >= 0 {
 				if f := s.bcache.EstimateFreq(key); f < 0 || f >= hr {
-					s.putUnlessStale(gen, key, payload)
+					s.putUnlessStale(gen, key, p)
 				}
 			}
-			return payload, nil
+			return p, nil
 		}
 		fctx, fsp := s.tracer().Start(ctx, "peer.fetch")
 		fsp.Attr("owner", owner)
 		fetchStart := time.Now()
-		payload, err := s.cluster.FetchContext(fctx, owner, fr)
+		raw, err := s.cluster.FetchContext(fctx, owner, fr)
 		s.obs.stagePeer.Observe(time.Since(fetchStart))
 		if err != nil {
 			fsp.Attr("err", err.Error())
@@ -123,10 +128,11 @@ func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequ
 			// gate protects L1's scarce memory, while the persistent
 			// tier exists precisely to keep refetchable bytes off the
 			// network after a restart.
-			s.l2Fill(l2gen, key, payload)
+			p := newPayload(raw)
+			s.l2Fill(l2gen, key, raw)
 			if hr := s.cluster.HotReplicate(); hr >= 0 {
 				if f := s.bcache.EstimateFreq(key); f < 0 || f >= hr {
-					s.putUnlessStale(gen, key, payload)
+					s.putUnlessStale(gen, key, p)
 					// Count replicas actually resident after the Put —
 					// the generation re-check or the cache's own
 					// admission gate may have declined the store.
@@ -135,23 +141,23 @@ func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequ
 					}
 				}
 			}
-			return payload, nil
+			return p, nil
 		}
 		s.cluster.Stats.LocalFallbacks.Add(1)
-		payload, qerr := s.runQuery(ctx, sql, args, codec, memoize)
+		p, qerr := s.runQuery(ctx, sql, args, codec)
 		if qerr != nil {
 			return nil, qerr
 		}
-		s.putUnlessStale(gen, key, payload)
-		s.l2Fill(l2gen, key, payload)
-		return payload, nil
+		s.putUnlessStale(gen, key, p)
+		s.l2Fill(l2gen, key, p.raw)
+		return p, nil
 	}
 	if s.opts.DisableCoalescing {
 		v, err := fill()
 		if err != nil {
 			return nil, err
 		}
-		return v.([]byte), nil
+		return v.(*payload), nil
 	}
 	v, err, dup := s.flight.Do(flightKey(gen, key), fill)
 	if err != nil {
@@ -160,7 +166,7 @@ func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequ
 	if dup {
 		s.Stats.CoalescedHits.Add(1)
 	}
-	return v.([]byte), nil
+	return v.(*payload), nil
 }
 
 // ownsDBox reports whether this node serves the item's dynamic box

@@ -23,7 +23,6 @@ import (
 	"kyrix/internal/sqldb"
 	"kyrix/internal/storage"
 	"kyrix/internal/store"
-	"kyrix/internal/wire"
 )
 
 // ClusterOptions configures this node's membership in a serving
@@ -268,13 +267,14 @@ type Server struct {
 	// constant statement shape per design (arguments ride in '?'
 	// placeholders), so the hot path skips the parser entirely.
 	plans *cache.LRU
-	// deltaMemo caches decoded dbox payloads for the v3 delta planner,
-	// keyed by the payload's content hash (wire.PayloadID) — during a
-	// pan chain each payload is decoded once, when it is the "new" box,
-	// and found here when the next request declares it as the base.
-	// Content-addressed entries are immutable, so updates need no
-	// invalidation; the LRU bound caps residency.
-	deltaMemo *cache.LRU
+	// wireMemo holds the derived forms of cached payloads — DEFLATE
+	// bodies and row indexes (payload.go) — keyed by the payload's
+	// content hash, so every response after the first ships them with a
+	// lookup. Content-addressed entries are immutable, so updates need
+	// no invalidation; the LRU bound caps residency. memoFlight
+	// collapses concurrent first builds of one form.
+	wireMemo   *cache.LRU
+	memoFlight singleflight.Group
 
 	// cluster is this node's membership in the serving cluster (ring,
 	// peer transport, epoch); nil when serving standalone.
@@ -350,11 +350,11 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		// One entry = size 1, so the byte budget counts plans; a single
 		// shard keeps exact LRU order (the cap is tiny).
 		plans: cache.NewLRUSharded(int64(planCap), 1),
-		// Entries are charged their encoded-payload size (the decoded
-		// rows scale with it), so resident memory stays bounded like
-		// the other caches; 32 MB covers every live pan chain.
-		deltaMemo: cache.NewLRUSharded(32<<20, 1),
-		opts:      opts,
+		// Entries are charged what they hold (deflated bytes, index
+		// slices), so resident memory stays bounded like the other
+		// caches.
+		wireMemo: cache.NewLRU(32 << 20),
+		opts:     opts,
 	}
 	s.initObs()
 	if cacheOpts.L2.Path != "" {
@@ -676,12 +676,12 @@ func floatParam(r *http.Request, name string) (float64, error) {
 // queried locally; localOnly (peer-originated requests) suppresses the
 // forwarding so two nodes with diverging ring views can never bounce a
 // request between each other.
-func (s *Server) serveTile(ctx context.Context, pl *fetch.PhysicalLayer, design string, codec Codec, size float64, tid geom.TileID, localOnly bool) ([]byte, error) {
+func (s *Server) serveTile(ctx context.Context, pl *fetch.PhysicalLayer, design string, codec Codec, size float64, tid geom.TileID, localOnly bool) (*payload, error) {
 	key := fmt.Sprintf("%s/%s/%s", codec, design, fetch.TileKeyOf(layerKey(pl.CanvasID, pl.LayerIdx), size, tid))
 	if data, ok := s.bcache.Get(key); ok {
 		s.Stats.CacheHits.Add(1)
 		obs.SpanFromContext(ctx).Attr("l1", "hit")
-		return data.([]byte), nil
+		return data.(*payload), nil
 	}
 	var sql string
 	var args []storage.Value
@@ -703,9 +703,9 @@ func (s *Server) serveTile(ctx context.Context, pl *fetch.PhysicalLayer, design 
 			Kind: "tile", Codec: string(codec), Design: design,
 			Size: size, Col: tid.Col, Row: tid.Row,
 		}
-		return s.peerQuery(ctx, key, fr, sql, args, codec, false)
+		return s.peerQuery(ctx, key, fr, sql, args, codec)
 	}
-	return s.cachedQuery(ctx, key, sql, args, codec, false)
+	return s.cachedQuery(ctx, key, sql, args, codec)
 }
 
 // badRequestError marks an error as the caller's fault (HTTP 400);
@@ -734,21 +734,28 @@ func httpStatusOf(err error) int {
 // flight key embeds the generation too, so a request arriving after
 // the update never coalesces onto (and never re-serves) a stale
 // in-flight query.
-func (s *Server) cachedQuery(ctx context.Context, key, sql string, args []storage.Value, codec Codec, memoize bool) ([]byte, error) {
+func (s *Server) cachedQuery(ctx context.Context, key, sql string, args []storage.Value, codec Codec) (*payload, error) {
 	gen := s.cacheGen.Load()
 	l2gen := s.l2Gen()
-	if s.opts.DisableCoalescing {
-		if payload, ok := s.l2ReadTraced(ctx, key); ok {
-			s.putUnlessStale(gen, key, payload)
-			return payload, nil
+	// fill is the miss path past L1. The persistent tier answers before
+	// the database: an L2 hit is a checksum-verified disk read, promoted
+	// into L1 so the next request never touches disk.
+	fill := func() (*payload, error) {
+		if raw, ok := s.l2ReadTraced(ctx, key); ok {
+			p := newPayload(raw)
+			s.putUnlessStale(gen, key, p)
+			return p, nil
 		}
-		payload, err := s.runQuery(ctx, sql, args, codec, memoize)
+		p, err := s.runQuery(ctx, sql, args, codec)
 		if err != nil {
 			return nil, err
 		}
-		s.putUnlessStale(gen, key, payload)
-		s.l2Fill(l2gen, key, payload)
-		return payload, nil
+		s.putUnlessStale(gen, key, p)
+		s.l2Fill(l2gen, key, p.raw)
+		return p, nil
+	}
+	if s.opts.DisableCoalescing {
+		return fill()
 	}
 	v, err, dup := s.flight.Do(flightKey(gen, key), func() (any, error) {
 		// Double-check the cache: a previous flight for this key may
@@ -757,23 +764,11 @@ func (s *Server) cachedQuery(ctx context.Context, key, sql string, args []storag
 		// and a second lookup must not double-count it.
 		if data, ok := s.bcache.Peek(key); ok {
 			s.Stats.CacheHits.Add(1)
-			return data.([]byte), nil
+			return data.(*payload), nil
 		}
-		// The persistent tier answers before the database: an L2 hit
-		// is a checksum-verified disk read, promoted into L1 so the
-		// next request never touches disk. Inside the flight, so N
-		// concurrent misses do one L2 read.
-		if payload, ok := s.l2ReadTraced(ctx, key); ok {
-			s.putUnlessStale(gen, key, payload)
-			return payload, nil
-		}
-		payload, err := s.runQuery(ctx, sql, args, codec, memoize)
-		if err != nil {
-			return nil, err
-		}
-		s.putUnlessStale(gen, key, payload)
-		s.l2Fill(l2gen, key, payload)
-		return payload, nil
+		// Inside the flight, so N concurrent misses do one L2 read or
+		// one query, and hash the payload once.
+		return fill()
 	})
 	if err != nil {
 		return nil, err
@@ -781,7 +776,7 @@ func (s *Server) cachedQuery(ctx context.Context, key, sql string, args []storag
 	if dup {
 		s.Stats.CoalescedHits.Add(1)
 	}
-	return v.([]byte), nil
+	return v.(*payload), nil
 }
 
 // l2Gen captures the persistent tier's generation before a query runs;
@@ -844,11 +839,13 @@ func flightKey(gen int64, key string) string {
 // the Remove below does. The one benign loss: the Remove may also
 // delete a fresh same-key entry written by a newer-generation flight
 // in the window, which costs a cache miss, never staleness.
-func (s *Server) putUnlessStale(gen int64, key string, payload []byte) {
+func (s *Server) putUnlessStale(gen int64, key string, p *payload) {
 	if s.cacheGen.Load() != gen {
 		return
 	}
-	s.bcache.Put(key, payload, int64(len(payload)))
+	// Charged raw bytes only: the derived forms live (and are bounded)
+	// in the wire memo.
+	s.bcache.Put(key, p, int64(len(p.raw)))
 	if s.cacheGen.Load() != gen {
 		s.bcache.Remove(key)
 	}
@@ -883,14 +880,14 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := s.startRequestSpan(r, "http.tile")
 	sp.Attr("canvas", pl.CanvasID)
 	start := time.Now()
-	payload, err := s.serveTile(ctx, pl, design, codec, size, geom.TileID{Col: col, Row: row}, false)
+	p, err := s.serveTile(ctx, pl, design, codec, size, geom.TileID{Col: col, Row: row}, false)
 	s.obs.stageItem.Observe(time.Since(start))
 	sp.End()
 	if err != nil {
 		http.Error(w, err.Error(), httpStatusOf(err))
 		return
 	}
-	s.writePayload(w, codec, payload)
+	s.writePayload(w, codec, p.raw)
 }
 
 // handleDBox answers one dynamic-box request (always the spatial
@@ -924,27 +921,24 @@ func (s *Server) handleDBox(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := s.startRequestSpan(r, "http.dbox")
 	sp.Attr("canvas", pl.CanvasID)
 	start := time.Now()
-	payload, err := s.serveBox(ctx, pl, codec, box, false, false)
+	p, err := s.serveBox(ctx, pl, codec, box, false)
 	s.obs.stageItem.Observe(time.Since(start))
 	sp.End()
 	if err != nil {
 		http.Error(w, err.Error(), httpStatusOf(err))
 		return
 	}
-	s.writePayload(w, codec, payload)
+	s.writePayload(w, codec, p.raw)
 }
 
 // serveBox produces the payload of one dynamic-box request, with the
 // same cache + coalescing + cluster-routing treatment as serveTile.
-// memoize asks the query to park its decoded rows for the v3 delta
-// planner — only worth paying for requests whose payload can become a
-// delta base (v3 batches); the v1/v2 paths skip it.
-func (s *Server) serveBox(ctx context.Context, pl *fetch.PhysicalLayer, codec Codec, box geom.Rect, memoize, localOnly bool) ([]byte, error) {
+func (s *Server) serveBox(ctx context.Context, pl *fetch.PhysicalLayer, codec Codec, box geom.Rect, localOnly bool) (*payload, error) {
 	key := s.boxCacheKey(pl, codec, box)
 	if data, ok := s.bcache.Get(key); ok {
 		s.Stats.CacheHits.Add(1)
 		obs.SpanFromContext(ctx).Attr("l1", "hit")
-		return data.([]byte), nil
+		return data.(*payload), nil
 	}
 	sql, args := s.windowSQL(ctx, pl, box)
 	if !localOnly && s.cluster != nil && !s.cluster.Owns(key) {
@@ -953,9 +947,9 @@ func (s *Server) serveBox(ctx context.Context, pl *fetch.PhysicalLayer, codec Co
 			Kind: "dbox", Codec: string(codec),
 			MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY,
 		}
-		return s.peerQuery(ctx, key, fr, sql, args, codec, memoize)
+		return s.peerQuery(ctx, key, fr, sql, args, codec)
 	}
-	return s.cachedQuery(ctx, key, sql, args, codec, memoize)
+	return s.cachedQuery(ctx, key, sql, args, codec)
 }
 
 // windowSQL builds the database query answering one window (a tile
@@ -998,7 +992,9 @@ func (s *Server) preparedSelect(sql string) (*sqldb.SelectStmt, error) {
 	return sel, nil
 }
 
-func (s *Server) runQuery(ctx context.Context, sql string, args []storage.Value, codec Codec, memoize bool) ([]byte, error) {
+// runQuery executes one window query and encodes its rows into a fresh
+// payload, hashed here, once.
+func (s *Server) runQuery(ctx context.Context, sql string, args []storage.Value, codec Codec) (*payload, error) {
 	sel, err := s.preparedSelect(sql)
 	if err != nil {
 		return nil, err
@@ -1021,18 +1017,11 @@ func (s *Server) runQuery(ctx context.Context, sql string, args []storage.Value,
 	sp.End()
 	s.Stats.QueryNanos.Add(elapsed.Nanoseconds())
 	s.Stats.RowsServed.Add(int64(len(res.Rows)))
-	dr := responseFromResult(res)
-	payload, err := Encode(dr, codec)
+	raw, err := Encode(responseFromResult(res), codec)
 	if err != nil {
 		return nil, err
 	}
-	if memoize {
-		// The decoded rows are in hand right now; parking them in the
-		// content-addressed delta memo means a later delta plan against
-		// this payload never re-decodes it.
-		s.memoizeDecoded(wire.PayloadID(payload), codec, dr, len(payload))
-	}
-	return payload, nil
+	return newPayload(raw), nil
 }
 
 func (s *Server) writePayload(w http.ResponseWriter, codec Codec, payload []byte) {
@@ -1241,6 +1230,10 @@ type ServingStats struct {
 	DeltaFrames      int64 `json:"deltaFrames"`
 	CompressedFrames int64 `json:"compressedFrames"`
 	DBRowsScanned    int64 `json:"dbRowsScanned"`
+	// WireMemoHits/Misses count lookups of a cached payload's derived
+	// forms (DEFLATE body, row index); a miss is one build.
+	WireMemoHits   int64 `json:"wireMemoHits"`
+	WireMemoMisses int64 `json:"wireMemoMisses"`
 }
 
 // L1Stats is the in-memory backend cache section of a StatsSnapshot.
@@ -1303,6 +1296,7 @@ type StatsSnapshot struct {
 // Snapshot collects the server's counters into the versioned schema.
 func (s *Server) Snapshot() StatsSnapshot {
 	bc := s.bcache.Stats()
+	memo := s.wireMemo.Stats()
 	snap := StatsSnapshot{
 		V:             2,
 		UptimeSeconds: time.Since(s.obs.start).Seconds(),
@@ -1322,6 +1316,8 @@ func (s *Server) Snapshot() StatsSnapshot {
 			DeltaFrames:      s.Stats.DeltaFrames.Load(),
 			CompressedFrames: s.Stats.CompressedFrames.Load(),
 			DBRowsScanned:    s.db.Stats().RowsScanned,
+			WireMemoHits:     memo.Hits,
+			WireMemoMisses:   memo.Misses,
 		},
 		Cache: CacheStats{
 			L1: L1Stats{

@@ -192,37 +192,16 @@ func Decode(data []byte, codec Codec) (*DataResponse, error) {
 		}
 		return dr, nil
 	case CodecBinary:
-		rd := bytes.NewReader(data)
-		ncols, err := binary.ReadUvarint(rd)
+		h, err := parseBinaryHeader(data)
 		if err != nil {
-			return nil, fmt.Errorf("server: decode binary header: %w", err)
+			return nil, err
 		}
-		dr := &DataResponse{Cols: make([]string, ncols), Types: make(ColTypes, ncols)}
-		for i := range dr.Cols {
-			ln, err := binary.ReadUvarint(rd)
-			if err != nil {
-				return nil, fmt.Errorf("server: decode col name: %w", err)
-			}
-			name := make([]byte, ln)
-			if _, err := rd.Read(name); err != nil {
-				return nil, fmt.Errorf("server: decode col name: %w", err)
-			}
-			dr.Cols[i] = string(name)
-			tb, err := rd.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("server: decode col type: %w", err)
-			}
-			dr.Types[i] = storage.ColType(tb)
-		}
-		nrows, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, fmt.Errorf("server: decode row count: %w", err)
-		}
+		dr := &DataResponse{Cols: h.cols, Types: h.types}
 		schema := dr.Schema()
-		rest := data[len(data)-rd.Len():]
+		rest := data[h.rowsOff:]
 		off := 0
-		dr.Rows = make([]storage.Row, 0, nrows)
-		for i := uint64(0); i < nrows; i++ {
+		dr.Rows = make([]storage.Row, 0, h.nrows)
+		for i := 0; i < h.nrows; i++ {
 			row := make(storage.Row, len(schema))
 			n, err := storage.DecodeRowNext(rest[off:], schema, row)
 			if err != nil {
@@ -234,4 +213,65 @@ func Decode(data []byte, codec Codec) (*DataResponse, error) {
 		return dr, nil
 	}
 	return nil, fmt.Errorf("server: unknown codec %q", codec)
+}
+
+// binaryHeader is the schema header of a binary payload plus where its
+// row section sits.
+type binaryHeader struct {
+	cols  []string
+	types ColTypes
+	nrows int
+	// countOff is the offset of the row-count varint, rowsOff of the
+	// first row.
+	countOff, rowsOff int
+}
+
+// parseBinaryHeader reads the header of a binary payload. Payloads
+// arrive off the wire, from the L2 store and from peers, so no count is
+// trusted further than the bytes behind it: a column costs at least two
+// bytes (name length + type), a name cannot outrun the input, and a row
+// costs at least its fixed-width columns plus one length byte per
+// string — a corrupt header is an error, never an allocation.
+func parseBinaryHeader(data []byte) (binaryHeader, error) {
+	var h binaryHeader
+	ncols, n := binary.Uvarint(data)
+	if n <= 0 {
+		return h, fmt.Errorf("server: decode binary header: bad column count")
+	}
+	off := n
+	if ncols > uint64(len(data)-off)/2 {
+		return h, fmt.Errorf("server: decode binary header: %d columns in %d bytes", ncols, len(data)-off)
+	}
+	h.cols, h.types = make([]string, ncols), make(ColTypes, ncols)
+	minRow := 0
+	for i := range h.cols {
+		ln, n := binary.Uvarint(data[off:])
+		if n <= 0 || ln >= uint64(len(data)-off-n) {
+			return h, fmt.Errorf("server: decode col name %d: truncated", i)
+		}
+		off += n
+		h.cols[i] = string(data[off : off+int(ln)])
+		off += int(ln)
+		h.types[i] = storage.ColType(data[off])
+		off++
+		switch h.types[i] {
+		case storage.TInt64, storage.TFloat64:
+			minRow += 8
+		case storage.TBool, storage.TString:
+			minRow++
+		default:
+			return h, fmt.Errorf("server: decode col %d: unknown type %d", i, h.types[i])
+		}
+	}
+	h.countOff = off
+	nrows, n := binary.Uvarint(data[off:])
+	if n <= 0 {
+		return h, fmt.Errorf("server: decode row count: truncated")
+	}
+	off += n
+	if nrows > uint64(len(data)-off)/uint64(max(minRow, 1)) {
+		return h, fmt.Errorf("server: decode row count: %d rows in %d bytes", nrows, len(data)-off)
+	}
+	h.nrows, h.rowsOff = int(nrows), off
+	return h, nil
 }

@@ -285,7 +285,7 @@ func DecodeRowNext(buf []byte, schema Schema, dst Row) (int, error) {
 			off++
 		case TString:
 			n, sz := binary.Uvarint(buf[off:])
-			if sz <= 0 || off+sz+int(n) > len(buf) {
+			if sz <= 0 || n > uint64(len(buf)-off-sz) {
 				return off, fmt.Errorf("storage: truncated TEXT at col %d", i)
 			}
 			off += sz

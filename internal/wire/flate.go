@@ -11,16 +11,28 @@ import (
 
 // Per-frame compression. Writers and readers are pooled: a flate
 // writer allocates ~hundreds of KB of window state, far too much to
-// rebuild per frame on the serving hot path.
+// rebuild per frame on the serving hot path. Each pooled writer keeps
+// its own scratch buffer, so Compress hands back an exactly-sized copy
+// instead of a grown buffer's slack.
 
 // flateLevel trades ratio for speed; frames are latency-sensitive
 // (the 500 ms budget), so BestSpeed wins over a few extra percent.
 const flateLevel = flate.BestSpeed
 
-var flateWriters = sync.Pool{
+type deflater struct {
+	fw  *flate.Writer
+	buf bytes.Buffer
+}
+
+// maxPooledScratch bounds the scratch buffer an idle pooled deflater
+// may keep; one rare huge frame must not pin its size forever.
+const maxPooledScratch = 1 << 20
+
+var deflaters = sync.Pool{
 	New: func() any {
-		w, _ := flate.NewWriter(io.Discard, flateLevel)
-		return w
+		d := &deflater{}
+		d.fw, _ = flate.NewWriter(&d.buf, flateLevel)
+		return d
 	},
 }
 
@@ -31,25 +43,26 @@ var flateReaders = sync.Pool{
 }
 
 // Compress deflates src through a pooled writer and returns the
-// compressed bytes (a fresh slice; src is not retained).
+// compressed bytes: a fresh slice with no spare capacity, so a caller
+// that retains it (the server caches deflated payloads) pins exactly
+// len bytes. src is not retained.
 func Compress(src []byte) ([]byte, error) {
-	fw := flateWriters.Get().(*flate.Writer)
-	// Detach the writer from the caller's buffer before pooling it, or
-	// every idle pool entry would pin the last payload it compressed.
+	d := deflaters.Get().(*deflater)
 	defer func() {
-		fw.Reset(io.Discard)
-		flateWriters.Put(fw)
+		if d.buf.Cap() > maxPooledScratch {
+			d.buf = bytes.Buffer{}
+		}
+		deflaters.Put(d)
 	}()
-	var buf bytes.Buffer
-	buf.Grow(len(src) / 2)
-	fw.Reset(&buf)
-	if _, err := fw.Write(src); err != nil {
+	d.buf.Reset()
+	d.fw.Reset(&d.buf)
+	if _, err := d.fw.Write(src); err != nil {
 		return nil, fmt.Errorf("wire: compress: %w", err)
 	}
-	if err := fw.Close(); err != nil {
+	if err := d.fw.Close(); err != nil {
 		return nil, fmt.Errorf("wire: compress: %w", err)
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(d.buf.Bytes()), nil
 }
 
 // Decompress inflates src through a pooled reader, refusing to produce

@@ -365,6 +365,25 @@
 // optimization, never a correctness dependency. Error frames are
 // always raw.
 //
+// Encode once, ship many: on the server a cached payload exists in
+// three forms, and each is computed once, not per response. (1) The raw
+// bytes in the request codec plus their content hash, produced by
+// whichever fill made the bytes resident — a database query, an L2
+// promotion or a peer fill — and stored together as the L1 value; L1
+// and L2 account for the raw bytes only. (2) The DEFLATE body, or the
+// verdict that compressing will not pay. (3) A row index: every row's
+// id and byte range inside the raw bytes, scanned from the bytes
+// without decoding a row. Forms (2) and (3) are built by the first
+// response that needs them and kept in a 32 MB content-addressed memo
+// (keyed by the hash, so an /update — new bytes, new hash — needs no
+// invalidation). A full frame served from L1 is therefore two lookups
+// with no hashing, deflating or decoding; a delta frame matches the
+// declared base by its stored hash, diffs the two cached id lists and
+// copies the entering rows' byte ranges out of the new payload. Only
+// the delta body, specific to one (base, new) pair, is deflated per
+// response. /stats reports wireMemoHits and wireMemoMisses, and the
+// compress stage histogram counts real DEFLATE passes only.
+//
 // [ClientOptions].BatchProtocol negotiates ([ProtocolAuto],
 // [ProtocolV1], [ProtocolV2], [ProtocolV3]): in auto mode dbox-scheme
 // clients (and tile clients with BatchSize > 1) speak v3 and walk the
@@ -390,7 +409,8 @@
 // http.tile / http.dbox / http.batch / http.update roots over item,
 // l2.read, db.query, peer.fetch, peer.serve, delta.plan, compress and
 // flush children, with attributes (cache tier hit, LOD level, rows,
-// applied/skipped) on the span that decided them. Trace context
+// applied/skipped, and cached on delta.plan and compress: served from
+// the payload's memoized forms) on the span that decided them. Trace context
 // crosses process boundaries in the X-Kyrix-Trace header, and a peer
 // ships its finished subtree back in X-Kyrix-Trace-Spans, so a
 // cluster fill records ONE stitched trace on the requesting node:
