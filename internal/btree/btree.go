@@ -8,20 +8,26 @@
 // tuple references per tile. Leaves are linked for range scans.
 package btree
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // degree is the fan-out: max keys per node. 64 keeps nodes around a
 // cache line multiple and trees shallow at the experiment scales.
 const degree = 64
 
-type entry struct {
-	key int64
-	val uint64
+// Entry is one (key, val) pair: the element of a leaf, and what BulkLoad
+// is fed.
+type Entry struct {
+	Key int64
+	Val uint64
 }
 
 type node struct {
 	leaf     bool
-	entries  []entry // leaf: data entries; internal: separator keys in entries[i].key
+	entries  []Entry // leaf: data entries; internal: separator keys in entries[i].Key
 	children []*node // internal only; len(children) == len(entries)+1
 	next     *node   // leaf chain
 }
@@ -39,15 +45,61 @@ func New() *Tree {
 	return &Tree{root: &node{leaf: true}}
 }
 
+// BulkLoad builds a tree over entries bottom-up: leaves packed to degree
+// and chained, then one level of separators at a time. The tree takes
+// ownership of the slice — it is sorted in place by (key, val) when it is
+// not already, duplicate pairs are dropped (Insert is idempotent), and
+// every leaf is a sub-slice of it, so a million-entry index costs the
+// 16 B/entry of the array itself and no second copy. Leaves are capped
+// at their own length: a later Insert into one reallocates that leaf
+// and never writes into its neighbour.
+func BulkLoad(entries []Entry) *Tree {
+	byKeyVal := func(a, b Entry) int { return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Val, b.Val)) }
+	if !slices.IsSortedFunc(entries, byKeyVal) {
+		slices.SortFunc(entries, byKeyVal)
+	}
+	entries = slices.Compact(entries)
+	if len(entries) == 0 {
+		return New()
+	}
+	// level holds the nodes of the level being built; firsts[i] is the
+	// smallest entry under level[i], which is its separator one level up.
+	var level []*node
+	var firsts []Entry
+	for i := 0; i < len(entries); i += degree {
+		j := min(i+degree, len(entries))
+		n := &node{leaf: true, entries: entries[i:j:j]}
+		if len(level) > 0 {
+			level[len(level)-1].next = n
+		}
+		level = append(level, n)
+		firsts = append(firsts, entries[i])
+	}
+	for len(level) > 1 {
+		var up []*node
+		var upFirsts []Entry
+		for i := 0; i < len(level); i += degree + 1 {
+			j := min(i+degree+1, len(level))
+			up = append(up, &node{
+				entries:  append([]Entry(nil), firsts[i+1:j]...),
+				children: append([]*node(nil), level[i:j]...),
+			})
+			upFirsts = append(upFirsts, firsts[i])
+		}
+		level, firsts = up, upFirsts
+	}
+	return &Tree{root: level[0], size: len(entries)}
+}
+
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.size }
 
 // search returns the index of the first entry in n.entries whose
 // (key,val) is >= (k,v).
-func searchEntries(entries []entry, k int64, v uint64) int {
+func searchEntries(entries []Entry, k int64, v uint64) int {
 	return sort.Search(len(entries), func(i int) bool {
 		e := entries[i]
-		return e.key > k || (e.key == k && e.val >= v)
+		return e.Key > k || (e.Key == k && e.Val >= v)
 	})
 }
 
@@ -58,7 +110,7 @@ func searchEntries(entries []entry, k int64, v uint64) int {
 func childIndex(n *node, k int64, v uint64) int {
 	return sort.Search(len(n.entries), func(i int) bool {
 		e := n.entries[i]
-		return e.key > k || (e.key == k && e.val > v)
+		return e.Key > k || (e.Key == k && e.Val > v)
 	})
 }
 
@@ -71,7 +123,7 @@ func (t *Tree) Insert(key int64, val uint64) {
 	}
 	if newChild != nil {
 		t.root = &node{
-			entries:  []entry{sep},
+			entries:  []Entry{sep},
 			children: []*node{t.root, newChild},
 		}
 	}
@@ -80,34 +132,34 @@ func (t *Tree) Insert(key int64, val uint64) {
 // insert descends, splitting children on the way back up. Returns a new
 // right sibling and its separator when n split, and whether the tree
 // gained an entry.
-func (t *Tree) insert(n *node, key int64, val uint64) (*node, entry, bool) {
+func (t *Tree) insert(n *node, key int64, val uint64) (*node, Entry, bool) {
 	if n.leaf {
 		i := searchEntries(n.entries, key, val)
-		if i < len(n.entries) && n.entries[i].key == key && n.entries[i].val == val {
-			return nil, entry{}, false // idempotent
+		if i < len(n.entries) && n.entries[i].Key == key && n.entries[i].Val == val {
+			return nil, Entry{}, false // idempotent
 		}
-		n.entries = append(n.entries, entry{})
+		n.entries = append(n.entries, Entry{})
 		copy(n.entries[i+1:], n.entries[i:])
-		n.entries[i] = entry{key, val}
+		n.entries[i] = Entry{key, val}
 		if len(n.entries) <= degree {
-			return nil, entry{}, true
+			return nil, Entry{}, true
 		}
 		right := t.splitLeaf(n)
-		return right, entry{right.entries[0].key, right.entries[0].val}, true
+		return right, Entry{right.entries[0].Key, right.entries[0].Val}, true
 	}
 	ci := childIndex(n, key, val)
 	newChild, sep, grew := t.insert(n.children[ci], key, val)
 	if newChild == nil {
-		return nil, entry{}, grew
+		return nil, Entry{}, grew
 	}
-	n.entries = append(n.entries, entry{})
+	n.entries = append(n.entries, Entry{})
 	copy(n.entries[ci+1:], n.entries[ci:])
 	n.entries[ci] = sep
 	n.children = append(n.children, nil)
 	copy(n.children[ci+2:], n.children[ci+1:])
 	n.children[ci+1] = newChild
 	if len(n.entries) <= degree {
-		return nil, entry{}, grew
+		return nil, Entry{}, grew
 	}
 	right, upSep := t.splitInternal(n)
 	return right, upSep, grew
@@ -122,7 +174,7 @@ func (t *Tree) splitLeaf(n *node) *node {
 	return right
 }
 
-func (t *Tree) splitInternal(n *node) (*node, entry) {
+func (t *Tree) splitInternal(n *node) (*node, Entry) {
 	mid := len(n.entries) / 2
 	sep := n.entries[mid]
 	right := &node{}
@@ -143,7 +195,7 @@ func (t *Tree) Delete(key int64, val uint64) bool {
 		n = n.children[childIndex(n, key, val)]
 	}
 	i := searchEntries(n.entries, key, val)
-	if i >= len(n.entries) || n.entries[i].key != key || n.entries[i].val != val {
+	if i >= len(n.entries) || n.entries[i].Key != key || n.entries[i].Val != val {
 		return false
 	}
 	n.entries = append(n.entries[:i], n.entries[i+1:]...)
@@ -175,10 +227,10 @@ func (t *Tree) AscendRange(lo, hi int64, fn func(key int64, val uint64) bool) {
 		i := searchEntries(n.entries, lo, 0)
 		for ; i < len(n.entries); i++ {
 			e := n.entries[i]
-			if e.key > hi {
+			if e.Key > hi {
 				return
 			}
-			if !fn(e.key, e.val) {
+			if !fn(e.Key, e.Val) {
 				return
 			}
 		}
@@ -194,7 +246,7 @@ func (t *Tree) Ascend(fn func(key int64, val uint64) bool) {
 	}
 	for n != nil {
 		for _, e := range n.entries {
-			if !fn(e.key, e.val) {
+			if !fn(e.Key, e.Val) {
 				return
 			}
 		}
@@ -217,7 +269,7 @@ func (t *Tree) Max() (key int64, ok bool) {
 	// The rightmost leaf can be empty after unbalanced deletes; walk
 	// back via a full descent scan in that rare case.
 	if len(n.entries) > 0 {
-		return n.entries[len(n.entries)-1].key, true
+		return n.entries[len(n.entries)-1].Key, true
 	}
 	found := false
 	var last int64

@@ -267,3 +267,96 @@ func BenchmarkLookup(b *testing.B) {
 		tr.Lookup(int64(i%1_000_000), func(uint64) bool { return true })
 	}
 }
+
+// collect returns every entry with lo <= key <= hi, in scan order.
+func collect(tr *Tree, lo, hi int64) []Entry {
+	var out []Entry
+	tr.AscendRange(lo, hi, func(k int64, v uint64) bool {
+		out = append(out, Entry{k, v})
+		return true
+	})
+	return out
+}
+
+// TestBulkLoadMatchesInsert: a bulk-loaded tree and one grown by Insert
+// answer every range identically — on sorted, shuffled and duplicate-key
+// input, across sizes that leave a lone child, a full root and three
+// levels — and the bulk-loaded tree keeps accepting Insert and Delete.
+func TestBulkLoadMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sizes := []int{0, 1, degree, degree + 1, degree * (degree + 1), degree*(degree+1) + 1, 20000}
+	shapes := map[string]func(i int) Entry{
+		"sorted":     func(i int) Entry { return Entry{int64(i), uint64(i)} },
+		"duplicates": func(i int) Entry { return Entry{int64(i / 97), uint64(i % 97)} },
+		"repeated":   func(i int) Entry { return Entry{int64(i % 50), uint64(i % 7)} }, // identical pairs recur
+	}
+	for name, shape := range shapes {
+		for _, n := range sizes {
+			for _, shuffle := range []bool{false, true} {
+				entries := make([]Entry, n)
+				for i := range entries {
+					entries[i] = shape(i)
+				}
+				if shuffle {
+					rng.Shuffle(n, func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+				}
+				want := New()
+				for _, e := range entries {
+					want.Insert(e.Key, e.Val)
+				}
+				got := BulkLoad(entries)
+				check := func(stage string) {
+					t.Helper()
+					if got.Len() != want.Len() {
+						t.Fatalf("%s n=%d shuffle=%v %s: Len %d, want %d", name, n, shuffle, stage, got.Len(), want.Len())
+					}
+					for trial := 0; trial < 20; trial++ {
+						lo := int64(rng.Intn(n+2)) - 1
+						hi := lo + int64(rng.Intn(n/4+2))
+						if trial == 0 {
+							lo, hi = -1<<62, 1<<62
+						}
+						g, w := collect(got, lo, hi), collect(want, lo, hi)
+						if len(g) != len(w) {
+							t.Fatalf("%s n=%d shuffle=%v %s: [%d,%d] has %d entries, want %d", name, n, shuffle, stage, lo, hi, len(g), len(w))
+						}
+						for i := range g {
+							if g[i] != w[i] {
+								t.Fatalf("%s n=%d %s: [%d,%d] entry %d = %v, want %v", name, n, stage, lo, hi, i, g[i], w[i])
+							}
+						}
+					}
+				}
+				check("loaded")
+				for i := 0; i < 300; i++ {
+					k, v := int64(rng.Intn(n+10)), uint64(rng.Intn(100))
+					if rng.Intn(3) == 0 {
+						if got.Delete(k, v) != want.Delete(k, v) {
+							t.Fatalf("%s n=%d: Delete(%d,%d) disagrees", name, n, k, v)
+						}
+					} else {
+						got.Insert(k, v)
+						want.Insert(k, v)
+					}
+				}
+				check("mutated")
+			}
+		}
+	}
+}
+
+func BenchmarkBulkLoad(b *testing.B) {
+	const n = 200_000
+	src := make([]Entry, n)
+	for i := range src {
+		src[i] = Entry{int64(i), uint64(i)}
+	}
+	entries := make([]Entry, n)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		copy(entries, src)
+		if BulkLoad(entries).Len() != n {
+			b.Fatal("short tree")
+		}
+	}
+}

@@ -664,6 +664,45 @@ func (c *LRU) Remove(key string) {
 	}
 }
 
+// RemoveIf drops every entry whose key match accepts and returns how
+// many went — the scoped counterpart of Clear, for an update that knows
+// which cached windows it touched. It is a sweep over every resident key
+// (BenchmarkInvalidateSweep prices it); the frequency sketch is kept,
+// since the untouched keys' popularity still describes the workload.
+// match runs outside the shard locks, on a snapshot of each shard's keys:
+// an entry stored while the sweep passes is not examined, so the caller
+// must already be refusing stale stores (the server's generation check).
+func (c *LRU) RemoveIf(match func(key string) bool) int {
+	removed := 0
+	var keys []string
+	for _, s := range c.shards {
+		keys = keys[:0]
+		s.mu.Lock()
+		for k := range s.entries {
+			keys = append(keys, k)
+		}
+		s.mu.Unlock()
+		hit := keys[:0]
+		for _, k := range keys {
+			if match(k) {
+				hit = append(hit, k)
+			}
+		}
+		if len(hit) == 0 {
+			continue
+		}
+		s.mu.Lock()
+		for _, k := range hit {
+			if el, ok := s.entries[k]; ok {
+				s.removeElLocked(el, &c.bytes)
+				removed++
+			}
+		}
+		s.mu.Unlock()
+	}
+	return removed
+}
+
 // Clear empties the cache, keeping statistics. With admission on the
 // frequency sketch is reset too: Clear follows a data update, after
 // which the old popularity histogram no longer describes the data.

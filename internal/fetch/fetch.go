@@ -11,6 +11,8 @@ package fetch
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"kyrix/internal/geom"
 )
@@ -81,15 +83,89 @@ func PaperSchemes() []Granularity {
 	}
 }
 
+// Cache keys name exactly one window of one layer: coordinates are
+// written in their shortest round-tripping form, so two boxes a fraction
+// of a canvas unit apart never share an entry, and KeyWindow can recover
+// the window from the key alone.
+
+func keyFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
 // TileKeyOf builds the canonical cache key of one tile of a layer.
 func TileKeyOf(layer string, size float64, id geom.TileID) string {
-	return fmt.Sprintf("t/%s/%d/%d/%d", layer, int(size), id.Col, id.Row)
+	return "t/" + layer + "/" + keyFloat(size) + "/" + strconv.Itoa(id.Col) + "/" + strconv.Itoa(id.Row)
 }
 
 // BoxKeyOf builds the cache key of a dynamic-box response, used by the
 // backend cache and by prefetched boxes.
 func BoxKeyOf(layer string, box geom.Rect) string {
-	return fmt.Sprintf("b/%s/%.0f/%.0f/%.0f/%.0f", layer, box.MinX, box.MinY, box.MaxX, box.MaxY)
+	return "b/" + layer + "/" + keyFloat(box.MinX) + "/" + keyFloat(box.MinY) + "/" + keyFloat(box.MaxX) + "/" + keyFloat(box.MaxY)
+}
+
+// KeyWindow is the inverse of TileKeyOf and BoxKeyOf: the layer and the
+// canvas rectangle a key names (a tile's extent, or the box itself). It
+// is what lets an update remove exactly the cached windows its rows
+// touch. The layer id may itself contain '/': the numeric fields are
+// counted from the right. ok is false for anything the two builders
+// could not have produced — including a non-canonical spelling of a
+// number, so an accepted key always re-encodes to itself — and a caller
+// sweeping a cache should treat a rejected key as touched.
+func KeyWindow(key string) (layer string, window geom.Rect, ok bool) {
+	if len(key) < 2 || key[1] != '/' {
+		return "", geom.Rect{}, false
+	}
+	nums := 4
+	if key[0] == 't' {
+		nums = 3
+	} else if key[0] != 'b' {
+		return "", geom.Rect{}, false
+	}
+	rest := key[2:]
+	var field [4]string
+	for i := nums - 1; i >= 0; i-- {
+		cut := strings.LastIndexByte(rest, '/')
+		if cut < 0 {
+			return "", geom.Rect{}, false
+		}
+		rest, field[i] = rest[:cut], rest[cut+1:]
+	}
+	layer = rest
+	if key[0] == 't' {
+		size, ok1 := parseKeyFloat(field[0])
+		col, ok2 := parseKeyInt(field[1])
+		row, ok3 := parseKeyInt(field[2])
+		if !ok1 || !ok2 || !ok3 || size <= 0 {
+			return "", geom.Rect{}, false
+		}
+		return layer, geom.TileID{Col: col, Row: row}.TileRect(size), true
+	}
+	var f [4]float64
+	for i := range f {
+		if f[i], ok = parseKeyFloat(field[i]); !ok {
+			return "", geom.Rect{}, false
+		}
+	}
+	window = geom.Rect{MinX: f[0], MinY: f[1], MaxX: f[2], MaxY: f[3]}
+	return layer, window, window.Valid()
+}
+
+// parseKeyFloat accepts only what keyFloat writes for a finite value.
+func parseKeyFloat(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || math.IsInf(v, 0) || math.IsNaN(v) {
+		return 0, false
+	}
+	var buf [32]byte
+	return v, string(strconv.AppendFloat(buf[:0], v, 'g', -1, 64)) == s
+}
+
+// parseKeyInt accepts only what strconv.Itoa writes for a tile index.
+func parseKeyInt(s string) (int, bool) {
+	v, err := strconv.Atoi(s)
+	if err != nil || v < 0 {
+		return 0, false
+	}
+	var buf [24]byte
+	return v, string(strconv.AppendInt(buf[:0], int64(v), 10)) == s
 }
 
 // TilesNeeded returns the tiles of size sz the viewport needs, clipped

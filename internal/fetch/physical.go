@@ -246,7 +246,7 @@ func materializeSeparable(ctx context.Context, db *sqldb.DB, ca *spec.CompiledAp
 		idxName := fmt.Sprintf("kyrix_%s_xy", sanitize(pl.Table))
 		sql := fmt.Sprintf("CREATE INDEX %s ON %s USING RTREE (%s, %s, %s, %s)",
 			idxName, pl.Table, p.XCol, p.YCol, p.XCol, p.YCol)
-		if _, err := db.Exec(sql); err != nil && !strings.Contains(err.Error(), "already exists") {
+		if _, err := db.Exec(sql); ignoreExists(err) != nil {
 			return nil, err
 		}
 	}
@@ -414,10 +414,35 @@ func buildTileMaps(ctx context.Context, db *sqldb.DB, pl *PhysicalLayer, opts Op
 		pl.TileMaps[size] = mt
 	}
 	// The mapping join also needs the data table indexed on its id.
-	idxName := fmt.Sprintf("kyrix_%s_id", sanitize(pl.Table))
-	sql := fmt.Sprintf("CREATE INDEX %s ON %s USING BTREE (%s)", idxName, pl.Table, pl.IDCol)
-	if _, err := db.Exec(sql); err != nil && !strings.Contains(err.Error(), "already exists") {
-		return err
+	_, err := pl.EnsureIDIndex(db)
+	return err
+}
+
+// EnsureIDIndex gives the layer's data table a B-tree on its id column
+// unless a point index on it already exists, reporting whether it built
+// one. Two callers need `id = ?` answered without a scan: the mapping
+// design's join, at precompute, and the first /update a server sees —
+// not server.New, because a deployment that never updates should not
+// pay a second pass over the heap, nor hold the index.
+func (pl *PhysicalLayer) EnsureIDIndex(db *sqldb.DB) (built bool, err error) {
+	t, err := db.Table(pl.Table)
+	if err != nil {
+		return false, err
 	}
-	return nil
+	if t.HasPointIndex(pl.IDCol) {
+		return false, nil
+	}
+	sql := fmt.Sprintf("CREATE INDEX kyrix_%s_id ON %s USING BTREE (%s)", sanitize(pl.Table), pl.Table, pl.IDCol)
+	if _, err := db.Exec(sql); err != nil {
+		// Two layers over one table may race here; the loser's work is done.
+		return false, ignoreExists(err)
+	}
+	return true, nil
+}
+
+func ignoreExists(err error) error {
+	if err != nil && strings.Contains(err.Error(), "already exists") {
+		return nil
+	}
+	return err
 }

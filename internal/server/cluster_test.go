@@ -262,7 +262,9 @@ func TestClusterCrossNodeSingleflight(t *testing.T) {
 		// cache and bumps the epoch; the non-owner adopts mid-round on
 		// its first peer exchange. The same key must again cost
 		// exactly one database query cluster-wide.
-		postUpdate(t, owner.url, "UPDATE points SET val = 1 WHERE id = 1")
+		// (All 500 rows: past maxScopedRows, so whichever rows the tile
+		// holds, the owner's whole cache goes.)
+		postUpdate(t, owner.url, "UPDATE points SET val = 1 WHERE id >= 0")
 	}
 }
 

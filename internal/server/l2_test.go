@@ -9,6 +9,7 @@ import (
 	"kyrix/internal/fetch"
 	"kyrix/internal/geom"
 	"kyrix/internal/sqldb"
+	"kyrix/internal/storage"
 )
 
 // l2Options is a server config with a small L1 and the persistent tile
@@ -98,9 +99,10 @@ func TestL2WarmRestart(t *testing.T) {
 	}
 }
 
-// TestL2UpdateInvalidates: /update's generation bump must make every
-// persisted payload invisible — including across a restart — so the
-// tier can never serve pre-update rows.
+// TestL2UpdateInvalidates: an /update must make every persisted payload
+// holding a row it touched invisible — including across a restart — so
+// the tier can never serve pre-update rows. 200 deleted rows are within
+// maxScopedRows, so this is the tombstone path, not a generation bump.
 func TestL2UpdateInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	db, ca := newPointsApp(t, 200, 4096, 2048)
@@ -118,11 +120,14 @@ func TestL2UpdateInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	genBefore := srv.l2.Generation()
-	if _, err := srv.execUpdate("DELETE FROM points WHERE id >= 0", nil); err != nil {
+	if _, _, err := srv.execUpdate("DELETE FROM points WHERE id >= 0", nil, true); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.l2.Generation(); got != genBefore+1 {
-		t.Fatalf("update bumped L2 generation %d -> %d, want +1", genBefore, got)
+	if got := srv.l2.Generation(); got != genBefore {
+		t.Fatalf("scoped update bumped the L2 generation %d -> %d", genBefore, got)
+	}
+	if got := srv.l2.Stats.Tombstones.Load(); got != 1 {
+		t.Fatalf("tombstones = %d, want 1 (the one resident tile)", got)
 	}
 	dbqBefore := srv.Stats.DBQueries.Load()
 	post, err := srv.serveTile(context.Background(), pl, "spatial", CodecJSON, 512, tid, false)
@@ -163,9 +168,10 @@ func TestL2UpdateInvalidates(t *testing.T) {
 	_ = dbqBefore
 }
 
-// TestL2StaleFillDropped: a query that raced an update must not
-// persist its pre-update payload. The queryHook holds the query open
-// while an update bumps the generation underneath it.
+// TestL2StaleFillDropped: a query that raced an update must not keep
+// its pre-update payload in either tier. The queryHook holds the fill
+// open while an update edits a row of its window, then one elsewhere:
+// the generation and the L2 fence are global, so either keeps it out.
 func TestL2StaleFillDropped(t *testing.T) {
 	dir := t.TempDir()
 	db, ca := newPointsApp(t, 200, 4096, 2048)
@@ -179,30 +185,45 @@ func TestL2StaleFillDropped(t *testing.T) {
 	pl, _ := srv.Layer("main", 0)
 	tid := geom.TileID{Col: 0, Row: 0}
 
-	fired := false
-	srv.queryHook = func() {
-		if fired {
-			return
+	res, err := db.Query("SELECT id FROM points WHERE x < 500 AND y < 500")
+	if err != nil || len(res.Rows) == 0 {
+		t.Fatalf("no row inside tile 0/0: %v", err)
+	}
+	inside := res.Rows[0][0]
+	res, err = db.Query("SELECT id FROM points WHERE x > 2000")
+	if err != nil || len(res.Rows) == 0 {
+		t.Fatalf("no row far from tile 0/0: %v", err)
+	}
+	key := tileKeyFor(CodecJSON, "spatial", 512, tid)
+	for i, id := range []storage.Value{inside, res.Rows[0][0]} {
+		fired := false
+		srv.queryHook = func() {
+			if fired {
+				return
+			}
+			fired = true
+			if _, _, err := srv.execUpdate("UPDATE points SET val = val + 1 WHERE id = ?", []storage.Value{id}, true); err != nil {
+				t.Error(err)
+			}
 		}
-		fired = true
-		if _, err := srv.execUpdate("DELETE FROM points WHERE id < 0", nil); err != nil {
-			t.Error(err)
+		if _, err := srv.serveTile(context.Background(), pl, "spatial", CodecJSON, 512, tid, false); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := srv.serveTile(context.Background(), pl, "spatial", CodecJSON, 512, tid, false); err != nil {
-		t.Fatal(err)
-	}
-	srv.queryHook = nil
-	if err := srv.l2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// The racing fill was enqueued with the pre-update generation and
-	// must have been dropped at flush time: nothing resident in L2.
-	if got := srv.l2.Len(); got != 0 {
-		t.Fatalf("stale fill persisted: %d L2 keys", got)
-	}
-	if srv.l2.Stats.DroppedStale.Load() == 0 {
-		t.Fatal("expected a stale-generation drop")
+		srv.queryHook = nil
+		if err := srv.l2.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// The racing fill ran under the pre-update generation and was
+		// enqueued with the pre-update fence: stored nowhere.
+		if srv.bcache.Contains(key) {
+			t.Fatalf("update %d: the held fill was stored in L1", i)
+		}
+		if got := srv.l2.Len(); got != 0 {
+			t.Fatalf("update %d: stale fill persisted: %d L2 keys", i, got)
+		}
+		if got := srv.l2.Stats.DroppedStale.Load(); got != int64(i+1) {
+			t.Fatalf("update %d: %d fence drops, want %d", i, got, i+1)
+		}
 	}
 }
 

@@ -124,7 +124,11 @@ func (s *Server) collectMetrics(c *obs.CollectorScratchpad) {
 	c.Counter("kyrix_cache_events_total", cacheHelp, float64(bc.Misses), "tier", "l1", "event", "miss")
 	c.Counter("kyrix_cache_events_total", cacheHelp, float64(bc.Admitted), "tier", "l1", "event", "admitted")
 	c.Counter("kyrix_cache_events_total", cacheHelp, float64(bc.Rejected), "tier", "l1", "event", "rejected")
+	c.Counter("kyrix_cache_events_total", cacheHelp, float64(s.Stats.L1Removed.Load()), "tier", "l1", "event", "removed")
 	c.Gauge("kyrix_cache_bytes", "Resident cache bytes by tier.", float64(bc.Bytes), "tier", "l1")
+	const invHelp = "Data changes by how much of the cache tiers they dropped: the windows their rows touch, or everything."
+	c.Counter("kyrix_invalidations_total", invHelp, float64(s.Stats.InvalidationsScoped.Load()), "scope", "rows")
+	c.Counter("kyrix_invalidations_total", invHelp, float64(s.Stats.InvalidationsFull.Load()), "scope", "full")
 	c.Counter("kyrix_coalesced_hits_total", "Requests that piggybacked on an in-flight identical query.", float64(s.Stats.CoalescedHits.Load()))
 	c.Counter("kyrix_served_cache_hits_total", "Requests answered from the backend cache.", float64(s.Stats.CacheHits.Load()))
 
@@ -144,6 +148,7 @@ func (s *Server) collectMetrics(c *obs.CollectorScratchpad) {
 		l2 := s.l2.Snapshot()
 		c.Counter("kyrix_cache_events_total", cacheHelp, float64(l2.Hits), "tier", "l2", "event", "hit")
 		c.Counter("kyrix_cache_events_total", cacheHelp, float64(l2.Misses), "tier", "l2", "event", "miss")
+		c.Counter("kyrix_cache_events_total", cacheHelp, float64(l2.Tombstones), "tier", "l2", "event", "tombstone")
 		c.Gauge("kyrix_cache_bytes", "Resident cache bytes by tier.", float64(l2.Bytes), "tier", "l2")
 		c.Counter("kyrix_l2_flushes_total", "L2 write-behind batch flushes.", float64(l2.BatchFlushes))
 		c.Counter("kyrix_l2_scrubs_total", "L2 background scrub passes.", float64(l2.Scrubs))

@@ -91,7 +91,7 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 // groupcache behavior.
 func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequest, sql string, args []storage.Value, codec Codec) (*payload, error) {
 	gen := s.cacheGen.Load()
-	l2gen := s.l2Gen()
+	l2fence := s.l2Fence()
 	owner := s.cluster.Owner(key)
 	fill := func() (any, error) {
 		// Double-check like cachedQuery: a previous flight (or a hot
@@ -129,7 +129,7 @@ func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequ
 			// tier exists precisely to keep refetchable bytes off the
 			// network after a restart.
 			p := newPayload(raw)
-			s.l2Fill(l2gen, key, raw)
+			s.l2Fill(l2fence, key, raw)
 			if hr := s.cluster.HotReplicate(); hr >= 0 {
 				if f := s.bcache.EstimateFreq(key); f < 0 || f >= hr {
 					s.putUnlessStale(gen, key, p)
@@ -149,7 +149,7 @@ func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequ
 			return nil, qerr
 		}
 		s.putUnlessStale(gen, key, p)
-		s.l2Fill(l2gen, key, p.raw)
+		s.l2Fill(l2fence, key, p.raw)
 		return p, nil
 	}
 	if s.opts.DisableCoalescing {

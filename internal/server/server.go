@@ -230,6 +230,13 @@ type Stats struct {
 	// LODQueries counts window queries routed to an aggregation-pyramid
 	// level instead of raw rows.
 	LODQueries atomic.Int64
+	// InvalidationsScoped counts data changes that removed only the
+	// cached windows their rows touch, InvalidationsFull those that
+	// dropped both tiers whole; L1Removed counts the entries scoped
+	// sweeps removed (L2's tombstones are counted by the store).
+	InvalidationsScoped atomic.Int64
+	InvalidationsFull   atomic.Int64
+	L1Removed           atomic.Int64
 }
 
 // Server is the Kyrix backend: precomputed physical layers over an
@@ -245,23 +252,29 @@ type Server struct {
 	// flight coalesces concurrent identical tile/box requests onto one
 	// database query.
 	flight singleflight.Group
-	// cacheGen is the backend-cache generation, bumped by every
-	// /update before the cache is cleared. Query results started under
-	// an older generation are never stored (and flight keys embed the
-	// generation, so post-update requests never join a stale flight) —
-	// an in-flight coalesced query from before the update cannot
-	// repopulate the cache with pre-update rows.
+	// cacheGen is the backend-cache generation: the global fence of the
+	// update path (update.go). Every data change bumps it before anything
+	// is removed from the cache, whether the removal is scoped or whole.
+	// A query result started under an older generation is never stored
+	// (putUnlessStale), and flight keys embed the generation, so a
+	// post-update request never joins a stale flight — an in-flight query
+	// from before the update cannot repopulate the cache with pre-update
+	// rows, whichever window it was for.
 	cacheGen atomic.Int64
 	// epochMu orders v3 delta planning against updates: a delta frame
 	// diffs TWO payloads (the cached base and the fresh full result),
 	// and mixing epochs — a pre-update base with a post-update result —
 	// would ship rows the tombstone/entering diff cannot see changed.
-	// Delta-eligible items hold the read side across query + plan;
-	// handleUpdate holds the write side across exec + generation bump +
-	// cache clear, so a plan is wholly before or wholly after an update
-	// (and "after" finds the base evicted, degrading to a full frame).
-	// Non-delta serving never touches this lock.
+	// Delta-eligible items hold the read side across query + plan; an
+	// update holds the write side across exec + generation bump + cache
+	// removal, so a plan is wholly before or wholly after an update.
+	// "After" finds every base that held a changed row removed (a full
+	// frame) and every surviving base free of changed rows (a delta that
+	// is still exact). Non-delta serving never touches this lock.
 	epochMu sync.RWMutex
+	// idIndexOnce builds the layers' id-column indexes when the first
+	// update arrives (ensureIDIndexes).
+	idIndexOnce sync.Once
 	// plans caches parsed SELECT statements by SQL text, bounded by
 	// Options.PlanCacheSize with LRU eviction. Every layer emits a
 	// constant statement shape per design (arguments ride in '?'
@@ -286,18 +299,21 @@ type Server struct {
 	// gossip with a committed-prefix guarantee. Configured by
 	// Options.Cluster.Replog.Dir.
 	replog *replog.Node
-	// applyMu guards applyAffected, the bounded index→rows-affected
-	// side channel from applyUpdate back to the /update handler that
-	// submitted the command (the apply callback runs on the log's
-	// applier goroutine, not the handler's).
-	applyMu       sync.Mutex
-	applyAffected map[uint64]int64 // guarded by applyMu
+	// applyMu guards applyOutcome, the bounded index→outcome side
+	// channel from applyUpdate back to the /update handler that submitted
+	// the command (the apply callback runs on the log's applier
+	// goroutine, not the handler's).
+	applyMu      sync.Mutex
+	applyOutcome map[uint64]applied // guarded by applyMu
 
 	// l2 is the persistent tile store under the in-memory cache (nil
 	// when Options.Cache.L2.Path is empty): an L1 miss reads L2 before
-	// the database, database and peer fills are written back through
-	// the store's bounded write-behind queue, and every generation/
-	// epoch bump invalidates it by prefix (store.Bump).
+	// the database, and database and peer fills are written back through
+	// the store's bounded write-behind queue. An update removes the keys
+	// its rows touch with durable tombstones (store.Invalidate) or, when
+	// it cannot be scoped, the whole tier with a generation marker
+	// (store.Bump); either moves the store's fence, which drops fills
+	// computed before the change.
 	l2 *store.Store
 
 	// queryHook, when set (tests only), runs inside every database
@@ -376,26 +392,17 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Adopting a newer cluster epoch is the remote form of
-		// execUpdate's cache transition: generation bump first (so
-		// in-flight queries refuse to store), then the clear, the
-		// whole step under the epoch write lock so it cannot
-		// interleave with a v3 delta plan. The hook never runs while
-		// this node holds epochMu itself: epochs are only observed on
-		// peer exchanges, and delta-eligible items hold the read lock
+		// Adopting a newer cluster epoch is the remote form of an update:
+		// the peer says only that something changed, so both tiers go
+		// whole, under the epoch write lock like any other transition. A
+		// failure to mark L2 (store closing mid-shutdown) only means the
+		// tier keeps serving until Close finishes. The hook never runs
+		// while this node holds epochMu itself: epochs are only observed
+		// on peer exchanges, and delta-eligible items hold the read lock
 		// only when their key is locally owned (no peer hop).
 		cn.SetEpochHook(func(cluster.EpochVector) {
 			s.epochMu.Lock()
-			s.cacheGen.Add(1)
-			s.bcache.Clear()
-			if s.l2 != nil {
-				// Remote updates invalidate the persistent tier the
-				// same way local ones do: a generation bump makes every
-				// resident record invisible without touching disk. A
-				// bump failure (store closing mid-shutdown) only means
-				// the tier keeps serving until Close finishes.
-				_, _ = s.l2.Bump()
-			}
+			_, _ = s.invalidate(footprint{full: "epoch"})
 			s.epochMu.Unlock()
 		})
 		s.cluster = cn
@@ -435,10 +442,8 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 	if opts.Cluster.Replog.Dir != "" {
 		// Opened after precompute so WAL replay applies committed
 		// updates onto the freshly built in-memory tables. Each node
-		// bumps its own generation inside applyUpdate, so the epoch
-		// gossip hook above is redundant for log-carried updates but
-		// harmless (bumps are monotonic; an extra clear only costs a
-		// cache refill).
+		// invalidates for itself inside applyUpdate, so log-carried
+		// updates never bump the cluster epoch.
 		var rpc replog.RPC
 		if s.cluster != nil {
 			rpc = s.cluster.Transport()
@@ -447,7 +452,7 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		if self == "" {
 			self = "standalone"
 		}
-		s.applyAffected = make(map[uint64]int64)
+		s.applyOutcome = make(map[uint64]applied)
 		rl, err := replog.Open(replog.Config{
 			Self:            self,
 			Peers:           opts.Cluster.Peers,
@@ -736,7 +741,7 @@ func httpStatusOf(err error) int {
 // in-flight query.
 func (s *Server) cachedQuery(ctx context.Context, key, sql string, args []storage.Value, codec Codec) (*payload, error) {
 	gen := s.cacheGen.Load()
-	l2gen := s.l2Gen()
+	l2fence := s.l2Fence()
 	// fill is the miss path past L1. The persistent tier answers before
 	// the database: an L2 hit is a checksum-verified disk read, promoted
 	// into L1 so the next request never touches disk.
@@ -751,7 +756,7 @@ func (s *Server) cachedQuery(ctx context.Context, key, sql string, args []storag
 			return nil, err
 		}
 		s.putUnlessStale(gen, key, p)
-		s.l2Fill(l2gen, key, p.raw)
+		s.l2Fill(l2fence, key, p.raw)
 		return p, nil
 	}
 	if s.opts.DisableCoalescing {
@@ -779,14 +784,14 @@ func (s *Server) cachedQuery(ctx context.Context, key, sql string, args []storag
 	return v.(*payload), nil
 }
 
-// l2Gen captures the persistent tier's generation before a query runs;
-// l2Fill hands it back so a fill that raced an invalidation is dropped
-// at flush time (the write-behind analog of putUnlessStale).
-func (s *Server) l2Gen() uint64 {
+// l2Fence reads the persistent tier's write-behind fence before a query
+// runs; l2Fill hands it back so a fill that raced an invalidation is
+// dropped at flush time (the write-behind analog of putUnlessStale).
+func (s *Server) l2Fence() uint64 {
 	if s.l2 == nil {
 		return 0
 	}
-	return s.l2.Generation()
+	return s.l2.Fence()
 }
 
 // l2Read consults the persistent tile store (nil-safe). Every hit was
@@ -815,14 +820,14 @@ func (s *Server) l2ReadTraced(ctx context.Context, key string) ([]byte, bool) {
 
 // l2Fill writes one payload back to the persistent tier through its
 // bounded write-behind queue: never blocking the serving path (a full
-// queue drops the fill), and stamped with the generation captured
-// before the query ran so a fill racing an /update can never persist
-// pre-update rows under the new generation.
-func (s *Server) l2Fill(gen uint64, key string, payload []byte) {
+// queue drops the fill), and stamped with the fence read before the
+// query ran so a fill racing an /update can never persist pre-update
+// rows after it.
+func (s *Server) l2Fill(fence uint64, key string, payload []byte) {
 	if s.l2 == nil {
 		return
 	}
-	s.l2.PutAt(key, payload, gen)
+	s.l2.PutAt(key, payload, fence)
 }
 
 // flightKey scopes a coalescing key to a cache generation.
@@ -833,10 +838,10 @@ func flightKey(gen int64, key string) string {
 // putUnlessStale stores a query payload produced under generation gen,
 // guaranteeing no stale entry survives an /update race. A plain
 // check-then-Put would be a TOCTOU hole: the generation could bump
-// (and the cache clear) between the check and the Put, leaving the
-// stale payload resident. Re-checking after the Put closes it — if
-// the generation moved, either the Clear already wiped this entry or
-// the Remove below does. The one benign loss: the Remove may also
+// (and the update's sweep pass this shard) between the check and the
+// Put, leaving the stale payload resident. Re-checking after the Put
+// closes it — if the generation moved, either the sweep already removed
+// this entry or the Remove below does. The one benign loss: the Remove may also
 // delete a fresh same-key entry written by a newer-generation flight
 // in the window, which costs a cache miss, never staleness.
 func (s *Server) putUnlessStale(gen int64, key string, p *payload) {
@@ -1034,184 +1039,6 @@ func (s *Server) writePayload(w http.ResponseWriter, codec Codec, payload []byte
 	_, _ = w.Write(payload)
 }
 
-// UpdateRequest is the §4 update-model request: MGH "wants an update
-// model for Kyrix so they can edit and tag relevant data". ID, when
-// set, is a client-chosen idempotency key (unique per logical update):
-// on the replicated path the log dedupes submissions sharing it, so a
-// client that got an ambiguous 503 can re-POST the same body without
-// double-applying a non-idempotent statement.
-type UpdateRequest struct {
-	ID   string     `json:"id,omitempty"`
-	SQL  string     `json:"sql"`
-	Args []ArgValue `json:"args,omitempty"`
-}
-
-// ArgValue is a wire-encoded storage.Value.
-type ArgValue struct {
-	Kind storage.ColType `json:"k"`
-	I    int64           `json:"i,omitempty"`
-	F    float64         `json:"f,omitempty"`
-	S    string          `json:"s,omitempty"`
-	B    bool            `json:"b,omitempty"`
-}
-
-// Value converts to a storage.Value.
-func (a ArgValue) Value() storage.Value {
-	return storage.Value{Kind: a.Kind, I: a.I, F: a.F, S: a.S, B: a.B}
-}
-
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, sp := s.startRequestSpan(r, "http.update")
-	sp.Attr("replicated", s.replog != nil)
-	updStart := time.Now()
-	defer func() {
-		s.obs.stageUpdate.Observe(time.Since(updStart))
-		sp.End()
-	}()
-	r = r.WithContext(ctx)
-	var n int64
-	if s.replog != nil {
-		// Replicated path: the update becomes a quorum-committed log
-		// command. Submit returns once the command is committed AND
-		// applied on this node (read-your-writes for this client),
-		// whichever node leads; applyUpdate did the actual Exec.
-		cmd, err := json.Marshal(&req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var idx uint64
-		if req.ID != "" {
-			idx, err = s.replog.SubmitWithID(r.Context(), "c/"+req.ID, cmd)
-		} else {
-			idx, err = s.replog.Submit(r.Context(), cmd)
-		}
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, replog.ErrNoLeader) || errors.Is(err, replog.ErrClosed) ||
-				errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				// Not committed — or not KNOWN committed: the update may
-				// have reached the log before the error. A retry is
-				// exactly-once only when the request carries an id for
-				// the log to dedupe on; without one, retrying a
-				// non-idempotent statement risks applying it twice.
-				status = http.StatusServiceUnavailable
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		// A deduped retry lands on the original index, whose affected
-		// count may already have been claimed (or pruned) — it then
-		// reports 0, but the mutation itself happened exactly once.
-		s.applyMu.Lock()
-		n = s.applyAffected[idx]
-		delete(s.applyAffected, idx)
-		s.applyMu.Unlock()
-	} else {
-		args := make([]storage.Value, len(req.Args))
-		for i, a := range req.Args {
-			args[i] = a.Value()
-		}
-		var err error
-		n, err = s.execUpdate(req.SQL, args)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	s.Stats.Updates.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]int64{"affected": n})
-}
-
-// applyUpdate is the replicated log's state-machine callback: one
-// committed update command, applied in log order on every member. It is
-// execUpdate minus the cluster epoch bump — with the log in charge,
-// every node runs this same transition itself, so gossiping "something
-// changed" to peers is redundant. The affected-row count is parked for
-// the handler that submitted the command; entries for commands
-// submitted elsewhere (or replayed on restart) are pruned by bound.
-func (s *Server) applyUpdate(index uint64, cmd []byte) error {
-	var req UpdateRequest
-	if err := json.Unmarshal(cmd, &req); err != nil {
-		return fmt.Errorf("server: decode update command %d: %w", index, err)
-	}
-	args := make([]storage.Value, len(req.Args))
-	for i, a := range req.Args {
-		args[i] = a.Value()
-	}
-	s.epochMu.Lock()
-	n, err := s.db.Exec(req.SQL, args...)
-	if err != nil {
-		s.epochMu.Unlock()
-		return err
-	}
-	s.cacheGen.Add(1)
-	s.bcache.Clear()
-	if s.l2 != nil {
-		if _, berr := s.l2.Bump(); berr != nil {
-			err = fmt.Errorf("server: invalidate L2 tile store: %w", berr)
-		}
-	}
-	s.epochMu.Unlock()
-	s.applyMu.Lock()
-	s.applyAffected[index] = n
-	if len(s.applyAffected) > 1024 {
-		for k := range s.applyAffected {
-			if k+1024 < index {
-				delete(s.applyAffected, k)
-			}
-		}
-	}
-	s.applyMu.Unlock()
-	return err
-}
-
-// execUpdate applies one update statement and invalidates cached
-// responses by dropping the whole backend cache (coarse but correct —
-// the paper defers caching-under-updates). The generation bump comes
-// before the Clear: any query that started earlier sees a stale
-// generation and skips its cache store, so an in-flight coalesced
-// query cannot repopulate the cache with pre-update rows after the
-// Clear. The whole transition runs under the epoch write lock (see
-// Server.epochMu), so a v3 delta plan is never half-old half-new:
-// in-flight plans drain first, later plans find the base evicted.
-func (s *Server) execUpdate(sql string, args []storage.Value) (int64, error) {
-	s.epochMu.Lock()
-	defer s.epochMu.Unlock()
-	n, err := s.db.Exec(sql, args...)
-	if err != nil {
-		return 0, err
-	}
-	s.cacheGen.Add(1)
-	s.bcache.Clear()
-	if s.l2 != nil {
-		// The persistent tier invalidates by generation prefix: one
-		// fsynced marker record makes every resident payload invisible
-		// (across restarts too) without touching the records on disk.
-		if _, err := s.l2.Bump(); err != nil {
-			return 0, fmt.Errorf("server: invalidate L2 tile store: %w", err)
-		}
-	}
-	if s.cluster != nil {
-		// Bump the cluster epoch inside the same epoch-locked
-		// transition: peers learn on their next exchange with this
-		// node (the epoch rides every /peer request and response) and
-		// clear their own caches.
-		s.cluster.Bump()
-	}
-	return n, nil
-}
-
 // --- versioned /stats ---
 
 // ServingStats is the request-path section of a StatsSnapshot.
@@ -1244,6 +1071,8 @@ type L1Stats struct {
 	Admitted int64 `json:"admitted"`
 	Rejected int64 `json:"rejected"`
 	Shards   int   `json:"shards"`
+	// Removed counts entries removed by scoped invalidation.
+	Removed int64 `json:"removed"`
 }
 
 // CacheStats groups both cache tiers; L2 is absent when the persistent
@@ -1251,6 +1080,10 @@ type L1Stats struct {
 type CacheStats struct {
 	L1 L1Stats              `json:"l1"`
 	L2 *store.StatsSnapshot `json:"l2,omitempty"`
+	// InvalidationsScoped/Full count data changes by how much of the
+	// tiers they dropped: the windows their rows touch, or everything.
+	InvalidationsScoped int64 `json:"invalidationsScoped"`
+	InvalidationsFull   int64 `json:"invalidationsFull"`
 }
 
 // ClusterStats is the cluster section of a StatsSnapshot (nil when
@@ -1327,7 +1160,10 @@ func (s *Server) Snapshot() StatsSnapshot {
 				Admitted: bc.Admitted,
 				Rejected: bc.Rejected,
 				Shards:   s.bcache.ShardCount(),
+				Removed:  s.Stats.L1Removed.Load(),
 			},
+			InvalidationsScoped: s.Stats.InvalidationsScoped.Load(),
+			InvalidationsFull:   s.Stats.InvalidationsFull.Load(),
 		},
 		LOD: LODStats{Queries: s.Stats.LODQueries.Load()},
 	}

@@ -332,18 +332,23 @@ func TestUpdateEndpoint(t *testing.T) {
 	srv, hs := newPointsServer(t, 100, 4096, 2048)
 	// Warm the backend cache.
 	resp, _ := http.Get(hs.URL + "/tile?canvas=main&layer=0&size=512&col=0&row=0")
-	io.Copy(io.Discard, resp.Body)
+	tile, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if srv.BackendCache().Stats().Entries == 0 {
 		t.Fatal("cache should be warm")
 	}
-	// Issue an update through the §4 update endpoint.
+	dr, err := Decode(tile, CodecJSON)
+	if err != nil || len(dr.Rows) == 0 {
+		t.Fatalf("tile 0/0 should hold rows (err %v)", err)
+	}
+	// Issue an update through the §4 update endpoint, to a row the cached
+	// tile holds.
 	req := UpdateRequest{
 		SQL:  "UPDATE points SET val = ? WHERE id = ?",
-		Args: []ArgValue{{Kind: storage.TFloat64, F: 99.5}, {Kind: storage.TInt64, I: 5}},
+		Args: []ArgValue{{Kind: storage.TFloat64, F: 99.5}, {Kind: storage.TInt64, I: dr.Rows[0][0].AsInt()}},
 	}
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(hs.URL+"/update", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(hs.URL+"/update", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +364,7 @@ func TestUpdateEndpoint(t *testing.T) {
 	if out["affected"] != 1 {
 		t.Fatalf("affected = %d", out["affected"])
 	}
-	// Update invalidates the backend cache.
+	// Update removes the cached tile holding the row.
 	if srv.BackendCache().Stats().Entries != 0 {
 		t.Fatal("cache not invalidated by update")
 	}

@@ -111,6 +111,19 @@ func (ix *Index) Len() int {
 	return 0
 }
 
+// HasPointIndex reports whether a BTREE or HASH index on col alone
+// exists — what the planner needs to answer `col = ?` without a scan.
+func (t *Table) HasPointIndex(col string) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, ix := range t.indexes {
+		if (ix.Kind == IndexBTree || ix.Kind == IndexHash) && ix.Cols[0] == col {
+			return true
+		}
+	}
+	return false
+}
+
 // Table returns the named table, or an error.
 func (db *DB) Table(name string) (*Table, error) {
 	db.mu.RLock()
@@ -216,15 +229,20 @@ func (db *DB) createIndex(st *CreateIndexStmt) error {
 		}
 		ix.pos = append(ix.pos, pos)
 	}
-	// Build: bulk-load R-trees (the precomputation phase inserts
-	// millions of rows before indexing), incremental for the rest.
+	// Build: bulk-load the trees (the precomputation phase inserts
+	// millions of rows before indexing), incremental for the hash.
 	switch ix.Kind {
 	case IndexBTree:
-		ix.bt = btree.New()
+		// Sized once so the pair array the leaves will slice is the only
+		// copy ever made.
+		entries := make([]btree.Entry, 0, t.heap.Count())
 		err = t.heap.Scan(func(rid storage.RID, row storage.Row) bool {
-			ix.bt.Insert(row[ix.pos[0]].AsInt(), rid.Pack())
+			entries = append(entries, btree.Entry{Key: row[ix.pos[0]].AsInt(), Val: rid.Pack()})
 			return true
 		})
+		if err == nil {
+			ix.bt = btree.BulkLoad(entries)
+		}
 	case IndexHash:
 		ix.hi = hashidx.New()
 		err = t.heap.Scan(func(rid storage.RID, row storage.Row) bool {

@@ -57,11 +57,75 @@ func (db *DB) RunSelect(sel *SelectStmt, args ...storage.Value) (*Result, error)
 // Exec parses and executes a DDL or DML statement, returning the number
 // of affected rows (0 for DDL).
 func (db *DB) Exec(sql string, args ...storage.Value) (int64, error) {
+	return db.exec(nil, sql, args)
+}
+
+// RowChange is one row a statement touched: Old is nil for an inserted
+// row, New for a deleted one.
+type RowChange struct {
+	Old, New storage.Row
+}
+
+// Changes is what one statement touched, for callers that keep state
+// derived from the tables (the server's payload caches) and want to
+// repair only that much of it.
+type Changes struct {
+	// Table is the statement's target table.
+	Table string
+	// DDL marks CREATE/DROP statements: no row images, but anything
+	// derived from the catalog may have moved.
+	DDL bool
+	// Rows holds the image pairs of every touched row in execution order
+	// — including the rows a statement changed before it failed, which
+	// stay changed (statements are not atomic).
+	Rows []RowChange
+	// Truncated reports that more rows were touched than the caller's
+	// limit; Rows is then nil and only "many" is known.
+	Truncated bool
+
+	limit int
+}
+
+// Touched reports whether the statement left anything changed.
+func (c *Changes) Touched() bool { return c.DDL || c.Truncated || len(c.Rows) > 0 }
+
+// target notes which table the statement is about to change (nil-safe,
+// like record: plain Exec keeps nothing).
+func (c *Changes) target(table string, ddl bool) {
+	if c != nil {
+		c.Table, c.DDL = table, ddl
+	}
+}
+
+// record notes one touched row.
+func (c *Changes) record(old, new storage.Row) {
+	switch {
+	case c == nil || c.Truncated:
+	case len(c.Rows) >= c.limit:
+		c.Rows, c.Truncated = nil, true
+	default:
+		c.Rows = append(c.Rows, RowChange{Old: old, New: new})
+	}
+}
+
+// ExecChanges is Exec that also reports what the statement touched,
+// keeping at most limit row images (a statement over a whole table
+// should not be held in memory twice to say "everything"). Changes is
+// meaningful on error too: a statement that fails on its third row, or
+// whose WAL append fails after it was applied, has still changed the
+// rows it reports.
+func (db *DB) ExecChanges(limit int, sql string, args ...storage.Value) (int64, Changes, error) {
+	ch := Changes{limit: limit}
+	n, err := db.exec(&ch, sql, args)
+	return n, ch, err
+}
+
+func (db *DB) exec(ch *Changes, sql string, args []storage.Value) (int64, error) {
 	st, err := Parse(sql)
 	if err != nil {
 		return 0, err
 	}
-	n, err := db.execStmt(st, args)
+	n, err := db.execStmt(st, args, ch)
 	if err != nil {
 		return 0, err
 	}
@@ -73,27 +137,33 @@ func (db *DB) Exec(sql string, args ...storage.Value) (int64, error) {
 	return n, nil
 }
 
-func (db *DB) execStmt(st Statement, args []storage.Value) (int64, error) {
+func (db *DB) execStmt(st Statement, args []storage.Value, ch *Changes) (int64, error) {
 	switch st := st.(type) {
 	case *CreateTableStmt:
+		ch.target(st.Name, true)
 		return 0, db.createTable(st)
 	case *CreateIndexStmt:
+		ch.target(st.Table, true)
 		return 0, db.createIndex(st)
 	case *DropTableStmt:
+		ch.target(st.Name, true)
 		return 0, db.dropTable(st)
 	case *InsertStmt:
-		return db.execInsert(st, args)
+		ch.target(st.Table, false)
+		return db.execInsert(st, args, ch)
 	case *UpdateStmt:
-		return db.execUpdate(st, args)
+		ch.target(st.Table, false)
+		return db.execUpdate(st, args, ch)
 	case *DeleteStmt:
-		return db.execDelete(st, args)
+		ch.target(st.Table, false)
+		return db.execDelete(st, args, ch)
 	case *SelectStmt:
 		return 0, fmt.Errorf("sqldb: Exec cannot run SELECT; use Query")
 	}
 	return 0, fmt.Errorf("sqldb: unsupported statement %T", st)
 }
 
-func (db *DB) execInsert(st *InsertStmt, args []storage.Value) (int64, error) {
+func (db *DB) execInsert(st *InsertStmt, args []storage.Value, ch *Changes) (int64, error) {
 	t, err := db.Table(st.Table)
 	if err != nil {
 		return 0, err
@@ -130,6 +200,7 @@ func (db *DB) execInsert(st *InsertStmt, args []storage.Value) (int64, error) {
 			return 0, err
 		}
 		t.indexInsert(rid, row)
+		ch.record(nil, row)
 	}
 	db.bump(func(s *DBStats) { s.Inserts += int64(len(rows)) })
 	return int64(len(rows)), nil
@@ -278,7 +349,7 @@ func (db *DB) matchingRIDs(t *Table, tname string, where Expr, args []storage.Va
 	return rids, rows, err
 }
 
-func (db *DB) execUpdate(st *UpdateStmt, args []storage.Value) (int64, error) {
+func (db *DB) execUpdate(st *UpdateStmt, args []storage.Value, ch *Changes) (int64, error) {
 	t, err := db.Table(st.Table)
 	if err != nil {
 		return 0, err
@@ -319,6 +390,9 @@ func (db *DB) execUpdate(st *UpdateStmt, args []storage.Value) (int64, error) {
 				return int64(i), err
 			}
 		}
+		// Recorded before the heap is touched: whichever step below fails,
+		// the row is reported as changed.
+		ch.record(oldRow, newRow)
 		t.indexDelete(rid, oldRow)
 		if err := t.heap.Update(rid, newRow); err == storage.ErrPageFull {
 			// Relocate: delete + reinsert, giving the row a new RID.
@@ -340,7 +414,7 @@ func (db *DB) execUpdate(st *UpdateStmt, args []storage.Value) (int64, error) {
 	return int64(len(rids)), nil
 }
 
-func (db *DB) execDelete(st *DeleteStmt, args []storage.Value) (int64, error) {
+func (db *DB) execDelete(st *DeleteStmt, args []storage.Value, ch *Changes) (int64, error) {
 	t, err := db.Table(st.Table)
 	if err != nil {
 		return 0, err
@@ -352,6 +426,7 @@ func (db *DB) execDelete(st *DeleteStmt, args []storage.Value) (int64, error) {
 		return 0, err
 	}
 	for i, rid := range rids {
+		ch.record(rows[i], nil)
 		if err := t.heap.Delete(rid); err != nil {
 			return int64(i), err
 		}
@@ -407,7 +482,7 @@ func (db *DB) AttachWAL(path string) error {
 		if err != nil {
 			return err
 		}
-		_, err = db.execStmt(st, args)
+		_, err = db.execStmt(st, args, nil)
 		return err
 	})
 	db.mu.Lock()

@@ -224,6 +224,22 @@ func TestGenerationInvalidationProperty(t *testing.T) {
 					return false
 				}
 				model = map[string]string{}
+			case rng.Intn(10) == 0: // tombstone the keys ending in one digit
+				if err := s.Flush(); err != nil {
+					return false
+				}
+				d := byte('0' + rng.Intn(10))
+				want := 0
+				for k := range model {
+					if k[len(k)-1] == d {
+						delete(model, k)
+						want++
+					}
+				}
+				if n, err := s.Invalidate(func(k string) bool { return k[len(k)-1] == d }); err != nil || n != want {
+					t.Logf("seed=%d: Invalidate removed %d (err %v), model says %d", seed, n, err, want)
+					return false
+				}
 			default:
 				k := fmt.Sprintf("k%d", rng.Intn(20))
 				v := fmt.Sprintf("v%d-%d", i, rng.Int63())
@@ -251,14 +267,15 @@ func TestGenerationInvalidationProperty(t *testing.T) {
 				return false
 			}
 		}
-		// And nothing outside the model (a pre-bump survivor) is served.
+		// And nothing outside the model (a pre-bump or tombstoned
+		// survivor) is served.
 		for i := 0; i < 20; i++ {
 			k := fmt.Sprintf("k%d", i)
 			if _, inModel := model[k]; inModel {
 				continue
 			}
 			if got, ok := s2.Get(k); ok {
-				t.Logf("seed=%d: pre-bump key %s resurrected as %q", seed, k, got)
+				t.Logf("seed=%d: invalidated key %s resurrected as %q", seed, k, got)
 				return false
 			}
 		}

@@ -61,7 +61,8 @@ func TestConcurrentAccess(t *testing.T) {
 			}
 		}(r)
 	}
-	// One goroutine bumping the generation mid-flight.
+	// One goroutine invalidating mid-flight: whole-tier bumps and
+	// per-key tombstones.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -69,6 +70,10 @@ func TestConcurrentAccess(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 			if _, err := s.Bump(); err != nil {
 				t.Errorf("Bump: %v", err)
+				return
+			}
+			if _, err := s.Invalidate(func(k string) bool { return len(k)%2 == i%2 }); err != nil {
+				t.Errorf("Invalidate: %v", err)
 				return
 			}
 		}

@@ -10,9 +10,9 @@ import (
 // internal/wal) carries one storage-encoded row of recordSchema:
 //
 //	gen  INT   generation the record belongs to (see Store.Bump)
-//	kind INT   recordPut | recordGen
+//	kind INT   recordPut | recordGen | recordDel
 //	key  TEXT  cache key (empty for recordGen markers)
-//	val  TEXT  opaque payload bytes (empty for recordGen markers)
+//	val  TEXT  opaque payload bytes (puts only)
 //
 // The generation is deliberately the first field — it is the "prefix"
 // of the ISSUE's generation-prefix invalidation: a bump makes every
@@ -24,6 +24,10 @@ const (
 	// Replay clears the index when it crosses one, so invalidated
 	// records can never be resurrected by a restart.
 	recordGen
+	// recordDel is one key's tombstone: the key is invisible until a
+	// later put. A store written before tombstones existed has none, and
+	// a binary from before them skips the kind on replay.
+	recordDel
 )
 
 var recordSchema = storage.Schema{

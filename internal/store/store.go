@@ -28,15 +28,26 @@
 // miss, never correctness. Close drains the queue under a deadline so
 // a fill enqueued just before shutdown is readable after reopen.
 //
-// # Generations (invalidation by prefix)
+// # Invalidation: generation, tombstone, fence
 //
-// Every record carries the generation it was written under. Bump
-// persists a generation marker and makes every earlier record
-// invisible — without touching it on disk — which is how /update and
-// cluster epoch adoptions invalidate the whole tier in O(1). Replay
-// honors markers, so invalidated records stay invisible across
-// restarts; compaction reclaims their space when their segment is
-// evicted.
+// Three mechanisms, from coarse to fine. A generation covers the whole
+// tier: every record carries the generation it was written under, and
+// Bump persists a marker that makes every earlier record invisible
+// without touching it on disk — the O(1) answer to "anything may have
+// changed" (DDL, a cluster epoch adoption). A tombstone covers one key:
+// Invalidate appends a delete record for each resident key the caller's
+// predicate matches, with one fsync for the lot — how an /update that
+// knows which rows it touched removes only the windows holding them.
+// Replay honours both, in log order, so what was invalidated stays
+// invisible across restarts; a tombstone is always written after every
+// put it covers and segments are evicted oldest first, so it cannot be
+// reclaimed while a put it covers is still on disk. The fence covers the
+// write-behind queue: it advances on every Bump and Invalidate, a fill
+// carries the fence value its caller read before computing the payload,
+// and the flusher drops (and counts as DroppedStale) any fill whose
+// fence has moved — a payload computed before an invalidation is never
+// persisted after it. The fence is global on purpose: it is in-memory,
+// costs one comparison, and errs only towards a future disk miss.
 //
 // # Eviction and compaction
 //
@@ -123,7 +134,7 @@ type Stats struct {
 	Misses          atomic.Int64
 	Puts            atomic.Int64
 	DroppedFull     atomic.Int64 // queue full
-	DroppedStale    atomic.Int64 // generation moved between enqueue and flush
+	DroppedStale    atomic.Int64 // fence moved between the caller's read and the flush
 	DroppedOversize atomic.Int64
 	CorruptReads    atomic.Int64 // checksum rejected a record at read time
 	BatchFlushes    atomic.Int64
@@ -132,6 +143,7 @@ type Stats struct {
 	EvictedLive     atomic.Int64 // live records dropped because salvage was over budget
 	Scrubs          atomic.Int64 // completed Scrub passes
 	ScrubbedBad     atomic.Int64 // records dropped by Scrub (failed re-verification)
+	Tombstones      atomic.Int64 // keys removed one by one (Invalidate)
 }
 
 // StatsSnapshot is a point-in-time copy of Stats plus the store's
@@ -150,6 +162,7 @@ type StatsSnapshot struct {
 	EvictedLive     int64  `json:"evictedLive"`
 	Scrubs          int64  `json:"scrubs"`
 	ScrubbedBad     int64  `json:"scrubbedBad"`
+	Tombstones      int64  `json:"tombstones"`
 	Bytes           int64  `json:"bytes"`
 	Segments        int    `json:"segments"`
 	Keys            int    `json:"keys"`
@@ -163,10 +176,10 @@ type loc struct {
 }
 
 type putReq struct {
-	key  string
-	val  []byte
-	gen  uint64
-	done chan struct{} // non-nil: flush barrier, key/val unused
+	key   string
+	val   []byte
+	fence uint64
+	done  chan struct{} // non-nil: flush barrier, key/val unused
 }
 
 // ErrClosed is returned by operations on a closed store.
@@ -191,6 +204,9 @@ type Store struct {
 	// gen is the current generation; reads/writes outside mu go
 	// through the atomic.
 	gen atomic.Uint64
+	// fence advances on every Bump and Invalidate (see the package doc);
+	// the flusher reads it under mu.
+	fence atomic.Uint64
 
 	// qmu guards the closed flag vs. closing the queue channel, so a
 	// concurrent Put can never send on a closed channel.
@@ -261,7 +277,8 @@ func Open(opts Options) (*Store, error) {
 
 // replaySegment folds one segment's records into the index. Later
 // records win (replay is oldest segment first, in-file order); a
-// generation marker clears everything indexed so far.
+// generation marker clears everything indexed so far, a tombstone its
+// one key.
 func (s *Store) replaySegmentLocked(seg *segment) error {
 	return seg.log.Replay(func(lsn wal.LSN, payload []byte) error {
 		rec, err := decodeRecord(payload)
@@ -282,6 +299,8 @@ func (s *Store) replaySegmentLocked(seg *segment) error {
 			if rec.gen == s.gen.Load() {
 				s.index[rec.key] = loc{seg: seg.id, lsn: lsn}
 			}
+		case recordDel:
+			delete(s.index, rec.key)
 		}
 		return nil
 	})
@@ -338,18 +357,21 @@ func (s *Store) dropIndexEntry(key string, l loc) {
 
 // Put enqueues one fill for asynchronous append. It never blocks: a
 // full queue drops the fill (counted in Stats.DroppedFull), and a
-// fill that straddles a Bump is dropped at flush time. Returns false
-// when the fill was dropped or the store is closed.
+// fill that straddles an invalidation is dropped at flush time. Returns
+// false when the fill was dropped or the store is closed.
 func (s *Store) Put(key string, val []byte) bool {
-	return s.PutAt(key, val, s.gen.Load())
+	return s.PutAt(key, val, s.fence.Load())
 }
 
-// PutAt is Put with the generation captured by the caller — callers
-// that computed val under a known generation (a server answering a
-// query) pass the generation they started from, so a fill that raced
-// an invalidation is dropped at flush time instead of persisting
-// pre-invalidation data under the new generation.
-func (s *Store) PutAt(key string, val []byte, gen uint64) bool {
+// Fence returns the write-behind fence: read it before computing a
+// payload and hand it to PutAt with the result.
+func (s *Store) Fence() uint64 { return s.fence.Load() }
+
+// PutAt is Put with the fence value the caller read before it computed
+// val (a server reads it before running the query): if a Bump or an
+// Invalidate has happened since, the fill is dropped at flush time
+// instead of persisting pre-invalidation data.
+func (s *Store) PutAt(key string, val []byte, fence uint64) bool {
 	if int64(len(key)+len(val))+64 > s.opts.SegmentBytes {
 		s.Stats.DroppedOversize.Add(1)
 		return false
@@ -357,7 +379,7 @@ func (s *Store) PutAt(key string, val []byte, gen uint64) bool {
 	// Copy: the caller's buffer may be reused before the flusher runs.
 	v := make([]byte, len(val))
 	copy(v, val)
-	req := putReq{key: key, val: v, gen: gen}
+	req := putReq{key: key, val: v, fence: fence}
 	s.qmu.RLock()
 	defer s.qmu.RUnlock()
 	if s.closed {
@@ -375,8 +397,8 @@ func (s *Store) PutAt(key string, val []byte, gen uint64) bool {
 // Bump advances the generation, persisting a marker record before
 // returning: every record written under an earlier generation is
 // invisible from now on — and stays invisible after a restart — while
-// its disk space is reclaimed lazily by eviction. This is how /update
-// and cluster epoch adoptions invalidate the whole tier.
+// its disk space is reclaimed lazily by eviction. This is the whole-tier
+// invalidation; Invalidate is the per-key one.
 func (s *Store) Bump() (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -384,27 +406,76 @@ func (s *Store) Bump() (uint64, error) {
 		return s.gen.Load(), ErrClosed
 	}
 	next := s.gen.Load() + 1
-	rec, err := encodeRecord(next, recordGen, "", nil)
-	if err != nil {
+	if _, err := s.appendRecordLocked(next, recordGen, "", nil); err != nil {
 		return s.gen.Load(), err
 	}
-	active := s.segs[len(s.segs)-1]
-	before := active.log.Size()
-	if _, err := active.log.Append(rec); err != nil {
+	if err := s.segs[len(s.segs)-1].log.Sync(); err != nil {
 		return s.gen.Load(), err
 	}
-	if err := active.log.Sync(); err != nil {
-		return s.gen.Load(), err
-	}
-	s.totalBytes += active.log.Size() - before
 	s.gen.Store(next)
+	s.fence.Add(1)
 	// Every indexed entry belongs to an earlier generation now.
 	s.index = make(map[string]loc)
 	return next, nil
 }
 
+// Invalidate removes every resident key match accepts, durably: one
+// tombstone record per key, one fsync for all of them, before it
+// returns. Fills still in the write-behind queue are fenced off, so a
+// payload computed before the call cannot land after it, whichever key
+// it is for. match runs on a snapshot of the keys, outside the store's
+// lock. On a write error the matched keys are still dropped from the
+// in-memory index — this process stops serving them — and the error
+// says they may reappear after a restart.
+func (s *Store) Invalidate(match func(key string) bool) (int, error) {
+	// Before the snapshot: a batch the flusher is appending right now
+	// finishes before the read lock is granted and is seen below; any
+	// later batch sees the moved fence.
+	s.fence.Add(1)
+	s.mu.RLock()
+	keys := make([]string, 0, len(s.index))
+	for k := range s.index {
+		keys = append(keys, k)
+	}
+	s.mu.RUnlock()
+	hit := keys[:0]
+	for _, k := range keys {
+		if match(k) {
+			hit = append(hit, k)
+		}
+	}
+	if len(hit) == 0 {
+		return 0, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.segsClosed {
+		return 0, ErrClosed
+	}
+	n := 0
+	var werr error
+	for _, k := range hit {
+		if _, ok := s.index[k]; !ok {
+			continue
+		}
+		delete(s.index, k)
+		n++
+		if werr == nil {
+			_, werr = s.appendRecordLocked(s.gen.Load(), recordDel, k, nil)
+		}
+	}
+	if n > 0 && werr == nil {
+		werr = s.segs[len(s.segs)-1].log.Sync()
+	}
+	s.Stats.Tombstones.Add(int64(n))
+	if werr != nil {
+		return n, fmt.Errorf("store: write tombstones: %w", werr)
+	}
+	return n, nil
+}
+
 // Flush blocks until every fill enqueued before the call is on disk
-// (or dropped by a concurrent Bump). It is the synchronous barrier
+// (or dropped by a concurrent invalidation). It is the synchronous barrier
 // tests and Close use; the serving path never calls it.
 func (s *Store) Flush() error {
 	done := make(chan struct{})
@@ -484,6 +555,7 @@ func (s *Store) Snapshot() StatsSnapshot {
 		EvictedLive:     s.Stats.EvictedLive.Load(),
 		Scrubs:          s.Stats.Scrubs.Load(),
 		ScrubbedBad:     s.Stats.ScrubbedBad.Load(),
+		Tombstones:      s.Stats.Tombstones.Load(),
 		Bytes:           bytes,
 		Segments:        segments,
 		Keys:            keys,
@@ -625,13 +697,13 @@ func (s *Store) appendBatch(batch []putReq) {
 		}
 		return
 	}
-	gen := s.gen.Load()
+	gen, fence := s.gen.Load(), s.fence.Load()
 	wrote := false
 	for _, req := range batch {
-		if req.gen != gen {
-			// The generation moved between enqueue and flush: this
-			// payload predates an invalidation and must not be
-			// written under the new generation.
+		if req.fence != fence {
+			// A Bump or an Invalidate happened after this payload's
+			// caller read the fence: it may predate the change and must
+			// not be written after it.
 			s.Stats.DroppedStale.Add(1)
 			continue
 		}
@@ -650,31 +722,40 @@ func (s *Store) appendBatch(batch []putReq) {
 	}
 }
 
-// appendPutLocked appends one put record to the active segment
-// (rotating first when full) and indexes it.
+// appendPutLocked appends one put record and indexes it.
 func (s *Store) appendPutLocked(key string, val []byte, gen uint64) error {
+	l, err := s.appendRecordLocked(gen, recordPut, key, val)
+	if err != nil {
+		return err
+	}
+	s.index[key] = l
+	return nil
+}
+
+// appendRecordLocked appends one record to the active segment, rotating
+// first when it is full. The caller syncs.
+func (s *Store) appendRecordLocked(gen uint64, kind int, key string, val []byte) (loc, error) {
 	active := s.segs[len(s.segs)-1]
 	if active.log.Size() >= s.opts.SegmentBytes {
 		// Sync the outgoing active segment before rotating: it is
 		// immutable from here on and must be durable.
 		_ = active.log.Sync()
 		if err := s.rotateLocked(); err != nil {
-			return err
+			return loc{}, err
 		}
 		active = s.segs[len(s.segs)-1]
 	}
-	rec, err := encodeRecord(gen, recordPut, key, val)
+	rec, err := encodeRecord(gen, kind, key, val)
 	if err != nil {
-		return err
+		return loc{}, err
 	}
 	before := active.log.Size()
 	lsn, err := active.log.Append(rec)
 	if err != nil {
-		return err
+		return loc{}, err
 	}
 	s.totalBytes += active.log.Size() - before
-	s.index[key] = loc{seg: active.id, lsn: lsn}
-	return nil
+	return loc{seg: active.id, lsn: lsn}, nil
 }
 
 // rotateLocked opens a fresh active segment.
@@ -712,7 +793,7 @@ func (s *Store) evictLocked() {
 			}
 			cur, ok := s.index[rec.key]
 			if !ok || cur.seg != victim.id || cur.lsn != lsn || rec.gen != gen {
-				return nil // overwritten, invalidated, or stale: garbage
+				return nil // overwritten, tombstoned, or stale: garbage
 			}
 			recLen := int64(len(payload)) + 8
 			if salvagedBytes+recLen > budget {

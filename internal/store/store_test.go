@@ -278,11 +278,11 @@ func TestStaleGenerationFillDropped(t *testing.T) {
 	s := mustOpen(t, opts)
 	defer s.Close()
 
-	s.Put("stale", []byte("old-gen payload")) // enqueued under gen 0
+	s.Put("stale", []byte("old-gen payload")) // enqueued under fence 0
 	if _, err := s.Bump(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err != nil { // flush processes the gen-0 fill under gen 1
+	if err := s.Flush(); err != nil { // flush processes the fence-0 fill under fence 1
 		t.Fatal(err)
 	}
 	if _, ok := s.Get("stale"); ok {
@@ -337,4 +337,119 @@ func TestOpenRequiresPath(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Fatal("Open without Path succeeded")
 	}
+}
+
+// TestInvalidateScoped: Invalidate removes exactly the matching keys,
+// durably; the rest keep serving; a later put of a removed key is
+// visible again; and fills still queued when it runs are fenced off
+// whichever key they are for.
+func TestInvalidateScoped(t *testing.T) {
+	opts := testOptions(t)
+	opts.FlushInterval = time.Hour // fills move only on Flush
+	s := mustOpen(t, opts)
+	for i := 0; i < 10; i++ {
+		s.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s.Put("k3", []byte("computed before the invalidation")) // matching key, still queued
+	s.Put("late", []byte("so was this"))                    // non-matching key, still queued
+	fence := s.Fence()
+	n, err := s.Invalidate(func(k string) bool { return k == "k3" || k == "k4" || k == "absent" })
+	if err != nil || n != 2 {
+		t.Fatalf("Invalidate = %d, %v; want 2 keys", n, err)
+	}
+	if s.Fence() == fence {
+		t.Fatal("Invalidate did not move the fence")
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Snapshot()
+	if snap.Tombstones != 2 || snap.DroppedStale != 2 || snap.Generation != 0 || snap.Keys != 8 {
+		t.Fatalf("after Invalidate: %+v", snap)
+	}
+	for i := 0; i < 10; i++ {
+		_, ok := s.Get(fmt.Sprintf("k%d", i))
+		if gone := i == 3 || i == 4; ok == gone {
+			t.Fatalf("k%d visible=%v", i, ok)
+		}
+	}
+	if _, ok := s.Get("late"); ok {
+		t.Fatal("a fill queued before the invalidation was written after it")
+	}
+	s.Put("k4", []byte("fresh"))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, opts)
+	defer s2.Close()
+	if _, ok := s2.Get("k3"); ok {
+		t.Fatal("tombstoned key resurrected by replay")
+	}
+	if got, ok := s2.Get("k4"); !ok || string(got) != "fresh" {
+		t.Fatalf("put after the tombstone: %q, %v", got, ok)
+	}
+	if got := s2.Len(); got != 9 {
+		t.Fatalf("reopen found %d keys, want 9", got)
+	}
+}
+
+// TestTombstoneOutlivesItsPut: the segment holding a tombstoned put is
+// evicted (its live neighbours salvaged forward) while the tombstone
+// sits in a later segment; neither the eviction nor a restart may bring
+// the key back.
+func TestTombstoneOutlivesItsPut(t *testing.T) {
+	opts := testOptions(t)
+	opts.MaxBytes = 64 << 10
+	opts.SegmentBytes = 8 << 10
+	s := mustOpen(t, opts)
+	s.Put("doomed", bytes.Repeat([]byte("d"), 40))
+	s.Put("kept", bytes.Repeat([]byte("k"), 40))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	churn := func(rounds int) {
+		for i := 0; i < rounds; i++ {
+			s.Put(fmt.Sprintf("cold/%d", i%40), bytes.Repeat([]byte("z"), 400))
+			if i%5 == 0 {
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	churn(40) // rotate: the tombstone lands in a later segment than the put
+	if n, err := s.Invalidate(func(k string) bool { return k == "doomed" }); err != nil || n != 1 {
+		t.Fatalf("Invalidate = %d, %v", n, err)
+	}
+	churn(1000)
+	snap := s.Snapshot()
+	if snap.Evictions == 0 || snap.Salvaged == 0 {
+		t.Fatalf("expected the first segment evicted with salvage: %+v", snap)
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		if _, ok := s.Get("doomed"); ok {
+			t.Fatalf("%s: tombstoned key is back", when)
+		}
+		if got, ok := s.Get("kept"); !ok || got[0] != 'k' {
+			t.Fatalf("%s: untouched neighbour lost (%q, %v)", when, got, ok)
+		}
+	}
+	check(s, "after eviction")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, opts)
+	defer s2.Close()
+	check(s2, "after reopen")
 }

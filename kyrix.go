@@ -107,19 +107,53 @@
 //     costs a future disk miss, never correctness. [Instance.Close]
 //     drains the queue (bounded by a deadline), so a fill accepted
 //     just before shutdown is readable after restart.
-//   - Invalidation by generation prefix. Every record carries the
-//     generation it was written under; /update and cluster epoch
-//     adoptions append one fsynced generation marker that makes every
-//     earlier record invisible — in O(1), without touching records on
-//     disk, and durably across restarts. Eviction (oldest segment
-//     first, salvaging still-live records within the byte budget)
-//     reclaims the dead space, doubling as compaction.
+//   - Invalidation: generation, tombstone, fence. Every record carries
+//     the generation it was written under, and one fsynced generation
+//     marker makes every earlier record invisible — in O(1), without
+//     touching records on disk, durably across restarts: the whole-tier
+//     invalidation. An /update that knows which rows it touched instead
+//     appends one tombstone per resident key whose window holds them
+//     (one fsync for the lot), which replay honours the same way. Either
+//     moves the write-behind fence, so a fill computed before the change
+//     is dropped at flush time. Eviction (oldest segment first,
+//     salvaging still-live records within the byte budget) reclaims the
+//     dead space, doubling as compaction.
 //
 // Knobs: [ServerOptions].Cache.L2 Path/MaxBytes/SegmentBytes/
 // WriteQueueDepth/FlushInterval; GET /stats reports the tier under
 // cache.l2 ([StatsSnapshot]). `kyrix-bench -restart -l2dir DIR`
 // measures the restart benefit (the committed BENCH_restart_*.json
 // artifacts), and BenchmarkColdStart guards it in CI.
+//
+// # Updates (POST /update)
+//
+// The paper defers caching under updates; this backend makes an update
+// cost what it touches. The first /update a server sees gives every
+// layer table a B-tree on its id column (bulk-loaded, ≈ 16 B per row —
+// not at start-up, because most servers never update), so `WHERE id = ?`
+// is a probe, not a scan. The statement reports the old and new image of
+// every row it changed, including the rows already changed when it fails
+// part-way; each image is mapped to its canvas rectangle in every layer
+// the table backs, and only the cached windows those rectangles intersect
+// are removed — L1 entries by a sweep over the resident keys (a key names
+// exactly one window and parses back to it), L2 records by tombstones.
+// What stays global is the fence: the cache generation moves on every
+// update, so a query already in flight is never stored and never shared
+// with a later request, and delta planning is excluded for the length of
+// the transition; a delta base that survives the sweep holds none of the
+// changed rows, one that did not degrades the frame to a full one. The
+// whole-tier clear remains the fallback for what cannot be scoped: DDL,
+// a table that is no layer's data table, a statement touching more than
+// a few hundred rows, a cluster epoch adoption. Known limits: LOD pyramid
+// levels and tuple–tile mapping tables are still built once and not
+// maintained (every mapping-design tile of an edited layer is dropped,
+// since those tables place a row by where it was when they were built);
+// a cluster peer outside the replicated log still learns by epoch and
+// clears everything; and replaying the log at restart re-invalidates by
+// every historical rectangle. The http.update span carries rows, rects,
+// scope (with the fallback reason), l1.removed, l2.removed and
+// indexBuilt; /stats reports cache.invalidationsScoped/Full,
+// cache.l1.removed and cache.l2.tombstones, mirrored at /metrics.
 //
 // # Cache configuration migration (CacheOptions)
 //
@@ -196,10 +230,10 @@
 // forwarded to the leader, appended as a term-numbered log command,
 // acknowledged only once a quorum of members has it durably in their
 // WALs, and then applied on every node in log order. The apply
-// callback executes the SQL and performs the local epoch bump + L1/L2
-// invalidation, replacing the gossip-style epoch vector on the write
-// path — replicated clusters get one total order of updates instead
-// of eventual convergence.
+// callback executes the SQL and removes what it touched from the local
+// L1 and L2 (see "Updates" above), replacing the gossip-style epoch
+// vector on the write path — replicated clusters get one total order
+// of updates instead of eventual convergence.
 //
 //   - Durability. Each member persists the log through the same
 //     length-prefixed CRC-32 WAL framing the store uses: an
