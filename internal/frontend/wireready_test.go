@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -83,7 +84,10 @@ func TestBatchStreamKeepsConnectionAlive(t *testing.T) {
 
 // taggedApp is a one-layer app whose rows carry a text and a bool
 // column next to the numeric ones, so variable-width rows and awkward
-// string bytes cross the delta path.
+// string bytes cross the delta path. Half the ids sit above 2^53, odd
+// and two apart — no two of them survive a trip through float64 — and
+// the int64 extremes are among them: the server's delta planner reads
+// ids exactly, so a client that did not would drop the wrong rows.
 func taggedApp(t *testing.T, rng *rand.Rand, n int) (*sqldb.DB, *spec.CompiledApp) {
 	t.Helper()
 	db := sqldb.NewDB()
@@ -92,8 +96,17 @@ func taggedApp(t *testing.T, rng *rand.Rand, n int) (*sqldb.DB, *spec.CompiledAp
 	}
 	tags := []string{"", "plain", `quo"te`, `back\slash`, "a,b", "]}", "[[1,2]", `"rows":[`, "<&>", "ünï-✓", "tab\tnl\n"}
 	for i := 0; i < n; i++ {
+		id := int64(i)*13 - 5000
+		switch {
+		case i == 0:
+			id = math.MaxInt64
+		case i == 1:
+			id = math.MinInt64
+		case i%2 == 0:
+			id = 1<<53 + 1 + int64(i)
+		}
 		if err := db.InsertRow("pts", storage.Row{
-			storage.I64(int64(i)*13 - 5000), storage.F64(rng.Float64() * 2048), storage.F64(rng.Float64() * 1024),
+			storage.I64(id), storage.F64(rng.Float64() * 2048), storage.F64(rng.Float64() * 1024),
 			storage.Str(tags[rng.Intn(len(tags))]), storage.Bool(rng.Intn(2) == 0),
 		}); err != nil {
 			t.Fatal(err)

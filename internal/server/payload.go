@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"slices"
 	"strconv"
@@ -281,49 +280,19 @@ func binaryRowLen(buf []byte, types ColTypes) (int, error) {
 	return off, nil
 }
 
-// scanJSONRows indexes a JSON payload as Encode lays it out:
-// {"cols":[…],"types":[…],"rows":[[…],[…]]} with "rows" last and no
-// insignificant whitespace. Anything else is "no index", which only
-// costs the delta — the full frame never needs one.
+// scanJSONRows indexes a JSON payload: the jsonScanner's rows walk with
+// a sink that keeps each row's offset and converts no cell. Bytes that
+// are not the payload grammar are "no index", which only costs the
+// delta — the full frame never needs one.
 func scanJSONRows(raw []byte) (ix *rowIndex, intID bool) {
-	pos := 0
-	if len(raw) == 0 || raw[0] != '{' {
+	s := jsonScanner{b: raw}
+	cols, types, err := s.header()
+	if err != nil {
 		return nil, false
 	}
-	pos++
-	for {
-		if pos >= len(raw) || raw[pos] != '"' {
-			return nil, false
-		}
-		end := skipJSONString(raw, pos)
-		if end < 0 || end >= len(raw) || raw[end] != ':' {
-			return nil, false
-		}
-		key := raw[pos+1 : end-1]
-		pos = end + 1
-		if string(key) == "rows" {
-			break
-		}
-		if pos = skipJSONValue(raw, pos); pos < 0 || pos >= len(raw) || raw[pos] != ',' {
-			return nil, false
-		}
-		pos++
-	}
-	if pos >= len(raw) || raw[pos] != '[' {
-		return nil, false
-	}
-	pos++
-	ix = &rowIndex{hdr: uint32(pos), sep: 1}
-	for pos < len(raw) && raw[pos] == '[' {
-		ix.off = append(ix.off, uint32(pos))
-		if pos = skipJSONValue(raw, pos); pos < 0 || pos >= len(raw) {
-			return nil, false
-		}
-		if raw[pos] == ',' {
-			pos++
-		}
-	}
-	if string(raw[pos:]) != "]}" {
+	ix = &rowIndex{hdr: uint32(s.pos), sep: 1}
+	end, err := s.rows(len(cols), func(start int) { ix.off = append(ix.off, uint32(start)) }, nil)
+	if err != nil {
 		return nil, false
 	}
 	if len(ix.off) == 0 {
@@ -331,65 +300,9 @@ func scanJSONRows(raw []byte) (ix *rowIndex, intID bool) {
 	} else {
 		// One past the position a separator after the last row would
 		// occupy, so every row ends at off[i+1]-sep.
-		ix.off = append(ix.off, uint32(pos)+1)
+		ix.off = append(ix.off, uint32(end)+1)
 	}
-	// The schema header closes into a valid document of its own.
-	var hdr struct {
-		Cols  []string `json:"cols"`
-		Types ColTypes `json:"types"`
-	}
-	if err := json.Unmarshal(append(raw[:ix.hdr:ix.hdr], "]}"...), &hdr); err != nil {
-		return nil, false
-	}
-	return ix, len(hdr.Cols) > 0 && len(hdr.Types) > 0 && (ix.rows() == 0 || hdr.Types[0] == storage.TInt64)
-}
-
-// skipJSONString returns the index just past the string opening at
-// b[i], or -1 when it never closes.
-func skipJSONString(b []byte, i int) int {
-	for i++; i < len(b); i++ {
-		switch b[i] {
-		case '\\':
-			i++
-		case '"':
-			return i + 1
-		}
-	}
-	return -1
-}
-
-// skipJSONValue returns the index just past the value starting at b[i]:
-// a string, a bracketed array/object (nesting and strings respected),
-// or a scalar running up to the next ',', ']' or '}'. -1 on truncation.
-func skipJSONValue(b []byte, i int) int {
-	depth := 0
-	for i < len(b) {
-		switch b[i] {
-		case '"':
-			if i = skipJSONString(b, i); i < 0 {
-				return -1
-			}
-			if depth == 0 {
-				return i
-			}
-			continue
-		case '[', '{':
-			depth++
-		case ']', '}':
-			if depth == 0 {
-				return i
-			}
-			if depth--; depth == 0 {
-				return i + 1
-			}
-		case ',':
-			if depth == 0 {
-				return i
-			}
-		}
-		i++
-	}
-	return -1
+	return ix, len(cols) > 0 && (ix.rows() == 0 || types[0] == storage.TInt64)
 }
 
 // diff computes the delta from base to next by id: the ids leaving (in

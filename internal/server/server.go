@@ -997,20 +997,31 @@ func (s *Server) preparedSelect(sql string) (*sqldb.SelectStmt, error) {
 	return sel, nil
 }
 
-// runQuery executes one window query and encodes its rows into a fresh
-// payload, hashed here, once.
+// runQuery executes one window query straight into a fresh payload,
+// hashed here, once: the executor pushes each row into the codec's
+// builder as it leaves the heap page, so scan and encode are one pass
+// and the "db.query" span and stage time both.
 func (s *Server) runQuery(ctx context.Context, sql string, args []storage.Value, codec Codec) (*payload, error) {
 	sel, err := s.preparedSelect(sql)
 	if err != nil {
 		return nil, err
 	}
+	b, err := newPayloadBuilder(codec)
+	if err != nil {
+		return nil, err
+	}
+	defer b.release()
 	if hook := s.queryHook; hook != nil {
 		hook()
 	}
 	_, sp := s.tracer().Start(ctx, "db.query")
 	start := time.Now()
 	s.Stats.DBQueries.Add(1)
-	res, err := s.db.RunSelect(sel, args...)
+	cols, err := s.db.SelectInto(sel, args, b.add)
+	var raw []byte
+	if err == nil {
+		raw = b.finish(cols)
+	}
 	elapsed := time.Since(start)
 	s.obs.stageDB.Observe(elapsed)
 	if err != nil {
@@ -1018,14 +1029,11 @@ func (s *Server) runQuery(ctx context.Context, sql string, args []storage.Value,
 		sp.End()
 		return nil, err
 	}
-	sp.Attr("rows", len(res.Rows))
+	sp.Attr("rows", b.n)
+	sp.Attr("bytes", len(raw))
 	sp.End()
 	s.Stats.QueryNanos.Add(elapsed.Nanoseconds())
-	s.Stats.RowsServed.Add(int64(len(res.Rows)))
-	raw, err := Encode(responseFromResult(res), codec)
-	if err != nil {
-		return nil, err
-	}
+	s.Stats.RowsServed.Add(int64(b.n))
 	return newPayload(raw), nil
 }
 

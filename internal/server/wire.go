@@ -9,9 +9,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
+	"strconv"
+	"sync"
+	"unicode/utf16"
+	"unicode/utf8"
 
-	"kyrix/internal/sqldb"
 	"kyrix/internal/storage"
 )
 
@@ -61,22 +66,6 @@ func (dr *DataResponse) Schema() storage.Schema {
 	return s
 }
 
-// responseFromResult converts a query result, deriving column types
-// from the first row (empty results carry declared fallback types).
-func responseFromResult(res *sqldb.Result) *DataResponse {
-	dr := &DataResponse{Cols: res.Cols, Types: make(ColTypes, len(res.Cols))}
-	for i := range dr.Types {
-		dr.Types[i] = storage.TFloat64
-	}
-	if len(res.Rows) > 0 {
-		for i, v := range res.Rows[0] {
-			dr.Types[i] = v.Kind
-		}
-	}
-	dr.Rows = res.Rows
-	return dr
-}
-
 // Codec names a wire encoding.
 type Codec string
 
@@ -87,110 +76,273 @@ const (
 	CodecBinary Codec = "binary"
 )
 
-// jsonWire is the JSON shape: row values as heterogeneous arrays.
-type jsonWire struct {
-	Cols  []string `json:"cols"`
-	Types ColTypes `json:"types"`
-	Rows  [][]any  `json:"rows"`
+// payloadBuilder encodes the rows of one payload as they are produced
+// and assembles the payload around them. It is the only writer of either
+// codec: the query path pushes executor rows into it, Encode pushes a
+// DataResponse's.
+//
+// Rows go into a pooled scratch buffer first, because neither header can
+// be written before them — a binary header carries the row count, and
+// both carry column types the query path learns from its first row.
+// finish copies header, rows and trailer into one buffer of exactly the
+// payload's size, the only allocation that outlives the builder.
+type payloadBuilder struct {
+	codec Codec
+	// types is the header's type list. Left nil, it becomes the value
+	// kinds of the first row — all DOUBLE if there is none — which is the
+	// query path's rule; Encode declares its own.
+	types ColTypes
+	// schema is types as EncodeRow wants them, built on the first binary
+	// row that is not already a stored tuple.
+	schema storage.Schema
+	rows   []byte
+	n      int
+}
+
+var builderPool = sync.Pool{New: func() any { return new(payloadBuilder) }}
+
+// newPayloadBuilder returns a builder for codec; release it when done.
+func newPayloadBuilder(codec Codec) (*payloadBuilder, error) {
+	switch codec {
+	case "":
+		codec = CodecJSON
+	case CodecJSON, CodecBinary:
+	default:
+		return nil, fmt.Errorf("server: unknown codec %q", codec)
+	}
+	b := builderPool.Get().(*payloadBuilder)
+	b.codec = codec
+	return b, nil
+}
+
+// release returns the builder's scratch buffer to the pool.
+func (b *payloadBuilder) release() {
+	*b = payloadBuilder{rows: b.rows[:0]}
+	builderPool.Put(b)
+}
+
+// add encodes one row. A non-nil tuple is the row's stored heap bytes
+// (sqldb.RowFunc) — which is exactly a binary payload row, so the binary
+// codec appends it verbatim.
+func (b *payloadBuilder) add(row storage.Row, tuple []byte) error {
+	if b.types == nil {
+		b.types = make(ColTypes, len(row))
+		for i, v := range row {
+			b.types[i] = v.Kind
+		}
+	}
+	b.n++
+	if b.codec == CodecJSON {
+		if b.n > 1 {
+			b.rows = append(b.rows, ',')
+		}
+		var err error
+		b.rows, err = appendJSONRow(b.rows, row)
+		return err
+	}
+	if tuple != nil {
+		b.rows = append(b.rows, tuple...)
+		return nil
+	}
+	if b.schema == nil {
+		b.schema = make(storage.Schema, len(b.types))
+		for i, t := range b.types {
+			b.schema[i].Type = t
+		}
+	}
+	rows, err := storage.EncodeRow(b.rows, b.schema, row)
+	if err != nil {
+		return err
+	}
+	b.rows = rows
+	return nil
+}
+
+// finish assembles the payload; cols and b.types must agree in length.
+func (b *payloadBuilder) finish(cols []string) []byte {
+	if b.types == nil {
+		b.types = make(ColTypes, len(cols))
+		for i := range b.types {
+			b.types[i] = storage.TFloat64
+		}
+	}
+	// The header is written behind the rows in the same scratch buffer,
+	// then both are copied out in payload order.
+	nrows := len(b.rows)
+	hdr := b.rows
+	trailer := ""
+	if b.codec == CodecJSON {
+		hdr = append(hdr, `{"cols":`...)
+		if cols == nil {
+			hdr = append(hdr, "null"...)
+		} else {
+			hdr = append(hdr, '[')
+			for i, c := range cols {
+				if i > 0 {
+					hdr = append(hdr, ',')
+				}
+				hdr = appendJSONString(hdr, c)
+			}
+			hdr = append(hdr, ']')
+		}
+		hdr = append(hdr, `,"types":[`...)
+		for i, t := range b.types {
+			if i > 0 {
+				hdr = append(hdr, ',')
+			}
+			hdr = strconv.AppendUint(hdr, uint64(t), 10)
+		}
+		hdr = append(hdr, `],"rows":[`...)
+		trailer = "]}"
+	} else {
+		hdr = binary.AppendUvarint(hdr, uint64(len(cols)))
+		for i, c := range cols {
+			hdr = binary.AppendUvarint(hdr, uint64(len(c)))
+			hdr = append(hdr, c...)
+			hdr = append(hdr, byte(b.types[i]))
+		}
+		hdr = binary.AppendUvarint(hdr, uint64(b.n))
+	}
+	b.rows = hdr // keep the grown buffer for the pool
+	out := make([]byte, 0, len(hdr)+len(trailer))
+	out = append(out, hdr[nrows:]...)
+	out = append(out, hdr[:nrows]...)
+	return append(out, trailer...)
+}
+
+// The JSON payload is one fixed document shape (see "Wire payloads" in
+// the root package doc): appendJSONRow and its helpers below write it,
+// jsonScanner reads it, and both follow encoding/json's conventions for
+// numbers and strings byte for byte, so a payload is also what
+// json.Marshal would produce for the same cells.
+
+// appendJSONRow appends row as a JSON array, each cell by its own kind.
+func appendJSONRow(dst []byte, row storage.Row) ([]byte, error) {
+	dst = append(dst, '[')
+	for i, v := range row {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		switch v.Kind {
+		case storage.TInt64:
+			dst = strconv.AppendInt(dst, v.I, 10)
+		case storage.TFloat64:
+			var err error
+			if dst, err = appendJSONFloat(dst, v.F); err != nil {
+				return dst, err
+			}
+		case storage.TString:
+			dst = appendJSONString(dst, v.S)
+		case storage.TBool:
+			dst = strconv.AppendBool(dst, v.B)
+		default:
+			dst = append(dst, "null"...)
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// appendJSONFloat formats f as encoding/json (and ES6) do: shortest
+// round-trip digits, positional between 1e-6 and 1e21, exponent form
+// outside with a one-digit negative exponent unpadded.
+func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, fmt.Errorf("server: encode json: unsupported value %v", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString quotes s with encoding/json's default escaping:
+// short escapes for the usual control characters, \u00XX for the other
+// bytes below 0x20 and for <, > and &, \u2028 and \u2029 escaped, and
+// invalid UTF-8 replaced by \ufffd.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // Encode serializes dr with the chosen codec.
 func Encode(dr *DataResponse, codec Codec) ([]byte, error) {
-	switch codec {
-	case CodecJSON, "":
-		w := jsonWire{Cols: dr.Cols, Types: dr.Types, Rows: make([][]any, len(dr.Rows))}
-		for i, row := range dr.Rows {
-			vals := make([]any, len(row))
-			for j, v := range row {
-				switch v.Kind {
-				case storage.TInt64:
-					vals[j] = v.I
-				case storage.TFloat64:
-					vals[j] = v.F
-				case storage.TString:
-					vals[j] = v.S
-				case storage.TBool:
-					vals[j] = v.B
-				}
-			}
-			w.Rows[i] = vals
-		}
-		return json.Marshal(w)
-	case CodecBinary:
-		var buf bytes.Buffer
-		var tmp [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(tmp[:], uint64(len(dr.Cols)))
-		buf.Write(tmp[:n])
-		for i, c := range dr.Cols {
-			n = binary.PutUvarint(tmp[:], uint64(len(c)))
-			buf.Write(tmp[:n])
-			buf.WriteString(c)
-			buf.WriteByte(byte(dr.Types[i]))
-		}
-		n = binary.PutUvarint(tmp[:], uint64(len(dr.Rows)))
-		buf.Write(tmp[:n])
-		schema := dr.Schema()
-		var rowBuf []byte
-		for _, row := range dr.Rows {
-			var err error
-			rowBuf, err = storage.EncodeRow(rowBuf[:0], schema, row)
-			if err != nil {
-				return nil, err
-			}
-			buf.Write(rowBuf)
-		}
-		return buf.Bytes(), nil
+	if len(dr.Types) != len(dr.Cols) {
+		return nil, fmt.Errorf("server: encode: %d column types for %d columns", len(dr.Types), len(dr.Cols))
 	}
-	return nil, fmt.Errorf("server: unknown codec %q", codec)
+	b, err := newPayloadBuilder(codec)
+	if err != nil {
+		return nil, err
+	}
+	defer b.release()
+	if b.types = dr.Types; b.types == nil {
+		b.types = ColTypes{} // no columns, not "ask the first row"
+	}
+	for _, row := range dr.Rows {
+		if err := b.add(row, nil); err != nil {
+			return nil, err
+		}
+	}
+	return b.finish(dr.Cols), nil
 }
 
 // Decode parses a payload produced by Encode.
 func Decode(data []byte, codec Codec) (*DataResponse, error) {
 	switch codec {
 	case CodecJSON, "":
-		var w jsonWire
-		if err := json.Unmarshal(data, &w); err != nil {
-			return nil, fmt.Errorf("server: decode json: %w", err)
-		}
-		dr := &DataResponse{Cols: w.Cols, Types: w.Types, Rows: make([]storage.Row, len(w.Rows))}
-		for i, vals := range w.Rows {
-			if len(vals) != len(w.Cols) {
-				return nil, fmt.Errorf("server: row %d arity %d != %d", i, len(vals), len(w.Cols))
-			}
-			row := make(storage.Row, len(vals))
-			for j, v := range vals {
-				switch w.Types[j] {
-				case storage.TInt64:
-					f, ok := v.(float64)
-					if !ok {
-						return nil, fmt.Errorf("server: row %d col %d not numeric", i, j)
-					}
-					row[j] = storage.I64(int64(f))
-				case storage.TFloat64:
-					f, ok := v.(float64)
-					if !ok {
-						return nil, fmt.Errorf("server: row %d col %d not numeric", i, j)
-					}
-					row[j] = storage.F64(f)
-				case storage.TString:
-					s, ok := v.(string)
-					if !ok {
-						return nil, fmt.Errorf("server: row %d col %d not string", i, j)
-					}
-					row[j] = storage.Str(s)
-				case storage.TBool:
-					b, ok := v.(bool)
-					if !ok {
-						return nil, fmt.Errorf("server: row %d col %d not bool", i, j)
-					}
-					row[j] = storage.Bool(b)
-				default:
-					return nil, fmt.Errorf("server: row %d col %d unknown type", i, j)
-				}
-			}
-			dr.Rows[i] = row
-		}
-		return dr, nil
+		return decodeJSON(data)
 	case CodecBinary:
 		h, err := parseBinaryHeader(data)
 		if err != nil {
@@ -201,8 +353,12 @@ func Decode(data []byte, codec Codec) (*DataResponse, error) {
 		rest := data[h.rowsOff:]
 		off := 0
 		dr.Rows = make([]storage.Row, 0, h.nrows)
+		// One allocation holds every cell; the header check bounds it by
+		// the input (a cell is at least one byte).
+		cells := make([]storage.Value, h.nrows*len(schema))
 		for i := 0; i < h.nrows; i++ {
-			row := make(storage.Row, len(schema))
+			row := cells[:len(schema):len(schema)]
+			cells = cells[len(schema):]
 			n, err := storage.DecodeRowNext(rest[off:], schema, row)
 			if err != nil {
 				return nil, fmt.Errorf("server: decode row %d: %w", i, err)
@@ -213,6 +369,303 @@ func Decode(data []byte, codec Codec) (*DataResponse, error) {
 		return dr, nil
 	}
 	return nil, fmt.Errorf("server: unknown codec %q", codec)
+}
+
+// jsonScanner tokenizes the JSON payload grammar: cols, types and rows
+// in that order, no insignificant whitespace. It is the one reader of the
+// format; Decode and the row-index scan are two sinks on its rows walk.
+// Payloads arrive off the wire, from the L2 store and from peers, so it
+// trusts nothing: everything it allocates is paid for by input bytes
+// already consumed.
+type jsonScanner struct {
+	b   []byte
+	pos int
+}
+
+var errJSONPayload = errors.New("server: decode json: not a payload document")
+
+// lit consumes s if the input continues with it.
+func (s *jsonScanner) lit(lit string) bool {
+	if len(s.b)-s.pos < len(lit) || string(s.b[s.pos:s.pos+len(lit)]) != lit {
+		return false
+	}
+	s.pos += len(lit)
+	return true
+}
+
+// token consumes one scalar cell — a string with its quotes, or the
+// bytes of a number or literal up to the next ',' or ']' — and returns
+// it. nil means the input ended inside it.
+func (s *jsonScanner) token() []byte {
+	start := s.pos
+	if s.pos < len(s.b) && s.b[s.pos] == '"' {
+		for s.pos++; s.pos < len(s.b); s.pos++ {
+			switch s.b[s.pos] {
+			case '\\':
+				s.pos++
+			case '"':
+				s.pos++
+				return s.b[start:s.pos]
+			}
+		}
+		return nil
+	}
+	for ; s.pos < len(s.b); s.pos++ {
+		if c := s.b[s.pos]; c == ',' || c == ']' {
+			return s.b[start:s.pos]
+		}
+	}
+	return nil
+}
+
+// list walks a bracketed, comma-separated list of scalars positioned at
+// its '[', calling item with each token.
+func (s *jsonScanner) list(item func(tok []byte) error) error {
+	if !s.lit("[") {
+		return errJSONPayload
+	}
+	if s.lit("]") {
+		return nil
+	}
+	for {
+		tok := s.token()
+		if len(tok) == 0 {
+			return errJSONPayload
+		}
+		if err := item(tok); err != nil {
+			return err
+		}
+		if s.lit("]") {
+			return nil
+		}
+		if !s.lit(",") {
+			return errJSONPayload
+		}
+	}
+}
+
+// header consumes everything up to and including the '[' that opens the
+// row section.
+func (s *jsonScanner) header() (cols []string, types ColTypes, err error) {
+	if !s.lit(`{"cols":`) {
+		return nil, nil, errJSONPayload
+	}
+	if !s.lit("null") { // what a nil column list encodes to
+		cols = []string{}
+		err = s.list(func(tok []byte) error {
+			name, err := jsonString(tok)
+			cols = append(cols, name)
+			return err
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	if !s.lit(`,"types":`) {
+		return nil, nil, errJSONPayload
+	}
+	types = ColTypes{}
+	err = s.list(func(tok []byte) error {
+		if len(tok) != 1 || tok[0] < '0'+byte(storage.TInt64) || tok[0] > '0'+byte(storage.TBool) {
+			return fmt.Errorf("server: decode json: unknown column type %q", tok)
+		}
+		types = append(types, storage.ColType(tok[0]-'0'))
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(types) != len(cols) {
+		return nil, nil, fmt.Errorf("server: decode json: %d column types for %d columns", len(types), len(cols))
+	}
+	if !s.lit(`,"rows":[`) {
+		return nil, nil, errJSONPayload
+	}
+	return cols, types, nil
+}
+
+// rows walks the row section to the end of the document, calling row
+// with each row's offset and cell (when non-nil) with each of its
+// tokens; every row must have ncols cells. It returns the offset of the
+// ']' closing the section.
+func (s *jsonScanner) rows(ncols int, row func(start int), cell func(col int, tok []byte) error) (int, error) {
+	for n := 0; !s.lit("]"); n++ {
+		if n > 0 && !s.lit(",") {
+			return 0, errJSONPayload
+		}
+		row(s.pos)
+		col := 0
+		err := s.list(func(tok []byte) error {
+			if col++; col > ncols || cell == nil {
+				return nil
+			}
+			return cell(col-1, tok)
+		})
+		if err != nil {
+			return 0, err
+		}
+		if col != ncols {
+			return 0, fmt.Errorf("server: row %d arity %d != %d", n, col, ncols)
+		}
+	}
+	end := s.pos - 1
+	if !s.lit("}") || s.pos != len(s.b) {
+		return 0, errJSONPayload
+	}
+	return end, nil
+}
+
+// decodeJSON is Decode's JSON sink: each cell is parsed by its column's
+// declared type straight into a storage.Value — integers exactly, never
+// through float64.
+func decodeJSON(data []byte) (*DataResponse, error) {
+	s := jsonScanner{b: data}
+	cols, types, err := s.header()
+	if err != nil {
+		return nil, err
+	}
+	dr := &DataResponse{Cols: cols, Types: types, Rows: []storage.Row{}}
+	var cur storage.Row
+	_, err = s.rows(len(cols),
+		func(int) {
+			cur = make(storage.Row, len(cols))
+			dr.Rows = append(dr.Rows, cur)
+		},
+		func(col int, tok []byte) error {
+			v, err := jsonCell(tok, types[col])
+			if err != nil {
+				return fmt.Errorf("server: row %d col %d: %w", len(dr.Rows)-1, col, err)
+			}
+			cur[col] = v
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return dr, nil
+}
+
+// jsonCell converts one cell token to a value of type t.
+func jsonCell(tok []byte, t storage.ColType) (storage.Value, error) {
+	switch t {
+	case storage.TInt64:
+		if !jsonNumber(tok) {
+			return storage.Value{}, errors.New("not numeric")
+		}
+		i, err := strconv.ParseInt(string(tok), 10, 64)
+		return storage.I64(i), err
+	case storage.TFloat64:
+		if !jsonNumber(tok) {
+			return storage.Value{}, errors.New("not numeric")
+		}
+		f, err := strconv.ParseFloat(string(tok), 64)
+		return storage.F64(f), err
+	case storage.TString:
+		str, err := jsonString(tok)
+		return storage.Str(str), err
+	default: // TBool: header() admits no other type
+		switch string(tok) {
+		case "true":
+			return storage.Bool(true), nil
+		case "false":
+			return storage.Bool(false), nil
+		}
+		return storage.Value{}, errors.New("not bool")
+	}
+}
+
+// jsonNumber reports whether tok is made of JSON number characters only,
+// which keeps strconv's wider syntax (inf, nan, hex, underscores) out.
+func jsonNumber(tok []byte) bool {
+	for _, c := range tok {
+		if (c < '0' || c > '9') && c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' {
+			return false
+		}
+	}
+	return len(tok) > 0
+}
+
+// jsonString unquotes a string token.
+func jsonString(tok []byte) (string, error) {
+	if len(tok) < 2 || tok[0] != '"' || tok[len(tok)-1] != '"' {
+		return "", errors.New("not string")
+	}
+	body := tok[1 : len(tok)-1]
+	esc := bytes.IndexByte(body, '\\')
+	if esc < 0 {
+		return string(body), nil
+	}
+	out := append(make([]byte, 0, len(body)), body[:esc]...)
+	for i := esc; i < len(body); i++ {
+		c := body[i]
+		if c != '\\' {
+			out = append(out, c)
+			continue
+		}
+		if i++; i >= len(body) {
+			return "", errors.New("bad string escape")
+		}
+		switch body[i] {
+		case '"', '\\', '/':
+			out = append(out, body[i])
+		case 'b':
+			out = append(out, '\b')
+		case 'f':
+			out = append(out, '\f')
+		case 'n':
+			out = append(out, '\n')
+		case 'r':
+			out = append(out, '\r')
+		case 't':
+			out = append(out, '\t')
+		case 'u':
+			r, ok := jsonHex4(body[i+1:])
+			if !ok {
+				return "", errors.New("bad \\u escape")
+			}
+			i += 4
+			if utf16.IsSurrogate(r) {
+				// A pair is two consecutive escapes; a lone half decodes
+				// to U+FFFD, as in encoding/json.
+				r2, ok := rune(0), false
+				if i+2 < len(body) && body[i+1] == '\\' && body[i+2] == 'u' {
+					r2, ok = jsonHex4(body[i+3:])
+				}
+				if dec := utf16.DecodeRune(r, r2); ok && dec != utf8.RuneError {
+					r = dec
+					i += 6
+				} else {
+					r = utf8.RuneError
+				}
+			}
+			out = utf8.AppendRune(out, r)
+		default:
+			return "", errors.New("bad string escape")
+		}
+	}
+	return string(out), nil
+}
+
+// jsonHex4 reads the four hex digits of a \u escape.
+func jsonHex4(b []byte) (rune, bool) {
+	if len(b) < 4 {
+		return 0, false
+	}
+	var r rune
+	for _, c := range b[:4] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, false
+		}
+		r = r<<4 | rune(c)
+	}
+	return r, true
 }
 
 // binaryHeader is the schema header of a binary payload plus where its

@@ -1,0 +1,581 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"net/http"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"kyrix/internal/fetch"
+	"kyrix/internal/geom"
+	"kyrix/internal/obs"
+	"kyrix/internal/storage"
+)
+
+// The reference implementation of the JSON codec: encoding/json over a
+// dynamically typed document, as Encode and Decode were written before
+// the hand-written writer and reader replaced them. The differential
+// tests below hold the two to the same bytes and the same cells.
+
+type jsonWire struct {
+	Cols  []string `json:"cols"`
+	Types ColTypes `json:"types"`
+	Rows  [][]any  `json:"rows"`
+}
+
+func referenceEncodeJSON(dr *DataResponse) ([]byte, error) {
+	w := jsonWire{Cols: dr.Cols, Types: dr.Types, Rows: make([][]any, len(dr.Rows))}
+	for i, row := range dr.Rows {
+		vals := make([]any, len(row))
+		for j, v := range row {
+			switch v.Kind {
+			case storage.TInt64:
+				vals[j] = v.I
+			case storage.TFloat64:
+				vals[j] = v.F
+			case storage.TString:
+				vals[j] = v.S
+			case storage.TBool:
+				vals[j] = v.B
+			}
+		}
+		w.Rows[i] = vals
+	}
+	return json.Marshal(w)
+}
+
+func referenceDecodeJSON(data []byte) (*DataResponse, error) {
+	var w jsonWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return nil, fmt.Errorf("server: decode json: %w", err)
+	}
+	dr := &DataResponse{Cols: w.Cols, Types: w.Types, Rows: make([]storage.Row, len(w.Rows))}
+	for i, vals := range w.Rows {
+		if len(vals) != len(w.Cols) {
+			return nil, fmt.Errorf("server: row %d arity %d != %d", i, len(vals), len(w.Cols))
+		}
+		row := make(storage.Row, len(vals))
+		for j, v := range vals {
+			switch w.Types[j] {
+			case storage.TInt64:
+				f, ok := v.(float64)
+				if !ok {
+					return nil, fmt.Errorf("server: row %d col %d not numeric", i, j)
+				}
+				row[j] = storage.I64(int64(f))
+			case storage.TFloat64:
+				f, ok := v.(float64)
+				if !ok {
+					return nil, fmt.Errorf("server: row %d col %d not numeric", i, j)
+				}
+				row[j] = storage.F64(f)
+			case storage.TString:
+				s, ok := v.(string)
+				if !ok {
+					return nil, fmt.Errorf("server: row %d col %d not string", i, j)
+				}
+				row[j] = storage.Str(s)
+			case storage.TBool:
+				b, ok := v.(bool)
+				if !ok {
+					return nil, fmt.Errorf("server: row %d col %d not bool", i, j)
+				}
+				row[j] = storage.Bool(b)
+			default:
+				return nil, fmt.Errorf("server: row %d col %d unknown type", i, j)
+			}
+		}
+		dr.Rows[i] = row
+	}
+	return dr, nil
+}
+
+// Values the two writers are most likely to disagree on.
+var (
+	edgeFloats = []float64{
+		0, math.Copysign(0, -1), 1, -1.5, 1e21, 1e21 - 1e5, 1e-6, 1e-7, 9.999999e-7, 5e-324, math.MaxFloat64,
+		-math.MaxFloat64, 1e20, 123456789.125, 1e-9, 1.5e-10, 1e100, math.Pi, 0.1, 1 << 53, 1<<53 + 2,
+	}
+	edgeInts    = []int64{0, -1, 1, 1 << 53, 1<<53 + 1, -(1<<53 + 1), math.MaxInt64, math.MinInt64, math.MaxInt64 - 1}
+	edgeStrings = []string{
+		"", "plain", `q"uote`, `back\slash`, "<script>&amp;</script>", "line\u2028sep\u2029", "tab\tnl\ncr\rbs\bff\f",
+		"\x00\x01\x1f\x7f", "bad\xffutf8\xc0\xaf", "héllo wörld ✓ 𝄞", "\xed\xa0\x80", "/slash/",
+	}
+)
+
+// genResponse derives a schema and rows over all four column types from
+// seed, drawing cells from the edge lists and from the generator.
+func genResponse(seed int64) *DataResponse {
+	rng := rand.New(rand.NewSource(seed))
+	ncols := rng.Intn(6)
+	dr := &DataResponse{Cols: make([]string, ncols), Types: make(ColTypes, ncols), Rows: []storage.Row{}}
+	for i := range dr.Cols {
+		dr.Cols[i] = fmt.Sprintf("c%d", i)
+		if rng.Intn(8) == 0 {
+			dr.Cols[i] = edgeStrings[rng.Intn(len(edgeStrings))]
+		}
+		dr.Types[i] = storage.ColType(1 + rng.Intn(4))
+	}
+	for n := rng.Intn(12); n > 0; n-- {
+		row := make(storage.Row, ncols)
+		for j, t := range dr.Types {
+			edge := rng.Intn(3) == 0
+			switch t {
+			case storage.TInt64:
+				row[j] = storage.I64(int64(rng.Uint64()))
+				if edge {
+					row[j] = storage.I64(edgeInts[rng.Intn(len(edgeInts))])
+				}
+			case storage.TFloat64:
+				row[j] = storage.F64(math.Float64frombits(rng.Uint64()))
+				if math.IsNaN(row[j].F) || math.IsInf(row[j].F, 0) {
+					row[j] = storage.F64(rng.NormFloat64() * 1e4)
+				}
+				if edge {
+					row[j] = storage.F64(edgeFloats[rng.Intn(len(edgeFloats))])
+				}
+			case storage.TString:
+				buf := make([]byte, rng.Intn(12))
+				rng.Read(buf)
+				row[j] = storage.Str(string(buf))
+				if edge {
+					row[j] = storage.Str(edgeStrings[rng.Intn(len(edgeStrings))])
+				}
+			case storage.TBool:
+				row[j] = storage.Bool(rng.Intn(2) == 0)
+			}
+		}
+		dr.Rows = append(dr.Rows, row)
+	}
+	return dr
+}
+
+// FuzzEncodeJSONMatchesStdlib: for any generated response the payload is
+// exactly json.Marshal's bytes, and a NaN or an infinity is an error on
+// both sides.
+func FuzzEncodeJSONMatchesStdlib(f *testing.F) {
+	for seed := int64(0); seed < 64; seed++ {
+		f.Add(seed, uint8(0))
+	}
+	f.Add(int64(7), uint8(1))
+	f.Add(int64(8), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, poison uint8) {
+		dr := genResponse(seed)
+		if poison%4 != 0 && len(dr.Rows) > 0 {
+			for j, ct := range dr.Types {
+				if ct == storage.TFloat64 {
+					dr.Rows[0][j] = storage.F64([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[poison%3])
+				}
+			}
+		}
+		got, gotErr := Encode(dr, CodecJSON)
+		want, wantErr := referenceEncodeJSON(dr)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("seed %d: Encode err %v, json.Marshal err %v", seed, gotErr, wantErr)
+		}
+		if gotErr == nil && !bytes.Equal(got, want) {
+			t.Fatalf("seed %d:\n got %s\nwant %s", seed, got, want)
+		}
+		if gotErr == nil && cap(got) != len(got) {
+			t.Fatalf("payload buffer %d bytes for %d of payload", cap(got), len(got))
+		}
+	})
+}
+
+func TestEncodeJSONCells(t *testing.T) {
+	// Every edge value, one cell each, through both writers.
+	dr := &DataResponse{Cols: []string{"i", "f", "s"}, Types: ColTypes{storage.TInt64, storage.TFloat64, storage.TString}}
+	for k := 0; k < max(len(edgeInts), len(edgeFloats), len(edgeStrings)); k++ {
+		dr.Rows = append(dr.Rows, storage.Row{
+			storage.I64(edgeInts[k%len(edgeInts)]), storage.F64(edgeFloats[k%len(edgeFloats)]), storage.Str(edgeStrings[k%len(edgeStrings)]),
+		})
+	}
+	got, err := Encode(dr, CodecJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := referenceEncodeJSON(dr)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("\n got %s\nwant %s", got, want)
+	}
+	// A nil column list is "null", as json.Marshal writes it, and reads back.
+	got, _ = Encode(&DataResponse{}, CodecJSON)
+	want, _ = referenceEncodeJSON(&DataResponse{})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("empty response: got %s want %s", got, want)
+	}
+	if back, err := Decode(got, CodecJSON); err != nil || len(back.Cols) != 0 || len(back.Rows) != 0 {
+		t.Fatalf("empty response back: %+v %v", back, err)
+	}
+}
+
+// sameCells compares the typed reader's result with the reflection
+// decoder's, cell for cell. The one permitted difference: an INT the old
+// decoder rounded through float64.
+func sameCells(t *testing.T, got, ref *DataResponse) {
+	t.Helper()
+	if len(got.Cols) != len(ref.Cols) || len(got.Rows) != len(ref.Rows) {
+		t.Fatalf("shape %dx%d vs reference %dx%d", len(got.Rows), len(got.Cols), len(ref.Rows), len(ref.Cols))
+	}
+	for i := range ref.Cols {
+		if got.Cols[i] != ref.Cols[i] || got.Types[i] != ref.Types[i] {
+			t.Fatalf("column %d: %q %v vs reference %q %v", i, got.Cols[i], got.Types[i], ref.Cols[i], ref.Types[i])
+		}
+	}
+	for i, row := range ref.Rows {
+		for j, want := range row {
+			v := got.Rows[i][j]
+			if v == want {
+				continue
+			}
+			if v.Kind == storage.TInt64 && want.Kind == storage.TInt64 && int64(float64(v.I)) == want.I {
+				continue // the reference lost the low bits
+			}
+			if v.Kind == storage.TFloat64 && want.Kind == storage.TFloat64 && math.Float64bits(v.F) == math.Float64bits(want.F) {
+				continue
+			}
+			t.Fatalf("cell %d,%d: %#v vs reference %#v", i, j, v, want)
+		}
+	}
+}
+
+// FuzzDecodeJSON: arbitrary bytes never panic or allocate beyond what
+// the input pays for, whatever the typed reader accepts re-encodes, and
+// every payload Encode can produce decodes to the reference decoder's
+// cells.
+func FuzzDecodeJSON(f *testing.F) {
+	for seed := int64(0); seed < 32; seed++ {
+		data, err := Encode(genResponse(seed), CodecJSON)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, seed)
+		f.Add(data[:len(data)/2], seed)
+	}
+	for _, s := range []string{
+		``, `{}`, `{"cols":null,"types":[],"rows":[]}`, `{"cols":["a"],"types":[1],"rows":[[1],[2]]}`,
+		`{"cols":["a"],"types":[1],"rows":[[1.5]]}`, `{"cols":["a"],"types":[2],"rows":[[nan]]}`,
+		`{"cols":["a","b"],"types":[1],"rows":[]}`, `{"cols":["a"],"types":[9],"rows":[]}`,
+		`{"cols":["a"],"types":[3],"rows":[["\ud834\udd1e\ud800x\u00e9\/"]]}`, `{"cols":["a"],"types":[3],"rows":[["\u12"]]}`,
+		`{"cols":["a"],"types":[1],"rows":[[1,2]]}`, `{"cols":["a"],"types":[1],"rows":[[1]],}`,
+		`{"cols":["a"],"types":[4],"rows":[[true],[false],[maybe]]}`, `{"rows":[],"cols":[],"types":[]}`,
+		`{"cols":["a"],"types":[1],"rows":[[9223372036854775808]]}`, `{"cols":["a"],"types":[1],"rows":[[1]]} `,
+	} {
+		f.Add([]byte(s), int64(0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		if dr, err := Decode(data, CodecJSON); err == nil {
+			cells := 0
+			for _, row := range dr.Rows {
+				cells += len(row)
+			}
+			// A row costs at least "[]," and a cell at least "0,".
+			if len(dr.Cols) > len(data) || len(dr.Rows) > len(data)/2 || cells > len(data)/2 {
+				t.Fatalf("%d cols, %d rows, %d cells out of %d bytes", len(dr.Cols), len(dr.Rows), cells, len(data))
+			}
+			// The row index is the same scanner with another sink: it must
+			// accept what Decode accepts and see the same rows.
+			ix, _ := scanJSONRows(data)
+			if ix == nil || ix.rows() != len(dr.Rows) {
+				t.Fatalf("Decode read %d rows, the row index scan %v", len(dr.Rows), ix)
+			}
+			for i := range dr.Rows {
+				if row := data[ix.off[i] : ix.off[i+1]-ix.sep]; len(row) < 2 || row[0] != '[' || row[len(row)-1] != ']' {
+					t.Fatalf("indexed row %d is %q", i, row)
+				}
+			}
+		}
+
+		want := genResponse(seed)
+		payload, err := Encode(want, CodecJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(payload, CodecJSON)
+		if err != nil {
+			t.Fatalf("Decode(Encode(seed %d)): %v\n%s", seed, err, payload)
+		}
+		ref, err := referenceDecodeJSON(payload)
+		if err != nil {
+			t.Fatalf("reference decoder on seed %d: %v", seed, err)
+		}
+		sameCells(t, got, ref)
+		// And the integers the reference rounds come back exactly.
+		for i, row := range want.Rows {
+			for j, v := range row {
+				if v.Kind == storage.TInt64 && want.Types[j] == storage.TInt64 && got.Rows[i][j].I != v.I {
+					t.Fatalf("cell %d,%d: int %d came back %d", i, j, v.I, got.Rows[i][j].I)
+				}
+			}
+		}
+	})
+}
+
+// TestBigIDsRoundTrip: ids past 2^53 survive both codecs exactly, and
+// the row index reads the same identity the client will key on.
+func TestBigIDsRoundTrip(t *testing.T) {
+	ids := []int64{1<<53 + 1, math.MaxInt64, math.MinInt64, -(1<<53 + 1), 1 << 53}
+	dr := &DataResponse{Cols: []string{"id", "x"}, Types: ColTypes{storage.TInt64, storage.TFloat64}}
+	for i, id := range ids {
+		dr.Rows = append(dr.Rows, storage.Row{storage.I64(id), storage.F64(float64(i))})
+	}
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		payload, err := Encode(dr, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decode(payload, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := buildRowIndex(payload, codec)
+		if ix == nil || !ix.diffable {
+			t.Fatalf("%s: payload not diffable: %+v", codec, ix)
+		}
+		for i, id := range ids {
+			if got := back.Rows[i][0].I; got != id || ix.ids[i] != id {
+				t.Fatalf("%s: id %d decoded as %d, indexed as %d", codec, id, got, ix.ids[i])
+			}
+		}
+	}
+}
+
+// TestQueryPayloadMatchesEncode: what runQuery streams out of the
+// executor is byte for byte what Encode makes of the collected result,
+// for both codecs — including the header rule (types from the first
+// row, DOUBLE when there is none) and the index's visit order.
+func TestQueryPayloadMatchesEncode(t *testing.T) {
+	srv, _ := newPointsServer(t, 3000, 4096, 2048)
+	pl, _ := srv.Layer("main", 0)
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		for _, win := range []geom.Rect{
+			{MinX: 0, MinY: 0, MaxX: 700, MaxY: 700},
+			{MinX: 1000, MinY: 500, MaxX: 1001, MaxY: 501},
+			{MinX: -50, MinY: -50, MaxX: -10, MaxY: -10}, // empty
+		} {
+			sql, args := pl.WindowSQL(win)
+			p, err := srv.runQuery(context.Background(), sql, args, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := srv.db.Query(sql, args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dr := &DataResponse{Cols: res.Cols, Types: make(ColTypes, len(res.Cols)), Rows: res.Rows}
+			for i := range dr.Types {
+				dr.Types[i] = storage.TFloat64
+				if len(res.Rows) > 0 {
+					dr.Types[i] = res.Rows[0][i].Kind
+				}
+			}
+			want, err := Encode(dr, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(p.raw, want) {
+				t.Fatalf("%s %v: streamed payload differs from Encode(result) (%d vs %d bytes)", codec, win, len(p.raw), len(want))
+			}
+			if cap(p.raw) != len(p.raw) {
+				t.Fatalf("%s: payload buffer %d bytes for %d of payload", codec, cap(p.raw), len(p.raw))
+			}
+		}
+		// A projection is not a heap tuple: the binary writer encodes it
+		// from values, and the result still decodes.
+		mapSQL, mapArgs, err := pl.TileSQLMapping(geom.TileID{Col: 1, Row: 1}, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := srv.runQuery(context.Background(), mapSQL, mapArgs, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _ := srv.db.Query(mapSQL, mapArgs...)
+		back, err := Decode(p.raw, codec)
+		if err != nil || len(back.Rows) != len(res.Rows) || len(res.Rows) == 0 {
+			t.Fatalf("%s mapping tile: %d rows decoded, %d queried, err %v", codec, len(back.Rows), len(res.Rows), err)
+		}
+		for i, row := range res.Rows {
+			for j, v := range row {
+				if back.Rows[i][j] != v {
+					t.Fatalf("%s mapping tile cell %d,%d: %v vs %v", codec, i, j, back.Rows[i][j], v)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkWindowFill is the miss path behind the caches: one ≈ 500-row
+// window query through runQuery — index probe, heap reads, encode and
+// payload hash — over 200k uniform rows.
+func BenchmarkWindowFill(b *testing.B) {
+	db, ca := newPointsApp(b, 200_000, 131072, 16384)
+	srv, err := New(db, ca, Options{
+		Obs:        ObsOptions{DisableTracing: true},
+		Precompute: fetch.Options{BuildSpatial: true},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	pl, _ := srv.Layer("main", 0)
+	// 200k rows on 131072×16384: 2318² holds ≈ 500 of them.
+	const side = 2318
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		b.Run(string(codec), func(b *testing.B) {
+			ctx := context.Background()
+			rows := int64(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x, y := float64(i%50)*2500, float64(i/50%6)*2500
+				sql, args := pl.WindowSQL(geom.Rect{MinX: x, MinY: y, MaxX: x + side, MaxY: y + side})
+				before := srv.Stats.RowsServed.Load()
+				if _, err := srv.runQuery(ctx, sql, args, codec); err != nil {
+					b.Fatal(err)
+				}
+				rows += srv.Stats.RowsServed.Load() - before
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+		})
+	}
+}
+
+// TestWindowFillAllocations: a fill allocates per window, not per row
+// (binary) and not per cell (JSON): ten thousand rows cost a few dozen
+// allocations of planning, closures and the one payload buffer, plus the
+// scratch buffer regrowing by doubling whenever a collection (or the race
+// detector) has emptied the pool. BenchmarkWindowFill reports the exact
+// figure.
+func TestWindowFillAllocations(t *testing.T) {
+	srv, _ := newPointsServer(t, 20000, 4096, 2048)
+	pl, _ := srv.Layer("main", 0)
+	sql, args := pl.WindowSQL(geom.Rect{MaxX: 2048, MaxY: 2048})
+	for _, codec := range []Codec{CodecBinary, CodecJSON} {
+		var rows int64
+		allocs := testing.AllocsPerRun(20, func() {
+			before := srv.Stats.RowsServed.Load()
+			if _, err := srv.runQuery(context.Background(), sql, args, codec); err != nil {
+				t.Fatal(err)
+			}
+			rows = srv.Stats.RowsServed.Load() - before
+		})
+		if rows < 5000 || allocs > float64(rows)/10 {
+			t.Fatalf("%s fill of %d rows: %.0f allocations", codec, rows, allocs)
+		}
+	}
+}
+
+// TestTracedMissAccountsForRows: one traced spatial-tile miss records a
+// db.query span whose rows attr is the number of rows the client decodes
+// and whose bytes attr is the payload's size, the db.query stage takes
+// one sample, and a pure R-tree window reads exactly the rows it returns.
+func TestTracedMissAccountsForRows(t *testing.T) {
+	srv, hs := newPointsServer(t, 3000, 4096, 2048)
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		before := srv.db.Stats()
+		stageBefore := sampleValue(scrape(t, hs.URL), "kyrix_stage_duration_seconds_count", "stage", "db.query")
+		trace := map[Codec]string{CodecJSON: "a1", CodecBinary: "b2"}[codec]
+		req, _ := http.NewRequest(http.MethodGet, hs.URL+"/tile?canvas=main&layer=0&size=512&col=2&row=1&codec="+string(codec), nil)
+		req.Header.Set(obs.TraceHeader, trace+"-1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		dr, err := Decode(body, codec)
+		if err != nil || len(dr.Rows) == 0 {
+			t.Fatalf("%s tile: %d rows, %v", codec, len(dr.Rows), err)
+		}
+		var sp *obs.SpanData
+		for _, d := range srv.FlightRecorder().Snapshot().Recent {
+			if d.TraceID == trace {
+				sp = findSpan(d, "db.query")
+			}
+		}
+		if sp == nil {
+			t.Fatalf("%s: no db.query span under trace %s", codec, trace)
+		}
+		attrs := map[string]string{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["rows"] != strconv.Itoa(len(dr.Rows)) || attrs["bytes"] != strconv.Itoa(len(body)) {
+			t.Fatalf("%s: db.query attrs %v, decoded %d rows from %d bytes", codec, attrs, len(dr.Rows), len(body))
+		}
+		if got := sampleValue(scrape(t, hs.URL), "kyrix_stage_duration_seconds_count", "stage", "db.query"); got != stageBefore+1 {
+			t.Fatalf("%s: db.query stage count %v -> %v", codec, stageBefore, got)
+		}
+		after := srv.db.Stats()
+		scanned, out := after.RowsScanned-before.RowsScanned, after.RowsOut-before.RowsOut
+		if scanned != out || out != int64(len(dr.Rows)) || after.Selects != before.Selects+1 {
+			t.Fatalf("%s: %d rows scanned, %d out, %d decoded, %d selects", codec, scanned, out, len(dr.Rows), after.Selects-before.Selects)
+		}
+	}
+}
+
+// TestWindowFillRacesUpdate (run with -race): fills of one window, in
+// both codecs, race updates that rewrite two columns of a row inside it
+// together. The binary fill copies tuple bytes off the page and the JSON
+// fill formats decoded cells, both under the table's read lock, so every
+// payload holds the row whole: y and val from the same update.
+func TestWindowFillRacesUpdate(t *testing.T) {
+	srv, _ := newPointsServer(t, 2000, 4096, 2048)
+	pl, _ := srv.Layer("main", 0)
+	win := geom.Rect{MinX: 0, MinY: 0, MaxX: 4096, MaxY: 2048}
+	sql, args := pl.WindowSQL(win)
+	res, err := srv.db.Query("SELECT id FROM points WHERE INTERSECTS(x, y, x, y, 100, 100, 3000, 1500) LIMIT 1")
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("no row to update: %v %v", res, err)
+	}
+	id := res.Rows[0][0]
+	const base = 500.0
+	set := func(g int) {
+		if _, _, err := srv.execUpdate("UPDATE points SET y = ?, val = ? WHERE id = ?",
+			[]storage.Value{storage.F64(base + float64(g)), storage.F64(float64(g)), id}, false); err != nil {
+			t.Error(err)
+		}
+	}
+	set(0)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for _, codec := range []Codec{CodecJSON, CodecBinary, CodecJSON, CodecBinary} {
+		wg.Add(1)
+		go func(codec Codec) {
+			defer wg.Done()
+			for fills := 0; !stop.Load() || fills < 3; fills++ {
+				p, err := srv.runQuery(context.Background(), sql, args, codec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				dr, err := Decode(p.raw, codec)
+				if err != nil || len(dr.Rows) != 2000 {
+					t.Errorf("%s fill: %d rows, %v", codec, len(dr.Rows), err)
+					return
+				}
+				for _, row := range dr.Rows {
+					if row[0].I == id.I && row[2].F-base != row[3].F {
+						t.Errorf("%s fill serves a torn row: %v", codec, row)
+						return
+					}
+				}
+			}
+		}(codec)
+	}
+	for g := 1; g <= 200 && !t.Failed(); g++ {
+		set(g)
+	}
+	stop.Store(true)
+	wg.Wait()
+}

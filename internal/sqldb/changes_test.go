@@ -42,6 +42,55 @@ func sameRows(a, b []string) bool {
 	return true
 }
 
+// randomTwins builds the same random table twice: once with a random
+// subset of BTREE/HASH/RTREE indexes (all of them on trial 0; built over
+// the loaded table on even trials, maintained by the inserts on odd
+// ones), once with none.
+func randomTwins(t *testing.T, trial int) (rng *rand.Rand, indexed, plain *DB, kinds []string, n int) {
+	const ddl = "CREATE TABLE t (id INT, grp INT, x DOUBLE, y DOUBLE, tag TEXT)"
+	rng = rand.New(rand.NewSource(int64(100 + trial)))
+	indexed, plain = NewDB(), NewDB()
+	mustExec(t, indexed, ddl)
+	mustExec(t, plain, ddl)
+	for _, ix := range []string{
+		"CREATE INDEX t_id ON t USING BTREE (id)",
+		"CREATE INDEX t_id_h ON t USING HASH (id)",
+		"CREATE INDEX t_grp ON t USING HASH (grp)",
+		"CREATE INDEX t_grp_b ON t USING BTREE (grp)",
+		"CREATE INDEX t_xy ON t USING RTREE (x, y, x, y)",
+	} {
+		if rng.Intn(2) == 0 || trial == 0 { // trial 0: all of them
+			kinds = append(kinds, ix)
+		}
+	}
+	// Half the trials index a loaded table (bulk load), half an empty
+	// one (incremental inserts).
+	before := trial%2 == 0
+	if !before {
+		for _, ix := range kinds {
+			mustExec(t, indexed, ix)
+		}
+	}
+	n = 300 + rng.Intn(300)
+	for i := 0; i < n; i++ {
+		row := storage.Row{
+			storage.I64(int64(i)), storage.I64(int64(rng.Intn(12))),
+			storage.F64(rng.Float64() * 1000), storage.F64(rng.Float64() * 1000), storage.Str("t"),
+		}
+		for _, db := range []*DB{indexed, plain} {
+			if err := db.InsertRow("t", append(storage.Row(nil), row...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if before {
+		for _, ix := range kinds {
+			mustExec(t, indexed, ix)
+		}
+	}
+	return rng, indexed, plain, kinds, n
+}
+
 // TestIndexedDMLMatchesSeqScan is the differential plan test: a table
 // with a random subset of BTREE/HASH/RTREE indexes and an unindexed twin
 // take the same random statements — point, range and INTERSECTS
@@ -52,49 +101,8 @@ func sameRows(a, b []string) bool {
 // through the indexes afterwards catch an index left pointing at a stale
 // RID or key.
 func TestIndexedDMLMatchesSeqScan(t *testing.T) {
-	const ddl = "CREATE TABLE t (id INT, grp INT, x DOUBLE, y DOUBLE, tag TEXT)"
 	for trial := 0; trial < 12; trial++ {
-		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		indexed, plain := NewDB(), NewDB()
-		mustExec(t, indexed, ddl)
-		mustExec(t, plain, ddl)
-		var kinds []string
-		for _, ix := range []string{
-			"CREATE INDEX t_id ON t USING BTREE (id)",
-			"CREATE INDEX t_id_h ON t USING HASH (id)",
-			"CREATE INDEX t_grp ON t USING HASH (grp)",
-			"CREATE INDEX t_grp_b ON t USING BTREE (grp)",
-			"CREATE INDEX t_xy ON t USING RTREE (x, y, x, y)",
-		} {
-			if rng.Intn(2) == 0 || trial == 0 { // trial 0: all of them
-				kinds = append(kinds, ix)
-			}
-		}
-		// Half the trials index a loaded table (bulk load), half an empty
-		// one (incremental inserts).
-		before := trial%2 == 0
-		if !before {
-			for _, ix := range kinds {
-				mustExec(t, indexed, ix)
-			}
-		}
-		n := 300 + rng.Intn(300)
-		for i := 0; i < n; i++ {
-			row := storage.Row{
-				storage.I64(int64(i)), storage.I64(int64(rng.Intn(12))),
-				storage.F64(rng.Float64() * 1000), storage.F64(rng.Float64() * 1000), storage.Str("t"),
-			}
-			for _, db := range []*DB{indexed, plain} {
-				if err := db.InsertRow("t", append(storage.Row(nil), row...)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if before {
-			for _, ix := range kinds {
-				mustExec(t, indexed, ix)
-			}
-		}
+		rng, indexed, plain, kinds, n := randomTwins(t, trial)
 
 		nextID := int64(n)
 		for step := 0; step < 120; step++ {

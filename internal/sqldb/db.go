@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"kyrix/internal/rtree"
 	"kyrix/internal/storage"
 	"kyrix/internal/wal"
 )
@@ -24,9 +23,32 @@ func (db *DB) Query(sql string, args ...storage.Value) (*Result, error) {
 	return db.RunSelect(sel, args...)
 }
 
-// RunSelect executes an already-parsed SELECT. Servers that issue the
-// same statement shape repeatedly can cache the parse.
+// RunSelect executes an already-parsed SELECT and collects its output.
+// Servers that issue the same statement shape repeatedly can cache the
+// parse.
 func (db *DB) RunSelect(sel *SelectStmt, args ...storage.Value) (*Result, error) {
+	res := &Result{}
+	// Row copies are carved out of slabs, 64 rows to an allocation.
+	var slab []storage.Value
+	var err error
+	res.Cols, err = db.SelectInto(sel, args, func(row storage.Row, _ []byte) error {
+		if len(slab) < len(row) {
+			slab = make([]storage.Value, 64*len(row))
+		}
+		res.Rows = append(res.Rows, append(slab[:0:len(row)], row...))
+		slab = slab[len(row):]
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// SelectInto executes an already-parsed SELECT, pushing each output row
+// to emit as the executor produces it (see RowFunc for what emit may do
+// with it), and returns the output column names.
+func (db *DB) SelectInto(sel *SelectStmt, args []storage.Value, emit RowFunc) ([]string, error) {
 	plan, err := db.planSelect(sel, args)
 	if err != nil {
 		return nil, err
@@ -51,7 +73,7 @@ func (db *DB) RunSelect(sel *SelectStmt, args ...storage.Value) (*Result, error)
 		}
 	}()
 	db.bump(func(s *DBStats) { s.Selects++ })
-	return db.executeSelect(plan)
+	return plan.cols, db.executeSelect(plan, emit)
 }
 
 // Exec parses and executes a DDL or DML statement, returning the number
@@ -302,50 +324,24 @@ func (db *DB) matchingRIDs(t *Table, tname string, where Expr, args []storage.Va
 	}
 	var rids []storage.RID
 	var rows []storage.Row
-	var evalErr error
-	keep := func(rid storage.RID, row storage.Row) bool {
+	row := make(storage.Row, len(t.schema))
+	err := sc.run(t, func(rid storage.RID, tuple []byte) error {
+		if err := storage.DecodeRowInto(tuple, t.schema, row); err != nil {
+			return err
+		}
 		for _, f := range filters {
 			v, err := f.eval(row)
 			if err != nil {
-				evalErr = err
-				return false
+				return err
 			}
 			if !truth(v) {
-				return true
+				return nil
 			}
 		}
 		rids = append(rids, rid)
 		rows = append(rows, append(storage.Row(nil), row...))
-		return true
-	}
-	var err error
-	switch sc.kind {
-	case "seq":
-		err = t.heap.Scan(keep)
-	default:
-		row := make(storage.Row, len(t.schema))
-		visit := func(packed uint64) bool {
-			rid := storage.UnpackRID(packed)
-			if gerr := t.heap.GetInto(rid, row); gerr != nil {
-				evalErr = gerr
-				return false
-			}
-			return keep(rid, row)
-		}
-		switch sc.kind {
-		case "btree-eq":
-			sc.index.bt.Lookup(sc.eqKey, visit)
-		case "hash-eq":
-			sc.index.hi.Lookup(sc.eqKey, visit)
-		case "btree-range":
-			sc.index.bt.AscendRange(sc.lo, sc.hi, func(_ int64, v uint64) bool { return visit(v) })
-		case "rtree":
-			sc.index.rt.Search(sc.window, func(it rtree.Item) bool { return visit(it.Val) })
-		}
-	}
-	if err == nil {
-		err = evalErr
-	}
+		return nil
+	})
 	return rids, rows, err
 }
 

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,105 +10,117 @@ import (
 	"kyrix/internal/storage"
 )
 
+// A SELECT executes as one push pipeline:
+//
+//	scan → join* → filter → [aggregate | sort] → limit → project → emit
+//
+// The scan pins one heap page at a time, decodes the tuple into a row
+// buffer it reuses for every tuple, and pushes that buffer down the
+// chain; each join appends the inner table's columns into a wider
+// buffer of its own, the projection evaluates into a third. A row is
+// valid only for the duration of the push, so nothing is copied unless
+// somebody keeps it.
+//
+// The one rule for materialising: an operator copies rows only when it
+// cannot emit its first output before it has seen its last input — the
+// build side of a hash join, an aggregate, an ORDER BY. Everything else
+// streams, and a LIMIT (or an emit function returning Stop) ends the
+// scan at the row that satisfied it.
+//
+// SELECT * over a single table has an identity projection, which is
+// skipped; the emitted row is then an unmodified heap tuple, and emit is
+// also handed the tuple's stored bytes on the still-pinned page.
+//
+// While a row is being pushed, the page it came from stays pinned — one
+// pin per table in the join chain, so a table's buffer pool needs at
+// least as many frames as the statement names it.
+
 // Result is a fully materialized query result.
 type Result struct {
 	Cols []string
 	Rows []storage.Row
 }
 
-// runScan executes the chosen access path and returns copied rows.
-func (db *DB) runScan(t *Table, sc scanChoice) ([]storage.Row, error) {
-	var out []storage.Row
-	scanned := int64(0)
-	emit := func(row storage.Row) {
-		out = append(out, append(storage.Row(nil), row...))
+// RowFunc receives one output row of a SELECT. row is the executor's
+// buffer, valid only during the call: copy it to keep it. tuple is
+// non-nil when row is an unmodified heap tuple; it is then the tuple's
+// stored bytes — storage.EncodeRow of row under the table's schema —
+// aliasing a pinned page, to be neither kept nor written. A RowFunc runs
+// under the statement's table read locks and must not call back into
+// the database. Returning Stop ends the statement without error; any
+// other error aborts it.
+type RowFunc func(row storage.Row, tuple []byte) error
+
+// Stop is returned by a RowFunc that has seen enough.
+var Stop = errors.New("sqldb: stop")
+
+// run drives the access path over t, calling visit with the RID and
+// stored bytes of every tuple it yields while the tuple's page is
+// pinned. The first error visit returns ends the scan and is returned.
+func (sc scanChoice) run(t *Table, visit func(rid storage.RID, tuple []byte) error) error {
+	if sc.kind == "seq" {
+		return t.heap.ScanTuples(visit)
 	}
 	var err error
-	switch sc.kind {
-	case "seq":
-		err = t.heap.Scan(func(_ storage.RID, row storage.Row) bool {
-			scanned++
-			emit(row)
-			return true
-		})
-	case "btree-eq":
-		err = fetchByRIDs(t, &scanned, emit, func(yield func(uint64) bool) {
-			sc.index.bt.Lookup(sc.eqKey, yield)
-		})
-	case "hash-eq":
-		err = fetchByRIDs(t, &scanned, emit, func(yield func(uint64) bool) {
-			sc.index.hi.Lookup(sc.eqKey, yield)
-		})
-	case "btree-range":
-		err = fetchByRIDs(t, &scanned, emit, func(yield func(uint64) bool) {
-			sc.index.bt.AscendRange(sc.lo, sc.hi, func(_ int64, v uint64) bool { return yield(v) })
-		})
-	case "rtree":
-		err = fetchByRIDs(t, &scanned, emit, func(yield func(uint64) bool) {
-			sc.index.rt.Search(sc.window, func(it rtree.Item) bool { return yield(it.Val) })
-		})
-	default:
-		err = fmt.Errorf("sqldb: unknown scan kind %q", sc.kind)
+	var rid storage.RID
+	view := func(tuple []byte) error { return visit(rid, tuple) }
+	fetch := func(packed uint64) bool {
+		rid = storage.UnpackRID(packed)
+		err = t.heap.View(rid, view)
+		return err == nil
 	}
-	db.bump(func(s *DBStats) { s.RowsScanned += scanned })
-	return out, err
+	switch sc.kind {
+	case "btree-eq":
+		sc.index.bt.Lookup(sc.eqKey, fetch)
+	case "hash-eq":
+		sc.index.hi.Lookup(sc.eqKey, fetch)
+	case "btree-range":
+		sc.index.bt.AscendRange(sc.lo, sc.hi, func(_ int64, v uint64) bool { return fetch(v) })
+	case "rtree":
+		sc.index.rt.Search(sc.window, func(it rtree.Item) bool { return fetch(it.Val) })
+	default:
+		return fmt.Errorf("sqldb: unknown scan kind %q", sc.kind)
+	}
+	return err
 }
 
-// fetchByRIDs decodes every RID produced by the generator.
-func fetchByRIDs(t *Table, scanned *int64, emit func(storage.Row), gen func(yield func(uint64) bool)) error {
-	var ferr error
-	row := make(storage.Row, len(t.schema))
-	gen(func(packed uint64) bool {
-		rid := storage.UnpackRID(packed)
-		if err := t.heap.GetInto(rid, row); err != nil {
-			ferr = err
-			return false
-		}
-		*scanned++
-		emit(row)
-		return true
-	})
-	return ferr
-}
-
-// runJoin joins the materialized outer rows with the inner table per
-// the chosen strategy, producing concatenated rows.
-func (db *DB) runJoin(outer []storage.Row, jc joinChoice) ([]storage.Row, error) {
+// joinOp returns the operator joining each outer row (outerWidth
+// columns) with the inner table per the chosen strategy and pushing the
+// concatenation to next. A hash join materialises its build side here,
+// before the first outer row arrives.
+func joinOp(jc joinChoice, outerWidth int, scanned *int64, next RowFunc) (RowFunc, error) {
 	inner := jc.table
-	var out []storage.Row
-	scanned := int64(0)
+	combined := make(storage.Row, outerWidth+len(inner.schema))
+	innerRow := combined[outerWidth:]
 	switch jc.kind {
 	case "inl":
-		innerRow := make(storage.Row, len(inner.schema))
-		for _, orow := range outer {
-			key := orow[jc.outerIdx].AsInt()
-			var ferr error
-			lookup := func(packed uint64) bool {
-				rid := storage.UnpackRID(packed)
-				if err := inner.heap.GetInto(rid, innerRow); err != nil {
-					ferr = err
-					return false
-				}
-				scanned++
-				combined := make(storage.Row, 0, len(orow)+len(innerRow))
-				combined = append(combined, orow...)
-				combined = append(combined, innerRow...)
-				out = append(out, combined)
-				return true
+		var err error
+		view := func(tuple []byte) error {
+			if err := storage.DecodeRowInto(tuple, inner.schema, innerRow); err != nil {
+				return err
 			}
+			*scanned++
+			return next(combined, nil)
+		}
+		lookup := func(packed uint64) bool {
+			err = inner.heap.View(storage.UnpackRID(packed), view)
+			return err == nil
+		}
+		return func(orow storage.Row, _ []byte) error {
+			copy(combined, orow)
+			key := orow[jc.outerIdx].AsInt()
+			err = nil
 			if jc.index.Kind == IndexBTree {
 				jc.index.bt.Lookup(key, lookup)
 			} else {
 				jc.index.hi.Lookup(key, lookup)
 			}
-			if ferr != nil {
-				return nil, ferr
-			}
-		}
+			return err
+		}, nil
 	case "hash":
 		build := make(map[int64][]storage.Row)
 		err := inner.heap.Scan(func(_ storage.RID, row storage.Row) bool {
-			scanned++
+			*scanned++
 			key := row[jc.innerIdx].AsInt()
 			build[key] = append(build[key], append(storage.Row(nil), row...))
 			return true
@@ -115,19 +128,73 @@ func (db *DB) runJoin(outer []storage.Row, jc joinChoice) ([]storage.Row, error)
 		if err != nil {
 			return nil, err
 		}
-		for _, orow := range outer {
+		return func(orow storage.Row, _ []byte) error {
+			copy(combined, orow)
 			for _, irow := range build[orow[jc.outerIdx].AsInt()] {
-				combined := make(storage.Row, 0, len(orow)+len(irow))
-				combined = append(combined, orow...)
-				combined = append(combined, irow...)
-				out = append(out, combined)
+				copy(innerRow, irow)
+				if err := next(combined, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, nil
+	}
+	return nil, fmt.Errorf("sqldb: unknown join kind %q", jc.kind)
+}
+
+// filterOp passes on the rows every residual conjunct accepts.
+func filterOp(filters []compiledExpr, next RowFunc) RowFunc {
+	return func(row storage.Row, tuple []byte) error {
+		for _, f := range filters {
+			v, err := f.eval(row)
+			if err != nil {
+				return err
+			}
+			if !truth(v) {
+				return nil
 			}
 		}
-	default:
-		return nil, fmt.Errorf("sqldb: unknown join kind %q", jc.kind)
+		return next(row, tuple)
 	}
-	db.bump(func(s *DBStats) { s.RowsScanned += scanned })
-	return out, nil
+}
+
+// projectOp evaluates the SELECT items into its own buffer. A nil projs
+// is the identity: rows (and their tuple bytes) pass through untouched.
+func projectOp(projs []compiledExpr, next RowFunc) RowFunc {
+	if projs == nil {
+		return next
+	}
+	out := make(storage.Row, len(projs))
+	return func(row storage.Row, _ []byte) error {
+		for i, ce := range projs {
+			v, err := ce.eval(row)
+			if err != nil {
+				return err
+			}
+			out[i] = v
+		}
+		return next(out, nil)
+	}
+}
+
+// limitOp stops the statement once limit rows have gone to next.
+func limitOp(limit int64, next RowFunc) RowFunc {
+	if limit < 0 {
+		return next
+	}
+	n := int64(0)
+	return func(row storage.Row, tuple []byte) error {
+		if n >= limit {
+			return Stop
+		}
+		if err := next(row, tuple); err != nil {
+			return err
+		}
+		if n++; n == limit {
+			return Stop
+		}
+		return nil
+	}
 }
 
 // selectPlan holds all decisions for one SELECT, built before any data
@@ -140,11 +207,16 @@ type selectPlan struct {
 	joins   []joinChoice
 	bs      bindings
 	filters []compiledExpr // residual WHERE conjuncts over final bindings
-	lines   []string       // explain description
+
+	// Output shape (not compiled for EXPLAIN, which runs nothing).
+	cols  []string
+	projs []compiledExpr // non-aggregate items; nil when they are the identity
+	agg   *aggPlan       // aggregate query
+	order []orderKey     // ORDER BY over the input bindings (non-aggregate)
 }
 
 // planSelect resolves tables, picks access paths and compiles residual
-// filters.
+// filters and the output shape.
 func (db *DB) planSelect(st *SelectStmt, args []storage.Value) (*selectPlan, error) {
 	base, err := db.Table(st.From.Table)
 	if err != nil {
@@ -155,7 +227,6 @@ func (db *DB) planSelect(st *SelectStmt, args []storage.Value) (*selectPlan, err
 
 	conjuncts := splitAnd(st.Where)
 	p.scan = chooseScan(base, st.From.Name(), conjuncts, args)
-	p.lines = append(p.lines, p.scan.describe(st.From.Name()))
 	if p.scan.usedConjunct >= 0 {
 		conjuncts = append(conjuncts[:p.scan.usedConjunct:p.scan.usedConjunct],
 			conjuncts[p.scan.usedConjunct+1:]...)
@@ -171,7 +242,6 @@ func (db *DB) planSelect(st *SelectStmt, args []storage.Value) (*selectPlan, err
 			return nil, err
 		}
 		p.joins = append(p.joins, jc)
-		p.lines = append(p.lines, jc.desc)
 		parts := make([]binding, len(bs)+1)
 		for i, b := range bs {
 			parts[i] = binding{name: b.name, schema: b.schema}
@@ -188,23 +258,30 @@ func (db *DB) planSelect(st *SelectStmt, args []storage.Value) (*selectPlan, err
 		}
 		p.filters = append(p.filters, ce)
 	}
-	if len(p.filters) > 0 {
-		p.lines = append(p.lines, fmt.Sprintf("Filter (%d residual conjuncts)", len(p.filters)))
+	switch {
+	case st.Explain:
+		p.cols = []string{"plan"}
+	case isAggregate(st):
+		// ORDER BY over aggregate output references output columns and is
+		// resolved against them once they exist.
+		p.agg, err = planAggregate(p)
+	default:
+		if err = planProjection(p); err == nil {
+			p.order, err = planOrder(st.OrderBy, bs, args)
+		}
 	}
-	if len(st.GroupBy) > 0 || anyAggregate(st.Items) {
-		p.lines = append(p.lines, "Aggregate")
-	}
-	if len(st.OrderBy) > 0 {
-		p.lines = append(p.lines, "Sort")
-	}
-	if st.Limit >= 0 {
-		p.lines = append(p.lines, fmt.Sprintf("Limit %d", st.Limit))
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-func anyAggregate(items []SelectItem) bool {
-	for _, it := range items {
+// isAggregate reports whether st groups or calls an aggregate.
+func isAggregate(st *SelectStmt) bool {
+	if len(st.GroupBy) > 0 {
+		return true
+	}
+	for _, it := range st.Items {
 		if !it.Star && containsAggregate(it.Expr) {
 			return true
 		}
@@ -212,132 +289,165 @@ func anyAggregate(items []SelectItem) bool {
 	return false
 }
 
-// executeSelect runs the full pipeline. Caller holds read locks.
-func (db *DB) executeSelect(p *selectPlan) (*Result, error) {
+// executeSelect runs the pipeline, pushing every output row to emit.
+// Caller holds read locks.
+func (db *DB) executeSelect(p *selectPlan, emit RowFunc) error {
+	var scanned, out int64
+	defer func() {
+		db.bump(func(s *DBStats) { s.RowsScanned += scanned; s.RowsOut += out })
+	}()
+	deliver := func(row storage.Row, tuple []byte) error {
+		out++
+		return emit(row, tuple)
+	}
+	var err error
 	if p.st.Explain {
-		res := &Result{Cols: []string{"plan"}}
-		for _, l := range p.lines {
-			res.Rows = append(res.Rows, storage.Row{storage.Str(l)})
-		}
-		return res, nil
-	}
-	rows, err := db.runScan(p.base, p.scan)
-	if err != nil {
-		return nil, err
-	}
-	for _, jc := range p.joins {
-		rows, err = db.runJoin(rows, jc)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(p.filters) > 0 {
-		kept := rows[:0]
-		for _, row := range rows {
-			ok := true
-			for _, f := range p.filters {
-				v, err := f.eval(row)
-				if err != nil {
-					return nil, err
-				}
-				if !truth(v) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				kept = append(kept, row)
-			}
-		}
-		rows = kept
-	}
-
-	var res *Result
-	if len(p.st.GroupBy) > 0 || anyAggregate(p.st.Items) {
-		res, err = db.aggregate(p, rows)
-		if err != nil {
-			return nil, err
-		}
-		// ORDER BY over aggregate output references output columns.
-		if err := orderLimitOutput(res, p.st); err != nil {
-			return nil, err
-		}
+		err = pushAll(p.explainRows(), emit)
 	} else {
-		// ORDER BY over input bindings, then project, then limit.
-		if len(p.st.OrderBy) > 0 {
-			if err := db.orderRows(rows, p.st.OrderBy, p.bs, p.args); err != nil {
-				return nil, err
-			}
-		}
-		if p.st.Limit >= 0 && int64(len(rows)) > p.st.Limit {
-			rows = rows[:p.st.Limit]
-		}
-		res, err = db.project(p, rows)
-		if err != nil {
-			return nil, err
-		}
+		err = db.pushRows(p, &scanned, deliver)
 	}
-	db.bump(func(s *DBStats) { s.RowsOut += int64(len(res.Rows)) })
-	return res, nil
+	if errors.Is(err, Stop) {
+		return nil
+	}
+	return err
 }
 
-// project evaluates the SELECT items for each row.
-func (db *DB) project(p *selectPlan, rows []storage.Row) (*Result, error) {
-	type proj struct {
-		ce   compiledExpr
-		name string
+// explainRows describes the plan, one operator per row.
+func (p *selectPlan) explainRows() []storage.Row {
+	lines := []string{p.scan.describe(p.st.From.Name())}
+	for _, jc := range p.joins {
+		lines = append(lines, jc.desc)
 	}
-	var projs []proj
+	if len(p.filters) > 0 {
+		lines = append(lines, fmt.Sprintf("Filter (%d residual conjuncts)", len(p.filters)))
+	}
+	if isAggregate(p.st) {
+		lines = append(lines, "Aggregate")
+	}
+	if len(p.st.OrderBy) > 0 {
+		lines = append(lines, "Sort")
+	}
+	if p.st.Limit >= 0 {
+		lines = append(lines, fmt.Sprintf("Limit %d", p.st.Limit))
+	}
+	rows := make([]storage.Row, len(lines))
+	for i, l := range lines {
+		rows[i] = storage.Row{storage.Str(l)}
+	}
+	return rows
+}
+
+// pushRows assembles the operator chain back to front and runs the scan
+// through it.
+func (db *DB) pushRows(p *selectPlan, scanned *int64, deliver RowFunc) error {
+	// next is what the filtered join output feeds; drain runs once that
+	// input is exhausted, for the two tails that hold rows back.
+	var next RowFunc
+	var drain func() error
+	switch {
+	case p.agg != nil:
+		acc := newAggregator(p.agg)
+		next = acc.add
+		drain = func() error {
+			rows, err := acc.rows()
+			if err != nil {
+				return err
+			}
+			res := &Result{Cols: p.cols, Rows: rows}
+			if err := orderLimitOutput(res, p.st); err != nil {
+				return err
+			}
+			return pushAll(res.Rows, deliver)
+		}
+	case len(p.order) > 0:
+		var kept []storage.Row
+		next = func(row storage.Row, _ []byte) error {
+			kept = append(kept, append(storage.Row(nil), row...))
+			return nil
+		}
+		drain = func() error {
+			if err := orderRows(kept, p.order); err != nil {
+				return err
+			}
+			return pushAll(kept, limitOp(p.st.Limit, projectOp(p.projs, deliver)))
+		}
+	default:
+		next = limitOp(p.st.Limit, projectOp(p.projs, deliver))
+	}
+
+	if len(p.filters) > 0 {
+		next = filterOp(p.filters, next)
+	}
+	width := p.bs.width()
+	for i := len(p.joins) - 1; i >= 0; i-- {
+		width -= len(p.joins[i].table.schema)
+		var err error
+		if next, err = joinOp(p.joins[i], width, scanned, next); err != nil {
+			return err
+		}
+	}
+	row := make(storage.Row, len(p.base.schema))
+	err := p.scan.run(p.base, func(_ storage.RID, tuple []byte) error {
+		if err := storage.DecodeRowInto(tuple, p.base.schema, row); err != nil {
+			return err
+		}
+		*scanned++
+		return next(row, tuple)
+	})
+	if err != nil || drain == nil {
+		return err
+	}
+	return drain()
+}
+
+func pushAll(rows []storage.Row, next RowFunc) error {
+	for _, row := range rows {
+		if err := next(row, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// planProjection resolves the SELECT items of a non-aggregate query
+// into output column names and expressions over the input bindings.
+func planProjection(p *selectPlan) error {
+	identity := true
 	for _, item := range p.st.Items {
 		if item.Star {
+			found := item.StarTable == ""
 			for _, b := range p.bs {
 				if item.StarTable != "" && item.StarTable != b.name {
 					continue
 				}
+				found = true
 				for i, col := range b.schema {
-					projs = append(projs, proj{ce: colExpr{idx: b.offset + i}, name: col.Name})
+					identity = identity && b.offset+i == len(p.projs)
+					p.projs = append(p.projs, colExpr{idx: b.offset + i})
+					p.cols = append(p.cols, col.Name)
 				}
 			}
-			if item.StarTable != "" {
-				found := false
-				for _, b := range p.bs {
-					if b.name == item.StarTable {
-						found = true
-					}
-				}
-				if !found {
-					return nil, fmt.Errorf("sqldb: unknown table %q in %s.*", item.StarTable, item.StarTable)
-				}
+			if !found {
+				return fmt.Errorf("sqldb: unknown table %q in %s.*", item.StarTable, item.StarTable)
 			}
 			continue
 		}
 		ce, err := compileExpr(item.Expr, p.bs, p.args)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		name := item.Alias
 		if name == "" {
 			name = exprName(item.Expr)
 		}
-		projs = append(projs, proj{ce: ce, name: name})
+		identity = false
+		p.projs = append(p.projs, ce)
+		p.cols = append(p.cols, name)
 	}
-	res := &Result{Cols: make([]string, len(projs))}
-	for i, pr := range projs {
-		res.Cols[i] = pr.name
+	if identity && len(p.projs) == p.bs.width() {
+		p.projs = nil
 	}
-	res.Rows = make([]storage.Row, 0, len(rows))
-	for _, row := range rows {
-		out := make(storage.Row, len(projs))
-		for i, pr := range projs {
-			v, err := pr.ce.eval(row)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		res.Rows = append(res.Rows, out)
-	}
-	return res, nil
+	return nil
 }
 
 // aggState accumulates one aggregate function.
@@ -386,18 +496,22 @@ func (a *aggState) result(fn FuncKind) storage.Value {
 	return storage.Value{}
 }
 
-// aggregate implements hash aggregation with permissive (MySQL-style)
-// semantics: non-aggregate select items are evaluated on the first row
-// of each group.
-func (db *DB) aggregate(p *selectPlan, rows []storage.Row) (*Result, error) {
-	type itemPlan struct {
-		isAgg bool
-		fn    FuncKind
-		arg   compiledExpr // nil for COUNT(*)
-		plain compiledExpr // non-aggregate
-		name  string
-	}
-	var items []itemPlan
+// aggItem is one select item of an aggregate query.
+type aggItem struct {
+	isAgg bool
+	fn    FuncKind
+	arg   compiledExpr // nil for COUNT(*)
+	plain compiledExpr // non-aggregate
+}
+
+// aggPlan is the compiled shape of an aggregate query.
+type aggPlan struct {
+	items  []aggItem
+	groups []compiledExpr
+}
+
+func planAggregate(p *selectPlan) (*aggPlan, error) {
+	ap := &aggPlan{}
 	for _, item := range p.st.Items {
 		if item.Star {
 			return nil, fmt.Errorf("sqldb: * not allowed in aggregate query")
@@ -406,16 +520,17 @@ func (db *DB) aggregate(p *selectPlan, rows []storage.Row) (*Result, error) {
 		if name == "" {
 			name = exprName(item.Expr)
 		}
+		p.cols = append(p.cols, name)
 		if call, ok := item.Expr.(*Call); ok && call.Fn != FnIntersects {
-			ip := itemPlan{isAgg: true, fn: call.Fn, name: name}
+			ai := aggItem{isAgg: true, fn: call.Fn}
 			if !call.Star {
 				ce, err := compileExpr(call.Args[0], p.bs, p.args)
 				if err != nil {
 					return nil, err
 				}
-				ip.arg = ce
+				ai.arg = ce
 			}
-			items = append(items, ip)
+			ap.items = append(ap.items, ai)
 			continue
 		}
 		if containsAggregate(item.Expr) {
@@ -425,104 +540,124 @@ func (db *DB) aggregate(p *selectPlan, rows []storage.Row) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		items = append(items, itemPlan{plain: ce, name: name})
+		ap.items = append(ap.items, aggItem{plain: ce})
 	}
-	var groupCEs []compiledExpr
 	for _, g := range p.st.GroupBy {
 		ce, err := compileExpr(g, p.bs, p.args)
 		if err != nil {
 			return nil, err
 		}
-		groupCEs = append(groupCEs, ce)
+		ap.groups = append(ap.groups, ce)
 	}
-
-	type group struct {
-		first storage.Row
-		aggs  []aggState
-	}
-	groups := make(map[string]*group)
-	var order []string
-	for _, row := range rows {
-		var key strings.Builder
-		for _, ce := range groupCEs {
-			v, err := ce.eval(row)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(&key, "%d:%s\x00", v.Kind, v.String())
-		}
-		k := key.String()
-		g, ok := groups[k]
-		if !ok {
-			g = &group{first: row, aggs: make([]aggState, len(items))}
-			groups[k] = g
-			order = append(order, k)
-		}
-		for i, ip := range items {
-			if !ip.isAgg {
-				continue
-			}
-			if ip.arg == nil { // COUNT(*)
-				g.aggs[i].count++
-				continue
-			}
-			v, err := ip.arg.eval(row)
-			if err != nil {
-				return nil, err
-			}
-			g.aggs[i].add(v)
-		}
-	}
-	// A global aggregate (no GROUP BY) over zero rows yields one row.
-	if len(groupCEs) == 0 && len(groups) == 0 {
-		groups[""] = &group{aggs: make([]aggState, len(items))}
-		order = append(order, "")
-	}
-
-	res := &Result{Cols: make([]string, len(items))}
-	for i, ip := range items {
-		res.Cols[i] = ip.name
-	}
-	for _, k := range order {
-		g := groups[k]
-		out := make(storage.Row, len(items))
-		for i, ip := range items {
-			if ip.isAgg {
-				out[i] = g.aggs[i].result(ip.fn)
-				continue
-			}
-			if g.first == nil {
-				out[i] = storage.I64(0)
-				continue
-			}
-			v, err := ip.plain.eval(g.first)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		res.Rows = append(res.Rows, out)
-	}
-	return res, nil
+	return ap, nil
 }
 
-// orderRows sorts rows in place by the ORDER BY keys over bindings bs.
-func (db *DB) orderRows(rows []storage.Row, keys []OrderItem, bs bindings, args []storage.Value) error {
-	type keyPlan struct {
-		ce   compiledExpr
-		desc bool
-	}
-	plans := make([]keyPlan, len(keys))
-	for i, k := range keys {
-		ce, err := compileExpr(k.Expr, bs, args)
+// aggregator implements hash aggregation with permissive (MySQL-style)
+// semantics: non-aggregate select items are evaluated on the first row
+// of each group. It keeps one copied row and the running states per
+// group, never the input.
+type aggregator struct {
+	plan   *aggPlan
+	groups map[string]*aggGroup
+	order  []string
+}
+
+type aggGroup struct {
+	first storage.Row
+	aggs  []aggState
+}
+
+func newAggregator(plan *aggPlan) *aggregator {
+	return &aggregator{plan: plan, groups: make(map[string]*aggGroup)}
+}
+
+func (a *aggregator) add(row storage.Row, _ []byte) error {
+	var key strings.Builder
+	for _, ce := range a.plan.groups {
+		v, err := ce.eval(row)
 		if err != nil {
 			return err
 		}
-		plans[i] = keyPlan{ce: ce, desc: k.Desc}
+		fmt.Fprintf(&key, "%d:%s\x00", v.Kind, v.String())
 	}
+	k := key.String()
+	g, ok := a.groups[k]
+	if !ok {
+		g = &aggGroup{first: append(storage.Row(nil), row...), aggs: make([]aggState, len(a.plan.items))}
+		a.groups[k] = g
+		a.order = append(a.order, k)
+	}
+	for i, it := range a.plan.items {
+		if !it.isAgg {
+			continue
+		}
+		if it.arg == nil { // COUNT(*)
+			g.aggs[i].count++
+			continue
+		}
+		v, err := it.arg.eval(row)
+		if err != nil {
+			return err
+		}
+		g.aggs[i].add(v)
+	}
+	return nil
+}
+
+// rows produces one output row per group, in first-seen order.
+func (a *aggregator) rows() ([]storage.Row, error) {
+	items := a.plan.items
+	// A global aggregate (no GROUP BY) over zero rows yields one row.
+	if len(a.plan.groups) == 0 && len(a.groups) == 0 {
+		a.groups[""] = &aggGroup{aggs: make([]aggState, len(items))}
+		a.order = append(a.order, "")
+	}
+	out := make([]storage.Row, 0, len(a.order))
+	for _, k := range a.order {
+		g := a.groups[k]
+		row := make(storage.Row, len(items))
+		for i, it := range items {
+			switch {
+			case it.isAgg:
+				row[i] = g.aggs[i].result(it.fn)
+			case g.first == nil:
+				row[i] = storage.I64(0)
+			default:
+				v, err := it.plain.eval(g.first)
+				if err != nil {
+					return nil, err
+				}
+				row[i] = v
+			}
+		}
+		out = append(out, row)
+	}
+	return out, nil
+}
+
+// orderKey is one compiled ORDER BY key over the input bindings.
+type orderKey struct {
+	ce   compiledExpr
+	desc bool
+}
+
+func planOrder(keys []OrderItem, bs bindings, args []storage.Value) ([]orderKey, error) {
+	plans := make([]orderKey, len(keys))
+	for i, k := range keys {
+		ce, err := compileExpr(k.Expr, bs, args)
+		if err != nil {
+			return nil, err
+		}
+		plans[i] = orderKey{ce: ce, desc: k.Desc}
+	}
+	return plans, nil
+}
+
+// orderRows sorts rows in place by the ORDER BY keys.
+func orderRows(rows []storage.Row, keys []orderKey) error {
 	var sortErr error
 	sort.SliceStable(rows, func(i, j int) bool {
-		for _, kp := range plans {
+		for _, kp := range keys {
 			a, err := kp.ce.eval(rows[i])
 			if err != nil {
 				sortErr = err

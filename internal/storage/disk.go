@@ -22,10 +22,12 @@ type DiskManager interface {
 }
 
 // MemDisk is an in-memory DiskManager: the default for experiments,
-// standing in for a warmed OS page cache.
+// standing in for a warmed OS page cache. A page's bytes are allocated
+// by its first WritePage: a table whose pages all stay resident in the
+// buffer pool is never written back, so it is held once, not twice.
 type MemDisk struct {
 	mu    sync.RWMutex
-	pages [][]byte
+	pages [][]byte // nil: allocated but never written, reads as zeros
 }
 
 // NewMemDisk returns an empty in-memory disk.
@@ -38,6 +40,10 @@ func (d *MemDisk) ReadPage(id PageID, buf []byte) error {
 	if int(id) >= len(d.pages) {
 		return fmt.Errorf("storage: read of unallocated page %d", id)
 	}
+	if d.pages[id] == nil {
+		clear(buf[:PageSize])
+		return nil
+	}
 	copy(buf, d.pages[id])
 	return nil
 }
@@ -49,6 +55,9 @@ func (d *MemDisk) WritePage(id PageID, buf []byte) error {
 	if int(id) >= len(d.pages) {
 		return fmt.Errorf("storage: write of unallocated page %d", id)
 	}
+	if d.pages[id] == nil {
+		d.pages[id] = make([]byte, PageSize)
+	}
 	copy(d.pages[id], buf)
 	return nil
 }
@@ -57,7 +66,7 @@ func (d *MemDisk) WritePage(id PageID, buf []byte) error {
 func (d *MemDisk) AllocatePage() (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.pages = append(d.pages, make([]byte, PageSize))
+	d.pages = append(d.pages, nil)
 	return PageID(len(d.pages) - 1), nil
 }
 

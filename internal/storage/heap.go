@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -69,18 +70,15 @@ func (h *HeapFile) InsertBytes(tuple []byte) (RID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.lastPage != InvalidPageID {
-		data, err := h.bp.Pin(h.lastPage)
+		f, err := h.bp.pin(h.lastPage)
 		if err != nil {
 			return RID{}, err
 		}
-		slot, err := AsSlotted(data).Insert(tuple)
+		slot, err := AsSlotted(f.data).Insert(tuple)
+		f.unpin(err == nil)
 		if err == nil {
 			h.count++
-			rid := RID{Page: h.lastPage, Slot: slot}
-			return rid, h.bp.Unpin(h.lastPage, true)
-		}
-		if uerr := h.bp.Unpin(h.lastPage, false); uerr != nil {
-			return RID{}, uerr
+			return RID{Page: h.lastPage, Slot: slot}, nil
 		}
 		if err != ErrPageFull {
 			return RID{}, err
@@ -111,29 +109,35 @@ func (h *HeapFile) Get(rid RID) (Row, error) {
 
 // GetInto decodes the row at rid into dst (len == schema arity).
 func (h *HeapFile) GetInto(rid RID, dst Row) error {
-	data, err := h.bp.Pin(rid.Page)
+	return h.View(rid, func(tuple []byte) error {
+		return DecodeRowInto(tuple, h.schema, dst)
+	})
+}
+
+// View calls fn with the stored bytes of the tuple at rid while its
+// page is pinned. The slice aliases the page buffer: fn must neither
+// retain nor modify it.
+func (h *HeapFile) View(rid RID, fn func(tuple []byte) error) error {
+	f, err := h.bp.pin(rid.Page)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = h.bp.Unpin(rid.Page, false) }()
-	tuple, err := AsSlotted(data).Get(rid.Slot)
-	if err != nil {
-		return err
+	tuple, err := AsSlotted(f.data).Get(rid.Slot)
+	if err == nil {
+		err = fn(tuple)
 	}
-	return DecodeRowInto(tuple, h.schema, dst)
+	f.unpin(false)
+	return err
 }
 
 // Delete removes the tuple at rid.
 func (h *HeapFile) Delete(rid RID) error {
-	data, err := h.bp.Pin(rid.Page)
+	f, err := h.bp.pin(rid.Page)
 	if err != nil {
 		return err
 	}
-	sp := AsSlotted(data)
-	err = sp.Delete(rid.Slot)
-	if uerr := h.bp.Unpin(rid.Page, err == nil); uerr != nil && err == nil {
-		err = uerr
-	}
+	err = AsSlotted(f.data).Delete(rid.Slot)
+	f.unpin(err == nil)
 	if err == nil {
 		h.mu.Lock()
 		h.count--
@@ -150,50 +154,54 @@ func (h *HeapFile) Update(rid RID, row Row) error {
 	if err != nil {
 		return err
 	}
-	data, err := h.bp.Pin(rid.Page)
+	f, err := h.bp.pin(rid.Page)
 	if err != nil {
 		return err
 	}
-	sp := AsSlotted(data)
-	err = sp.Update(rid.Slot, buf)
-	if uerr := h.bp.Unpin(rid.Page, err == nil); uerr != nil && err == nil {
-		err = uerr
-	}
+	err = AsSlotted(f.data).Update(rid.Slot, buf)
+	f.unpin(err == nil)
 	return err
 }
 
 // Scan calls fn for every live tuple in RID order. The row passed to fn
 // is reused between calls; copy it to retain. Returning false stops.
 func (h *HeapFile) Scan(fn func(rid RID, row Row) bool) error {
-	n := h.bp.Disk().NumPages()
 	row := make(Row, len(h.schema))
+	err := h.ScanTuples(func(rid RID, tuple []byte) error {
+		if err := DecodeRowInto(tuple, h.schema, row); err != nil {
+			return err
+		}
+		if !fn(rid, row) {
+			return errStopScan
+		}
+		return nil
+	})
+	if err == errStopScan {
+		return nil
+	}
+	return err
+}
+
+var errStopScan = errors.New("storage: scan stopped")
+
+// ScanTuples calls fn with the stored bytes of every live tuple in RID
+// order, one pinned page at a time; the first error fn returns ends the
+// scan and is returned. The slice aliases the page buffer, as in View.
+func (h *HeapFile) ScanTuples(fn func(rid RID, tuple []byte) error) error {
+	n := h.bp.Disk().NumPages()
 	for p := 0; p < n; p++ {
 		id := PageID(p)
-		data, err := h.bp.Pin(id)
+		f, err := h.bp.pin(id)
 		if err != nil {
 			return err
 		}
-		stop := false
-		var scanErr error
-		AsSlotted(data).ForEach(func(slot SlotID, tuple []byte) bool {
-			if err := DecodeRowInto(tuple, h.schema, row); err != nil {
-				scanErr = err
-				return false
-			}
-			if !fn(RID{Page: id, Slot: slot}, row) {
-				stop = true
-				return false
-			}
-			return true
+		AsSlotted(f.data).ForEach(func(slot SlotID, tuple []byte) bool {
+			err = fn(RID{Page: id, Slot: slot}, tuple)
+			return err == nil
 		})
-		if err := h.bp.Unpin(id, false); err != nil {
+		f.unpin(false)
+		if err != nil {
 			return err
-		}
-		if scanErr != nil {
-			return scanErr
-		}
-		if stop {
-			return nil
 		}
 	}
 	return nil

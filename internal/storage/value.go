@@ -1,7 +1,7 @@
 // Package storage implements the on-disk substrate of the embedded
 // DBMS used by Kyrix: a typed tuple codec, 8 KB slotted pages, pluggable
-// disk managers, an LRU buffer pool with pin counts, and heap files
-// addressed by record IDs.
+// disk managers, a second-chance buffer pool with pin counts, and heap
+// files addressed by record IDs.
 //
 // The layering mirrors a classical relational storage engine so that the
 // fetching-scheme experiments in the paper (tile joins vs. spatial

@@ -310,6 +310,50 @@
 // in CI's bench-regression job. GET /app advertises lod/lodLevels per
 // layer; GET /stats exposes lodQueries and dbRowsScanned.
 //
+// # Wire payloads (the JSON and binary codecs)
+//
+// A payload is the rows of one tile or dynamic box under a small schema
+// header, in the codec the request names; GET /tile, GET /dbox, batch
+// frames, L1, L2 and peer fills all carry exactly these bytes. Each
+// codec has one writer (the payload builder in internal/server, fed by
+// the query path and by server.Encode) and one reader (server.Decode,
+// whose scanner the delta planner's row index shares), and both are
+// fixed formats, not "whatever a marshaller emits".
+//
+// JSON is one document with no insignificant whitespace and its three
+// members in this order:
+//
+//	{"cols":["id","x"],"types":[1,2],"rows":[[7,1.5],[8,2]]}
+//
+//	payload = '{"cols":' cols ',"types":[' type,* '],"rows":[' row,* ']}'
+//	cols    = '[' string,* ']' | 'null'      (null: no column list at all)
+//	type    = '1' INT | '2' DOUBLE | '3' TEXT | '4' BOOL, one per column
+//	row     = '[' cell,* ']'                 one cell per column
+//	cell    = integer | number | string | 'true' | 'false'
+//
+// An INT cell is the decimal int64, read back exactly (never through a
+// float64, so ids above 2^53 survive). A DOUBLE cell is the shortest
+// digits that round-trip, positional when 1e-6 <= |v| < 1e21 and
+// otherwise exponent form with an unpadded exponent ("1e-7", "1e+21");
+// NaN and the infinities cannot be encoded. Strings escape
+// ", \ and control bytes (\b \f \n \r \t, else \u00XX), <, > and & as
+// \u003c \u003e \u0026, U+2028/9 as \u2028 \u2029, and replace invalid
+// UTF-8 with \ufffd. These are encoding/json's conventions byte for
+// byte — the tests hold the writer to json.Marshal and the reader to
+// json.Unmarshal as reference implementations — so any JSON parser reads
+// a payload; the reader here accepts this grammar only.
+//
+// Binary is uvarint(ncols), then per column uvarint(len) name and one
+// type byte, then uvarint(nrows) and the rows abutting, each in the
+// storage engine's tuple encoding (8 bytes little-endian for INT and
+// DOUBLE, one byte for BOOL, uvarint length + bytes for TEXT). A
+// `SELECT *` window query therefore copies each heap tuple's bytes from
+// its pinned page straight into the payload.
+//
+// In both codecs the header's types are the value kinds of the first
+// row (all DOUBLE for an empty result), and rows appear in the order the
+// index visited them.
+//
 // # Batch endpoint, protocol v1 (buffered JSON, tiles only)
 //
 // POST /batch fetches many tiles of one layer in a single round trip.
@@ -443,8 +487,12 @@
 // http.tile / http.dbox / http.batch / http.update roots over item,
 // l2.read, db.query, peer.fetch, peer.serve, delta.plan, compress and
 // flush children, with attributes (cache tier hit, LOD level, rows,
-// applied/skipped, and cached on delta.plan and compress: served from
-// the payload's memoized forms) on the span that decided them. Trace context
+// bytes, applied/skipped, and cached on delta.plan and compress: served
+// from the payload's memoized forms) on the span that decided them. The
+// db.query span and stage cover a miss's whole trip from index probe to
+// finished payload — the executor pushes each row into the encoder as it
+// leaves the heap page, so scan and encode are one pass and are timed as
+// one; rows and bytes are what that pass produced. Trace context
 // crosses process boundaries in the X-Kyrix-Trace header, and a peer
 // ships its finished subtree back in X-Kyrix-Trace-Spans, so a
 // cluster fill records ONE stitched trace on the requesting node:
