@@ -27,7 +27,7 @@ import (
 func TestInstanceCloseDrainsInFlight(t *testing.T) {
 	db, app, reg := buildDemo(t, 500)
 	inst, err := kyrix.Launch(db, app, reg, kyrix.ServerOptions{
-		CacheBytes: 4 << 20,
+		Cache:      kyrix.CacheOptions{L1: kyrix.L1CacheOptions{Bytes: 4 << 20}},
 		Precompute: fetch.Options{BuildSpatial: true, TileSizes: []float64{512}},
 	}, kyrix.DefaultClientOptions())
 	if err != nil {
@@ -63,7 +63,7 @@ func TestInstanceCloseDrainsInFlight(t *testing.T) {
 	// the connection counts as active. The settle delay covers the
 	// accept + header-read window (pw.Write returns when the client
 	// transport consumed the bytes, not when the server did).
-	if _, err := pw.Write([]byte(`{"canvas":"main","layer":0,"size":512,`)); err != nil {
+	if _, err := pw.Write([]byte(`{"v":3,"canvas":"main","comp":"off",`)); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond)
@@ -80,7 +80,7 @@ func TestInstanceCloseDrainsInFlight(t *testing.T) {
 	}
 
 	// Finish the request; the drained server must answer it whole.
-	if _, err := pw.Write([]byte(`"tiles":[{"col":0,"row":0}]}`)); err != nil {
+	if _, err := pw.Write([]byte(`"items":[{"kind":"tile","layer":0,"size":512,"col":0,"row":0}]}`)); err != nil {
 		t.Fatal(err)
 	}
 	pw.Close()
@@ -89,7 +89,7 @@ func TestInstanceCloseDrainsInFlight(t *testing.T) {
 	if r.err != nil {
 		t.Fatalf("in-flight request failed under Close: %v", r.err)
 	}
-	if r.status != http.StatusOK || !strings.Contains(r.body, "tiles") {
+	if r.status != http.StatusOK || !strings.HasPrefix(r.body, "KYXB") || !strings.Contains(r.body, `"rows"`) {
 		t.Fatalf("in-flight request: status %d body %q", r.status, r.body)
 	}
 	if err := <-closed; err != nil {
@@ -166,7 +166,7 @@ func TestInstanceCloseFlushesL2(t *testing.T) {
 // test without cluster networking in the way.
 func replogOpts(dir string) kyrix.ServerOptions {
 	return kyrix.ServerOptions{
-		CacheBytes: 4 << 20,
+		Cache: kyrix.CacheOptions{L1: kyrix.L1CacheOptions{Bytes: 4 << 20}},
 		Cluster: kyrix.ClusterOptions{
 			Replog: kyrix.ReplogOptions{Dir: dir, ElectionTimeout: 30 * time.Millisecond},
 		},

@@ -15,12 +15,9 @@
 // replay viewport traces against one backend, measuring throughput
 // (steps/s), latency (mean/p50/p95), and how far the serving pipeline
 // (sharded cache, request coalescing, batched tile fetch) cuts
-// database queries per step. -steps and -batch tune the workload;
-// -proto selects the /batch wire protocol (1 = buffered JSON, 2 =
-// binary framed stream, 3 = compressed/delta framed stream) and -comp
-// toggles v3 per-frame compression; the table reports wireKB/step,
-// time-to-first-frame and the wire/raw compression ratio so the
-// protocols can be compared directly.
+// database queries per step. -steps and -batch tune the workload and
+// -comp toggles per-frame compression; the table reports wireKB/step,
+// time-to-first-frame and the wire/raw compression ratio.
 //
 // -workload selects the trace shape: walk (random pans, the default),
 // zipf (zipf-hot-set pan/zoom — clients share a skewed hot set), scan
@@ -95,9 +92,8 @@ func main() {
 	clients := flag.String("clients", "", "concurrent-clients mode: comma-separated client counts (e.g. 1,4,16); replaces the figure runs")
 	steps := flag.Int("steps", 12, "pan steps per client in concurrent-clients mode")
 	batch := flag.Int("batch", 8, "frontend tile batch size in concurrent-clients mode (0 = per-tile GETs)")
-	proto := flag.Int("proto", 0, "batch wire protocol in concurrent-clients mode: 0 auto, 1 buffered JSON, 2 binary framed stream, 3 compressed/delta framed stream (compare wireKB/step, ttff and ratio)")
-	comp := flag.Bool("comp", true, "v3 per-frame compression in concurrent-clients mode (false asks for raw frames)")
-	scheme := flag.String("scheme", "tile", "fetching scheme in concurrent-clients mode: tile (spatial 1024) or dbox (dbox 50% — the pan/zoom workload v3 delta frames target)")
+	comp := flag.Bool("comp", true, "per-frame compression in concurrent-clients mode (false asks for raw frames)")
+	scheme := flag.String("scheme", "tile", "fetching scheme in concurrent-clients mode: tile (spatial 1024) or dbox (dbox 50% — the pan/zoom workload delta frames target)")
 	workloadKind := flag.String("workload", "walk", "concurrent-clients trace shape: walk | zipf | scan | mixed | zoom (zipf/scan/mixed are the cache-admission adversaries; zoom is the auto-LOD case)")
 	lod := flag.Bool("lod", false, "declare the point layer lod \"auto\": precompute builds the aggregation pyramid and zoomed-out windows serve bounded aggregate rows")
 	lodSweep := flag.Bool("lodsweep", false, "run the bounded-row sweep: the zoom workload at 1x and 10x dataset scale (with -lod deciding the knob); writes rowsScannedPerStep per size with -json")
@@ -107,7 +103,7 @@ func main() {
 	codec := flag.String("codec", "", "override the wire codec (json | binary; default from -scale config)")
 	jsonOut := flag.Bool("json", false, "concurrent-clients mode: also write the results to BENCH_<label>.json (including the final per-stage /metrics quantiles)")
 	slowDump := flag.Bool("slowdump", false, "concurrent-clients mode: dump the backend's flight recorder (/debug/requests — the N slowest and most recent traces) to BENCH_slow_<label>.json after the sweep")
-	label := flag.String("label", "", "label for the -json artifact (default proto+clients)")
+	label := flag.String("label", "", "label for the -json artifact (default from the client counts)")
 	l2dir := flag.String("l2dir", "", "enable the persistent tile store (L2) at this directory; -restart uses a temp dir when empty")
 	restart := flag.Bool("restart", false, "run the restart cold-start experiment: first boot vs L2-warm restart over the same zipf trace, plus the no-L2 baseline; -json writes BENCH_restart_l2.json and BENCH_restart_cold.json")
 	failover := flag.Bool("failover", false, "run the replicated-update failover experiment: 3-node cluster, leader killed mid-run, steady vs failover tile p50 and zero-loss audit; -json writes BENCH_failover.json")
@@ -256,7 +252,6 @@ func main() {
 		opts.ClientCounts = counts
 		opts.StepsPerClient = *steps
 		opts.BatchSize = *batch
-		opts.Protocol = *proto
 		opts.Workload = *workloadKind
 		if !*comp {
 			opts.Compression = frontend.CompressionOff
@@ -415,7 +410,6 @@ type benchArtifact struct {
 	Clients   string                           `json:"clients"`
 	Steps     int                              `json:"stepsPerClient"`
 	Batch     int                              `json:"batchSize"`
-	Proto     int                              `json:"proto"`
 	Scheme    string                           `json:"scheme"`
 	Workload  string                           `json:"workload"`
 	Admission string                           `json:"admission"`
@@ -433,7 +427,7 @@ func defaultLabel(clients, admission string, nodes int, opts experiments.Concurr
 	if workloadName == "" {
 		workloadName = "walk"
 	}
-	label := fmt.Sprintf("proto%d_clients%s", opts.Protocol, strings.ReplaceAll(clients, ",", "-"))
+	label := "clients" + strings.ReplaceAll(clients, ",", "-")
 	if workloadName != "walk" {
 		label = fmt.Sprintf("%s_%s_%s", label, workloadName, admission)
 	}
@@ -501,7 +495,7 @@ func writeBenchJSON(label, scale, clients, admission string, nodes int, opts exp
 	}
 	art := benchArtifact{
 		Label: label, Mode: mode, Scale: scale, Clients: clients,
-		Steps: opts.StepsPerClient, Batch: opts.BatchSize, Proto: opts.Protocol,
+		Steps: opts.StepsPerClient, Batch: opts.BatchSize,
 		Scheme: opts.Scheme.Name(), Workload: workloadName, Admission: admission,
 		Nodes: nodes, Rows: stats, Stages: stages,
 	}

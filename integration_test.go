@@ -92,7 +92,7 @@ func TestCrimeMapJourney(t *testing.T) {
 	}
 
 	inst, err := kyrix.Launch(db, app, reg, kyrix.ServerOptions{
-		CacheBytes: 4 << 20,
+		Cache:      kyrix.CacheOptions{L1: kyrix.L1CacheOptions{Bytes: 4 << 20}},
 		Precompute: fetch.Options{BuildSpatial: true, TileSizes: []float64{100}},
 	}, kyrix.DefaultClientOptions())
 	if err != nil {
@@ -190,7 +190,7 @@ func TestUpdateModelWithWAL(t *testing.T) {
 		ViewportW: 400, ViewportH: 400,
 	}
 	srvOpts := kyrix.ServerOptions{
-		CacheBytes: 1 << 20,
+		Cache:      kyrix.CacheOptions{L1: kyrix.L1CacheOptions{Bytes: 1 << 20}},
 		Precompute: fetch.Options{BuildSpatial: true},
 	}
 	inst, err := kyrix.Launch(db, app, reg, srvOpts, kyrix.DefaultClientOptions())

@@ -190,8 +190,8 @@ func ClusterRun(ce *ClusterEnv, opts ConcurrentOptions) (*Table, []ConcurrentRow
 		fmt.Sprintf("Cluster: %d nodes, %s over %q (%s workload)", nNodes, opts.Scheme.Name(), ce.Cfg.Name, workloadName),
 		"mixed units, see columns", rows, cols)
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("steps/client=%d batch=%d proto=%s; clients round-robin across nodes; all caches cleared per row",
-			opts.StepsPerClient, opts.BatchSize, protoName(opts.Protocol)),
+		fmt.Sprintf("steps/client=%d batch=%d; clients round-robin across nodes; all caches cleared per row",
+			opts.StepsPerClient, opts.BatchSize),
 		"dbq/step: database queries per measured step summed over ALL nodes — the cluster-wide cost the ring exists to cut",
 		"fill%: peer fills / (peer fills + db queries) — the fraction of cache fills served by the owning peer instead of a database",
 		"n<i> columns: the same metrics per node (n<i> dbq is that node's queries per cluster-wide step)")

@@ -27,11 +27,7 @@ type ConcurrentOptions struct {
 	// BatchSize is each client's tile-batching knob (tiles schemes
 	// only; 0 disables).
 	BatchSize int
-	// Protocol selects the /batch wire protocol
-	// (frontend.ProtocolAuto/V1/V2/V3): the protocol comparison axis
-	// for wire bytes, compression ratio and time-to-first-frame.
-	Protocol int
-	// Compression selects v3 per-frame compression
+	// Compression selects per-frame compression
 	// (frontend.CompressionAuto/Off).
 	Compression int
 	// SharedTraces groups clients onto this many distinct traces, so
@@ -83,12 +79,13 @@ type ConcurrentRowStats struct {
 	CoalPerStep float64 `json:"coalPerStep"`
 	// WireKBPerStep is bytes read off the wire by batch round trips
 	// per measured step; TtffMs the mean time to first decoded frame
-	// (framed protocols only).
+	// (batched fetches only).
 	WireKBPerStep float64 `json:"wireKBPerStep"`
 	TtffMs        float64 `json:"ttffMs"`
 	// CompressionRatio is wire bytes over logical payload bytes across
-	// the measured steps: ~1 on v2 (framing only), below 1 when v3's
-	// compression and delta frames earn their keep. 0 when unbatched.
+	// the measured steps: ~1 with raw frames (framing only), below 1
+	// when compression and delta frames earn their keep. 0 when
+	// unbatched.
 	CompressionRatio float64 `json:"compressionRatio"`
 	// HitRatio is the backend cache hit ratio over the measured steps
 	// (hits/(hits+misses) deltas); CacheAdmitted/CacheRejected count
@@ -158,12 +155,12 @@ func ConcurrentClients(env *Env, opts ConcurrentOptions) (*Table, []ConcurrentRo
 		fmt.Sprintf("Concurrent clients: %s over %q (%s workload)", opts.Scheme.Name(), env.Cfg.Name, workloadName),
 		"mixed units, see columns", rows, cols)
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("steps/client=%d batch=%d proto=%s sharedTraces=%d; backend cache cleared per row",
-			opts.StepsPerClient, opts.BatchSize, protoName(opts.Protocol), opts.SharedTraces),
+		fmt.Sprintf("steps/client=%d batch=%d sharedTraces=%d; backend cache cleared per row",
+			opts.StepsPerClient, opts.BatchSize, opts.SharedTraces),
 		"hit%: backend cache hit ratio over the measured steps (zipf/scan/mixed workloads disable the frontend cache so the backend policy is what is measured)",
-		"wireKB/step: bytes read off the wire by batch round trips (v1 counts the base64 JSON envelope, v2/v3 the framed stream); 0 when unbatched",
-		"ttff ms: mean time to first decoded frame, framed streaming only",
-		"ratio: wire bytes / logical payload bytes (v3 compression + delta savings; ~1 on v2)")
+		"wireKB/step: bytes read off the wire by /batch round trips, framing included; 0 when unbatched",
+		"ttff ms: mean time to first decoded frame, batched fetches only",
+		"ratio: wire bytes / logical payload bytes (compression + delta savings; ~1 with raw frames)")
 
 	var stats []ConcurrentRowStats
 	for _, n := range opts.ClientCounts {
@@ -236,12 +233,11 @@ func newSweepClient(baseURL string, ca *spec.CompiledApp, cfg Config, opts Concu
 		fcache = 0
 	}
 	return frontend.NewClient(baseURL, ca, frontend.Options{
-		Scheme:        opts.Scheme,
-		Codec:         cfg.Codec,
-		CacheBytes:    fcache,
-		BatchSize:     opts.BatchSize,
-		BatchProtocol: opts.Protocol,
-		Compression:   opts.Compression,
+		Scheme:      opts.Scheme,
+		Codec:       cfg.Codec,
+		CacheBytes:  fcache,
+		BatchSize:   opts.BatchSize,
+		Compression: opts.Compression,
 	})
 }
 
@@ -449,16 +445,4 @@ func buildTraces(env *Env, opts ConcurrentOptions, n int) ([]*workload.Trace, er
 		return nil, fmt.Errorf("experiments: unknown workload %q (want walk|zipf|scan|mixed|zoom)", opts.Workload)
 	}
 	return traces, nil
-}
-
-func protoName(p int) string {
-	switch p {
-	case frontend.ProtocolV1:
-		return "v1"
-	case frontend.ProtocolV2:
-		return "v2"
-	case frontend.ProtocolV3:
-		return "v3"
-	}
-	return "auto"
 }

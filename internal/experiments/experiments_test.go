@@ -358,8 +358,8 @@ func TestConcurrentClients(t *testing.T) {
 		if rs.StepsPerSec <= 0 || rs.P50Ms <= 0 || rs.P95Ms < rs.P50Ms {
 			t.Fatalf("implausible stats row: %+v", rs)
 		}
-		// Batched tile fetches over the framed protocol: the ratio must
-		// be measured and below 1 under v3 compression.
+		// Batched tile fetches over /batch: the ratio must be measured
+		// and below 1 under frame compression.
 		if rs.CompressionRatio <= 0 || rs.CompressionRatio >= 1.5 {
 			t.Fatalf("compression ratio out of range: %+v", rs)
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"kyrix/internal/fetch"
-	"kyrix/internal/frontend"
 )
 
 // BenchmarkLODZoom replays the zoom-heavy zipf workload with the
@@ -35,7 +34,6 @@ func BenchmarkLODZoom(b *testing.B) {
 				ClientCounts:   []int{2},
 				StepsPerClient: 12,
 				Scheme:         fetch.DBox50,
-				Protocol:       frontend.ProtocolV3,
 				Workload:       "zoom",
 			}
 			var rowsScanned, p50 float64

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kyrix/internal/fetch"
-	"kyrix/internal/frontend"
 )
 
 // LODSweepOptions configures LODSweep.
@@ -66,7 +65,6 @@ func LODSweep(opts LODSweepOptions) ([]ConcurrentRowStats, error) {
 			ClientCounts:   []int{clients},
 			StepsPerClient: steps,
 			Scheme:         fetch.DBox50,
-			Protocol:       frontend.ProtocolV3,
 			Workload:       "zoom",
 		})
 		env.Close()

@@ -1,0 +1,413 @@
+package frontend
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
+	"time"
+
+	"kyrix/internal/geom"
+	"kyrix/internal/obs"
+	"kyrix/internal/server"
+	"kyrix/internal/storage"
+	"kyrix/internal/wire"
+)
+
+// Compression selection for ClientOptions.Compression.
+const (
+	// CompressionAuto lets the server DEFLATE-compress frames that
+	// pass its worth-it heuristic (the default).
+	CompressionAuto = 0
+	// CompressionOff asks for raw frames (ablations, CPU-bound
+	// clients). Delta frames are still used when profitable.
+	CompressionOff = 1
+)
+
+// frameResult is one decoded OK frame, ready to merge into client
+// state: the (possibly delta-reconstructed) rows, byte accounting, and
+// the payload identity future delta fetches can declare as their base.
+type frameResult struct {
+	dr *server.DataResponse
+	// rawN is the full-payload equivalent size — what a raw frame would
+	// have carried (wire-side byte accounting is handled by the round
+	// trip's countingReader, not per frame).
+	rawN int64
+	// boxID identifies the full payload these rows correspond to
+	// (wire.PayloadID); zero for tile frames, which never delta.
+	boxID uint64
+}
+
+// batchSub is one planned sub-request of a /batch round trip and how to
+// fold its decoded result into client state. merge always runs on the
+// client's goroutine — even when chunks stream concurrently — so
+// layers land incrementally as frames arrive without locking client
+// state.
+type batchSub struct {
+	item server.BatchItem
+	// base is the box state item.Base was declared from: the delta
+	// base the client guarantees it holds until this batch completes.
+	// boxState contents are immutable once published (merges replace
+	// whole states), so concurrent chunk decoders may read it.
+	base  *boxState
+	merge func(fr frameResult)
+}
+
+// declareBase offers a layer's held box as the delta base for a dbox
+// sub-request when the client has one worth declaring.
+func declareBase(sub *batchSub, st *boxState) {
+	if st == nil || st.data == nil || st.wireID == 0 || !st.box.Valid() {
+		return
+	}
+	sub.base = st
+	sub.item.Base = &server.BaseRef{
+		MinX: st.box.MinX, MinY: st.box.MinY,
+		MaxX: st.box.MaxX, MaxY: st.box.MaxY,
+		ID: strconv.FormatUint(st.wireID, 16),
+	}
+}
+
+// tileSubs plans one tile sub-request per missing tile; each result
+// lands in the frontend cache. observe controls density bookkeeping:
+// viewport fetches record it, prefetches of predicted (never-viewed)
+// regions do not.
+func (c *Client) tileSubs(li int, sz float64, missing []geom.TileID, observe bool) []batchSub {
+	subs := make([]batchSub, len(missing))
+	for i, tid := range missing {
+		tid := tid
+		subs[i] = batchSub{
+			item: server.BatchItem{
+				Kind: "tile", Layer: li, Size: sz,
+				Design: c.opts.Scheme.Design, Col: tid.Col, Row: tid.Row,
+			},
+			merge: func(fr frameResult) {
+				c.fcache.Put(c.tileCacheKey(li, sz, tid), fr.dr, fr.rawN)
+				if observe {
+					c.observeDensity(li, tid.TileRect(sz), len(fr.dr.Rows))
+				}
+			},
+		}
+	}
+	return subs
+}
+
+// dboxSub plans one dynamic-box sub-request whose result becomes the
+// layer's current box. The layer's held box, if any, is declared as
+// the delta base so the server can ship only the rows entering the
+// new box.
+func (c *Client) dboxSub(li int, box geom.Rect) batchSub {
+	sub := batchSub{
+		item: server.BatchItem{
+			Kind: "dbox", Layer: li,
+			MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY,
+		},
+		merge: func(fr frameResult) {
+			prev := c.boxes[li]
+			st := &boxState{box: box, data: fr.dr, wireID: fr.boxID}
+			if prev != nil {
+				st.prefetched = prev.prefetched
+			}
+			c.boxes[li] = st
+			c.observeDensity(li, box, len(fr.dr.Rows))
+		},
+	}
+	declareBase(&sub, c.boxes[li])
+	return sub
+}
+
+// runBatch issues the sub-requests as /batch round trips, split into
+// MaxBatchItems-sized chunks. The chunks run one after another, or
+// overlap under FetchConcurrency with their frames merged back onto
+// this goroutine through a merge queue — client state is never touched
+// concurrently. Every OK frame's rows and logical bytes are counted on
+// rep before its merge runs.
+func (c *Client) runBatch(subs []batchSub, rep *FetchReport, start time.Time) error {
+	var chunks [][]batchSub
+	for len(subs) > 0 {
+		n := min(len(subs), server.MaxBatchItems)
+		chunks = append(chunks, subs[:n])
+		subs = subs[n:]
+	}
+	conc := min(c.opts.FetchConcurrency, len(chunks))
+	var firstErr error
+	if conc <= 1 {
+		// Sequential chunk loop (the conservative FetchConcurrency
+		// default, matching the per-tile path).
+		inline := func(f func()) { f() }
+		for _, chunk := range chunks {
+			if err := c.postBatch(chunk, rep, start, inline); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		return firstErr
+	}
+
+	// Overlapped chunks: bounded fetch+decode concurrency, with every
+	// merge (and all rep accounting) funneled back onto this goroutine.
+	// Both channels are unbuffered, so a chunk's done error arrives
+	// strictly after all its merges were executed here.
+	mergeCh := make(chan func())
+	doneCh := make(chan error)
+	sem := make(chan struct{}, conc)
+	for _, chunk := range chunks {
+		chunk := chunk
+		go func() {
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			doneCh <- c.postBatch(chunk, rep, start, func(f func()) { mergeCh <- f })
+		}()
+	}
+	for outstanding := len(chunks); outstanding > 0; {
+		select {
+		case f := <-mergeCh:
+			f()
+		case err := <-doneCh:
+			outstanding--
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+	}
+	return firstErr
+}
+
+// countingReader counts bytes read off the wire, header and framing
+// included — the quantity FetchReport.WireBytes reports.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (cr *countingReader) Read(p []byte) (int, error) {
+	n, err := cr.r.Read(p)
+	cr.n += int64(n)
+	return n, err
+}
+
+// postBatch issues one /batch round trip and hands each decoded
+// frame's merge to exec as it arrives — exec runs the closure on the
+// client's goroutine (directly on the sequential path, via the merge
+// queue when chunks overlap), and all rep mutation happens inside
+// those closures. Per-frame errors do not abort the stream: sibling
+// frames still merge, and the first frame error is returned after the
+// stream is drained.
+func (c *Client) postBatch(subs []batchSub, rep *FetchReport, start time.Time, exec func(func())) error {
+	req := server.BatchRequestV2{
+		V:      wire.V3,
+		Canvas: c.canvas.ID,
+		Codec:  c.opts.Codec,
+		Items:  make([]server.BatchItem, len(subs)),
+	}
+	if c.opts.Compression == CompressionOff {
+		req.Comp = server.CompOff
+	}
+	for i := range subs {
+		req.Items[i] = subs[i].item
+	}
+	body, err := jsonMarshal(req)
+	if err != nil {
+		return fmt.Errorf("frontend: encode batch: %w", err)
+	}
+	hreq, err := http.NewRequest(http.MethodPost, c.base+"/batch", bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("frontend: batch: %w", err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	// Stitch the server's http.batch span under the client's interaction
+	// trace (no-op without an active span).
+	obs.InjectHeader(c.ictx, hreq.Header)
+	resp, err := c.hc.Do(hreq)
+	if err != nil {
+		return fmt.Errorf("frontend: batch: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != server.BatchV3ContentType {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return fmt.Errorf("frontend: batch: %s: %s", resp.Status, msg)
+	}
+	exec(func() { rep.Requests++ })
+	cr := &countingReader{r: resp.Body}
+	br := bufio.NewReader(cr)
+	_, nframes, err := wire.ReadHeader(br)
+	if err != nil {
+		return err
+	}
+	if nframes != len(subs) {
+		return fmt.Errorf("frontend: batch advertises %d frames, asked %d", nframes, len(subs))
+	}
+	seen := make([]bool, nframes)
+	var firstErr error
+	addWire := func() { n := cr.n; exec(func() { rep.WireBytes += n }) }
+	for i := 0; i < nframes; i++ {
+		f, err := wire.ReadFrame(br, wire.V3)
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				err = fmt.Errorf("frontend: batch stream truncated after %d/%d frames", i, nframes)
+			}
+			addWire()
+			return err
+		}
+		if f.Index < 0 || f.Index >= nframes || seen[f.Index] {
+			addWire()
+			return fmt.Errorf("frontend: batch bogus frame index %d", f.Index)
+		}
+		seen[f.Index] = true
+		at := time.Since(start)
+		exec(func() {
+			if rep.FirstFrame == 0 || at < rep.FirstFrame {
+				rep.FirstFrame = at
+			}
+		})
+		if f.Status != server.FrameOK {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("frontend: batch item %d: %s", f.Index, f.Payload)
+			}
+			continue
+		}
+		sub := &subs[f.Index]
+		fr, err := c.decodeFrame(sub, f)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		exec(func() {
+			rep.Rows += len(fr.dr.Rows)
+			rep.Bytes += fr.rawN
+			sub.merge(fr)
+		})
+	}
+	// Every frame is in, but the chunked terminator is still unread: a
+	// body closed short of EOF makes net/http discard the connection,
+	// and the next batch would pay a TCP handshake. Read the (bounded)
+	// tail so the connection goes back to the pool.
+	_, _ = io.Copy(io.Discard, io.LimitReader(br, 64<<10))
+	addWire()
+	return firstErr
+}
+
+// decodeFrame turns one OK frame into a mergeable result: inflate a
+// compressed payload (bounded — a hostile length cannot become a
+// decompression bomb), reconstruct a delta frame against the sub's
+// declared base, or decode a raw payload directly. Pure with respect
+// to mutable client state, so overlapped chunks may run it off the
+// client goroutine.
+func (c *Client) decodeFrame(sub *batchSub, f wire.Frame) (frameResult, error) {
+	var fr frameResult
+	payload := f.Payload
+	if f.Codec.Compressed() {
+		var err error
+		payload, err = wire.Decompress(payload, wire.MaxFramePayload)
+		if err != nil {
+			return fr, fmt.Errorf("frontend: batch item %d: %w", f.Index, err)
+		}
+	}
+	if f.Codec.IsDelta() {
+		if sub.base == nil {
+			return fr, fmt.Errorf("frontend: batch item %d: delta frame for a sub-request that declared no base", f.Index)
+		}
+		d, err := wire.DecodeDelta(payload)
+		if err != nil {
+			return fr, fmt.Errorf("frontend: batch item %d: %w", f.Index, err)
+		}
+		entering, err := server.Decode(d.Entering, c.opts.Codec)
+		if err != nil {
+			return fr, fmt.Errorf("frontend: batch item %d entering rows: %w", f.Index, err)
+		}
+		dr, err := applyDelta(sub.base.data, d, entering)
+		if err != nil {
+			return fr, fmt.Errorf("frontend: batch item %d: %w", f.Index, err)
+		}
+		fr.dr, fr.rawN, fr.boxID = dr, int64(d.FullLen), d.NewID
+		return fr, nil
+	}
+	dr, err := server.Decode(payload, c.opts.Codec)
+	if err != nil {
+		return fr, err
+	}
+	fr.dr, fr.rawN = dr, int64(len(payload))
+	if sub.item.Kind == "dbox" {
+		// The payload identity becomes the delta base id of the next
+		// fetch of this layer.
+		fr.boxID = wire.PayloadID(payload)
+	}
+	return fr, nil
+}
+
+// applyDelta reconstructs a full box result from the base the client
+// holds plus the server's delta: base rows minus the tombstoned ids,
+// plus the entering rows. The reconstruction is exactly the row set of
+// the full payload the server diffed against (rows are keyed by their
+// integer first column, the same identity the renderer deduplicates
+// on).
+func applyDelta(base *server.DataResponse, d wire.Delta, entering *server.DataResponse) (*server.DataResponse, error) {
+	if base == nil {
+		return nil, errors.New("delta frame but no base rows held")
+	}
+	tomb := make(map[int64]bool, len(d.Tombstones))
+	for _, id := range d.Tombstones {
+		tomb[id] = true
+	}
+	out := &server.DataResponse{Cols: entering.Cols, Types: entering.Types}
+	if len(entering.Rows) == 0 {
+		// An empty entering payload carries fallback column types; the
+		// surviving rows are all base rows, so keep the base schema.
+		out.Cols, out.Types = base.Cols, base.Types
+	}
+	rows := make([]storage.Row, 0, len(base.Rows)+len(entering.Rows))
+	for _, row := range base.Rows {
+		if len(row) == 0 || tomb[row[0].AsInt()] {
+			continue
+		}
+		rows = append(rows, row)
+	}
+	rows = append(rows, entering.Rows...)
+	out.Rows = rows
+	return out, nil
+}
+
+// PrefetchBoxes warms the dynamic-box prefetch slot of several layers
+// with one box in a single /batch round trip. Each layer's current box
+// is declared as the delta base, so a momentum prefetch one viewport
+// ahead ships mostly as entering rows. Like every prefetch it does not
+// count toward interaction reports.
+func (c *Client) PrefetchBoxes(layers []int, box geom.Rect) error {
+	var subs []batchSub
+	for _, li := range layers {
+		li := li
+		lm := &c.canvas.Layers[li]
+		if !lm.HasData || lm.Static {
+			continue
+		}
+		sub := batchSub{
+			item: server.BatchItem{
+				Kind: "dbox", Layer: li,
+				MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY,
+			},
+			merge: func(fr frameResult) {
+				st := c.boxes[li]
+				if st == nil {
+					st = &boxState{}
+					c.boxes[li] = st
+				}
+				st.prefetched = &boxState{box: box, data: fr.dr, wireID: fr.boxID}
+			},
+		}
+		declareBase(&sub, c.boxes[li])
+		subs = append(subs, sub)
+	}
+	var rep FetchReport // prefetches do not count toward interaction reports
+	return c.runBatch(subs, &rep, time.Now())
+}
+
+// PrefetchBox fetches a box for one layer ahead of need and parks it in
+// the layer's prefetch slot (momentum-based prefetching, §4): a
+// one-layer PrefetchBoxes.
+func (c *Client) PrefetchBox(li int, box geom.Rect) error {
+	return c.PrefetchBoxes([]int{li}, box)
+}

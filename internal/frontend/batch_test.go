@@ -2,10 +2,12 @@ package frontend
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"strings"
+	"net/url"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -20,8 +22,9 @@ import (
 
 // multiLayerApp builds a single canvas with TWO data layers over the
 // same points (dots and halos) — the multi-layer viewport the framed
-// batch protocol serves in one round trip.
-func multiLayerApp(t testing.TB, n int) (*sqldb.DB, *spec.CompiledApp) {
+// batch protocol serves in one round trip. edit, when given, adjusts
+// the spec before it is compiled.
+func multiLayerApp(t testing.TB, n int, edit ...func(*spec.App)) (*sqldb.DB, *spec.CompiledApp) {
 	t.Helper()
 	db := sqldb.NewDB()
 	if _, err := db.Exec("CREATE TABLE points (id INT, x DOUBLE, y DOUBLE, val DOUBLE)"); err != nil {
@@ -61,6 +64,9 @@ func multiLayerApp(t testing.TB, n int) (*sqldb.DB, *spec.CompiledApp) {
 		InitialCanvas: "main", InitialX: 1024, InitialY: 512,
 		ViewportW: 512, ViewportH: 512,
 	}
+	for _, e := range edit {
+		e(app)
+	}
 	ca, err := spec.Compile(app, reg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,18 +74,36 @@ func multiLayerApp(t testing.TB, n int) (*sqldb.DB, *spec.CompiledApp) {
 	return db, ca
 }
 
-// countingTransport counts round trips by URL path.
+// countingTransport counts round trips by URL path and keeps the
+// decoded body of every /batch POST.
 type countingTransport struct {
-	mu    sync.Mutex
-	calls map[string]int
+	mu      sync.Mutex
+	calls   map[string]int
+	batches []server.BatchRequestV2
 }
 
 func (ct *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	var batch *server.BatchRequestV2
+	if req.URL.Path == "/batch" && req.Body != nil {
+		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		batch = new(server.BatchRequestV2)
+		if err := json.Unmarshal(body, batch); err != nil {
+			return nil, err
+		}
+		req.Body = io.NopCloser(bytes.NewReader(body))
+	}
 	ct.mu.Lock()
 	if ct.calls == nil {
 		ct.calls = make(map[string]int)
 	}
 	ct.calls[req.URL.Path]++
+	if batch != nil {
+		ct.batches = append(ct.batches, *batch)
+	}
 	ct.mu.Unlock()
 	return http.DefaultTransport.RoundTrip(req)
 }
@@ -93,12 +117,59 @@ func (ct *countingTransport) count(path string) int {
 func (ct *countingTransport) reset() {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	ct.calls = nil
+	ct.calls, ct.batches = nil, nil
 }
 
-// TestMultiLayerViewportOneRoundTrip is the tentpole acceptance test:
-// a viewport over a canvas with two dbox layers is served in exactly
-// one /batch v2 round trip — v1 needed one /dbox per layer.
+// checkPerItemObjects fails unless c's visible objects of layer li are
+// exactly the rows the single-request endpoints return for its
+// viewport: GET /tile for every tile the viewport needs under a tile
+// scheme, one GET /dbox of the whole canvas otherwise — decoded in the
+// client's codec, clipped to the viewport and deduplicated the way
+// ObjectsInViewport is.
+func checkPerItemObjects(t *testing.T, base string, c *Client, li int) {
+	t.Helper()
+	vp, cv := c.Viewport(), c.Canvas()
+	var urls []string
+	if c.opts.Scheme.Kind == "tile" {
+		sz := c.opts.Scheme.TileSize
+		for _, tid := range fetch.TilesNeeded(vp, sz, cv.W, cv.H) {
+			urls = append(urls, fmt.Sprintf("%s/tile?canvas=%s&layer=%d&size=%g&col=%d&row=%d&design=%s&codec=%s",
+				base, url.QueryEscape(cv.ID), li, sz, tid.Col, tid.Row, c.opts.Scheme.Design, c.opts.Codec))
+		}
+	} else {
+		urls = append(urls, fmt.Sprintf("%s/dbox?canvas=%s&layer=%d&minx=0&miny=0&maxx=%g&maxy=%g&codec=%s",
+			base, url.QueryEscape(cv.ID), li, cv.W, cv.H, c.opts.Codec))
+	}
+	lm := &cv.Layers[li]
+	want := make(map[int64]storage.Row)
+	for _, u := range urls {
+		dr, _, err := c.getData(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range dr.Rows {
+			if lm.RowBox(row).Intersects(vp) {
+				want[row[0].AsInt()] = row
+			}
+		}
+	}
+	got, err := c.ObjectsInViewport(li)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("%s layer %d: client sees %d objects, per-item GETs %d", c.opts.Scheme.Name(), li, len(got), len(want))
+	}
+	for _, row := range got {
+		if !reflect.DeepEqual(row, want[row[0].AsInt()]) {
+			t.Fatalf("%s layer %d: client row %v, per-item GETs %v", c.opts.Scheme.Name(), li, row, want[row[0].AsInt()])
+		}
+	}
+}
+
+// TestMultiLayerViewportOneRoundTrip: a viewport over a canvas with
+// two dbox layers is served in exactly one /batch round trip, not one
+// GET /dbox per layer.
 func TestMultiLayerViewportOneRoundTrip(t *testing.T) {
 	db, ca := multiLayerApp(t, 2500)
 	srv, hs := startBackend(t, db, ca)
@@ -171,138 +242,40 @@ func TestMultiLayerViewportOneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2MatchesV1Results cross-checks the two protocols: the same
-// trace over tiles and boxes yields the same visible objects.
+// TestV2MatchesV1Results cross-checks the batch stream against the
+// single-request endpoints: after the same load and pan, the objects a
+// batching client holds — tiles, and boxes delta-reconstructed across
+// the pan — are row for row what per-item GET /tile or GET /dbox
+// returns, in both codecs.
 func TestV2MatchesV1Results(t *testing.T) {
-	for _, scheme := range []fetch.Granularity{
-		fetch.DBox50,
-		{Kind: "tile", Design: "spatial", TileSize: 256},
-	} {
-		db, ca := multiLayerApp(t, 2000)
-		_, hs := startBackend(t, db, ca)
-		v2c, err := NewClient(hs.URL, ca, Options{
-			Scheme: scheme, Codec: server.CodecJSON,
-			CacheBytes: 16 << 20, BatchSize: 8,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1c, err := NewClient(hs.URL, ca, Options{
-			Scheme: scheme, Codec: server.CodecJSON,
-			CacheBytes: 16 << 20, BatchSize: 8, BatchProtocol: ProtocolV1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cli := range []*Client{v2c, v1c} {
-			if _, err := cli.Load(); err != nil {
+	db, ca := multiLayerApp(t, 2000)
+	_, hs := startBackend(t, db, ca)
+	for _, codec := range []server.Codec{server.CodecJSON, server.CodecBinary} {
+		for _, scheme := range []fetch.Granularity{
+			fetch.DBox50,
+			{Kind: "tile", Design: "spatial", TileSize: 256},
+		} {
+			c, err := NewClient(hs.URL, ca, Options{
+				Scheme: scheme, Codec: codec,
+				CacheBytes: 16 << 20, BatchSize: 8,
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cli.PanBy(400, 100); err != nil {
+			if _, err := c.Load(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		for li := 0; li < 2; li++ {
-			a, _ := v2c.ObjectsInViewport(li)
-			b, _ := v1c.ObjectsInViewport(li)
-			if len(a) != len(b) || len(a) == 0 {
-				t.Fatalf("scheme %s layer %d: v2 sees %d objects, v1 %d",
-					scheme.Name(), li, len(a), len(b))
+			rep, err := c.PanBy(400, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Requests != 1 {
+				t.Fatalf("%s/%s: pan used %d round trips, want one batch", scheme.Name(), codec, rep.Requests)
+			}
+			for li := 0; li < 2; li++ {
+				checkPerItemObjects(t, hs.URL, c, li)
 			}
 		}
-	}
-}
-
-// v1OnlyProxy forwards to a real backend but rejects v2 batch bodies
-// the way a pre-v2 server would (it never learned the "items" field,
-// finds no tiles, answers 400).
-func v1OnlyProxy(t *testing.T, backend http.Handler) *httptest.Server {
-	t.Helper()
-	var rejected int
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && r.URL.Path == "/batch" {
-			body, _ := io.ReadAll(r.Body)
-			r.Body.Close()
-			// A v1 server never learned the version field: any framed
-			// request decodes to zero tiles and is rejected.
-			if strings.Contains(string(body), `"v":2`) || strings.Contains(string(body), `"v":3`) {
-				rejected++
-				http.Error(w, "empty batch", http.StatusBadRequest)
-				return
-			}
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			r.ContentLength = int64(len(body))
-		}
-		backend.ServeHTTP(w, r)
-	})
-	hs := httptest.NewServer(h)
-	t.Cleanup(hs.Close)
-	return hs
-}
-
-// TestV2FallsBackToV1 covers negotiation: against a v1-only server the
-// client downgrades once, remembers it, and keeps working through the
-// v1 paths.
-func TestV2FallsBackToV1(t *testing.T) {
-	db, ca := multiLayerApp(t, 1500)
-	srv, err := server.New(db, ca, server.Options{
-		CacheBytes: 8 << 20,
-		Precompute: fetch.Options{
-			BuildSpatial: true,
-			TileSizes:    []float64{256},
-			MappingIndex: sqldb.IndexBTree,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := v1OnlyProxy(t, srv.Handler())
-
-	c, err := NewClient(hs.URL, ca, Options{
-		Scheme:     fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 256},
-		Codec:      server.CodecJSON,
-		CacheBytes: 16 << 20,
-		BatchSize:  8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Load()
-	if err != nil {
-		t.Fatalf("load should downgrade to v1, got: %v", err)
-	}
-	if !c.v1Fallback {
-		t.Fatal("client should remember the v1 downgrade")
-	}
-	if rep.Rows == 0 || rep.Requests == 0 {
-		t.Fatalf("fallback load fetched nothing: %+v", rep)
-	}
-	if rep.FirstFrame != 0 {
-		t.Fatalf("v1 fallback should not report FirstFrame, got %v", rep.FirstFrame)
-	}
-	// Later interactions go straight to v1 (no second rejected v2
-	// attempt): pan and confirm it still works.
-	if _, err := c.PanBy(600, 0); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := c.ObjectsInViewport(0)
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("fallback client sees %d objects, %v", len(rows), err)
-	}
-
-	// Forcing v2 against the same server is a hard error, not a
-	// silent downgrade.
-	fc, err := NewClient(hs.URL, ca, Options{
-		Scheme:        fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 256},
-		Codec:         server.CodecJSON,
-		CacheBytes:    16 << 20,
-		BatchProtocol: ProtocolV2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fc.Load(); err == nil {
-		t.Fatal("forced v2 against a v1-only server must fail")
 	}
 }
 
@@ -323,25 +296,22 @@ func TestV2PerFrameErrorIsolation(t *testing.T) {
 	// Hand-build a batch with one good and one broken item through the
 	// internal path the viewport fetch uses.
 	var got []int
-	subs := []v2Sub{
+	subs := []batchSub{
 		{item: server.BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 500, MaxY: 500},
 			merge: func(fr frameResult) { got = append(got, len(fr.dr.Rows)) }},
 		{item: server.BatchItem{Kind: "dbox", Layer: 9, MinX: 0, MinY: 0, MaxX: 500, MaxY: 500},
 			merge: func(fr frameResult) { t.Error("broken item must not merge") }},
 	}
 	var rep FetchReport
-	err = c.runBatchV2(subs, &rep, time.Now())
+	err = c.runBatch(subs, &rep, time.Now())
 	if err == nil {
 		t.Fatal("batch with a broken item should surface the error")
 	}
 	if len(got) != 1 || got[0] == 0 {
 		t.Fatalf("good sibling did not merge: %v", got)
 	}
-	// The server accepted the protocol and streamed the batch; a
-	// per-frame error must still settle negotiation, or chunked
-	// fetches would re-negotiate (and never overlap) forever.
-	if !c.protoConfirmed {
-		t.Fatal("per-frame error left the protocol unconfirmed")
+	if rep.Requests != 1 || rep.Rows != got[0] {
+		t.Fatalf("report = %+v, want one round trip carrying the good sibling's %d rows", rep, got[0])
 	}
 }
 

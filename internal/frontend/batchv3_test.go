@@ -2,11 +2,7 @@ package frontend
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -16,152 +12,34 @@ import (
 	"kyrix/internal/wire"
 )
 
-// v2OnlyProxy forwards to a real backend but rejects v3 batch bodies
-// the way a v2-era server does (unknown protocol version at dispatch).
-func v2OnlyProxy(t *testing.T, backend http.Handler) (*httptest.Server, *int) {
-	t.Helper()
-	rejected := new(int)
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && r.URL.Path == "/batch" {
-			body, _ := io.ReadAll(r.Body)
-			r.Body.Close()
-			if strings.Contains(string(body), `"v":3`) {
-				*rejected++
-				http.Error(w, "unsupported batch protocol v3", http.StatusBadRequest)
-				return
-			}
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			r.ContentLength = int64(len(body))
-		}
-		backend.ServeHTTP(w, r)
-	})
-	hs := httptest.NewServer(h)
-	t.Cleanup(hs.Close)
-	return hs, rejected
-}
-
 // TestV3AgainstV3Server: the happy path — compressed frames, wire
 // bytes below the logical payload bytes, and the same visible objects
-// as a forced-v1 client replaying the same trace.
+// as per-item GETs of the final viewport.
 func TestV3AgainstV3Server(t *testing.T) {
 	db, ca := multiLayerApp(t, 4000)
 	_, hs := startBackend(t, db, ca)
-	v3c, err := NewClient(hs.URL, ca, Options{
+	c, err := NewClient(hs.URL, ca, Options{
 		Scheme: fetch.DBox50, Codec: server.CodecJSON, CacheBytes: 16 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1c, err := NewClient(hs.URL, ca, Options{
-		Scheme: fetch.DBox50, Codec: server.CodecJSON, CacheBytes: 16 << 20,
-		BatchProtocol: ProtocolV1,
-	})
-	if err != nil {
+	if _, err := c.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PanBy(300, 80); err != nil {
 		t.Fatal(err)
 	}
 	var wireTotal, rawTotal int64
-	for _, cli := range []*Client{v3c, v1c} {
-		if _, err := cli.Load(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cli.PanBy(300, 80); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, rep := range v3c.TotalReports {
+	for _, rep := range c.TotalReports {
 		wireTotal += rep.WireBytes
 		rawTotal += rep.Bytes
 	}
-	if !v3c.protoConfirmed || v3c.v2Fallback || v3c.v1Fallback {
-		t.Fatalf("v3 negotiation state: confirmed=%v v2Fallback=%v v1Fallback=%v",
-			v3c.protoConfirmed, v3c.v2Fallback, v3c.v1Fallback)
-	}
 	if wireTotal <= 0 || rawTotal <= 0 || wireTotal >= rawTotal {
-		t.Fatalf("v3 JSON wire bytes %d not below logical bytes %d", wireTotal, rawTotal)
+		t.Fatalf("JSON wire bytes %d not below logical bytes %d", wireTotal, rawTotal)
 	}
 	for li := 0; li < 2; li++ {
-		a, _ := v3c.ObjectsInViewport(li)
-		b, _ := v1c.ObjectsInViewport(li)
-		if len(a) != len(b) || len(a) == 0 {
-			t.Fatalf("layer %d: v3 sees %d objects, v1 %d", li, len(a), len(b))
-		}
-	}
-}
-
-// TestV3FallsBackToV2 covers the middle rung of the ladder: a server
-// that speaks v2 but not v3 costs exactly one rejected v3 attempt,
-// the downgrade is remembered, and the framed path keeps working.
-func TestV3FallsBackToV2(t *testing.T) {
-	db, ca := multiLayerApp(t, 2000)
-	srv, _ := startBackend(t, db, ca)
-	hs, rejected := v2OnlyProxy(t, srv.Handler())
-
-	c, err := NewClient(hs.URL, ca, Options{
-		Scheme: fetch.DBoxExact, Codec: server.CodecJSON, CacheBytes: 16 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Load()
-	if err != nil {
-		t.Fatalf("load should downgrade to v2: %v", err)
-	}
-	if !c.v2Fallback || c.v1Fallback {
-		t.Fatalf("fallback state: v2Fallback=%v v1Fallback=%v", c.v2Fallback, c.v1Fallback)
-	}
-	if *rejected != 1 {
-		t.Fatalf("server saw %d rejected v3 attempts, want 1", *rejected)
-	}
-	if rep.Rows == 0 || rep.FirstFrame == 0 {
-		t.Fatalf("v2 fallback load fetched nothing: %+v", rep)
-	}
-	// Later interactions go straight to v2: no second v3 attempt.
-	if _, err := c.PanBy(600, 0); err != nil {
-		t.Fatal(err)
-	}
-	if *rejected != 1 {
-		t.Fatalf("pan retried v3: %d rejections", *rejected)
-	}
-	rows, err := c.ObjectsInViewport(0)
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("fallback client sees %d objects, %v", len(rows), err)
-	}
-
-	// Forcing v3 against the same server is a hard error, not a
-	// silent downgrade.
-	fc, err := NewClient(hs.URL, ca, Options{
-		Scheme: fetch.DBoxExact, Codec: server.CodecJSON, CacheBytes: 16 << 20,
-		BatchProtocol: ProtocolV3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fc.Load(); err == nil {
-		t.Fatal("forced v3 against a v2-only server must fail")
-	}
-}
-
-// TestV3DoubleDowngradeToV1: a v1-only server walks the whole ladder
-// (v3 rejected, v2 rejected, per-layer v1 path) in one Load.
-func TestV3DoubleDowngradeToV1(t *testing.T) {
-	db, ca := multiLayerApp(t, 1500)
-	srv, _ := startBackend(t, db, ca)
-	hs := v1OnlyProxy(t, srv.Handler())
-	c, err := NewClient(hs.URL, ca, Options{
-		Scheme: fetch.DBoxExact, Codec: server.CodecJSON, CacheBytes: 16 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Load()
-	if err != nil {
-		t.Fatalf("load should walk down to v1: %v", err)
-	}
-	if !c.v1Fallback {
-		t.Fatal("client should remember the v1 downgrade")
-	}
-	if rep.Rows == 0 {
-		t.Fatalf("v1 fallback load fetched nothing: %+v", rep)
+		checkPerItemObjects(t, hs.URL, c, li)
 	}
 }
 
@@ -189,64 +67,42 @@ func TestV3CompressionOffOverride(t *testing.T) {
 	}
 }
 
-// TestV3DeltaPan: an overlapping pan sequence ships deltas — fewer
-// wire bytes than the same pans over v2 — and reconstructs exactly the
-// rows a v1 client fetches in full. This covers tombstone apply: rows
-// leaving the box must disappear client-side.
+// TestV3DeltaPan: an overlapping pan sequence ships deltas — with
+// compression off, fewer wire bytes than the full payloads they stand
+// for — and reconstructs exactly the rows per-item GETs return. This
+// covers tombstone apply: rows leaving the box must disappear
+// client-side.
 func TestV3DeltaPan(t *testing.T) {
 	for _, codec := range []server.Codec{server.CodecJSON, server.CodecBinary} {
 		db, ca := multiLayerApp(t, 5000)
 		srv, hs := startBackend(t, db, ca)
-		newC := func(proto int) *Client {
-			c, err := NewClient(hs.URL, ca, Options{
-				Scheme: fetch.DBoxExact, Codec: codec, CacheBytes: 16 << 20,
-				BatchProtocol: proto,
-			})
+		c, err := NewClient(hs.URL, ca, Options{
+			Scheme: fetch.DBoxExact, Codec: codec, CacheBytes: 16 << 20,
+			Compression: CompressionOff,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Load(); err != nil {
+			t.Fatal(err)
+		}
+		var wire, raw int64
+		for i := 0; i < 4; i++ {
+			rep, err := c.PanBy(120, 30) // ~70% overlap per step
 			if err != nil {
 				t.Fatal(err)
 			}
-			return c
+			wire += rep.WireBytes
+			raw += rep.Bytes
 		}
-		pans := func(c *Client) int64 {
-			if _, err := c.Load(); err != nil {
-				t.Fatal(err)
-			}
-			var wire int64
-			for i := 0; i < 4; i++ {
-				rep, err := c.PanBy(120, 30) // ~70% overlap per step
-				if err != nil {
-					t.Fatal(err)
-				}
-				wire += rep.WireBytes
-			}
-			return wire
-		}
-		v3c, v2c, v1c := newC(ProtocolV3), newC(ProtocolV2), newC(ProtocolV1)
-		wireV3 := pans(v3c)
-		deltas := srv.Stats.DeltaFrames.Load()
-		wireV2 := pans(v2c)
-		_ = pans(v1c)
-		if deltas == 0 {
+		if srv.Stats.DeltaFrames.Load() == 0 {
 			t.Fatalf("codec %s: overlapping pans produced no delta frames", codec)
 		}
-		if wireV3 >= wireV2 {
-			t.Fatalf("codec %s: v3 pan wire bytes %d not below v2's %d", codec, wireV3, wireV2)
+		if wire >= raw {
+			t.Fatalf("codec %s: uncompressed pan wire bytes %d not below the full payloads' %d", codec, wire, raw)
 		}
 		for li := 0; li < 2; li++ {
-			a, _ := v3c.ObjectsInViewport(li)
-			b, _ := v1c.ObjectsInViewport(li)
-			if len(a) != len(b) || len(a) == 0 {
-				t.Fatalf("codec %s layer %d: v3 sees %d objects, v1 %d", codec, li, len(a), len(b))
-			}
-			ids := make(map[int64]bool, len(a))
-			for _, row := range a {
-				ids[row[0].AsInt()] = true
-			}
-			for _, row := range b {
-				if !ids[row[0].AsInt()] {
-					t.Fatalf("codec %s layer %d: v3 missing row %d", codec, li, row[0].AsInt())
-				}
-			}
+			checkPerItemObjects(t, hs.URL, c, li)
 		}
 	}
 }
@@ -264,33 +120,18 @@ func TestV3DeltaBaseEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1c, err := NewClient(hs.URL, ca, Options{
-		Scheme: fetch.DBoxExact, Codec: server.CodecJSON, CacheBytes: 16 << 20,
-		BatchProtocol: ProtocolV1,
-	})
-	if err != nil {
+	if _, err := c.Load(); err != nil {
 		t.Fatal(err)
-	}
-	for _, cli := range []*Client{c, v1c} {
-		if _, err := cli.Load(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	srv.BackendCache().Clear() // evict every would-be delta base
 	deltasBefore := srv.Stats.DeltaFrames.Load()
-	for _, cli := range []*Client{c, v1c} {
-		if _, err := cli.PanBy(150, 0); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := c.PanBy(150, 0); err != nil {
+		t.Fatal(err)
 	}
 	if got := srv.Stats.DeltaFrames.Load(); got != deltasBefore {
 		t.Fatalf("server delta-encoded %d frames against an evicted base", got-deltasBefore)
 	}
-	a, _ := c.ObjectsInViewport(0)
-	b, _ := v1c.ObjectsInViewport(0)
-	if len(a) != len(b) || len(a) == 0 {
-		t.Fatalf("full-frame fallback sees %d objects, v1 %d", len(a), len(b))
-	}
+	checkPerItemObjects(t, hs.URL, c, 0)
 }
 
 // TestV3PrefetchDeclaresDeltaBase: a momentum-style prefetch of a box
@@ -301,13 +142,6 @@ func TestV3PrefetchDeclaresDeltaBase(t *testing.T) {
 	srv, hs := startBackend(t, db, ca)
 	c, err := NewClient(hs.URL, ca, Options{
 		Scheme: fetch.DBoxExact, Codec: server.CodecJSON, CacheBytes: 16 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1c, err := NewClient(hs.URL, ca, Options{
-		Scheme: fetch.DBoxExact, Codec: server.CodecJSON, CacheBytes: 16 << 20,
-		BatchProtocol: ProtocolV1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -324,22 +158,12 @@ func TestV3PrefetchDeclaresDeltaBase(t *testing.T) {
 		t.Fatalf("overlapping prefetch shipped %d delta frames, want 2", got)
 	}
 	// Pan into the prefetched region; the promoted box must hold the
-	// same rows a v1 client fetches in full.
+	// same rows per-item GETs return.
 	if _, err := c.Pan(next); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v1c.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v1c.Pan(next); err != nil {
-		t.Fatal(err)
-	}
 	for li := 0; li < 2; li++ {
-		a, _ := c.ObjectsInViewport(li)
-		b, _ := v1c.ObjectsInViewport(li)
-		if len(a) != len(b) || len(a) == 0 {
-			t.Fatalf("layer %d: prefetched-delta sees %d objects, v1 %d", li, len(a), len(b))
-		}
+		checkPerItemObjects(t, hs.URL, c, li)
 	}
 	// The promoted box carries its payload identity, so the next pan
 	// can delta against it.
@@ -354,31 +178,31 @@ func TestV3PrefetchDeclaresDeltaBase(t *testing.T) {
 // as errors instead of panics or silent misdecodes.
 func TestDecodeFrameCorrupt(t *testing.T) {
 	c := &Client{opts: Options{Codec: server.CodecJSON}}
-	dboxSub := &v2Sub{item: server.BatchItem{Kind: "dbox"}}
+	dboxSub := &batchSub{item: server.BatchItem{Kind: "dbox"}}
 
 	if _, err := c.decodeFrame(dboxSub, wire.Frame{
 		Codec: wire.CodecFlate, Payload: []byte{0xde, 0xad, 0xbe, 0xef},
-	}, 3); err == nil {
+	}); err == nil {
 		t.Fatal("corrupt flate payload must error")
 	}
 	good, _ := wire.Compress(bytes.Repeat([]byte(`{"cols":[]}`), 50))
 	if _, err := c.decodeFrame(dboxSub, wire.Frame{
 		Codec: wire.CodecFlate, Payload: good[:len(good)/2],
-	}, 3); err == nil {
+	}); err == nil {
 		t.Fatal("truncated flate payload must error")
 	}
 	if _, err := c.decodeFrame(dboxSub, wire.Frame{
 		Codec: wire.CodecDelta, Payload: []byte{0x01},
-	}, 3); err == nil {
+	}); err == nil {
 		t.Fatal("delta for a baseless sub must error")
 	}
-	withBase := &v2Sub{
+	withBase := &batchSub{
 		item: server.BatchItem{Kind: "dbox"},
 		base: &boxState{data: &server.DataResponse{}},
 	}
 	if _, err := c.decodeFrame(withBase, wire.Frame{
 		Codec: wire.CodecDelta, Payload: []byte{0x01},
-	}, 3); err == nil {
+	}); err == nil {
 		t.Fatal("truncated delta body must error")
 	}
 	// The happy flate path through decodeFrame still works: a valid
@@ -389,7 +213,7 @@ func TestDecodeFrameCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	comp, _ := wire.Compress(payload)
-	if fr, err := c.decodeFrame(dboxSub, wire.Frame{Codec: wire.CodecFlate, Payload: comp}, 3); err != nil || fr.dr == nil {
+	if fr, err := c.decodeFrame(dboxSub, wire.Frame{Codec: wire.CodecFlate, Payload: comp}); err != nil || fr.dr == nil {
 		t.Fatalf("valid flate frame failed: %v", err)
 	} else if fr.rawN != int64(len(payload)) {
 		t.Fatalf("rawN = %d, want inflated size %d", fr.rawN, len(payload))
@@ -465,30 +289,27 @@ func TestParallelChunkErrorIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.Load(); err != nil {
-		t.Fatal(err) // confirms the protocol so later chunks overlap
+		t.Fatal(err)
 	}
 	// Hand-build > MaxBatchItems subs so the parallel path engages,
 	// half of them broken (no such layer).
-	var subs []v2Sub
+	var subs []batchSub
 	merged := 0
 	for i := 0; i < server.MaxBatchItems+8; i++ {
 		layer := 0
 		if i%2 == 1 {
 			layer = 9 // broken
 		}
-		subs = append(subs, v2Sub{
+		subs = append(subs, batchSub{
 			item: server.BatchItem{Kind: "dbox", Layer: layer,
 				MinX: float64(i), MinY: 0, MaxX: float64(i) + 50, MaxY: 50},
 			merge: func(fr frameResult) { merged++ },
 		})
 	}
 	var rep FetchReport
-	err = c.runBatchV2(subs, &rep, time.Now())
+	err = c.runBatch(subs, &rep, time.Now())
 	if err == nil {
 		t.Fatal("broken items must surface an error")
-	}
-	if errors.Is(err, errServerIsV1) || errors.Is(err, errServerNoV3) {
-		t.Fatalf("post-negotiation failure must not be a downgrade sentinel: %v", err)
 	}
 	if merged != (server.MaxBatchItems+8)/2 {
 		t.Fatalf("good siblings merged %d times, want %d", merged, (server.MaxBatchItems+8)/2)

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"image/color"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"testing"
@@ -92,7 +93,7 @@ func testApp(t testing.TB, n int) (*sqldb.DB, *spec.CompiledApp) {
 func startBackend(t testing.TB, db *sqldb.DB, ca *spec.CompiledApp) (*server.Server, *httptest.Server) {
 	t.Helper()
 	srv, err := server.New(db, ca, server.Options{
-		CacheBytes: 8 << 20,
+		Cache: server.CacheOptions{L1: server.L1CacheOptions{Bytes: 8 << 20}},
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{256},
@@ -562,35 +563,45 @@ func TestPrefetchTilesBatched(t *testing.T) {
 }
 
 func TestBatchSizeClampedToServerLimit(t *testing.T) {
-	// A BatchSize above the server's MaxBatchTiles must be split
-	// client-side, not rejected with 400 by the server.
-	c, _ := newTestClient(t, Options{
-		Scheme:     fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 256},
+	// A viewport needing more tile items than the server's
+	// MaxBatchItems — under a BatchSize above that limit — is split
+	// client-side into MaxBatchItems-sized /batch chunks, not rejected
+	// with 400 by the server.
+	c, srv := newTestClient(t, Options{
+		Scheme:     fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 16},
 		Codec:      server.CodecJSON,
 		CacheBytes: 16 << 20,
-		BatchSize:  server.MaxBatchTiles + 100,
+		BatchSize:  server.MaxBatchItems + 100,
 	})
-	if _, err := c.Load(); err != nil {
-		t.Fatalf("oversized BatchSize must be clamped, got: %v", err)
+	rep, err := c.Load()
+	if err != nil {
+		t.Fatalf("oversized viewport must be chunked, got: %v", err)
+	}
+	n := len(fetch.TilesNeeded(c.Viewport(), 16, c.Canvas().W, c.Canvas().H))
+	want := (n + server.MaxBatchItems - 1) / server.MaxBatchItems
+	if want < 2 {
+		t.Fatalf("workload too small to chunk: %d tiles", n)
+	}
+	if rep.Requests != want || srv.Stats.BatchRequests.Load() != int64(want) {
+		t.Fatalf("%d tiles took %d round trips (server saw %d batches), want %d",
+			n, rep.Requests, srv.Stats.BatchRequests.Load(), want)
 	}
 	rows, err := c.ObjectsInViewport(1)
 	if err != nil || len(rows) == 0 {
-		t.Fatalf("clamped batch load broken: %d rows, %v", len(rows), err)
+		t.Fatalf("chunked batch load broken: %d rows, %v", len(rows), err)
 	}
 }
 
 func TestBatchChunksRunConcurrently(t *testing.T) {
-	// v1 protocol: BatchSize 2 over a viewport needing >= 4 tiles
-	// produces several chunks; with FetchConcurrency they must still
-	// all land. (Under v2 the whole viewport is one framed round trip,
-	// so this pins ProtocolV1 to keep the chunked path covered.)
+	// A viewport past MaxBatchItems tile items produces several /batch
+	// chunks; with FetchConcurrency they overlap and must still all
+	// land, matching a per-tile reference client.
 	c, srv := newTestClient(t, Options{
-		Scheme:           fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 256},
+		Scheme:           fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 16},
 		Codec:            server.CodecJSON,
 		CacheBytes:       16 << 20,
-		BatchSize:        2,
+		BatchSize:        8,
 		FetchConcurrency: 4,
-		BatchProtocol:    ProtocolV1,
 	})
 	rep, err := c.Load()
 	if err != nil {
@@ -614,6 +625,84 @@ func TestBatchChunksRunConcurrently(t *testing.T) {
 	rows, _ := c.ObjectsInViewport(1)
 	if len(rows) != len(refRows) {
 		t.Fatalf("concurrent-chunk client sees %d objects, reference %d", len(rows), len(refRows))
+	}
+}
+
+// TestStaticLayerAndPrefetchBoxRideBatch: with the per-layer GET /dbox
+// path gone, a static data layer and a PrefetchBox each cost exactly
+// one /batch round trip — even for a per-tile client — and both
+// declare the box already held as their delta base.
+func TestStaticLayerAndPrefetchBoxRideBatch(t *testing.T) {
+	db, ca := multiLayerApp(t, 2000, func(a *spec.App) { a.Canvases[0].Layers[1].Static = true })
+	srv, hs := startBackend(t, db, ca)
+	ct := &countingTransport{}
+	c, err := NewClient(hs.URL, ca, Options{
+		Scheme:     fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 256},
+		Codec:      server.CodecJSON,
+		CacheBytes: 16 << 20,
+		HTTPClient: &http.Client{Transport: ct},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneBatch := func(what string, layer int) server.BatchItem {
+		t.Helper()
+		if got := ct.count("/batch"); got != 1 || ct.count("/dbox") != 0 {
+			t.Fatalf("%s: %d /batch and %d /dbox round trips, want one batch", what, got, ct.count("/dbox"))
+		}
+		if items := ct.batches[0].Items; len(items) != 1 || items[0].Kind != "dbox" || items[0].Layer != layer {
+			t.Fatalf("%s: batch items = %+v, want one dbox for layer %d", what, items, layer)
+		}
+		return ct.batches[0].Items[0]
+	}
+
+	// Load: layer 0's tiles go tile by tile, the static layer rides one
+	// batch; there is no held box to declare yet.
+	ct.reset()
+	if _, err := c.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if ct.count("/tile") == 0 {
+		t.Fatal("per-tile layer issued no GET /tile")
+	}
+	if it := oneBatch("first load", 1); it.Base != nil {
+		t.Fatalf("first load declared base %+v with nothing held", it.Base)
+	}
+	// Reloading declares the held canvas box, and the server proves it:
+	// an unchanged box ships as a delta.
+	ct.reset()
+	deltas := srv.Stats.DeltaFrames.Load()
+	if _, err := c.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if it := oneBatch("reload", 1); it.Base == nil {
+		t.Fatal("reload did not declare the held static box")
+	}
+	if srv.Stats.DeltaFrames.Load() != deltas+1 {
+		t.Fatal("reload of the static layer did not ship as a delta")
+	}
+	if rows, _ := c.ObjectsInViewport(1); len(rows) == 0 {
+		t.Fatal("static layer empty after reload")
+	}
+
+	// PrefetchBox is a one-layer PrefetchBoxes: one batch, the layer's
+	// held box declared as base (a dbox client's dynamic layer 0).
+	d, err := NewClient(hs.URL, ca, Options{
+		Scheme: fetch.DBoxExact, Codec: server.CodecJSON, CacheBytes: 16 << 20,
+		HTTPClient: &http.Client{Transport: ct},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Load(); err != nil {
+		t.Fatal(err)
+	}
+	ct.reset()
+	if err := d.PrefetchBox(0, d.Viewport().Translate(100, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if it := oneBatch("PrefetchBox", 0); it.Base == nil {
+		t.Fatal("PrefetchBox did not declare the held box")
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 func TestBatchStreamKeepsConnectionAlive(t *testing.T) {
 	db, ca := multiLayerApp(t, 3000)
 	srv, err := server.New(db, ca, server.Options{
-		CacheBytes: 8 << 20,
+		Cache:      server.CacheOptions{L1: server.L1CacheOptions{Bytes: 8 << 20}},
 		Precompute: fetch.Options{BuildSpatial: true},
 	})
 	if err != nil {
@@ -70,8 +70,8 @@ func TestBatchStreamKeepsConnectionAlive(t *testing.T) {
 	// The per-frame-error path drains too: the stream still ends cleanly
 	// after an error frame.
 	var rep FetchReport
-	bad := []v2Sub{{item: server.BatchItem{Kind: "dbox", Layer: 99, MaxX: 10, MaxY: 10}}}
-	if err := c.postBatchFramed(3, bad, &rep, time.Now(), func(f func()) { f() }); err == nil {
+	bad := []batchSub{{item: server.BatchItem{Kind: "dbox", Layer: 99, MaxX: 10, MaxY: 10}}}
+	if err := c.postBatch(bad, &rep, time.Now(), func(f func()) { f() }); err == nil {
 		t.Fatal("bad layer must surface as a frame error")
 	}
 	if _, err := c.PanBy(7, 3); err != nil {
@@ -138,7 +138,7 @@ func taggedApp(t *testing.T, rng *rand.Rand, n int) (*sqldb.DB, *spec.CompiledAp
 func postOneV3(t *testing.T, url string, codec server.Codec, comp string, it server.BatchItem) wire.Frame {
 	t.Helper()
 	body, _ := json.Marshal(server.BatchRequestV2{
-		V: server.BatchV3Version, Canvas: "main", Codec: codec, Comp: comp, Items: []server.BatchItem{it},
+		V: wire.V3, Canvas: "main", Codec: codec, Comp: comp, Items: []server.BatchItem{it},
 	})
 	resp, err := http.Post(url+"/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -198,8 +198,8 @@ func TestV3DeltaApplyReconstructsFullPayload(t *testing.T) {
 			if f.Codec.IsDelta() {
 				deltas++
 			}
-			sub := &v2Sub{item: it, base: &boxState{box: base, data: heldDR, wireID: wire.PayloadID(held)}}
-			fr, err := c.decodeFrame(sub, f, 3)
+			sub := &batchSub{item: it, base: &boxState{box: base, data: heldDR, wireID: wire.PayloadID(held)}}
+			fr, err := c.decodeFrame(sub, f)
 			if err != nil {
 				t.Fatalf("%s trial %d: %v", codec, trial, err)
 			}

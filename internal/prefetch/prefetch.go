@@ -151,11 +151,10 @@ type BoxFetcher interface {
 
 // BoxBatchFetcher warms several layers' prefetch slots with one box in
 // a single call; the frontend client's PrefetchBoxes satisfies it,
-// riding one framed /batch round trip when a framed protocol (v2/v3)
-// is negotiated. Under v3 the fetcher declares each layer's current
-// box as the delta base, so a momentum prefetch one viewport ahead —
-// which overlaps the current box heavily by construction — ships
-// mostly as entering rows instead of a full payload. A Prefetcher
+// riding one /batch round trip. The fetcher declares each layer's
+// current box as the delta base, so a momentum prefetch one viewport
+// ahead — which overlaps the current box heavily by construction —
+// ships mostly as entering rows instead of a full payload. A Prefetcher
 // prefers it over per-layer PrefetchBox.
 type BoxBatchFetcher interface {
 	PrefetchBoxes(layers []int, box geom.Rect) error
@@ -188,9 +187,8 @@ func NewPrefetcher(pred Predictor, fetcher BoxFetcher, layers []int, bounds geom
 // the user-visible response time, so prefetch cost stays off the
 // interaction path, like ForeCache's background fetches.) A fetcher
 // that also implements BoxBatchFetcher receives all layers in one
-// call — one round trip for the whole prediction under the framed
-// batch protocols, delta-encoded against the current boxes under v3 —
-// instead of one PrefetchBox per layer.
+// call — one round trip for the whole prediction, delta-encoded
+// against the current boxes — instead of one PrefetchBox per layer.
 func (p *Prefetcher) OnPan(viewport geom.Rect) {
 	p.pred.Observe(viewport)
 	next, ok := p.pred.Predict()

@@ -4,25 +4,211 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
 	"time"
 
 	"kyrix/internal/geom"
+	"kyrix/internal/obs"
+	"kyrix/internal/wire"
 )
 
-// handleBatchDispatch routes POST /batch to the v1 buffered-JSON
-// handler or the v2 framed-stream handler (batchv2.go) on the body's
-// protocol version.
-func (s *Server) handleBatchDispatch(w http.ResponseWriter, r *http.Request) {
+// The /batch endpoint: one viewport's tile and dynamic-box sub-requests
+// in, a length-prefixed binary framed stream (wire v3) out, flushed as
+// each sub-result completes so the client renders layers as they
+// arrive. OK payloads may be DEFLATE-compressed, and dynamic-box frames
+// may be delta-encoded against a base box the client declares it
+// already holds (batchv3.go).
+//
+// The frame codec itself (header/frame layout, compression, the delta
+// format) lives in the internal/wire package shared with the frontend;
+// this file owns the HTTP endpoint and the per-item serving path. See
+// the package doc of internal/wire for the byte-level layout and
+// kyrix's root package doc for the protocol overview.
+
+// BatchV3ContentType is the Content-Type of a /batch response stream;
+// the frontend checks it before reading frames.
+const BatchV3ContentType = "application/x-kyrix-batch-v3"
+
+// MaxBatchItems bounds one /batch request; the frontend splits larger
+// viewports into multiple (overlapped) round trips.
+const MaxBatchItems = 256
+
+// Frame types and enums are shared with the frontend through
+// internal/wire; the aliases keep the server API (and its callers)
+// stable across the extraction.
+type (
+	// FrameKind tags what a frame carries.
+	FrameKind = wire.FrameKind
+	// FrameStatus is the per-frame outcome.
+	FrameStatus = wire.FrameStatus
+	// FrameCodec is the per-frame payload encoding.
+	FrameCodec = wire.FrameCodec
+	// Frame is one decoded stream frame.
+	Frame = wire.Frame
+)
+
+// Frame kinds.
+const (
+	FrameTile = wire.FrameTile
+	FrameDBox = wire.FrameDBox
+)
+
+// Frame statuses.
+const (
+	FrameOK         = wire.FrameOK
+	FrameBadRequest = wire.FrameBadRequest
+	FrameInternal   = wire.FrameInternal
+)
+
+// Frame codecs.
+const (
+	FrameRaw        = wire.CodecRaw
+	FrameFlate      = wire.CodecFlate
+	FrameDelta      = wire.CodecDelta
+	FrameDeltaFlate = wire.CodecDeltaFlate
+)
+
+// BaseRef declares the dynamic box a client already holds, offered as
+// the delta base for a dbox item: its bounds plus the identity of the
+// exact payload bytes (wire.PayloadID, hex-encoded — JSON numbers
+// cannot carry a full uint64). The server only delta-encodes when its
+// cached copy of that box hashes identically.
+type BaseRef struct {
+	MinX float64 `json:"minx"`
+	MinY float64 `json:"miny"`
+	MaxX float64 `json:"maxx"`
+	MaxY float64 `json:"maxy"`
+	ID   string  `json:"id"`
+}
+
+// Box returns the base's rectangle.
+func (b BaseRef) Box() geom.Rect {
+	return geom.Rect{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}
+}
+
+// BatchItem is one sub-request of a batch: a tile (Col/Row/Size/
+// Design) or a dynamic box (MinX..MaxY), each addressing its own layer
+// of the request's canvas. Base (dbox only) declares a delta base.
+type BatchItem struct {
+	Kind   string   `json:"kind"` // "tile" | "dbox"
+	Layer  int      `json:"layer"`
+	Size   float64  `json:"size,omitempty"`
+	Design string   `json:"design,omitempty"`
+	Col    int      `json:"col,omitempty"`
+	Row    int      `json:"row,omitempty"`
+	MinX   float64  `json:"minx,omitempty"`
+	MinY   float64  `json:"miny,omitempty"`
+	MaxX   float64  `json:"maxx,omitempty"`
+	MaxY   float64  `json:"maxy,omitempty"`
+	Base   *BaseRef `json:"base,omitempty"`
+}
+
+// Box returns the dbox item's rectangle.
+func (it BatchItem) Box() geom.Rect {
+	return geom.Rect{MinX: it.MinX, MinY: it.MinY, MaxX: it.MaxX, MaxY: it.MaxY}
+}
+
+// Compression modes for BatchRequestV2.Comp.
+const (
+	// CompFlate (the default, also selected by "") lets the server
+	// DEFLATE-compress OK payloads that pass the worth-it heuristic.
+	CompFlate = "flate"
+	// CompOff forces raw payloads (ablations, pre-compressed codecs).
+	CompOff = "off"
+)
+
+// BatchRequestV2 is the POST /batch body: one viewport's worth of tile
+// and dbox sub-requests against one canvas, answered as a framed
+// stream. V must be wire.V3 — a body without it (the retired v1/v2
+// shapes) is rejected with 400 before anything is served. Comp
+// ("flate"|"off") selects per-request compression.
+type BatchRequestV2 struct {
+	V      int         `json:"v"`
+	Canvas string      `json:"canvas"`
+	Codec  Codec       `json:"codec,omitempty"`
+	Comp   string      `json:"comp,omitempty"`
+	Items  []BatchItem `json:"items"`
+}
+
+// frameWriter serializes concurrent frame writes onto one HTTP
+// response, flushing after each frame so the client renders sub-
+// results as they complete instead of waiting for the whole batch.
+type frameWriter struct {
+	// flushHist, when set, gets one sample per frame covering the
+	// serialized write + flush; assigned once before any worker runs.
+	flushHist *obs.Histogram
+	mu        sync.Mutex
+	w         io.Writer    // guarded by mu
+	fl        http.Flusher // guarded by mu
+	err       error        // guarded by mu; first write error; later writes are dropped
+	// bytes counts payload bytes as written (post-compression/delta);
+	// rawBytes counts the full-frame equivalent (what a raw frame would
+	// have carried) — the pair is the stream's compression ratio.
+	bytes    int64 // guarded by mu
+	rawBytes int64 // guarded by mu
+}
+
+func newFrameWriter(w http.ResponseWriter) *frameWriter {
+	fw := &frameWriter{w: w}
+	if fl, ok := w.(http.Flusher); ok {
+		fw.fl = fl
+	}
+	return fw
+}
+
+func (fw *frameWriter) writeFrame(f Frame, rawLen int) {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if fw.err != nil {
+		return // client went away; drain remaining work silently
+	}
+	start := time.Now()
+	if err := wire.WriteFrame(fw.w, wire.V3, f); err != nil {
+		fw.err = err
+		return
+	}
+	fw.bytes += int64(len(f.Payload))
+	fw.rawBytes += int64(rawLen)
+	if fw.fl != nil {
+		fw.fl.Flush()
+	}
+	fw.flushHist.Observe(time.Since(start))
+}
+
+// totals reads the stream's byte counters under the writer lock (the
+// batch has joined its workers by the time this is called, but the
+// guarded fields are machine-checked — see internal/analysis).
+func (fw *frameWriter) totals() (bytes, rawBytes int64) {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return fw.bytes, fw.rawBytes
+}
+
+// handleBatch answers POST /batch: tile and dbox sub-requests against
+// one canvas, served concurrently under the bounded worker pool and
+// streamed back as binary frames in completion order. Every item goes
+// through the same cache + coalescing path as its single-request
+// equivalent, so a batch overlapping another client's requests still
+// runs each query once; OK payloads ship in their compressed form or
+// as a delta (batchv3.go).
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	v1, v2, err := decodeBatchBody(w, r)
-	if err != nil {
+	// A valid request is a few KB (MaxBatchItems items plus header
+	// fields); cap the body so an oversized request is rejected while
+	// decoding instead of allocated in full first.
+	var req BatchRequestV2
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if req.V != wire.V3 {
+		http.Error(w, fmt.Sprintf("unsupported batch protocol v%d", req.V), http.StatusBadRequest)
 		return
 	}
 	// The root span of the whole batch; per-item spans hang off it from
@@ -34,85 +220,14 @@ func (s *Server) handleBatchDispatch(w http.ResponseWriter, r *http.Request) {
 		s.obs.stageBatch.Observe(time.Since(start))
 		sp.End()
 	}()
-	if v2 != nil {
-		sp.Attr("proto", v2.V)
-		sp.Attr("items", len(v2.Items))
-		s.handleBatchV2(ctx, w, v2)
-		return
-	}
-	sp.Attr("proto", 1)
-	sp.Attr("items", len(v1.Tiles))
-	s.handleBatch(ctx, w, v1)
-}
+	sp.Attr("items", len(req.Items))
 
-// MaxBatchTiles bounds one /batch request; the frontend splits larger
-// fetches into multiple round trips (see frontend fetchTileBatches).
-const MaxBatchTiles = 256
-
-// TileRef addresses one tile within a batch request.
-type TileRef struct {
-	Col int `json:"col"`
-	Row int `json:"row"`
-}
-
-// BatchRequest is the POST /batch body: many tiles of one layer
-// fetched in a single round trip. Design and Codec default to
-// "spatial" and JSON.
-type BatchRequest struct {
-	Canvas string    `json:"canvas"`
-	Layer  int       `json:"layer"`
-	Size   float64   `json:"size"`
-	Design string    `json:"design,omitempty"`
-	Codec  Codec     `json:"codec,omitempty"`
-	Tiles  []TileRef `json:"tiles"`
-}
-
-// BatchTile is one tile's result inside a BatchResponse. Data is the
-// tile payload encoded with the request codec (base64 inside the JSON
-// envelope); Err is set instead when that tile failed.
-type BatchTile struct {
-	Col  int    `json:"col"`
-	Row  int    `json:"row"`
-	Data []byte `json:"data,omitempty"`
-	Err  string `json:"err,omitempty"`
-}
-
-// BatchResponse is the POST /batch reply, tiles in request order.
-type BatchResponse struct {
-	Tiles []BatchTile `json:"tiles"`
-}
-
-// handleBatch answers many tile requests in one round trip (protocol
-// v1: buffered JSON envelope, base64 payloads). Tiles are served
-// concurrently under a bounded worker pool; each goes through the same
-// cache + coalescing path as a single /tile request, so a batch
-// overlapping another client's requests still runs each query once.
-func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, req *BatchRequest) {
-	if len(req.Tiles) == 0 {
+	if len(req.Items) == 0 {
 		http.Error(w, "empty batch", http.StatusBadRequest)
 		return
 	}
-	if len(req.Tiles) > MaxBatchTiles {
-		http.Error(w, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Tiles), MaxBatchTiles), http.StatusBadRequest)
-		return
-	}
-	if req.Size <= 0 {
-		http.Error(w, "bad size", http.StatusBadRequest)
-		return
-	}
-	pl, ok := s.Layer(req.Canvas, req.Layer)
-	if !ok || pl.Table == "" {
-		http.Error(w, fmt.Sprintf("no data layer %s/%d", req.Canvas, req.Layer), http.StatusBadRequest)
-		return
-	}
-	design := req.Design
-	if design == "" {
-		design = "spatial"
-	}
-	if design != "spatial" && design != "mapping" {
-		// Request-level mistake: fail the batch like GET /tile would,
-		// instead of fanning out N identical per-tile errors.
-		http.Error(w, fmt.Sprintf("unknown design %q", design), http.StatusBadRequest)
+	if len(req.Items) > MaxBatchItems {
+		http.Error(w, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Items), MaxBatchItems), http.StatusBadRequest)
 		return
 	}
 	codec := req.Codec
@@ -120,78 +235,150 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, req *Ba
 		codec = CodecJSON
 	}
 	if codec != CodecJSON && codec != CodecBinary {
-		// Also request-level: without this every tile would run its
-		// query and then fail to encode.
 		http.Error(w, fmt.Sprintf("unknown codec %q", codec), http.StatusBadRequest)
+		return
+	}
+	var compress bool
+	switch req.Comp {
+	case "", CompFlate:
+		compress = true
+	case CompOff:
+	default:
+		http.Error(w, fmt.Sprintf("unknown compression %q", req.Comp), http.StatusBadRequest)
 		return
 	}
 
 	s.Stats.BatchRequests.Add(1)
-	s.Stats.TileRequests.Add(int64(len(req.Tiles)))
+	for i := range req.Items {
+		if req.Items[i].Kind == "dbox" {
+			s.Stats.BoxRequests.Add(1)
+		} else {
+			s.Stats.TileRequests.Add(1)
+		}
+	}
 
 	workers := s.opts.BatchConcurrency
 	if workers <= 0 {
-		// Automatic bound: scale with cores (tile queries are CPU-bound
-		// in the embedded DB), floored so small machines still overlap
+		// Automatic bound: scale with cores (queries are CPU-bound in
+		// the embedded DB), floored so small machines still overlap
 		// cache hits with query work.
 		workers = runtime.GOMAXPROCS(0)
 		if workers < 8 {
 			workers = 8
 		}
 	}
-	if workers > len(req.Tiles) {
-		workers = len(req.Tiles)
+	if workers > len(req.Items) {
+		workers = len(req.Items)
 	}
-	out := BatchResponse{Tiles: make([]BatchTile, len(req.Tiles))}
+
+	// Past this point errors are per-frame: the header commits the
+	// stream, so an item failure becomes an error frame, never an HTTP
+	// error code.
+	w.Header().Set("Content-Type", BatchV3ContentType)
+	fw := newFrameWriter(w)
+	fw.flushHist = s.obs.stageFlush
+	if err := wire.WriteHeader(w, wire.V3, len(req.Items)); err != nil {
+		return // client went away before the header landed
+	}
+
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
-	for i, ref := range req.Tiles {
-		bt := &out.Tiles[i]
-		bt.Col, bt.Row = ref.Col, ref.Row
-		if ref.Col < 0 || ref.Row < 0 {
-			bt.Err = "bad col/row"
-			continue
-		}
+	for i := range req.Items {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(ref TileRef, bt *BatchTile) {
+		go func(idx int, it BatchItem) {
 			defer func() { <-sem; wg.Done() }()
+			f := Frame{Index: idx, Kind: FrameTile}
+			if it.Kind == "dbox" {
+				f.Kind = FrameDBox
+			}
+			rawLen := 0
 			// net/http's panic recovery only covers the connection
 			// goroutine; a panic here would kill the whole process.
-			// Contain it as a per-tile error instead.
+			// Contain it as a per-frame error instead.
 			defer func() {
 				if r := recover(); r != nil {
-					bt.Err = fmt.Sprintf("internal: %v", r)
+					f.Status, f.Codec, f.Payload = FrameInternal, FrameRaw, []byte(fmt.Sprintf("internal: %v", r))
+					rawLen = len(f.Payload)
 				}
+				fw.writeFrame(f, rawLen)
 			}()
+			if it.Kind == "dbox" && it.Base != nil {
+				if s.ownsDBox(req.Canvas, it, codec) {
+					// Delta-eligible: hold the epoch read lock across
+					// query + delta plan so an /update cannot slip
+					// between them and pair a post-update result with
+					// a pre-update base.
+					s.epochMu.RLock()
+					defer s.epochMu.RUnlock()
+				} else {
+					// Non-owned in a cluster: the payload may arrive
+					// from a peer at a different epoch, and the
+					// content-blind id diff cannot prove a cross-epoch
+					// delta safe. Dropping the base ships a full frame
+					// (and keeps the peer hop outside epochMu, where a
+					// gossiped epoch adoption needs the write lock).
+					it.Base = nil
+				}
+			}
 			ictx, isp := s.tracer().Start(ctx, "item")
-			isp.Attr("kind", "tile")
+			isp.Attr("kind", it.Kind)
+			isp.Attr("layer", it.Layer)
 			itemStart := time.Now()
-			p, err := s.serveTile(ictx, pl, design, codec, req.Size, geom.TileID{Col: ref.Col, Row: ref.Row}, false)
-			s.obs.stageItem.Observe(time.Since(itemStart))
-			isp.End()
+			defer func() {
+				s.obs.stageItem.Observe(time.Since(itemStart))
+				isp.End()
+			}()
+			p, err := s.serveItem(ictx, req.Canvas, it, codec, false)
 			if err != nil {
-				bt.Err = err.Error()
+				f.Payload = []byte(err.Error())
+				rawLen = len(f.Payload)
+				if httpStatusOf(err) == http.StatusBadRequest {
+					f.Status = FrameBadRequest
+				} else {
+					f.Status = FrameInternal
+				}
 				return
 			}
-			bt.Data = p.raw
-		}(ref, bt)
+			rawLen = len(p.raw)
+			f.Payload, f.Codec = s.encodeFrame(ictx, req.Canvas, it, codec, p, compress)
+		}(i, req.Items[i])
 	}
 	wg.Wait()
+	// BytesServed stays the raw-payload count (comparable to /tile and
+	// /dbox); the wire-side count and savings land in their own stats.
+	wireBytes, rawBytes := fw.totals()
+	s.Stats.BytesServed.Add(rawBytes)
+	s.Stats.WireBytes.Add(wireBytes)
+}
 
-	data, err := json.Marshal(&out)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+// serveItem resolves and serves one batch item through the same
+// cache/coalescing path as the single-request endpoints. localOnly
+// (peer-originated fills) suppresses cluster forwarding.
+func (s *Server) serveItem(ctx context.Context, canvas string, it BatchItem, codec Codec, localOnly bool) (*payload, error) {
+	pl, ok := s.Layer(canvas, it.Layer)
+	if !ok || pl.Table == "" {
+		return nil, badRequestError{fmt.Errorf("no data layer %s/%d", canvas, it.Layer)}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	// Count raw payload bytes like /tile and /dbox do, not the
-	// base64-inflated JSON envelope, so batched and unbatched serving
-	// report comparable bytesServed.
-	var payloadBytes int64
-	for i := range out.Tiles {
-		payloadBytes += int64(len(out.Tiles[i].Data))
+	switch it.Kind {
+	case "tile", "":
+		if it.Size <= 0 {
+			return nil, badRequestError{fmt.Errorf("bad size %g", it.Size)}
+		}
+		if it.Col < 0 || it.Row < 0 {
+			return nil, badRequestError{fmt.Errorf("bad col/row %d/%d", it.Col, it.Row)}
+		}
+		design := it.Design
+		if design == "" {
+			design = "spatial"
+		}
+		return s.serveTile(ctx, pl, design, codec, it.Size, geom.TileID{Col: it.Col, Row: it.Row}, localOnly)
+	case "dbox":
+		box := it.Box()
+		if !box.Valid() {
+			return nil, badRequestError{fmt.Errorf("invalid box %+v", box)}
+		}
+		return s.serveBox(ctx, pl, codec, box, localOnly)
 	}
-	s.Stats.BytesServed.Add(payloadBytes)
-	_, _ = w.Write(data)
+	return nil, badRequestError{fmt.Errorf("unknown item kind %q", it.Kind)}
 }

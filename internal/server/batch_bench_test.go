@@ -13,16 +13,14 @@ import (
 	"kyrix/internal/wire"
 )
 
-// The batch benchmarks compare the /batch wire protocols on two
-// workloads. The viewport workload is 16 tiles plus 2 dynamic boxes
-// (v1 cannot batch dboxes, so it spends two extra GET /dbox round
-// trips — exactly the gap v2 closes; v3 compresses the same frames).
-// The pan-zoom workload is a sequence of heavily overlapping dynamic
-// boxes — the case v3's delta frames target. All of them report
-// wire-B/op (bytes on the wire per operation) and the v3 ones also
-// report ratio (wire bytes / raw payload bytes), so the benchstat
-// regression job in CI tracks wire size and compression ratio across
-// PRs next to the timing columns.
+// The batch benchmarks measure the /batch stream on two workloads. The
+// viewport workload is 16 tiles plus 2 dynamic boxes in one round trip,
+// with per-frame compression. The pan-zoom workload is a sequence of
+// heavily overlapping dynamic boxes — the case delta frames target.
+// Both report wire-B/op (bytes on the wire per operation) and ratio
+// (wire bytes / raw payload bytes), so the benchstat regression job in
+// CI tracks wire size and compression ratio across PRs next to the
+// timing columns.
 
 func benchBatchServer(b *testing.B) (*Server, string, func(path string) []byte) {
 	srv, hs := newPointsServer(b, 4000, 4096, 2048)
@@ -41,132 +39,31 @@ func benchBatchServer(b *testing.B) (*Server, string, func(path string) []byte) 
 	return srv, hs.URL, get
 }
 
-func benchTileRefs() []TileRef {
-	refs := make([]TileRef, 0, 16)
+// viewportItems is the viewport workload: 16 tiles and 2 boxes.
+func viewportItems() []BatchItem {
+	items := make([]BatchItem, 0, 18)
 	for col := 0; col < 8; col++ {
 		for row := 0; row < 2; row++ {
-			refs = append(refs, TileRef{Col: col, Row: row})
+			items = append(items, BatchItem{Kind: "tile", Layer: 0, Size: 512, Col: col, Row: row})
 		}
 	}
-	return refs
-}
-
-// BenchmarkBatchV1 serves the workload the pre-v2 way: one buffered
-// JSON /batch for the tiles plus one GET /dbox per layer box.
-func BenchmarkBatchV1(b *testing.B) {
-	srv, base, get := benchBatchServer(b)
-	body, _ := json.Marshal(BatchRequest{
-		Canvas: "main", Layer: 0, Size: 512, Codec: CodecBinary,
-		Tiles: benchTileRefs(),
-	})
-	boxes := []string{
-		"/dbox?canvas=main&layer=0&minx=0&miny=0&maxx=900&maxy=700&codec=binary",
-		"/dbox?canvas=main&layer=0&minx=1000&miny=800&maxx=1900&maxy=1500&codec=binary",
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wire int64
-	for i := 0; i < b.N; i++ {
-		srv.BackendCache().Clear()
-		resp, err := http.Post(base+"/batch", "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("batch: %s: %s", resp.Status, data)
-		}
-		wire += int64(len(data))
-		var out BatchResponse
-		if err := json.Unmarshal(data, &out); err != nil {
-			b.Fatal(err)
-		}
-		for _, bt := range out.Tiles {
-			if bt.Err != "" {
-				b.Fatalf("tile %d/%d: %s", bt.Col, bt.Row, bt.Err)
-			}
-		}
-		for _, u := range boxes {
-			wire += int64(len(get(u)))
-		}
-	}
-	b.SetBytes(wire / int64(b.N))
-	b.ReportMetric(float64(wire)/float64(b.N), "wire-B/op")
-}
-
-// BenchmarkBatchV2 serves the same workload as one framed-stream round
-// trip: 16 tile frames and 2 dbox frames, no base64, no buffering.
-func BenchmarkBatchV2(b *testing.B) {
-	srv, base, _ := benchBatchServer(b)
-	req := BatchRequestV2{V: BatchV2Version, Canvas: "main", Codec: CodecBinary}
-	for _, ref := range benchTileRefs() {
-		req.Items = append(req.Items, BatchItem{
-			Kind: "tile", Layer: 0, Size: 512, Col: ref.Col, Row: ref.Row,
-		})
-	}
-	req.Items = append(req.Items,
+	return append(items,
 		BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 900, MaxY: 700},
 		BatchItem{Kind: "dbox", Layer: 0, MinX: 1000, MinY: 800, MaxX: 1900, MaxY: 1500},
 	)
-	body, _ := json.Marshal(req)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wire int64
-	for i := 0; i < b.N; i++ {
-		srv.BackendCache().Clear()
-		resp, err := http.Post(base+"/batch", "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != BatchV2ContentType {
-			data, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			b.Fatalf("batch v2: %s: %s", resp.Status, data)
-		}
-		cr := &countingRd{r: resp.Body}
-		br := bufio.NewReader(cr)
-		n, err := ReadBatchHeader(br)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < n; j++ {
-			f, err := ReadFrame(br)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if f.Status != FrameOK {
-				b.Fatalf("frame %d: %s", f.Index, f.Payload)
-			}
-		}
-		resp.Body.Close()
-		wire += cr.n
-	}
-	b.SetBytes(wire / int64(b.N))
-	b.ReportMetric(float64(wire)/float64(b.N), "wire-B/op")
 }
 
-// BenchmarkBatchV3 serves the viewport workload as one v3 stream with
-// per-frame compression: same frames as v2, fewer bytes on the wire.
+// BenchmarkBatchV3 serves the viewport workload as one stream with
+// per-frame compression, from a cold backend cache every iteration.
 func BenchmarkBatchV3(b *testing.B) {
 	srv, base, _ := benchBatchServer(b)
-	req := BatchRequestV2{V: BatchV3Version, Canvas: "main", Codec: CodecBinary}
-	for _, ref := range benchTileRefs() {
-		req.Items = append(req.Items, BatchItem{
-			Kind: "tile", Layer: 0, Size: 512, Col: ref.Col, Row: ref.Row,
-		})
-	}
-	req.Items = append(req.Items,
-		BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 900, MaxY: 700},
-		BatchItem{Kind: "dbox", Layer: 0, MinX: 1000, MinY: 800, MaxX: 1900, MaxY: 1500},
-	)
-	body, _ := json.Marshal(req)
+	body, _ := json.Marshal(BatchRequestV2{V: wire.V3, Canvas: "main", Codec: CodecBinary, Items: viewportItems()})
 	b.ReportAllocs()
 	b.ResetTimer()
 	var wireBytes, rawBytes int64
 	for i := 0; i < b.N; i++ {
 		srv.BackendCache().Clear()
-		w, raw := postFramedOnce(b, base, body, wire.V3, nil)
+		w, raw := postFramedOnce(b, base, body, nil)
 		wireBytes += w
 		rawBytes += raw
 	}
@@ -187,35 +84,9 @@ func panBoxes() []geom.Rect {
 	return boxes
 }
 
-// BenchmarkBatchPanZoomV2 replays the pan sequence over v2: every step
-// ships the full new box.
-func BenchmarkBatchPanZoomV2(b *testing.B) {
-	_, base, _ := benchBatchServer(b)
-	boxes := panBoxes()
-	bodies := make([][]byte, len(boxes))
-	for i, box := range boxes {
-		bodies[i], _ = json.Marshal(BatchRequestV2{
-			V: BatchV2Version, Canvas: "main", Codec: CodecBinary,
-			Items: []BatchItem{{Kind: "dbox", Layer: 0,
-				MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY}},
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wireBytes int64
-	for i := 0; i < b.N; i++ {
-		for _, body := range bodies {
-			w, _ := postFramedOnce(b, base, body, wire.V2, nil)
-			wireBytes += w
-		}
-	}
-	b.SetBytes(wireBytes / int64(b.N))
-	b.ReportMetric(float64(wireBytes)/float64(b.N), "wire-B/op")
-}
-
-// BenchmarkBatchPanZoomV3 replays the same pans over v3 with delta
-// frames: after the first step only entering rows and tombstones cross
-// the wire. ratio is wire bytes over the full-payload equivalent.
+// BenchmarkBatchPanZoomV3 replays the pan sequence with delta frames:
+// after the first step only entering rows and tombstones cross the
+// wire. ratio is wire bytes over the full-payload equivalent.
 func BenchmarkBatchPanZoomV3(b *testing.B) {
 	_, base, _ := benchBatchServer(b)
 	boxes := panBoxes()
@@ -229,11 +100,11 @@ func BenchmarkBatchPanZoomV3(b *testing.B) {
 				MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY,
 				Base: prev}
 			body, _ := json.Marshal(BatchRequestV2{
-				V: BatchV3Version, Canvas: "main", Codec: CodecBinary,
+				V: wire.V3, Canvas: "main", Codec: CodecBinary,
 				Items: []BatchItem{it},
 			})
 			var nextID uint64
-			w, raw := postFramedOnce(b, base, body, wire.V3, &nextID)
+			w, raw := postFramedOnce(b, base, body, &nextID)
 			wireBytes += w
 			rawBytes += raw
 			prev = &BaseRef{MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY,
@@ -249,7 +120,7 @@ func BenchmarkBatchPanZoomV3(b *testing.B) {
 // returning (wire bytes, raw-equivalent payload bytes). When nextID is
 // non-nil it receives the payload identity of the first dbox frame —
 // the delta base id the next pan step declares.
-func postFramedOnce(b *testing.B, base string, body []byte, version byte, nextID *uint64) (int64, int64) {
+func postFramedOnce(b *testing.B, base string, body []byte, nextID *uint64) (int64, int64) {
 	b.Helper()
 	resp, err := http.Post(base+"/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -262,13 +133,13 @@ func postFramedOnce(b *testing.B, base string, body []byte, version byte, nextID
 	}
 	cr := &countingRd{r: resp.Body}
 	br := bufio.NewReader(cr)
-	v, n, err := wire.ReadHeader(br)
-	if err != nil || v != version {
-		b.Fatalf("header: v=%d err=%v", v, err)
+	_, n, err := wire.ReadHeader(br)
+	if err != nil {
+		b.Fatalf("header: %v", err)
 	}
 	var raw int64
 	for j := 0; j < n; j++ {
-		f, err := wire.ReadFrame(br, v)
+		f, err := wire.ReadFrame(br, wire.V3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,7 +148,7 @@ func postFramedOnce(b *testing.B, base string, body []byte, version byte, nextID
 		}
 		payload := f.Payload
 		if f.Codec.Compressed() {
-			if payload, err = wire.Decompress(payload, maxFramePayload); err != nil {
+			if payload, err = wire.Decompress(payload, wire.MaxFramePayload); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -343,7 +214,7 @@ func BenchmarkBatchV3Hit(b *testing.B) {
 			name string
 			item BatchItem
 		}{{"full", base}, {"delta", pan}} {
-			body, _ := json.Marshal(BatchRequestV2{V: BatchV3Version, Canvas: "main", Codec: codec, Items: []BatchItem{bc.item}})
+			body, _ := json.Marshal(BatchRequestV2{V: wire.V3, Canvas: "main", Codec: codec, Items: []BatchItem{bc.item}})
 			b.Run(string(codec)+"/"+bc.name, func(b *testing.B) {
 				serve := func() *discardResponse {
 					w := &discardResponse{h: make(http.Header)}

@@ -10,9 +10,9 @@ import (
 	"kyrix/internal/wire"
 )
 
-// Protocol v3 frame encoding: per-frame compression and delta-encoded
-// dynamic boxes, shipped from the cached forms of a payload (payload.go)
-// rather than recomputed per response:
+// Frame encoding: per-frame compression and delta-encoded dynamic
+// boxes, shipped from the cached forms of a payload (payload.go) rather
+// than recomputed per response:
 //
 //   - A full frame is the payload's raw bytes or its DEFLATE body. The
 //     body is deflated once, by the first response that wants it, and
@@ -24,19 +24,20 @@ import (
 //     the id computed when it was filled. Only the delta body — specific
 //     to this (base, new) pair — is deflated per response.
 //
-// v3 only decides how a payload crosses THIS wire: L1 and L2 hold raw
-// bytes, so a delta or compressed frame never pollutes the cache.
+// The frame codec only decides how a payload crosses THIS wire: L1 and
+// L2 hold raw bytes, so a delta or compressed frame never pollutes the
+// cache.
 
 // deltaMinOverlap is the fraction of the new box's area its base must
 // cover before delta encoding can pay off: below it most rows are
 // entering anyway and the tombstone machinery is pure overhead.
 const deltaMinOverlap = 0.25
 
-// encodeFrameV3 picks one OK payload's v3 wire form: delta-encoded
-// against the item's declared base when that pays off, DEFLATE-
-// compressed when allowed and worth it. The fallback at every step is
-// the previous form — worst case the frame ships exactly like v2.
-func (s *Server) encodeFrameV3(ctx context.Context, canvas string, it BatchItem, codec Codec, full *payload, compress bool) ([]byte, FrameCodec) {
+// encodeFrame picks one OK payload's wire form: delta-encoded against
+// the item's declared base when that pays off, DEFLATE-compressed when
+// allowed and worth it. The fallback at every step is the previous
+// form — worst case the frame ships the raw payload.
+func (s *Server) encodeFrame(ctx context.Context, canvas string, it BatchItem, codec Codec, full *payload, compress bool) ([]byte, FrameCodec) {
 	body, fc := full.raw, FrameRaw
 	if it.Kind == "dbox" && it.Base != nil {
 		_, sp := s.tracer().Start(ctx, "delta.plan")

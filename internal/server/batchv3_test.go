@@ -73,60 +73,50 @@ func inflateFrame(t testing.TB, f Frame) []byte {
 	return out
 }
 
-// TestBatchV3CompressionMatchesV2 serves the same items over v2 and v3
-// and checks that v3's inflated payloads are byte-identical to v2's raw
-// ones while the JSON-codec frames actually shrink on the wire.
+// TestBatchV3CompressionMatchesV2 serves the same items with
+// compression on and off and checks that every flate frame inflates to
+// exactly the comp:"off" frame (the raw payload), error frames stay
+// raw, and the JSON-codec frames actually shrink on the wire.
 func TestBatchV3CompressionMatchesV2(t *testing.T) {
 	_, hs := newPointsServer(t, 4000, 4096, 2048)
 	items := []BatchItem{
 		{Kind: "tile", Layer: 0, Size: 512, Col: 1, Row: 1},
 		{Kind: "dbox", Layer: 0, MinX: 100, MinY: 100, MaxX: 1200, MaxY: 900},
-		{Kind: "tile", Layer: 0, Size: 512, Col: 9, Row: 0}, // bad col (error frame)
+		{Kind: "tile", Layer: 0, Size: 512, Col: -1, Row: 0}, // bad col (error frame)
 	}
-	items[2].Col = -1
-	v2frames, _ := postBatchV2Raw(t, hs.URL, BatchRequestV2{
-		V: BatchV2Version, Canvas: "main", Codec: CodecJSON, Items: items,
+	rawFrames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
+		V: wire.V3, Canvas: "main", Codec: CodecJSON, Comp: CompOff, Items: items,
 	})
-	v3frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-		V: BatchV3Version, Canvas: "main", Codec: CodecJSON, Items: items,
+	flateFrames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
+		V: wire.V3, Canvas: "main", Codec: CodecJSON, Items: items,
 	})
-	var wireV2, wireV3 int
+	var wireRaw, wireFlate int
 	for i := range items {
-		wireV2 += len(v2frames[i].Payload)
-		wireV3 += len(v3frames[i].Payload)
-		if v3frames[i].Status != v2frames[i].Status {
-			t.Fatalf("frame %d status: v3 %d vs v2 %d", i, v3frames[i].Status, v2frames[i].Status)
+		if rawFrames[i].Codec != FrameRaw {
+			t.Fatalf("comp=off frame %d codec = %d, want raw", i, rawFrames[i].Codec)
 		}
-		if v3frames[i].Status != FrameOK {
-			if v3frames[i].Codec != FrameRaw {
-				t.Fatalf("error frame %d not raw: codec %d", i, v3frames[i].Codec)
+		wireRaw += len(rawFrames[i].Payload)
+		wireFlate += len(flateFrames[i].Payload)
+		if flateFrames[i].Status != rawFrames[i].Status {
+			t.Fatalf("frame %d status: flate %d vs raw %d", i, flateFrames[i].Status, rawFrames[i].Status)
+		}
+		if flateFrames[i].Status != FrameOK {
+			if flateFrames[i].Codec != FrameRaw {
+				t.Fatalf("error frame %d not raw: codec %d", i, flateFrames[i].Codec)
 			}
 			continue
 		}
-		if got := inflateFrame(t, v3frames[i]); !bytes.Equal(got, v2frames[i].Payload) {
-			t.Fatalf("frame %d inflates to different bytes than v2", i)
+		if got := inflateFrame(t, flateFrames[i]); !bytes.Equal(got, rawFrames[i].Payload) {
+			t.Fatalf("frame %d inflates to different bytes than the raw frame", i)
 		}
 	}
-	if wireV3 >= wireV2 {
-		t.Fatalf("v3 JSON frames did not shrink: v2=%d v3=%d", wireV2, wireV3)
-	}
-
-	// Compression-off override: every frame ships raw and matches v2.
-	offFrames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-		V: BatchV3Version, Canvas: "main", Codec: CodecJSON, Comp: CompOff, Items: items,
-	})
-	for i := range items {
-		if offFrames[i].Codec != FrameRaw {
-			t.Fatalf("comp=off frame %d codec = %d, want raw", i, offFrames[i].Codec)
-		}
-		if !bytes.Equal(offFrames[i].Payload, v2frames[i].Payload) {
-			t.Fatalf("comp=off frame %d differs from v2", i)
-		}
+	if wireFlate >= wireRaw {
+		t.Fatalf("JSON frames did not shrink: raw=%d flate=%d", wireRaw, wireFlate)
 	}
 
 	// Unknown compression mode is a request-level error.
 	body, _ := json.Marshal(BatchRequestV2{
-		V: BatchV3Version, Canvas: "main", Comp: "zstd",
+		V: wire.V3, Canvas: "main", Comp: "zstd",
 		Items: []BatchItem{{Kind: "tile", Size: 512}},
 	})
 	resp, err := http.Post(hs.URL+"/batch", "application/json", bytes.NewReader(body))
@@ -145,7 +135,7 @@ func TestBatchV3CompressionMatchesV2(t *testing.T) {
 func fetchBoxPayload(t testing.TB, url string, it BatchItem, codec Codec) ([]byte, uint64) {
 	t.Helper()
 	frames := postBatchV3Raw(t, url, BatchRequestV2{
-		V: BatchV3Version, Canvas: "main", Codec: codec, Comp: CompOff,
+		V: wire.V3, Canvas: "main", Codec: codec, Comp: CompOff,
 		Items: []BatchItem{it},
 	})
 	if frames[0].Status != FrameOK || frames[0].Codec != FrameRaw {
@@ -169,7 +159,7 @@ func TestBatchV3DeltaFrames(t *testing.T) {
 
 		deltaBefore := srv.Stats.DeltaFrames.Load()
 		frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-			V: BatchV3Version, Canvas: "main", Codec: codec, Comp: CompOff,
+			V: wire.V3, Canvas: "main", Codec: codec, Comp: CompOff,
 			Items: []BatchItem{newItem},
 		})
 		f := frames[0]
@@ -238,7 +228,7 @@ func TestBatchV3DeltaFallsBackToFull(t *testing.T) {
 	expectFull := func(name string, it BatchItem) {
 		t.Helper()
 		frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-			V: BatchV3Version, Canvas: "main", Codec: CodecJSON, Comp: CompOff,
+			V: wire.V3, Canvas: "main", Codec: CodecJSON, Comp: CompOff,
 			Items: []BatchItem{it},
 		})
 		if frames[0].Status != FrameOK {
@@ -294,7 +284,7 @@ func TestBatchV3DeltaAcrossUpdate(t *testing.T) {
 	}
 
 	frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-		V: BatchV3Version, Canvas: "main", Codec: CodecJSON, Comp: CompOff,
+		V: wire.V3, Canvas: "main", Codec: CodecJSON, Comp: CompOff,
 		Items: []BatchItem{{Kind: "dbox", Layer: 0, MinX: 200, MinY: 0, MaxX: 1200, MaxY: 800,
 			Base: &BaseRef{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800, ID: strconv.FormatUint(baseID, 16)}}},
 	})

@@ -87,8 +87,7 @@ func newTestCluster(t testing.TB, n, points int, mutate func(i int, o *Options))
 			t.Fatal(err)
 		}
 		opts := Options{
-			CacheBytes:     8 << 20,
-			CacheAdmission: "lfu",
+			Cache: CacheOptions{L1: L1CacheOptions{Bytes: 8 << 20, Admission: "lfu"}},
 			Cluster: ClusterOptions{
 				Self:        urls[i],
 				Peers:       urls,

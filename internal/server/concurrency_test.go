@@ -17,6 +17,7 @@ import (
 	"kyrix/internal/spec"
 	"kyrix/internal/sqldb"
 	"kyrix/internal/storage"
+	"kyrix/internal/wire"
 	"kyrix/internal/workload"
 )
 
@@ -183,10 +184,11 @@ func TestHandlerRaceStress(t *testing.T) {
 					err = get(fmt.Sprintf("/dbox?canvas=main&layer=0&minx=%d&miny=%d&maxx=%d&maxy=%d",
 						(i%4)*512, (g%2)*512, (i%4)*512+512, (g%2)*512+512))
 				case 2:
-					body, _ := json.Marshal(BatchRequest{
-						Canvas: "main", Layer: 0, Size: 512,
-						Tiles: []TileRef{{Col: i % 8, Row: 0}, {Col: i % 8, Row: 1}, {Col: (i + 1) % 8, Row: g % 4}},
-					})
+					body, _ := json.Marshal(BatchRequestV2{V: wire.V3, Canvas: "main", Items: []BatchItem{
+						{Kind: "tile", Size: 512, Col: i % 8, Row: 0},
+						{Kind: "tile", Size: 512, Col: i % 8, Row: 1},
+						{Kind: "tile", Size: 512, Col: (i + 1) % 8, Row: g % 4},
+					}})
 					err = post("/batch", body)
 				case 3:
 					err = get("/stats")
@@ -207,112 +209,6 @@ func TestHandlerRaceStress(t *testing.T) {
 	}
 	if srv.Stats.TileRequests.Load() == 0 || srv.Stats.BatchRequests.Load() == 0 {
 		t.Fatal("stress test did not exercise tile/batch paths")
-	}
-}
-
-// TestBatchEndpoint checks the wire contract of POST /batch: payloads
-// identical to single-tile GETs, per-tile errors isolated, and request
-// validation.
-func TestBatchEndpoint(t *testing.T) {
-	_, hs := newPointsServer(t, 2000, 4096, 2048)
-
-	single := func(col, row int) []byte {
-		resp, err := http.Get(fmt.Sprintf("%s/tile?canvas=main&layer=0&size=512&col=%d&row=%d", hs.URL, col, row))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("single tile: %s: %s", resp.Status, body)
-		}
-		return body
-	}
-
-	doBatch := func(req BatchRequest) (*BatchResponse, int) {
-		body, _ := json.Marshal(req)
-		resp, err := http.Post(hs.URL+"/batch", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			return nil, resp.StatusCode
-		}
-		var out BatchResponse
-		if err := json.Unmarshal(data, &out); err != nil {
-			t.Fatalf("decode batch: %v", err)
-		}
-		return &out, resp.StatusCode
-	}
-
-	out, code := doBatch(BatchRequest{
-		Canvas: "main", Layer: 0, Size: 512,
-		Tiles: []TileRef{{Col: 0, Row: 0}, {Col: 1, Row: 0}, {Col: 2, Row: 1}, {Col: -1, Row: 0}},
-	})
-	if code != http.StatusOK {
-		t.Fatalf("batch status = %d", code)
-	}
-	if len(out.Tiles) != 4 {
-		t.Fatalf("batch returned %d tiles", len(out.Tiles))
-	}
-	for i, want := range []struct{ col, row int }{{0, 0}, {1, 0}, {2, 1}} {
-		bt := out.Tiles[i]
-		if bt.Col != want.col || bt.Row != want.row || bt.Err != "" {
-			t.Fatalf("tile %d = %+v", i, bt)
-		}
-		if !bytes.Equal(bt.Data, single(want.col, want.row)) {
-			t.Fatalf("tile %d payload differs from single GET", i)
-		}
-		if _, err := Decode(bt.Data, CodecJSON); err != nil {
-			t.Fatalf("tile %d payload undecodable: %v", i, err)
-		}
-	}
-	if out.Tiles[3].Err == "" || out.Tiles[3].Data != nil {
-		t.Fatalf("negative tile = %+v, want per-tile error", out.Tiles[3])
-	}
-
-	// Binary codec round-trips through the base64 envelope.
-	out, code = doBatch(BatchRequest{
-		Canvas: "main", Layer: 0, Size: 512, Codec: CodecBinary,
-		Tiles: []TileRef{{Col: 0, Row: 0}},
-	})
-	if code != http.StatusOK || out.Tiles[0].Err != "" {
-		t.Fatalf("binary batch failed: code=%d %+v", code, out)
-	}
-	if _, err := Decode(out.Tiles[0].Data, CodecBinary); err != nil {
-		t.Fatalf("binary payload undecodable: %v", err)
-	}
-
-	// Validation failures.
-	if _, code := doBatch(BatchRequest{Canvas: "main", Layer: 0, Size: 512}); code != http.StatusBadRequest {
-		t.Fatalf("empty batch status = %d", code)
-	}
-	if _, code := doBatch(BatchRequest{Canvas: "main", Layer: 0, Size: 0, Tiles: []TileRef{{0, 0}}}); code != http.StatusBadRequest {
-		t.Fatalf("zero size status = %d", code)
-	}
-	if _, code := doBatch(BatchRequest{Canvas: "nope", Layer: 0, Size: 512, Tiles: []TileRef{{0, 0}}}); code != http.StatusBadRequest {
-		t.Fatalf("bad canvas status = %d", code)
-	}
-	if _, code := doBatch(BatchRequest{Canvas: "main", Layer: 0, Size: 512, Design: "quantum", Tiles: []TileRef{{0, 0}}}); code != http.StatusBadRequest {
-		t.Fatalf("unknown design status = %d, want request-level 400", code)
-	}
-	big := BatchRequest{Canvas: "main", Layer: 0, Size: 512}
-	for i := 0; i <= MaxBatchTiles; i++ {
-		big.Tiles = append(big.Tiles, TileRef{Col: i, Row: 0})
-	}
-	if _, code := doBatch(big); code != http.StatusBadRequest {
-		t.Fatalf("oversize batch status = %d", code)
-	}
-	resp, err := http.Get(hs.URL + "/batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /batch status = %d", resp.StatusCode)
 	}
 }
 
@@ -368,7 +264,7 @@ func TestParallelPrecompute(t *testing.T) {
 	const canvases = 6
 	ca := multiLayerApp(t, db, canvases)
 	srv, err := New(db, ca, Options{
-		CacheBytes:            4 << 20,
+		Cache:                 CacheOptions{L1: L1CacheOptions{Bytes: 4 << 20}},
 		PrecomputeParallelism: 4,
 		Precompute: fetch.Options{
 			BuildSpatial: true,
@@ -414,7 +310,7 @@ func TestParallelPrecomputeFirstErrorWins(t *testing.T) {
 	// Sabotage one canvas's transform to reference a missing table.
 	ca.Spec.Canvases[2].Transforms[0].Query = "SELECT * FROM missing_table"
 	_, err := New(db, ca, Options{
-		CacheBytes:            1 << 20,
+		Cache:                 CacheOptions{L1: L1CacheOptions{Bytes: 1 << 20}},
 		PrecomputeParallelism: 4,
 		Precompute:            fetch.Options{BuildSpatial: true},
 	})

@@ -40,7 +40,7 @@ func goldenV3Sequence(t *testing.T, url string, codec Codec) []string {
 	post := func(name string, it BatchItem, comp string) uint64 {
 		t.Helper()
 		stream, frames, err := postV3Stream(url, BatchRequestV2{
-			V: BatchV3Version, Canvas: "main", Codec: codec, Comp: comp, Items: []BatchItem{it},
+			V: wire.V3, Canvas: "main", Codec: codec, Comp: comp, Items: []BatchItem{it},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

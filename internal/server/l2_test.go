@@ -308,55 +308,13 @@ func TestL2ClusterPeerFillAndEpoch(t *testing.T) {
 	}
 }
 
-// TestCacheOptionsAliasCompat is the API-migration contract: old flat
-// call sites configure exactly what the nested form does, and an
-// explicitly set nested field wins over its deprecated alias.
+// TestCacheOptionsAliasCompat: the Cache.L1 knobs reach the serving
+// cache — the configured shard count sticks and the budget caches.
 func TestCacheOptionsAliasCompat(t *testing.T) {
-	flat := Options{
-		CacheBytes:          4 << 20,
-		CacheShards:         8,
-		CacheAdmission:      "lfu",
-		CacheSketchCounters: 1 << 12,
-		CacheDoorkeeper:     true,
-	}
-	nested := Options{
-		Cache: CacheOptions{L1: L1CacheOptions{
-			Bytes:          4 << 20,
-			Shards:         8,
-			Admission:      "lfu",
-			SketchCounters: 1 << 12,
-			Doorkeeper:     true,
-		}},
-	}
-	if flat.resolvedCache() != nested.resolvedCache() {
-		t.Fatalf("flat aliases resolve to %+v, nested to %+v",
-			flat.resolvedCache(), nested.resolvedCache())
-	}
-
-	// Per-field precedence: nested wins where set, alias fills the rest.
-	mixed := Options{
-		CacheBytes:     1 << 20,
-		CacheShards:    4,
-		CacheAdmission: "off",
-		Cache: CacheOptions{L1: L1CacheOptions{
-			Bytes:     2 << 20, // explicit nested beats the alias
-			Admission: "lfu",
-		}},
-	}
-	got := mixed.resolvedCache()
-	if got.L1.Bytes != 2<<20 || got.L1.Admission != "lfu" {
-		t.Fatalf("nested fields lost to aliases: %+v", got.L1)
-	}
-	if got.L1.Shards != 4 {
-		t.Fatalf("unset nested field did not fall back to alias: %+v", got.L1)
-	}
-
-	// And a flat-configured server actually serves with those knobs: a
-	// behavioral check, not just a resolver check.
 	db, ca := newPointsApp(t, 100, 4096, 2048)
 	srv, err := New(db, ca, Options{
-		CacheBytes:  4 << 20, // >= 1 MiB per shard, so Shards=2 sticks
-		CacheShards: 2,
+		// >= 1 MiB per shard, so Shards=2 sticks.
+		Cache: CacheOptions{L1: L1CacheOptions{Bytes: 4 << 20, Shards: 2}},
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{512},
@@ -368,7 +326,7 @@ func TestCacheOptionsAliasCompat(t *testing.T) {
 	}
 	defer srv.Close()
 	if got := srv.BackendCache().ShardCount(); got != 2 {
-		t.Fatalf("flat CacheShards=2 produced %d shards", got)
+		t.Fatalf("Cache.L1.Shards=2 produced %d shards", got)
 	}
 	pl, _ := srv.Layer("main", 0)
 	if _, err := srv.serveTile(context.Background(), pl, "spatial", CodecJSON, 512, geom.TileID{}, false); err != nil {
@@ -378,6 +336,6 @@ func TestCacheOptionsAliasCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if srv.Stats.CacheHits.Load() == 0 {
-		t.Fatal("flat CacheBytes did not enable the cache")
+		t.Fatal("Cache.L1.Bytes did not enable the cache")
 	}
 }

@@ -59,7 +59,7 @@ func newLODServer(t testing.TB, n int) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	srv, err := New(db, ca, Options{
-		CacheBytes: 8 << 20,
+		Cache: CacheOptions{L1: L1CacheOptions{Bytes: 8 << 20}},
 		Precompute: fetch.Options{
 			LODRowBudget: 64,
 			LODBaseCell:  64,

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -18,6 +17,7 @@ import (
 	"kyrix/internal/geom"
 	"kyrix/internal/obs"
 	"kyrix/internal/sqldb"
+	"kyrix/internal/wire"
 )
 
 // newPointsServerOpts is newPointsServer with caller-controlled options
@@ -26,7 +26,7 @@ func newPointsServerOpts(t testing.TB, n int, mutate func(o *Options)) (*Server,
 	t.Helper()
 	db, ca := newPointsApp(t, n, 4096, 2048)
 	opts := Options{
-		CacheBytes: 8 << 20,
+		Cache: CacheOptions{L1: L1CacheOptions{Bytes: 8 << 20}},
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{512},
@@ -198,38 +198,6 @@ func TestWireMemoObservability(t *testing.T) {
 	}
 }
 
-// TestStatsV1Golden pins the legacy ?v=1 flat map's exact key set on a
-// standalone node: v2 additions (uptime, build info) must never leak
-// into the schema old scrapers parse.
-func TestStatsV1Golden(t *testing.T) {
-	_, hs := newPointsServerOpts(t, 100, nil)
-	resp, err := http.Get(hs.URL + "/tile?canvas=main&layer=0&size=512&col=0&row=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	var stats map[string]int64
-	getJSON(t, hs.URL+"/stats?v=1", &stats)
-	got := make([]string, 0, len(stats))
-	for k := range stats {
-		got = append(got, k)
-	}
-	sort.Strings(got)
-	want := []string{
-		"backendCacheAdmitted", "backendCacheBytes", "backendCacheHits",
-		"backendCacheMisses", "backendCacheRejected", "backendCacheShards",
-		"batchRequests", "boxRequests", "bytesServed", "cacheHits",
-		"coalescedHits", "compressedFrames", "dbQueries", "dbRowsScanned",
-		"deltaFrames", "lodQueries", "queryNanos", "rowsServed",
-		"tileRequests", "updates", "wireBytes",
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("v1 key set drifted:\n got %v\nwant %v", got, want)
-	}
-}
-
 // TestObsDisabled: with tracing off the span machinery is fully elided
 // (empty flight recorder) but the metrics histograms keep recording.
 func TestObsDisabled(t *testing.T) {
@@ -359,7 +327,7 @@ func TestMetricsScrapeDuringBatchRace(t *testing.T) {
 		items = append(items, BatchItem{Kind: "tile", Layer: 0, Size: 512, Col: col, Row: 0})
 	}
 	items = append(items, BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 900, MaxY: 700})
-	body, _ := json.Marshal(BatchRequestV2{V: BatchV3Version, Canvas: "main", Items: items})
+	body, _ := json.Marshal(BatchRequestV2{V: wire.V3, Canvas: "main", Items: items})
 
 	const rounds = 25
 	var wg sync.WaitGroup

@@ -301,7 +301,7 @@ func postV3Stream(url string, req BatchRequestV2) ([]byte, []Frame, error) {
 
 // postOneV3 posts a single-item v3 batch and returns its frame.
 func postOneV3(url string, codec Codec, it BatchItem) (Frame, error) {
-	_, frames, err := postV3Stream(url, BatchRequestV2{V: BatchV3Version, Canvas: "main", Codec: codec, Items: []BatchItem{it}})
+	_, frames, err := postV3Stream(url, BatchRequestV2{V: wire.V3, Canvas: "main", Codec: codec, Items: []BatchItem{it}})
 	if err != nil {
 		return Frame{}, err
 	}

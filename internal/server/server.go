@@ -37,9 +37,7 @@ type ReplogOptions = cluster.ReplogOptions
 // L1CacheOptions configures the in-memory backend cache (the first
 // tier every request consults).
 type L1CacheOptions struct {
-	// Bytes is the cache byte budget (0 disables the cache — note the
-	// deprecated-alias fallback: a zero here falls back to the flat
-	// Options.CacheBytes, so "disabled" means both are zero).
+	// Bytes is the cache byte budget (0 disables the cache).
 	Bytes int64
 	// Shards is the shard count (rounded up to a power of two; 0 picks
 	// an automatic count from GOMAXPROCS).
@@ -90,11 +88,8 @@ type L2CacheOptions struct {
 	ScrubInterval time.Duration
 }
 
-// CacheOptions is the nested cache configuration: L1 is the in-memory
-// W-TinyLFU/LRU tier, L2 the persistent tile store. This is the
-// canonical way to configure caching; the flat Cache* fields on
-// Options remain as deprecated aliases (an explicitly set nested field
-// wins over its alias).
+// CacheOptions is the cache configuration: L1 is the in-memory
+// W-TinyLFU/LRU tier, L2 the persistent tile store.
 type CacheOptions struct {
 	L1 L1CacheOptions
 	L2 L2CacheOptions
@@ -102,32 +97,9 @@ type CacheOptions struct {
 
 // Options configures a backend server.
 type Options struct {
-	// Cache is the nested cache configuration (L1 in-memory tier, L2
-	// persistent tile store). Field-by-field precedence: a non-zero
-	// nested field wins over its deprecated flat alias below; a zero
-	// nested field falls back to the alias.
+	// Cache is the cache configuration (L1 in-memory tier, L2
+	// persistent tile store).
 	Cache CacheOptions
-
-	// CacheBytes is the backend cache budget.
-	//
-	// Deprecated: set Cache.L1.Bytes instead.
-	CacheBytes int64
-	// CacheShards is the backend cache shard count.
-	//
-	// Deprecated: set Cache.L1.Shards instead.
-	CacheShards int
-	// CacheAdmission selects the backend cache admission policy.
-	//
-	// Deprecated: set Cache.L1.Admission instead.
-	CacheAdmission string
-	// CacheSketchCounters sizes the TinyLFU frequency sketch.
-	//
-	// Deprecated: set Cache.L1.SketchCounters instead.
-	CacheSketchCounters int
-	// CacheDoorkeeper enables the TinyLFU bloom doorkeeper.
-	//
-	// Deprecated: set Cache.L1.Doorkeeper instead.
-	CacheDoorkeeper bool
 	// Cluster joins this node to a serving cluster: cache keys are
 	// partitioned over a consistent-hash ring, a non-owner forwards
 	// misses to the owner instead of querying the database, hot keys
@@ -160,10 +132,7 @@ type Options struct {
 }
 
 // DefaultOptions builds both database designs with the paper's three
-// tile sizes and a 256 MB backend cache. The cache knobs live in the
-// nested Cache struct; callers starting from DefaultOptions should
-// adjust Cache.L1/Cache.L2 fields (overriding the deprecated flat
-// aliases instead would lose to the nested defaults).
+// tile sizes and a 256 MB W-TinyLFU backend cache.
 func DefaultOptions() Options {
 	return Options{
 		Cache: CacheOptions{
@@ -178,30 +147,6 @@ func DefaultOptions() Options {
 			MappingIndex: sqldb.IndexBTree,
 		},
 	}
-}
-
-// resolvedCache merges the nested Cache struct with the deprecated
-// flat aliases, field by field: a non-zero nested field wins, a zero
-// one falls back to its alias. Bool fields OR (true from either side
-// enables).
-func (o Options) resolvedCache() CacheOptions {
-	c := o.Cache
-	if c.L1.Bytes == 0 {
-		c.L1.Bytes = o.CacheBytes
-	}
-	if c.L1.Shards == 0 {
-		c.L1.Shards = o.CacheShards
-	}
-	if c.L1.Admission == "" {
-		c.L1.Admission = o.CacheAdmission
-	}
-	if c.L1.SketchCounters == 0 {
-		c.L1.SketchCounters = o.CacheSketchCounters
-	}
-	if !c.L1.Doorkeeper {
-		c.L1.Doorkeeper = o.CacheDoorkeeper
-	}
-	return c
 }
 
 // Stats counts server activity.
@@ -342,26 +287,25 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 	if planCap <= 0 {
 		planCap = 512
 	}
-	cacheOpts := opts.resolvedCache()
 	var admission cache.Admission
-	switch cacheOpts.L1.Admission {
+	switch opts.Cache.L1.Admission {
 	case "", "off":
 		admission = cache.AdmissionOff
 	case "lfu":
 		admission = cache.AdmissionLFU
 	default:
-		return nil, fmt.Errorf("server: unknown cache admission %q (want \"lfu\" or \"off\")", cacheOpts.L1.Admission)
+		return nil, fmt.Errorf("server: unknown cache admission %q (want \"lfu\" or \"off\")", opts.Cache.L1.Admission)
 	}
 	s := &Server{
 		db:     db,
 		ca:     ca,
 		layers: make(map[string]*fetch.PhysicalLayer),
 		bcache: cache.New(cache.Config{
-			Budget:         cacheOpts.L1.Bytes,
-			Shards:         cacheOpts.L1.Shards,
+			Budget:         opts.Cache.L1.Bytes,
+			Shards:         opts.Cache.L1.Shards,
 			Admission:      admission,
-			SketchCounters: cacheOpts.L1.SketchCounters,
-			Doorkeeper:     cacheOpts.L1.Doorkeeper,
+			SketchCounters: opts.Cache.L1.SketchCounters,
+			Doorkeeper:     opts.Cache.L1.Doorkeeper,
 		}),
 		// One entry = size 1, so the byte budget counts plans; a single
 		// shard keeps exact LRU order (the cap is tiny).
@@ -373,14 +317,14 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		opts:     opts,
 	}
 	s.initObs()
-	if cacheOpts.L2.Path != "" {
+	if opts.Cache.L2.Path != "" {
 		l2, err := store.Open(store.Options{
-			Path:            cacheOpts.L2.Path,
-			MaxBytes:        cacheOpts.L2.MaxBytes,
-			SegmentBytes:    cacheOpts.L2.SegmentBytes,
-			WriteQueueDepth: cacheOpts.L2.WriteQueueDepth,
-			FlushInterval:   cacheOpts.L2.FlushInterval,
-			ScrubInterval:   cacheOpts.L2.ScrubInterval,
+			Path:            opts.Cache.L2.Path,
+			MaxBytes:        opts.Cache.L2.MaxBytes,
+			SegmentBytes:    opts.Cache.L2.SegmentBytes,
+			WriteQueueDepth: opts.Cache.L2.WriteQueueDepth,
+			FlushInterval:   opts.Cache.L2.FlushInterval,
+			ScrubInterval:   opts.Cache.L2.ScrubInterval,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: open L2 tile store: %w", err)
@@ -623,7 +567,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/app", s.handleApp)
 	mux.HandleFunc("/tile", s.handleTile)
-	mux.HandleFunc("/batch", s.handleBatchDispatch)
+	mux.HandleFunc("/batch", s.handleBatch)
 	mux.HandleFunc("/dbox", s.handleDBox)
 	mux.HandleFunc("/update", s.handleUpdate)
 	mux.HandleFunc("/stats", s.handleStats)
@@ -1121,8 +1065,7 @@ type BuildInfo struct {
 }
 
 // StatsSnapshot is the versioned structured /stats response (schema
-// version 2). GET /stats serves it by default; GET /stats?v=1 serves
-// the legacy flat counter map for older scrapers.
+// version 2).
 type StatsSnapshot struct {
 	V             int           `json:"v"`
 	UptimeSeconds float64       `json:"uptimeSeconds"`
@@ -1199,54 +1142,10 @@ func (s *Server) Snapshot() StatsSnapshot {
 	return snap
 }
 
-// handleStats serves the versioned structured schema by default and
-// the legacy v1 flat counter map under ?v=1, byte-compatible with the
-// pre-versioning response so existing scrapers keep working.
+// handleStats serves the versioned structured schema.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if r.URL.Query().Get("v") == "1" {
-		_ = json.NewEncoder(w).Encode(s.legacyStats())
-		return
-	}
 	_ = json.NewEncoder(w).Encode(s.Snapshot())
-}
-
-func (s *Server) legacyStats() map[string]int64 {
-	bc := s.bcache.Stats()
-	out := map[string]int64{
-		"tileRequests":         s.Stats.TileRequests.Load(),
-		"boxRequests":          s.Stats.BoxRequests.Load(),
-		"batchRequests":        s.Stats.BatchRequests.Load(),
-		"cacheHits":            s.Stats.CacheHits.Load(),
-		"coalescedHits":        s.Stats.CoalescedHits.Load(),
-		"dbQueries":            s.Stats.DBQueries.Load(),
-		"rowsServed":           s.Stats.RowsServed.Load(),
-		"bytesServed":          s.Stats.BytesServed.Load(),
-		"updates":              s.Stats.Updates.Load(),
-		"queryNanos":           s.Stats.QueryNanos.Load(),
-		"wireBytes":            s.Stats.WireBytes.Load(),
-		"deltaFrames":          s.Stats.DeltaFrames.Load(),
-		"compressedFrames":     s.Stats.CompressedFrames.Load(),
-		"lodQueries":           s.Stats.LODQueries.Load(),
-		"dbRowsScanned":        s.db.Stats().RowsScanned,
-		"backendCacheBytes":    bc.Bytes,
-		"backendCacheHits":     bc.Hits,
-		"backendCacheMisses":   bc.Misses,
-		"backendCacheAdmitted": bc.Admitted,
-		"backendCacheRejected": bc.Rejected,
-		"backendCacheShards":   int64(s.bcache.ShardCount()),
-	}
-	if s.cluster != nil {
-		cs := &s.cluster.Stats
-		out["clusterEpoch"] = s.cluster.Epoch()
-		out["peerFills"] = cs.PeerFills.Load()
-		out["peerErrors"] = cs.PeerErrors.Load()
-		out["peerServes"] = cs.PeerServes.Load()
-		out["localFallbacks"] = cs.LocalFallbacks.Load()
-		out["hotReplicas"] = cs.HotReplicas.Load()
-		out["epochAdoptions"] = cs.EpochAdoptions.Load()
-	}
-	return out
 }
 
 // L2 exposes the persistent tile store (nil when disabled); experiment

@@ -157,7 +157,7 @@ func newPointsServer(t testing.TB, n int, canvasW, canvasH float64) (*Server, *h
 	t.Helper()
 	db, ca := newPointsApp(t, n, canvasW, canvasH)
 	srv, err := New(db, ca, Options{
-		CacheBytes: 8 << 20,
+		Cache: CacheOptions{L1: L1CacheOptions{Bytes: 8 << 20}},
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{512},
@@ -403,13 +403,8 @@ func TestStatsEndpoint(t *testing.T) {
 	if snap.Cluster != nil {
 		t.Fatal("cluster section present on a standalone node")
 	}
-	// ?v=1 keeps serving the legacy flat counter map.
-	var stats map[string]int64
-	getJSON(t, hs.URL+"/stats?v=1", &stats)
-	if stats["tileRequests"] != 1 || stats["rowsServed"] == 0 {
-		t.Fatalf("v1 stats = %v", stats)
-	}
-	if _, ok := stats["backendCacheBytes"]; !ok {
-		t.Fatal("v1 flat map missing backendCacheBytes")
+	// The served tile is resident in L1, and the snapshot says so.
+	if snap.Cache.L1.Bytes <= 0 || snap.Cache.L1.Shards <= 0 {
+		t.Fatalf("v2 L1 stats = %+v", snap.Cache.L1)
 	}
 }

@@ -1,29 +1,28 @@
 // Package wire implements the framed /batch stream shared by the
-// backend server and the frontend client: the varint frame codec
-// (protocol versions 2 and 3), pooled flate compression with a
-// cheap worth-it heuristic, and the v3 delta-frame format for
+// backend server, the frontend client and cluster peer fills: the
+// varint frame codec (protocol version 3), pooled flate compression
+// with a cheap worth-it heuristic, and the delta-frame format for
 // dynamic boxes.
 //
 // Stream layout (all integers are unsigned varints unless noted):
 //
-//	header:    magic "KYXB" (4 bytes) | version (1 byte, 0x02 or 0x03) |
-//	           item count
-//	v2 frame:  index | kind (1B) | status (1B) | payload length | payload
-//	v3 frame:  index | kind (1B) | status (1B) | frame codec (1B) |
-//	           payload length | payload
+//	header:  magic "KYXB" (4 bytes) | version (1 byte, 0x03) | item count
+//	frame:   index | kind (1B) | status (1B) | frame codec (1B) |
+//	         payload length | payload
 //
-// The only layout difference between v2 and v3 is the per-frame codec
-// byte: raw (0), flate (1), delta (2) or delta+flate (3). For flate
-// codecs the payload is a DEFLATE stream whose decompressed size is
-// bounded by MaxFramePayload; for delta codecs the (decompressed)
-// payload is the delta format documented on Delta. Error-status frames
-// are always raw.
+// The codec byte is raw (0), flate (1), delta (2) or delta+flate (3).
+// For flate codecs the payload is a DEFLATE stream whose decompressed
+// size is bounded by MaxFramePayload; for delta codecs the
+// (decompressed) payload is the delta format documented on Delta.
+// Error-status frames are always raw.
 //
 // Versioning rules: the magic identifies the framed-batch family; the
 // version byte is bumped on any layout change AND on any new frame
 // kind, status or codec, and decoders reject versions, kinds, statuses
 // and codecs they do not know — better a loud error than silently
-// dropping a sub-result the server believed it delivered.
+// dropping a sub-result the server believed it delivered. Versions 1
+// and 2 (a JSON envelope and a codec-less frame stream) are retired;
+// V3 is the only version written or read.
 package wire
 
 import (
@@ -36,13 +35,9 @@ import (
 // Magic opens every framed batch stream.
 const Magic = "KYXB"
 
-// Protocol versions of the framed stream.
-const (
-	// V2 is the original framed stream: raw payloads only.
-	V2 = 2
-	// V3 adds the per-frame codec byte (compression + delta frames).
-	V3 = 3
-)
+// V3 is the framed stream's protocol version: the one with the
+// per-frame codec byte (compression + delta frames).
+const V3 = 3
 
 // MaxFramePayload bounds a frame payload both as read off the wire and
 // after decompression — a corrupt length prefix or a hostile DEFLATE
@@ -69,10 +64,10 @@ const (
 	FrameInternal   FrameStatus = 2
 )
 
-// FrameCodec is the v3 per-frame payload encoding.
+// FrameCodec is the per-frame payload encoding.
 type FrameCodec byte
 
-// Frame codecs. V2 streams are implicitly CodecRaw.
+// Frame codecs.
 const (
 	// CodecRaw: the payload is the item's data in the request codec —
 	// the same bytes a single GET /tile or /dbox would return.
@@ -98,8 +93,7 @@ func (c FrameCodec) IsDelta() bool {
 	return c == CodecDelta || c == CodecDeltaFlate
 }
 
-// Frame is one decoded stream frame. Codec is always CodecRaw on v2
-// streams.
+// Frame is one decoded stream frame.
 type Frame struct {
 	Index   int
 	Kind    FrameKind
@@ -109,11 +103,11 @@ type Frame struct {
 }
 
 // ValidVersion reports whether v is a framed-stream version this
-// package speaks.
-func ValidVersion(v byte) bool { return v == V2 || v == V3 }
+// package speaks: V3 only.
+func ValidVersion(v byte) bool { return v == V3 }
 
 // WriteHeader writes the stream header for n frames at the given
-// protocol version.
+// protocol version, which must be V3.
 func WriteHeader(w io.Writer, version byte, n int) error {
 	if !ValidVersion(version) {
 		return fmt.Errorf("wire: cannot write unknown version %d", version)
@@ -150,22 +144,18 @@ func ReadHeader(br *bufio.Reader) (version byte, n int, err error) {
 	return version, int(cnt), nil
 }
 
-// WriteFrame writes one frame at the given protocol version. A v2
-// stream cannot carry a non-raw codec (the byte has nowhere to go);
-// asking for one is a caller bug reported as an error.
+// WriteFrame writes one frame of a stream at the given protocol
+// version, which must be V3.
 func WriteFrame(w io.Writer, version byte, f Frame) error {
-	if version == V2 && f.Codec != CodecRaw {
-		return fmt.Errorf("wire: v2 frame cannot carry codec %d", f.Codec)
+	if !ValidVersion(version) {
+		return fmt.Errorf("wire: cannot write a version %d frame", version)
 	}
 	var buf [2*binary.MaxVarintLen64 + 3]byte
 	ln := binary.PutUvarint(buf[:], uint64(f.Index))
 	buf[ln] = byte(f.Kind)
 	buf[ln+1] = byte(f.Status)
-	ln += 2
-	if version == V3 {
-		buf[ln] = byte(f.Codec)
-		ln++
-	}
+	buf[ln+2] = byte(f.Codec)
+	ln += 3
 	ln += binary.PutUvarint(buf[ln:], uint64(len(f.Payload)))
 	if _, err := w.Write(buf[:ln]); err != nil {
 		return err
@@ -174,11 +164,15 @@ func WriteFrame(w io.Writer, version byte, f Frame) error {
 	return err
 }
 
-// ReadFrame reads one frame of a stream at the given protocol version.
-// io.EOF at the first byte is returned verbatim (a clean between-frames
-// boundary); any other failure is a truncated or corrupt stream.
+// ReadFrame reads one frame of a stream at the given protocol version,
+// which must be V3. io.EOF at the first byte is returned verbatim (a
+// clean between-frames boundary); any other failure is a truncated or
+// corrupt stream.
 func ReadFrame(br *bufio.Reader, version byte) (Frame, error) {
 	var f Frame
+	if !ValidVersion(version) {
+		return f, fmt.Errorf("wire: cannot read a version %d frame", version)
+	}
 	idx, err := binary.ReadUvarint(br)
 	if err != nil {
 		if err == io.EOF {
@@ -203,15 +197,13 @@ func ReadFrame(br *bufio.Reader, version byte) (Frame, error) {
 	if f.Status > FrameInternal {
 		return f, fmt.Errorf("wire: unknown frame status %d", sb)
 	}
-	if version == V3 {
-		cb, err := br.ReadByte()
-		if err != nil {
-			return f, fmt.Errorf("wire: frame codec: %w", eofIsUnexpected(err))
-		}
-		f.Codec = FrameCodec(cb)
-		if f.Codec > CodecDeltaFlate {
-			return f, fmt.Errorf("wire: unknown frame codec %d", cb)
-		}
+	cb, err := br.ReadByte()
+	if err != nil {
+		return f, fmt.Errorf("wire: frame codec: %w", eofIsUnexpected(err))
+	}
+	f.Codec = FrameCodec(cb)
+	if f.Codec > CodecDeltaFlate {
+		return f, fmt.Errorf("wire: unknown frame codec %d", cb)
 	}
 	plen, err := binary.ReadUvarint(br)
 	if err != nil {

@@ -10,18 +10,16 @@ import (
 )
 
 func TestHeaderVersions(t *testing.T) {
-	for _, v := range []byte{V2, V3} {
-		var buf bytes.Buffer
-		if err := WriteHeader(&buf, v, 7); err != nil {
-			t.Fatal(err)
-		}
-		gotV, n, err := ReadHeader(bufio.NewReader(&buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotV != v || n != 7 {
-			t.Fatalf("header = v%d n=%d, want v%d n=7", gotV, n, v)
-		}
+	var hbuf bytes.Buffer
+	if err := WriteHeader(&hbuf, V3, 7); err != nil {
+		t.Fatal(err)
+	}
+	gotV, n, err := ReadHeader(bufio.NewReader(&hbuf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotV != V3 || n != 7 {
+		t.Fatalf("header = v%d n=%d, want v3 n=7", gotV, n)
 	}
 	if err := WriteHeader(io.Discard, 9, 1); err == nil {
 		t.Fatal("unknown version must not be writable")
@@ -73,12 +71,27 @@ func TestFrameRoundTripV3(t *testing.T) {
 	}
 }
 
-func TestV2CannotCarryCodec(t *testing.T) {
-	err := WriteFrame(io.Discard, V2, Frame{Codec: CodecFlate, Payload: []byte("x")})
-	if err == nil {
-		t.Fatal("v2 frame with a non-raw codec must fail to encode")
+// TestRetiredVersion2Rejected: the codec-less version 2 stream is gone
+// from both directions — no header or frame is written at version 2,
+// and a version 2 header (as an old server would send) does not read.
+func TestRetiredVersion2Rejected(t *testing.T) {
+	if err := WriteHeader(io.Discard, 2, 1); err == nil {
+		t.Fatal("version 2 header must not be writable")
 	}
-	// And an unknown codec byte on a v3 stream is rejected.
+	if err := WriteFrame(io.Discard, 2, Frame{Payload: []byte("x")}); err == nil {
+		t.Fatal("version 2 frame must not be writable")
+	}
+	var hbuf bytes.Buffer
+	hbuf.WriteString(Magic)
+	hbuf.WriteByte(2)
+	hbuf.WriteByte(1)
+	if _, _, err := ReadHeader(bufio.NewReader(&hbuf)); err == nil {
+		t.Fatal("version 2 header must not be readable")
+	}
+	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader([]byte{0, 0, 0, 1, 'x'})), 2); err == nil {
+		t.Fatal("version 2 frame must not be readable")
+	}
+	// And an unknown codec byte is rejected.
 	var buf bytes.Buffer
 	buf.Write([]byte{0, byte(FrameTile), byte(FrameOK), 9, 0})
 	if _, err := ReadFrame(bufio.NewReader(&buf), V3); err == nil {

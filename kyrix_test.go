@@ -57,7 +57,7 @@ func buildDemo(t testing.TB, n int) (*kyrix.DB, *kyrix.App, *kyrix.Registry) {
 func TestLaunchEndToEnd(t *testing.T) {
 	db, app, reg := buildDemo(t, 2000)
 	inst, err := kyrix.Launch(db, app, reg, kyrix.ServerOptions{
-		CacheBytes: 4 << 20,
+		Cache:      kyrix.CacheOptions{L1: kyrix.L1CacheOptions{Bytes: 4 << 20}},
 		Precompute: fetch.Options{BuildSpatial: true, TileSizes: []float64{512}},
 	}, kyrix.DefaultClientOptions())
 	if err != nil {
@@ -152,7 +152,7 @@ var _ *sqldb.DB = (*kyrix.DB)(nil)
 func TestCloseReleasesListener(t *testing.T) {
 	db, app, reg := buildDemo(t, 100)
 	inst, err := kyrix.Launch(db, app, reg, kyrix.ServerOptions{
-		CacheBytes: 1 << 20,
+		Cache:      kyrix.CacheOptions{L1: kyrix.L1CacheOptions{Bytes: 1 << 20}},
 		Precompute: fetch.Options{BuildSpatial: true},
 	}, kyrix.DefaultClientOptions())
 	if err != nil {
@@ -178,7 +178,7 @@ func TestCloseReleasesListener(t *testing.T) {
 func TestBatchThroughPublicAPI(t *testing.T) {
 	db, app, reg := buildDemo(t, 2000)
 	inst, err := kyrix.Launch(db, app, reg, kyrix.ServerOptions{
-		CacheBytes: 4 << 20,
+		Cache:      kyrix.CacheOptions{L1: kyrix.L1CacheOptions{Bytes: 4 << 20}},
 		Precompute: fetch.Options{BuildSpatial: true, TileSizes: []float64{512}},
 	}, kyrix.ClientOptions{
 		Scheme:     kyrix.TileSpatial1024,
@@ -206,7 +206,7 @@ func TestBatchThroughPublicAPI(t *testing.T) {
 func TestTilePrefetcherThroughPublicAPI(t *testing.T) {
 	db, app, reg := buildDemo(t, 2000)
 	inst, err := kyrix.Launch(db, app, reg, kyrix.ServerOptions{
-		CacheBytes: 4 << 20,
+		Cache:      kyrix.CacheOptions{L1: kyrix.L1CacheOptions{Bytes: 4 << 20}},
 		Precompute: fetch.Options{BuildSpatial: true, TileSizes: []float64{512}},
 	}, kyrix.ClientOptions{
 		Scheme:     kyrix.TileSpatial256,
@@ -253,7 +253,7 @@ func TestTilePrefetcherThroughPublicAPI(t *testing.T) {
 func TestPrecomputeOptionsConstructible(t *testing.T) {
 	db, app, reg := buildDemo(t, 1000)
 	opts := kyrix.ServerOptions{
-		CacheBytes: 4 << 20,
+		Cache: kyrix.CacheOptions{L1: kyrix.L1CacheOptions{Bytes: 4 << 20}},
 		Precompute: kyrix.PrecomputeOptions{
 			BuildSpatial: true,
 			TileSizes:    []float64{512},
@@ -293,7 +293,7 @@ func TestMultiLayerOneRoundTripThroughPublicAPI(t *testing.T) {
 		Renderer:    "dots",
 	})
 	inst, err := kyrix.Launch(db, app, reg, kyrix.ServerOptions{
-		CacheBytes: 4 << 20,
+		Cache:      kyrix.CacheOptions{L1: kyrix.L1CacheOptions{Bytes: 4 << 20}},
 		Precompute: kyrix.PrecomputeOptions{BuildSpatial: true, TileSizes: []float64{512}},
 	}, kyrix.ClientOptions{
 		Scheme:     kyrix.DBox50,

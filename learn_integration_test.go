@@ -76,7 +76,7 @@ func TestApplicationByExample(t *testing.T) {
 		ViewportW: 300, ViewportH: 300,
 	}
 	inst, err := kyrix.Launch(db, app, reg, kyrix.ServerOptions{
-		CacheBytes: 1 << 20,
+		Cache:      kyrix.CacheOptions{L1: kyrix.L1CacheOptions{Bytes: 1 << 20}},
 		Precompute: fetch.Options{BuildSpatial: true},
 	}, kyrix.DefaultClientOptions())
 	if err != nil {
