@@ -187,12 +187,7 @@ func main() {
 	}
 
 	if *failover {
-		root, err := os.MkdirTemp("", "kyrix-replog-*")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(root)
-		fopts := experiments.DefaultFailoverOptions(root)
+		fopts := experiments.DefaultFailoverOptions()
 		// -steps keeps its concurrent-mode default of 12; only an
 		// explicit value overrides the failover window of 200.
 		flag.Visit(func(f *flag.Flag) {

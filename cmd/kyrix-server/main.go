@@ -15,34 +15,30 @@
 //
 // Cluster mode joins this node to a serving cluster: -self is the URL
 // peers reach this node at, -peers the comma-separated base URLs of
-// every node (this node included is fine). Cache-key ownership is
-// partitioned over a consistent-hash ring; a non-owner forwards misses
-// to the owner's /peer endpoint instead of querying its database, hot
-// keys replicate locally, and /update bumps a gossiped cluster epoch:
-//
-//	kyrix-server -demo uniform -addr :8080 -self http://10.0.0.1:8080 \
-//	  -peers http://10.0.0.1:8080,http://10.0.0.2:8080
-//
-// Every node must serve the same data (shared or identically loaded
-// backing store — the epoch protocol keeps caches coherent, data
-// placement is the store's job).
-//
-// -replog-dir upgrades /update from gossiped invalidation to a
-// quorum-committed replicated log persisted under that directory: any
-// node accepts an update, forwards it to the elected leader, and every
-// node applies the committed log in the same order. A restarted node
-// replays its log and rejoins; updates acked to clients survive the
-// loss of any minority of nodes:
+// every node (this node included is fine), and -replog-dir (required)
+// the directory of this node's replicated update log. Cache-key
+// ownership is partitioned over a consistent-hash ring; a non-owner
+// forwards misses to the owner's /peer endpoint instead of querying its
+// database, and hot keys replicate locally. /update is a
+// quorum-committed log command: any node accepts it, forwards it to the
+// elected leader, and every node applies the committed log in the same
+// order, removing what each update touched from its own caches. A
+// restarted node replays its log and rejoins; updates acked to clients
+// survive the loss of any minority of nodes:
 //
 //	kyrix-server -demo uniform -addr :8080 -self http://10.0.0.1:8080 \
 //	  -peers http://10.0.0.1:8080,http://10.0.0.2:8080,http://10.0.0.3:8080 \
 //	  -replog-dir /var/lib/kyrix/replog
 //
+// Every node must start from the same data (shared or identically
+// loaded backing store). Standalone, -replog-dir makes /update a
+// durable single-member log.
+//
 // -l2dir enables the persistent tile store (L2): rendered payloads are
 // journaled to checksummed segment files under that directory through a
 // write-behind queue, so a restarted node answers its working set from
-// disk instead of re-querying the database. /update (and cluster epoch
-// bumps) invalidate the store by generation without touching disk.
+// disk instead of re-querying the database. /update tombstones the
+// windows it touched (DDL and bulk edits drop the store by generation).
 //
 // Endpoints (consumed by the kyrix frontend client): /app /tile /dbox
 // /update /stats, plus /peer for cluster fills. Observability rides the
@@ -111,6 +107,9 @@ func main() {
 		}
 		if !clusterOpts.Enabled() {
 			log.Fatalf("-peers %q names no peer besides -self", *peers)
+		}
+		if *replogDir == "" {
+			log.Fatal("cluster mode needs -replog-dir: the replicated update log is how an /update reaches the other nodes")
 		}
 	}
 	clusterOpts.Replog.Dir = *replogDir

@@ -26,7 +26,7 @@ func TestFetchRetriesTransientFailure(t *testing.T) {
 	}))
 	defer hs.Close()
 	tr := NewTransport([]string{hs.URL}, TransportConfig{Timeout: 5 * time.Second, Retries: 2})
-	got, _, err := tr.Fetch(hs.URL, &FillRequest{Key: "k", Kind: "tile"})
+	got, _, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{Key: "k", Kind: "tile"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,13 @@ func TestBreakerOpensAndProbes(t *testing.T) {
 	})
 
 	for i := 0; i < 3; i++ {
-		if _, _, err := tr.Fetch(hs.URL, &FillRequest{}); err == nil {
+		if _, _, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{}); err == nil {
 			t.Fatal("failing peer fetch succeeded")
 		}
 	}
 	seen := calls.Load()
 	// Circuit is open: fail fast, no wire traffic.
-	_, _, err := tr.Fetch(hs.URL, &FillRequest{})
+	_, _, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{})
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open circuit returned %v, want ErrBreakerOpen", err)
 	}
@@ -89,10 +89,10 @@ func TestBreakerOpensAndProbes(t *testing.T) {
 	// the circuit and traffic flows again.
 	fail.Store(false)
 	time.Sleep(60 * time.Millisecond)
-	if _, _, err := tr.Fetch(hs.URL, &FillRequest{}); err != nil {
+	if _, _, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{}); err != nil {
 		t.Fatalf("probe after cooldown: %v", err)
 	}
-	if _, _, err := tr.Fetch(hs.URL, &FillRequest{}); err != nil {
+	if _, _, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{}); err != nil {
 		t.Fatalf("closed circuit: %v", err)
 	}
 	st = tr.PeerStatsSnapshot()[hs.URL]
@@ -118,16 +118,16 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 		BreakerCooldown:  40 * time.Millisecond,
 	})
 	for i := 0; i < 2; i++ {
-		_, _, _ = tr.Fetch(hs.URL, &FillRequest{})
+		_, _, _ = tr.FetchContext(context.Background(), hs.URL, &FillRequest{})
 	}
 	time.Sleep(50 * time.Millisecond)
-	_, _, _ = tr.Fetch(hs.URL, &FillRequest{}) // the probe, fails
+	_, _, _ = tr.FetchContext(context.Background(), hs.URL, &FillRequest{}) // the probe, fails
 	seen := calls.Load()
 	if seen != 3 {
 		t.Fatalf("peer saw %d calls, want 3 (2 openers + 1 probe)", seen)
 	}
 	// Immediately after the failed probe the circuit is open again.
-	_, _, err := tr.Fetch(hs.URL, &FillRequest{})
+	_, _, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{})
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("after failed probe: %v, want ErrBreakerOpen", err)
 	}
@@ -148,7 +148,7 @@ func TestFailpointDropAndHeal(t *testing.T) {
 	defer hs.Close()
 	tr := NewTransport([]string{hs.URL}, TransportConfig{Timeout: time.Second, Retries: -1, BreakerThreshold: -1})
 	tr.FailDrop(hs.URL, true)
-	if _, _, err := tr.Fetch(hs.URL, &FillRequest{}); err == nil {
+	if _, _, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{}); err == nil {
 		t.Fatal("dropped exchange succeeded")
 	}
 	if calls.Load() != 0 {
@@ -158,7 +158,7 @@ func TestFailpointDropAndHeal(t *testing.T) {
 		t.Fatalf("drop not counted as failure: %+v", st)
 	}
 	tr.FailReset()
-	if _, _, err := tr.Fetch(hs.URL, &FillRequest{}); err != nil {
+	if _, _, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{}); err != nil {
 		t.Fatalf("after heal: %v", err)
 	}
 }
@@ -173,14 +173,14 @@ func TestFailpointDelay(t *testing.T) {
 	tr := NewTransport([]string{hs.URL}, TransportConfig{Timeout: 150 * time.Millisecond, Retries: -1, BreakerThreshold: -1})
 	tr.FailDelay(hs.URL, 30*time.Millisecond)
 	start := time.Now()
-	if _, _, err := tr.Fetch(hs.URL, &FillRequest{}); err != nil {
+	if _, _, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{}); err != nil {
 		t.Fatalf("delayed exchange: %v", err)
 	}
 	if time.Since(start) < 30*time.Millisecond {
 		t.Fatal("delay failpoint did not delay")
 	}
 	tr.FailDelay(hs.URL, 500*time.Millisecond) // beyond the deadline
-	if _, _, err := tr.Fetch(hs.URL, &FillRequest{}); err == nil {
+	if _, _, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{}); err == nil {
 		t.Fatal("over-deadline delay succeeded")
 	}
 }
@@ -206,9 +206,9 @@ func TestPostJSONBypassesBreakerGate(t *testing.T) {
 		BreakerCooldown:  time.Minute,
 	})
 	for i := 0; i < 2; i++ {
-		_, _, _ = tr.Fetch(hs.URL, &FillRequest{})
+		_, _, _ = tr.FetchContext(context.Background(), hs.URL, &FillRequest{})
 	}
-	if _, _, err := tr.Fetch(hs.URL, &FillRequest{}); !errors.Is(err, ErrBreakerOpen) {
+	if _, _, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{}); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("fill with open circuit: %v, want ErrBreakerOpen", err)
 	}
 	var out struct{}

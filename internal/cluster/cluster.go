@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,10 +44,10 @@ type Options struct {
 	// BreakerCooldown is how long an open circuit rejects before the
 	// half-open probe (0 = 1s).
 	BreakerCooldown time.Duration
-	// Replog configures the replicated update log (internal/replog).
-	// When Replog.Dir is non-empty, the server routes /update through
-	// a quorum-committed leader log over this transport instead of
-	// best-effort epoch gossip.
+	// Replog configures the replicated update log (internal/replog), the
+	// only way an /update reaches the other nodes: the server routes it
+	// through a quorum-committed leader log over this transport. A
+	// cluster requires Replog.Dir.
 	Replog ReplogOptions
 }
 
@@ -55,8 +55,8 @@ type Options struct {
 // maps them onto internal/replog's config. All durations 0 = that
 // package's defaults.
 type ReplogOptions struct {
-	// Dir is the directory holding this node's log WAL. Non-empty
-	// enables the replicated log (cluster mode required).
+	// Dir is the directory holding this node's log WAL. Required in a
+	// cluster; standalone, it makes /update a durable single-member log.
 	Dir string
 	// ElectionTimeout is the base leader-election timeout; each
 	// follower randomizes in [1x, 2x).
@@ -95,57 +95,30 @@ type Stats struct {
 	PeerFills      atomic.Int64
 	PeerErrors     atomic.Int64
 	LocalFallbacks atomic.Int64
+	// BehindFills counts owner replies refused as older than this node's
+	// data version (ErrBehind); the key was then queried locally.
+	BehindFills atomic.Int64
 	// PeerServes counts fills this node performed for other nodes.
 	PeerServes atomic.Int64
 	// HotReplicas counts peer-filled payloads admitted into the local
 	// cache because the key's sketch frequency crossed HotReplicate.
 	HotReplicas atomic.Int64
-	// EpochAdoptions counts times this node observed a newer cluster
-	// epoch on a peer exchange and invalidated its cache.
-	EpochAdoptions atomic.Int64
 }
 
-// EpochVector is the cluster invalidation clock: one monotone counter
-// per origin node (a G-counter CRDT). Every /update bumps the updating
-// node's own component; peer exchanges gossip the whole vector and
-// merge by pointwise max. A scalar max-merged epoch would lose
-// concurrent updates — two nodes both bumping 0→1 would each see the
-// other's "1" as not-newer and never invalidate — while per-origin
-// components can never collide: only the origin advances its own
-// counter, so any remotely-larger component is proof of an unseen
-// update.
-type EpochVector map[string]int64
-
-// Sum flattens the vector for display (total updates observed).
-func (v EpochVector) Sum() int64 {
-	var s int64
-	for _, c := range v {
-		s += c
-	}
-	return s
-}
+// ErrBehind (wrapped) refuses a fill the owner served at too old a version.
+var ErrBehind = errors.New("cluster: owner is behind the requester")
 
 // Node is one member of the serving cluster: the ring it places keys
-// on, the transport it fills through, and the epoch vector it gossips.
+// on and the transport it fills through.
 type Node struct {
 	opts Options
 	ring *Ring
 	tr   *Transport
 
-	// epochMu guards vec. The invalidation hook runs outside the lock,
-	// once per merge that advanced any component — a node that adopts
-	// invalidates its cache through onEpoch (the server clears + bumps
-	// its generation), so a stale node refetches everything at most
-	// one exchange after an update.
-	epochMu sync.Mutex
-	vec     EpochVector // guarded by epochMu
-	onEpoch func(epoch EpochVector)
-
 	Stats Stats
 }
 
-// New validates opts and builds the node. The caller wires cache
-// invalidation with SetEpochHook before serving.
+// New validates opts and builds the node.
 func New(opts Options) (*Node, error) {
 	if !opts.Enabled() {
 		return nil, fmt.Errorf("cluster: options name no peers (Self=%q, %d peers)", opts.Self, len(opts.Peers))
@@ -170,24 +143,12 @@ func New(opts Options) (*Node, error) {
 			BreakerThreshold: opts.BreakerThreshold,
 			BreakerCooldown:  opts.BreakerCooldown,
 		}),
-		vec: EpochVector{},
 	}, nil
 }
 
 // Transport exposes the peer transport — the replicated log's RPC
 // channel and the chaos tests' failpoint switchboard.
 func (n *Node) Transport() *Transport { return n.tr }
-
-// SetEpochHook registers the invalidation callback run (outside any
-// cluster lock) each time the node adopts newer epoch components from
-// a peer.
-func (n *Node) SetEpochHook(fn func(epoch EpochVector)) { n.onEpoch = fn }
-
-// Self returns this node's identity on the ring.
-func (n *Node) Self() string { return n.opts.Self }
-
-// Ring exposes the placement ring (read-only).
-func (n *Node) Ring() *Ring { return n.ring }
 
 // HotReplicate returns the replication threshold (< 0 = disabled).
 func (n *Node) HotReplicate() int { return n.opts.HotReplicate }
@@ -198,89 +159,22 @@ func (n *Node) Owner(key string) string { return n.ring.Owner(key) }
 // Owns reports whether this node owns key.
 func (n *Node) Owns(key string) bool { return n.ring.Owner(key) == n.opts.Self }
 
-// Epoch returns the sum of the node's epoch components (total updates
-// observed cluster-wide — the /stats display value).
-func (n *Node) Epoch() int64 {
-	n.epochMu.Lock()
-	defer n.epochMu.Unlock()
-	return n.vec.Sum()
-}
-
-// EpochVec returns a snapshot copy of the epoch vector.
-func (n *Node) EpochVec() EpochVector {
-	n.epochMu.Lock()
-	defer n.epochMu.Unlock()
-	out := make(EpochVector, len(n.vec))
-	for k, v := range n.vec {
-		out[k] = v
-	}
-	return out
-}
-
-// Bump advances this node's own epoch component for a local update.
-// The local cache transition (generation bump + clear) is the
-// caller's: it already owns that machinery for single-node updates.
-// Only the origin ever advances its component, so concurrent updates
-// at different nodes can neither collide nor be erased by a merge.
-func (n *Node) Bump() {
-	n.epochMu.Lock()
-	n.vec[n.opts.Self]++
-	n.epochMu.Unlock()
-}
-
-// Observe merges a remotely seen epoch vector into the local one
-// (pointwise max). If any component advanced, the invalidation hook
-// runs exactly once with the merged vector; an already-covered vector
-// is a no-op. Safe for concurrent use.
-func (n *Node) Observe(remote EpochVector) {
-	if len(remote) == 0 {
-		return
-	}
-	n.epochMu.Lock()
-	advanced := false
-	for node, c := range remote {
-		if c > n.vec[node] {
-			n.vec[node] = c
-			advanced = true
-		}
-	}
-	var merged EpochVector
-	hook := n.onEpoch
-	if advanced {
-		merged = make(EpochVector, len(n.vec))
-		for k, v := range n.vec {
-			merged[k] = v
-		}
-	}
-	n.epochMu.Unlock()
-	if advanced {
-		n.Stats.EpochAdoptions.Add(1)
-		if hook != nil {
-			hook(merged)
-		}
-	}
-}
-
-// Fetch fills one key from its owner, gossiping epoch vectors both
-// ways: the request carries this node's vector, the response's vector
-// is folded in (possibly invalidating the local cache) before the
-// payload returns.
-func (n *Node) Fetch(owner string, fr *FillRequest) ([]byte, error) {
-	return n.FetchContext(context.Background(), owner, fr)
-}
-
-// FetchContext is Fetch under the caller's context; an active obs span
-// on ctx propagates across the hop (see Transport.FetchContext).
-func (n *Node) FetchContext(ctx context.Context, owner string, fr *FillRequest) ([]byte, error) {
-	fr.Epochs = n.EpochVec()
-	payload, remoteEpochs, err := n.tr.FetchContext(ctx, owner, fr)
-	n.Observe(remoteEpochs)
-	if err != nil {
+// FetchContext fills one key from its owner (see Transport.FetchContext).
+// atLeast is the requester's data version: a reply served at an older
+// one, or naming none, is refused with ErrBehind, so a peer fill never
+// predates an update the requester has applied.
+func (n *Node) FetchContext(ctx context.Context, owner string, fr *FillRequest, atLeast int64) (payload []byte, version int64, err error) {
+	payload, version, err = n.tr.FetchContext(ctx, owner, fr)
+	switch {
+	case err != nil:
 		n.Stats.PeerErrors.Add(1)
-		return nil, err
+		return nil, version, err
+	case version < atLeast:
+		n.Stats.BehindFills.Add(1)
+		return nil, version, fmt.Errorf("%w: %s served version %d, want >= %d", ErrBehind, owner, version, atLeast)
 	}
 	n.Stats.PeerFills.Add(1)
-	return payload, nil
+	return payload, version, nil
 }
 
 // FrameKindOf maps a fill request kind to its wire frame kind.

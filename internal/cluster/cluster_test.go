@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -10,32 +11,41 @@ import (
 	"time"
 )
 
-// peerStub serves /peer with a fixed payload and epoch vector.
-func peerStub(t *testing.T, epochs EpochVector, payload []byte, serveErr error) *httptest.Server {
+// peerStub serves /peer with a fixed payload and data version (nil: no
+// version header).
+func peerStub(t *testing.T, version *int64, payload []byte, serveErr error) *httptest.Server {
 	t.Helper()
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != PeerPath {
 			http.NotFound(w, r)
 			return
 		}
-		_ = WritePeerResponse(w, epochs, FrameKindOf("tile"), payload, serveErr, false)
+		_ = WritePeerResponse(w, version, FrameKindOf("tile"), payload, serveErr, false)
 	}))
 }
 
+// TestTransportFetchRoundtrip: the payload and the owner's data version
+// cross the hop; a reply without a version header reads as -1.
 func TestTransportFetchRoundtrip(t *testing.T) {
 	payload := []byte(`{"rows":[[1,2.5]]}`)
-	hs := peerStub(t, EpochVector{"origin": 7}, payload, nil)
-	defer hs.Close()
-	tr := NewTransport([]string{hs.URL}, TransportConfig{PerPeer: 4, Timeout: time.Second})
-	got, epochs, err := tr.Fetch(hs.URL, &FillRequest{Key: "k", Kind: "tile"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(payload) {
-		t.Fatalf("payload = %q", got)
-	}
-	if epochs["origin"] != 7 {
-		t.Fatalf("epochs = %v, want origin:7", epochs)
+	v := int64(7)
+	for _, c := range []struct {
+		version *int64
+		want    int64
+	}{{&v, 7}, {nil, -1}} {
+		hs := peerStub(t, c.version, payload, nil)
+		tr := NewTransport([]string{hs.URL}, TransportConfig{PerPeer: 4, Timeout: time.Second})
+		got, version, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{Key: "k", Kind: "tile"})
+		hs.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(payload) {
+			t.Fatalf("payload = %q", got)
+		}
+		if version != c.want {
+			t.Fatalf("version = %d, want %d", version, c.want)
+		}
 	}
 }
 
@@ -47,10 +57,10 @@ func TestTransportCompressedFill(t *testing.T) {
 	for i := range big {
 		big[i] = byte("abcd"[i%4]) // compressible
 	}
-	hs := peerStub(t, EpochVector{"origin": 1}, big, nil)
+	hs := peerStub(t, nil, big, nil)
 	defer hs.Close()
 	tr := NewTransport([]string{hs.URL}, TransportConfig{PerPeer: 4, Timeout: time.Second})
-	got, _, err := tr.Fetch(hs.URL, &FillRequest{Key: "k", Kind: "tile"})
+	got, _, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{Key: "k", Kind: "tile"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +70,19 @@ func TestTransportCompressedFill(t *testing.T) {
 }
 
 func TestTransportErrors(t *testing.T) {
-	hs := peerStub(t, EpochVector{"origin": 3}, nil, errors.New("no such layer"))
+	hs := peerStub(t, nil, nil, errors.New("no such layer"))
 	defer hs.Close()
 	tr := NewTransport([]string{hs.URL}, TransportConfig{PerPeer: 4, Timeout: time.Second})
-	if _, _, err := tr.Fetch(hs.URL, &FillRequest{}); err == nil {
+	if _, _, err := tr.FetchContext(context.Background(), hs.URL, &FillRequest{}); err == nil {
 		t.Fatal("error frame must surface as an error")
 	}
-	if _, _, err := tr.Fetch("http://not-registered", &FillRequest{}); err == nil {
+	if _, _, err := tr.FetchContext(context.Background(), "http://not-registered", &FillRequest{}); err == nil {
 		t.Fatal("unknown peer must fail")
 	}
 	// A dead peer fails within the timeout instead of hanging.
 	dead := NewTransport([]string{"http://127.0.0.1:1"}, TransportConfig{PerPeer: 1, Timeout: 200 * time.Millisecond, Retries: -1})
 	start := time.Now()
-	if _, _, err := dead.Fetch("http://127.0.0.1:1", &FillRequest{}); err == nil {
+	if _, _, err := dead.FetchContext(context.Background(), "http://127.0.0.1:1", &FillRequest{}); err == nil {
 		t.Fatal("dead peer must fail")
 	}
 	if time.Since(start) > 5*time.Second {
@@ -106,7 +116,7 @@ func TestTransportConcurrencyBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, _ = tr.Fetch(hs.URL, &FillRequest{})
+			_, _, _ = tr.FetchContext(context.Background(), hs.URL, &FillRequest{})
 		}()
 	}
 	// Let the first `bound` fills arrive, then release everyone.
@@ -121,96 +131,28 @@ func TestTransportConcurrencyBound(t *testing.T) {
 	}
 }
 
-// TestNodeEpochGossip: Observe merges only advancing components, runs
-// the invalidation hook exactly once per adoption, and Fetch folds the
-// peer's vector in before returning.
-func TestNodeEpochGossip(t *testing.T) {
-	hs := peerStub(t, EpochVector{"origin": 5}, []byte("p"), nil)
+// TestNodeFetchRefusesOlderVersion: a fill served at a version below
+// the requester's is refused with ErrBehind and counted apart from peer
+// failures; one at or above it is accepted.
+func TestNodeFetchRefusesOlderVersion(t *testing.T) {
+	v := int64(4)
+	hs := peerStub(t, &v, []byte("p"), nil)
 	defer hs.Close()
 	n, err := New(Options{Self: "http://self", Peers: []string{"http://self", hs.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hookCalls atomic.Int64
-	n.SetEpochHook(func(EpochVector) { hookCalls.Add(1) })
-
-	n.Observe(nil) // nothing to merge
-	n.Observe(EpochVector{})
-	if n.Epoch() != 0 || hookCalls.Load() != 0 {
-		t.Fatalf("empty observes changed state: epoch=%d hooks=%d", n.Epoch(), hookCalls.Load())
+	if _, got, err := n.FetchContext(context.Background(), hs.URL, &FillRequest{Kind: "tile"}, 5); !errors.Is(err, ErrBehind) || got != 4 {
+		t.Fatalf("fill at 4 for a requester at 5: version %d, err %v; want 4, ErrBehind", got, err)
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); n.Observe(EpochVector{"a": 3}) }()
-	}
-	wg.Wait()
-	if n.Epoch() != 3 || hookCalls.Load() != 1 {
-		t.Fatalf("racing observes: epoch=%d hooks=%d, want 3/1", n.Epoch(), hookCalls.Load())
-	}
-	n.Observe(EpochVector{"a": 2}) // already covered
-	if hookCalls.Load() != 1 {
-		t.Fatal("covered vector re-ran the hook")
-	}
-	if _, err := n.Fetch(hs.URL, &FillRequest{Key: "k", Kind: "tile"}); err != nil {
-		t.Fatal(err)
-	}
-	if n.Epoch() != 8 { // a:3 + origin:5
-		t.Fatalf("fetch did not gossip the epoch vector: %d", n.Epoch())
-	}
-	if n.Stats.PeerFills.Load() != 1 || n.Stats.EpochAdoptions.Load() != 2 {
-		t.Fatalf("stats = fills %d adoptions %d", n.Stats.PeerFills.Load(), n.Stats.EpochAdoptions.Load())
-	}
-	n.Bump()
-	if got := n.EpochVec()["http://self"]; got != 1 {
-		t.Fatalf("Bump advanced own component to %d, want 1", got)
-	}
-}
-
-// TestNodeEpochConcurrentOrigins is the regression the vector exists
-// for: two nodes updating concurrently both reach "1 update", and a
-// scalar max-merged epoch would treat the other's 1 as not-newer —
-// silently dropping an invalidation. Per-origin components cannot
-// collide: each side adopts the other's update exactly once, and a
-// concurrent local Bump is never erased by a merge.
-func TestNodeEpochConcurrentOrigins(t *testing.T) {
-	a, err := New(Options{Self: "http://a", Peers: []string{"http://a", "http://b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Options{Self: "http://b", Peers: []string{"http://a", "http://b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var aHooks, bHooks atomic.Int64
-	a.SetEpochHook(func(EpochVector) { aHooks.Add(1) })
-	b.SetEpochHook(func(EpochVector) { bHooks.Add(1) })
-
-	a.Bump() // concurrent updates at both nodes
-	b.Bump()
-	a.Observe(b.EpochVec()) // gossip crosses
-	b.Observe(a.EpochVec())
-	if aHooks.Load() != 1 || bHooks.Load() != 1 {
-		t.Fatalf("adoptions = a:%d b:%d, want 1/1 — a concurrent update was dropped", aHooks.Load(), bHooks.Load())
-	}
-	want := EpochVector{"http://a": 1, "http://b": 1}
-	for name, n := range map[string]*Node{"a": a, "b": b} {
-		got := n.EpochVec()
-		if got["http://a"] != want["http://a"] || got["http://b"] != want["http://b"] {
-			t.Fatalf("node %s vector = %v, want %v", name, got, want)
+	for _, atLeast := range []int64{4, 0} {
+		p, _, err := n.FetchContext(context.Background(), hs.URL, &FillRequest{Kind: "tile"}, atLeast)
+		if err != nil || string(p) != "p" {
+			t.Fatalf("fill at 4 for a requester at %d: %q, %v", atLeast, p, err)
 		}
 	}
-
-	// A local Bump racing a merge survives it: b observes a's OLD
-	// vector while b bumps again; b's own component must end at 2.
-	var wg sync.WaitGroup
-	old := a.EpochVec()
-	wg.Add(2)
-	go func() { defer wg.Done(); b.Bump() }()
-	go func() { defer wg.Done(); b.Observe(old) }()
-	wg.Wait()
-	if got := b.EpochVec()["http://b"]; got != 2 {
-		t.Fatalf("merge erased a concurrent local bump: own component = %d, want 2", got)
+	if f, b, e := n.Stats.PeerFills.Load(), n.Stats.BehindFills.Load(), n.Stats.PeerErrors.Load(); f != 2 || b != 1 || e != 0 {
+		t.Fatalf("stats: fills %d behind %d errors %d, want 2/1/0", f, b, e)
 	}
 }
 

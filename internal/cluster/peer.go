@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -21,10 +22,10 @@ import (
 // handler there.
 const PeerPath = "/peer"
 
-// EpochHeader carries the responding node's epoch vector (JSON-encoded
-// EpochVector) on every peer response — the gossip channel of the
-// invalidation protocol.
-const EpochHeader = "X-Kyrix-Epoch"
+// VersionHeader carries, on a peer reply, the data version the owner
+// served the fill at (decimal; the server's count of applied update
+// transitions, equal on every member at the same log position).
+const VersionHeader = "X-Kyrix-Version"
 
 // PeerContentType is the /peer response body: a one-frame stream in
 // the internal/wire v3 framing (header + exactly one frame), so the
@@ -48,23 +49,21 @@ var errFailpointDrop = errors.New("cluster: failpoint: dropped")
 // FillRequest asks a key's owner to produce one tile or dynamic-box
 // payload. It carries the same addressing fields as a /batch item plus
 // the canonical cache key (debugging identity; the owner recomputes
-// its own) and the requester's epoch vector (gossip flows both ways:
-// an owner behind on updates learns from its requesters).
+// its own).
 type FillRequest struct {
-	Key    string      `json:"key"`
-	Canvas string      `json:"canvas"`
-	Layer  int         `json:"layer"`
-	Kind   string      `json:"kind"` // "tile" | "dbox"
-	Codec  string      `json:"codec"`
-	Design string      `json:"design,omitempty"`
-	Size   float64     `json:"size,omitempty"`
-	Col    int         `json:"col,omitempty"`
-	Row    int         `json:"row,omitempty"`
-	MinX   float64     `json:"minx,omitempty"`
-	MinY   float64     `json:"miny,omitempty"`
-	MaxX   float64     `json:"maxx,omitempty"`
-	MaxY   float64     `json:"maxy,omitempty"`
-	Epochs EpochVector `json:"epochs,omitempty"`
+	Key    string  `json:"key"`
+	Canvas string  `json:"canvas"`
+	Layer  int     `json:"layer"`
+	Kind   string  `json:"kind"` // "tile" | "dbox"
+	Codec  string  `json:"codec"`
+	Design string  `json:"design,omitempty"`
+	Size   float64 `json:"size,omitempty"`
+	Col    int     `json:"col,omitempty"`
+	Row    int     `json:"row,omitempty"`
+	MinX   float64 `json:"minx,omitempty"`
+	MinY   float64 `json:"miny,omitempty"`
+	MaxX   float64 `json:"maxx,omitempty"`
+	MaxY   float64 `json:"maxy,omitempty"`
 }
 
 // TransportConfig tunes the peer transport. The zero value gets
@@ -335,45 +334,39 @@ func (t *Transport) exchange(ctx context.Context, p *peer, gated bool, fn func(c
 	return err
 }
 
-// Fetch asks node to produce the payload for fr, returning the payload
-// and the node's epoch vector. One deadline covers the whole fill —
-// semaphore queue wait, every retry attempt and the backoff sleeps
-// between them all share it, so a fill never outlives Timeout. A
-// failed attempt is retried up to Retries times with jittered
-// exponential backoff (unless the circuit breaker is rejecting, which
-// already means the peer is known dead). Every terminal failure mode —
-// unknown node, a full concurrency budget that does not drain in time,
-// transport errors, non-OK frames, an open breaker — comes back as an
-// error the caller treats as "fall back to a local query"; a peer
-// problem degrades the cluster to N independent nodes, never to an
-// outage.
-func (t *Transport) Fetch(node string, fr *FillRequest) (payload []byte, epochs EpochVector, err error) {
-	return t.FetchContext(context.Background(), node, fr)
-}
-
-// FetchContext is Fetch under the caller's context. The transport's
-// Timeout still applies on top of any caller deadline (whichever is
-// sooner wins); what the context adds is its values — in particular an
-// active obs span, whose trace context rides the request header so the
-// owner node's serving spans come back stitched into the caller's trace.
-func (t *Transport) FetchContext(ctx context.Context, node string, fr *FillRequest) (payload []byte, epochs EpochVector, err error) {
+// FetchContext asks node to produce the payload for fr, returning the
+// payload and the data version the node served it at (-1 when the reply
+// names none). One deadline covers the whole fill — semaphore queue
+// wait, every retry attempt and the backoff sleeps between them all
+// share it, so a fill never outlives Timeout (or an earlier ctx
+// deadline). A failed attempt is retried up to Retries times with
+// jittered exponential backoff (unless the circuit breaker is
+// rejecting, which already means the peer is known dead). Every
+// terminal failure mode — unknown node, a full concurrency budget that
+// does not drain in time, transport errors, non-OK frames, an open
+// breaker — comes back as an error the caller treats as "fall back to a
+// local query"; a peer problem degrades the cluster to N independent
+// nodes, never to an outage. An active obs span on ctx rides the
+// request header, so the owner's serving spans come back stitched into
+// the caller's trace.
+func (t *Transport) FetchContext(ctx context.Context, node string, fr *FillRequest) (payload []byte, version int64, err error) {
 	p, ok := t.peers[node]
 	if !ok {
-		return nil, nil, fmt.Errorf("cluster: unknown peer %q", node)
+		return nil, -1, fmt.Errorf("cluster: unknown peer %q", node)
 	}
 	ctx, cancel := context.WithTimeout(ctx, t.cfg.Timeout)
 	defer cancel()
 	backoff := 10 * time.Millisecond
 	for attempt := 0; ; attempt++ {
 		err = t.exchange(ctx, p, true, func(ctx context.Context) error {
-			payload, epochs, err = t.fetchOnce(ctx, p, fr)
+			payload, version, err = t.fetchOnce(ctx, p, fr)
 			return err
 		})
 		if err == nil {
-			return payload, epochs, nil
+			return payload, version, nil
 		}
 		if attempt >= t.cfg.Retries || errors.Is(err, ErrBreakerOpen) {
-			return nil, epochs, err
+			return nil, -1, err
 		}
 		// Jittered exponential backoff: sleep in [backoff/2, backoff],
 		// doubling each round, so a brief peer hiccup is ridden out
@@ -386,27 +379,27 @@ func (t *Transport) FetchContext(ctx context.Context, node string, fr *FillReque
 		select {
 		case <-time.After(d):
 		case <-ctx.Done():
-			return nil, epochs, err
+			return nil, -1, err
 		}
 	}
 }
 
 // fetchOnce is one HTTP exchange of the fill protocol.
-func (t *Transport) fetchOnce(ctx context.Context, p *peer, fr *FillRequest) (payload []byte, epochs EpochVector, err error) {
+func (t *Transport) fetchOnce(ctx context.Context, p *peer, fr *FillRequest) (payload []byte, version int64, err error) {
 	body, err := json.Marshal(fr)
 	if err != nil {
-		return nil, nil, err
+		return nil, -1, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.base+PeerPath, bytes.NewReader(body))
 	if err != nil {
-		return nil, nil, err
+		return nil, -1, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	// Propagate the caller's trace so the owner's serving spans join it.
 	obs.InjectHeader(ctx, req.Header)
 	resp, err := t.client.Do(req)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: peer %s: %w", p.base, err)
+		return nil, -1, fmt.Errorf("cluster: peer %s: %w", p.base, err)
 	}
 	defer resp.Body.Close()
 	// Graft the owner node's finished span subtree (if it sent one) into
@@ -414,19 +407,17 @@ func (t *Transport) fetchOnce(ctx context.Context, p *peer, fr *FillRequest) (pa
 	if sh := resp.Header.Get(obs.SpansHeader); sh != "" {
 		obs.SpanFromContext(ctx).Graft(obs.DecodeSpansHeader(sh))
 	}
-	if eh := resp.Header.Get(EpochHeader); eh != "" {
-		// A malformed epoch header is ignored, not fatal: the payload
-		// is still usable, the gossip just did not advance.
-		var v EpochVector
-		if perr := json.Unmarshal([]byte(eh), &v); perr == nil {
-			epochs = v
-		}
-	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, epochs, fmt.Errorf("cluster: peer %s: HTTP %d", p.base, resp.StatusCode)
+		return nil, -1, fmt.Errorf("cluster: peer %s: HTTP %d", p.base, resp.StatusCode)
+	}
+	// An absent or malformed version is unknown (-1): older than any
+	// version a requester holds, so the payload is never trusted as fresh.
+	version, perr := strconv.ParseInt(resp.Header.Get(VersionHeader), 10, 64)
+	if perr != nil {
+		version = -1
 	}
 	payload, err = readPeerResponse(bufio.NewReader(resp.Body))
-	return payload, epochs, err
+	return payload, version, err
 }
 
 // PostJSON performs one JSON request/response exchange with node at
@@ -510,11 +501,12 @@ func readPeerResponse(br *bufio.Reader) ([]byte, error) {
 
 // WritePeerResponse writes the one-frame wire stream of a /peer reply:
 // an OK payload (DEFLATE-compressed when the worth-it heuristic says
-// so) or an error frame. kind is the frame kind matching the request.
-func WritePeerResponse(w http.ResponseWriter, epochs EpochVector, kind wire.FrameKind, payload []byte, serveErr error, badRequest bool) error {
+// so) or an error frame. kind is the frame kind matching the request;
+// version, when non-nil, is the data version the payload was served at.
+func WritePeerResponse(w http.ResponseWriter, version *int64, kind wire.FrameKind, payload []byte, serveErr error, badRequest bool) error {
 	w.Header().Set("Content-Type", PeerContentType)
-	if eh, err := json.Marshal(epochs); err == nil {
-		w.Header().Set(EpochHeader, string(eh))
+	if version != nil {
+		w.Header().Set(VersionHeader, strconv.FormatInt(*version, 10))
 	}
 	f := wire.Frame{Index: 0, Kind: kind, Status: wire.FrameOK, Codec: wire.CodecRaw}
 	if serveErr != nil {

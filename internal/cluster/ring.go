@@ -14,13 +14,15 @@
 //   - Keys whose sketch frequency crosses a threshold are replicated
 //     into the non-owner's local cache ("hot-key replication"), so a
 //     viral viewport does not bottleneck its owner.
-//   - Every peer exchange gossips a cluster epoch; /update bumps it,
-//     and a node observing a newer epoch clears its cache and
-//     refetches (epoch.go has the invalidation contract).
+//   - Updates reach every node through the replicated log
+//     (internal/replog), which runs over this package's Transport.
+//     Every peer reply carries the data version the owner served it
+//     at, and a requester refuses a fill older than its own
+//     (Node.FetchContext), so a peer never undoes an applied update.
 //
 // The package deliberately knows nothing about HTTP routing or SQL:
 // the server wires it in (internal/server/peer.go), this package owns
-// placement, transport and epoch state.
+// placement and transport.
 package cluster
 
 import (

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"time"
 
@@ -26,15 +27,17 @@ type ClusterEnv struct {
 	// URLs[i] is node i's base URL for its whole lifetime — a restarted
 	// node rebinds the same address, so the ring and replog membership
 	// stay valid across crash/restart cycles.
-	URLs  []string
-	copts []server.ClusterOptions
+	URLs    []string
+	copts   []server.ClusterOptions
+	tmpLogs string // log root created for want of Cfg.ReplogRoot; Close removes it
 }
 
 // NewClusterEnv builds an n-node cluster (n = 1 builds a standalone
 // baseline node through the same code path, so 1-node and N-node runs
 // are directly comparable). Listeners are created first: every node
 // must know the full peer list — its own Self URL included — before
-// any server exists.
+// any server exists. A cluster needs a replicated update log; without
+// Cfg.ReplogRoot the logs go to a temporary directory Close removes.
 func NewClusterEnv(cfg Config, kind string, n int) (*ClusterEnv, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("experiments: cluster of %d nodes", n)
@@ -59,24 +62,32 @@ func NewClusterEnv(cfg Config, kind string, n int) (*ClusterEnv, error) {
 		urls[i] = "http://" + ln.Addr().String()
 	}
 	ce := &ClusterEnv{Cfg: cfg, Dataset: d, URLs: urls}
+	logRoot := cfg.ReplogRoot
+	if logRoot == "" && n > 1 {
+		var err error
+		if logRoot, err = os.MkdirTemp("", "kyrix-replog-"); err != nil {
+			for _, ln := range lns {
+				_ = ln.Close()
+			}
+			return nil, fmt.Errorf("experiments: replog dir: %w", err)
+		}
+		ce.tmpLogs = logRoot
+	}
 	for i := 0; i < n; i++ {
 		var copts server.ClusterOptions
-		if n > 1 {
+		if logRoot != "" {
 			copts = server.ClusterOptions{
 				Self:        urls[i],
 				Peers:       urls,
 				PeerTimeout: 5 * time.Second,
+				// Chaos-friendly timings: elections settle in well under
+				// a second, and a dead peer's breaker reprobes fast
+				// enough that a restarted node rejoins within one test
+				// timeout.
+				BreakerCooldown: 200 * time.Millisecond,
 			}
-		}
-		if cfg.ReplogRoot != "" {
-			copts.Self = urls[i]
-			copts.Peers = urls
-			// Chaos-friendly timings: elections settle in well under a
-			// second, and a dead peer's breaker reprobes fast enough
-			// that a restarted node rejoins within one test timeout.
-			copts.BreakerCooldown = 200 * time.Millisecond
 			copts.Replog = server.ReplogOptions{
-				Dir:             filepath.Join(cfg.ReplogRoot, fmt.Sprintf("node%d", i)),
+				Dir:             filepath.Join(logRoot, fmt.Sprintf("node%d", i)),
 				ElectionTimeout: 100 * time.Millisecond,
 				SubmitTimeout:   5 * time.Second,
 			}
@@ -132,10 +143,13 @@ func (ce *ClusterEnv) RestartNode(i int) error {
 }
 
 // Close shuts every node down (graceful drain per node; stopped nodes
-// close idempotently).
+// close idempotently) and removes a log directory the env created.
 func (ce *ClusterEnv) Close() {
 	for _, e := range ce.Nodes {
 		e.Close()
+	}
+	if ce.tmpLogs != "" {
+		_ = os.RemoveAll(ce.tmpLogs)
 	}
 }
 

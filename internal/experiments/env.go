@@ -71,10 +71,11 @@ type Config struct {
 	L2Dir string
 	// L2MaxBytes bounds the persistent store (0 = store default).
 	L2MaxBytes int64
-	// ReplogRoot, when non-empty, gives every cluster node a replicated
-	// update log under <ReplogRoot>/node<i> — /update becomes a
-	// quorum-committed log command and the chaos/failover experiments
-	// can kill and restart nodes without losing acknowledged updates.
+	// ReplogRoot holds each node's replicated update log under
+	// <ReplogRoot>/node<i>, so the chaos/failover experiments can kill
+	// and restart nodes without losing acknowledged updates. A cluster
+	// always has a log (a temporary root when this is empty); a single
+	// node gets a durable one only when it is set.
 	ReplogRoot string
 }
 

@@ -30,18 +30,12 @@ type FailoverOptions struct {
 	// UpdateEvery interleaves one counting update per this many tile
 	// steps.
 	UpdateEvery int
-	// ReplogRoot holds the per-node WAL dirs (required).
-	ReplogRoot string
 }
 
 // DefaultFailoverOptions measures 200 tile steps per phase with an
 // update every 10 steps.
-func DefaultFailoverOptions(replogRoot string) FailoverOptions {
-	return FailoverOptions{
-		StepsPerPhase: 200,
-		UpdateEvery:   10,
-		ReplogRoot:    replogRoot,
-	}
+func DefaultFailoverOptions() FailoverOptions {
+	return FailoverOptions{StepsPerPhase: 200, UpdateEvery: 10}
 }
 
 // FailoverPhase is one phase's measurements.
@@ -185,17 +179,14 @@ func postFailoverUpdate(client *http.Client, url string, k int) error {
 
 // FailoverExperiment builds a 3-node replicated cluster, measures a
 // steady phase, kills the leader, and measures the failover phase
-// against the survivors. The returned result reports per-phase tile
-// latency, the acked-update count, and how many acked updates the
-// surviving replicated state is missing (contractually 0).
+// against the survivors (logs under cfg.ReplogRoot, or a temporary
+// directory). The returned result reports per-phase tile latency, the
+// acked-update count, and how many acked updates the surviving
+// replicated state is missing (contractually 0).
 func FailoverExperiment(cfg Config, opts FailoverOptions) (*FailoverResult, error) {
 	if opts.StepsPerPhase <= 0 {
 		opts.StepsPerPhase = 200
 	}
-	if opts.ReplogRoot == "" {
-		return nil, fmt.Errorf("experiments: failover needs a ReplogRoot")
-	}
-	cfg.ReplogRoot = opts.ReplogRoot
 	ce, err := NewClusterEnv(cfg, "uniform", 3)
 	if err != nil {
 		return nil, err

@@ -32,15 +32,14 @@
 //
 // Each node applies committed entries, in index order, exactly once
 // per process lifetime, through the Apply callback — the server hangs
-// its whole invalidation transition (database mutation, cache
-// generation bump, L2 store bump, epoch-vector advance) off that
-// callback, which is what upgrades best-effort gossip to a
-// committed-prefix guarantee.
+// its whole update transition (database mutation, cache generation
+// bump, scoped L1 and L2 invalidation) off that callback, so every
+// member changes its data and its caches at the same log positions.
 //
-// Persistence is one internal/wal log per node (CRC-framed records,
-// torn tail truncated on open) holding interleaved meta records (term,
-// vote) and entry records; on restart the node replays it and rejoins
-// with its history intact.
+// Persistence is two internal/wal logs per node (CRC-framed records,
+// torn tail truncated on open): an append-only term/vote log and a
+// suffix-truncatable entry log (storage.go has the layout). On restart
+// the node replays both and rejoins with its history intact.
 package replog
 
 import (

@@ -305,19 +305,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}()
 			if it.Kind == "dbox" && it.Base != nil {
 				if s.ownsDBox(req.Canvas, it, codec) {
-					// Delta-eligible: hold the epoch read lock across
-					// query + delta plan so an /update cannot slip
-					// between them and pair a post-update result with
-					// a pre-update base.
-					s.epochMu.RLock()
-					defer s.epochMu.RUnlock()
+					// Delta-eligible: hold the update fence's read
+					// lock across query + delta plan so an /update
+					// cannot slip between them and pair a post-update
+					// result with a pre-update base.
+					s.updateMu.RLock()
+					defer s.updateMu.RUnlock()
 				} else {
 					// Non-owned in a cluster: the payload may arrive
-					// from a peer at a different epoch, and the
-					// content-blind id diff cannot prove a cross-epoch
-					// delta safe. Dropping the base ships a full frame
-					// (and keeps the peer hop outside epochMu, where a
-					// gossiped epoch adoption needs the write lock).
+					// from a peer at a different data version, and the
+					// content-blind id diff cannot prove a delta
+					// across versions safe. Dropping the base ships a
+					// full frame (and keeps the peer hop outside
+					// updateMu, where this node's log applies need the
+					// write lock).
 					it.Base = nil
 				}
 			}

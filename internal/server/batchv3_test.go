@@ -271,7 +271,7 @@ func TestBatchV3DeltaAcrossUpdate(t *testing.T) {
 	_, baseID := fetchBoxPayload(t, hs.URL, baseItem, CodecJSON)
 
 	// Change a column of every row via the real /update endpoint (the
-	// epoch transition: exec + generation bump + cache clear).
+	// update transition: exec + generation bump + cache clear).
 	upd, _ := json.Marshal(map[string]any{"sql": "UPDATE points SET val = 4242.0"})
 	resp, err := http.Post(hs.URL+"/update", "application/json", bytes.NewReader(upd))
 	if err != nil {

@@ -7,8 +7,8 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,7 +31,8 @@ type clusterNode struct {
 
 // newTestCluster builds n servers over identical datasets (same seed,
 // separate embedded DBs — the stand-in for a shared backing store),
-// all joined to one ring. Listeners come first so every node knows the
+// all joined to one ring and one replicated update log (a fresh WAL
+// directory per node). Listeners come first so every node knows the
 // full peer list at construction.
 func newTestCluster(t testing.TB, n, points int, mutate func(i int, o *Options)) []*clusterNode {
 	t.Helper()
@@ -92,6 +93,7 @@ func newTestCluster(t testing.TB, n, points int, mutate func(i int, o *Options))
 				Self:        urls[i],
 				Peers:       urls,
 				PeerTimeout: 5 * time.Second,
+				Replog:      ReplogOptions{Dir: t.TempDir(), ElectionTimeout: 100 * time.Millisecond},
 			},
 			Precompute: fetch.Options{
 				BuildSpatial: true,
@@ -109,7 +111,7 @@ func newTestCluster(t testing.TB, n, points int, mutate func(i int, o *Options))
 		hsrv := &http.Server{Handler: srv.Handler()}
 		ln := lns[i]
 		go func() { _ = hsrv.Serve(ln) }()
-		stop := func() { _ = hsrv.Close(); _ = ln.Close() }
+		stop := func() { _ = hsrv.Close(); _ = ln.Close(); _ = srv.Close() }
 		t.Cleanup(stop)
 		nodes[i] = &clusterNode{srv: srv, url: urls[i], stop: stop}
 	}
@@ -172,16 +174,108 @@ func getTile(t testing.TB, baseURL string, tid geom.TileID) []byte {
 	return body
 }
 
+// updateSeq mints idempotency keys, so postUpdate's retries apply once.
+var updateSeq atomic.Int64
+
+// postUpdate acks one /update through baseURL.
 func postUpdate(t *testing.T, baseURL, sql string) {
-	body, _ := json.Marshal(UpdateRequest{SQL: sql})
-	resp, err := http.Post(baseURL+"/update", "application/json", bytes.NewReader(body))
+	t.Helper()
+	postUpdateID(t, baseURL, fmt.Sprintf("test-%d", updateSeq.Add(1)), sql)
+}
+
+// postUpdateID acks one /update carrying idempotency key id, retrying
+// the 503 a node answers until the replicated log has a leader.
+func postUpdateID(t *testing.T, baseURL, id, sql string) {
+	t.Helper()
+	body, _ := json.Marshal(UpdateRequest{ID: id, SQL: sql})
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Post(baseURL+"/update", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			return
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable || time.Now().After(deadline) {
+			t.Fatalf("update: %s: %s", resp.Status, b)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// rowInTile finds a tile n owns and a row whose rectangle lies inside
+// it with a margin, so an edit to the row touches that tile's window and
+// no other.
+func rowInTile(t *testing.T, n *clusterNode) (geom.TileID, int64) {
+	t.Helper()
+	pl, _ := n.srv.Layer("main", 0)
+	res, err := n.srv.db.Query("SELECT * FROM points")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("update: %s: %s", resp.Status, b)
+	for col := 0; col < 8; col++ {
+		for row := 0; row < 4; row++ {
+			tid := geom.TileID{Col: col, Row: row}
+			if !n.srv.cluster.Owns(tileKeyFor(CodecJSON, "spatial", 512, tid)) {
+				continue
+			}
+			r := tid.TileRect(512)
+			inner := geom.Rect{MinX: r.MinX + 1, MinY: r.MinY + 1, MaxX: r.MaxX - 1, MaxY: r.MaxY - 1}
+			for _, img := range res.Rows {
+				box, err := pl.RowBox(img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if inner.Contains(box) {
+					return tid, img[0].AsInt()
+				}
+			}
+		}
+	}
+	t.Fatal("no owned tile holds a row")
+	return geom.TileID{}, 0
+}
+
+// valOf returns the val column of row id in a JSON payload.
+func valOf(t *testing.T, raw []byte, id int64) float64 {
+	t.Helper()
+	dr, err := Decode(raw, CodecJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range dr.Rows {
+		for i, c := range dr.Cols {
+			if r[0].AsInt() == id && c == "val" {
+				return r[i].AsFloat()
+			}
+		}
+	}
+	t.Fatalf("row %d has no val in the payload", id)
+	return 0
+}
+
+// waitConverged waits until every node has applied the same updates:
+// equal cacheGen, the one data version.
+func waitConverged(t *testing.T, nodes []*clusterNode) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		gens := make([]int64, len(nodes))
+		same := true
+		for i, n := range nodes {
+			gens[i] = n.srv.cacheGen.Load()
+			same = same && gens[i] == gens[0]
+		}
+		if same {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("nodes never converged: cacheGen %v", gens)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -258,32 +352,33 @@ func TestClusterCrossNodeSingleflight(t *testing.T) {
 			t.Fatalf("gen %d: non-owner recorded no peer fills", gen)
 		}
 		// Next generation: an update through the owner clears its
-		// cache and bumps the epoch; the non-owner adopts mid-round on
-		// its first peer exchange. The same key must again cost
-		// exactly one database query cluster-wide.
+		// cache; the non-owner applies it from the log, possibly
+		// mid-round. The same key must again cost exactly one database
+		// query cluster-wide.
 		// (All 500 rows: past maxScopedRows, so whichever rows the tile
 		// holds, the owner's whole cache goes.)
 		postUpdate(t, owner.url, "UPDATE points SET val = 1 WHERE id >= 0")
 	}
 }
 
-// TestClusterEpochInvalidation: an update at one node invalidates the
-// other's cache on the very next peer exchange — the gossiped-epoch
-// contract (stale nodes clear + refetch, bounded staleness of one
-// exchange).
-func TestClusterEpochInvalidation(t *testing.T) {
+// TestClusterUpdateInvalidatesEveryNode: an update acked through one
+// node reaches the others only through the replicated log, and each
+// applies it with the same scoped sweep. Once the owner has applied an
+// update posted through the non-owner, its cached tile holding the row
+// is gone, a cached tile outside the row's rectangle survives, and the
+// non-owner's next read of the tile carries the new value.
+func TestClusterUpdateInvalidatesEveryNode(t *testing.T) {
 	nodes := newTestCluster(t, 2, 500, nil)
-	owner, other, tid := ownerAndOther(t, nodes)
+	owner, other := nodes[0], nodes[1]
+	tid, id := rowInTile(t, owner)
 	key := tileKeyFor(CodecJSON, "spatial", 512, tid)
 
-	// Warm the owner's cache: the exchanged tile plus a second witness
-	// key that nothing will re-request — the proof the adoption
-	// actually cleared the cache (the exchanged tile itself is
-	// re-cached fresh by the very fill that gossips the epoch).
+	// Warm the owner's cache: the edited tile plus a witness the edit
+	// does not touch.
 	getTile(t, owner.url, tid)
 	var witnessKey string
-	for col := 0; col < 16 && witnessKey == ""; col++ {
-		for row := 0; row < 8 && witnessKey == ""; row++ {
+	for col := 0; col < 8 && witnessKey == ""; col++ {
+		for row := 0; row < 4 && witnessKey == ""; row++ {
 			cand := geom.TileID{Col: col, Row: row}
 			k := tileKeyFor(CodecJSON, "spatial", 512, cand)
 			if cand != tid && owner.srv.cluster.Owns(k) {
@@ -299,36 +394,104 @@ func TestClusterEpochInvalidation(t *testing.T) {
 		t.Fatal("owner did not cache its own keys")
 	}
 
-	// Update through the NON-owner: its epoch bumps locally; the owner
-	// is now stale and must learn via gossip.
-	postUpdate(t, other.url, "UPDATE points SET val = 2 WHERE id = 1")
-	if e := other.srv.cluster.Epoch(); e != 1 {
-		t.Fatalf("updating node epoch = %d, want 1", e)
+	postUpdate(t, other.url, fmt.Sprintf("UPDATE points SET val = 2.5 WHERE id = %d", id))
+	waitConverged(t, nodes)
+	if owner.srv.bcache.Contains(key) {
+		t.Fatal("owner kept the tile holding the edited row")
 	}
-	if e := owner.srv.cluster.Epoch(); e != 0 {
-		t.Fatalf("owner epoch = %d before any exchange, want 0", e)
+	if !owner.srv.bcache.Contains(witnessKey) {
+		t.Fatal("owner dropped a tile the edit does not touch: the log apply was not scoped")
+	}
+	if full := owner.srv.Stats.InvalidationsFull.Load(); full != 0 {
+		t.Fatalf("owner cleared whole tiers %d times, want 0", full)
+	}
+	if got := valOf(t, getTile(t, other.url, tid), id); got != 2.5 {
+		t.Fatalf("non-owner served val %v after the update, want 2.5", got)
+	}
+}
+
+// TestPeerFillNeverOlderThanRequester: a node that acked an update never
+// serves (or persists) an owner's pre-update copy. The leader and the
+// owner O are cut off from each other, so the leader commits with the
+// other follower A alone and O stays behind; A's read of O's tile then
+// gets a reply at an older data version, which it must refuse and
+// answer locally — and after the partition heals, A's L1 and L2 still
+// hold the new rows.
+func TestPeerFillNeverOlderThanRequester(t *testing.T) {
+	nodes := newTestCluster(t, 3, 500, func(i int, o *Options) {
+		o.Cluster.HotReplicate = 1 // peer fills enter L1 as well as L2
+		o.Cache.L2 = L2CacheOptions{Path: t.TempDir(), MaxBytes: 64 << 20, FlushInterval: 2 * time.Millisecond}
+	})
+	postUpdate(t, nodes[0].url, "UPDATE points SET val = 0 WHERE id = 0") // waits out the first election
+	waitConverged(t, nodes)
+	var leader *clusterNode
+	var followers []*clusterNode
+	for _, n := range nodes {
+		if n.srv.replog.Snapshot().Role == "leader" {
+			leader = n
+		} else {
+			followers = append(followers, n)
+		}
+	}
+	if leader == nil || len(followers) != 2 {
+		t.Fatal("no single leader after an acked update")
+	}
+	owner, a := followers[0], followers[1]
+	tid, id := rowInTile(t, owner)
+	key := tileKeyFor(CodecJSON, "spatial", 512, tid)
+	getTile(t, a.url, tid) // A holds a peer-filled copy for the update to sweep
+
+	leader.srv.cluster.Transport().FailDrop(owner.url, true)
+	owner.srv.cluster.Transport().FailDrop(leader.url, true)
+	const want = 4242.5
+	postUpdate(t, a.url, fmt.Sprintf("UPDATE points SET val = %v WHERE id = %d", want, id))
+	if owner.srv.cacheGen.Load() >= a.srv.cacheGen.Load() {
+		t.Fatal("the partitioned owner applied the update: the partition did not hold")
+	}
+	if got := valOf(t, getTile(t, a.url, tid), id); got != want {
+		t.Fatalf("A acked val = %v, then served %v from the lagging owner", want, got)
+	}
+	// The refusal is told apart from a peer failure: its own counter in
+	// /stats and /metrics, and behind=true on the peer.fetch span.
+	behind := a.srv.Snapshot().Cluster.BehindFills
+	if got := sampleValue(scrape(t, a.url), "kyrix_peer_behind_fills_total"); behind == 0 || got != float64(behind) {
+		t.Fatalf("behindFills: /stats %d, /metrics %v; want equal and > 0", behind, got)
+	}
+	if errs := a.srv.cluster.Stats.PeerErrors.Load(); errs != 0 {
+		t.Fatalf("A counted %d peer errors; the owner was reachable", errs)
+	}
+	marked := false
+	for _, d := range a.srv.FlightRecorder().Snapshot().Recent {
+		if sp := findSpan(d, "peer.fetch"); sp != nil {
+			for _, at := range sp.Attrs {
+				marked = marked || (at.Key == "behind" && at.Value == "true")
+			}
+		}
+	}
+	if !marked {
+		t.Fatal("no peer.fetch span carries behind=true")
 	}
 
-	// The non-owner's next miss forwards to the owner carrying epoch 1
-	// in the fill request; the owner must adopt it and clear.
-	getTile(t, other.url, tid)
-	deadline := time.Now().Add(5 * time.Second)
-	for owner.srv.cluster.Epoch() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("owner never adopted epoch 1 (at %d)", owner.srv.cluster.Epoch())
-		}
-		time.Sleep(time.Millisecond)
+	for _, n := range nodes {
+		n.srv.cluster.Transport().FailReset()
 	}
-	if owner.srv.bcache.Contains(witnessKey) {
-		t.Fatal("owner kept a stale cached payload across the epoch adoption")
+	waitConverged(t, nodes)
+	p, ok := a.srv.bcache.Peek(key)
+	if !ok {
+		t.Fatal("A's L1 does not hold the tile")
 	}
-	if owner.srv.cluster.Stats.EpochAdoptions.Load() != 1 {
-		t.Fatalf("owner adoptions = %d, want 1", owner.srv.cluster.Stats.EpochAdoptions.Load())
+	if got := valOf(t, p.(*payload).raw, id); got != want {
+		t.Fatalf("A's L1 holds val %v, want %v", got, want)
 	}
-	// And the owner's generation moved, so in-flight pre-update
-	// queries cannot repopulate the cache.
-	if gen := owner.srv.cacheGen.Load(); gen == 0 {
-		t.Fatal("epoch adoption did not bump the cache generation")
+	if err := a.srv.l2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	raw, ok := a.srv.l2.Get(key)
+	if !ok {
+		t.Fatal("A's L2 does not hold the tile")
+	}
+	if got := valOf(t, raw, id); got != want {
+		t.Fatalf("A's L2 holds val %v, want %v", got, want)
 	}
 }
 
@@ -336,33 +499,10 @@ func TestClusterEpochInvalidation(t *testing.T) {
 // an /update carrying the same client id applies the statement once —
 // the retry-after-ambiguous-503 contract for non-idempotent SQL.
 func TestClusterUpdateIdempotencyKey(t *testing.T) {
-	root := t.TempDir()
-	nodes := newTestCluster(t, 2, 50, func(i int, o *Options) {
-		o.Cluster.Replog = ReplogOptions{
-			Dir:             filepath.Join(root, fmt.Sprintf("n%d", i)),
-			ElectionTimeout: 50 * time.Millisecond,
-		}
-	})
+	nodes := newTestCluster(t, 2, 50, nil)
 	postKeyed := func(id, sql string) {
 		t.Helper()
-		body, _ := json.Marshal(UpdateRequest{ID: id, SQL: sql})
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			resp, err := http.Post(nodes[0].url+"/update", "application/json", bytes.NewReader(body))
-			if err == nil {
-				rb, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					return
-				}
-				err = fmt.Errorf("HTTP %d: %s", resp.StatusCode, rb)
-			}
-			// 503 until the log elects a leader; retry.
-			if time.Now().After(deadline) {
-				t.Fatalf("update never acked: %v", err)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
+		postUpdateID(t, nodes[0].url, id, sql)
 	}
 	valAt := func(n *clusterNode, id int) float64 {
 		t.Helper()

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -120,7 +121,7 @@ func TestL2UpdateInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	genBefore := srv.l2.Generation()
-	if _, _, err := srv.execUpdate("DELETE FROM points WHERE id >= 0", nil, true); err != nil {
+	if _, _, err := srv.execUpdate("DELETE FROM points WHERE id >= 0", nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.l2.Generation(); got != genBefore {
@@ -202,7 +203,7 @@ func TestL2StaleFillDropped(t *testing.T) {
 				return
 			}
 			fired = true
-			if _, _, err := srv.execUpdate("UPDATE points SET val = val + 1 WHERE id = ?", []storage.Value{id}, true); err != nil {
+			if _, _, err := srv.execUpdate("UPDATE points SET val = val + 1 WHERE id = ?", []storage.Value{id}); err != nil {
 				t.Error(err)
 			}
 		}
@@ -227,22 +228,22 @@ func TestL2StaleFillDropped(t *testing.T) {
 	}
 }
 
-// TestL2ClusterPeerFillAndEpoch: in a cluster, a non-owner's peer fill
-// lands in its local L2 (so the payload survives that node's restart
-// without a network hop), and observing a newer cluster epoch bumps the
-// observer's L2 generation — the remote form of /update invalidation.
-func TestL2ClusterPeerFillAndEpoch(t *testing.T) {
-	dirs := make(map[int]string)
+// TestL2ClusterPeerFillTombstoned: in a cluster, a non-owner's peer
+// fill lands in its local L2 (so the payload survives that node's
+// restart without a network hop), and an update posted at the owner
+// tombstones it there when the non-owner applies the update from the
+// log — scoped, with the store's generation untouched.
+func TestL2ClusterPeerFillTombstoned(t *testing.T) {
 	nodes := newTestCluster(t, 2, 300, func(i int, o *Options) {
-		dirs[i] = t.TempDir()
 		o.Cluster.HotReplicate = -1 // keep fills out of L1 so L2 answers
 		o.Cache.L2 = L2CacheOptions{
-			Path:          dirs[i],
+			Path:          t.TempDir(),
 			MaxBytes:      64 << 20,
 			FlushInterval: 2 * time.Millisecond,
 		}
 	})
-	owner, other, tid := ownerAndOther(t, nodes)
+	owner, other := nodes[0], nodes[1]
+	tid, id := rowInTile(t, owner)
 	key := tileKeyFor(CodecJSON, "spatial", 512, tid)
 
 	// Non-owner miss: peer fill from the owner, persisted locally.
@@ -272,39 +273,20 @@ func TestL2ClusterPeerFillAndEpoch(t *testing.T) {
 		t.Fatal("re-request did not read the persistent tier")
 	}
 
-	// An update at the owner gossips a newer epoch; the observer must
-	// bump its L2 generation so the stale record becomes invisible.
-	otherL2Gen := other.srv.l2.Generation()
-	postUpdate(t, owner.url, "DELETE FROM points WHERE id >= 0")
-	// The epoch travels on the next peer exchange — requesting the same
-	// tile again would be answered from L2 without one, so fetch a
-	// different owner-owned tile that is not yet resident here.
-	var tid2 geom.TileID
-	found := false
-	for col := 0; col < 8 && !found; col++ {
-		for row := 0; row < 4 && !found; row++ {
-			cand := geom.TileID{Col: col, Row: row}
-			if cand == tid {
-				continue
-			}
-			if other.srv.cluster.Owner(tileKeyFor(CodecJSON, "spatial", 512, cand)) == owner.url {
-				tid2, found = cand, true
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no second owner-owned tile")
-	}
-	getTile(t, other.url, tid2)
-	deadline := time.Now().Add(10 * time.Second)
-	for other.srv.l2.Generation() == otherL2Gen {
-		if time.Now().After(deadline) {
-			t.Fatal("epoch adoption did not bump the observer's L2 generation")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	gen := other.srv.l2.Generation()
+	postUpdate(t, owner.url, fmt.Sprintf("UPDATE points SET val = 7.5 WHERE id = %d", id))
+	waitConverged(t, nodes)
 	if _, ok := other.srv.l2.Get(key); ok {
-		t.Fatal("pre-epoch payload still visible in L2 after adoption")
+		t.Fatal("pre-update peer fill still visible in the non-owner's L2")
+	}
+	if other.srv.l2.Stats.Tombstones.Load() == 0 {
+		t.Fatal("the non-owner's L2 recorded no tombstone")
+	}
+	if other.srv.l2.Generation() != gen {
+		t.Fatal("a one-row update bumped the non-owner's whole L2 generation")
+	}
+	if got := valOf(t, getTile(t, other.url, tid), id); got != 7.5 {
+		t.Fatalf("non-owner served val %v after the update, want 7.5", got)
 	}
 }
 

@@ -161,7 +161,7 @@ func (s *Server) collectMetrics(c *obs.CollectorScratchpad) {
 		c.Counter("kyrix_peer_errors_total", "Failed peer exchanges.", float64(cs.PeerErrors.Load()))
 		c.Counter("kyrix_peer_serves_total", "Fill requests served for peers.", float64(cs.PeerServes.Load()))
 		c.Counter("kyrix_peer_local_fallbacks_total", "Peer failures degraded to local queries.", float64(cs.LocalFallbacks.Load()))
-		c.Gauge("kyrix_cluster_epoch", "This node's cluster epoch.", float64(s.cluster.Epoch()))
+		c.Counter("kyrix_peer_behind_fills_total", "Peer fills refused because the owner was behind this node's data version.", float64(cs.BehindFills.Load()))
 	}
 	if s.replog != nil {
 		rs := s.replog.Snapshot()

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"time"
 
@@ -24,8 +25,9 @@ func (s *Server) Cluster() *cluster.Node { return s.cluster }
 // handlePeer serves one fill request from another cluster node. The
 // item is served strictly locally (localOnly) — if the requester's
 // ring disagrees with ours about ownership, the worst case is a query
-// on the wrong node, never a forwarding loop. Epochs gossip both ways:
-// the request carries the requester's, the response header ours.
+// on the wrong node, never a forwarding loop. The reply carries cacheGen
+// as its data version, read under the update fence before serving: every
+// update it counts is already swept from both tiers.
 func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		http.Error(w, "not a cluster node", http.StatusNotFound)
@@ -40,8 +42,10 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.cluster.Observe(fr.Epochs)
 	s.cluster.Stats.PeerServes.Add(1)
+	s.updateMu.RLock()
+	version := s.cacheGen.Load()
+	s.updateMu.RUnlock()
 
 	codec := Codec(fr.Codec)
 	if codec == "" {
@@ -71,7 +75,7 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 		raw = p.raw
 	}
 	badReq := err != nil && httpStatusOf(err) == http.StatusBadRequest
-	_ = cluster.WritePeerResponse(w, s.cluster.EpochVec(), cluster.FrameKindOf(fr.Kind), raw, err, badReq)
+	_ = cluster.WritePeerResponse(w, &version, cluster.FrameKindOf(fr.Kind), raw, err, badReq)
 }
 
 // peerQuery fills a locally missed key this node does not own: forward
@@ -81,6 +85,11 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 // one peer exchange (and, at the owner, onto one generation-scoped
 // flight), so one database query serves the whole cluster per key per
 // generation.
+//
+// A fill is accepted only from an owner at or past gen, this node's data
+// version before the hop: an owner behind an update this node applied
+// (and perhaps acked) hands back pre-update rows that no later sweep
+// here would remove. Such a reply is queried locally, like a failed peer.
 //
 // Peer-filled payloads are admitted into the local cache only when the
 // key's sketch frequency has crossed the HotReplicate threshold —
@@ -117,8 +126,11 @@ func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequ
 		fctx, fsp := s.tracer().Start(ctx, "peer.fetch")
 		fsp.Attr("owner", owner)
 		fetchStart := time.Now()
-		raw, err := s.cluster.FetchContext(fctx, owner, fr)
+		raw, ownerGen, err := s.cluster.FetchContext(fctx, owner, fr, gen)
 		s.obs.stagePeer.Observe(time.Since(fetchStart))
+		behind := errors.Is(err, cluster.ErrBehind)
+		fsp.Attr("ownerGen", ownerGen)
+		fsp.Attr("behind", behind)
 		if err != nil {
 			fsp.Attr("err", err.Error())
 		}
@@ -143,7 +155,9 @@ func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequ
 			}
 			return p, nil
 		}
-		s.cluster.Stats.LocalFallbacks.Add(1)
+		if !behind {
+			s.cluster.Stats.LocalFallbacks.Add(1)
+		}
 		p, qerr := s.runQuery(ctx, sql, args, codec)
 		if qerr != nil {
 			return nil, qerr
@@ -172,9 +186,10 @@ func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequ
 // ownsDBox reports whether this node serves the item's dynamic box
 // itself (always true when standalone). The v3 batch path uses it to
 // decide whether delta encoding is safe: a non-owned item's payload
-// may come from a peer at a different cluster epoch, and the delta
-// diff is id-based and content-blind — cross-epoch deltas could skip
-// changed rows, so non-owned items always ship full frames.
+// may come from a peer at a newer data version than the base was
+// planned against, outside this node's update fence, and the delta
+// diff is id-based and content-blind — such a delta could skip changed
+// rows, so non-owned items always ship full frames.
 func (s *Server) ownsDBox(canvas string, it BatchItem, codec Codec) bool {
 	if s.cluster == nil {
 		return true

@@ -31,7 +31,8 @@ import (
 type ClusterOptions = cluster.Options
 
 // ReplogOptions configures the replicated update log (Cluster.Replog);
-// setting its Dir turns /update into a quorum-committed log command.
+// its Dir turns /update into a quorum-committed log command, and a
+// cluster requires one.
 type ReplogOptions = cluster.ReplogOptions
 
 // L1CacheOptions configures the in-memory backend cache (the first
@@ -103,9 +104,9 @@ type Options struct {
 	// Cluster joins this node to a serving cluster: cache keys are
 	// partitioned over a consistent-hash ring, a non-owner forwards
 	// misses to the owner instead of querying the database, hot keys
-	// are replicated locally, and /update bumps a cluster epoch
-	// gossiped on every peer exchange. The zero value serves
-	// standalone.
+	// are replicated locally, and /update is a command on the
+	// replicated log every node applies (Cluster.Replog.Dir is
+	// required). The zero value serves standalone.
 	Cluster ClusterOptions
 	// DisableCoalescing turns off singleflight request coalescing.
 	// With coalescing on (the default), N concurrent requests for the
@@ -206,17 +207,19 @@ type Server struct {
 	// from before the update cannot repopulate the cache with pre-update
 	// rows, whichever window it was for.
 	cacheGen atomic.Int64
-	// epochMu orders v3 delta planning against updates: a delta frame
-	// diffs TWO payloads (the cached base and the fresh full result),
-	// and mixing epochs — a pre-update base with a post-update result —
-	// would ship rows the tombstone/entering diff cannot see changed.
+	// updateMu is the update fence. It orders v3 delta planning against
+	// updates: a delta frame diffs TWO payloads (the cached base and the
+	// fresh full result), and mixing a pre-update base with a
+	// post-update result would ship rows the tombstone/entering diff
+	// cannot see changed.
 	// Delta-eligible items hold the read side across query + plan; an
 	// update holds the write side across exec + generation bump + cache
 	// removal, so a plan is wholly before or wholly after an update.
 	// "After" finds every base that held a changed row removed (a full
 	// frame) and every surviving base free of changed rows (a delta that
-	// is still exact). Non-delta serving never touches this lock.
-	epochMu sync.RWMutex
+	// is still exact). Besides handlePeer's read of its data version,
+	// other serving never touches this lock.
+	updateMu sync.RWMutex
 	// idIndexOnce builds the layers' id-column indexes when the first
 	// update arrives (ensureIDIndexes).
 	idIndexOnce sync.Once
@@ -235,14 +238,13 @@ type Server struct {
 	memoFlight singleflight.Group
 
 	// cluster is this node's membership in the serving cluster (ring,
-	// peer transport, epoch); nil when serving standalone.
+	// peer transport); nil when serving standalone.
 	cluster *cluster.Node
 
 	// replog, when non-nil, is the replicated update log: /update
 	// becomes a quorum-committed log command applied on every node in
-	// log order through applyUpdate, replacing the best-effort epoch
-	// gossip with a committed-prefix guarantee. Configured by
-	// Options.Cluster.Replog.Dir.
+	// log order through applyUpdate. Configured by
+	// Options.Cluster.Replog.Dir; always set in a cluster.
 	replog *replog.Node
 	// applyMu guards applyOutcome, the bounded index→outcome side
 	// channel from applyUpdate back to the /update handler that submitted
@@ -296,6 +298,9 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("server: unknown cache admission %q (want \"lfu\" or \"off\")", opts.Cache.L1.Admission)
 	}
+	if opts.Cluster.Enabled() && opts.Cluster.Replog.Dir == "" {
+		return nil, errors.New("server: a cluster needs a replicated update log (Cluster.Replog.Dir): it is the only way an update reaches the other nodes")
+	}
 	s := &Server{
 		db:     db,
 		ca:     ca,
@@ -336,19 +341,6 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Adopting a newer cluster epoch is the remote form of an update:
-		// the peer says only that something changed, so both tiers go
-		// whole, under the epoch write lock like any other transition. A
-		// failure to mark L2 (store closing mid-shutdown) only means the
-		// tier keeps serving until Close finishes. The hook never runs
-		// while this node holds epochMu itself: epochs are only observed
-		// on peer exchanges, and delta-eligible items hold the read lock
-		// only when their key is locally owned (no peer hop).
-		cn.SetEpochHook(func(cluster.EpochVector) {
-			s.epochMu.Lock()
-			_, _ = s.invalidate(footprint{full: "epoch"})
-			s.epochMu.Unlock()
-		})
 		s.cluster = cn
 	}
 
@@ -386,8 +378,7 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 	if opts.Cluster.Replog.Dir != "" {
 		// Opened after precompute so WAL replay applies committed
 		// updates onto the freshly built in-memory tables. Each node
-		// invalidates for itself inside applyUpdate, so log-carried
-		// updates never bump the cluster epoch.
+		// invalidates for itself inside applyUpdate.
 		var rpc replog.RPC
 		if s.cluster != nil {
 			rpc = s.cluster.Transport()
@@ -1041,13 +1032,14 @@ type CacheStats struct {
 // ClusterStats is the cluster section of a StatsSnapshot (nil when
 // serving standalone).
 type ClusterStats struct {
-	Epoch          int64 `json:"epoch"`
 	PeerFills      int64 `json:"peerFills"`
 	PeerErrors     int64 `json:"peerErrors"`
 	PeerServes     int64 `json:"peerServes"`
 	LocalFallbacks int64 `json:"localFallbacks"`
 	HotReplicas    int64 `json:"hotReplicas"`
-	EpochAdoptions int64 `json:"epochAdoptions"`
+	// BehindFills counts owner replies refused as older than this node's
+	// data version; the key was queried locally.
+	BehindFills int64 `json:"behindFills"`
 	// Peers is per-peer transport health: failures, retries, and
 	// circuit-breaker state, keyed by peer base URL.
 	Peers map[string]cluster.PeerStats `json:"peers,omitempty"`
@@ -1125,13 +1117,12 @@ func (s *Server) Snapshot() StatsSnapshot {
 	if s.cluster != nil {
 		cs := &s.cluster.Stats
 		snap.Cluster = &ClusterStats{
-			Epoch:          s.cluster.Epoch(),
 			PeerFills:      cs.PeerFills.Load(),
 			PeerErrors:     cs.PeerErrors.Load(),
 			PeerServes:     cs.PeerServes.Load(),
 			LocalFallbacks: cs.LocalFallbacks.Load(),
 			HotReplicas:    cs.HotReplicas.Load(),
-			EpochAdoptions: cs.EpochAdoptions.Load(),
+			BehindFills:    cs.BehindFills.Load(),
 			Peers:          s.cluster.Transport().PeerStatsSnapshot(),
 		}
 	}

@@ -28,14 +28,21 @@ import (
 // mapped to its canvas rectangle in every layer the table backs; and
 // only the cached windows those rectangles intersect are removed — L1
 // entries by a key sweep, L2 records by durable tombstones. One function
-// does that (invalidate), reached from the three places data can change
-// under the caches: a local /update, a replicated-log apply, and a
-// cluster epoch adoption.
+// does that (invalidate), reached from one place: execUpdate.
+//
+// The invariant: every invalidate is driven by a log apply, except
+// standalone. With a replicated log (required in a cluster) a node
+// changes data only in applyUpdate, in log order, so every member
+// removes the same rectangles at the same log position, and cacheGen,
+// which counts those transitions, is one data version: equal on every
+// member at equal applied index. A peer fill carries the owner's, and a
+// requester refuses one older than its own (peerQuery). Standalone
+// without a log, /update calls execUpdate directly: a log of one.
 //
 // What stays global is the fence, because it is what makes in-flight
 // work safe and it costs nothing: cacheGen moves on every update (a
 // query that started before it is never stored, and flights never mix
-// generations), the L2 write-behind fence moves with it, and epochMu
+// generations), the L2 write-behind fence moves with it, and updateMu
 // brackets the whole transition so a v3 delta plan is wholly before or
 // wholly after it. A delta base that survives the sweep holds none of
 // the changed rows — its window touches none of their rectangles — so
@@ -44,18 +51,15 @@ import (
 //
 // The whole-tier Clear + Bump is the fallback for whatever cannot be
 // scoped: DDL, a table that is no layer's data table (its effect on what
-// is cached is unknown), more touched rows than maxScopedRows, and an
-// epoch adoption (the peer says only "something changed"). A cached key
-// KeyWindow cannot parse is swept as touched.
+// is cached is unknown), and more touched rows than maxScopedRows. A
+// cached key KeyWindow cannot parse is swept as touched.
 //
 // Known limits, all inherited: LOD pyramid levels and tuple–tile mapping
 // tables are built once and not maintained under updates, so a cached
 // aggregate or mapping tile equals a fresh query, not the edited rows
-// (and every mapping tile of an edited layer is swept, see touches); a
-// cluster peer outside the replicated log learns of an update by epoch
-// and clears everything; and replaying the log at restart re-runs every
-// historical statement, so it re-invalidates by every historical
-// rectangle.
+// (and every mapping tile of an edited layer is swept, see touches); and
+// replaying the log at restart re-runs every historical statement, so it
+// re-invalidates by every historical rectangle.
 
 // maxScopedRows bounds how many touched rows one update maps to
 // rectangles before it drops both tiers whole. The sweep costs resident
@@ -181,7 +185,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		out.inv.annotate(sp)
 	} else {
 		var err error
-		out.n, out.inv, err = s.execUpdate(req.SQL, req.values(), true)
+		out.n, out.inv, err = s.execUpdate(req.SQL, req.values())
 		out.inv.annotate(sp)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -194,17 +198,16 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyUpdate is the replicated log's state-machine callback: one
-// committed update command, applied in log order on every member. With
-// the log in charge every node runs the same statement and removes the
-// same rectangles itself, so nothing is gossiped. The outcome is parked
-// for the handler that submitted the command; entries for commands
-// submitted elsewhere (or replayed on restart) are pruned by bound.
+// committed update command, applied in log order on every member. The
+// outcome is parked for the handler that submitted the command; entries
+// for commands submitted elsewhere (or replayed on restart) are pruned
+// by bound.
 func (s *Server) applyUpdate(index uint64, cmd []byte) error {
 	var req UpdateRequest
 	if err := json.Unmarshal(cmd, &req); err != nil {
 		return fmt.Errorf("server: decode update command %d: %w", index, err)
 	}
-	n, inv, err := s.execUpdate(req.SQL, req.values(), false)
+	n, inv, err := s.execUpdate(req.SQL, req.values())
 	if err != nil {
 		return err
 	}
@@ -222,31 +225,24 @@ func (s *Server) applyUpdate(index uint64, cmd []byte) error {
 }
 
 // execUpdate runs one statement and removes what it made stale, as one
-// transition under the epoch write lock: in-flight delta plans drain
-// first, later ones see both the new rows and the swept cache. A
+// transition under the update fence's write lock: in-flight delta plans
+// drain first, later ones see both the new rows and the swept cache. A
 // statement that fails part-way has still changed the rows before the
 // failure (sqldb statements are not atomic), and one whose WAL append
 // fails was applied: both are invalidated like a success, then the error
-// is returned. gossip bumps the cluster epoch for peers that are not on
-// a shared log (they clear everything when they see it).
-func (s *Server) execUpdate(sql string, args []storage.Value, gossip bool) (int64, invalidation, error) {
+// is returned.
+func (s *Server) execUpdate(sql string, args []storage.Value) (int64, invalidation, error) {
 	// Before the lock: the build scans each layer table once, and readers
 	// of other tables need not wait for it.
 	built := s.ensureIDIndexes()
-	s.epochMu.Lock()
-	defer s.epochMu.Unlock()
+	s.updateMu.Lock()
+	defer s.updateMu.Unlock()
 	n, ch, err := s.db.ExecChanges(maxScopedRows, sql, args...)
 	if err != nil && !ch.Touched() {
 		return 0, invalidation{indexBuilt: built}, err
 	}
 	inv, ierr := s.invalidate(s.footprintOf(&ch))
 	inv.indexBuilt = built
-	if gossip && s.cluster != nil {
-		// Inside the same epoch-locked transition: peers learn on their
-		// next exchange with this node (the epoch rides every /peer
-		// request and response).
-		s.cluster.Bump()
-	}
 	if err == nil {
 		err = ierr
 	}
@@ -382,7 +378,7 @@ func cacheKeyWindow(key string) (layer string, window geom.Rect, mapping, ok boo
 }
 
 // invalidate is the one place cached payloads are dropped. The caller
-// holds the epoch write lock and has already changed the data. The
+// holds updateMu's write lock and has already changed the data. The
 // generation moves first, so a query that started before the change
 // refuses to store its result (putUnlessStale) and later requests never
 // join its flight; then L1 and L2 lose the footprint — or everything.

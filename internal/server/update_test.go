@@ -251,7 +251,7 @@ func TestScopedInvalidationCoherence(t *testing.T) {
 			sql, args = "UPDATE points SET val = ? WHERE id = ?", []storage.Value{storage.F64(float64(step)), storage.I64(id)}
 			touched = append(touched, rowRect(model[id]))
 		}
-		_, inv, err := srv.execUpdate(sql, args, true)
+		_, inv, err := srv.execUpdate(sql, args)
 		if err != nil {
 			t.Fatalf("step %d %q: %v", step, sql, err)
 		}
@@ -523,7 +523,7 @@ func TestRestartOverTombstonedL2(t *testing.T) {
 		t.Fatal(err)
 	}
 	const edit = "UPDATE points SET val = 9 WHERE id = 1"
-	if _, inv, err := srv.execUpdate(edit, nil, true); err != nil || inv.l2Removed != 1 || inv.l1Removed != 1 {
+	if _, inv, err := srv.execUpdate(edit, nil); err != nil || inv.l2Removed != 1 || inv.l1Removed != 1 {
 		t.Fatalf("update: %+v, %v", inv, err)
 	}
 	if err := srv.Close(); err != nil {
@@ -565,7 +565,7 @@ func TestFirstUpdateBuildsIDIndex(t *testing.T) {
 		t.Fatal("server.New indexed the id column: set-up pays for updates that may never come")
 	}
 	for i, want := range []bool{true, false} {
-		_, inv, err := srv.execUpdate("UPDATE points SET val = 2 WHERE id = 3", nil, true)
+		_, inv, err := srv.execUpdate("UPDATE points SET val = 2 WHERE id = 3", nil)
 		if err != nil || inv.indexBuilt != want || inv.rows != 1 {
 			t.Fatalf("update %d: %+v, %v; want indexBuilt=%v", i, inv, err, want)
 		}

@@ -542,7 +542,7 @@ func TestWindowFillRacesUpdate(t *testing.T) {
 	const base = 500.0
 	set := func(g int) {
 		if _, _, err := srv.execUpdate("UPDATE points SET y = ?, val = ? WHERE id = ?",
-			[]storage.Value{storage.F64(base + float64(g)), storage.F64(float64(g)), id}, false); err != nil {
+			[]storage.Value{storage.F64(base + float64(g)), storage.F64(float64(g)), id}); err != nil {
 			t.Error(err)
 		}
 	}

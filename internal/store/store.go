@@ -34,10 +34,11 @@
 // tier: every record carries the generation it was written under, and
 // Bump persists a marker that makes every earlier record invisible
 // without touching it on disk — the O(1) answer to "anything may have
-// changed" (DDL, a cluster epoch adoption). A tombstone covers one key:
-// Invalidate appends a delete record for each resident key the caller's
-// predicate matches, with one fsync for the lot — how an /update that
-// knows which rows it touched removes only the windows holding them.
+// changed" (DDL, an edit of too many rows to scope). A tombstone covers
+// one key: Invalidate appends a delete record for each resident key the
+// caller's predicate matches, with one fsync for the lot — how an
+// /update that knows which rows it touched removes only the windows
+// holding them.
 // Replay honours both, in log order, so what was invalidated stays
 // invisible across restarts; a tombstone is always written after every
 // put it covers and segments are evicted oldest first, so it cannot be

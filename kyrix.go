@@ -143,13 +143,13 @@
 // changed rows, one that did not degrades the frame to a full one. The
 // whole-tier clear remains the fallback for what cannot be scoped: DDL,
 // a table that is no layer's data table, a statement touching more than
-// a few hundred rows, a cluster epoch adoption. Known limits: LOD pyramid
-// levels and tuple–tile mapping tables are still built once and not
-// maintained (every mapping-design tile of an edited layer is dropped,
-// since those tables place a row by where it was when they were built);
-// a cluster peer outside the replicated log still learns by epoch and
-// clears everything; and replaying the log at restart re-invalidates by
-// every historical rectangle. The http.update span carries rows, rects,
+// a few hundred rows. In a cluster every node runs this transition when
+// it applies the update from the replicated log (below). Known limits:
+// LOD pyramid levels and tuple–tile mapping tables are still built once
+// and not maintained (every mapping-design tile of an edited layer is
+// dropped, since those tables place a row by where it was when they were
+// built); and replaying the log at restart re-invalidates by every
+// historical rectangle. The http.update span carries rows, rects,
 // scope (with the fallback reason), l1.removed, l2.removed and
 // indexBuilt; /stats reports cache.invalidationsScoped/Full,
 // cache.l1.removed and cache.l2.tombstones, mirrored at /metrics.
@@ -186,16 +186,16 @@
 //     peer fill, so a viral viewport is served everywhere locally
 //     instead of bottlenecking its owner; the long tail stays
 //     owner-only and aggregate cache capacity scales with N.
-//   - Invalidation. /update bumps the updating node's component of a
-//     per-origin epoch vector (a G-counter: only the origin advances
-//     its own counter, so concurrent updates at different nodes can
-//     neither collide nor erase each other) carried on every peer
-//     request and response header; a node observing any advanced
-//     component clears its cache and bumps its generation (staleness
-//     is bounded by one peer exchange). Cross-epoch v3 delta frames
-//     are refused: non-owned dbox items always ship full frames,
-//     because the id-based delta diff cannot prove a cross-epoch base
-//     safe.
+//   - Invalidation. A cluster requires the replicated update log
+//     (below): every node applies each update itself, in log order,
+//     with the same scoped sweep. A node's data version is its count of
+//     applied updates, equal on every node at the same log position;
+//     a requester refuses a peer fill served at an older version than
+//     its own and queries locally (cluster.behindFills in /stats), so a
+//     node never serves or persists a lagging owner's pre-update rows.
+//     Non-owned dbox items always ship full v3 frames: their payload
+//     comes from outside this node's update fence, where the id-based
+//     delta diff cannot prove a base safe.
 //
 // `kyrix-server -self URL -peers URL,URL,...` joins a real node;
 // `kyrix-bench -nodes N -workload zipf` runs the in-process scaling
@@ -208,16 +208,17 @@
 //
 // The cluster section above shares reads; [ClusterOptions].Replog
 // ([ReplogOptions]: Dir, ElectionTimeout, Heartbeat, SubmitTimeout)
-// replicates writes. With a Dir set, every node runs a member of a
+// replicates writes, and a cluster requires its Dir ([NewServer]
+// refuses a cluster without one). Every node runs a member of a
 // leader-based replicated log (internal/replog — a minimal Raft
 // subset, no external dependency): POST /update on any node is
 // forwarded to the leader, appended as a term-numbered log command,
 // acknowledged only once a quorum of members has it durably in their
-// WALs, and then applied on every node in log order. The apply
-// callback executes the SQL and removes what it touched from the local
-// L1 and L2 (see "Updates" above), replacing the gossip-style epoch
-// vector on the write path — replicated clusters get one total order
-// of updates instead of eventual convergence.
+// WALs, and then applied on every node in log order — on the
+// acknowledging node before the response (read-your-writes). The
+// apply callback executes the SQL and removes what it touched from the
+// local L1 and L2 (see "Updates" above); it is the only way an update
+// reaches a peer, so a cluster has one total order of updates.
 //
 //   - Durability. Each member persists the log through the same
 //     length-prefixed CRC-32 WAL framing the store uses: an
