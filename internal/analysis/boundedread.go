@@ -5,8 +5,10 @@ import (
 	"go/types"
 )
 
-// wirePkgPath is the sanctioned decompression/IO-bounding package;
-// inside it the bounded-read rules do not apply (it IS the bound).
+// wirePkgPath is the sanctioned decompression package: its Decompress
+// inflates with the package's own inflater, which stops at a byte limit
+// — it IS the bound, so the bounded-read rules do not apply inside it
+// (its tests hold the inflater to compress/flate's reader).
 const wirePkgPath = "kyrix/internal/wire"
 
 // BoundedRead enforces the PR 3 decompression-bomb fix as a standing
@@ -17,12 +19,13 @@ var BoundedRead = &Analyzer{
 
 io.ReadAll must not be applied to a reader of unknown length (an HTTP
 body, a decompressor, a peer stream): wrap the reader in io.LimitReader
-or http.MaxBytesReader first, or read through wire.Decompress, which
-enforces a byte budget. Reads from in-memory sources (*bytes.Buffer,
-*bytes.Reader, *strings.Reader) are allowed. Constructing a flate/
-gzip/zlib reader directly is flagged outside kyrix/internal/wire for
-the same reason: a tiny compressed frame can decompress to gigabytes,
-and only wire.Decompress applies the repo's bound.`,
+or http.MaxBytesReader first, or read through wire.Decompress, whose
+inflater stops at a byte budget. Reads from in-memory sources
+(*bytes.Buffer, *bytes.Reader, *strings.Reader) are allowed.
+Constructing a flate/gzip/zlib reader directly is flagged outside
+kyrix/internal/wire for the same reason: a tiny compressed frame can
+decompress to gigabytes, and only wire.Decompress applies the repo's
+bound.`,
 	Run: runBoundedRead,
 }
 

@@ -43,6 +43,9 @@ func TestTransportFetchRoundtrip(t *testing.T) {
 		if string(got) != string(payload) {
 			t.Fatalf("payload = %q", got)
 		}
+		if cap(got) != len(got) {
+			t.Fatalf("payload cap %d != len %d: a cached fill would pin unbudgeted bytes", cap(got), len(got))
+		}
 		if version != c.want {
 			t.Fatalf("version = %d, want %d", version, c.want)
 		}
@@ -66,6 +69,9 @@ func TestTransportCompressedFill(t *testing.T) {
 	}
 	if string(got) != string(big) {
 		t.Fatal("compressed fill did not round-trip")
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("inflated fill cap %d != len %d: a cached fill would pin unbudgeted bytes", cap(got), len(got))
 	}
 }
 

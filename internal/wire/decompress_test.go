@@ -1,0 +1,134 @@
+package wire_test
+
+import (
+	"bytes"
+	"compress/flate"
+	"math/rand"
+	"strconv"
+	"sync"
+	"testing"
+
+	"kyrix/internal/geom"
+	"kyrix/internal/server"
+	"kyrix/internal/storage"
+	"kyrix/internal/wire"
+	"kyrix/internal/workload"
+)
+
+var (
+	dotsOnce sync.Once
+	dots     map[server.Codec][]byte
+)
+
+// dotWindows returns the payload of one viewport of dots in each codec:
+// the (id, x, y, val) rows of a seed-fixed uniform dataset at the
+// benchmark's density (1M dots on 131072×16384) inside a 1536×1536
+// window, ≈ 1100 rows.
+func dotWindows(tb testing.TB) map[server.Codec][]byte {
+	dotsOnce.Do(func() {
+		const n, h = 200_000, 16384
+		d := workload.Uniform(n, 131072*n/1_000_000, h, 2019)
+		win := geom.Rect{MinX: 8192, MinY: 4096, MaxX: 8192 + 1536, MaxY: 4096 + 1536}
+		dr := &server.DataResponse{
+			Cols:  []string{"id", "x", "y", "val"},
+			Types: server.ColTypes{storage.TInt64, storage.TFloat64, storage.TFloat64, storage.TFloat64},
+		}
+		for _, p := range d.Points {
+			if win.ContainsPoint(geom.Point{X: p.X, Y: p.Y}) {
+				dr.Rows = append(dr.Rows, storage.Row{storage.I64(p.ID), storage.F64(p.X), storage.F64(p.Y), storage.F64(p.Val)})
+			}
+		}
+		dots = map[server.Codec][]byte{}
+		for _, codec := range []server.Codec{server.CodecBinary, server.CodecJSON} {
+			b, err := server.Encode(dr, codec)
+			if err != nil {
+				panic(err)
+			}
+			dots[codec] = b
+		}
+	})
+	return dots
+}
+
+func deflate(tb testing.TB, raw []byte, level int) []byte {
+	var buf bytes.Buffer
+	fw, err := flate.NewWriter(&buf, level)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fw.Write(raw)
+	if err := fw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestInflateMatchesStdlib: over dot-window payloads in both codecs,
+// random bytes and run-heavy bytes, deflated at every compress/flate
+// level, and over bit-flipped and truncated copies of each, Decompress
+// accepts what compress/flate's reader accepts and inflates it to the
+// same bytes — under the default limit and under one half the payload.
+func TestInflateMatchesStdlib(t *testing.T) {
+	rnd := rand.New(rand.NewSource(2019))
+	w := dotWindows(t)
+	noise := make([]byte, 24<<10)
+	rnd.Read(noise)
+	var runs []byte
+	for len(runs) < 40<<10 {
+		runs = append(runs, bytes.Repeat([]byte{byte(rnd.Intn(4))}, 1+rnd.Intn(300))...)
+		runs = append(runs, w[server.CodecJSON][rnd.Intn(1000):][:rnd.Intn(40)]...)
+	}
+	payloads := []struct {
+		name string
+		raw  []byte
+	}{
+		{"binary", w[server.CodecBinary]},
+		{"json", w[server.CodecJSON]},
+		{"random", noise},
+		{"runs", runs},
+	}
+	levels := []int{flate.NoCompression, flate.BestSpeed, flate.DefaultCompression, flate.BestCompression, flate.HuffmanOnly}
+	for _, p := range payloads {
+		for _, level := range levels {
+			t.Run(p.name+"/level"+strconv.Itoa(level), func(t *testing.T) {
+				c := deflate(t, p.raw, level)
+				for _, limit := range []int{0, len(p.raw) / 2} {
+					if accepted := wire.InflateMatchesStdlib(t, c, limit); accepted != (limit == 0) {
+						t.Fatalf("limit %d: accepted = %v", limit, accepted)
+					}
+					for i := 0; i < 32; i++ {
+						bad := bytes.Clone(c)
+						bit := rnd.Intn(len(bad) * 8)
+						if i < 16 {
+							bit = rnd.Intn(min(len(bad), 64) * 8) // the first block's header and code tables
+						}
+						bad[bit/8] ^= 1 << (bit % 8)
+						wire.InflateMatchesStdlib(t, bad, limit)
+						wire.InflateMatchesStdlib(t, c[:rnd.Intn(len(c))], limit)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkDecompress inflates one BestSpeed-deflated dot window — the
+// frame a pan or zoom step ships — per op; MB/s is of inflated bytes.
+func BenchmarkDecompress(b *testing.B) {
+	for _, codec := range []server.Codec{server.CodecBinary, server.CodecJSON} {
+		raw := dotWindows(b)[codec]
+		c, err := wire.Compress(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(string(codec), func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := wire.Decompress(c, wire.MaxFramePayload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -4,16 +4,16 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 )
 
-// Per-frame compression. Writers and readers are pooled: a flate
-// writer allocates ~hundreds of KB of window state, far too much to
-// rebuild per frame on the serving hot path. Each pooled writer keeps
-// its own scratch buffer, so Compress hands back an exactly-sized copy
-// instead of a grown buffer's slack.
+// Per-frame compression. Compress deflates through pooled
+// compress/flate writers: a writer allocates ~hundreds of KB of window
+// state, far too much to rebuild per frame on the serving hot path.
+// Decompress inflates with the package's own one-pass inflater
+// (inflate.go), pooled with its tables and output buffer. Both keep
+// their scratch buffer in the pool and hand back a copy of the result.
 
 // flateLevel trades ratio for speed; frames are latency-sensitive
 // (the 500 ms budget), so BestSpeed wins over a few extra percent.
@@ -24,8 +24,8 @@ type deflater struct {
 	buf bytes.Buffer
 }
 
-// maxPooledScratch bounds the scratch buffer an idle pooled deflater
-// may keep; one rare huge frame must not pin its size forever.
+// maxPooledScratch bounds the scratch buffer an idle pooled deflater or
+// inflater may keep; one rare huge frame must not pin its size forever.
 const maxPooledScratch = 1 << 20
 
 var deflaters = sync.Pool{
@@ -36,11 +36,7 @@ var deflaters = sync.Pool{
 	},
 }
 
-var flateReaders = sync.Pool{
-	New: func() any {
-		return flate.NewReader(bytes.NewReader(nil))
-	},
-}
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
 
 // Compress deflates src through a pooled writer and returns the
 // compressed bytes: a fresh slice with no spare capacity, so a caller
@@ -65,36 +61,33 @@ func Compress(src []byte) ([]byte, error) {
 	return bytes.Clone(d.buf.Bytes()), nil
 }
 
-// Decompress inflates src through a pooled reader, refusing to produce
-// more than limit bytes: a corrupt or hostile compressed payload must
-// not become a decompression bomb. The reader is bounded with an
-// io.LimitReader so the overrun is detected without ever allocating
-// past the limit.
+// Decompress inflates the DEFLATE stream src, refusing to produce more
+// than limit bytes (MaxFramePayload when limit is not in 1..MaxFramePayload):
+// a corrupt or hostile compressed payload must not become a decompression
+// bomb, so the output stops growing at the limit. It inflates in one pass
+// into a pooled scratch buffer and returns a fresh copy with no spare
+// capacity, so a caller that retains it (L1 caches peer fills) pins
+// exactly len bytes and shares nothing with a later call. src is not
+// retained.
 func Decompress(src []byte, limit int) ([]byte, error) {
 	if limit <= 0 || limit > MaxFramePayload {
 		limit = MaxFramePayload
 	}
-	fr := flateReaders.Get().(io.ReadCloser)
-	// Detach the reader from src before pooling it — an idle entry
-	// must not pin a frame-sized compressed payload until its next use.
+	f := inflaters.Get().(*inflater)
 	defer func() {
-		_ = fr.(flate.Resetter).Reset(bytes.NewReader(nil), nil)
-		flateReaders.Put(fr)
+		f.src = nil
+		if cap(f.out) > maxPooledScratch {
+			f.out = nil
+		}
+		inflaters.Put(f)
 	}()
-	if err := fr.(flate.Resetter).Reset(bytes.NewReader(src), nil); err != nil {
-		return nil, fmt.Errorf("wire: decompress reset: %w", err)
-	}
-	// Read one byte past the limit: hitting it proves the stream
-	// inflates beyond what any legitimate frame may carry.
-	var buf bytes.Buffer
-	n, err := io.Copy(&buf, io.LimitReader(fr, int64(limit)+1))
+	n, err := f.inflate(src, limit)
 	if err != nil {
-		return nil, fmt.Errorf("wire: decompress: %w", err)
+		return nil, err
 	}
-	if n > int64(limit) {
-		return nil, fmt.Errorf("wire: decompressed payload exceeds %d byte limit", limit)
-	}
-	return buf.Bytes(), nil
+	out := make([]byte, n)
+	copy(out, f.out[:n])
+	return out, nil
 }
 
 // compressMinSize is the payload size below which compression cannot

@@ -1,8 +1,9 @@
 // Package wire implements the framed /batch stream shared by the
 // backend server, the frontend client and cluster peer fills: the
-// varint frame codec (protocol version 3), pooled flate compression
-// with a cheap worth-it heuristic, and the delta-frame format for
-// dynamic boxes.
+// varint frame codec (protocol version 3), per-frame DEFLATE — pooled
+// compress/flate writers behind a cheap worth-it heuristic, and the
+// package's own bounded one-pass inflater — and the delta-frame format
+// for dynamic boxes.
 //
 // Stream layout (all integers are unsigned varints unless noted):
 //

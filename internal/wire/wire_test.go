@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"compress/flate"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -147,8 +148,11 @@ func TestDecompressCorruptAndTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress(good[:len(good)/2], 1<<16); err == nil {
-		t.Fatal("truncated stream must not inflate")
+	// Truncation stays distinguishable from corruption.
+	for _, cut := range []int{0, 1, len(good) / 2, len(good) - 1} {
+		if _, err := Decompress(good[:cut], 1<<16); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("stream cut at %d/%d: %v, want io.ErrUnexpectedEOF", cut, len(good), err)
+		}
 	}
 }
 

@@ -376,9 +376,11 @@
 // A raw payload is the exact bytes a single GET /tile or /dbox would
 // return for the item, in the request codec.
 // Flate payloads are DEFLATE streams of the raw payload, emitted only
-// when a cheap size/entropy heuristic says compression will pay;
-// decompression is bounded, so a corrupt or hostile length can never
-// become a decompression bomb. Delta payloads carry the byte size and
+// when a cheap size/entropy heuristic says compression will pay. They
+// are inflated by internal/wire's own one-pass inflater, which decodes
+// the whole frame in memory and stops at a byte limit, so a corrupt or
+// hostile stream can never become a decompression bomb; it accepts
+// exactly what compress/flate's reader does. Delta payloads carry the byte size and
 // content hash of the full payload they replace, a tombstone list (ids
 // of rows leaving the base box) and the entering rows as a nested
 // payload: the client reconstructs base − tombstones + entering, which
@@ -492,8 +494,9 @@
 //   - boundedread: io.ReadAll over a reader of unknown size and direct
 //     flate/gzip/zlib reader construction are forbidden outside
 //     internal/wire — bound with io.LimitReader/http.MaxBytesReader or
-//     decompress through wire.Decompress, which enforces a byte
-//     budget. The standing form of the v3 decompression-bomb defense.
+//     decompress through wire.Decompress, whose inflater enforces a
+//     byte budget. The standing form of the v3 decompression-bomb
+//     defense.
 //   - ctxloop: a function handed a context must stay cancellable — row
 //     scans (loops over []storage.Row) and unconditional for{} loops
 //     must observe ctx, and context.Background()/TODO() must not cut
