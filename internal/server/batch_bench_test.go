@@ -198,10 +198,11 @@ func (d *discardResponse) Write(p []byte) (int, error) {
 
 // BenchmarkBatchV3Hit is the server side of one hot pan step, in
 // process: a single-item v3 batch whose payload is an L1 hit, through
-// the real handler. "full" ships the cached DEFLATE body; "delta" plans
-// against a cached base from the two cached row indexes and deflates
-// only the delta body. allocs/op and B/op are the regression signal: a
-// hit must not hash, deflate or decode its payload again.
+// the real handler. "full" ships the memoized DEFLATE body; "delta"
+// gates the declared base against L1 and ships the pair's memoized
+// delta frame. allocs/op and B/op are the regression signal: a hit must
+// not hash, diff, deflate or decode its payload again, and a case fails
+// outright if its timed loop runs a deflate pass.
 func BenchmarkBatchV3Hit(b *testing.B) {
 	srv, hsURL, _ := benchBatchServer(b)
 	h := srv.Handler()
@@ -223,7 +224,7 @@ func BenchmarkBatchV3Hit(b *testing.B) {
 					return w
 				}
 				serve() // fill L1 and the wire memo
-				deltas := srv.Stats.DeltaFrames.Load()
+				deltas, deflates := srv.Stats.DeltaFrames.Load(), srv.obs.stageComp.Count()
 				b.ReportAllocs()
 				b.ResetTimer()
 				var wireBytes int64
@@ -233,6 +234,9 @@ func BenchmarkBatchV3Hit(b *testing.B) {
 				b.StopTimer()
 				if got := srv.Stats.DeltaFrames.Load() - deltas; (bc.name == "delta") != (got == int64(b.N)) {
 					b.Fatalf("%d of %d responses were delta frames", got, b.N)
+				}
+				if got := srv.obs.stageComp.Count() - deflates; got != 0 {
+					b.Fatalf("%d hit responses ran %d deflate passes, want 0", b.N, got)
 				}
 				b.ReportMetric(float64(wireBytes)/float64(b.N), "wire-B/op")
 			})

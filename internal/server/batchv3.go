@@ -11,18 +11,20 @@ import (
 )
 
 // Frame encoding: per-frame compression and delta-encoded dynamic
-// boxes, shipped from the cached forms of a payload (payload.go) rather
-// than recomputed per response:
+// boxes, shipped from memoized wire forms (payload.go) rather than
+// recomputed per response:
 //
 //   - A full frame is the payload's raw bytes or its DEFLATE body. The
 //     body is deflated once, by the first response that wants it, and
 //     found in the wire memo afterwards — an L1 hit ships with two
 //     lookups and no hashing, deflating or decoding.
-//   - A delta frame diffs the base's and the new payload's row indexes
-//     (ids and byte ranges, scanned once per payload) and copies the
-//     entering rows' bytes out of the new payload. The base is matched by
-//     the id computed when it was filled. Only the delta body — specific
-//     to this (base, new) pair — is deflated per response.
+//   - A delta frame is built once per (base, new) pair: the first
+//     response diffs the two payloads' row indexes (ids and byte ranges,
+//     scanned once per payload), copies the entering rows' bytes out of
+//     the new payload and deflates the delta when that pays. The frame —
+//     or the verdict that no delta pays — is memoized under both ids, so
+//     every later response for the pair is one lookup after the gates.
+//     The base is matched by the id computed when it was filled.
 //
 // The frame codec only decides how a payload crosses THIS wire: L1 and
 // L2 hold raw bytes, so a delta or compressed frame never pollutes the
@@ -33,83 +35,77 @@ import (
 // entering anyway and the tombstone machinery is pure overhead.
 const deltaMinOverlap = 0.25
 
-// encodeFrame picks one OK payload's wire form: delta-encoded against
-// the item's declared base when that pays off, DEFLATE-compressed when
-// allowed and worth it. The fallback at every step is the previous
-// form — worst case the frame ships the raw payload.
+// encodeFrame picks one OK payload's wire form: the pair's delta frame
+// when the item declares a base the planner accepts and a delta pays,
+// else the full payload, DEFLATE-compressed when allowed and worth it.
+// The fallback at every step is the previous form — worst case the
+// frame ships the raw payload.
 func (s *Server) encodeFrame(ctx context.Context, canvas string, it BatchItem, codec Codec, full *payload, compress bool) ([]byte, FrameCodec) {
-	body, fc := full.raw, FrameRaw
 	if it.Kind == "dbox" && it.Base != nil {
 		_, sp := s.tracer().Start(ctx, "delta.plan")
 		start := time.Now()
-		delta, cached, ok := s.planDeltaFrame(canvas, it, codec, full)
+		df, cached := s.planDeltaFrame(canvas, it, codec, full, compress)
 		s.obs.stageDelta.Observe(time.Since(start))
-		sp.Attr("applied", ok)
+		sp.Attr("applied", df != nil)
 		sp.Attr("cached", cached)
 		sp.End()
-		if ok {
-			body, fc = delta, FrameDelta
+		if df != nil {
 			s.Stats.DeltaFrames.Add(1)
-		}
-	}
-	if compress {
-		_, sp := s.tracer().Start(ctx, "compress")
-		var cb []byte
-		cached := false
-		if fc == FrameDelta {
-			// Specific to this (base, new) pair: deflated per response.
-			cb = s.deflate(body)
-		} else {
-			cb, cached = s.flateOf(full)
-		}
-		sp.Attr("applied", cb != nil)
-		sp.Attr("cached", cached)
-		sp.End()
-		if cb != nil {
-			body = cb
-			if fc == FrameDelta {
-				fc = FrameDeltaFlate
-			} else {
-				fc = FrameFlate
+			if df.codec == FrameDeltaFlate {
+				s.Stats.CompressedFrames.Add(1)
 			}
-			s.Stats.CompressedFrames.Add(1)
+			return df.body, df.codec
 		}
 	}
-	return body, fc
+	if !compress {
+		return full.raw, FrameRaw
+	}
+	_, sp := s.tracer().Start(ctx, "compress")
+	cb, cached := s.flateOf(full)
+	sp.Attr("applied", cb != nil)
+	sp.Attr("cached", cached)
+	sp.End()
+	if cb == nil {
+		return full.raw, FrameRaw
+	}
+	s.Stats.CompressedFrames.Add(1)
+	return cb, FrameFlate
 }
 
-// planDeltaFrame attempts to delta-encode a dbox payload against the
-// client's declared base. It returns ok=false — meaning "ship the full
+// planDeltaFrame returns the frame that delta-encodes a dbox payload
+// against the client's declared base, or nil — meaning "ship the full
 // frame" — whenever the delta cannot be proven both correct and
-// profitable:
+// profitable. These gates run on every request, before the memo is
+// consulted, so a memoized frame only ever ships where a fresh one
+// would:
 //
 //   - the base overlaps too little of the new box (the rows would
 //     mostly be entering anyway),
+//   - the two boxes sit at different LOD levels,
 //   - the base payload is no longer in the backend cache (recomputing
-//     it would cost a database query to save wire bytes),
+//     it would cost a database query to save wire bytes), or
 //   - the cached base's id is not the client's declared id (the client
-//     holds stale bytes, e.g. from before an /update),
-//   - either payload's first column is not a unique integer id (no row
-//     identity to diff on), or
-//   - the encoded delta is not actually smaller than the full payload.
+//     holds stale bytes, e.g. from before an /update).
 //
-// cached reports that both row indexes came out of the wire memo.
-func (s *Server) planDeltaFrame(canvas string, it BatchItem, codec Codec, full *payload) (body []byte, cached, ok bool) {
+// Past them the frame depends only on the two payloads' bytes, the
+// codec and compress: deltaFrameOf. cached reports that the frame, or
+// the verdict that no delta pays, came out of the wire memo.
+func (s *Server) planDeltaFrame(canvas string, it BatchItem, codec Codec, full *payload, compress bool) (df *deltaFrame, cached bool) {
 	baseBox, newBox := it.Base.Box(), it.Box()
 	if !baseBox.Valid() || baseBox.Area() <= 0 {
-		return nil, false, false
+		return nil, false
 	}
 	inter := newBox.Intersection(baseBox)
 	if !inter.Valid() || inter.Area() < deltaMinOverlap*newBox.Area() {
-		return nil, false, false
+		return nil, false
 	}
 	baseID, err := strconv.ParseUint(it.Base.ID, 16, 64)
 	if err != nil {
-		return nil, false, false
+		return nil, false
 	}
 	pl, found := s.Layer(canvas, it.Layer)
 	if !found || pl.Table == "" {
-		return nil, false, false
+		return nil, false
 	}
 	// An auto-LOD layer serves different pyramid levels at different
 	// zooms, and a representative row keeps its id across levels while
@@ -117,24 +113,73 @@ func (s *Server) planDeltaFrame(canvas string, it BatchItem, codec Codec, full *
 	// of the row diff does not hold across levels. Delta only within one
 	// level (both -1 for non-LOD layers, preserving their behavior).
 	if pl.LODLevelFor(baseBox) != pl.LODLevelFor(newBox) {
-		return nil, false, false
+		return nil, false
 	}
 	held, found := s.bcache.Peek(s.boxCacheKey(pl, codec, baseBox))
 	if !found {
-		return nil, false, false
+		return nil, false
 	}
 	base := held.(*payload)
 	if base.id != baseID {
-		return nil, false, false
+		return nil, false
 	}
-	bix, bhit := s.rowIndexOf(base, codec)
-	nix, nhit := s.rowIndexOf(full, codec)
-	cached = bhit && nhit
+	return s.deltaFrameOf(base, full, codec, compress)
+}
+
+// deltaFrame is the wire form of one (base, new) pair: the delta body
+// as it ships — deflated (FrameDeltaFlate) or not (FrameDelta).
+type deltaFrame struct {
+	body  []byte
+	codec FrameCodec
+}
+
+// deltaFrameOf returns the frame that turns base into full on the wire
+// (nil: no delta pays), building it on the pair's first request only.
+func (s *Server) deltaFrameOf(base, full *payload, codec Codec, compress bool) (df *deltaFrame, cached bool) {
+	var kind byte
+	switch {
+	case codec == CodecBinary && compress:
+		kind = memoDeltaBinaryFlate
+	case codec == CodecBinary:
+		kind = memoDeltaBinary
+	case compress:
+		kind = memoDeltaJSONFlate
+	default:
+		kind = memoDeltaJSON
+	}
+	k := newPairKey(kind, base.id, full.id)
+	if v, ok := s.memoGet(k); ok {
+		return v.(*deltaFrame), true
+	}
+	return s.memoBuild(k, func() (any, int64) {
+		df := s.buildDeltaFrame(base, full, codec, compress)
+		if df == nil {
+			return df, 0
+		}
+		return df, int64(cap(df.body))
+	}).(*deltaFrame), false
+}
+
+// buildDeltaFrame diffs base against full and assembles the frame. It
+// returns nil when either payload's first column is not a unique
+// integer id (no row identity to diff on) or the encoded delta is not
+// smaller than full. The delta is deflated when compress allows and
+// that pays; this is the only deflate pass a pair ever runs.
+func (s *Server) buildDeltaFrame(base, full *payload, codec Codec, compress bool) *deltaFrame {
+	bix, nix := s.rowIndexOf(base, codec), s.rowIndexOf(full, codec)
 	if bix == nil || nix == nil || !bix.diffable || !nix.diffable {
-		return nil, cached, false
+		return nil
 	}
-	body, ok = deltaBody(bix, nix, full)
-	return body, cached, ok
+	delta, ok := deltaBody(bix, nix, full)
+	if !ok {
+		return nil
+	}
+	if compress {
+		if cb := s.deflate(delta); cb != nil {
+			return &deltaFrame{body: cb, codec: FrameDeltaFlate}
+		}
+	}
+	return &deltaFrame{body: delta, codec: FrameDelta}
 }
 
 // deltaBody encodes the delta that turns the base behind bix into full

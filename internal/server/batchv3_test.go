@@ -6,9 +6,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 
+	"kyrix/internal/fetch"
+	"kyrix/internal/sqldb"
 	"kyrix/internal/storage"
 	"kyrix/internal/wire"
 )
@@ -265,45 +269,217 @@ func TestBatchV3DeltaFallsBackToFull(t *testing.T) {
 // an overlapping pan must never ship a delta computed against the
 // pre-update world — the stale-base guarantee is "full frame, never
 // wrong rows", and the post-update frame must carry the new values.
+// That holds for a pair whose delta frame is already memoized: the L1
+// base gate runs before the memo, so a warm pre-update pair entry is
+// never served — not even when it would still be exact (the changed row
+// left the box), because the memo must never widen where a delta ships.
 func TestBatchV3DeltaAcrossUpdate(t *testing.T) {
 	_, hs := newPointsServer(t, 3000, 4096, 2048)
 	baseItem := BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800}
+	pan := func(baseID uint64) Frame {
+		t.Helper()
+		frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
+			V: wire.V3, Canvas: "main", Codec: CodecJSON, Comp: CompOff,
+			Items: []BatchItem{{Kind: "dbox", Layer: 0, MinX: 200, MinY: 0, MaxX: 1200, MaxY: 800,
+				Base: &BaseRef{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800, ID: strconv.FormatUint(baseID, 16)}}},
+		})
+		if frames[0].Status != FrameOK {
+			t.Fatalf("pan frame: %s", frames[0].Payload)
+		}
+		return frames[0]
+	}
+	fullRows := func(f Frame) []storage.Row {
+		t.Helper()
+		if f.Codec.IsDelta() {
+			t.Fatal("post-update request delta-encoded against a pre-update base")
+		}
+		dr, err := Decode(f.Payload, CodecJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dr.Rows) == 0 {
+			t.Fatal("post-update box empty")
+		}
+		return dr.Rows
+	}
+
+	// One row changed — first one only the base holds, then one inside
+	// the overlap — each after the pair's delta frame was memoized.
+	for i, xs := range [][2]float64{{20, 180}, {250, 950}} {
+		val := 4242.5 + float64(i)
+		basePayload, baseID := fetchBoxPayload(t, hs.URL, baseItem, CodecJSON)
+		for j := 0; j < 2; j++ {
+			if f := pan(baseID); !f.Codec.IsDelta() {
+				t.Fatalf("warm-up pan %d: codec %d, want a delta", j, f.Codec)
+			}
+		}
+		baseDR, err := Decode(basePayload, CodecJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var id int64 = -1
+		for _, row := range baseDR.Rows {
+			if x := row[1].AsFloat(); x > xs[0] && x < xs[1] {
+				id = row[0].AsInt()
+				break
+			}
+		}
+		if id < 0 {
+			t.Fatalf("no base row with x in %v", xs)
+		}
+		if code, msg := postUpdateArgs(t, hs.URL, "UPDATE points SET val = ? WHERE id = ?",
+			ArgValue{Kind: storage.TFloat64, F: val}, ArgValue{Kind: storage.TInt64, I: id}); code != http.StatusOK {
+			t.Fatalf("/update: %d %s", code, msg)
+		}
+		found := false
+		for _, row := range fullRows(pan(baseID)) {
+			if row[0].AsInt() == id {
+				found = true
+				if got := row[3].AsFloat(); got != val {
+					t.Fatalf("updated row %d carries stale val %g", id, got)
+				}
+			}
+		}
+		if inOverlap := xs[0] >= 200; found != inOverlap {
+			t.Fatalf("updated row %d in the post-update box: %v, want %v", id, found, inOverlap)
+		}
+	}
+
+	// Every row changed via the real /update endpoint (the update
+	// transition: exec + generation bump + cache clear).
 	_, baseID := fetchBoxPayload(t, hs.URL, baseItem, CodecJSON)
-
-	// Change a column of every row via the real /update endpoint (the
-	// update transition: exec + generation bump + cache clear).
-	upd, _ := json.Marshal(map[string]any{"sql": "UPDATE points SET val = 4242.0"})
-	resp, err := http.Post(hs.URL+"/update", "application/json", bytes.NewReader(upd))
-	if err != nil {
-		t.Fatal(err)
+	if code, msg := postUpdateArgs(t, hs.URL, "UPDATE points SET val = 4242.0"); code != http.StatusOK {
+		t.Fatalf("/update: %d %s", code, msg)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/update: %s", resp.Status)
-	}
-
-	frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-		V: wire.V3, Canvas: "main", Codec: CodecJSON, Comp: CompOff,
-		Items: []BatchItem{{Kind: "dbox", Layer: 0, MinX: 200, MinY: 0, MaxX: 1200, MaxY: 800,
-			Base: &BaseRef{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800, ID: strconv.FormatUint(baseID, 16)}}},
-	})
-	if frames[0].Status != FrameOK {
-		t.Fatalf("post-update frame: %s", frames[0].Payload)
-	}
-	if frames[0].Codec.IsDelta() {
-		t.Fatal("post-update request delta-encoded against a pre-update base")
-	}
-	dr, err := Decode(frames[0].Payload, CodecJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dr.Rows) == 0 {
-		t.Fatal("post-update box empty")
-	}
-	for _, row := range dr.Rows {
+	for _, row := range fullRows(pan(baseID)) {
 		if got := row[3].AsFloat(); got != 4242.0 {
 			t.Fatalf("post-update row %d carries stale val %g", row[0].AsInt(), got)
 		}
+	}
+}
+
+// TestDeltaFrameMemoMatchesFresh: a memoized pair frame is exactly the
+// frame a fresh build ships. For both codecs, both comp modes and three
+// pairs — a profitable delta, a delta no smaller than the full payload,
+// and a layer whose ids repeat — the second response builds nothing and
+// carries the first response's frame codec and bytes, and so does a
+// rebuild after the memo is emptied.
+func TestDeltaFrameMemoMatchesFresh(t *testing.T) {
+	box := func(minx, miny, maxx, maxy float64) BatchItem {
+		return BatchItem{Kind: "dbox", Layer: 0, MinX: minx, MinY: miny, MaxX: maxx, MaxY: maxy}
+	}
+	for _, tc := range []struct {
+		name      string
+		dupIDs    bool
+		base, pan BatchItem
+		wantDelta bool
+	}{
+		{"profitable", false, box(0, 0, 1000, 800), box(200, 0, 1200, 800), true},
+		// The pan sits inside a base 70 times its area: the tombstones
+		// outweigh the rows the full frame would carry.
+		{"delta not smaller", false, box(0, 0, 4096, 2048), box(1000, 1000, 1400, 1300), false},
+		{"non-unique ids", true, box(0, 0, 1000, 800), box(200, 0, 1200, 800), false},
+	} {
+		db, ca := newPointsApp(t, 4000, 4096, 2048)
+		if tc.dupIDs {
+			if _, err := db.Exec("UPDATE points SET id = 7 WHERE id < 2000"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, err := New(db, ca, Options{
+			Cache:      CacheOptions{L1: L1CacheOptions{Bytes: 8 << 20}},
+			Precompute: fetch.Options{BuildSpatial: true, TileSizes: []float64{512}, MappingIndex: sqldb.IndexBTree},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(srv.Handler())
+		for _, codec := range []Codec{CodecJSON, CodecBinary} {
+			for _, comp := range []string{CompFlate, CompOff} {
+				name := tc.name + "/" + string(codec) + "/" + comp
+				basePayload, baseID := fetchBoxPayload(t, hs.URL, tc.base, codec)
+				newPayload, _ := fetchBoxPayload(t, hs.URL, tc.pan, codec)
+				bix, nix := buildRowIndex(basePayload, codec), buildRowIndex(newPayload, codec)
+				if diffable := bix.diffable && nix.diffable; diffable == tc.dupIDs {
+					t.Fatalf("%s: row indexes diffable=%v", name, diffable)
+				}
+				it := tc.pan
+				it.Base = &BaseRef{MinX: tc.base.MinX, MinY: tc.base.MinY, MaxX: tc.base.MaxX, MaxY: tc.base.MaxY,
+					ID: strconv.FormatUint(baseID, 16)}
+				post := func() Frame {
+					t.Helper()
+					f := postBatchV3Raw(t, hs.URL, BatchRequestV2{V: wire.V3, Canvas: "main", Codec: codec, Comp: comp,
+						Items: []BatchItem{it}})[0]
+					if f.Status != FrameOK {
+						t.Fatalf("%s: status %d: %s", name, f.Status, f.Payload)
+					}
+					return f
+				}
+				first := post()
+				if first.Codec.IsDelta() != tc.wantDelta {
+					t.Fatalf("%s: codec %d, want delta=%v", name, first.Codec, tc.wantDelta)
+				}
+				if first.Codec.Compressed() != (comp == CompFlate) {
+					t.Fatalf("%s: codec %d under comp %q", name, first.Codec, comp)
+				}
+				builds := srv.wireMemo.Stats().Misses
+				hit := post()
+				if got := srv.wireMemo.Stats().Misses; got != builds {
+					t.Fatalf("%s: memo-hit response built %d forms", name, got-builds)
+				}
+				srv.wireMemo.Clear()
+				fresh := post()
+				for _, f := range []struct {
+					what string
+					f    Frame
+				}{{"memo hit", hit}, {"fresh build", fresh}} {
+					if f.f.Codec != first.Codec || !bytes.Equal(f.f.Payload, first.Payload) {
+						t.Fatalf("%s: %s ships codec %d (%d B), first response codec %d (%d B)",
+							name, f.what, f.f.Codec, len(f.f.Payload), first.Codec, len(first.Payload))
+					}
+				}
+			}
+		}
+		hs.Close()
+	}
+}
+
+// TestDeltaFrameBuiltOnce: concurrent first requests for one cold
+// (base, new) pair share one build, so the pair is deflated exactly
+// once and every response ships the same frame.
+func TestDeltaFrameBuiltOnce(t *testing.T) {
+	srv, hs := newPointsServer(t, 4000, 4096, 2048)
+	base := BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800}
+	_, baseID := fetchBoxPayload(t, hs.URL, base, CodecJSON)
+	pan := BatchItem{Kind: "dbox", Layer: 0, MinX: 200, MinY: 0, MaxX: 1200, MaxY: 800}
+	fetchBoxPayload(t, hs.URL, pan, CodecJSON) // resident, so the race is over the pair only
+	pan.Base = &BaseRef{MinX: base.MinX, MinY: base.MinY, MaxX: base.MaxX, MaxY: base.MaxY, ID: strconv.FormatUint(baseID, 16)}
+
+	deflates := srv.obs.stageComp.Count()
+	const n = 8
+	frames := make([]Frame, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			frames[g], errs[g] = postOneV3(hs.URL, CodecJSON, pan)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g := range frames {
+		if errs[g] != nil || frames[g].Codec != FrameDeltaFlate {
+			t.Fatalf("response %d: codec %d, %v", g, frames[g].Codec, errs[g])
+		}
+		if !bytes.Equal(frames[g].Payload, frames[0].Payload) {
+			t.Fatalf("response %d ships different delta bytes", g)
+		}
+	}
+	if got := srv.obs.stageComp.Count() - deflates; got != 1 {
+		t.Fatalf("%d concurrent first requests for one pair ran %d deflate passes, want 1", n, got)
 	}
 }

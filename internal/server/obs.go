@@ -140,9 +140,11 @@ func (s *Server) collectMetrics(c *obs.CollectorScratchpad) {
 	c.Counter("kyrix_frames_total", "v3 frame encodings applied.", float64(s.Stats.CompressedFrames.Load()), "encoding", "flate")
 	c.Counter("kyrix_lod_queries_total", "Window queries routed to an aggregation-pyramid level.", float64(s.Stats.LODQueries.Load()))
 	memo := s.wireMemo.Stats()
-	const memoHelp = "Lookups of a cached payload's derived forms (DEFLATE body, row index); a miss is one build."
+	const memoHelp = "Lookups of a cached payload's derived forms (DEFLATE body, row index) and of a pair's delta frame; a miss is one build."
 	c.Counter("kyrix_wire_memo_events_total", memoHelp, float64(memo.Hits), "event", "hit")
 	c.Counter("kyrix_wire_memo_events_total", memoHelp, float64(memo.Misses), "event", "miss")
+	c.Gauge("kyrix_wire_memo_bytes", "Bytes charged to the wire memo's resident entries.", float64(memo.Bytes))
+	c.Counter("kyrix_wire_memo_evictions_total", "Wire memo entries dropped by its LRU bound.", float64(memo.Evictions))
 
 	if s.l2 != nil {
 		l2 := s.l2.Snapshot()

@@ -139,10 +139,12 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestWireMemoObservability: the trace and the counters say whether a
-// response was shipped from cached forms. The second response of one
-// payload shows a compress span with cached=true, the compress stage
-// histogram still counts the single real deflate, and /stats and
-// /metrics report the same memo hit and miss.
+// response was shipped from memoized forms. The second response of one
+// payload shows a compress span with cached=true, the second pan of one
+// (base, new) pair a delta.plan span with cached=true; the compress
+// stage histogram counts only the real deflates — one per payload, one
+// per pair — and /stats and /metrics report the same memo events and
+// residency.
 func TestWireMemoObservability(t *testing.T) {
 	srv, hs := newPointsServer(t, 3000, 4096, 2048)
 	box := BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1500, MaxY: 1200}
@@ -173,7 +175,7 @@ func TestWireMemoObservability(t *testing.T) {
 	pan := BatchItem{Kind: "dbox", Layer: 0, MinX: 200, MinY: 0, MaxX: 1700, MaxY: 1200,
 		Base: &BaseRef{MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY, ID: strconv.FormatUint(id, 16)}}
 	for i, want := range []string{"false", "true"} {
-		if f, err := postOneV3(hs.URL, CodecJSON, pan); err != nil || !f.Codec.IsDelta() {
+		if f, err := postOneV3(hs.URL, CodecJSON, pan); err != nil || f.Codec != FrameDeltaFlate {
 			t.Fatalf("pan %d: codec %d, %v", i, f.Codec, err)
 		}
 		if got := spanAttr("delta.plan", "cached"); got != want {
@@ -182,19 +184,29 @@ func TestWireMemoObservability(t *testing.T) {
 	}
 
 	exp := scrape(t, hs.URL)
-	// One full payload deflated once, two delta bodies deflated per
-	// response; the memo built one DEFLATE body and two row indexes.
-	if got := sampleValue(exp, "kyrix_stage_duration_seconds_count", "stage", "compress"); got != 3 {
-		t.Errorf("compress stage count = %v, want 3", got)
+	// One full payload deflated once, one (base, new) pair deflated
+	// once. The memo built four forms — the full DEFLATE body, the
+	// pair's frame and the two row indexes it diffed — and served the
+	// second full response and the second pan from memory.
+	if got := sampleValue(exp, "kyrix_stage_duration_seconds_count", "stage", "compress"); got != 2 {
+		t.Errorf("compress stage count = %v, want 2", got)
 	}
 	var snap StatsSnapshot
 	getJSON(t, hs.URL+"/stats", &snap)
-	if snap.Serving.WireMemoMisses != 3 || snap.Serving.WireMemoHits != 3 {
-		t.Errorf("wire memo: %d hits %d misses, want 3 and 3", snap.Serving.WireMemoHits, snap.Serving.WireMemoMisses)
+	sv := snap.Serving
+	if sv.WireMemoMisses != 4 || sv.WireMemoHits != 2 {
+		t.Errorf("wire memo: %d hits %d misses, want 2 and 4", sv.WireMemoHits, sv.WireMemoMisses)
+	}
+	if sv.WireMemoEntries != 4 || sv.WireMemoBytes <= 4*memoEntryOverhead || sv.WireMemoEvictions != 0 {
+		t.Errorf("wire memo residency: %d entries, %d bytes, %d evictions; want 4 entries over %d bytes, none evicted",
+			sv.WireMemoEntries, sv.WireMemoBytes, sv.WireMemoEvictions, 4*memoEntryOverhead)
 	}
 	if hit, miss := sampleValue(exp, "kyrix_wire_memo_events_total", "event", "hit"),
-		sampleValue(exp, "kyrix_wire_memo_events_total", "event", "miss"); int64(hit) != snap.Serving.WireMemoHits || int64(miss) != snap.Serving.WireMemoMisses {
-		t.Errorf("/metrics wire memo %v/%v disagrees with /stats %d/%d", hit, miss, snap.Serving.WireMemoHits, snap.Serving.WireMemoMisses)
+		sampleValue(exp, "kyrix_wire_memo_events_total", "event", "miss"); int64(hit) != sv.WireMemoHits || int64(miss) != sv.WireMemoMisses {
+		t.Errorf("/metrics wire memo %v/%v disagrees with /stats %d/%d", hit, miss, sv.WireMemoHits, sv.WireMemoMisses)
+	}
+	if b, ev := sampleValue(exp, "kyrix_wire_memo_bytes"), sampleValue(exp, "kyrix_wire_memo_evictions_total"); int64(b) != sv.WireMemoBytes || int64(ev) != sv.WireMemoEvictions {
+		t.Errorf("/metrics wire memo %v bytes, %v evictions disagrees with /stats %d, %d", b, ev, sv.WireMemoBytes, sv.WireMemoEvictions)
 	}
 }
 

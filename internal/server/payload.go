@@ -22,10 +22,15 @@ import (
 //   - the DEFLATE body, or the verdict that compressing is not worth it.
 //   - the row index: each row's id and byte range inside raw.
 //
-// The two derived forms are built on first need and live in the
-// content-addressed wire memo (Server.wireMemo), keyed by id. Content
-// addressing makes them immutable too: an /update produces new bytes
-// under a new id, so the memo needs no invalidation, only its LRU bound.
+// A pair of payloads — a client's declared delta base and the payload
+// it pans to — has one more: the delta frame that ships between them
+// (batchv3.go), or the verdict that no delta pays.
+//
+// The derived forms are built on first need and live in the
+// content-addressed wire memo (Server.wireMemo), keyed by id — by both
+// ids for a pair. Content addressing makes them immutable too: an
+// /update produces new bytes under a new id, so the memo needs no
+// invalidation, only its LRU bound.
 
 // payload is the L1 value: one tile's or box's encoded rows plus the
 // identity of those exact bytes. Never mutated after construction.
@@ -44,18 +49,32 @@ const memoEntryOverhead = 64
 
 // Memo key kinds: one derived form per (kind, payload id). The row
 // index depends on how the bytes are parsed, so each codec has its own.
+// A delta frame is keyed by (kind, base id, new id); its bytes depend on
+// the codec and on whether the response may deflate it.
 const (
 	memoFlate       = 'z'
 	memoIndexJSON   = 'j'
 	memoIndexBinary = 'b'
+
+	memoDeltaJSON        = 'd'
+	memoDeltaJSONFlate   = 'D'
+	memoDeltaBinary      = 'e'
+	memoDeltaBinaryFlate = 'E'
 )
 
-type memoKey [9]byte
+// memoKey is a kind byte and one payload id, or two for a pair.
+type memoKey [17]byte
 
 func newMemoKey(kind byte, id uint64) memoKey {
 	var k memoKey
 	k[0] = kind
 	binary.BigEndian.PutUint64(k[1:], id)
+	return k
+}
+
+func newPairKey(kind byte, base, next uint64) memoKey {
+	k := newMemoKey(kind, base)
+	binary.BigEndian.PutUint64(k[9:], next)
 	return k
 }
 
@@ -138,22 +157,24 @@ func (ix *rowIndex) rows() int { return len(ix.off) - 1 }
 
 // rowIndexOf returns p's row index under codec (nil: the bytes do not
 // scan as a payload of that codec), scanning on the first request only.
-func (s *Server) rowIndexOf(p *payload, codec Codec) (ix *rowIndex, cached bool) {
+func (s *Server) rowIndexOf(p *payload, codec Codec) *rowIndex {
 	kind := byte(memoIndexJSON)
 	if codec == CodecBinary {
 		kind = memoIndexBinary
 	}
 	k := newMemoKey(kind, p.id)
 	if v, ok := s.memoGet(k); ok {
-		return v.(*rowIndex), true
+		return v.(*rowIndex)
 	}
 	return s.memoBuild(k, func() (any, int64) {
 		ix := buildRowIndex(p.raw, codec)
 		if ix == nil {
 			return ix, 0
 		}
-		return ix, int64(8*len(ix.ids) + 4*len(ix.off) + 4*len(ix.perm))
-	}).(*rowIndex), false
+		// Charged by capacity, the bytes the slices pin: scanJSONRows
+		// grows off by append.
+		return ix, int64(8*cap(ix.ids) + 4*cap(ix.off) + 4*cap(ix.perm))
+	}).(*rowIndex)
 }
 
 // buildRowIndex scans raw once. The bytes may come from the L2 store or

@@ -313,7 +313,8 @@ func postOneV3(url string, codec Codec, it BatchItem) (Frame, error) {
 // while /update keeps rewriting every row. A stale base id must fall
 // back to a full frame, no reader may see a value older than the last
 // update acked before it asked, and the server deflates each distinct
-// payload exactly once however many responses ship it.
+// payload and each distinct (base, new) pair exactly once however many
+// responses ship it.
 func TestHotBoxConcurrentV3(t *testing.T) {
 	srv, hs := newPointsServer(t, 3000, 4096, 2048)
 	box := BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1500, MaxY: 1200}
@@ -321,8 +322,8 @@ func TestHotBoxConcurrentV3(t *testing.T) {
 
 	var (
 		mu         sync.Mutex
-		fullIDs    = map[uint64]bool{} // distinct payloads shipped as flate frames
-		perFrame   int                 // delta+flate frames: deflated per response
+		fullIDs    = map[uint64]bool{}    // distinct payloads shipped as flate frames
+		pairs      = map[[2]uint64]bool{} // distinct (base, new) pairs shipped as delta+flate frames
 		deltaOnce  sync.Once
 		firstDelta = make(chan struct{})
 	)
@@ -401,13 +402,6 @@ func TestHotBoxConcurrentV3(t *testing.T) {
 						return
 					}
 				}
-				mu.Lock()
-				if f.Codec == FrameDeltaFlate {
-					perFrame++
-				} else if f.Codec == FrameFlate {
-					fullIDs[wire.PayloadID(body)] = true
-				}
-				mu.Unlock()
 				if f.Codec.IsDelta() {
 					// Same box, base accepted: the server vouches that what
 					// this reader holds is still current.
@@ -415,6 +409,11 @@ func TestHotBoxConcurrentV3(t *testing.T) {
 					if err != nil || len(d.Tombstones) != 0 {
 						t.Errorf("same-box delta: %v, %d tombstones", err, len(d.Tombstones))
 						return
+					}
+					if f.Codec == FrameDeltaFlate {
+						mu.Lock()
+						pairs[[2]uint64{heldID, d.NewID}] = true
+						mu.Unlock()
 					}
 					heldID = d.NewID
 					deltaOnce.Do(func() { close(firstDelta) })
@@ -424,6 +423,11 @@ func TestHotBoxConcurrentV3(t *testing.T) {
 						return
 					}
 					heldID = wire.PayloadID(body)
+					if f.Codec == FrameFlate {
+						mu.Lock()
+						fullIDs[heldID] = true
+						mu.Unlock()
+					}
 				}
 				for _, row := range held.Rows {
 					if v := row[3].AsFloat(); v < floor {
@@ -447,10 +451,11 @@ func TestHotBoxConcurrentV3(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	// One deflate per distinct payload shipped in full, one per delta
-	// body big enough to compress — however many responses carried them.
-	if got, want := srv.obs.stageComp.Count(), uint64(len(fullIDs)+perFrame); got != want {
-		t.Errorf("deflate ran %d times for %d distinct payloads and %d per-response delta bodies", got, len(fullIDs), perFrame)
+	// One deflate per distinct payload shipped in full, one per distinct
+	// pair whose delta is big enough to compress — however many responses
+	// carried them.
+	if got, want := srv.obs.stageComp.Count(), uint64(len(fullIDs)+len(pairs)); got != want {
+		t.Errorf("deflate ran %d times for %d distinct payloads and %d distinct (base, new) pairs", got, len(fullIDs), len(pairs))
 	}
 }
 
@@ -514,6 +519,25 @@ func TestDeltaIndexRebuiltFromBytes(t *testing.T) {
 		hs2.Close()
 		if err := srv2.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestRowIndexChargeIsPinnedBytes: the wire memo charges a row index
+// the bytes its slices pin — their capacities — for both codecs,
+// whatever slack the scan left behind.
+func TestRowIndexChargeIsPinnedBytes(t *testing.T) {
+	srv, hs := newPointsServer(t, 4000, 4096, 2048)
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		raw, _ := fetchBoxPayload(t, hs.URL, BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1500, MaxY: 1200}, codec)
+		srv.wireMemo.Clear()
+		ix := srv.rowIndexOf(newPayload(raw), codec)
+		if ix == nil || !ix.diffable || ix.rows() == 0 {
+			t.Fatalf("%s: no diffable index", codec)
+		}
+		pinned := int64(memoEntryOverhead + 8*cap(ix.ids) + 4*cap(ix.off) + 4*cap(ix.perm))
+		if got := srv.wireMemo.Stats().Bytes; got != pinned {
+			t.Errorf("%s: %d-row index charged %d bytes, its slices pin %d", codec, ix.rows(), got, pinned)
 		}
 	}
 }

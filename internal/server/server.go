@@ -229,11 +229,12 @@ type Server struct {
 	// placeholders), so the hot path skips the parser entirely.
 	plans *cache.LRU
 	// wireMemo holds the derived forms of cached payloads — DEFLATE
-	// bodies and row indexes (payload.go) — keyed by the payload's
-	// content hash, so every response after the first ships them with a
-	// lookup. Content-addressed entries are immutable, so updates need
-	// no invalidation; the LRU bound caps residency. memoFlight
-	// collapses concurrent first builds of one form.
+	// bodies and row indexes, keyed by the payload's content hash — and
+	// the shipped delta frame of every (base, new) pair, keyed by both
+	// hashes (payload.go, batchv3.go). Every response after the first
+	// ships them with a lookup. Content-addressed entries are immutable,
+	// so updates need no invalidation; the LRU bound caps residency.
+	// memoFlight collapses concurrent first builds of one form.
 	wireMemo   *cache.LRU
 	memoFlight singleflight.Group
 
@@ -316,8 +317,8 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		// shard keeps exact LRU order (the cap is tiny).
 		plans: cache.NewLRUSharded(int64(planCap), 1),
 		// Entries are charged what they hold (deflated bytes, index
-		// slices), so resident memory stays bounded like the other
-		// caches.
+		// slices, delta frames), so resident memory stays bounded like
+		// the other caches.
 		wireMemo: cache.NewLRU(32 << 20),
 		opts:     opts,
 	}
@@ -1001,9 +1002,15 @@ type ServingStats struct {
 	CompressedFrames int64 `json:"compressedFrames"`
 	DBRowsScanned    int64 `json:"dbRowsScanned"`
 	// WireMemoHits/Misses count lookups of a cached payload's derived
-	// forms (DEFLATE body, row index); a miss is one build.
-	WireMemoHits   int64 `json:"wireMemoHits"`
-	WireMemoMisses int64 `json:"wireMemoMisses"`
+	// forms (DEFLATE body, row index) and of a pair's delta frame; a
+	// miss is one build. WireMemoBytes/Entries are the memo's resident
+	// charge and count, WireMemoEvictions the entries its LRU bound
+	// dropped.
+	WireMemoHits      int64 `json:"wireMemoHits"`
+	WireMemoMisses    int64 `json:"wireMemoMisses"`
+	WireMemoBytes     int64 `json:"wireMemoBytes"`
+	WireMemoEntries   int64 `json:"wireMemoEntries"`
+	WireMemoEvictions int64 `json:"wireMemoEvictions"`
 }
 
 // L1Stats is the in-memory backend cache section of a StatsSnapshot.
@@ -1078,22 +1085,25 @@ func (s *Server) Snapshot() StatsSnapshot {
 		UptimeSeconds: time.Since(s.obs.start).Seconds(),
 		Build:         BuildInfo{Version: buildVersion(), GoVersion: runtime.Version()},
 		Serving: ServingStats{
-			TileRequests:     s.Stats.TileRequests.Load(),
-			BoxRequests:      s.Stats.BoxRequests.Load(),
-			BatchRequests:    s.Stats.BatchRequests.Load(),
-			CacheHits:        s.Stats.CacheHits.Load(),
-			CoalescedHits:    s.Stats.CoalescedHits.Load(),
-			DBQueries:        s.Stats.DBQueries.Load(),
-			RowsServed:       s.Stats.RowsServed.Load(),
-			BytesServed:      s.Stats.BytesServed.Load(),
-			Updates:          s.Stats.Updates.Load(),
-			QueryNanos:       s.Stats.QueryNanos.Load(),
-			WireBytes:        s.Stats.WireBytes.Load(),
-			DeltaFrames:      s.Stats.DeltaFrames.Load(),
-			CompressedFrames: s.Stats.CompressedFrames.Load(),
-			DBRowsScanned:    s.db.Stats().RowsScanned,
-			WireMemoHits:     memo.Hits,
-			WireMemoMisses:   memo.Misses,
+			TileRequests:      s.Stats.TileRequests.Load(),
+			BoxRequests:       s.Stats.BoxRequests.Load(),
+			BatchRequests:     s.Stats.BatchRequests.Load(),
+			CacheHits:         s.Stats.CacheHits.Load(),
+			CoalescedHits:     s.Stats.CoalescedHits.Load(),
+			DBQueries:         s.Stats.DBQueries.Load(),
+			RowsServed:        s.Stats.RowsServed.Load(),
+			BytesServed:       s.Stats.BytesServed.Load(),
+			Updates:           s.Stats.Updates.Load(),
+			QueryNanos:        s.Stats.QueryNanos.Load(),
+			WireBytes:         s.Stats.WireBytes.Load(),
+			DeltaFrames:       s.Stats.DeltaFrames.Load(),
+			CompressedFrames:  s.Stats.CompressedFrames.Load(),
+			DBRowsScanned:     s.db.Stats().RowsScanned,
+			WireMemoHits:      memo.Hits,
+			WireMemoMisses:    memo.Misses,
+			WireMemoBytes:     memo.Bytes,
+			WireMemoEntries:   int64(memo.Entries),
+			WireMemoEvictions: memo.Evictions,
 		},
 		Cache: CacheStats{
 			L1: L1Stats{

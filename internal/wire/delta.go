@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 )
 
 // Delta is the v3 dynamic-box delta frame: successive viewports of a
@@ -44,24 +45,30 @@ func PayloadID(payload []byte) uint64 {
 	return h.Sum64()
 }
 
-// EncodeDelta serializes d.
+// EncodeDelta serializes d into a slice sized exactly: cap == len, so a
+// caller that retains it (the server memoizes shipped delta frames)
+// pins only the bytes it ships.
 func EncodeDelta(d Delta) []byte {
-	buf := make([]byte, 0, 2*binary.MaxVarintLen64+8+
-		len(d.Tombstones)*binary.MaxVarintLen64+len(d.Entering))
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(d.FullLen))
-	buf = append(buf, tmp[:n]...)
-	var id [8]byte
-	binary.BigEndian.PutUint64(id[:], d.NewID)
-	buf = append(buf, id[:]...)
-	n = binary.PutUvarint(tmp[:], uint64(len(d.Tombstones)))
-	buf = append(buf, tmp[:n]...)
+	n := uvarintLen(uint64(d.FullLen)) + 8 + uvarintLen(uint64(len(d.Tombstones))) + len(d.Entering)
 	for _, t := range d.Tombstones {
-		n = binary.PutVarint(tmp[:], t)
-		buf = append(buf, tmp[:n]...)
+		n += varintLen(t)
+	}
+	buf := make([]byte, 0, n)
+	buf = binary.AppendUvarint(buf, uint64(d.FullLen))
+	buf = binary.BigEndian.AppendUint64(buf, d.NewID)
+	buf = binary.AppendUvarint(buf, uint64(len(d.Tombstones)))
+	for _, t := range d.Tombstones {
+		buf = binary.AppendVarint(buf, t)
 	}
 	return append(buf, d.Entering...)
 }
+
+// uvarintLen is the byte length of binary.AppendUvarint(nil, x).
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the byte length of binary.AppendVarint(nil, x): the
+// zig-zag form's uvarint length.
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
 
 // DecodeDelta parses a delta payload. Counts and lengths are bounded
 // by the input size, so a corrupt prefix errors out instead of

@@ -403,11 +403,15 @@
 // response that needs them and kept in a 32 MB content-addressed memo
 // (keyed by the hash, so an /update — new bytes, new hash — needs no
 // invalidation). A full frame served from L1 is therefore two lookups
-// with no hashing, deflating or decoding; a delta frame matches the
-// declared base by its stored hash, diffs the two cached id lists and
-// copies the entering rows' byte ranges out of the new payload. Only
-// the delta body, specific to one (base, new) pair, is deflated per
-// response. /stats reports wireMemoHits and wireMemoMisses, and the
+// with no hashing, deflating or decoding. A delta frame is encoded once
+// per (base, new) pair: the first response for the pair diffs the two
+// cached id lists, copies the entering rows' byte ranges out of the new
+// payload and deflates the result, and the memo keeps that frame (or
+// the verdict that no delta pays) under both hashes. Every response
+// first checks the declared base against L1 by its stored hash, so a
+// memoized frame only ships where a fresh one would; after that the
+// pair costs one lookup. /stats reports wireMemoHits, wireMemoMisses,
+// wireMemoBytes, wireMemoEntries and wireMemoEvictions, and the
 // compress stage histogram counts real DEFLATE passes only.
 //
 // Every dynamic box, every static layer and [Client.PrefetchBoxes]
