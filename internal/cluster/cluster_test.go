@@ -52,7 +52,7 @@ func TestTransportFetchRoundtrip(t *testing.T) {
 	}
 }
 
-// TestTransportCompressedFill: a payload past the worth-it heuristic
+// TestTransportCompressedFill: a payload that DEFLATE shrinks
 // crosses the wire DEFLATE-compressed and is inflated transparently —
 // the wire v3 codec reuse the peer protocol exists for.
 func TestTransportCompressedFill(t *testing.T) {

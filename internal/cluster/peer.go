@@ -49,7 +49,10 @@ var errFailpointDrop = errors.New("cluster: failpoint: dropped")
 // FillRequest asks a key's owner to produce one tile or dynamic-box
 // payload. It carries the same addressing fields as a /batch item plus
 // the canonical cache key (debugging identity; the owner recomputes
-// its own).
+// its own). Codec names the payload layout wanted, as the key space of
+// that key ("json", "bincol"): an owner that cannot produce the layout
+// answers with an error frame and the requester queries locally, so
+// nodes of two builds never trade bytes one of them would misread.
 type FillRequest struct {
 	Key    string  `json:"key"`
 	Canvas string  `json:"canvas"`
@@ -500,8 +503,8 @@ func readPeerResponse(br *bufio.Reader) ([]byte, error) {
 }
 
 // WritePeerResponse writes the one-frame wire stream of a /peer reply:
-// an OK payload (DEFLATE-compressed when the worth-it heuristic says
-// so) or an error frame. kind is the frame kind matching the request;
+// an OK payload (DEFLATE-compressed when that makes it smaller) or an
+// error frame. kind is the frame kind matching the request;
 // version, when non-nil, is the data version the payload was served at.
 func WritePeerResponse(w http.ResponseWriter, version *int64, kind wire.FrameKind, payload []byte, serveErr error, badRequest bool) error {
 	w.Header().Set("Content-Type", PeerContentType)
@@ -517,7 +520,7 @@ func WritePeerResponse(w http.ResponseWriter, version *int64, kind wire.FrameKin
 		f.Payload = []byte(serveErr.Error())
 	} else {
 		f.Payload = payload
-		if wire.ShouldCompress(payload) {
+		if len(payload) >= wire.CompressMinSize {
 			if cb, cerr := wire.Compress(payload); cerr == nil && len(cb) < len(payload) {
 				f.Payload, f.Codec = cb, wire.CodecFlate
 			}

@@ -20,7 +20,7 @@ import (
 // Compression selection for ClientOptions.Compression.
 const (
 	// CompressionAuto lets the server DEFLATE-compress frames that
-	// pass its worth-it heuristic (the default).
+	// compression makes smaller (the default).
 	CompressionAuto = 0
 	// CompressionOff asks for raw frames (ablations, CPU-bound
 	// clients). Delta frames are still used when profitable.

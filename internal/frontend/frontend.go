@@ -66,8 +66,8 @@ type Options struct {
 	// protocol. Dynamic boxes and static layers always ride /batch.
 	BatchSize int
 	// Compression selects per-frame compression: CompressionAuto
-	// (default) lets the server DEFLATE-compress frames that pass its
-	// worth-it heuristic, CompressionOff asks for raw frames.
+	// (default) lets the server DEFLATE-compress frames that
+	// compression makes smaller, CompressionOff asks for raw frames.
 	Compression int
 	// Tracer, when non-nil, opens one client-side "interaction" span per
 	// Load/Pan/Jump covering the whole viewport fetch (time-to-first-

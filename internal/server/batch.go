@@ -114,7 +114,7 @@ func (it BatchItem) Box() geom.Rect {
 // Compression modes for BatchRequestV2.Comp.
 const (
 	// CompFlate (the default, also selected by "") lets the server
-	// DEFLATE-compress OK payloads that pass the worth-it heuristic.
+	// DEFLATE-compress OK payloads when that makes them smaller.
 	CompFlate = "flate"
 	// CompOff forces raw payloads (ablations, pre-compressed codecs).
 	CompOff = "off"

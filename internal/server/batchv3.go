@@ -206,5 +206,38 @@ func (s *Server) boxCacheKey(pl *fetch.PhysicalLayer, codec Codec, box geom.Rect
 }
 
 func codecBoxKey(codec Codec, layer string, box geom.Rect) string {
-	return string(codec) + "/" + fetch.BoxKeyOf(layer, box)
+	return keySpace(codec) + "/" + fetch.BoxKeyOf(layer, box)
 }
+
+// keySpace is the first component of every L1 and L2 key: the codec,
+// named for the layout of the bytes cached under it. L2 outlives the
+// process, so a layout change moves its keys — a record an older build
+// wrote is then never found and the miss refills it, instead of its
+// bytes reaching a decoder for the new layout. Binary payloads were
+// row-major under "binary/"; the columnar layout lives under "bincol/".
+// The same name rides a peer fill request (FillRequest.Codec), so two
+// builds that disagree on a layout refuse each other's fills.
+func keySpace(codec Codec) string {
+	if codec == CodecBinary {
+		return "bincol"
+	}
+	return string(codec)
+}
+
+// codecOfKeySpace inverts keySpace for a peer fill request; "" is JSON,
+// as it always was. Any other name — "binary" from a row-major build
+// included — is a layout this build cannot produce.
+func codecOfKeySpace(space string) (Codec, bool) {
+	switch space {
+	case "", "json":
+		return CodecJSON, true
+	case keySpace(CodecBinary):
+		return CodecBinary, true
+	}
+	return "", false
+}
+
+// retiredKeySpace prefixes the L2 records of the row-major binary
+// layout, which no build reads any more. New drops them once at open,
+// so they stop holding the store's budget.
+const retiredKeySpace = "binary/"

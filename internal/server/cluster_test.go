@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,11 +14,13 @@ import (
 	"testing"
 	"time"
 
+	"kyrix/internal/cluster"
 	"kyrix/internal/fetch"
 	"kyrix/internal/geom"
 	"kyrix/internal/spec"
 	"kyrix/internal/sqldb"
 	"kyrix/internal/storage"
+	"kyrix/internal/wire"
 	"kyrix/internal/workload"
 )
 
@@ -27,6 +31,9 @@ type clusterNode struct {
 	srv  *Server
 	url  string
 	stop func()
+	// peer, when set, answers /peer in srv's place: a stand-in for a
+	// node running another build.
+	peer atomic.Pointer[http.HandlerFunc]
 }
 
 // newTestCluster builds n servers over identical datasets (same seed,
@@ -108,19 +115,27 @@ func newTestCluster(t testing.TB, n, points int, mutate func(i int, o *Options))
 		if err != nil {
 			t.Fatal(err)
 		}
-		hsrv := &http.Server{Handler: srv.Handler()}
+		node := &clusterNode{srv: srv, url: urls[i]}
+		h := srv.Handler()
+		hsrv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if f := node.peer.Load(); f != nil && r.URL.Path == cluster.PeerPath {
+				(*f)(w, r)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})}
 		ln := lns[i]
 		go func() { _ = hsrv.Serve(ln) }()
-		stop := func() { _ = hsrv.Close(); _ = ln.Close(); _ = srv.Close() }
-		t.Cleanup(stop)
-		nodes[i] = &clusterNode{srv: srv, url: urls[i], stop: stop}
+		node.stop = func() { _ = hsrv.Close(); _ = ln.Close(); _ = srv.Close() }
+		t.Cleanup(node.stop)
+		nodes[i] = node
 	}
 	return nodes
 }
 
 // tileKeyFor reproduces serveTile's canonical cache key.
 func tileKeyFor(codec Codec, design string, size float64, tid geom.TileID) string {
-	return fmt.Sprintf("%s/%s/%s", codec, design, fetch.TileKeyOf("main/0", size, tid))
+	return fmt.Sprintf("%s/%s/%s", keySpace(codec), design, fetch.TileKeyOf("main/0", size, tid))
 }
 
 // ownerAndOther finds a tile whose key node 0 does NOT own, returning
@@ -612,5 +627,122 @@ func TestClusterLocalFallback(t *testing.T) {
 	}
 	if other.srv.Stats.DBQueries.Load() == 0 {
 		t.Fatal("fallback did not run a local query")
+	}
+}
+
+// unownedBox finds a dynamic box whose binary payload nodes[0] does not
+// own, returning its owner.
+func unownedBox(t *testing.T, nodes []*clusterNode) (*clusterNode, geom.Rect) {
+	t.Helper()
+	pl, _ := nodes[0].srv.Layer("main", 0)
+	for i := 0; i < 64; i++ {
+		box := geom.Rect{MinX: float64(i) * 50, MinY: 0, MaxX: float64(i)*50 + 1500, MaxY: 1500}
+		owner := nodes[0].srv.cluster.Owner(nodes[0].srv.boxCacheKey(pl, CodecBinary, box))
+		for _, n := range nodes[1:] {
+			if n.url == owner {
+				return n, box
+			}
+		}
+	}
+	t.Fatal("no box owned by another node")
+	return nil, geom.Rect{}
+}
+
+// TestPeerFillNamesLayout: a binary fill names the columnar layout, so
+// an owner still on the row-major build (simulated: it serves row-major
+// bytes for "binary" and rejects any other codec, as that build did)
+// can only refuse it. The requester then queries locally and serves,
+// caches and persists the right rows — never the owner's row-major
+// bytes, which for a fixed-width schema parse as a columnar payload of
+// the same length.
+func TestPeerFillNamesLayout(t *testing.T) {
+	nodes := newTestCluster(t, 2, 2000, nil)
+	req := nodes[0]
+	owner, box := unownedBox(t, nodes)
+	pl, _ := req.srv.Layer("main", 0)
+	ref, err := owner.srv.serveBox(context.Background(), pl, CodecBinary, box, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Decode(ref.raw, CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var asked sync.Map
+	oldBuild := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var fr cluster.FillRequest
+		if err := json.NewDecoder(r.Body).Decode(&fr); err != nil {
+			t.Error(err)
+			return
+		}
+		asked.Store(fr.Codec, true)
+		v := owner.srv.cacheGen.Load()
+		if fr.Codec == "binary" {
+			_ = cluster.WritePeerResponse(w, &v, cluster.FrameKindOf(fr.Kind), encodeRowMajor(t, want), nil, false)
+			return
+		}
+		_ = cluster.WritePeerResponse(w, &v, cluster.FrameKindOf(fr.Kind), nil, fmt.Errorf("server: unknown codec %q", fr.Codec), false)
+	})
+	owner.peer.Store(&oldBuild)
+
+	p, err := req.srv.serveBox(context.Background(), pl, CodecBinary, box, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := asked.Load("bincol"); !ok {
+		t.Fatal("the fill request did not name the columnar layout")
+	}
+	if !bytes.Equal(p.raw, ref.raw) {
+		got, _ := Decode(p.raw, CodecBinary)
+		t.Fatalf("served %d bytes (%d rows), want the owner's local %d bytes (%d rows)", len(p.raw), len(got.Rows), len(ref.raw), len(want.Rows))
+	}
+	if req.srv.cluster.Stats.LocalFallbacks.Load() == 0 || req.srv.Stats.DBQueries.Load() != 1 {
+		t.Fatalf("fallbacks %d, db queries %d: the refused fill must be queried locally once",
+			req.srv.cluster.Stats.LocalFallbacks.Load(), req.srv.Stats.DBQueries.Load())
+	}
+}
+
+// TestPeerRefusesUnknownLayout: an owner answers a fill for a layout it
+// cannot produce — "binary" from a row-major requester — with a
+// bad-request frame, and a "bincol" fill with the columnar payload.
+func TestPeerRefusesUnknownLayout(t *testing.T) {
+	nodes := newTestCluster(t, 2, 500, nil)
+	owner, box := unownedBox(t, nodes)
+	pl, _ := owner.srv.Layer("main", 0)
+	ref, err := owner.srv.serveBox(context.Background(), pl, CodecBinary, box, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(codec string) wire.Frame {
+		body, _ := json.Marshal(cluster.FillRequest{
+			Canvas: "main", Kind: "dbox", Codec: codec,
+			MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY,
+		})
+		resp, err := http.Post(owner.url+cluster.PeerPath, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		br := bufio.NewReader(resp.Body)
+		v, _, err := wire.ReadHeader(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := wire.ReadFrame(br, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Codec.Compressed() {
+			if f.Payload, err = wire.Decompress(f.Payload, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	if f := fill("binary"); f.Status != wire.FrameBadRequest {
+		t.Fatalf("a row-major fill got status %d (%.60q), want bad request", f.Status, f.Payload)
+	}
+	if f := fill("bincol"); f.Status != wire.FrameOK || !bytes.Equal(f.Payload, ref.raw) {
+		t.Fatalf("a columnar fill got status %d and %d bytes, want OK and the %d-byte payload", f.Status, len(f.Payload), len(ref.raw))
 	}
 }

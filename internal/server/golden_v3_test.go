@@ -77,10 +77,12 @@ func goldenV3Sequence(t *testing.T, url string, codec Codec) []string {
 }
 
 // TestV3StreamGolden pins the v3 wire bytes: the stream for a fixed
-// request sequence must equal, byte for byte, what the commit before
-// wire-ready payloads produced (testdata/v3_stream.golden was written
-// by that commit), for both codecs — and replaying the sequence against
-// the now-warm derived-form memo must reproduce the cold bytes exactly.
+// request sequence must equal testdata/v3_stream.golden byte for byte,
+// for both codecs — and replaying the sequence against the now-warm
+// derived-form memo must reproduce the cold bytes exactly. The JSON
+// lines date from before wire-ready payloads; the binary lines were
+// rewritten once, for the columnar layout and its entropy-segmented
+// DEFLATE streams.
 func TestV3StreamGolden(t *testing.T) {
 	var cold []string
 	for _, codec := range []Codec{CodecJSON, CodecBinary} {

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"kyrix/internal/geom"
 	"kyrix/internal/sqldb"
 	"kyrix/internal/storage"
+	"kyrix/internal/store"
 )
 
 // l2Options is a server config with a small L1 and the persistent tile
@@ -319,5 +322,134 @@ func TestCacheOptionsAliasCompat(t *testing.T) {
 	}
 	if srv.Stats.CacheHits.Load() == 0 {
 		t.Fatal("Cache.L1.Bytes did not enable the cache")
+	}
+}
+
+// encodeRowMajor writes dr in the binary layout that preceded the
+// columnar one: the same header, then each row as one storage tuple,
+// rows abutting. An L2 directory written before the change holds these
+// bytes.
+func encodeRowMajor(t testing.TB, dr *DataResponse) []byte {
+	t.Helper()
+	out := binary.AppendUvarint(nil, uint64(len(dr.Cols)))
+	for i, c := range dr.Cols {
+		out = binary.AppendUvarint(out, uint64(len(c)))
+		out = append(out, c...)
+		out = append(out, byte(dr.Types[i]))
+	}
+	out = binary.AppendUvarint(out, uint64(len(dr.Rows)))
+	for _, row := range dr.Rows {
+		var err error
+		if out, err = storage.EncodeRow(out, dr.Schema(), row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestL2RowMajorRecordMisses: an L2 directory written by a build with
+// the row-major binary layout must never serve its bytes to the
+// columnar decoder. The old record — checksummed, under the key that
+// build used — is dropped when the store opens; the box is queried,
+// served with the right rows and refilled under the columnar key space,
+// and that record survives the next open.
+func TestL2RowMajorRecordMisses(t *testing.T) {
+	dir := t.TempDir()
+	box := geom.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800}
+
+	db, ca := newPointsApp(t, 2000, 4096, 2048)
+	ref, err := New(db, ca, l2Options(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, _ := ref.Layer("main", 0)
+	p, err := ref.serveBox(context.Background(), pl, CodecBinary, box, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Decode(p.raw, CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	old, err := store.Open(store.Options{Path: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldKey := "binary/" + fetch.BoxKeyOf(layerKey(pl.CanvasID, pl.LayerIdx), box)
+	if !old.Put(oldKey, encodeRowMajor(t, want)) {
+		t.Fatal("write-behind queue refused the record")
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fresh process over the same dataset and the old directory.
+	db2, ca2 := newPointsApp(t, 2000, 4096, 2048)
+	srv, err := New(db2, ca2, l2Options(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := srv.l2.Get(oldKey); ok {
+		t.Fatal("the row-major record survived the open")
+	}
+	if n := srv.l2.Stats.Tombstones.Load(); n != 1 {
+		t.Fatalf("open wrote %d tombstones, want 1 for the row-major record", n)
+	}
+	p, err = srv.serveBox(context.Background(), pl, CodecBinary, box, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(p.raw, CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != len(want.Rows) || len(want.Rows) == 0 {
+		t.Fatalf("served %d rows, want %d", len(got.Rows), len(want.Rows))
+	}
+	for i := range want.Rows {
+		if !slices.Equal(got.Rows[i], want.Rows[i]) {
+			t.Fatalf("row %d = %v, want %v", i, got.Rows[i], want.Rows[i])
+		}
+	}
+	if q := srv.Stats.DBQueries.Load(); q != 1 {
+		t.Fatalf("served with %d db queries, want 1: the old record must miss and refill", q)
+	}
+	newKey := srv.boxCacheKey(pl, CodecBinary, box)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if raw, ok := srv.l2.Get(newKey); ok {
+			if !bytes.Equal(raw, p.raw) {
+				t.Fatal("the refilled record differs from the served payload")
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the miss was never refilled into L2")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The columnar record is not in a retired key space: the next
+	// process serves the box from it without a query.
+	db3, ca3 := newPointsApp(t, 2000, 4096, 2048)
+	srv3, err := New(db3, ca3, l2Options(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv3.Close()
+	p3, err := srv3.serveBox(context.Background(), pl, CodecBinary, box, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p3.raw, p.raw) || srv3.Stats.DBQueries.Load() != 0 {
+		t.Fatalf("reopened store served %d bytes with %d queries, want the %d-byte record and none",
+			len(p3.raw), srv3.Stats.DBQueries.Load(), len(p.raw))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"errors"
 	"slices"
 	"strconv"
 	"time"
@@ -18,9 +17,14 @@ import (
 //   - raw + id: the rows in the request codec and their content hash
 //     (wire.PayloadID). Built in the fill flight — database query, L2
 //     promote or peer fill — and stored in L1 as one immutable *payload.
-//     L1 and L2 account for the raw bytes only.
-//   - the DEFLATE body, or the verdict that compressing is not worth it.
-//   - the row index: each row's id and byte range inside raw.
+//     L1 and L2 account for the raw bytes only. A binary payload is
+//     column-major (wire.go): byte planes, BOOL bytes, TEXT lengths and
+//     bytes.
+//   - the DEFLATE body — high-entropy byte planes stored, the rest
+//     deflated (wire.Compress) — or the verdict that it is not smaller.
+//   - the row index: each row's id, and where its bytes sit inside raw —
+//     a byte range per JSON row, a position in every column of a binary
+//     one.
 //
 // A pair of payloads — a client's declared delta base and the payload
 // it pans to — has one more: the delta frame that ships between them
@@ -101,12 +105,14 @@ func (s *Server) memoBuild(k memoKey, build func() (v any, size int64)) any {
 	return v
 }
 
-// deflate is the server's one real DEFLATE call site: the worth-it
-// heuristic, then the pass itself, sampled into the compress stage
-// histogram — so that histogram's count is the number of deflate passes
-// run. nil means "ship it uncompressed".
+// deflate is the server's one real DEFLATE call site: the pass itself,
+// sampled into the compress stage histogram — so that histogram's count
+// is the number of deflate passes run. nil means "ship it uncompressed":
+// the body is too small to pay for a pass, or the pass did not shrink it
+// (wire.Compress stores what its entropy estimate calls incompressible,
+// so an incompressible body costs a histogram, not a deflate).
 func (s *Server) deflate(body []byte) []byte {
-	if !wire.ShouldCompress(body) {
+	if len(body) < wire.CompressMinSize {
 		return nil
 	}
 	start := time.Now()
@@ -133,17 +139,20 @@ func (s *Server) flateOf(p *payload) (body []byte, cached bool) {
 
 // rowIndex locates every row of a payload inside its raw bytes, so the
 // delta planner can diff two payloads by id and assemble the entering
-// rows by copying byte ranges — no row is ever decoded or re-encoded.
+// rows by copying bytes — no row is ever decoded or re-encoded. A JSON
+// row is one byte range; a binary row is one position in every column.
 type rowIndex struct {
 	// hdr is where the codec's per-payload row section starts: the row
 	// count varint (binary) or the first byte after `"rows":[` (JSON).
 	// raw[:hdr] is the schema header, identical for any subset of rows.
 	hdr uint32
-	// off[i] is where row i starts; row i ends at off[i+1]-sep, where
-	// sep is 1 for JSON's comma between rows and 0 for binary, whose
-	// rows abut. len(off) == rows+1.
+	n   int
+	// off (JSON only) holds where each row starts; row i ends at
+	// off[i+1]-1, before the comma that separates rows. len(off) == n+1.
 	off []uint32
-	sep uint32
+	// cols (binary only) is every column's section, in schema order;
+	// non-nil for every binary payload, even one with no columns.
+	cols []indexColumn
 	// ids[i] is row i's integer first column; perm lists row positions
 	// in ascending id order. Both nil unless diffable.
 	ids  []int64
@@ -153,7 +162,28 @@ type rowIndex struct {
 	diffable bool
 }
 
-func (ix *rowIndex) rows() int { return len(ix.off) - 1 }
+// indexColumn is one column of a binary payload as subset gathers it.
+type indexColumn struct {
+	typ storage.ColType
+	// at is where the section starts: the first byte plane (INT,
+	// DOUBLE), the bytes (BOOL) or the length varints (TEXT).
+	at uint32
+	// lens and strs (TEXT only) bound row i's length varint at
+	// raw[lens[i]:lens[i+1]] and its bytes at raw[strs[i]:strs[i+1]].
+	lens, strs []uint32
+}
+
+func (ix *rowIndex) rows() int { return ix.n }
+
+// pinned is the bytes the index's slices hold, which is what the wire
+// memo charges for it.
+func (ix *rowIndex) pinned() int64 {
+	n := 8*cap(ix.ids) + 4*cap(ix.off) + 4*cap(ix.perm)
+	for _, c := range ix.cols {
+		n += 4*cap(c.lens) + 4*cap(c.strs)
+	}
+	return int64(n)
+}
 
 // rowIndexOf returns p's row index under codec (nil: the bytes do not
 // scan as a payload of that codec), scanning on the first request only.
@@ -171,9 +201,7 @@ func (s *Server) rowIndexOf(p *payload, codec Codec) *rowIndex {
 		if ix == nil {
 			return ix, 0
 		}
-		// Charged by capacity, the bytes the slices pin: scanJSONRows
-		// grows off by append.
-		return ix, int64(8*cap(ix.ids) + 4*cap(ix.off) + 4*cap(ix.perm))
+		return ix, ix.pinned()
 	}).(*rowIndex)
 }
 
@@ -204,7 +232,7 @@ func buildRowIndex(raw []byte, codec Codec) *rowIndex {
 	}
 	ix.ids = make([]int64, n)
 	for i := range ix.ids {
-		id, ok := rowID(raw[ix.off[i]:ix.off[i+1]-ix.sep], codec)
+		id, ok := ix.rowID(raw, i)
 		if !ok {
 			ix.ids = nil
 			return ix
@@ -229,15 +257,14 @@ func buildRowIndex(raw []byte, codec Codec) *rowIndex {
 	return ix
 }
 
-// rowID reads the integer first column of one encoded row.
-func rowID(row []byte, codec Codec) (int64, bool) {
-	if codec == CodecBinary {
-		if len(row) < 8 {
-			return 0, false
-		}
-		return int64(binary.LittleEndian.Uint64(row)), true
+// rowID reads the integer first column of row i: out of the id column's
+// byte planes (binary) or the row's first cell (JSON).
+func (ix *rowIndex) rowID(raw []byte, i int) (int64, bool) {
+	if ix.cols != nil {
+		return int64(planeValue(raw[ix.cols[0].at:], ix.n, i)), true
 	}
 	// `[123,...]` or `[123]`.
+	row := raw[ix.off[i] : ix.off[i+1]-1]
 	end := bytes.IndexAny(row, ",]")
 	if len(row) < 2 || end < 1 {
 		return 0, false
@@ -251,54 +278,34 @@ func rowID(row []byte, codec Codec) (int64, bool) {
 // column is an integer — or, with no rows to say otherwise, any
 // non-empty schema (an empty result carries fallback column types).
 func scanBinaryRows(raw []byte) (ix *rowIndex, intID bool) {
-	h, err := parseBinaryHeader(raw)
+	l, err := parseBinary(raw)
 	if err != nil {
 		return nil, false
 	}
-	ix = &rowIndex{hdr: uint32(h.countOff), off: make([]uint32, h.nrows+1)}
-	pos := h.rowsOff
-	for i := 0; i < h.nrows; i++ {
-		ix.off[i] = uint32(pos)
-		n, err := binaryRowLen(raw[pos:], h.types)
-		if err != nil {
-			return nil, false
+	ix = &rowIndex{hdr: uint32(l.countOff), n: l.nrows, cols: make([]indexColumn, len(l.types))}
+	for c, t := range l.types {
+		col := &ix.cols[c]
+		col.typ, col.at = t, uint32(l.colOff[c])
+		if t != storage.TString {
+			continue
 		}
-		pos += n
-	}
-	if pos != len(raw) {
-		return nil, false
-	}
-	ix.off[h.nrows] = uint32(pos)
-	return ix, len(h.types) > 0 && (h.nrows == 0 || h.types[0] == storage.TInt64)
-}
-
-var errTruncatedRow = errors.New("server: truncated binary row")
-
-// binaryRowLen is the encoded length of the row at the front of buf
-// (storage.EncodeRow's layout) without materializing it.
-func binaryRowLen(buf []byte, types ColTypes) (int, error) {
-	off := 0
-	for _, t := range types {
-		switch t {
-		case storage.TInt64, storage.TFloat64:
-			off += 8
-		case storage.TBool:
-			off++
-		case storage.TString:
-			if off > len(buf) {
-				return 0, errTruncatedRow
-			}
-			n, sz := binary.Uvarint(buf[off:])
-			if sz <= 0 || n > uint64(len(buf)-off-sz) {
-				return 0, errTruncatedRow
-			}
-			off += sz + int(n)
+		col.lens, col.strs = make([]uint32, l.nrows+1), make([]uint32, l.nrows+1)
+		lens := l.colOff[c]
+		for i := range l.nrows {
+			col.lens[i] = uint32(lens)
+			_, sz := binary.Uvarint(raw[lens:])
+			lens += sz
 		}
+		col.lens[l.nrows] = uint32(lens)
+		str := lens
+		for i := range l.nrows {
+			col.strs[i] = uint32(str)
+			ln, _ := binary.Uvarint(raw[col.lens[i]:])
+			str += int(ln)
+		}
+		col.strs[l.nrows] = uint32(str)
 	}
-	if off > len(buf) {
-		return 0, errTruncatedRow
-	}
-	return off, nil
+	return ix, len(l.types) > 0 && (l.nrows == 0 || l.types[0] == storage.TInt64)
 }
 
 // scanJSONRows indexes a JSON payload: the jsonScanner's rows walk with
@@ -311,16 +318,17 @@ func scanJSONRows(raw []byte) (ix *rowIndex, intID bool) {
 	if err != nil {
 		return nil, false
 	}
-	ix = &rowIndex{hdr: uint32(s.pos), sep: 1}
+	ix = &rowIndex{hdr: uint32(s.pos)}
 	end, err := s.rows(len(cols), func(start int) { ix.off = append(ix.off, uint32(start)) }, nil)
 	if err != nil {
 		return nil, false
 	}
-	if len(ix.off) == 0 {
+	ix.n = len(ix.off)
+	if ix.n == 0 {
 		ix.off = append(ix.off, ix.hdr)
 	} else {
 		// One past the position a separator after the last row would
-		// occupy, so every row ends at off[i+1]-sep.
+		// occupy, so every row ends at off[i+1]-1.
 		ix.off = append(ix.off, uint32(end)+1)
 	}
 	return ix, len(cols) > 0 && (ix.rows() == 0 || types[0] == storage.TInt64)
@@ -362,25 +370,48 @@ func (base *rowIndex) diff(next *rowIndex) (tombstones []int64, entering []uint3
 // subset assembles the payload holding only the given rows of raw (in
 // the given order): the schema header, the row section re-opened for the
 // new count, and each row's bytes copied verbatim — exactly what Encode
-// would produce for those rows.
+// would produce for those rows. A binary payload is gathered column by
+// column: each byte plane, then the BOOL bytes, TEXT lengths and TEXT
+// bytes, picked out at the rows' positions.
 func (ix *rowIndex) subset(raw []byte, rows []uint32) []byte {
-	n := int(ix.hdr) + binary.MaxVarintLen64 + 2
-	for _, r := range rows {
-		n += int(ix.off[r+1] - ix.off[r])
-	}
-	out := append(make([]byte, 0, n), raw[:ix.hdr]...)
-	if ix.sep == 0 { // binary: the row count, then abutting rows
-		out = binary.AppendUvarint(out, uint64(len(rows)))
+	if ix.cols == nil {
+		n := int(ix.hdr) + 2
 		for _, r := range rows {
-			out = append(out, raw[ix.off[r]:ix.off[r+1]]...)
+			n += int(ix.off[r+1] - ix.off[r])
 		}
-		return out
-	}
-	for i, r := range rows {
-		if i > 0 {
-			out = append(out, ',')
+		out := append(make([]byte, 0, n), raw[:ix.hdr]...)
+		for i, r := range rows {
+			if i > 0 {
+				out = append(out, ',')
+			}
+			out = append(out, raw[ix.off[r]:ix.off[r+1]-1]...)
 		}
-		out = append(out, raw[ix.off[r]:ix.off[r+1]-1]...)
+		return append(out, "]}"...)
 	}
-	return append(out, "]}"...)
+	// A subset of the rows is never larger than all of them.
+	out := append(make([]byte, 0, len(raw)), raw[:ix.hdr]...)
+	out = binary.AppendUvarint(out, uint64(len(rows)))
+	for _, c := range ix.cols {
+		switch c.typ {
+		case storage.TInt64, storage.TFloat64:
+			for p := range 8 {
+				plane := raw[int(c.at)+p*ix.n:]
+				for _, r := range rows {
+					out = append(out, plane[r])
+				}
+			}
+		case storage.TBool:
+			for _, r := range rows {
+				out = append(out, raw[int(c.at)+int(r)])
+			}
+		case storage.TString:
+			for _, r := range rows {
+				out = append(out, raw[c.lens[r]:c.lens[r+1]]...)
+			}
+			for _, r := range rows {
+				out = append(out, raw[c.strs[r]:c.strs[r+1]]...)
+			}
+		}
+	}
+	return out
 }

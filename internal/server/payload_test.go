@@ -8,10 +8,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -242,18 +245,189 @@ func TestDecodeBinaryBounded(t *testing.T) {
 	}
 }
 
+// randomResponse draws a schema of 0…6 columns mixing every type and
+// up to maxRows rows of awkward cells: extreme integers and doubles,
+// negative zero, empty and multi-byte strings, long strings whose
+// length varint takes two bytes. A schema with no columns gets no rows:
+// such rows have no bytes to be counted by.
+func randomResponse(rng *rand.Rand, maxRows int) *DataResponse {
+	dr := &DataResponse{Cols: []string{}, Types: ColTypes{}, Rows: []storage.Row{}}
+	for i, n := 0, rng.Intn(7); i < n; i++ {
+		dr.Cols = append(dr.Cols, awkwardStrings[rng.Intn(len(awkwardStrings))]+strconv.Itoa(i))
+		dr.Types = append(dr.Types, []storage.ColType{storage.TInt64, storage.TFloat64, storage.TString, storage.TBool}[rng.Intn(4)])
+	}
+	for i, n := 0, rng.Intn(maxRows+1); i < n && len(dr.Types) > 0; i++ {
+		row := make(storage.Row, len(dr.Types))
+		for c, typ := range dr.Types {
+			switch typ {
+			case storage.TInt64:
+				row[c] = storage.I64([]int64{0, -1, math.MaxInt64, math.MinInt64, rng.Int63(), rng.Int63n(1 << 20)}[rng.Intn(6)])
+			case storage.TFloat64:
+				row[c] = storage.F64([]float64{0, math.Copysign(0, -1), math.MaxFloat64, math.SmallestNonzeroFloat64, rng.NormFloat64(), rng.Float64() * 131072}[rng.Intn(6)])
+			case storage.TString:
+				str := awkwardStrings[rng.Intn(len(awkwardStrings))]
+				if rng.Intn(8) == 0 {
+					str = strings.Repeat(str+"~", 40)
+				}
+				row[c] = storage.Str(str)
+			case storage.TBool:
+				row[c] = storage.Bool(rng.Intn(2) == 0)
+			}
+		}
+		dr.Rows = append(dr.Rows, row)
+	}
+	return dr
+}
+
+// TestBinaryColumnarRoundTrip: over random schemas mixing every column
+// type and 0…2000 rows, Decode(Encode(dr)) is dr — every cell, bit for
+// bit — and the row index sees the same rows.
+func TestBinaryColumnarRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 200; trial++ {
+		maxRows := 40
+		if trial%10 == 0 {
+			maxRows = 2000
+		}
+		want := randomResponse(rng, maxRows)
+		raw, err := Encode(want, CodecBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(raw, CodecBinary)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !slices.Equal(got.Cols, want.Cols) || !slices.Equal(got.Types, want.Types) || len(got.Rows) != len(want.Rows) {
+			t.Fatalf("trial %d: header or row count differs: %v %v %d, want %v %v %d",
+				trial, got.Cols, got.Types, len(got.Rows), want.Cols, want.Types, len(want.Rows))
+		}
+		for i, row := range want.Rows {
+			for c, v := range row {
+				g := got.Rows[i][c]
+				if g.Kind != v.Kind || g.I != v.I || math.Float64bits(g.F) != math.Float64bits(v.F) || g.S != v.S || g.B != v.B {
+					t.Fatalf("trial %d: cell %d,%d = %+v, want %+v", trial, i, c, g, v)
+				}
+			}
+		}
+		if ix := buildRowIndex(raw, CodecBinary); ix == nil || ix.rows() != len(want.Rows) {
+			t.Fatalf("trial %d: row index %+v for %d rows", trial, ix, len(want.Rows))
+		}
+	}
+}
+
+// TestBinaryDeltaRebuildsFull: for random (base, new) payload pairs, the
+// base's rows minus the delta's tombstones plus the rows decoded from
+// its gathered entering payload are exactly the new payload's rows,
+// keyed by id.
+func TestBinaryDeltaRebuildsFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(2029))
+	byID := func(rows []storage.Row) map[int64]storage.Row {
+		m := make(map[int64]storage.Row, len(rows))
+		for _, row := range rows {
+			m[row[0].I] = row
+		}
+		return m
+	}
+	deltas := 0
+	for trial := 0; trial < 300; trial++ {
+		cols, types, universe := randomUniverse(rng, 1+rng.Intn(400))
+		keep := []float64{0, 0.3, 0.8, 1}
+		base, err := Encode(&DataResponse{Cols: cols, Types: types, Rows: randomSubset(rng, universe, keep[rng.Intn(4)])}, CodecBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := Encode(&DataResponse{Cols: cols, Types: types, Rows: randomSubset(rng, universe, keep[rng.Intn(4)])}, CodecBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, ok := indexDelta(base, full, CodecBinary)
+		if !ok {
+			continue
+		}
+		deltas++
+		d, err := wire.DecodeDelta(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entering, err := Decode(d.Entering, CodecBinary)
+		if err != nil {
+			t.Fatalf("trial %d: entering payload: %v", trial, err)
+		}
+		baseDR, _ := Decode(base, CodecBinary)
+		fullDR, _ := Decode(full, CodecBinary)
+		got := byID(baseDR.Rows)
+		for _, id := range d.Tombstones {
+			delete(got, id)
+		}
+		for id, row := range byID(entering.Rows) {
+			got[id] = row
+		}
+		want := byID(fullDR.Rows)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: rebuilt %d rows, want %d", trial, len(got), len(want))
+		}
+		for id, row := range want {
+			if !slices.Equal(got[id], row) {
+				t.Fatalf("trial %d: id %d rebuilt as %v, want %v", trial, id, got[id], row)
+			}
+		}
+	}
+	if deltas < 100 {
+		t.Fatalf("only %d of 300 trials produced a delta", deltas)
+	}
+}
+
+// TestDeflateShipsIncompressibleRaw: with no worth-it heuristic in
+// front of it, the server's deflate pass over random bytes comes back
+// as stored blocks — longer than the body — so the body ships raw; a
+// body below the minimum size is not passed to the compressor at all.
+func TestDeflateShipsIncompressibleRaw(t *testing.T) {
+	srv, _ := newPointsServer(t, 100, 4096, 2048)
+	noise := make([]byte, 16<<10)
+	rand.New(rand.NewSource(3)).Read(noise)
+	if cb := srv.deflate(noise); cb != nil {
+		t.Fatalf("incompressible body deflated to %d of %d bytes; want it shipped raw", len(cb), len(noise))
+	}
+	if cb := srv.deflate(bytes.Repeat([]byte("[1,2.5],"), 4096)); cb == nil {
+		t.Fatal("redundant body shipped raw")
+	}
+	if cb := srv.deflate(make([]byte, wire.CompressMinSize-1)); cb != nil {
+		t.Fatal("a body below the minimum size was compressed")
+	}
+	if got := srv.obs.stageComp.Count(); got != 2 {
+		t.Fatalf("compress stage counted %d passes, want 2: the small body must not reach the compressor", got)
+	}
+}
+
 // FuzzDecodeBinary: no input may panic the decoder or the row-index
-// scan, and whenever both accept a payload they agree on its rows.
+// scan, nothing they return outgrows the input (every cell and every
+// row costs at least one byte of it), and whenever both accept a
+// payload they agree on its rows.
 func FuzzDecodeBinary(f *testing.F) {
 	good := samplePayload(f)
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add([]byte{0, 0})
+	rng := rand.New(rand.NewSource(7))
+	for range 6 {
+		raw, err := Encode(randomResponse(rng, 30), CodecBinary)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dr, err := Decode(data, CodecBinary)
 		ix := buildRowIndex(data, CodecBinary)
-		if err != nil || ix == nil {
+		if (err == nil) != (ix != nil) {
+			t.Fatalf("decoder error %v, row index %v: the two must accept the same payloads", err, ix)
+		}
+		if err != nil {
 			return
+		}
+		if len(dr.Cols) > len(data) || len(dr.Rows) > len(data) || len(dr.Rows)*len(dr.Cols) > len(data) {
+			t.Fatalf("%d cols × %d rows out of %d bytes", len(dr.Cols), len(dr.Rows), len(data))
 		}
 		if ix.rows() != len(dr.Rows) {
 			t.Fatalf("index sees %d rows, decoder %d", ix.rows(), len(dr.Rows))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -47,9 +48,11 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 	version := s.cacheGen.Load()
 	s.updateMu.RUnlock()
 
-	codec := Codec(fr.Codec)
-	if codec == "" {
-		codec = CodecJSON
+	codec, ok := codecOfKeySpace(fr.Codec)
+	if !ok {
+		err := fmt.Errorf("unknown payload layout %q", fr.Codec)
+		_ = cluster.WritePeerResponse(w, &version, cluster.FrameKindOf(fr.Kind), nil, err, true)
+		return
 	}
 	it := BatchItem{
 		Kind: fr.Kind, Layer: fr.Layer, Size: fr.Size, Design: fr.Design,

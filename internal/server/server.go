@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -335,6 +336,10 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: open L2 tile store: %w", err)
 		}
+		if _, err := l2.Invalidate(func(k string) bool { return strings.HasPrefix(k, retiredKeySpace) }); err != nil {
+			_ = l2.Close()
+			return nil, fmt.Errorf("server: drop retired L2 records: %w", err)
+		}
 		s.l2 = l2
 	}
 	if opts.Cluster.Enabled() {
@@ -618,7 +623,7 @@ func floatParam(r *http.Request, name string) (float64, error) {
 // forwarding so two nodes with diverging ring views can never bounce a
 // request between each other.
 func (s *Server) serveTile(ctx context.Context, pl *fetch.PhysicalLayer, design string, codec Codec, size float64, tid geom.TileID, localOnly bool) (*payload, error) {
-	key := fmt.Sprintf("%s/%s/%s", codec, design, fetch.TileKeyOf(layerKey(pl.CanvasID, pl.LayerIdx), size, tid))
+	key := fmt.Sprintf("%s/%s/%s", keySpace(codec), design, fetch.TileKeyOf(layerKey(pl.CanvasID, pl.LayerIdx), size, tid))
 	if data, ok := s.bcache.Get(key); ok {
 		s.Stats.CacheHits.Add(1)
 		obs.SpanFromContext(ctx).Attr("l1", "hit")
@@ -641,7 +646,7 @@ func (s *Server) serveTile(ctx context.Context, pl *fetch.PhysicalLayer, design 
 	if !localOnly && s.cluster != nil && !s.cluster.Owns(key) {
 		fr := &cluster.FillRequest{
 			Key: key, Canvas: pl.CanvasID, Layer: pl.LayerIdx,
-			Kind: "tile", Codec: string(codec), Design: design,
+			Kind: "tile", Codec: keySpace(codec), Design: design,
 			Size: size, Col: tid.Col, Row: tid.Row,
 		}
 		return s.peerQuery(ctx, key, fr, sql, args, codec)
@@ -885,7 +890,7 @@ func (s *Server) serveBox(ctx context.Context, pl *fetch.PhysicalLayer, codec Co
 	if !localOnly && s.cluster != nil && !s.cluster.Owns(key) {
 		fr := &cluster.FillRequest{
 			Key: key, Canvas: pl.CanvasID, Layer: pl.LayerIdx,
-			Kind: "dbox", Codec: string(codec),
+			Kind: "dbox", Codec: keySpace(codec),
 			MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY,
 		}
 		return s.peerQuery(ctx, key, fr, sql, args, codec)

@@ -364,7 +364,7 @@ func (fp *footprint) touches(key string) bool {
 // server's codec (and, for tiles, design) prefix in front of a fetch key
 // — and whether it is a tile of the mapping design.
 func cacheKeyWindow(key string) (layer string, window geom.Rect, mapping, ok bool) {
-	_, rest, found := strings.Cut(key, "/") // codec
+	_, rest, found := strings.Cut(key, "/") // keySpace
 	if found && !strings.HasPrefix(rest, "b/") {
 		var design string
 		design, rest, found = strings.Cut(rest, "/")

@@ -83,7 +83,9 @@ const (
 //
 // Rows go into a pooled scratch buffer first, because neither header can
 // be written before them — a binary header carries the row count, and
-// both carry column types the query path learns from its first row.
+// both carry column types the query path learns from its first row. A
+// binary row is staged as a storage tuple (row-major) and only becomes
+// columns in finish, once the row count fixes where each column starts.
 // finish copies header, rows and trailer into one buffer of exactly the
 // payload's size, the only allocation that outlives the builder.
 type payloadBuilder struct {
@@ -96,6 +98,8 @@ type payloadBuilder struct {
 	// row that is not already a stored tuple.
 	schema storage.Schema
 	rows   []byte
+	// starts[i] is where binary row i's tuple begins in rows.
+	starts []int
 	n      int
 }
 
@@ -117,13 +121,13 @@ func newPayloadBuilder(codec Codec) (*payloadBuilder, error) {
 
 // release returns the builder's scratch buffer to the pool.
 func (b *payloadBuilder) release() {
-	*b = payloadBuilder{rows: b.rows[:0]}
+	*b = payloadBuilder{rows: b.rows[:0], starts: b.starts[:0]}
 	builderPool.Put(b)
 }
 
 // add encodes one row. A non-nil tuple is the row's stored heap bytes
-// (sqldb.RowFunc) — which is exactly a binary payload row, so the binary
-// codec appends it verbatim.
+// (sqldb.RowFunc) — the row-major form the binary codec stages before
+// finish transposes it, so the binary codec copies it verbatim.
 func (b *payloadBuilder) add(row storage.Row, tuple []byte) error {
 	if b.types == nil {
 		b.types = make(ColTypes, len(row))
@@ -140,6 +144,7 @@ func (b *payloadBuilder) add(row storage.Row, tuple []byte) error {
 		b.rows, err = appendJSONRow(b.rows, row)
 		return err
 	}
+	b.starts = append(b.starts, len(b.rows))
 	if tuple != nil {
 		b.rows = append(b.rows, tuple...)
 		return nil
@@ -206,8 +211,61 @@ func (b *payloadBuilder) finish(cols []string) []byte {
 	b.rows = hdr // keep the grown buffer for the pool
 	out := make([]byte, 0, len(hdr)+len(trailer))
 	out = append(out, hdr[nrows:]...)
+	if b.codec == CodecBinary {
+		// Columns hold exactly the bytes the tuples did, rearranged.
+		out = out[:len(out)+nrows]
+		transposeRows(out[len(hdr)-nrows:], hdr[:nrows], b.starts, b.types)
+		return out
+	}
 	out = append(out, hdr[:nrows]...)
 	return append(out, trailer...)
+}
+
+// transposeRows writes the row-major storage tuples in rows (tuple i
+// starting at cur[i]) into dst as the binary payload's columns: eight
+// byte planes per INT or DOUBLE column, least significant plane first;
+// one byte per row for BOOL; for TEXT every row's uvarint length, then
+// every row's bytes. cur is consumed as the per-row read cursor.
+func transposeRows(dst, rows []byte, cur []int, types ColTypes) {
+	n, pos := len(cur), 0
+	for _, t := range types {
+		switch t {
+		case storage.TInt64, storage.TFloat64:
+			planes := dst[pos : pos+8*n]
+			for i, c := range cur {
+				v := binary.LittleEndian.Uint64(rows[c:])
+				planes[i] = byte(v)
+				planes[n+i] = byte(v >> 8)
+				planes[2*n+i] = byte(v >> 16)
+				planes[3*n+i] = byte(v >> 24)
+				planes[4*n+i] = byte(v >> 32)
+				planes[5*n+i] = byte(v >> 40)
+				planes[6*n+i] = byte(v >> 48)
+				planes[7*n+i] = byte(v >> 56)
+				cur[i] = c + 8
+			}
+			pos += 8 * n
+		case storage.TBool:
+			for i, c := range cur {
+				dst[pos+i] = rows[c]
+				cur[i] = c + 1
+			}
+			pos += n
+		case storage.TString:
+			lens := pos
+			for i, c := range cur {
+				_, sz := binary.Uvarint(rows[c:])
+				pos += copy(dst[pos:], rows[c:c+sz])
+				cur[i] = c + sz
+			}
+			for i, c := range cur {
+				ln, sz := binary.Uvarint(dst[lens:])
+				lens += sz
+				pos += copy(dst[pos:], rows[c:c+int(ln)])
+				cur[i] = c + int(ln)
+			}
+		}
+	}
 }
 
 // The JSON payload is one fixed document shape (see "Wire payloads" in
@@ -344,29 +402,7 @@ func Decode(data []byte, codec Codec) (*DataResponse, error) {
 	case CodecJSON, "":
 		return decodeJSON(data)
 	case CodecBinary:
-		h, err := parseBinaryHeader(data)
-		if err != nil {
-			return nil, err
-		}
-		dr := &DataResponse{Cols: h.cols, Types: h.types}
-		schema := dr.Schema()
-		rest := data[h.rowsOff:]
-		off := 0
-		dr.Rows = make([]storage.Row, 0, h.nrows)
-		// One allocation holds every cell; the header check bounds it by
-		// the input (a cell is at least one byte).
-		cells := make([]storage.Value, h.nrows*len(schema))
-		for i := 0; i < h.nrows; i++ {
-			row := cells[:len(schema):len(schema)]
-			cells = cells[len(schema):]
-			n, err := storage.DecodeRowNext(rest[off:], schema, row)
-			if err != nil {
-				return nil, fmt.Errorf("server: decode row %d: %w", i, err)
-			}
-			off += n
-			dr.Rows = append(dr.Rows, row)
-		}
-		return dr, nil
+		return decodeBinary(data)
 	}
 	return nil, fmt.Errorf("server: unknown codec %q", codec)
 }
@@ -668,63 +704,167 @@ func jsonHex4(b []byte) (rune, bool) {
 	return r, true
 }
 
-// binaryHeader is the schema header of a binary payload plus where its
-// row section sits.
-type binaryHeader struct {
+// binaryLayout locates the sections of a binary payload.
+type binaryLayout struct {
 	cols  []string
 	types ColTypes
 	nrows int
-	// countOff is the offset of the row-count varint, rowsOff of the
-	// first row.
-	countOff, rowsOff int
+	// countOff is the offset of the row-count varint: data[:countOff] is
+	// the schema header, the same for any subset of the rows.
+	countOff int
+	// colOff[c] is where column c's section starts; the last entry is
+	// len(data).
+	colOff []int
 }
 
-// parseBinaryHeader reads the header of a binary payload. Payloads
-// arrive off the wire, from the L2 store and from peers, so no count is
-// trusted further than the bytes behind it: a column costs at least two
-// bytes (name length + type), a name cannot outrun the input, and a row
-// costs at least its fixed-width columns plus one length byte per
-// string — a corrupt header is an error, never an allocation.
-func parseBinaryHeader(data []byte) (binaryHeader, error) {
-	var h binaryHeader
+// parseBinary reads the header of a binary payload and finds every
+// column's section. Payloads arrive off the wire, from the L2 store and
+// from peers, so no count is trusted further than the bytes behind it: a
+// column costs at least two bytes (name length + type), a name cannot
+// outrun the input, a row costs at least eight bytes per INT or DOUBLE
+// column and one per BOOL or TEXT column, and the sections must end
+// exactly at the end of the input — a corrupt header is an error, never
+// an allocation.
+func parseBinary(data []byte) (binaryLayout, error) {
+	var l binaryLayout
 	ncols, n := binary.Uvarint(data)
 	if n <= 0 {
-		return h, fmt.Errorf("server: decode binary header: bad column count")
+		return l, fmt.Errorf("server: decode binary header: bad column count")
 	}
 	off := n
 	if ncols > uint64(len(data)-off)/2 {
-		return h, fmt.Errorf("server: decode binary header: %d columns in %d bytes", ncols, len(data)-off)
+		return l, fmt.Errorf("server: decode binary header: %d columns in %d bytes", ncols, len(data)-off)
 	}
-	h.cols, h.types = make([]string, ncols), make(ColTypes, ncols)
+	l.cols, l.types = make([]string, ncols), make(ColTypes, ncols)
 	minRow := 0
-	for i := range h.cols {
+	for i := range l.cols {
 		ln, n := binary.Uvarint(data[off:])
 		if n <= 0 || ln >= uint64(len(data)-off-n) {
-			return h, fmt.Errorf("server: decode col name %d: truncated", i)
+			return l, fmt.Errorf("server: decode col name %d: truncated", i)
 		}
 		off += n
-		h.cols[i] = string(data[off : off+int(ln)])
+		l.cols[i] = string(data[off : off+int(ln)])
 		off += int(ln)
-		h.types[i] = storage.ColType(data[off])
+		l.types[i] = storage.ColType(data[off])
 		off++
-		switch h.types[i] {
+		switch l.types[i] {
 		case storage.TInt64, storage.TFloat64:
 			minRow += 8
 		case storage.TBool, storage.TString:
 			minRow++
 		default:
-			return h, fmt.Errorf("server: decode col %d: unknown type %d", i, h.types[i])
+			return l, fmt.Errorf("server: decode col %d: unknown type %d", i, l.types[i])
 		}
 	}
-	h.countOff = off
+	l.countOff = off
 	nrows, n := binary.Uvarint(data[off:])
 	if n <= 0 {
-		return h, fmt.Errorf("server: decode row count: truncated")
+		return l, fmt.Errorf("server: decode row count: truncated")
 	}
 	off += n
 	if nrows > uint64(len(data)-off)/uint64(max(minRow, 1)) {
-		return h, fmt.Errorf("server: decode row count: %d rows in %d bytes", nrows, len(data)-off)
+		return l, fmt.Errorf("server: decode row count: %d rows in %d bytes", nrows, len(data)-off)
 	}
-	h.nrows, h.rowsOff = int(nrows), off
-	return h, nil
+	l.nrows = int(nrows)
+	l.colOff = make([]int, 0, ncols+1)
+	for i, t := range l.types {
+		l.colOff = append(l.colOff, off)
+		switch t {
+		case storage.TInt64, storage.TFloat64:
+			off += 8 * l.nrows
+		case storage.TBool:
+			off += l.nrows
+		case storage.TString:
+			var err error
+			if off, err = textSectionEnd(data, off, l.nrows); err != nil {
+				return l, fmt.Errorf("server: decode col %d: %w", i, err)
+			}
+		}
+		if off > len(data) {
+			return l, fmt.Errorf("server: decode col %d: truncated", i)
+		}
+	}
+	if off != len(data) {
+		return l, fmt.Errorf("server: decode binary: %d bytes past the last column", len(data)-off)
+	}
+	l.colOff = append(l.colOff, off)
+	return l, nil
+}
+
+var errTruncatedText = errors.New("truncated TEXT column")
+
+// textSectionEnd walks the n length varints of the TEXT column starting
+// at off and returns where its bytes end.
+func textSectionEnd(data []byte, off, n int) (int, error) {
+	total := 0
+	for range n {
+		ln, sz := binary.Uvarint(data[min(off, len(data)):])
+		if sz <= 0 || ln > uint64(len(data)) {
+			return 0, errTruncatedText
+		}
+		off += sz
+		total += int(ln)
+		if total > len(data) {
+			return 0, errTruncatedText
+		}
+	}
+	return off + total, nil
+}
+
+// decodeBinary is Decode's binary sink. One allocation holds every cell
+// — parseBinary bounds it by the input, a cell being at least one byte —
+// and the columns fill it one at a time.
+func decodeBinary(data []byte) (*DataResponse, error) {
+	l, err := parseBinary(data)
+	if err != nil {
+		return nil, err
+	}
+	n, nc := l.nrows, len(l.types)
+	dr := &DataResponse{Cols: l.cols, Types: l.types, Rows: make([]storage.Row, n)}
+	cells := make([]storage.Value, n*nc)
+	for i := range dr.Rows {
+		dr.Rows[i] = cells[i*nc : (i+1)*nc : (i+1)*nc]
+	}
+	for c, t := range l.types {
+		col := data[l.colOff[c]:l.colOff[c+1]]
+		switch t {
+		case storage.TInt64:
+			for i := range n {
+				v := &cells[i*nc+c]
+				v.Kind, v.I = t, int64(planeValue(col, n, i))
+			}
+		case storage.TFloat64:
+			for i := range n {
+				v := &cells[i*nc+c]
+				v.Kind, v.F = t, math.Float64frombits(planeValue(col, n, i))
+			}
+		case storage.TBool:
+			for i, b := range col {
+				v := &cells[i*nc+c]
+				v.Kind, v.B = t, b != 0
+			}
+		case storage.TString:
+			pos := 0
+			for range n {
+				_, sz := binary.Uvarint(col[pos:])
+				pos += sz
+			}
+			lens := 0
+			for i := range n {
+				ln, sz := binary.Uvarint(col[lens:])
+				lens += sz
+				pos += int(ln)
+				cells[i*nc+c] = storage.Str(string(col[pos-int(ln) : pos]))
+			}
+		}
+	}
+	return dr, nil
+}
+
+// planeValue reassembles value i of a fixed-width column from its eight
+// byte planes of n bytes each.
+func planeValue(planes []byte, n, i int) uint64 {
+	return uint64(planes[i]) | uint64(planes[n+i])<<8 | uint64(planes[2*n+i])<<16 |
+		uint64(planes[3*n+i])<<24 | uint64(planes[4*n+i])<<32 | uint64(planes[5*n+i])<<40 |
+		uint64(planes[6*n+i])<<48 | uint64(planes[7*n+i])<<56
 }

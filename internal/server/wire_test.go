@@ -288,7 +288,7 @@ func FuzzDecodeJSON(f *testing.F) {
 				t.Fatalf("Decode read %d rows, the row index scan %v", len(dr.Rows), ix)
 			}
 			for i := range dr.Rows {
-				if row := data[ix.off[i] : ix.off[i+1]-ix.sep]; len(row) < 2 || row[0] != '[' || row[len(row)-1] != ']' {
+				if row := data[ix.off[i] : ix.off[i+1]-1]; len(row) < 2 || row[0] != '[' || row[len(row)-1] != ']' {
 					t.Fatalf("indexed row %d is %q", i, row)
 				}
 			}

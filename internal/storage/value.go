@@ -204,8 +204,10 @@ func (v Value) String() string {
 type Row []Value
 
 // EncodeRow serializes row per schema into buf (appending) and returns
-// the extended slice. The encoding is schema-directed: fixed 8 bytes for
-// INT/DOUBLE, 1 byte for BOOL, uvarint length + bytes for TEXT.
+// the extended slice: the heap's tuple format. The encoding is
+// schema-directed: fixed 8 bytes for INT/DOUBLE, 1 byte for BOOL, uvarint
+// length + bytes for TEXT. A binary wire payload holds the same cells
+// column by column instead (the server transposes tuples into it).
 func EncodeRow(buf []byte, schema Schema, row Row) ([]byte, error) {
 	if len(row) != len(schema) {
 		return nil, fmt.Errorf("storage: row arity %d != schema arity %d", len(row), len(schema))
@@ -251,49 +253,41 @@ func DecodeRow(buf []byte, schema Schema) (Row, error) {
 // DecodeRowInto is DecodeRow writing into a caller-provided row slice to
 // avoid allocation in scan loops. len(dst) must equal len(schema).
 func DecodeRowInto(buf []byte, schema Schema, dst Row) error {
-	_, err := DecodeRowNext(buf, schema, dst)
-	return err
-}
-
-// DecodeRowNext decodes one row from the front of buf and returns the
-// number of bytes consumed, allowing sequential decoding of
-// concatenated rows (the binary wire codec).
-func DecodeRowNext(buf []byte, schema Schema, dst Row) (int, error) {
 	if len(dst) != len(schema) {
-		return 0, fmt.Errorf("storage: dst arity %d != schema arity %d", len(dst), len(schema))
+		return fmt.Errorf("storage: dst arity %d != schema arity %d", len(dst), len(schema))
 	}
 	off := 0
 	for i, col := range schema {
 		switch col.Type {
 		case TInt64:
 			if off+8 > len(buf) {
-				return off, fmt.Errorf("storage: truncated INT at col %d", i)
+				return fmt.Errorf("storage: truncated INT at col %d", i)
 			}
 			dst[i] = I64(int64(binary.LittleEndian.Uint64(buf[off:])))
 			off += 8
 		case TFloat64:
 			if off+8 > len(buf) {
-				return off, fmt.Errorf("storage: truncated DOUBLE at col %d", i)
+				return fmt.Errorf("storage: truncated DOUBLE at col %d", i)
 			}
 			dst[i] = F64(math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])))
 			off += 8
 		case TBool:
 			if off+1 > len(buf) {
-				return off, fmt.Errorf("storage: truncated BOOL at col %d", i)
+				return fmt.Errorf("storage: truncated BOOL at col %d", i)
 			}
 			dst[i] = Bool(buf[off] != 0)
 			off++
 		case TString:
 			n, sz := binary.Uvarint(buf[off:])
 			if sz <= 0 || n > uint64(len(buf)-off-sz) {
-				return off, fmt.Errorf("storage: truncated TEXT at col %d", i)
+				return fmt.Errorf("storage: truncated TEXT at col %d", i)
 			}
 			off += sz
 			dst[i] = Str(string(buf[off : off+int(n)]))
 			off += int(n)
 		default:
-			return off, fmt.Errorf("storage: unknown column type %v", col.Type)
+			return fmt.Errorf("storage: unknown column type %v", col.Type)
 		}
 	}
-	return off, nil
+	return nil
 }

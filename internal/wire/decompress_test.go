@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"compress/flate"
+	"io"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -112,8 +113,82 @@ func TestInflateMatchesStdlib(t *testing.T) {
 	}
 }
 
+// TestBinaryBoxCompressRatio: the columnar binary payload of one
+// 1536² box of the benchmark's dots compresses to at most 0.75 of its
+// raw size (the row-major layout managed ≈ 0.84), and the stream inflates
+// back to it under both inflaters.
+func TestBinaryBoxCompressRatio(t *testing.T) {
+	raw := dotWindows(t)[server.CodecBinary]
+	c, err := wire.Compress(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio := float64(len(c)) / float64(len(raw)); ratio > 0.75 {
+		t.Fatalf("binary box compressed to %.4f of raw (%d of %d bytes), want ≤ 0.75", ratio, len(c), len(raw))
+	}
+	checkRoundTrip(t, raw, c)
+}
+
+// checkRoundTrip fails unless c inflates to raw under compress/flate's
+// reader and under wire.Decompress.
+func checkRoundTrip(t testing.TB, raw, c []byte) {
+	t.Helper()
+	std, err := io.ReadAll(flate.NewReader(bytes.NewReader(c)))
+	if err != nil || !bytes.Equal(std, raw) {
+		t.Fatalf("compress/flate inflates %d bytes of %d (%v)", len(std), len(raw), err)
+	}
+	got, err := wire.Decompress(c, 0)
+	if err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("wire.Decompress inflates %d bytes of %d (%v)", len(got), len(raw), err)
+	}
+}
+
+// FuzzCompressRoundTrip: every Compress output is one DEFLATE stream
+// that inflates to its input under compress/flate's reader and under
+// wire.Decompress — whatever mix of stored and deflated runs the
+// entropy classifier cut it into.
+func FuzzCompressRoundTrip(f *testing.F) {
+	w := dotWindows(f)
+	rnd := rand.New(rand.NewSource(29))
+	noise := make([]byte, 70_000) // one high-entropy run past a stored block's 65535
+	rnd.Read(noise)
+	f.Add(w[server.CodecBinary])
+	f.Add(w[server.CodecJSON])
+	f.Add(noise)
+	f.Add(make([]byte, 5000))
+	f.Add(noise[:300])
+	f.Add([]byte("short"))
+	f.Add([]byte{})
+	f.Add(append(append(bytes.Clone(w[server.CodecJSON][:2000]), noise...), w[server.CodecJSON][:2000]...))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		c, err := wire.Compress(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRoundTrip(t, raw, c)
+	})
+}
+
+// BenchmarkCompressBinaryBox deflates the columnar payload of one 1536²
+// box of the benchmark's dots per op — the first build of a full frame —
+// and reports the compressed size over raw as ratio.
+func BenchmarkCompressBinaryBox(b *testing.B) {
+	raw := dotWindows(b)[server.CodecBinary]
+	var c []byte
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	for b.Loop() {
+		var err error
+		if c, err = wire.Compress(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(c))/float64(len(raw)), "ratio")
+}
+
 // BenchmarkDecompress inflates one BestSpeed-deflated dot window — the
-// frame a pan or zoom step ships — per op; MB/s is of inflated bytes.
+// frame a pan or zoom step ships — per op; MB/s is of inflated bytes and
+// ratio is the frame's compressed size over raw.
 func BenchmarkDecompress(b *testing.B) {
 	for _, codec := range []server.Codec{server.CodecBinary, server.CodecJSON} {
 		raw := dotWindows(b)[codec]
@@ -129,6 +204,7 @@ func BenchmarkDecompress(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(len(c))/float64(len(raw)), "ratio")
 		})
 	}
 }

@@ -139,12 +139,21 @@ func (h *huffman) init(lens []uint8, info []uint32) bool {
 			max = l
 		}
 	}
-	clear(h.table[:])
 	if max == 0 {
+		clear(h.table[:])
 		return true
 	}
-	if used := next[max] + int(h.count[max]); used != 1<<max && !(max == 1 && used == 1) {
+	used := next[max] + int(h.count[max])
+	if used != 1<<max && !(max == 1 && used == 1) {
 		return false
+	}
+	// With every code at most tableBits long, entry i depends only on
+	// i's low max bits: fill the first 1<<max entries, then double them
+	// up to the full table. A complete code writes every entry it fills;
+	// otherwise the entries it leaves must read as "no code".
+	fill := h.table[:1<<min(max, tableBits)]
+	if used != 1<<max || max > tableBits {
+		clear(fill)
 	}
 	var offs [maxCodeBits + 1]uint16
 	for l := 1; l < maxCodeBits; l++ {
@@ -162,10 +171,13 @@ func (h *huffman) init(lens []uint8, info []uint32) bool {
 		// Codes are sent most significant bit first, so the table is
 		// indexed by the code's bits reversed, for every continuation.
 		e := info[s] | uint32(l)
-		for i := int(bits.Reverse16(uint16(next[l])) >> (16 - l)); i < len(h.table); i += 1 << l {
-			h.table[i] = e
+		for i := int(bits.Reverse16(uint16(next[l])) >> (16 - l)); i < len(fill); i += 1 << l {
+			fill[i] = e
 		}
 		next[l]++
+	}
+	for n := len(fill); n < len(h.table); n *= 2 {
+		copy(h.table[n:], h.table[:n])
 	}
 	return true
 }

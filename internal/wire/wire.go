@@ -1,9 +1,17 @@
 // Package wire implements the framed /batch stream shared by the
 // backend server, the frontend client and cluster peer fills: the
-// varint frame codec (protocol version 3), per-frame DEFLATE — pooled
-// compress/flate writers behind a cheap worth-it heuristic, and the
-// package's own bounded one-pass inflater — and the delta-frame format
-// for dynamic boxes.
+// varint frame codec (protocol version 3), per-frame DEFLATE — an
+// entropy-segmented stream written through pooled compress/flate
+// writers, and the package's own bounded one-pass inflater — and the
+// delta-frame format for dynamic boxes.
+//
+// A compressed frame is one ordinary DEFLATE stream (RFC 1951) in
+// segments. The compressor estimates the byte entropy of each 512-byte
+// chunk of the payload: runs of chunks too close to random for Huffman
+// coding to pay are written as stored blocks, which inflate as a copy;
+// the runs between go through a writer reset at the start of each run,
+// so no back-reference reaches across a stored run. A payload with no
+// high-entropy chunk is exactly compress/flate's BestSpeed stream.
 //
 // Stream layout (all integers are unsigned varints unless noted):
 //

@@ -156,27 +156,74 @@ func TestDecompressCorruptAndTruncated(t *testing.T) {
 	}
 }
 
+// TestShouldCompressHeuristic: the entropy classifier is the one
+// worth-it decision (the minimum-size check is the caller's; see the
+// server's TestDeflateShipsIncompressibleRaw). Noise is classified high
+// entropy chunk by chunk and comes back as stored blocks only — a few
+// bytes longer than its input, so a caller comparing lengths ships it
+// raw. Redundant text is classified low and goes through the writer
+// byte for byte as compress/flate alone would write it, and a mix keeps
+// the noise stored and still shrinks the rest.
 func TestShouldCompressHeuristic(t *testing.T) {
-	if ShouldCompress([]byte("tiny")) {
-		t.Fatal("tiny payloads must skip compression")
+	noise := make([]byte, 3*maxStoredBlock/2)
+	rand.New(rand.NewSource(42)).Read(noise)
+	for off := 0; off+segmentChunk <= len(noise); off += segmentChunk {
+		if !highEntropy(noise[off : off+segmentChunk]) {
+			t.Fatalf("noise chunk at %d classified low entropy", off)
+		}
 	}
-	redundant := bytes.Repeat([]byte(`{"x":1.5,"y":2.5},`), 200)
-	if !ShouldCompress(redundant) {
-		t.Fatal("redundant JSON must compress")
-	}
-	noise := make([]byte, 64<<10)
-	rnd := rand.New(rand.NewSource(42))
-	rnd.Read(noise)
-	if ShouldCompress(noise) {
-		t.Fatal("high-entropy payload must skip compression")
-	}
-	// Sanity: the heuristic agrees with flate on the noise payload.
+	// Sanity: flate agrees the noise does not shrink.
 	var buf bytes.Buffer
 	fw, _ := flate.NewWriter(&buf, flateLevel)
 	fw.Write(noise)
 	fw.Close()
 	if buf.Len() < len(noise)*99/100 {
-		t.Fatalf("flate shrank noise to %d/%d — heuristic assumption broken", buf.Len(), len(noise))
+		t.Fatalf("flate shrank noise to %d/%d — classifier assumption broken", buf.Len(), len(noise))
+	}
+	c, err := Compress(noise)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two stored blocks: header, LEN and NLEN each.
+	if want := len(noise) + 2*5; len(c) != want {
+		t.Fatalf("noise compressed to %d bytes, want %d (stored blocks only)", len(c), want)
+	}
+	if c[0] != 0 || c[5+maxStoredBlock] != 1 {
+		t.Fatalf("stored block headers %#x, %#x: want a non-final then a final stored block", c[0], c[5+maxStoredBlock])
+	}
+	if !bytes.Equal(c[5:5+maxStoredBlock], noise[:maxStoredBlock]) {
+		t.Fatal("stored block does not carry its input verbatim")
+	}
+
+	redundant := bytes.Repeat([]byte(`{"x":1.5,"y":2.5},`), 200)
+	for off := 0; off < len(redundant); off += segmentChunk {
+		if highEntropy(redundant[off:min(off+segmentChunk, len(redundant))]) {
+			t.Fatalf("redundant JSON chunk at %d classified high entropy", off)
+		}
+	}
+	buf.Reset()
+	fw.Reset(&buf)
+	fw.Write(redundant)
+	fw.Close()
+	if c, err := Compress(redundant); err != nil || !bytes.Equal(c, buf.Bytes()) || len(c) >= len(redundant) {
+		t.Fatalf("low-entropy input must take the single-writer path unchanged and shrink (%v)", err)
+	}
+
+	mixed := append(append(bytes.Clone(redundant), noise[:8192]...), redundant...)
+	c, err = Compress(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c) >= 8192+len(redundant)/4 {
+		t.Fatalf("mixed input compressed to %d bytes: noise %d, text %d", len(c), 8192, 2*len(redundant))
+	}
+	// Chunks straddling the edges of the noise may go either way; the
+	// chunks inside it are stored.
+	if !bytes.Contains(c, noise[segmentChunk:8192-segmentChunk]) {
+		t.Fatal("the noise run was not stored verbatim")
+	}
+	if back, err := Decompress(c, 0); err != nil || !bytes.Equal(back, mixed) {
+		t.Fatalf("mixed round trip: %v", err)
 	}
 }
 

@@ -327,12 +327,36 @@
 // json.Unmarshal as reference implementations — so any JSON parser reads
 // a payload; the reader here accepts this grammar only.
 //
-// Binary is uvarint(ncols), then per column uvarint(len) name and one
-// type byte, then uvarint(nrows) and the rows abutting, each in the
-// storage engine's tuple encoding (8 bytes little-endian for INT and
-// DOUBLE, one byte for BOOL, uvarint length + bytes for TEXT). A
-// `SELECT *` window query therefore copies each heap tuple's bytes from
-// its pinned page straight into the payload.
+// Binary is column-major. A header — uvarint(ncols), then per column
+// uvarint(len) name and one type byte, then uvarint(nrows) — is followed
+// by one section per column, in column order:
+//
+//	INT, DOUBLE  8 byte planes of nrows bytes each, least significant
+//	             plane first: plane k holds byte k of every row's
+//	             little-endian value (a DOUBLE as its IEEE-754 bits)
+//	BOOL         nrows bytes, 0 or 1
+//	TEXT         nrows uvarint lengths, then every row's bytes abutting
+//
+// The sections end exactly at the end of the payload, and a reader
+// checks every count against the bytes behind it before allocating. A
+// payload holds the same bytes as the rows' storage tuples, rearranged:
+// a `SELECT *` window query copies each heap tuple from its pinned page
+// into a scratch buffer, and the finished payload transposes them. Byte
+// planes put like bytes together — an id's zero high bytes, a box's
+// shared exponents — and leave the random low mantissa bytes in runs of
+// their own, which the frame compressor stores instead of Huffman-coding
+// (see the wire package). A delta's entering rows are a per-column
+// gather of the new payload, and the row index reads ids straight out
+// of the id column's planes.
+//
+// L1 and L2 keys start with the codec's key space: "json" for JSON,
+// "bincol" for the columnar binary layout. The row-major binary layout
+// that preceded it was cached under "binary", so an L2 directory
+// written before the change is never read by the columnar decoder: the
+// store drops those records when it opens, and the misses refill under
+// the new keys. A peer fill request names the key space too, so during
+// a node-by-node upgrade an owner on either build refuses a layout it
+// cannot produce and the requester queries its own database instead.
 //
 // In both codecs the header's types are the value kinds of the first
 // row (all DOUBLE for an empty result), and rows appear in the order the
