@@ -1,5 +1,7 @@
-// Benchmarks regenerating every figure of the paper's evaluation plus
-// the DESIGN.md ablations, one benchmark per table/figure:
+// Benchmarks regenerating every figure of the paper's evaluation (§3.3
+// of the paper named in PAPER.md) plus the ablations A1..A5 (each
+// documented on its experiments.Ablation* function), one benchmark per
+// table/figure:
 //
 //	go test -bench=Figure6 -benchmem        # Fig. 6 (Uniform), per scheme/trace
 //	go test -bench=Figure7 -benchmem        # Fig. 7 (Skewed)

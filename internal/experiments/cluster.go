@@ -38,18 +38,19 @@ type ClusterEnv struct {
 // must know the full peer list — its own Self URL included — before
 // any server exists. A cluster needs a replicated update log; without
 // Cfg.ReplogRoot the logs go to a temporary directory Close removes.
+// Cfg.L2Dir is refused for n > 1: the persistent store takes no
+// directory lock, and n nodes over one directory would run n
+// write-behind writers over one segment set.
 func NewClusterEnv(cfg Config, kind string, n int) (*ClusterEnv, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("experiments: cluster of %d nodes", n)
 	}
-	var d *workload.Dataset
-	switch kind {
-	case "uniform":
-		d = workload.Uniform(cfg.NumPoints, cfg.CanvasW, cfg.CanvasH, cfg.Seed)
-	case "skewed":
-		d = workload.Skewed(cfg.NumPoints, cfg.CanvasW, cfg.CanvasH, cfg.Seed)
-	default:
-		return nil, fmt.Errorf("experiments: unknown dataset kind %q", kind)
+	if cfg.L2Dir != "" && n > 1 {
+		return nil, fmt.Errorf("experiments: %d nodes cannot share one L2 directory", n)
+	}
+	d, err := newDataset(cfg, kind)
+	if err != nil {
+		return nil, err
 	}
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -64,7 +65,6 @@ func NewClusterEnv(cfg Config, kind string, n int) (*ClusterEnv, error) {
 	ce := &ClusterEnv{Cfg: cfg, Dataset: d, URLs: urls}
 	logRoot := cfg.ReplogRoot
 	if logRoot == "" && n > 1 {
-		var err error
 		if logRoot, err = os.MkdirTemp("", "kyrix-replog-"); err != nil {
 			for _, ln := range lns {
 				_ = ln.Close()
@@ -156,14 +156,15 @@ func (ce *ClusterEnv) Close() {
 // nodeCounters is one node's counter snapshot (taken before and after
 // the measured window).
 type nodeCounters struct {
-	dbq, fills, serves, fallbacks, hot int64
-	bc                                 cache.Stats
+	dbq, scanned, fills, serves, fallbacks, hot int64
+	bc                                          cache.Stats
 }
 
 func snapshotNode(e *Env) nodeCounters {
 	nc := nodeCounters{
-		dbq: e.Srv.Stats.DBQueries.Load(),
-		bc:  e.Srv.BackendCache().Stats(),
+		dbq:     e.Srv.Stats.DBQueries.Load(),
+		scanned: e.DB.Stats().RowsScanned,
+		bc:      e.Srv.BackendCache().Stats(),
 	}
 	if cn := e.Srv.Cluster(); cn != nil {
 		nc.fills = cn.Stats.PeerFills.Load()
@@ -175,11 +176,12 @@ func snapshotNode(e *Env) nodeCounters {
 }
 
 // ClusterRun measures the cluster under N parallel frontends spread
-// round-robin across the nodes — the multi-node counterpart of
-// ConcurrentClients. The table gains aggregate fill%% plus per-node
-// hit%%/fill%%/dbq columns; the returned rows carry the same per-node
-// stats machine-readably (BENCH JSON). Caches are cleared on every
-// node before each client count so rows are comparable cold starts.
+// round-robin across the nodes; a 1-node ClusterEnv is the standalone
+// baseline through the same harness. The table carries aggregate
+// hit%% and fill%% plus per-node hit%%/fill%%/dbq columns; the
+// returned rows carry the same per-node stats. Caches are cleared on
+// every node before each client count so rows are comparable cold
+// starts.
 func ClusterRun(ce *ClusterEnv, opts ConcurrentOptions) (*Table, []ConcurrentRowStats, error) {
 	if len(opts.ClientCounts) == 0 || opts.StepsPerClient <= 0 {
 		return nil, nil, fmt.Errorf("experiments: cluster run needs client counts and steps")
@@ -189,10 +191,6 @@ func ClusterRun(ce *ClusterEnv, opts ConcurrentOptions) (*Table, []ConcurrentRow
 	for i, n := range opts.ClientCounts {
 		rows[i] = fmt.Sprintf("%d clients", n)
 	}
-	workloadName := opts.Workload
-	if workloadName == "" {
-		workloadName = "walk"
-	}
 	cols := []string{"steps/s", "mean ms", "p50 ms", "p95 ms", "dbq/step", "hit%", "fill%"}
 	for j := 0; j < nNodes; j++ {
 		cols = append(cols,
@@ -201,7 +199,7 @@ func ClusterRun(ce *ClusterEnv, opts ConcurrentOptions) (*Table, []ConcurrentRow
 			fmt.Sprintf("n%d dbq", j))
 	}
 	t := NewTable(
-		fmt.Sprintf("Cluster: %d nodes, %s over %q (%s workload)", nNodes, opts.Scheme.Name(), ce.Cfg.Name, workloadName),
+		fmt.Sprintf("Cluster: %d nodes, %s over %q (%s workload)", nNodes, opts.Scheme.Name(), ce.Cfg.Name, opts.Workload),
 		"mixed units, see columns", rows, cols)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("steps/client=%d batch=%d; clients round-robin across nodes; all caches cleared per row",
@@ -224,9 +222,16 @@ func ClusterRun(ce *ClusterEnv, opts ConcurrentOptions) (*Table, []ConcurrentRow
 
 		before := make([]nodeCounters, nNodes)
 		sweep, err := runClientSweep(traces, opts, func(i int) (*frontend.Client, error) {
-			// Round-robin node assignment — the load balancer.
+			// Round-robin node assignment — the load balancer. The
+			// frontend cache is off: the hit-ratio column measures the
+			// backend policy, and a frontend cache would absorb the very
+			// revisits the zipf workload exists to produce.
 			node := ce.Nodes[i%nNodes]
-			return newSweepClient(node.BaseURL, node.CA, ce.Cfg, opts)
+			return frontend.NewClient(node.BaseURL, node.CA, frontend.Options{
+				Scheme:    opts.Scheme,
+				Codec:     server.CodecJSON,
+				BatchSize: opts.BatchSize,
+			})
 		}, func() {
 			for j, e := range ce.Nodes {
 				before[j] = snapshotNode(e)
@@ -238,7 +243,7 @@ func ClusterRun(ce *ClusterEnv, opts ConcurrentOptions) (*Table, []ConcurrentRow
 		steps := sweep.steps
 
 		var nodeStats []NodeRowStats
-		var totalDbq, totalFills float64
+		var totalDbq, totalFills, totalScanned float64
 		var hitsDelta, missesDelta int64
 		for j, e := range ce.Nodes {
 			after := snapshotNode(e)
@@ -252,6 +257,7 @@ func ClusterRun(ce *ClusterEnv, opts ConcurrentOptions) (*Table, []ConcurrentRow
 			missesDelta += bcDelta.Misses
 			totalDbq += dbq
 			totalFills += fills
+			totalScanned += float64(after.scanned - before[j].scanned)
 			fillRatio := 0.0
 			if fills+dbq > 0 {
 				fillRatio = fills / (fills + dbq)
@@ -275,6 +281,7 @@ func ClusterRun(ce *ClusterEnv, opts ConcurrentOptions) (*Table, []ConcurrentRow
 
 		rs := sweep.rowStats(n)
 		rs.DbqPerStep = totalDbq / steps
+		rs.RowsScannedPerStep = totalScanned / steps
 		rs.HitRatio = aggHit
 		rs.Nodes = nodeStats
 		stats = append(stats, rs)

@@ -1,34 +1,53 @@
 package experiments
 
 import (
+	"sync"
 	"testing"
 
 	"kyrix/internal/fetch"
 )
 
 // smokeConfig is a small-but-contended setup: enough dataset that the
-// zipf hot set does not fit one node's backend cache, so the 2-node
-// cluster's doubled aggregate capacity (plus single-fill ownership)
-// shows up as fewer database queries per step.
+// zipf hot set does not fit one node's SweepCacheBytes backend cache,
+// so the 2-node cluster's doubled aggregate capacity (plus single-fill
+// ownership) shows up as fewer database queries per step.
 func smokeConfig() Config {
 	cfg := QuickConfig()
 	cfg.Name = "cluster-smoke"
 	cfg.NumPoints = 60_000
 	cfg.CanvasW = 16384
 	cfg.CanvasH = 8192
-	cfg.BackendCacheBytes = 1 << 20
-	cfg.CacheAdmission = "lfu"
+	cfg.BackendCacheBytes = SweepCacheBytes
 	return cfg
 }
 
+// smokeOpts is the sweep's default configuration at one client count.
 func smokeOpts(clients int) ConcurrentOptions {
 	opts := DefaultConcurrentOptions()
 	opts.ClientCounts = []int{clients}
 	opts.StepsPerClient = 24
-	opts.Workload = "zipf"
-	opts.Scheme = fetch.DBox50
-	opts.BatchSize = 0
 	return opts
+}
+
+// Shared 1-node environment for the single-node sweep checks: building
+// it once keeps the suite fast.
+var (
+	nodeOnce sync.Once
+	nodeEnv  *ClusterEnv
+	nodeErr  error
+)
+
+func quickNode(t *testing.T) *ClusterEnv {
+	t.Helper()
+	nodeOnce.Do(func() {
+		cfg := smokeConfig()
+		cfg.NumPoints = 20_000
+		nodeEnv, nodeErr = NewClusterEnv(cfg, "uniform", 1)
+	})
+	if nodeErr != nil {
+		t.Fatal(nodeErr)
+	}
+	return nodeEnv
 }
 
 // TestClusterSmokeTwoNode is the in-process cluster smoke: two nodes,
@@ -87,13 +106,7 @@ func TestClusterSmokeTwoNode(t *testing.T) {
 // standalone (no cluster machinery) but flows through the same
 // harness, keeping baselines comparable.
 func TestClusterRunSingleNodeStandalone(t *testing.T) {
-	cfg := smokeConfig()
-	cfg.NumPoints = 20_000
-	ce, err := NewClusterEnv(cfg, "uniform", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ce.Close()
+	ce := quickNode(t)
 	if ce.Nodes[0].Srv.Cluster() != nil {
 		t.Fatal("1-node env must serve standalone")
 	}
@@ -105,7 +118,49 @@ func TestClusterRunSingleNodeStandalone(t *testing.T) {
 	if len(ns) != 1 || ns[0].PeerFills != 0 || ns[0].PeerFillRatio != 0 {
 		t.Fatalf("standalone node shows cluster traffic: %+v", ns)
 	}
-	if rows[0].DbqPerStep <= 0 {
-		t.Fatal("standalone run measured no database work")
+	if rows[0].DbqPerStep <= 0 || rows[0].RowsScannedPerStep <= 0 {
+		t.Fatalf("standalone run measured no database work: %+v", rows[0])
+	}
+	if _, _, err := ClusterRun(ce, ConcurrentOptions{}); err == nil {
+		t.Fatal("empty options must fail")
+	}
+}
+
+// TestConcurrentWorkloads: the zipf workload revisits a shared hot
+// set, so the backend cache must record a measurable hit ratio (sweep
+// clients run without a frontend cache, so revisits reach the
+// backend); an unknown workload is rejected.
+func TestConcurrentWorkloads(t *testing.T) {
+	ce := quickNode(t)
+	_, rows, err := ClusterRun(ce, ConcurrentOptions{
+		ClientCounts:   []int{2},
+		StepsPerClient: 24,
+		Scheme:         fetch.TileSpatial1024,
+		BatchSize:      4,
+		Workload:       "zipf",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[0].HitRatio <= 0 || rows[0].HitRatio > 1 {
+		t.Fatalf("zipf workload hit ratio out of (0, 1]: %+v", rows[0])
+	}
+	if _, _, err := ClusterRun(ce, ConcurrentOptions{
+		ClientCounts: []int{1}, StepsPerClient: 1, Scheme: fetch.TileSpatial1024,
+		Workload: "bogus",
+	}); err == nil {
+		t.Fatal("unknown workload must fail")
+	}
+}
+
+// TestNewClusterEnvRefusesSharedL2Dir: the persistent store takes no
+// directory lock, so n > 1 nodes over one L2 directory would run n
+// write-behind writers over one segment set.
+func TestNewClusterEnvRefusesSharedL2Dir(t *testing.T) {
+	cfg := smokeConfig()
+	cfg.L2Dir = t.TempDir()
+	if ce, err := NewClusterEnv(cfg, "uniform", 2); err == nil {
+		ce.Close()
+		t.Fatal("2 nodes over one L2 directory must fail")
 	}
 }

@@ -1,12 +1,16 @@
 // Package experiments is the harness that regenerates the paper's
-// evaluation (§3.3, Figures 6 and 7) and the ablations DESIGN.md
-// derives from the paper's prose. It loads a synthetic dataset into the
-// embedded DBMS, performs the precomputation of both database designs,
-// starts a real backend over loopback HTTP, replays the viewport
-// traces of Fig. 5 through a frontend client under each fetching
-// scheme, and aggregates per-step response times exactly as the paper
-// reports them ("the average response time (per step) of all fetching
-// schemes on three traces", averaged over 3 runs).
+// evaluation (§3.3 of the paper named in PAPER.md, Figures 6 and 7)
+// and the ablations A1..A5 derived from the paper's prose, each
+// documented on its Ablation* function. It loads a synthetic dataset
+// into the embedded DBMS, performs the precomputation of both database
+// designs, starts a real backend over loopback HTTP, replays the
+// viewport traces of Fig. 5 through a frontend client under each
+// fetching scheme, and aggregates per-step response times exactly as
+// the paper reports them ("the average response time (per step) of all
+// fetching schemes on three traces", averaged over 3 runs). It also
+// drives what the single-node benchmark in bench/ leaves out: the
+// multi-node client sweep (ClusterRun), the restart and failover
+// experiments, and the cluster chaos tests.
 package experiments
 
 import (
@@ -49,28 +53,18 @@ type Config struct {
 	// Radius is the rendered half-extent of each dot ("we assume
 	// records are generally rendered bigger than a single pixel").
 	Radius float64
-	// FrontendCacheBytes / BackendCacheBytes size the two caches.
+	// FrontendCacheBytes / BackendCacheBytes size the two caches. The
+	// backend cache admits with W-TinyLFU ("lfu"), as kyrix-server does.
 	FrontendCacheBytes int64
 	BackendCacheBytes  int64
-	// CacheAdmission selects the backend cache admission policy
-	// ("lfu" = W-TinyLFU frequency-based admission, "off"/"" = plain
-	// sharded LRU) — the comparison axis for the zipf/scan workloads.
-	CacheAdmission string
-	// Codec is the wire encoding.
-	Codec server.Codec
 	// LOD declares the point layer "lod": "auto", so precompute builds
 	// the aggregation pyramid and zoomed-out windows serve aggregate
 	// cells — the comparison axis for the zoom workload.
 	LOD bool
-	// LODRowBudget bounds the rows any window query returns on the
-	// auto-LOD layer (0 = the fetch package default).
-	LODRowBudget int
 	// L2Dir, when non-empty, enables the persistent tile store (the
 	// on-disk L2 under the backend cache) at that directory — the knob
 	// behind the restart/cold-start experiments.
 	L2Dir string
-	// L2MaxBytes bounds the persistent store (0 = store default).
-	L2MaxBytes int64
 	// ReplogRoot holds each node's replicated update log under
 	// <ReplogRoot>/node<i>, so the chaos/failover experiments can kill
 	// and restart nodes without losing acknowledged updates. A cluster
@@ -79,9 +73,9 @@ type Config struct {
 	ReplogRoot string
 }
 
-// DefaultConfig is the laptop-scale mapping of the paper's setup
-// documented in DESIGN.md §5: same density proportions at 1/100 the
-// row count.
+// DefaultConfig is the laptop-scale mapping of the paper's §3.3 setup
+// (PAPER.md; PaperConfig spells it out): same density proportions at
+// 1/100 the row count.
 func DefaultConfig() Config {
 	return Config{
 		Name:               "default",
@@ -96,7 +90,6 @@ func DefaultConfig() Config {
 		Radius:             1,
 		FrontendCacheBytes: 256 << 20,
 		BackendCacheBytes:  256 << 20,
-		Codec:              server.CodecJSON,
 	}
 }
 
@@ -150,16 +143,23 @@ var pointColumns = []spec.ColumnSpec{
 // NewEnv loads dataset (built if nil from cfg via kind "uniform" or
 // "skewed"), precomputes both database designs, and starts the backend.
 func NewEnv(cfg Config, kind string) (*Env, error) {
-	var d *workload.Dataset
-	switch kind {
-	case "uniform":
-		d = workload.Uniform(cfg.NumPoints, cfg.CanvasW, cfg.CanvasH, cfg.Seed)
-	case "skewed":
-		d = workload.Skewed(cfg.NumPoints, cfg.CanvasW, cfg.CanvasH, cfg.Seed)
-	default:
-		return nil, fmt.Errorf("experiments: unknown dataset kind %q", kind)
+	d, err := newDataset(cfg, kind)
+	if err != nil {
+		return nil, err
 	}
 	return NewEnvFor(cfg, d)
+}
+
+// newDataset generates cfg's dataset of the named kind ("uniform" or
+// "skewed").
+func newDataset(cfg Config, kind string) (*workload.Dataset, error) {
+	switch kind {
+	case "uniform":
+		return workload.Uniform(cfg.NumPoints, cfg.CanvasW, cfg.CanvasH, cfg.Seed), nil
+	case "skewed":
+		return workload.Skewed(cfg.NumPoints, cfg.CanvasW, cfg.CanvasH, cfg.Seed), nil
+	}
+	return nil, fmt.Errorf("experiments: unknown dataset kind %q", kind)
 }
 
 // NewEnvFor builds an environment over an existing dataset.
@@ -213,19 +213,15 @@ func newEnv(cfg Config, d *workload.Dataset, copts server.ClusterOptions, ln net
 		Cache: server.CacheOptions{
 			L1: server.L1CacheOptions{
 				Bytes:     cfg.BackendCacheBytes,
-				Admission: cfg.CacheAdmission,
+				Admission: "lfu",
 			},
-			L2: server.L2CacheOptions{
-				Path:     cfg.L2Dir,
-				MaxBytes: cfg.L2MaxBytes,
-			},
+			L2: server.L2CacheOptions{Path: cfg.L2Dir},
 		},
 		Cluster: copts,
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    cfg.TileSizes,
 			MappingIndex: sqldb.IndexBTree,
-			LODRowBudget: cfg.LODRowBudget,
 		},
 	})
 	if err != nil {
@@ -321,7 +317,7 @@ func (e *Env) RunScheme(g fetch.Granularity, tr *workload.Trace) (Series, error)
 		e.Srv.BackendCache().Clear()
 		c, err := frontend.NewClient(e.BaseURL, e.CA, frontend.Options{
 			Scheme:     g,
-			Codec:      e.Cfg.Codec,
+			Codec:      server.CodecJSON,
 			CacheBytes: e.Cfg.FrontendCacheBytes,
 		})
 		if err != nil {

@@ -335,92 +335,3 @@ func TestTableHelpers(t *testing.T) {
 		t.Fatalf("format: %s", text)
 	}
 }
-
-func TestConcurrentClients(t *testing.T) {
-	env, _ := quickEnvs(t)
-	tbl, stats, err := ConcurrentClients(env, ConcurrentOptions{
-		ClientCounts:   []int{1, 4},
-		StepsPerClient: 4,
-		Scheme:         fetch.TileSpatial1024,
-		BatchSize:      4,
-		SharedTraces:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 || len(tbl.Cols) != 9 {
-		t.Fatalf("table shape = %dx%d", len(tbl.Rows), len(tbl.Cols))
-	}
-	if len(stats) != 2 || stats[0].Clients != 1 || stats[1].Clients != 4 {
-		t.Fatalf("stats rows = %+v", stats)
-	}
-	for _, rs := range stats {
-		if rs.StepsPerSec <= 0 || rs.P50Ms <= 0 || rs.P95Ms < rs.P50Ms {
-			t.Fatalf("implausible stats row: %+v", rs)
-		}
-		// Batched tile fetches over /batch: the ratio must be measured
-		// and below 1 under frame compression.
-		if rs.CompressionRatio <= 0 || rs.CompressionRatio >= 1.5 {
-			t.Fatalf("compression ratio out of range: %+v", rs)
-		}
-	}
-	for ri := range tbl.Rows {
-		for ci := range tbl.Cols {
-			if math.IsNaN(tbl.Cells[ri][ci]) {
-				t.Fatalf("cell %s/%s missing", tbl.Rows[ri], tbl.Cols[ci])
-			}
-		}
-	}
-	// 4 clients on 2 shared traces issue identical concurrent requests;
-	// with coalescing + cache the backend must not run one query per
-	// client per step.
-	out := tbl.Format()
-	if !strings.Contains(out, "clients") {
-		t.Fatalf("format output missing rows:\n%s", out)
-	}
-	// Bad options error.
-	if _, _, err := ConcurrentClients(env, ConcurrentOptions{}); err == nil {
-		t.Fatal("empty options must fail")
-	}
-}
-
-func TestConcurrentWorkloads(t *testing.T) {
-	env, _ := quickEnvs(t)
-	// The zipf workload revisits a shared hot set: the backend cache
-	// must record a measurable hit ratio (the frontend cache is
-	// disabled for cache workloads, so revisits reach the backend).
-	_, stats, err := ConcurrentClients(env, ConcurrentOptions{
-		ClientCounts:   []int{2},
-		StepsPerClient: 24,
-		Scheme:         fetch.TileSpatial1024,
-		BatchSize:      4,
-		Workload:       "zipf",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats[0].HitRatio <= 0 {
-		t.Fatalf("zipf workload measured no backend cache hits: %+v", stats[0])
-	}
-	// The mixed workload needs at least one scanning client (i%4==3).
-	_, stats, err = ConcurrentClients(env, ConcurrentOptions{
-		ClientCounts:   []int{4},
-		StepsPerClient: 8,
-		Scheme:         fetch.TileSpatial1024,
-		BatchSize:      4,
-		Workload:       "mixed",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats[0].HitRatio < 0 || stats[0].HitRatio > 1 {
-		t.Fatalf("hit ratio out of range: %+v", stats[0])
-	}
-	// Unknown workload errors.
-	if _, _, err := ConcurrentClients(env, ConcurrentOptions{
-		ClientCounts: []int{1}, StepsPerClient: 1, Scheme: fetch.TileSpatial1024,
-		Workload: "bogus",
-	}); err == nil {
-		t.Fatal("unknown workload must fail")
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -41,40 +40,40 @@ func DefaultFailoverOptions() FailoverOptions {
 // FailoverPhase is one phase's measurements.
 type FailoverPhase struct {
 	// Phase is "steady" or "failover".
-	Phase string `json:"phase"`
+	Phase string
 	// Steps is the number of tile requests measured.
-	Steps int `json:"steps"`
+	Steps int
 	// P50Ms / P95Ms / MeanMs summarize per-request tile latency.
-	P50Ms  float64 `json:"p50Ms"`
-	P95Ms  float64 `json:"p95Ms"`
-	MeanMs float64 `json:"meanMs"`
+	P50Ms  float64
+	P95Ms  float64
+	MeanMs float64
 	// TileErrors counts failed tile GETs (transient 503s during the
 	// election count here; they are retried, not lost).
-	TileErrors int `json:"tileErrors"`
+	TileErrors int
 	// UpdatesAcked is how many updates this phase's client got a 200
 	// for.
-	UpdatesAcked int `json:"updatesAcked"`
+	UpdatesAcked int
 	// UpdateRetries counts submit attempts beyond the first per update
 	// (failover: the retries that bridge the election window).
-	UpdateRetries int `json:"updateRetries"`
+	UpdateRetries int
 }
 
 // FailoverResult is a whole failover experiment — what kyrix-bench
-// -failover persists as BENCH_failover.json.
+// -failover prints.
 type FailoverResult struct {
-	Config string          `json:"config"`
-	Nodes  int             `json:"nodes"`
-	Phases []FailoverPhase `json:"phases"`
+	Config string
+	Nodes  int
+	Phases []FailoverPhase
 	// UpdatesAcked is the total count of acknowledged updates across
 	// phases; UpdatesLost is how many of those were missing from the
 	// survivors' replicated state at the end. The log's contract is
 	// that UpdatesLost is always 0.
-	UpdatesAcked int `json:"updatesAcked"`
-	UpdatesLost  int `json:"updatesLost"`
+	UpdatesAcked int
+	UpdatesLost  int
 	// ElectionMs is how long after the kill the survivors took to
 	// elect a leader (first successful update ack is the observable
 	// proxy).
-	ElectionMs float64 `json:"electionMs"`
+	ElectionMs float64
 }
 
 // Format renders the result as an aligned comparison table.
@@ -89,17 +88,6 @@ func (r *FailoverResult) Format() string {
 	out += fmt.Sprintf("  updates acked %d, lost %d; re-election bridged in %.0fms\n",
 		r.UpdatesAcked, r.UpdatesLost, r.ElectionMs)
 	return out
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
 }
 
 // failoverPhase drives one phase's tile+update stream against urls.

@@ -40,38 +40,8 @@ func FigureSchemes(env *Env, title string) (*Table, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("dataset=%s n=%d canvas=%gx%g runs=%d codec=%s",
 			env.Dataset.Name, len(env.Dataset.Points),
-			env.Cfg.CanvasW, env.Cfg.CanvasH, env.Cfg.Runs, env.Cfg.Codec))
+			env.Cfg.CanvasW, env.Cfg.CanvasH, env.Cfg.Runs, server.CodecJSON))
 	return t, nil
-}
-
-// Figure6 reproduces "The average response times of dynamic box and
-// static tiling on uniformly distributed data".
-func Figure6(cfg Config) (*Table, *Env, error) {
-	env, err := NewEnv(cfg, "uniform")
-	if err != nil {
-		return nil, nil, err
-	}
-	t, err := FigureSchemes(env, "Figure 6: average response times on Uniform")
-	if err != nil {
-		env.Close()
-		return nil, nil, err
-	}
-	return t, env, nil
-}
-
-// Figure7 reproduces "The average response times of dynamic box and
-// static tiling on skewed data".
-func Figure7(cfg Config) (*Table, *Env, error) {
-	env, err := NewEnv(cfg, "skewed")
-	if err != nil {
-		return nil, nil, err
-	}
-	t, err := FigureSchemes(env, "Figure 7: average response times on Skewed")
-	if err != nil {
-		env.Close()
-		return nil, nil, err
-	}
-	return t, env, nil
 }
 
 // Figure4 validates the fetch-volume intuition behind the Fig. 4
@@ -129,7 +99,7 @@ func Figure5(cfg Config, kind string) (string, error) {
 }
 
 // AblationInflation sweeps the dynamic-box growth fraction on trace-c
-// ("there are numerous ways to calculate a box"; A1 in DESIGN.md).
+// ("there are numerous ways to calculate a box", the paper's §3.3; A1).
 func AblationInflation(env *Env) (*Table, error) {
 	traces := workload.PaperTraces(env.Dataset, 1024, env.Cfg.ViewportW, env.Cfg.ViewportH)
 	trc := traces[2]
@@ -193,7 +163,7 @@ func AblationCache(env *Env) (*Table, error) {
 		// when off.
 		env.Srv.BackendCache().Clear()
 		c, err := frontend.NewClient(env.BaseURL, env.CA, frontend.Options{
-			Scheme: g, Codec: env.Cfg.Codec, CacheBytes: feBytes,
+			Scheme: g, Codec: server.CodecJSON, CacheBytes: feBytes,
 		})
 		if err != nil {
 			return err
@@ -253,7 +223,7 @@ func AblationPrefetch(env *Env) (*Table, error) {
 	run := func(label string, tr *workload.Trace, usePrefetch bool) error {
 		env.Srv.BackendCache().Clear()
 		c, err := frontend.NewClient(env.BaseURL, env.CA, frontend.Options{
-			Scheme: fetch.DBoxExact, Codec: env.Cfg.Codec,
+			Scheme: fetch.DBoxExact, Codec: server.CodecJSON,
 			CacheBytes: env.Cfg.FrontendCacheBytes,
 		})
 		if err != nil {

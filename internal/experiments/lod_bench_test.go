@@ -25,11 +25,11 @@ func BenchmarkLODZoom(b *testing.B) {
 			// Only the dynamic-box scheme runs; skip the tile-mapping
 			// precompute.
 			cfg.TileSizes = nil
-			env, err := NewEnv(cfg, "uniform")
+			ce, err := NewClusterEnv(cfg, "uniform", 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer env.Close()
+			defer ce.Close()
 			opts := ConcurrentOptions{
 				ClientCounts:   []int{2},
 				StepsPerClient: 12,
@@ -39,7 +39,7 @@ func BenchmarkLODZoom(b *testing.B) {
 			var rowsScanned, p50 float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, stats, err := ConcurrentClients(env, opts)
+				_, stats, err := ClusterRun(ce, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

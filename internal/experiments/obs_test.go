@@ -7,23 +7,24 @@ import (
 )
 
 // TestObsSmoke is the CI obs-smoke check behind the experiments
-// harness: run a small concurrent sweep, scrape /metrics over HTTP,
-// and require the stage breakdown to account for the traffic just
-// served. It guards the whole chain — histograms observed on the
-// serving path, exposition rendering, and the parse/quantile fold
-// kyrix-bench embeds in its artifacts.
+// harness: run a small batched sweep on a 1-node cluster, scrape node
+// 0's /metrics over HTTP, and require the stage breakdown to account
+// for the traffic just served. It guards the whole chain — histograms
+// observed on the serving path, exposition rendering, and the
+// parse/quantile fold behind kyrix-bench's stage table.
 func TestObsSmoke(t *testing.T) {
-	env, _ := quickEnvs(t)
+	ce := quickNode(t)
 	opts := ConcurrentOptions{
 		ClientCounts:   []int{2},
 		StepsPerClient: 4,
 		Scheme:         fetch.TileSpatial1024,
 		BatchSize:      8,
+		Workload:       "zipf",
 	}
-	if _, _, err := ConcurrentClients(env, opts); err != nil {
+	if _, _, err := ClusterRun(ce, opts); err != nil {
 		t.Fatal(err)
 	}
-	stages, err := ScrapeStages(env.BaseURL)
+	stages, err := ScrapeStages(ce.Nodes[0].BaseURL)
 	if err != nil {
 		t.Fatal(err)
 	}

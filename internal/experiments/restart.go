@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
 	"kyrix/internal/fetch"
 	"kyrix/internal/frontend"
+	"kyrix/internal/server"
 	"kyrix/internal/workload"
 )
 
@@ -49,29 +49,29 @@ func DefaultRestartOptions(l2dir string) RestartOptions {
 // RestartPhase is one boot's measurements.
 type RestartPhase struct {
 	// Phase is "first-boot" or "restart".
-	Phase string `json:"phase"`
+	Phase string
 	// DBQueriesToWarm is how many database queries the phase's replay
 	// issued — the cost of warming this boot.
-	DBQueriesToWarm int64 `json:"dbQueriesToWarm"`
+	DBQueriesToWarm int64
 	// P50FirstStepsMs is the median response time over the first
 	// min(100, Steps) pan steps.
-	P50FirstStepsMs float64 `json:"p50FirstStepsMs"`
+	P50FirstStepsMs float64
 	// MeanMs averages all measured steps.
-	MeanMs float64 `json:"meanMs"`
+	MeanMs float64
 	// L2Hits / L2Keys are the persistent store's counters after the
 	// replay (0 when L2 is disabled).
-	L2Hits int64 `json:"l2Hits"`
-	L2Keys int64 `json:"l2Keys"`
+	L2Hits int64
+	L2Keys int64
 	// Steps is the measured step count.
-	Steps int `json:"steps"`
+	Steps int
 }
 
 // RestartResult is a whole restart experiment — what kyrix-bench
-// -restart persists as BENCH_restart_*.json.
+// -restart prints.
 type RestartResult struct {
-	Config string         `json:"config"`
-	L2     bool           `json:"l2"`
-	Phases []RestartPhase `json:"phases"`
+	Config string
+	L2     bool
+	Phases []RestartPhase
 }
 
 // Format renders the result as an aligned comparison table.
@@ -110,7 +110,7 @@ func replayPhase(env *Env, opts RestartOptions, tr *workload.Trace, phase string
 	p := RestartPhase{Phase: phase}
 	c, err := frontend.NewClient(env.BaseURL, env.CA, frontend.Options{
 		Scheme:    opts.Scheme,
-		Codec:     env.Cfg.Codec,
+		Codec:     server.CodecJSON,
 		BatchSize: opts.BatchSize,
 	})
 	if err != nil {
@@ -138,7 +138,7 @@ func replayPhase(env *Env, opts RestartOptions, tr *workload.Trace, phase string
 	}
 	sorted := append([]float64(nil), first...)
 	sort.Float64s(sorted)
-	p.P50FirstStepsMs = sorted[int(math.Ceil(0.50*float64(len(sorted))))-1]
+	p.P50FirstStepsMs = quantile(sorted, 0.50)
 	if l2 := env.Srv.L2(); l2 != nil {
 		snap := l2.Snapshot()
 		p.L2Hits = snap.Hits

@@ -572,8 +572,8 @@ func (b *boundSorter) Swap(i, j int) {
 	b.cum[i], b.cum[j] = b.cum[j], b.cum[i]
 }
 
-// StageQuantiles is the per-stage summary kyrix-bench embeds into BENCH
-// artifacts.
+// StageQuantiles is the per-stage summary kyrix-bench prints after a
+// client sweep.
 type StageQuantiles struct {
 	Count  uint64  `json:"count"`
 	P50Ms  float64 `json:"p50Ms"`

@@ -257,19 +257,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	workers := s.opts.BatchConcurrency
-	if workers <= 0 {
-		// Automatic bound: scale with cores (queries are CPU-bound in
-		// the embedded DB), floored so small machines still overlap
-		// cache hits with query work.
-		workers = runtime.GOMAXPROCS(0)
-		if workers < 8 {
-			workers = 8
-		}
-	}
-	if workers > len(req.Items) {
-		workers = len(req.Items)
-	}
+	// Serve items concurrently: scale with cores (queries are
+	// CPU-bound in the embedded DB), floored so small machines still
+	// overlap cache hits with query work, capped at the item count.
+	workers := min(max(runtime.GOMAXPROCS(0), 8), len(req.Items))
 
 	// Past this point errors are per-frame: the header commits the
 	// stream, so an item failure becomes an error frame, never an HTTP

@@ -11,8 +11,6 @@ import (
 
 	"kyrix/internal/fetch"
 	"kyrix/internal/geom"
-	"kyrix/internal/spec"
-	"kyrix/internal/sqldb"
 	"kyrix/internal/storage"
 )
 
@@ -102,13 +100,10 @@ func TestUpdateDropsStaleFlight(t *testing.T) {
 
 // TestPlanCacheBounded pins the plan-cache satellite: ad-hoc statement
 // shapes through preparedSelect cannot grow the cache past
-// PlanCacheSize; hot shapes stay resident under LRU.
+// planCacheSize; hot shapes stay resident under LRU.
 func TestPlanCacheBounded(t *testing.T) {
 	srv, _ := newPointsServer(t, 50, 4096, 2048)
-	cap := srv.opts.PlanCacheSize
-	if cap == 0 {
-		cap = 512 // the default applied in New
-	}
+	const cap = planCacheSize
 	for i := 0; i < cap+300; i++ {
 		sql := fmt.Sprintf("SELECT id FROM points WHERE id = %d", i)
 		if _, err := srv.preparedSelect(sql); err != nil {
@@ -127,66 +122,5 @@ func TestPlanCacheBounded(t *testing.T) {
 	}
 	if srv.plans.Stats().Hits != hitsBefore+1 {
 		t.Fatal("resident plan should be served from the cache")
-	}
-}
-
-// TestPlanCacheCustomCap verifies the PlanCacheSize knob reaches the
-// cache construction.
-func TestPlanCacheCustomCap(t *testing.T) {
-	db := sqldb.NewDB()
-	if _, err := db.Exec("CREATE TABLE q (id INT, x DOUBLE, y DOUBLE)"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := db.InsertRow("q", storage.Row{
-			storage.I64(int64(i)), storage.F64(float64(i)), storage.F64(float64(i)),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reg := spec.NewRegistry()
-	reg.RegisterRenderer("dots")
-	app := &spec.App{
-		Name: "q",
-		Canvases: []spec.Canvas{{
-			ID: "main", W: 1024, H: 1024,
-			Transforms: []spec.Transform{{
-				ID: "t", Query: "SELECT * FROM q",
-				Columns: []spec.ColumnSpec{
-					{Name: "id", Type: "int"}, {Name: "x", Type: "double"},
-					{Name: "y", Type: "double"},
-				},
-			}},
-			Layers: []spec.Layer{{
-				TransformID: "t",
-				Placement:   &spec.Placement{XCol: "x", YCol: "y", Radius: 1},
-				Renderer:    "dots",
-			}},
-		}},
-		InitialCanvas: "main", InitialX: 512, InitialY: 512,
-		ViewportW: 256, ViewportH: 256,
-	}
-	ca, err := spec.Compile(app, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(db, ca, Options{
-		PlanCacheSize: 4,
-		Precompute: fetch.Options{
-			BuildSpatial: true,
-			TileSizes:    []float64{512},
-			MappingIndex: sqldb.IndexBTree,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if _, err := srv.preparedSelect(fmt.Sprintf("SELECT id FROM q WHERE id = %d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := srv.plans.Stats().Entries; got > 4 {
-		t.Fatalf("plan cache holds %d entries, cap 4", got)
 	}
 }

@@ -91,7 +91,7 @@ func (s *Server) initObs() {
 func (s *Server) tracer() *obs.Tracer { return s.obs.tracer }
 
 // FlightRecorder exposes the flight recorder (nil when tracing is
-// disabled); tests and kyrix-bench dumps read it.
+// disabled); tests read it.
 func (s *Server) FlightRecorder() *obs.Recorder { return s.obs.tracer.Recorder() }
 
 // MetricsRegistry exposes the metrics registry.

@@ -97,6 +97,12 @@ type CacheOptions struct {
 	L2 L2CacheOptions
 }
 
+// planCacheSize bounds the prepared-plan cache (parsed SELECT
+// statements, LRU-evicted): far above the constant per-layer statement
+// shapes, but a hard ceiling if ad-hoc SQL ever flows through
+// RunSelect.
+const planCacheSize = 512
+
 // Options configures a backend server.
 type Options struct {
 	// Cache is the cache configuration (L1 in-memory tier, L2
@@ -116,14 +122,6 @@ type Options struct {
 	// PrecomputeParallelism bounds how many layers are materialized
 	// concurrently at startup (0 = GOMAXPROCS).
 	PrecomputeParallelism int
-	// BatchConcurrency bounds how many tiles of one /batch request are
-	// served concurrently (0 = an automatic bound).
-	BatchConcurrency int
-	// PlanCacheSize bounds the prepared-plan cache (parsed SELECT
-	// statements, LRU-evicted). 0 picks the default of 512 plans —
-	// far above the constant per-layer statement shapes, but a hard
-	// ceiling if ad-hoc SQL ever flows through RunSelect.
-	PlanCacheSize int
 	// Obs configures observability: request tracing and the flight
 	// recorder (on by default), the /metrics exposition, and opt-in
 	// pprof. See ObsOptions.
@@ -225,7 +223,7 @@ type Server struct {
 	// update arrives (ensureIDIndexes).
 	idIndexOnce sync.Once
 	// plans caches parsed SELECT statements by SQL text, bounded by
-	// Options.PlanCacheSize with LRU eviction. Every layer emits a
+	// planCacheSize with LRU eviction. Every layer emits a
 	// constant statement shape per design (arguments ride in '?'
 	// placeholders), so the hot path skips the parser entirely.
 	plans *cache.LRU
@@ -287,10 +285,6 @@ func layerKey(canvasID string, idx int) string {
 // under a bounded worker pool; the first error wins and the remaining
 // work is abandoned.
 func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
-	planCap := opts.PlanCacheSize
-	if planCap <= 0 {
-		planCap = 512
-	}
 	var admission cache.Admission
 	switch opts.Cache.L1.Admission {
 	case "", "off":
@@ -316,7 +310,7 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		}),
 		// One entry = size 1, so the byte budget counts plans; a single
 		// shard keeps exact LRU order (the cap is tiny).
-		plans: cache.NewLRUSharded(int64(planCap), 1),
+		plans: cache.NewLRUSharded(planCacheSize, 1),
 		// Entries are charged what they hold (deflated bytes, index
 		// slices, delta frames), so resident memory stays bounded like
 		// the other caches.
@@ -919,7 +913,7 @@ func (s *Server) windowSQL(ctx context.Context, pl *fetch.PhysicalLayer, window 
 // preparedSelect returns the parsed form of sql, parsing at most once
 // per resident statement text. Layer query shapes are constant strings
 // with '?' placeholders, so after warm-up the hot path never touches
-// the parser; the cache is bounded (Options.PlanCacheSize, LRU), so
+// the parser; the cache is bounded (planCacheSize, LRU), so
 // ad-hoc SQL through RunSelect cannot grow it without limit.
 func (s *Server) preparedSelect(sql string) (*sqldb.SelectStmt, error) {
 	if v, ok := s.plans.Get(sql); ok {

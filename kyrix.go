@@ -73,9 +73,10 @@
 // the cross-shard steal is capped at a fair share: no neighbor shard
 // is drained below (budget - incoming)/shards by someone else's
 // insert, so one oversized value cannot empty a warm neighbor. The
-// adversarial workloads behind these guarantees ship with the bench:
-// `kyrix-bench -clients ... -workload zipf|scan|mixed -admission
-// lfu|off` compares hit ratios policy-by-policy on the same trace.
+// adversarial workloads behind these guarantees ship with the cache's
+// benchmarks: BenchmarkHitRatioZipf and BenchmarkHitRatioScan
+// (internal/cache) replay the zipf and scan adversaries with admission
+// off vs lfu and report hit ratios policy-by-policy on the same trace.
 //
 // [ServerOptions].Cache.L1.Doorkeeper adds a bloom-filter doorkeeper in
 // front of the sketch: a key's first sighting per decay period sets
@@ -198,11 +199,10 @@
 //     delta diff cannot prove a base safe.
 //
 // `kyrix-server -self URL -peers URL,URL,...` joins a real node;
-// `kyrix-bench -nodes N -workload zipf` runs the in-process scaling
-// demonstration (per-node hit%/fill%/dbq columns; -json writes the
-// sweep to BENCH_<label>.json in the working directory, which git
-// ignores). Measured results live with the benchmark harness in bench/
-// and in CHANGES.md, not in committed artifacts.
+// `kyrix-bench -clients 8 -nodes 2` runs the in-process scaling
+// demonstration (per-node hit%/fill%/dbq columns) against the
+// `-nodes 1` baseline. Measured results live with the benchmark
+// harness in bench/ and in CHANGES.md, not in committed artifacts.
 //
 // # Replicated updates
 //
@@ -289,9 +289,9 @@
 //     (0 = GOMAXPROCS), and bulk-inserted in batches; a failure in any
 //     layer cancels the in-flight builds of every other layer.
 //
-// The bounded-row property is measured by `kyrix-bench -lodsweep`
-// (same zoom workload at 1× and 10× dataset scale) and guarded by
-// BenchmarkLODZoom in CI's bench-regression job. GET /app advertises lod/lodLevels per
+// The bounded-row property is measured by bench/'s zoom_lod workload
+// and by BenchmarkLODZoom (rows scanned per pan step with the lod knob
+// off vs on), which CI's bench-regression job tracks. GET /app advertises lod/lodLevels per
 // layer; GET /stats exposes lodQueries and dbRowsScanned.
 //
 // # Wire payloads (the JSON and binary codecs)
@@ -444,8 +444,8 @@
 // Figures 6 and 7 measure. [ClientOptions].Compression
 // ([CompressionAuto], [CompressionOff]) selects per-request
 // compression. GET /tile and GET /dbox stay on the server for single
-// requests (curl, debugging). The concurrent bench (`kyrix-bench
-// -clients ... -scheme dbox`) reports wire bytes, compression ratio and
+// requests (curl, debugging). The benchmark in bench/ (`bash
+// bench/run.sh`) reports wire bytes per step, the wire/raw ratio and
 // time-to-first-frame.
 //
 // # Observability
@@ -495,13 +495,12 @@
 // ObsOptions.FlightRecorderSize, default 64) — the "what was that
 // spike" tool, lock-cheap enough to leave on in production.
 // kyrix-server exposes the knobs as -no-trace, -flight-recorder and
-// -pprof (opt-in net/http/pprof); kyrix-bench embeds the final
-// per-stage p50/p95/p99 into its -json BENCH artifact and dumps the
-// flight recorder with -slowdump. CI's obs-smoke job boots a backend,
-// drives a batched sweep, and validates the scrape; the bench job
-// tracks BenchmarkObsOverhead (tracing on vs off over the hot HTTP
-// tile path) so the instrumentation budget (<3% p50) holds across
-// PRs.
+// -pprof (opt-in net/http/pprof); kyrix-bench's client sweep prints
+// the final per-stage p50/p95/p99 scraped from /metrics. CI's
+// obs-smoke job boots a 1-node cluster, drives a batched sweep, and
+// validates the scrape; the bench job tracks BenchmarkObsOverhead
+// (tracing on vs off over the hot HTTP tile path) so the
+// instrumentation budget (<3% p50) holds across PRs.
 //
 // # Static analysis (kyrix-vet)
 //
@@ -549,8 +548,9 @@
 //
 // The experiment harness that regenerates the paper's Figures 6 and 7
 // lives in internal/experiments and is exposed through cmd/kyrix-bench
-// and the root bench_test.go; `kyrix-bench -clients 1,8,32` measures
-// the concurrent serving pipeline under parallel frontends.
+// and the root bench_test.go; `kyrix-bench -clients 1,8,32 -nodes 2`
+// measures a serving cluster under parallel frontends. Single-node
+// serving is measured by the benchmark in bench/ (`bash bench/run.sh`).
 package kyrix
 
 import (
