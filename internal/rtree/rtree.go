@@ -4,11 +4,17 @@
 // variant, so this is a faithful substitute: quadratic-split Guttman
 // R-tree for incremental inserts plus Sort-Tile-Recursive (STR) bulk
 // loading for the precomputation phase.
+//
+// A bulk-loaded tree keeps its entries in the caller's slice, in the
+// order Search visits them, and that order is what sqldb lays a
+// table's heap out in (see BulkLoad): a window query then reads its
+// rows from a few adjacent pages instead of one page per row.
 package rtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"kyrix/internal/geom"
 )
@@ -346,7 +352,17 @@ func collectItems(n *node, out *[]Item) {
 // BulkLoad builds a tree from items using Sort-Tile-Recursive packing.
 // It is dramatically faster than repeated Insert for the experiment
 // datasets (millions of points) and produces well-packed leaves.
-// The input slice is reordered in place.
+//
+// The tree takes items over as its storage. On return items holds the
+// entries in the order Search visits them — leaf by leaf, depth first —
+// and each leaf owns a capacity-capped sub-slice of it. A caller may
+// therefore rewrite an entry's Val in place (sqldb clusters a table's
+// heap in this order and then points every entry at its row's new
+// RID), and a later Insert or Delete writes only inside the leaf it
+// changes, never into a neighbour's entries.
+//
+// Sorting is by box centre with ties broken by input position, so the
+// same input always builds the same tree.
 func BulkLoad(items []Item) *Tree {
 	t := New()
 	if len(items) == 0 {
@@ -359,71 +375,159 @@ func BulkLoad(items []Item) *Tree {
 		level = packNodes(level)
 	}
 	t.root = level[0]
+	// Lay the leaves' entries out in search order, in the caller's array.
+	o := 0
+	var layout func(n *node)
+	layout = func(n *node) {
+		if !n.leaf {
+			for _, c := range n.children {
+				layout(c)
+			}
+			return
+		}
+		e := o + copy(items[o:], n.items)
+		n.items = items[o:e:e]
+		o = e
+	}
+	layout(t.root)
 	return t
 }
 
-// strPack sorts items into leaf nodes with the STR algorithm.
-func strPack(items []Item) []*node {
-	n := len(items)
-	leafCount := (n + maxEntries - 1) / maxEntries
-	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
-	sliceSize := sliceCount * maxEntries
+// keyed is one sort record: a centre coordinate as an order-preserving
+// integer, and the position of its item or node in the input.
+type keyed struct {
+	key uint64
+	idx int32
+}
 
-	sort.Slice(items, func(i, j int) bool {
-		return items[i].Box.Center().X < items[j].Box.Center().X
-	})
-	var leaves []*node
+// floatKey maps f to an integer that sorts the way f does.
+func floatKey(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+func cmpKeyed(a, b keyed) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// radixMin is the length from which sortKeyed switches from a
+// comparison sort to an LSD radix sort. At a million items both of the
+// leaf level's sorts (over all items, then over each vertical slice of
+// about 4000) take the radix path.
+const radixMin = 1024
+
+// sortKeyed sorts ks by (key, idx). Long inputs take an LSD radix sort
+// on 11-bit digits, which is stable; runs of equal keys are then put
+// in idx order, so both paths produce the same order.
+func sortKeyed(ks []keyed) {
+	if len(ks) < radixMin {
+		slices.SortFunc(ks, cmpKeyed)
+		return
+	}
+	const bits, passes = 11, 6 // 6 × 11 ≥ 64
+	var counts [passes][1 << bits]int
+	for _, k := range ks {
+		for p := 0; p < passes; p++ {
+			counts[p][k.key>>(p*bits)&(1<<bits-1)]++
+		}
+	}
+	src, dst := ks, make([]keyed, len(ks))
+	for p := 0; p < passes; p++ {
+		c := &counts[p]
+		if c[src[0].key>>(p*bits)&(1<<bits-1)] == len(src) {
+			continue // every key has the same digit here
+		}
+		sum := 0
+		for d := range c {
+			c[d], sum = sum, sum+c[d]
+		}
+		for _, k := range src {
+			d := k.key >> (p * bits) & (1<<bits - 1)
+			dst[c[d]] = k
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ks[0] {
+		copy(ks, src)
+	}
+	for i := 0; i < len(ks); {
+		j := i + 1
+		for j < len(ks) && ks[j].key == ks[i].key {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(ks[i:j], cmpKeyed)
+		}
+		i = j
+	}
+}
+
+// strTiles runs STR's two sorts over n entries whose centre is
+// centre(i): keys comes back sorted by x and then, within each vertical
+// slice of sliceCount runs of maxEntries, by y. Grouping its idx values
+// maxEntries at a time gives the new level's nodes.
+func strTiles(n int, centre func(i int) geom.Point) []keyed {
+	groups := (n + maxEntries - 1) / maxEntries
+	sliceCount := int(math.Ceil(math.Sqrt(float64(groups))))
+	sliceSize := sliceCount * maxEntries
+	keys := make([]keyed, n)
+	for i := range keys {
+		keys[i] = keyed{key: floatKey(centre(i).X), idx: int32(i)}
+	}
+	sortKeyed(keys)
 	for s := 0; s < n; s += sliceSize {
-		end := s + sliceSize
-		if end > n {
-			end = n
+		slice := keys[s:min(s+sliceSize, n)]
+		for j := range slice {
+			slice[j].key = floatKey(centre(int(slice[j].idx)).Y)
 		}
-		slice := items[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].Box.Center().Y < slice[j].Box.Center().Y
-		})
-		for o := 0; o < len(slice); o += maxEntries {
-			oe := o + maxEntries
-			if oe > len(slice) {
-				oe = len(slice)
-			}
-			leaf := &node{leaf: true, items: append([]Item(nil), slice[o:oe]...)}
-			leaf.recomputeBox()
-			leaves = append(leaves, leaf)
-		}
+		sortKeyed(slice)
+	}
+	return keys
+}
+
+// strPack sorts items into leaf nodes with the STR algorithm. The
+// leaves hold sub-slices of a temporary copy, in STR order; BulkLoad
+// moves them back into items in search order.
+func strPack(items []Item) []*node {
+	keys := strTiles(len(items), func(i int) geom.Point { return items[i].Box.Center() })
+	sorted := make([]Item, len(items))
+	for j, k := range keys {
+		sorted[j] = items[k.idx]
+	}
+	slab := make([]node, (len(sorted)+maxEntries-1)/maxEntries)
+	leaves := make([]*node, len(slab))
+	for i := range slab {
+		o := i * maxEntries
+		oe := min(o+maxEntries, len(sorted))
+		slab[i] = node{leaf: true, items: sorted[o:oe:oe]}
+		slab[i].recomputeBox()
+		leaves[i] = &slab[i]
 	}
 	return leaves
 }
 
 // packNodes groups a level of nodes into parents, STR-style.
 func packNodes(level []*node) []*node {
-	n := len(level)
-	parentCount := (n + maxEntries - 1) / maxEntries
-	sliceCount := int(math.Ceil(math.Sqrt(float64(parentCount))))
-	sliceSize := sliceCount * maxEntries
-
-	sort.Slice(level, func(i, j int) bool {
-		return level[i].box.Center().X < level[j].box.Center().X
-	})
-	var parents []*node
-	for s := 0; s < n; s += sliceSize {
-		end := s + sliceSize
-		if end > n {
-			end = n
+	keys := strTiles(len(level), func(i int) geom.Point { return level[i].box.Center() })
+	slab := make([]node, (len(level)+maxEntries-1)/maxEntries)
+	parents := make([]*node, len(slab))
+	for i := range slab {
+		o := i * maxEntries
+		group := keys[o:min(o+maxEntries, len(keys))]
+		children := make([]*node, len(group))
+		for j, k := range group {
+			children[j] = level[k.idx]
 		}
-		slice := level[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].box.Center().Y < slice[j].box.Center().Y
-		})
-		for o := 0; o < len(slice); o += maxEntries {
-			oe := o + maxEntries
-			if oe > len(slice) {
-				oe = len(slice)
-			}
-			p := &node{children: append([]*node(nil), slice[o:oe]...)}
-			p.recomputeBox()
-			parents = append(parents, p)
-		}
+		slab[i] = node{children: children}
+		slab[i].recomputeBox()
+		parents[i] = &slab[i]
 	}
 	return parents
 }

@@ -33,6 +33,9 @@ type DBStats struct {
 	Deletes     int64
 	RowsScanned int64
 	RowsOut     int64
+	// PagesPinned counts heap page pins taken to read rows: one per page
+	// a seq scan reads, one per change of page in an index fetch.
+	PagesPinned int64
 }
 
 // Option configures a DB.
@@ -231,32 +234,20 @@ func (db *DB) createIndex(st *CreateIndexStmt) error {
 	}
 	// Build: bulk-load the trees (the precomputation phase inserts
 	// millions of rows before indexing), incremental for the hash.
-	switch ix.Kind {
-	case IndexBTree:
-		// Sized once so the pair array the leaves will slice is the only
-		// copy ever made.
-		entries := make([]btree.Entry, 0, t.heap.Count())
-		err = t.heap.Scan(func(rid storage.RID, row storage.Row) bool {
-			entries = append(entries, btree.Entry{Key: row[ix.pos[0]].AsInt(), Val: rid.Pack()})
-			return true
-		})
-		if err == nil {
-			ix.bt = btree.BulkLoad(entries)
-		}
-	case IndexHash:
-		ix.hi = hashidx.New()
-		err = t.heap.Scan(func(rid storage.RID, row storage.Row) bool {
-			ix.hi.Insert(row[ix.pos[0]].AsInt(), rid.Pack())
-			return true
-		})
-	case IndexRTree:
-		var items []rtree.Item
+	if ix.Kind != IndexRTree {
+		err = ix.build(t.heap)
+	} else {
+		clustered := t.hasRTree()
+		items := make([]rtree.Item, 0, t.heap.Count())
 		err = t.heap.Scan(func(rid storage.RID, row storage.Row) bool {
 			items = append(items, rtree.Item{Box: ix.rowBox(row), Val: rid.Pack()})
 			return true
 		})
 		if err == nil {
 			ix.rt = rtree.BulkLoad(items)
+			if !clustered {
+				err = db.cluster(t, items)
+			}
 		}
 	}
 	if err != nil {
@@ -264,6 +255,72 @@ func (db *DB) createIndex(st *CreateIndexStmt) error {
 	}
 	t.indexes[st.Name] = ix
 	return nil
+}
+
+// hasRTree reports whether t already has an R-tree index. Caller holds
+// t.mu.
+func (t *Table) hasRTree() bool {
+	for _, ix := range t.indexes {
+		if ix.Kind == IndexRTree {
+			return true
+		}
+	}
+	return false
+}
+
+// cluster gives t's first R-tree the table's physical order, the way
+// PostgreSQL's CLUSTER does for a GiST index: it rewrites the heap in
+// items order (the new tree's search order, see rtree.BulkLoad), points
+// each item at its row's new RID, and rebuilds every other index over
+// the new RIDs. A window's rows then share a handful of adjacent pages.
+// A seq scan of a clustered table runs in tree order, not insertion
+// order. Caller holds t.mu exclusively and has not yet entered the new
+// index into t.indexes.
+func (db *DB) cluster(t *Table, items []rtree.Item) error {
+	rids := make([]storage.RID, len(items))
+	for i, it := range items {
+		rids[i] = storage.UnpackRID(it.Val)
+	}
+	heap, err := t.heap.Rewrite(storage.NewBufferPool(storage.NewMemDisk(), db.poolFrames), rids)
+	if err != nil {
+		return err
+	}
+	// Rebuild into copies, so a failure leaves the table as it was.
+	rebuilt := make(map[string]*Index, len(t.indexes))
+	for name, ix := range t.indexes {
+		nix := *ix
+		if err := nix.build(heap); err != nil {
+			return err
+		}
+		rebuilt[name] = &nix
+	}
+	for i, rid := range rids {
+		items[i].Val = rid.Pack()
+	}
+	t.heap, t.indexes = heap, rebuilt
+	return nil
+}
+
+// build fills a BTREE or HASH index from every row of h.
+func (ix *Index) build(h *storage.HeapFile) error {
+	if ix.Kind == IndexBTree {
+		// Sized once so the pair array the leaves will slice is the only
+		// copy ever made.
+		entries := make([]btree.Entry, 0, h.Count())
+		err := h.Scan(func(rid storage.RID, row storage.Row) bool {
+			entries = append(entries, btree.Entry{Key: row[ix.pos[0]].AsInt(), Val: rid.Pack()})
+			return true
+		})
+		if err == nil {
+			ix.bt = btree.BulkLoad(entries)
+		}
+		return err
+	}
+	ix.hi = hashidx.New()
+	return h.Scan(func(rid storage.RID, row storage.Row) bool {
+		ix.hi.Insert(row[ix.pos[0]].AsInt(), rid.Pack())
+		return true
+	})
 }
 
 func (ix *Index) rowBox(row storage.Row) geom.Rect {

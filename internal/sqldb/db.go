@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -228,7 +229,8 @@ func (db *DB) execInsert(st *InsertStmt, args []storage.Value, ch *Changes) (int
 	return int64(len(rows)), nil
 }
 
-// ScanTable streams every live row of a table to fn in RID order,
+// ScanTable streams every live row of a table to fn in RID order —
+// the tree's search order once the table is clustered on an R-tree —
 // without materializing the result. The row passed to fn is reused;
 // copy to retain. Returning false stops the scan. It is the bulk path
 // for precomputation passes over millions of rows.
@@ -306,7 +308,8 @@ func (db *DB) InsertRows(table string, rows []storage.Row) error {
 }
 
 // matchingRIDs collects (rid, row-copy) pairs satisfying where, using
-// an index when one applies. Caller holds at least a read lock on t.
+// an index when one applies, and counts the heap pages it pinned.
+// Caller holds at least a read lock on t.
 func (db *DB) matchingRIDs(t *Table, tname string, where Expr, args []storage.Value) ([]storage.RID, []storage.Row, error) {
 	bs := makeBindings(binding{name: tname, schema: t.schema})
 	conjuncts := splitAnd(where)
@@ -325,7 +328,7 @@ func (db *DB) matchingRIDs(t *Table, tname string, where Expr, args []storage.Va
 	var rids []storage.RID
 	var rows []storage.Row
 	row := make(storage.Row, len(t.schema))
-	err := sc.run(t, func(rid storage.RID, tuple []byte) error {
+	pins, err := sc.run(t, func(rid storage.RID, tuple []byte) error {
 		if err := storage.DecodeRowInto(tuple, t.schema, row); err != nil {
 			return err
 		}
@@ -342,6 +345,7 @@ func (db *DB) matchingRIDs(t *Table, tname string, where Expr, args []storage.Va
 		rows = append(rows, append(storage.Row(nil), row...))
 		return nil
 	})
+	db.bump(func(s *DBStats) { s.PagesPinned += pins })
 	return rids, rows, err
 }
 
@@ -389,25 +393,36 @@ func (db *DB) execUpdate(st *UpdateStmt, args []storage.Value, ch *Changes) (int
 		// Recorded before the heap is touched: whichever step below fails,
 		// the row is reported as changed.
 		ch.record(oldRow, newRow)
-		t.indexDelete(rid, oldRow)
-		if err := t.heap.Update(rid, newRow); err == storage.ErrPageFull {
-			// Relocate: delete + reinsert, giving the row a new RID.
-			if err := t.heap.Delete(rid); err != nil {
-				return int64(i), err
-			}
-			newRID, err := t.heap.Insert(newRow)
-			if err != nil {
-				return int64(i), err
-			}
-			t.indexInsert(newRID, newRow)
-		} else if err != nil {
+		newRID, err := t.relocate(rid, newRow)
+		if err != nil {
 			return int64(i), err
-		} else {
-			t.indexInsert(rid, newRow)
 		}
+		t.indexDelete(rid, oldRow)
+		t.indexInsert(newRID, newRow)
 	}
 	db.bump(func(s *DBStats) { s.Updates += int64(len(rids)) })
 	return int64(len(rids)), nil
+}
+
+// relocate stores newRow as the row at rid: in place when its page has
+// room, else as a new tuple (the row moves to the returned RID) before
+// the old one is deleted. On error the heap is as it was, so the row's
+// index entries, which the caller changes only on success, still match
+// it.
+func (t *Table) relocate(rid storage.RID, newRow storage.Row) (storage.RID, error) {
+	err := t.heap.Update(rid, newRow)
+	if err != storage.ErrPageFull {
+		return rid, err
+	}
+	newRID, err := t.heap.Insert(newRow)
+	if err != nil {
+		return rid, err
+	}
+	if err := t.heap.Delete(rid); err != nil {
+		// Take the copy back out; the old tuple is still there.
+		return rid, errors.Join(err, t.heap.Delete(newRID))
+	}
+	return newRID, nil
 }
 
 func (db *DB) execDelete(st *DeleteStmt, args []storage.Value, ch *Changes) (int64, error) {

@@ -21,6 +21,12 @@ import (
 // valid only for the duration of the push, so nothing is copied unless
 // somebody keeps it.
 //
+// One page at a time holds for index scans too. They fetch every hit
+// through a storage.Cursor, which keeps the last page pinned and pins
+// again only when a hit is on another page; over a table clustered on
+// its R-tree (see DB.cluster) a window's rows cost a handful of pins,
+// not one each.
+//
 // The one rule for materialising: an operator copies rows only when it
 // cannot emit its first output before it has seen its last input — the
 // build side of a hash join, an aggregate, an ORDER BY. Everything else
@@ -32,7 +38,8 @@ import (
 // also handed the tuple's stored bytes on the still-pinned page.
 //
 // While a row is being pushed, the page it came from stays pinned — one
-// pin per table in the join chain, so a table's buffer pool needs at
+// pin per table in the join chain (an index-nested-loop join's cursor
+// holds its page between outer rows), so a table's buffer pool needs at
 // least as many frames as the statement names it.
 
 // Result is a fully materialized query result.
@@ -56,17 +63,20 @@ var Stop = errors.New("sqldb: stop")
 
 // run drives the access path over t, calling visit with the RID and
 // stored bytes of every tuple it yields while the tuple's page is
-// pinned. The first error visit returns ends the scan and is returned.
-func (sc scanChoice) run(t *Table, visit func(rid storage.RID, tuple []byte) error) error {
+// pinned, and returns the heap pages it pinned. The first error visit
+// returns ends the scan and is returned.
+func (sc scanChoice) run(t *Table, visit func(rid storage.RID, tuple []byte) error) (pins int64, err error) {
 	if sc.kind == "seq" {
-		return t.heap.ScanTuples(visit)
+		return scanPages(t.heap, visit)
 	}
-	var err error
-	var rid storage.RID
-	view := func(tuple []byte) error { return visit(rid, tuple) }
+	cur := t.heap.Cursor()
+	defer cur.Close()
 	fetch := func(packed uint64) bool {
-		rid = storage.UnpackRID(packed)
-		err = t.heap.View(rid, view)
+		rid := storage.UnpackRID(packed)
+		var tuple []byte
+		if tuple, err = cur.Tuple(rid); err == nil {
+			err = visit(rid, tuple)
+		}
 		return err == nil
 	}
 	switch sc.kind {
@@ -79,54 +89,86 @@ func (sc scanChoice) run(t *Table, visit func(rid storage.RID, tuple []byte) err
 	case "rtree":
 		sc.index.rt.Search(sc.window, func(it rtree.Item) bool { return fetch(it.Val) })
 	default:
-		return fmt.Errorf("sqldb: unknown scan kind %q", sc.kind)
+		return 0, fmt.Errorf("sqldb: unknown scan kind %q", sc.kind)
 	}
-	return err
+	return cur.Pins(), err
+}
+
+// scanPages is h.ScanTuples, also returning the pages it pinned (those
+// it read a tuple from: ScanTuples pins each page once).
+func scanPages(h *storage.HeapFile, visit func(rid storage.RID, tuple []byte) error) (pins int64, err error) {
+	last := storage.InvalidPageID
+	err = h.ScanTuples(func(rid storage.RID, tuple []byte) error {
+		if rid.Page != last {
+			last, pins = rid.Page, pins+1
+		}
+		return visit(rid, tuple)
+	})
+	return pins, err
+}
+
+// stmtCounts accumulates one statement's counters; they reach DBStats
+// in one db.bump when it ends.
+type stmtCounts struct {
+	scanned, pins int64
 }
 
 // joinOp returns the operator joining each outer row (outerWidth
 // columns) with the inner table per the chosen strategy and pushing the
-// concatenation to next. A hash join materialises its build side here,
-// before the first outer row arrives.
-func joinOp(jc joinChoice, outerWidth int, scanned *int64, next RowFunc) (RowFunc, error) {
+// concatenation to next, and the function that ends it once the outer
+// scan is done. A hash join materialises its build side here, before
+// the first outer row arrives; an index-nested-loop join fetches its
+// hits through one cursor, which done closes.
+func joinOp(jc joinChoice, outerWidth int, n *stmtCounts, next RowFunc) (RowFunc, func(), error) {
 	inner := jc.table
 	combined := make(storage.Row, outerWidth+len(inner.schema))
 	innerRow := combined[outerWidth:]
 	switch jc.kind {
 	case "inl":
-		var err error
-		view := func(tuple []byte) error {
-			if err := storage.DecodeRowInto(tuple, inner.schema, innerRow); err != nil {
-				return err
-			}
-			*scanned++
-			return next(combined, nil)
-		}
+		cur := inner.heap.Cursor()
+		var ferr error
 		lookup := func(packed uint64) bool {
-			err = inner.heap.View(storage.UnpackRID(packed), view)
-			return err == nil
+			var tuple []byte
+			if tuple, ferr = cur.Tuple(storage.UnpackRID(packed)); ferr != nil {
+				return false
+			}
+			if ferr = storage.DecodeRowInto(tuple, inner.schema, innerRow); ferr != nil {
+				return false
+			}
+			n.scanned++
+			ferr = next(combined, nil)
+			return ferr == nil
+		}
+		done := func() {
+			cur.Close()
+			n.pins += cur.Pins()
 		}
 		return func(orow storage.Row, _ []byte) error {
 			copy(combined, orow)
 			key := orow[jc.outerIdx].AsInt()
-			err = nil
+			ferr = nil
 			if jc.index.Kind == IndexBTree {
 				jc.index.bt.Lookup(key, lookup)
 			} else {
 				jc.index.hi.Lookup(key, lookup)
 			}
-			return err
-		}, nil
+			return ferr
+		}, done, nil
 	case "hash":
 		build := make(map[int64][]storage.Row)
-		err := inner.heap.Scan(func(_ storage.RID, row storage.Row) bool {
-			*scanned++
+		row := make(storage.Row, len(inner.schema))
+		pins, err := scanPages(inner.heap, func(_ storage.RID, tuple []byte) error {
+			if err := storage.DecodeRowInto(tuple, inner.schema, row); err != nil {
+				return err
+			}
+			n.scanned++
 			key := row[jc.innerIdx].AsInt()
 			build[key] = append(build[key], append(storage.Row(nil), row...))
-			return true
+			return nil
 		})
+		n.pins += pins
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		return func(orow storage.Row, _ []byte) error {
 			copy(combined, orow)
@@ -137,9 +179,9 @@ func joinOp(jc joinChoice, outerWidth int, scanned *int64, next RowFunc) (RowFun
 				}
 			}
 			return nil
-		}, nil
+		}, func() {}, nil
 	}
-	return nil, fmt.Errorf("sqldb: unknown join kind %q", jc.kind)
+	return nil, nil, fmt.Errorf("sqldb: unknown join kind %q", jc.kind)
 }
 
 // filterOp passes on the rows every residual conjunct accepts.
@@ -292,9 +334,10 @@ func isAggregate(st *SelectStmt) bool {
 // executeSelect runs the pipeline, pushing every output row to emit.
 // Caller holds read locks.
 func (db *DB) executeSelect(p *selectPlan, emit RowFunc) error {
-	var scanned, out int64
+	var n stmtCounts
+	var out int64
 	defer func() {
-		db.bump(func(s *DBStats) { s.RowsScanned += scanned; s.RowsOut += out })
+		db.bump(func(s *DBStats) { s.RowsScanned += n.scanned; s.PagesPinned += n.pins; s.RowsOut += out })
 	}()
 	deliver := func(row storage.Row, tuple []byte) error {
 		out++
@@ -304,7 +347,7 @@ func (db *DB) executeSelect(p *selectPlan, emit RowFunc) error {
 	if p.st.Explain {
 		err = pushAll(p.explainRows(), emit)
 	} else {
-		err = db.pushRows(p, &scanned, deliver)
+		err = db.pushRows(p, &n, deliver)
 	}
 	if errors.Is(err, Stop) {
 		return nil
@@ -339,7 +382,7 @@ func (p *selectPlan) explainRows() []storage.Row {
 
 // pushRows assembles the operator chain back to front and runs the scan
 // through it.
-func (db *DB) pushRows(p *selectPlan, scanned *int64, deliver RowFunc) error {
+func (db *DB) pushRows(p *selectPlan, n *stmtCounts, deliver RowFunc) error {
 	// next is what the filtered join output feeds; drain runs once that
 	// input is exhausted, for the two tails that hold rows back.
 	var next RowFunc
@@ -379,21 +422,30 @@ func (db *DB) pushRows(p *selectPlan, scanned *int64, deliver RowFunc) error {
 		next = filterOp(p.filters, next)
 	}
 	width := p.bs.width()
+	dones := make([]func(), 0, len(p.joins))
 	for i := len(p.joins) - 1; i >= 0; i-- {
 		width -= len(p.joins[i].table.schema)
-		var err error
-		if next, err = joinOp(p.joins[i], width, scanned, next); err != nil {
+		op, done, err := joinOp(p.joins[i], width, n, next)
+		if err != nil {
 			return err
 		}
+		next = op
+		dones = append(dones, done)
 	}
 	row := make(storage.Row, len(p.base.schema))
-	err := p.scan.run(p.base, func(_ storage.RID, tuple []byte) error {
+	pins, err := p.scan.run(p.base, func(_ storage.RID, tuple []byte) error {
 		if err := storage.DecodeRowInto(tuple, p.base.schema, row); err != nil {
 			return err
 		}
-		*scanned++
+		n.scanned++
 		return next(row, tuple)
 	})
+	n.pins += pins
+	// The joins' cursors must not outlive the scan (a join's cursor
+	// holds no pin before the scan's first row reaches it).
+	for _, done := range dones {
+		done()
+	}
 	if err != nil || drain == nil {
 		return err
 	}

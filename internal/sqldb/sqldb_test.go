@@ -592,34 +592,6 @@ func TestOrderByOnAggregateOutput(t *testing.T) {
 	}
 }
 
-func BenchmarkWindowQuery10k(b *testing.B) {
-	db := NewDB()
-	_, _ = db.Exec(`CREATE TABLE records (id INT, minx DOUBLE, miny DOUBLE, maxx DOUBLE, maxy DOUBLE)`)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100000; i++ {
-		x, y := rng.Float64()*10000, rng.Float64()*10000
-		_ = db.InsertRow("records", storage.Row{
-			storage.I64(int64(i)),
-			storage.F64(x - 1), storage.F64(y - 1), storage.F64(x + 1), storage.F64(y + 1),
-		})
-	}
-	_, _ = db.Exec("CREATE INDEX idx ON records USING RTREE (minx, miny, maxx, maxy)")
-	sel, err := Parse("SELECT * FROM records WHERE INTERSECTS(minx, miny, maxx, maxy, ?, ?, ?, ?)")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x := float64(i%90) * 100
-		_, err := db.RunSelect(sel.(*SelectStmt),
-			storage.F64(x), storage.F64(x), storage.F64(x+1000), storage.F64(x+1000))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkParse(b *testing.B) {
 	sql := "SELECT r.id, r.x FROM tiles t JOIN records r ON t.tuple_id = r.id WHERE t.tile_id = ? ORDER BY r.id LIMIT 100"
 	b.ReportAllocs()

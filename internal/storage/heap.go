@@ -24,9 +24,18 @@ func UnpackRID(v uint64) RID {
 
 func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 
-// HeapFile is an unordered collection of tuples stored in slotted pages
-// obtained from a buffer pool. Inserts append to the last page with
-// room; scans walk pages in order.
+// HeapFile is a collection of tuples stored in slotted pages obtained
+// from a buffer pool. Inserts append to the last page with room; scans
+// walk pages in order. Two operations serve a table clustered on an
+// index:
+//
+//   - Rewrite copies tuples, in an order the caller gives, into a fresh
+//     heap, filling each new page under one pin. A table's rows then
+//     sit on disk in the order its index visits them (sqldb clusters a
+//     table on its first R-tree this way).
+//   - A Cursor fetches tuples by RID and pins again only when the next
+//     RID is on another page, so an index scan over a clustered table
+//     pins each page once per run of hits on it.
 //
 // A HeapFile owns a contiguous range of pages conceptually, but since
 // each table gets its own DiskManager in this engine, a heap file simply
@@ -109,25 +118,101 @@ func (h *HeapFile) Get(rid RID) (Row, error) {
 
 // GetInto decodes the row at rid into dst (len == schema arity).
 func (h *HeapFile) GetInto(rid RID, dst Row) error {
-	return h.View(rid, func(tuple []byte) error {
-		return DecodeRowInto(tuple, h.schema, dst)
-	})
-}
-
-// View calls fn with the stored bytes of the tuple at rid while its
-// page is pinned. The slice aliases the page buffer: fn must neither
-// retain nor modify it.
-func (h *HeapFile) View(rid RID, fn func(tuple []byte) error) error {
-	f, err := h.bp.pin(rid.Page)
+	c := h.Cursor()
+	defer c.Close()
+	tuple, err := c.Tuple(rid)
 	if err != nil {
 		return err
 	}
-	tuple, err := AsSlotted(f.data).Get(rid.Slot)
-	if err == nil {
-		err = fn(tuple)
+	return DecodeRowInto(tuple, h.schema, dst)
+}
+
+// Cursor fetches tuples by RID for one reader. It keeps the page of
+// the last tuple it returned pinned, and pins again only when a RID is
+// on another page. Close releases that pin; a Cursor is not safe for
+// concurrent use.
+type Cursor struct {
+	h    *HeapFile
+	f    *frame // pinned page, nil before the first fetch and after Close
+	pins int64
+}
+
+// Cursor returns a cursor over h.
+func (h *HeapFile) Cursor() Cursor { return Cursor{h: h} }
+
+// Tuple returns the stored bytes of the tuple at rid. The slice
+// aliases the pinned page: it is valid until the next Tuple or Close,
+// and must not be modified.
+func (c *Cursor) Tuple(rid RID) ([]byte, error) {
+	if c.f == nil || c.f.id != rid.Page {
+		// Unpin first: a pool of one frame must serve a cursor too.
+		c.Close()
+		f, err := c.h.bp.pin(rid.Page)
+		if err != nil {
+			return nil, err
+		}
+		c.f = f
+		c.pins++
 	}
-	f.unpin(false)
-	return err
+	return AsSlotted(c.f.data).Get(rid.Slot)
+}
+
+// Pins returns the number of page pins the cursor has taken.
+func (c *Cursor) Pins() int64 { return c.pins }
+
+// Close releases the cursor's pin. The cursor stays usable.
+func (c *Cursor) Close() {
+	if c.f != nil {
+		c.f.unpin(false)
+		c.f = nil
+	}
+}
+
+// Rewrite copies the tuples at rids, in that order, into a new heap
+// file over bp (which should start empty) and overwrites each rids[i]
+// with its tuple's new RID. Tuples not named are left behind. Pages
+// are filled directly, each pinned once while it fills; reads go
+// through a Cursor, so a run of RIDs on one source page costs one pin.
+// h is left as it was.
+func (h *HeapFile) Rewrite(bp *BufferPool, rids []RID) (*HeapFile, error) {
+	out := &HeapFile{bp: bp, schema: h.schema, lastPage: InvalidPageID}
+	src := h.Cursor()
+	defer src.Close()
+	var page *SlottedPage
+	flush := func() error {
+		if page == nil {
+			return nil
+		}
+		page = nil
+		return bp.Unpin(out.lastPage, true)
+	}
+	for i, rid := range rids {
+		tuple, err := src.Tuple(rid)
+		if err != nil {
+			return nil, errors.Join(err, flush())
+		}
+		slot, err := SlotID(0), ErrPageFull
+		if page != nil {
+			slot, err = page.Insert(tuple)
+		}
+		if err == ErrPageFull {
+			if err := flush(); err != nil {
+				return nil, err
+			}
+			id, data, nerr := bp.NewPage()
+			if nerr != nil {
+				return nil, nerr
+			}
+			out.lastPage, page = id, InitSlotted(data)
+			slot, err = page.Insert(tuple)
+		}
+		if err != nil {
+			return nil, errors.Join(err, flush())
+		}
+		rids[i] = RID{Page: out.lastPage, Slot: slot}
+	}
+	out.count = int64(len(rids))
+	return out, flush()
 }
 
 // Delete removes the tuple at rid.
