@@ -32,7 +32,9 @@
 //
 // Every node must start from the same data (shared or identically
 // loaded backing store). Standalone, -replog-dir makes /update a
-// durable single-member log.
+// durable single-member log, the one durable record of updates: a
+// restart with the same data flags over the same directory replays
+// every logged update before it serves.
 //
 // -l2dir enables the persistent tile store (L2): rendered payloads are
 // journaled to checksummed segment files under that directory through a
@@ -59,7 +61,6 @@ import (
 	"strconv"
 	"strings"
 
-	"kyrix/internal/fetch"
 	"kyrix/internal/server"
 	"kyrix/internal/spec"
 	"kyrix/internal/sqldb"
@@ -83,7 +84,6 @@ func main() {
 	l2dir := flag.String("l2dir", "", "enable the persistent tile store (L2) at this directory: rendered payloads survive restarts and warm the node without database queries")
 	l2MB := flag.Int64("l2-mb", 0, "persistent tile store budget in MB (0 = store default, 1 GiB)")
 	tileSizes := flag.String("tile-sizes", "256,1024,4096", "comma-separated tile sizes to precompute")
-	walPath := flag.String("wal", "", "attach a write-ahead log at this path (enables the update model)")
 	self := flag.String("self", "", "cluster mode: this node's base URL as peers reach it (e.g. http://10.0.0.1:8080)")
 	peers := flag.String("peers", "", "cluster mode: comma-separated base URLs of every cluster node (may include -self)")
 	replogDir := flag.String("replog-dir", "", "persist a replicated update log under this directory: /update commits through a quorum of the cluster and survives node failures (standalone: a durable single-node log)")
@@ -128,12 +128,6 @@ func main() {
 	}
 
 	db := sqldb.NewDB()
-	if *walPath != "" {
-		if err := db.AttachWAL(*walPath); err != nil {
-			log.Fatalf("attach WAL: %v", err)
-		}
-		log.Printf("WAL attached at %s (recovered state replayed)", *walPath)
-	}
 
 	var ca *spec.CompiledApp
 	var err error
@@ -149,25 +143,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	srv, err := server.New(db, ca, server.Options{
-		Cache: server.CacheOptions{
-			L1: server.L1CacheOptions{Bytes: *cacheMB << 20},
-			L2: server.L2CacheOptions{Path: *l2dir, MaxBytes: *l2MB << 20},
-		},
-		Cluster: clusterOpts,
-		Obs: server.ObsOptions{
-			DisableTracing:     *noTrace,
-			FlightRecorderSize: *flightN,
-			Pprof:              *pprofOn,
-		},
-		Precompute: fetch.Options{
-			BuildSpatial: true,
-			TileSizes:    sizes,
-			MappingIndex: sqldb.IndexBTree,
-		},
-	})
+	opts := server.DefaultOptions()
+	opts.Cache.L1.Bytes = *cacheMB << 20
+	opts.Cache.L2 = server.L2CacheOptions{Path: *l2dir, MaxBytes: *l2MB << 20}
+	opts.Cluster = clusterOpts
+	opts.Obs = server.ObsOptions{
+		DisableTracing:     *noTrace,
+		FlightRecorderSize: *flightN,
+		Pprof:              *pprofOn,
+	}
+	opts.Precompute.TileSizes = sizes
+	srv, err := server.New(db, ca, opts)
 	if err != nil {
-		log.Fatalf("precompute: %v", err)
+		log.Fatalf("start server: %v", err)
 	}
 	if clusterOpts.Enabled() {
 		log.Printf("cluster node %s joined ring of %d peers", clusterOpts.Self, len(clusterOpts.Peers))

@@ -1,11 +1,9 @@
 package kyrix_test
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"kyrix"
 	"kyrix/internal/fetch"
@@ -151,24 +149,13 @@ func TestCrimeMapJourney(t *testing.T) {
 	}
 }
 
-// TestUpdateModelWithWAL exercises the §4 update path end to end: edits
-// through the HTTP endpoint, logged to the WAL, surviving a restart.
-func TestUpdateModelWithWAL(t *testing.T) {
-	walPath := filepath.Join(t.TempDir(), "app.wal")
-
-	build := func() *kyrix.DB {
-		db := kyrix.NewDB()
-		if err := db.AttachWAL(walPath); err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	db := build()
-	mustExec(t, db, "CREATE TABLE notes (id INT, x DOUBLE, y DOUBLE, tag TEXT)")
-	for i := 0; i < 100; i++ {
-		mustExec(t, db, "INSERT INTO notes VALUES (?, ?, ?, '')",
-			kyrix.Int(int64(i)), kyrix.Float(float64(i%10)*100+50), kyrix.Float(float64(i/10)*100+50))
-	}
+// TestUpdateSurvivesRestart exercises the §4 update path end to end on
+// a standalone replicated log: an edit through the HTTP endpoint is
+// committed to the log, and a restart over the same log dir (a fresh
+// database loaded with the same rows) has replayed it by the time
+// Launch returns, however long that takes.
+func TestUpdateSurvivesRestart(t *testing.T) {
+	logDir := filepath.Join(t.TempDir(), "replog")
 	reg := kyrix.NewRegistry()
 	reg.RegisterRenderer("notes")
 	app := &kyrix.App{
@@ -191,38 +178,42 @@ func TestUpdateModelWithWAL(t *testing.T) {
 	}
 	srvOpts := kyrix.ServerOptions{
 		Cache:      kyrix.CacheOptions{L1: kyrix.L1CacheOptions{Bytes: 1 << 20}},
+		Cluster:    kyrix.ClusterOptions{Replog: kyrix.ReplogOptions{Dir: logDir}},
 		Precompute: fetch.Options{BuildSpatial: true},
 	}
-	inst, err := kyrix.Launch(db, app, reg, srvOpts, kyrix.DefaultClientOptions())
-	if err != nil {
-		t.Fatal(err)
+	launch := func() (*kyrix.DB, *kyrix.Instance) {
+		db := kyrix.NewDB()
+		mustExec(t, db, "CREATE TABLE notes (id INT, x DOUBLE, y DOUBLE, tag TEXT)")
+		for i := 0; i < 100; i++ {
+			mustExec(t, db, "INSERT INTO notes VALUES (?, ?, ?, '')",
+				kyrix.Int(int64(i)), kyrix.Float(float64(i%10)*100+50), kyrix.Float(float64(i/10)*100+50))
+		}
+		inst, err := kyrix.Launch(db, app, reg, srvOpts, kyrix.DefaultClientOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, inst
 	}
+	db, inst := launch()
 
-	// Tag a row through the HTTP update endpoint.
-	body, _ := json.Marshal(map[string]any{
-		"sql": "UPDATE notes SET tag = 'flagged' WHERE id = 55",
-	})
-	resp, err := http.Post(inst.BaseURL+"/update", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("update status %s", resp.Status)
-	}
+	// Tag a row through the HTTP update endpoint (503 until the
+	// single-member log has elected itself).
+	postUpdate(t, inst.BaseURL, "UPDATE notes SET tag = 'flagged' WHERE id = 55")
 	res, err := db.Query("SELECT tag FROM notes WHERE id = 55")
 	if err != nil || res.Rows[0][0].S != "flagged" {
 		t.Fatalf("tag after update: %v %v", res, err)
 	}
-	inst.Close()
-	if err := db.DetachWAL(); err != nil {
+	if err := inst.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Simulated restart: a fresh DB recovers everything from the WAL,
-	// including the HTTP-applied update.
-	db2 := build()
-	defer db2.DetachWAL()
+	// Restart: the log replays the HTTP-applied update before Launch
+	// returns, so the first read sees it. The replay is not a
+	// submission: a SubmitTimeout far shorter than it must not fail
+	// the restart.
+	srvOpts.Cluster.Replog.SubmitTimeout = time.Nanosecond
+	db2, inst2 := launch()
+	defer inst2.Close()
 	res, err = db2.Query("SELECT COUNT(*) FROM notes")
 	if err != nil || res.Rows[0][0].AsInt() != 100 {
 		t.Fatalf("recovered count: %v %v", res, err)

@@ -44,6 +44,7 @@ package replog
 
 import (
 	"context"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -119,12 +120,28 @@ type Config struct {
 	// SubmitTimeout bounds one Submit end to end when its context has
 	// no earlier deadline. 0 = 5s.
 	SubmitTimeout time.Duration
-	// MaxBatch bounds entries per append RPC. 0 = 64.
-	MaxBatch int
 }
+
+// One append RPC carries at most maxBatchEntries entries and, past its
+// first entry, at most maxBatchBytes of encoded entries. The byte cap
+// is what lets a follower behind by large commands catch up: a batch
+// must be sent, decoded and fsynced within one append deadline
+// (ElectionTimeout) and fit under the receiver's maxRPCBody, or the
+// leader resends the same failing batch forever. A large first entry
+// goes alone; callers bound one command's size (the server's /update
+// takes at most 1 MiB).
+const (
+	maxBatchEntries = 64
+	maxBatchBytes   = 256 << 10
+)
 
 // ErrClosed is returned by operations on a closed node.
 var ErrClosed = errors.New("replog: closed")
+
+// errOverwritten is waitAcked's verdict when the entry applied at a
+// submission's index is not that submission's: a new leader replaced
+// the uncommitted slot. SubmitWithID proposes again under the same ID.
+var errOverwritten = errors.New("replog: entry overwritten by a later leader")
 
 // ErrNoLeader is returned by Submit when no leader could be reached
 // within the deadline — the cluster is mid-election or lacks a quorum.
@@ -195,12 +212,14 @@ type Node struct {
 }
 
 // Open replays (or creates) the WAL under cfg.Dir and starts the
-// node's election timer and apply loop. Committed entries from a
-// previous run are NOT re-applied here by the node itself — applied
-// tracking is per-process and the commit index is rediscovered from
-// the leader — so a restarting node replays its whole committed prefix
+// node's election timer and apply loop. Applied tracking is
+// per-process, so a restarting node replays its whole committed prefix
 // through Apply, which is exactly right for a state machine rebuilt
-// from scratch each boot (the in-memory database).
+// from scratch each boot (the in-memory database). A cluster member
+// learns how far that prefix reaches from the leader. A single member
+// is its own quorum, so every entry on its disk is committed, and Open
+// returns only once the applier has replayed them all, however long
+// that takes. The member list of a Dir must not change across restarts.
 func Open(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("replog: Config.Self required")
@@ -219,9 +238,6 @@ func Open(cfg Config) (*Node, error) {
 	}
 	if cfg.SubmitTimeout <= 0 {
 		cfg.SubmitTimeout = 5 * time.Second
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
 	}
 	members := []string{cfg.Self}
 	for _, p := range cfg.Peers {
@@ -269,6 +285,11 @@ func Open(cfg Config) (*Node, error) {
 	n.appliedCond = sync.NewCond(&n.mu)
 	n.mu.Lock()
 	err = n.loadLocked()
+	replayed := uint64(0)
+	if n.quorum == 1 {
+		replayed = n.lastIndexLocked()
+		n.commit = replayed
+	}
 	n.mu.Unlock()
 	if err != nil {
 		_ = w.Close()  // already failing; the open error wins
@@ -279,6 +300,11 @@ func Open(cfg Config) (*Node, error) {
 	n.wg.Add(2)
 	go n.run()
 	go n.applier()
+	n.mu.Lock()
+	for n.applied < replayed {
+		n.appliedCond.Wait()
+	}
+	n.mu.Unlock()
 	return n, nil
 }
 
@@ -547,9 +573,8 @@ func (n *Node) replicateLocked(peer string) {
 			prevIndex := ni - 1
 			prevTerm := n.termAtLocked(prevIndex)
 			var entries []entry
-			if last := n.lastIndexLocked(); ni <= last {
-				hi := min(last, ni+uint64(n.cfg.MaxBatch)-1)
-				entries = append(entries, n.log[ni-1:hi]...)
+			if ni <= n.lastIndexLocked() {
+				entries = append(entries, appendBatch(n.log[ni-1:])...)
 			}
 			req := &AppendRequest{
 				Term:      term,
@@ -618,6 +643,20 @@ func (n *Node) replicateLocked(peer string) {
 	}()
 }
 
+// appendBatch returns the prefix of tail that one append RPC carries.
+func appendBatch(tail []entry) []entry {
+	size := 0
+	for i, e := range tail {
+		// The JSON encoding of e: base64 Cmd, the ID, and under 100
+		// bytes of field names and numbers.
+		size += base64.StdEncoding.EncodedLen(len(e.Cmd)) + len(e.ID) + 100
+		if i == maxBatchEntries || (i > 0 && size > maxBatchBytes) {
+			return tail[:i]
+		}
+	}
+	return tail
+}
+
 // advanceCommitLocked recomputes the commit index: the largest index
 // replicated on a quorum whose entry is from the current term.
 func (n *Node) advanceCommitLocked() {
@@ -678,17 +717,15 @@ func (n *Node) applier() {
 	}
 }
 
-// waitApplied blocks until the local state machine has applied index,
-// returning that entry's Apply error (nil for success or the no-op).
-func (n *Node) waitApplied(ctx context.Context, index uint64) error {
+// waitAppliedLocked blocks until the local state machine has applied
+// index, or ctx ends.
+func (n *Node) waitAppliedLocked(ctx context.Context, index uint64) error {
 	stop := context.AfterFunc(ctx, func() {
 		n.mu.Lock()
 		n.appliedCond.Broadcast()
 		n.mu.Unlock()
 	})
 	defer stop()
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for n.applied < index {
 		if n.closed {
 			return ErrClosed
@@ -697,6 +734,23 @@ func (n *Node) waitApplied(ctx context.Context, index uint64) error {
 			return fmt.Errorf("replog: entry %d not applied: %w", index, ctx.Err())
 		}
 		n.appliedCond.Wait()
+	}
+	return nil
+}
+
+// waitAcked blocks until index is applied and returns the Apply error
+// of the entry there, if that entry is submission id's. An index
+// alone proves nothing: a deposed leader's uncommitted slot is filled
+// by its successor's entries, so a slot holding another ID yields
+// errOverwritten.
+func (n *Node) waitAcked(ctx context.Context, index uint64, id string) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if err := n.waitAppliedLocked(ctx, index); err != nil {
+		return err
+	}
+	if n.log[index-1].ID != id {
+		return errOverwritten
 	}
 	err := n.applyErrs[index]
 	delete(n.applyErrs, index)
@@ -729,7 +783,9 @@ func (n *Node) Submit(ctx context.Context, cmd []byte) (uint64, error) {
 // (the key must be unique per logical command). On the leader it
 // proposes directly; on a follower it forwards to the last known
 // leader and then waits for the entry to arrive and apply locally.
-// Retries internally across leader changes until the deadline; returns
+// It returns only once the entry applied at the returned index carries
+// id; a slot a later leader overwrote is proposed again. Retries
+// internally across leader changes until the deadline; returns
 // ErrNoLeader (wrapped) when the cluster has no electable quorum
 // within it.
 func (n *Node) SubmitWithID(ctx context.Context, id string, cmd []byte) (uint64, error) {
@@ -748,7 +804,10 @@ func (n *Node) SubmitWithID(ctx context.Context, id string, cmd []byte) (uint64,
 			idx := n.appendCmdLocked(id, cmd)
 			n.broadcastLocked()
 			n.mu.Unlock()
-			return idx, n.waitApplied(ctx, idx)
+			if err := n.waitAcked(ctx, idx, id); !errors.Is(err, errOverwritten) {
+				return idx, err
+			}
+			continue
 		}
 		leader := n.leader
 		n.mu.Unlock()
@@ -763,7 +822,11 @@ func (n *Node) SubmitWithID(ctx context.Context, id string, cmd []byte) (uint64,
 					// Committed at the leader; wait for it to reach
 					// and apply on this node (the commit index rides
 					// the next heartbeat).
-					if werr := n.waitApplied(ctx, resp.Index); werr != nil {
+					werr := n.waitAcked(ctx, resp.Index, id)
+					if errors.Is(werr, errOverwritten) {
+						continue
+					}
+					if werr != nil {
 						return 0, werr
 					}
 					if resp.Err != "" {

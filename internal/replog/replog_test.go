@@ -404,6 +404,65 @@ func TestRestartAllReplaysCommitted(t *testing.T) {
 	}
 }
 
+// TestSubmitNotAckedWhenOverwritten: a leader partitioned away takes a
+// Submit into a slot that the majority's new leader fills with its own
+// no-op. After the heal that slot is applied everywhere, but it is not
+// the command's: Submit must fail, or propose again until the command
+// itself is applied on every node.
+func TestSubmitNotAckedWhenOverwritten(t *testing.T) {
+	h := newHarness(t, 3)
+	lead := h.waitLeader(5 * time.Second)
+	h.partition(lead)
+	healed := make(chan struct{})
+	go func() {
+		defer close(healed)
+		time.Sleep(400 * time.Millisecond)
+		h.heal()
+	}()
+	idx, err := h.nodes[lead].Submit(context.Background(), []byte("partitioned"))
+	<-healed
+	if err != nil {
+		t.Logf("submit on the deposed leader failed: %v", err)
+		return
+	}
+	seq := h.waitConverged(1, 5*time.Second)
+	if !equalStrings(seq, []string{"partitioned"}) {
+		t.Fatalf("Submit acked index %d, but nodes applied %v", idx, seq)
+	}
+}
+
+// TestFollowerCatchesUpOnLargeCommands: a follower that was down while
+// the others committed large commands receives them in batches small
+// enough to arrive within one append deadline, and catches up.
+func TestFollowerCatchesUpOnLargeCommands(t *testing.T) {
+	h := newHarness(t, 3)
+	lead := h.waitLeader(5 * time.Second)
+	follower := (lead + 1) % 3
+	h.stop(follower)
+	const k = 40
+	for i := 0; i < k; i++ {
+		cmd := make([]byte, 300<<10)
+		for j := range cmd {
+			cmd[j] = byte('a' + (i+j)%26)
+		}
+		if _, err := h.nodes[lead].Submit(context.Background(), cmd); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	want := h.recs[lead].snapshot()
+	h.restart(follower)
+	deadline := time.Now().Add(10 * time.Second)
+	for len(h.recs[follower].snapshot()) < k {
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted follower applied %d of %d commands within 10s", len(h.recs[follower].snapshot()), k)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !equalStrings(h.recs[follower].snapshot(), want) {
+		t.Fatal("restarted follower applied a different command sequence than the leader")
+	}
+}
+
 // errRPC is a transport to nowhere: every RPC fails. It pins a node in
 // the follower/candidate role for white-box RPC-handler tests.
 type errRPC struct{}
@@ -537,28 +596,63 @@ func TestSubmitWithIDDedupes(t *testing.T) {
 }
 
 // TestSingleNodeLog: a one-member log (quorum 1) elects itself and
-// commits locally — the degenerate deployment still works.
+// commits locally — the degenerate deployment still works — and,
+// reopened over its dir, has replayed its whole log when Open returns,
+// before any election: a member that is its own quorum needs no leader
+// to know what is committed. The replay outlasts SubmitTimeout on
+// purpose; it is not a submission and nothing but its end bounds it.
 func TestSingleNodeLog(t *testing.T) {
+	dir := t.TempDir()
+	open := func(apply func(uint64, []byte) error, election, submit time.Duration) *Node {
+		n, err := Open(Config{
+			Self:            "http://solo",
+			Peers:           []string{"http://solo"},
+			Dir:             dir,
+			Apply:           apply,
+			ElectionTimeout: election,
+			SubmitTimeout:   submit,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
 	rec := &applyRec{}
-	n, err := Open(Config{
-		Self:            "http://solo",
-		Peers:           []string{"http://solo"},
-		Dir:             t.TempDir(),
-		Apply:           rec.apply,
-		ElectionTimeout: 30 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+	n := open(rec.apply, 30*time.Millisecond, 0)
+	var want []string
+	for i := 0; i < 20; i++ {
+		cmd := fmt.Sprintf("cmd-%d", i)
+		if _, err := n.Submit(context.Background(), []byte(cmd)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, cmd)
 	}
-	defer n.Close()
-	if _, err := n.Submit(context.Background(), []byte("only")); err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.snapshot(); len(got) != 1 || got[0] != "only" {
+	if got := rec.snapshot(); !equalStrings(got, want) {
 		t.Fatalf("applied %v", got)
 	}
 	st := n.Snapshot()
-	if st.Role != "leader" || st.Applied < 1 {
+	if st.Role != "leader" || st.Applied < 20 {
 		t.Fatalf("snapshot = %+v", st)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec = &applyRec{}
+	slow := func(i uint64, cmd []byte) error {
+		time.Sleep(5 * time.Millisecond)
+		return rec.apply(i, cmd)
+	}
+	start := time.Now()
+	n = open(slow, time.Minute, time.Millisecond)
+	defer n.Close()
+	if took := time.Since(start); took < 20*5*time.Millisecond {
+		t.Fatalf("Open returned after %v, before a 20-entry replay could finish", took)
+	}
+	if got := rec.snapshot(); !equalStrings(got, want) {
+		t.Fatalf("replayed at open %v, want %v", got, want)
+	}
+	if st := n.Snapshot(); st.Role == "leader" {
+		t.Fatalf("replay waited for an election: %+v", st)
 	}
 }

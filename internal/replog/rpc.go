@@ -1,7 +1,9 @@
 package replog
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"time"
@@ -194,9 +196,13 @@ func (n *Node) HandlePropose(req *ProposeRequest) *ProposeResponse {
 	n.broadcastLocked()
 	n.mu.Unlock()
 
-	ctx, cancel := contextWithTimeout(n.cfg.SubmitTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.SubmitTimeout)
 	defer cancel()
-	if err := n.waitApplied(ctx, idx); err != nil {
+	switch err := n.waitAcked(ctx, idx, req.ID); {
+	case errors.Is(err, errOverwritten):
+		// Deposed before idx committed: the forwarder proposes again.
+		return &ProposeResponse{NotLeader: true, Leader: n.Leader()}
+	case err != nil:
 		return &ProposeResponse{Index: idx, Err: err.Error()}
 	}
 	return &ProposeResponse{Index: idx}

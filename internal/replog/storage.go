@@ -1,10 +1,8 @@
 package replog
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"kyrix/internal/wal"
 )
@@ -100,8 +98,4 @@ func (n *Node) truncateFromLocked(index uint64) {
 	}
 	n.log = n.log[:index-1]
 	n.lsns = n.lsns[:index-1]
-}
-
-func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), d)
 }

@@ -377,7 +377,8 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 	}
 	if opts.Cluster.Replog.Dir != "" {
 		// Opened after precompute so WAL replay applies committed
-		// updates onto the freshly built in-memory tables. Each node
+		// updates onto the freshly built in-memory tables; a standalone
+		// node's Open returns once that replay is done. Each node
 		// invalidates for itself inside applyUpdate.
 		var rpc replog.RPC
 		if s.cluster != nil {

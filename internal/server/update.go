@@ -67,6 +67,12 @@ import (
 // edit whose footprint approaches the canvas anyway.
 const maxScopedRows = 256
 
+// maxUpdateBody bounds one /update body and the log command made from
+// it. An edit or a tag is a few hundred bytes; the bound keeps any one
+// command well inside a replicated-log append (its base64 form under the
+// log's RPC body limit), so a follower can always receive it.
+const maxUpdateBody = 1 << 20
+
 // UpdateRequest is the §4 update-model request. ID, when set, is a
 // client-chosen idempotency key (unique per logical update): on the
 // replicated path the log dedupes submissions sharing it, so a client
@@ -133,8 +139,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		if big := new(http.MaxBytesError); errors.As(err, &big) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	ctx, sp := s.startRequestSpan(r, "http.update")
@@ -153,6 +163,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		cmd, err := json.Marshal(&req)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if len(cmd) > maxUpdateBody {
+			// Re-encoding can grow a body (HTML and invalid UTF-8 are
+			// escaped); the log takes no command past the bound.
+			http.Error(w, "update command exceeds 1 MiB", http.StatusRequestEntityTooLarge)
 			return
 		}
 		var idx uint64
@@ -228,9 +244,8 @@ func (s *Server) applyUpdate(index uint64, cmd []byte) error {
 // transition under the update fence's write lock: in-flight delta plans
 // drain first, later ones see both the new rows and the swept cache. A
 // statement that fails part-way has still changed the rows before the
-// failure (sqldb statements are not atomic), and one whose WAL append
-// fails was applied: both are invalidated like a success, then the error
-// is returned.
+// failure (sqldb statements are not atomic): it is invalidated like a
+// success, then the error is returned.
 func (s *Server) execUpdate(sql string, args []storage.Value) (int64, invalidation, error) {
 	// Before the lock: the build scans each layer table once, and readers
 	// of other tables need not wait for it.

@@ -551,6 +551,35 @@ func TestRestartOverTombstonedL2(t *testing.T) {
 	}
 }
 
+// TestUpdateBodyBounded: an /update body over 1 MiB, or one whose log
+// command would re-encode past 1 MiB, is refused with 413 before it
+// reaches the replicated log, so every logged command fits one append.
+func TestUpdateBodyBounded(t *testing.T) {
+	db, ca := scaledApp(t, nil)
+	opts := scaledOptions("")
+	opts.Cluster.Replog.Dir = t.TempDir()
+	srv, err := New(db, ca, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for name, sql := range map[string]string{
+		"body":    strings.Repeat("a", 2<<20),
+		"command": strings.Repeat("<", 300<<10), // re-encoded as \u003c, 6 bytes each
+	} {
+		before := srv.Replog().Snapshot().LastIndex
+		body := []byte(`{"sql":"` + sql + `"}`)
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body)))
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: %d-byte body answered %d, want 413", name, len(body), w.Code)
+		}
+		if after := srv.Replog().Snapshot().LastIndex; after != before {
+			t.Errorf("%s: log LastIndex moved %d -> %d", name, before, after)
+		}
+	}
+}
+
 // TestFirstUpdateBuildsIDIndex: a server that only reads never indexes
 // the id column; the first update does, once, and from then on a point
 // update is an index probe.

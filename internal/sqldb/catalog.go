@@ -19,7 +19,6 @@ type DB struct {
 	mu         sync.RWMutex
 	tables     map[string]*Table
 	poolFrames int
-	walSt      *walState
 
 	statsMu sync.Mutex
 	stats   DBStats

@@ -1,13 +1,11 @@
 package sqldb
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 
 	"kyrix/internal/storage"
-	"kyrix/internal/wal"
 )
 
 // Query parses and executes a SELECT (or EXPLAIN SELECT), returning a
@@ -134,9 +132,8 @@ func (c *Changes) record(old, new storage.Row) {
 // ExecChanges is Exec that also reports what the statement touched,
 // keeping at most limit row images (a statement over a whole table
 // should not be held in memory twice to say "everything"). Changes is
-// meaningful on error too: a statement that fails on its third row, or
-// whose WAL append fails after it was applied, has still changed the
-// rows it reports.
+// meaningful on error too: a statement that fails on its third row has
+// still changed the rows it reports.
 func (db *DB) ExecChanges(limit int, sql string, args ...storage.Value) (int64, Changes, error) {
 	ch := Changes{limit: limit}
 	n, err := db.exec(&ch, sql, args)
@@ -151,11 +148,6 @@ func (db *DB) exec(ch *Changes, sql string, args []storage.Value) (int64, error)
 	n, err := db.execStmt(st, args, ch)
 	if err != nil {
 		return 0, err
-	}
-	if db.shouldLog(st) {
-		if err := db.logToWAL(sql, args); err != nil {
-			return n, fmt.Errorf("sqldb: statement applied but WAL append failed: %w", err)
-		}
 	}
 	return n, nil
 }
@@ -445,104 +437,4 @@ func (db *DB) execDelete(st *DeleteStmt, args []storage.Value, ch *Changes) (int
 	}
 	db.bump(func(s *DBStats) { s.Deletes += int64(len(rids)) })
 	return int64(len(rids)), nil
-}
-
-// --- WAL integration (the §4 update model) ---
-
-type walRecord struct {
-	SQL  string     `json:"sql"`
-	Args []walValue `json:"args,omitempty"`
-}
-
-type walValue struct {
-	Kind storage.ColType `json:"k"`
-	I    int64           `json:"i,omitempty"`
-	F    float64         `json:"f,omitempty"`
-	S    string          `json:"s,omitempty"`
-	B    bool            `json:"b,omitempty"`
-}
-
-// walState is set while a WAL is attached; replaying suppresses
-// re-logging during recovery.
-type walState struct {
-	log       *wal.Log
-	replaying bool
-}
-
-// AttachWAL opens (or creates) a logical redo log at path, replays any
-// committed statements into this database, and logs every subsequent
-// DDL/DML statement. Call before loading data when recovering.
-func (db *DB) AttachWAL(path string) error {
-	log, err := wal.Open(path)
-	if err != nil {
-		return err
-	}
-	db.mu.Lock()
-	db.walSt = &walState{log: log, replaying: true}
-	db.mu.Unlock()
-	err = log.Replay(func(_ wal.LSN, payload []byte) error {
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("sqldb: corrupt WAL record: %w", err)
-		}
-		args := make([]storage.Value, len(rec.Args))
-		for i, a := range rec.Args {
-			args[i] = storage.Value{Kind: a.Kind, I: a.I, F: a.F, S: a.S, B: a.B}
-		}
-		st, err := Parse(rec.SQL)
-		if err != nil {
-			return err
-		}
-		_, err = db.execStmt(st, args, nil)
-		return err
-	})
-	db.mu.Lock()
-	db.walSt.replaying = false
-	db.mu.Unlock()
-	return err
-}
-
-// DetachWAL stops logging and closes the log.
-func (db *DB) DetachWAL() error {
-	db.mu.Lock()
-	st := db.walSt
-	db.walSt = nil
-	db.mu.Unlock()
-	if st == nil {
-		return nil
-	}
-	return st.log.Close()
-}
-
-func (db *DB) shouldLog(st Statement) bool {
-	db.mu.RLock()
-	ws := db.walSt
-	db.mu.RUnlock()
-	if ws == nil || ws.replaying {
-		return false
-	}
-	switch st.(type) {
-	case *InsertStmt, *UpdateStmt, *DeleteStmt, *CreateTableStmt, *CreateIndexStmt, *DropTableStmt:
-		return true
-	}
-	return false
-}
-
-func (db *DB) logToWAL(sql string, args []storage.Value) error {
-	db.mu.RLock()
-	ws := db.walSt
-	db.mu.RUnlock()
-	if ws == nil {
-		return nil
-	}
-	rec := walRecord{SQL: sql}
-	for _, a := range args {
-		rec.Args = append(rec.Args, walValue{Kind: a.Kind, I: a.I, F: a.F, S: a.S, B: a.B})
-	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	_, err = ws.log.Append(payload)
-	return err
 }

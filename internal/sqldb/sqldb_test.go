@@ -3,7 +3,6 @@ package sqldb
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -489,38 +488,6 @@ func TestStringEscapes(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].S != "it's" {
 		t.Fatalf("escape = %v", res.Rows)
 	}
-}
-
-func TestWALReplay(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.wal")
-	db := NewDB()
-	if err := db.AttachWAL(path); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, db, "CREATE TABLE t (id INT, v TEXT)")
-	mustExec(t, db, "INSERT INTO t VALUES (1, 'one'), (2, 'two')")
-	mustExec(t, db, "UPDATE t SET v = 'TWO' WHERE id = 2")
-	mustExec(t, db, "INSERT INTO t VALUES (?, ?)", storage.I64(3), storage.Str("three"))
-	mustExec(t, db, "DELETE FROM t WHERE id = 1")
-	if err := db.DetachWAL(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Fresh DB recovers the full state from the log.
-	db2 := NewDB()
-	if err := db2.AttachWAL(path); err != nil {
-		t.Fatal(err)
-	}
-	defer db2.DetachWAL()
-	res := mustQuery(t, db2, "SELECT id, v FROM t ORDER BY id")
-	if len(res.Rows) != 2 {
-		t.Fatalf("recovered rows = %v", res.Rows)
-	}
-	if res.Rows[0][1].S != "TWO" || res.Rows[1][1].S != "three" {
-		t.Fatalf("recovered values = %v", res.Rows)
-	}
-	// And continues logging.
-	mustExec(t, db2, "INSERT INTO t VALUES (4, 'four')")
 }
 
 func TestConcurrentReadersAndWriter(t *testing.T) {

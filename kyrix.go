@@ -240,26 +240,36 @@
 //   - Durability. Each member persists the log through the same
 //     length-prefixed CRC-32 WAL framing the store uses: an
 //     append-only term/vote file (meta.kyx) and a truncatable entry
-//     log (replog.kyx) under Dir. A restarted node replays its
-//     committed prefix through the apply callback before serving, so
-//     an acked update survives any minority of crashes — and full
-//     restarts, since the entries are on every quorum member's disk.
+//     log (replog.kyx) under Dir. An acked update survives any
+//     minority of crashes — and full restarts, since the entries are on
+//     every quorum member's disk. A restarted cluster member replays
+//     the committed prefix as its leader reports it; a standalone
+//     member replays its whole log before [NewServer] returns.
 //   - Failover. Followers detect a dead leader by heartbeat silence
 //     (randomized election timeouts prevent split votes; a live
 //     leader's followers refuse votes, so a rejoining node cannot
 //     depose it) and elect a replacement that first commits a no-op to
 //     discover the durable frontier. Clients see 503 during the
 //     election window; an update acked before the kill is never lost.
+//     An ack names the command's own log slot: a slot that a new
+//     leader filled with another entry is proposed again, so a 200
+//     means the update was applied.
 //     A 503 is ambiguous — the update may have committed before the
 //     error — so each update carries an idempotency key the log
 //     dedupes retries on (the forwarding path mints one per request;
 //     clients needing retry-safety across their own re-POSTs set "id"
 //     in the /update body), making a keyed retry exactly-once even for
 //     non-idempotent SQL.
-//   - Standalone. A single-member log (Self unset, Dir set) commits
+//   - Standalone. A single-member log (Self unset, Dir set;
+//     `kyrix-server -replog-dir DIR` without cluster flags) commits
 //     with quorum 1 — the same durable, replayable /update without
-//     cluster networking, which is also the crash-recovery story for
-//     one node.
+//     cluster networking, and the one durable record of updates on one
+//     node. It is its own quorum, so at open its whole log is
+//     committed: [NewServer] returns once every entry on disk has been
+//     applied, however long the replay takes (SubmitTimeout bounds
+//     submissions, not the replay), and a restart over the same Dir,
+//     loaded with the same data, serves the updated rows from its first
+//     request.
 //
 // GET /stats reports the member under replog (role, term, leader,
 // last/commit/applied indexes) and per-peer transport health under
