@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"strings"
 
 	"kyrix/internal/geom"
@@ -103,24 +103,42 @@ func (pl *PhysicalLayer) LODWindowSQL(level int, window geom.Rect) (string, []st
 	return sql, args
 }
 
-// lodCell is one grid cell's aggregate under construction.
+// lodCell is one pyramid cell, keyed by the Morton (Z-order) code of its
+// grid column and row at its level. A level is a slice of cells sorted
+// by key, and the (up to four) children of a parent cell are the
+// adjacent run sharing key>>2. The representative is held by RID: the
+// level row is built from its stored tuple bytes.
 type lodCell struct {
-	rep   storage.Row
-	repID int64
-	count int64
-	sum   float64
-	ext   geom.Rect
+	key    uint64
+	count  int64
+	sum    float64
+	ext    geom.Rect
+	repID  int64
+	repRID storage.RID
 }
 
-type lodCellKey struct{ col, row int }
-
-// buildLOD materializes the aggregation pyramid for a separable layer.
-// Level 0 is aggregated from the raw table by cell-range (column
-// stripe) tasks run on the work-stealing pool — stripes over a skewed
-// dataset cost wildly different amounts, which is exactly what stealing
-// rebalances — and each higher level folds the previous one 2x2 in
-// memory. Level tables are bulk-inserted concurrently and R-tree
-// indexed at the end (the index build bulk-loads).
+// buildLOD materializes the aggregation pyramid for a separable layer in
+// one pass over the raw table's heap:
+//
+//   - A row counts iff its rendered box (its canvas point padded by the
+//     layer radius) intersects the canvas, edges inclusive. A counted
+//     row whose point lies just outside the canvas joins the nearest
+//     edge cell.
+//   - Level 0 aggregates the counted rows per cell of side baseCell:
+//     count, sum, extent (the union of the rendered boxes) and the
+//     member with the smallest id as representative (the first scanned
+//     on a tie).
+//   - Each coarser level folds the previous one's sorted cells in place,
+//     one linear pass over runs of equal key>>2, in key order: counts
+//     and sums add, extents union, and the heaviest child's
+//     representative represents the parent (ties to the smaller id).
+//     Level 0 sums in heap order, so equal heaps build bit-identical
+//     pyramids.
+//
+// Each level row is the representative's stored tuple followed by the
+// aggregate columns, appended straight into the level's heap; the
+// level's R-tree is built afterwards. Beyond the heap the build holds
+// O(non-empty cells), never O(canvas area).
 func buildLOD(ctx context.Context, db *sqldb.DB, pl *PhysicalLayer, opts Options) error {
 	budget := opts.LODRowBudget
 	if budget <= 0 {
@@ -129,10 +147,6 @@ func buildLOD(ctx context.Context, db *sqldb.DB, pl *PhysicalLayer, opts Options
 	baseCell := opts.LODBaseCell
 	if baseCell <= 0 {
 		baseCell = 64
-	}
-	workers := opts.LODWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	for _, col := range pl.Schema {
 		if strings.HasPrefix(col.Name, "lod_") {
@@ -146,19 +160,6 @@ func buildLOD(ctx context.Context, db *sqldb.DB, pl *PhysicalLayer, opts Options
 	n := t.RowCount()
 	if n == 0 {
 		return nil // nothing to aggregate; raw queries are already free
-	}
-	xi := pl.Schema.ColIndex(pl.XCol)
-	yi := pl.Schema.ColIndex(pl.YCol)
-	idIdx := pl.Schema.ColIndex(pl.IDCol)
-	if xi < 0 || yi < 0 || idIdx < 0 {
-		return fmt.Errorf("fetch: auto-LOD layer %s: placement/id columns missing", pl.Table)
-	}
-	sumIdx, sumCol := -1, ""
-	for i, col := range pl.Schema {
-		if col.Type == storage.TFloat64 && col.Name != pl.XCol && col.Name != pl.YCol {
-			sumIdx, sumCol = i, col.Name
-			break
-		}
 	}
 
 	// Plan the levels: cell size doubles per level until a full-canvas
@@ -175,128 +176,267 @@ func buildLOD(ctx context.Context, db *sqldb.DB, pl *PhysicalLayer, opts Options
 		}
 	}
 
-	// Level 0: column-stripe aggregation tasks over the raw table. Each
-	// stripe queries its canvas slice through the layer's own window SQL
-	// (the point R-tree answers it) and owns a disjoint range of cell
-	// columns, so per-task maps merge without conflicts. Rows pulled in
-	// by the window's radius padding are filtered by their true cell
-	// column, which also keeps stripe-boundary rows from counting twice.
-	cell0 := cells[0]
-	cols0 := int(math.Ceil(pl.CanvasW / cell0))
-	rows0 := int(math.Ceil(pl.CanvasH / cell0))
-	stripes := workers * 4
-	if stripes > cols0 {
-		stripes = cols0
-	}
-	if stripes < 1 {
-		stripes = 1
-	}
-	perStripe := (cols0 + stripes - 1) / stripes
-	stripeCells := make([]map[lodCellKey]*lodCell, stripes)
-	tasks := make([]Task, stripes)
-	for si := 0; si < stripes; si++ {
-		si := si
-		lo := si * perStripe
-		hi := lo + perStripe
-		if hi > cols0 {
-			hi = cols0
-		}
-		tasks[si] = func(ctx context.Context) error {
-			window := geom.Rect{
-				MinX: float64(lo) * cell0, MinY: 0,
-				MaxX: float64(hi) * cell0, MaxY: pl.CanvasH,
-			}
-			sql, args := pl.WindowSQL(window)
-			res, err := db.Query(sql, args...)
-			if err != nil {
-				return err
-			}
-			m := make(map[lodCellKey]*lodCell)
-			for i, row := range res.Rows {
-				if i%1024 == 0 && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				cx := row[xi].AsFloat() * pl.XScale
-				cy := row[yi].AsFloat() * pl.YScale
-				ccol := clampInt(int(cx/cell0), 0, cols0-1)
-				if ccol < lo || ccol >= hi {
-					continue // the stripe owning this cell aggregates it
-				}
-				crow := clampInt(int(cy/cell0), 0, rows0-1)
-				id := row[idIdx].AsInt()
-				box := geom.RectAround(geom.Point{X: cx, Y: cy}, pl.Radius)
-				key := lodCellKey{ccol, crow}
-				c, ok := m[key]
-				if !ok {
-					m[key] = &lodCell{rep: row, repID: id, count: 1, sum: weightOf(row, sumIdx), ext: box}
-					continue
-				}
-				c.count++
-				c.sum += weightOf(row, sumIdx)
-				c.ext = c.ext.Union(box)
-				if id < c.repID {
-					c.rep, c.repID = row, id
-				}
-			}
-			stripeCells[si] = m
-			return nil
-		}
-	}
-	if err := RunTasks(ctx, workers, tasks); err != nil {
-		return err
-	}
-	level := make(map[lodCellKey]*lodCell)
-	for _, m := range stripeCells {
-		for k, c := range m {
-			level[k] = c // stripes own disjoint cell columns: no conflicts
-		}
-	}
-
 	p := &LODPyramid{
 		RowBudget: budget,
 		Density:   float64(n) / (pl.CanvasW * pl.CanvasH),
-		SumCol:    sumCol,
 	}
-	for li, cellSize := range cells {
-		if li > 0 {
-			// Fold the previous level 2x2: counts and sums add, extents
-			// union, and the representative of the heaviest child (ties
-			// to the smallest id, keeping the fold deterministic)
-			// represents the parent.
-			parent := make(map[lodCellKey]*lodCell, (len(level)+3)/4)
-			for k, c := range level {
-				pk := lodCellKey{k.col / 2, k.row / 2}
-				pc, ok := parent[pk]
-				if !ok {
-					cp := *c
-					parent[pk] = &cp
-					continue
-				}
-				if c.count > pc.count || (c.count == pc.count && c.repID < pc.repID) {
-					pc.rep, pc.repID = c.rep, c.repID
-				}
-				pc.count += c.count
-				pc.sum += c.sum
-				pc.ext = pc.ext.Union(c.ext)
+	tables := make([]string, len(cells))
+	for li := range cells {
+		tables[li] = fmt.Sprintf("lod_%s_%s_%d_%d", sanitize(pl.App), sanitize(pl.CanvasID), pl.LayerIdx, li)
+		if err := createLODTable(db, tables[li], pl.Schema); err != nil {
+			return err
+		}
+	}
+	// The raw table's read lock is held from the scan to the last level
+	// row, so every representative RID stays valid.
+	err = db.ViewHeap(pl.Table, func(h *storage.HeapFile) error {
+		level, sumCol, err := lodLevel0(ctx, h, pl, cells[0])
+		if err != nil {
+			return err
+		}
+		p.SumCol = sumCol
+		src := h.Cursor()
+		defer src.Close()
+		for li := range cells {
+			if li > 0 {
+				level = foldLODLevel(level)
 			}
-			level = parent
+			if err := writeLODLevel(ctx, db, tables[li], &src, level); err != nil {
+				return err
+			}
+			p.Levels = append(p.Levels, LODLevel{Table: tables[li], Cell: cells[li], Cells: int64(len(level))})
 		}
-		table := fmt.Sprintf("lod_%s_%s_%d_%d", sanitize(pl.App), sanitize(pl.CanvasID), pl.LayerIdx, li)
-		if err := createLODTable(db, table, pl.Schema); err != nil {
-			return err
-		}
-		if err := insertLODLevel(ctx, db, table, level, workers); err != nil {
-			return err
-		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, table := range tables {
 		if _, err := db.Exec(fmt.Sprintf(
 			"CREATE INDEX kyrix_%s_ext ON %s USING RTREE (lod_minx, lod_miny, lod_maxx, lod_maxy)",
 			sanitize(table), table)); err != nil {
 			return err
 		}
-		p.Levels = append(p.Levels, LODLevel{Table: table, Cell: cellSize, Cells: int64(len(level))})
 	}
 	pl.LOD = p
 	return nil
+}
+
+// lodLevel0 scans h once, decoding each tuple into one reused row, and
+// returns the level-0 cells sorted by key, with the name of the column
+// lod_sum aggregates (the first float column that is not a placement
+// coordinate; "" sums nothing).
+func lodLevel0(ctx context.Context, h *storage.HeapFile, pl *PhysicalLayer, cell float64) ([]lodCell, string, error) {
+	schema := h.Schema()
+	xi := schema.ColIndex(pl.XCol)
+	yi := schema.ColIndex(pl.YCol)
+	idIdx := schema.ColIndex(pl.IDCol)
+	if xi < 0 || yi < 0 || idIdx < 0 {
+		return nil, "", fmt.Errorf("fetch: auto-LOD layer %s: placement/id columns missing", pl.Table)
+	}
+	sumIdx, sumCol := -1, ""
+	for i, col := range schema {
+		if col.Type == storage.TFloat64 && col.Name != pl.XCol && col.Name != pl.YCol {
+			sumIdx, sumCol = i, col.Name
+			break
+		}
+	}
+	cols := math.Ceil(pl.CanvasW / cell)
+	rows := math.Ceil(pl.CanvasH / cell)
+	if cols > 1<<32 || rows > 1<<32 {
+		return nil, "", fmt.Errorf("fetch: auto-LOD layer %s: %gx%g base cells exceed the 2^32 grid", pl.Table, cols, rows)
+	}
+	maxCol, maxRow := int(cols)-1, int(rows)-1
+	canvas := pl.CanvasRect()
+
+	var level []lodCell
+	var at cellIndex // key -> position in level
+	row := make(storage.Row, len(schema))
+	scanned := 0
+	err := h.ScanTuples(func(rid storage.RID, tuple []byte) error {
+		if scanned++; scanned%1024 == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if err := storage.DecodeRowInto(tuple, schema, row); err != nil {
+			return err
+		}
+		cx := row[xi].AsFloat() * pl.XScale
+		cy := row[yi].AsFloat() * pl.YScale
+		box := geom.RectAround(geom.Point{X: cx, Y: cy}, pl.Radius)
+		if !canvas.Intersects(box) {
+			return nil
+		}
+		key := morton(uint32(clampInt(int(cx/cell), 0, maxCol)), uint32(clampInt(int(cy/cell), 0, maxRow)))
+		id := row[idIdx].AsInt()
+		i, fresh := at.find(key, len(level))
+		if fresh {
+			if len(level) == cap(level) {
+				// Double: append grows a large slice by 1.25x, which
+				// allocates several times the final level in all.
+				level = slices.Grow(level, len(level)+1)
+			}
+			level = append(level, lodCell{key: key, ext: box, repID: id, repRID: rid})
+		}
+		c := &level[i]
+		c.count++
+		c.sum += weightOf(row, sumIdx)
+		c.ext = c.ext.Union(box)
+		if id < c.repID {
+			c.repID, c.repRID = id, rid
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	return sortCells(level), sumCol, nil
+}
+
+// sortCells sorts cells by key: a least-significant-digit radix sort
+// over the key bytes that vary, alternating with one scratch slice. A
+// byte-wide pass is a few ms over 10^5..10^6 cells, well under a
+// comparison sort of the 80-byte cells.
+func sortCells(cells []lodCell) []lodCell {
+	var used uint64
+	for i := range cells {
+		used |= cells[i].key
+	}
+	src, dst := cells, make([]lodCell, len(cells))
+	for shift := 0; shift < 64 && used>>shift != 0; shift += 8 {
+		var at [256]int
+		for i := range src {
+			at[byte(src[i].key>>shift)]++
+		}
+		sum := 0
+		for d, n := range at {
+			at[d], sum = sum, sum+n
+		}
+		for i := range src {
+			d := byte(src[i].key >> shift)
+			dst[at[d]] = src[i]
+			at[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// cellIndex maps level-0 cell keys to positions in the level slice:
+// open addressing with linear probing over one slice kept at most half
+// full. The scan does one probe sequence per row, where a Go map would
+// take a lookup and then, for a new cell, an insert.
+type cellIndex struct {
+	slots []cellSlot
+	shift uint // a key's home slot is the top 64-shift bits of its hash
+	n     int
+}
+
+type cellSlot struct {
+	key uint64
+	at  int // position + 1; 0 marks an empty slot
+}
+
+// find returns key's position, or records next as its position and
+// reports true.
+func (ix *cellIndex) find(key uint64, next int) (int, bool) {
+	if 2*(ix.n+1) > len(ix.slots) {
+		ix.grow()
+	}
+	mask := uint64(len(ix.slots) - 1)
+	for s := (key * 0x9E3779B97F4A7C15) >> ix.shift; ; s = (s + 1) & mask {
+		switch sl := &ix.slots[s]; {
+		case sl.at == 0:
+			sl.key, sl.at = key, next+1
+			ix.n++
+			return next, true
+		case sl.key == key:
+			return sl.at - 1, false
+		}
+	}
+}
+
+func (ix *cellIndex) grow() {
+	old := ix.slots
+	if ix.shift == 0 {
+		ix.shift = 64 - 10 // 1024 slots
+	} else {
+		ix.shift--
+	}
+	ix.slots, ix.n = make([]cellSlot, 1<<(64-ix.shift)), 0
+	for _, sl := range old {
+		if sl.at != 0 {
+			ix.find(sl.key, sl.at-1)
+		}
+	}
+}
+
+// foldLODLevel turns a level's sorted cells into the next coarser
+// level's, in place and still sorted: each run of cells sharing key>>2
+// becomes one parent.
+func foldLODLevel(level []lodCell) []lodCell {
+	out := level[:0]
+	for i := 0; i < len(level); {
+		p := level[i]
+		p.key >>= 2
+		best := p.count // the heaviest child so far, not the running total
+		j := i + 1
+		for ; j < len(level) && level[j].key>>2 == p.key; j++ {
+			c := &level[j]
+			if c.count > best || (c.count == best && c.repID < p.repID) {
+				best, p.repID, p.repRID = c.count, c.repID, c.repRID
+			}
+			p.count += c.count
+			p.sum += c.sum
+			p.ext = p.ext.Union(c.ext)
+		}
+		out = append(out, p) // len(out) <= i < j: no unread cell is overwritten
+		i = j
+	}
+	return out
+}
+
+// writeLODLevel appends one row per cell to table: the representative's
+// tuple bytes, read through src, then the aggregate columns encoded
+// into the same reused buffer.
+func writeLODLevel(ctx context.Context, db *sqldb.DB, table string, src *storage.Cursor, level []lodCell) error {
+	agg := make(storage.Row, len(lodAggColumns))
+	var buf []byte
+	return db.AppendTuples(table, func(put func([]byte) error) error {
+		for i := range level {
+			if i%1024 == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			c := &level[i]
+			rep, err := src.Tuple(c.repRID)
+			if err != nil {
+				return err
+			}
+			agg[0], agg[1] = storage.I64(c.count), storage.F64(c.sum)
+			agg[2], agg[3] = storage.F64(c.ext.MinX), storage.F64(c.ext.MinY)
+			agg[4], agg[5] = storage.F64(c.ext.MaxX), storage.F64(c.ext.MaxY)
+			if buf, err = storage.EncodeRow(append(buf[:0], rep...), lodAggColumns, agg); err != nil {
+				return err
+			}
+			if err := put(buf); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// morton interleaves col's bits into the even positions of the key and
+// row's into the odd ones, so key>>2 is the key of the parent cell.
+func morton(col, row uint32) uint64 { return spreadBits(col) | spreadBits(row)<<1 }
+
+func spreadBits(v uint32) uint64 {
+	x := uint64(v)
+	x = (x | x<<16) & 0x0000FFFF0000FFFF
+	x = (x | x<<8) & 0x00FF00FF00FF00FF
+	x = (x | x<<4) & 0x0F0F0F0F0F0F0F0F
+	x = (x | x<<2) & 0x3333333333333333
+	x = (x | x<<1) & 0x5555555555555555
+	return x
 }
 
 func weightOf(row storage.Row, sumIdx int) float64 {
@@ -331,41 +471,4 @@ func createLODTable(db *sqldb.DB, table string, base storage.Schema) error {
 	ddl.WriteString(")")
 	_, err := db.Exec(ddl.String())
 	return err
-}
-
-// insertLODLevel bulk-loads one level's cells: the cell set is chunked
-// and the chunks inserted concurrently through the batched InsertRows
-// path (one table-lock acquisition per chunk), again on the
-// work-stealing pool.
-func insertLODLevel(ctx context.Context, db *sqldb.DB, table string, level map[lodCellKey]*lodCell, workers int) error {
-	const chunkRows = 1024
-	all := make([]*lodCell, 0, len(level))
-	for _, c := range level {
-		all = append(all, c)
-	}
-	var tasks []Task
-	for start := 0; start < len(all); start += chunkRows {
-		end := start + chunkRows
-		if end > len(all) {
-			end = len(all)
-		}
-		chunk := all[start:end]
-		tasks = append(tasks, func(ctx context.Context) error {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			rows := make([]storage.Row, len(chunk))
-			for i, c := range chunk {
-				row := make(storage.Row, 0, len(c.rep)+len(lodAggColumns))
-				row = append(row, c.rep...)
-				row = append(row,
-					storage.I64(c.count), storage.F64(c.sum),
-					storage.F64(c.ext.MinX), storage.F64(c.ext.MinY),
-					storage.F64(c.ext.MaxX), storage.F64(c.ext.MaxY))
-				rows[i] = row
-			}
-			return db.InsertRows(table, rows)
-		})
-	}
-	return RunTasks(ctx, workers, tasks)
 }

@@ -72,9 +72,6 @@ type Options struct {
 	// LODBaseCell is the finest pyramid level's grid cell size in
 	// canvas units (0 = 64).
 	LODBaseCell float64
-	// LODWorkers sizes the work-stealing pool building the pyramid
-	// (0 = GOMAXPROCS).
-	LODWorkers int
 }
 
 // CanvasRect returns the layer's canvas extent.
@@ -240,9 +237,10 @@ func materializeSeparable(ctx context.Context, db *sqldb.DB, ca *spec.CompiledAp
 	}
 
 	if opts.BuildSpatial || l.LOD == "auto" {
-		// The pyramid build's stripe queries run through this point
-		// R-tree, so auto-LOD forces it even when the serving design
-		// would not.
+		// An auto-LOD layer answers its zoomed-in windows with raw
+		// rows through this point R-tree, and the pyramid build scans
+		// the heap it clusters, so auto-LOD forces it even when the
+		// serving design would not.
 		idxName := fmt.Sprintf("kyrix_%s_xy", sanitize(pl.Table))
 		sql := fmt.Sprintf("CREATE INDEX %s ON %s USING RTREE (%s, %s, %s, %s)",
 			idxName, pl.Table, p.XCol, p.YCol, p.XCol, p.YCol)

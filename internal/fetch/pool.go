@@ -15,8 +15,7 @@ type Task func(ctx context.Context) error
 // back (good locality for its own pre-assigned range); thieves steal
 // oldest-first from the front, taking the work the owner is furthest
 // from reaching. A mutex per deque is plenty here: tasks are
-// coarse-grained (a layer materialization, a cell-range aggregation
-// pass), so queue operations are nowhere near the critical path.
+// coarse-grained (a whole layer materialization), so queue operations are nowhere near the critical path.
 type taskDeque struct {
 	mu    sync.Mutex
 	tasks []Task
@@ -47,8 +46,7 @@ func (q *taskDeque) steal() Task {
 // RunTasks executes tasks on a work-stealing pool of the given width:
 // tasks are dealt round-robin onto per-worker deques, each worker
 // drains its own deque and then steals from the others, so uneven task
-// costs (one huge layer among small ones, a dense cell stripe among
-// sparse ones) rebalance instead of serializing behind the pre-assigned
+// costs (one huge layer among small ones) rebalance instead of serializing behind the pre-assigned
 // owner. The first error cancels the derived context — remaining queued
 // tasks are skipped and in-flight tasks see ctx.Done() — and is
 // returned. A cancelled parent context is returned as its ctx.Err().

@@ -236,6 +236,50 @@ func (db *DB) ScanTable(table string, fn func(row storage.Row) bool) error {
 	return t.heap.Scan(func(_ storage.RID, row storage.Row) bool { return fn(row) })
 }
 
+// ViewHeap calls fn with table's heap under the table's read lock: no
+// write and no clustering rewrite runs until fn returns, so the RIDs fn
+// reads stay valid for all of it. fn must only read h, and must not
+// query table again (the read lock is not reentrant).
+func (db *DB) ViewHeap(table string, fn func(h *storage.HeapFile) error) error {
+	t, err := db.Table(table)
+	if err != nil {
+		return err
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return fn(t.heap)
+}
+
+// AppendTuples bulk-loads pre-encoded tuples into table under one hold
+// of its write lock: fill calls put once per tuple, in the heap's tuple
+// format for the table's schema (see storage.EncodeRow), and put copies
+// it. It maintains no index, so it refuses a table that has one: load
+// first, then CREATE INDEX, which bulk-loads.
+func (db *DB) AppendTuples(table string, fill func(put func(tuple []byte) error) error) error {
+	t, err := db.Table(table)
+	if err != nil {
+		return err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.indexes) > 0 {
+		return fmt.Errorf("sqldb: append tuples: table %q has indexes", table)
+	}
+	var n int64
+	err = fill(func(tuple []byte) error {
+		if err := storage.CheckTuple(tuple, t.schema); err != nil {
+			return fmt.Errorf("sqldb: append tuples to %q: %w", table, err)
+		}
+		if _, err := t.heap.InsertBytes(tuple); err != nil {
+			return err
+		}
+		n++
+		return nil
+	})
+	db.bump(func(s *DBStats) { s.Inserts += n })
+	return err
+}
+
 // InsertRow is the fast bulk-load path used by dataset generators: it
 // bypasses SQL parsing but maintains indexes identically to INSERT.
 func (db *DB) InsertRow(table string, row storage.Row) error {
@@ -262,11 +306,10 @@ func (db *DB) InsertRow(table string, row storage.Row) error {
 	return nil
 }
 
-// InsertRows appends a batch of rows under one lock acquisition — the
-// concurrent bulk-load path for precompute passes that build tables
-// from several goroutines at once: each caller coerces its batch
-// outside the lock, then holds the table's write lock once per batch
-// instead of once per row. Rows are coerced in place.
+// InsertRows appends a batch of rows under one lock acquisition: the
+// caller's batch is coerced outside the lock, then the table's write
+// lock is held once per batch instead of once per row, so several
+// goroutines can bulk-load one table. Rows are coerced in place.
 func (db *DB) InsertRows(table string, rows []storage.Row) error {
 	if len(rows) == 0 {
 		return nil

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,7 +42,7 @@ func TestInsertRowsErrors(t *testing.T) {
 		t.Fatal("missing table must fail")
 	}
 	// A bad row anywhere in the batch rejects the whole batch before any
-	// insert happens — partial batches would corrupt pyramid levels.
+	// insert happens, so a failed bulk load leaves no partial batch.
 	batch := []storage.Row{
 		{storage.I64(1), storage.F64(2)},
 		{storage.I64(2)}, // arity
@@ -138,5 +139,56 @@ func TestInsertRowsConcurrentBatches(t *testing.T) {
 	res := mustQuery(t, db, "SELECT COUNT(*) FROM t")
 	if got := res.Rows[0][0].AsInt(); got != writers*batches*batchSize {
 		t.Fatalf("count = %d, want %d", got, writers*batches*batchSize)
+	}
+}
+
+func TestAppendTuples(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, "CREATE TABLE t (a INT, s TEXT, b DOUBLE)")
+	schema := storage.Schema{{Name: "a", Type: storage.TInt64}, {Name: "s", Type: storage.TString}, {Name: "b", Type: storage.TFloat64}}
+	var buf []byte
+	err := db.AppendTuples("t", func(put func([]byte) error) error {
+		for i := 0; i < 3; i++ {
+			var err error
+			buf, err = storage.EncodeRow(buf[:0], schema, storage.Row{
+				storage.I64(int64(i)), storage.Str(fmt.Sprint("r", i)), storage.F64(float64(i) / 2),
+			})
+			if err != nil {
+				return err
+			}
+			if err := put(buf); err != nil { // put copies: buf is reused
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := mustQuery(t, db, "SELECT * FROM t ORDER BY a")
+	if len(res.Rows) != 3 || res.Rows[2][1].S != "r2" || res.Rows[2][2].F != 1 {
+		t.Fatalf("appended rows read back as %v", res.Rows)
+	}
+	if got := db.Stats().Inserts; got != 3 {
+		t.Fatalf("Inserts stat = %d, want 3", got)
+	}
+
+	// A tuple that is not exactly one row of the schema is refused.
+	good := buf
+	for _, bad := range [][]byte{good[:len(good)-1], append(slices.Clone(good), 0)} {
+		if err := db.AppendTuples("t", func(put func([]byte) error) error { return put(bad) }); err == nil {
+			t.Fatalf("malformed tuple of %d bytes (want %d) accepted", len(bad), len(good))
+		}
+	}
+	// The entry point maintains no index, so an indexed table is refused
+	// before fill runs.
+	mustExec(t, db, "CREATE INDEX t_a ON t USING BTREE (a)")
+	called := false
+	err = db.AppendTuples("t", func(put func([]byte) error) error { called = true; return nil })
+	if err == nil || called {
+		t.Fatalf("indexed table: err = %v, fill called = %v; want a refusal before fill", err, called)
+	}
+	if res := mustQuery(t, db, "SELECT * FROM t"); len(res.Rows) != 3 {
+		t.Fatalf("refused appends left %d rows, want 3", len(res.Rows))
 	}
 }

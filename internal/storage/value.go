@@ -239,6 +239,36 @@ func EncodeRow(buf []byte, schema Schema, row Row) ([]byte, error) {
 	return buf, nil
 }
 
+// CheckTuple reports whether buf is exactly one tuple of schema in
+// EncodeRow's format, walking the column widths without decoding a
+// value.
+func CheckTuple(buf []byte, schema Schema) error {
+	off := 0
+	for i, col := range schema {
+		switch col.Type {
+		case TInt64, TFloat64:
+			off += 8
+		case TBool:
+			off++
+		case TString:
+			n, sz := binary.Uvarint(buf[off:])
+			if sz <= 0 || n > uint64(len(buf)-off-sz) {
+				return fmt.Errorf("storage: truncated TEXT at col %d", i)
+			}
+			off += sz + int(n)
+		default:
+			return fmt.Errorf("storage: unknown column type %v", col.Type)
+		}
+		if off > len(buf) {
+			return fmt.Errorf("storage: truncated %s at col %d", col.Type, i)
+		}
+	}
+	if off != len(buf) {
+		return fmt.Errorf("storage: tuple has %d bytes past its %d columns", len(buf)-off, len(schema))
+	}
+	return nil
+}
+
 // DecodeRow parses a row previously produced by EncodeRow. The returned
 // row does not alias buf for strings (they are copied), so pages can be
 // evicted safely afterwards.

@@ -58,6 +58,24 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
+func TestCheckTuple(t *testing.T) {
+	buf, err := EncodeRow(nil, testSchema, sampleRow(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckTuple(buf, testSchema); err != nil {
+		t.Fatalf("encoded row refused: %v", err)
+	}
+	for cut := 0; cut < len(buf); cut++ {
+		if CheckTuple(buf[:cut], testSchema) == nil {
+			t.Fatalf("tuple cut to %d of %d bytes accepted", cut, len(buf))
+		}
+	}
+	if CheckTuple(append(buf, 0), testSchema) == nil {
+		t.Fatal("tuple with a trailing byte accepted")
+	}
+}
+
 func TestEncodeAppends(t *testing.T) {
 	prefix := []byte{0xAA, 0xBB}
 	buf, err := EncodeRow(prefix, Schema{{Name: "v", Type: TInt64}}, Row{I64(9)})

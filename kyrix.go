@@ -291,7 +291,7 @@
 //   - Pyramid layout. Level ℓ partitions the canvas into square cells
 //     of side baseCell·2^ℓ ([PrecomputeOptions].LODBaseCell, default
 //     64). Each cell stores one materialized row: the cell's
-//     representative base row (smallest id — so the base-schema prefix,
+//     representative base row (rule below; the base-schema prefix,
 //     id/x/y/..., decodes exactly like a raw row) with appended
 //     aggregate columns lod_count (rows in the cell), lod_sum (first
 //     non-coordinate numeric column), and lod_minx/miny/maxx/maxy (the
@@ -299,7 +299,14 @@
 //     Levels are built until a level's full-canvas cell count fits the
 //     row budget ([PrecomputeOptions].LODRowBudget, default 4096).
 //     Level 0 aggregates the base table; each coarser level folds 2×2
-//     child cells, keeping the heaviest child's representative.
+//     child cells. A row counts iff its rendered box (its point ± the
+//     layer radius) intersects the canvas, edges inclusive; a counted
+//     row whose point lies outside joins the nearest edge cell.
+//   - Representative rule. A level-0 cell's representative is its
+//     member with the smallest id; a coarser cell's is its heaviest
+//     child's (largest lod_count, ties to the smaller representative
+//     id). Children fold in Z order, so lod_sum adds in a fixed order
+//     too, and two builds over the same heap are bit-identical.
 //   - Level selection. A tile or dbox window routes to the coarsest
 //     need: if the layer's row density times the window area fits the
 //     budget, raw rows are served; otherwise the finest level whose
@@ -310,16 +317,24 @@
 //     cache, peer fills and v3 compression unchanged (v3 delta frames
 //     are gated on base and new box selecting the same level: the same
 //     representative id carries different aggregates across levels).
-//   - Build. The pyramid is built by the work-stealing precompute pool
-//     (internal/fetch): level 0 is split into disjoint cell-column
-//     stripes, stolen across [PrecomputeOptions].LODWorkers workers
-//     (0 = GOMAXPROCS), and bulk-inserted in batches; a failure in any
-//     layer cancels the in-flight builds of every other layer.
+//   - Build. One pass, on one goroutine per layer: the raw table's
+//     clustered heap is scanned once, each tuple decoded into one
+//     reused row, and level-0 cells are kept by the Morton (Z-order)
+//     code of their grid cell, so memory follows the non-empty cells,
+//     never the canvas area. Sorted by code, the children of a parent
+//     are adjacent and each coarser level is one in-place linear fold.
+//     A level row is the representative's stored tuple bytes followed
+//     by the encoded aggregate columns, appended straight into the
+//     level heap; then the level's R-tree is bulk-loaded. There is no
+//     worker pool inside a layer; a failure in any layer's build still
+//     cancels the in-flight builds of every other layer.
 //
 // The bounded-row property is measured by bench/'s zoom_lod workload
 // and by BenchmarkLODZoom (rows scanned per pan step with the lod knob
-// off vs on), which CI's bench-regression job tracks. GET /app advertises lod/lodLevels per
-// layer; GET /stats exposes lodQueries and dbRowsScanned.
+// off vs on), which CI's bench-regression job tracks together with
+// BenchmarkPyramidBuild (one build: ns/op, B/op). GET /app advertises
+// lod/lodLevels per layer; GET /stats exposes lodQueries and
+// dbRowsScanned.
 //
 // # Wire payloads (the JSON and binary codecs)
 //
