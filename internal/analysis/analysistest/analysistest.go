@@ -11,11 +11,14 @@
 // expression that must match exactly one finding reported on that
 // line; findings on lines without a matching want, and wants without a
 // finding, both fail the test. Suppression directives are honored
-// before matching, so a //lint:ignore-kyrix'd line wants nothing.
+// before matching, so a //lint:ignore-kyrix'd line wants nothing. Want
+// comments are removed before the analyzer runs: they are expectations,
+// not comments of the code under test.
 package analysistest
 
 import (
 	"fmt"
+	"go/ast"
 	"regexp"
 	"testing"
 
@@ -46,10 +49,13 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	// key: file:line
 	wants := make(map[string][]*expectation)
 	for _, file := range pkg.Files {
+		var kept []*ast.CommentGroup
 		for _, cg := range file.Comments {
+			rest := &ast.CommentGroup{}
 			for _, c := range cg.List {
 				m := wantRe.FindStringSubmatch(c.Text)
 				if m == nil {
+					rest.List = append(rest.List, c)
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
@@ -62,7 +68,11 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 					wants[key] = append(wants[key], &expectation{re: re})
 				}
 			}
+			if len(rest.List) > 0 {
+				kept = append(kept, rest)
+			}
 		}
+		file.Comments = kept
 	}
 	findings, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a})
 	if err != nil {

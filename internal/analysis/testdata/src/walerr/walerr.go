@@ -30,6 +30,14 @@ func explicitDiscard(l *wal.Log) {
 	// Visible, greppable decision: durability is deferred to the next
 	// commit point.
 	_ = l.Sync()
+	_ = l.Sync() // trailing reason: the line itself carries it
+}
+
+func uncommentedDiscard(l *wal.Log, payload []byte) {
+	_ = l.Sync() // want `error from \(Log\)\.Sync assigned to _ without a comment`
+
+	lsn, _ := l.Append(payload) // want `error from \(Log\)\.Append assigned to _ without a comment`
+	_ = lsn
 }
 
 // Size returns no error, so a bare call is fine.

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -23,20 +24,29 @@ var WALErr = &Analyzer{
 A call to any error-returning method on a type from kyrix/internal/wal
 or kyrix/internal/store must consume its error: invisible discards — a
 bare call statement, or a call hidden behind defer or go — are
-flagged. Assigning the error explicitly to _ is allowed: it is a
-visible, greppable decision (replog deliberately defers some fsyncs to
-commit points), where a bare call reads as "cannot fail". This is the
-PR 7/8 class: a dropped wal.Sync error turns a quorum-acked update
-into data loss on the next crash.`,
+flagged. Assigning the error explicitly to _ is allowed when a comment
+on that line or the line above says why: it is then a visible,
+greppable decision, where a bare call reads as "cannot fail". An
+uncommented _ discard is flagged too. This is the PR 7/8 class: a
+dropped wal.Sync error turns a quorum-acked update into data loss on
+the next crash.`,
 	Run: runWALErr,
 }
 
 func runWALErr(pass *Pass) error {
 	for _, file := range pass.Files {
+		commented := commentedLines(pass.Fset, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			var call *ast.CallExpr
 			var how string
 			switch st := n.(type) {
+			case *ast.AssignStmt:
+				call = blankErrorCall(st)
+				line := pass.Fset.Position(st.Pos()).Line
+				if call == nil || commented[line] || commented[line-1] {
+					return true
+				}
+				how = "assigned to _ without a comment"
 			case *ast.ExprStmt:
 				call, _ = st.X.(*ast.CallExpr)
 				how = "ignored"
@@ -63,6 +73,36 @@ func runWALErr(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// blankErrorCall returns the call on the right of an assignment that
+// sends the call's last result (its error, for a durability method) to
+// the blank identifier, or nil.
+func blankErrorCall(st *ast.AssignStmt) *ast.CallExpr {
+	if len(st.Rhs) != 1 || len(st.Lhs) == 0 {
+		return nil
+	}
+	call, ok := st.Rhs[0].(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	if id, ok := st.Lhs[len(st.Lhs)-1].(*ast.Ident); !ok || id.Name != "_" {
+		return nil
+	}
+	return call
+}
+
+// commentedLines returns the lines of file that a comment starts or
+// ends on.
+func commentedLines(fset *token.FileSet, file *ast.File) map[int]bool {
+	lines := make(map[int]bool)
+	for _, cg := range file.Comments {
+		for _, c := range cg.List {
+			lines[fset.Position(c.Pos()).Line] = true
+			lines[fset.Position(c.End()).Line] = true
+		}
+	}
+	return lines
 }
 
 // durabilityMethod reports whether fn is an error-returning method on

@@ -88,20 +88,9 @@ type Config struct {
 	// from GOMAXPROCS. The count is reduced until every shard's share
 	// of the budget is at least 1 MB.
 	Shards int
-	// Admission selects the admission policy ("" = AdmissionOff).
+	// Admission selects the admission policy ("" = AdmissionOff). The
+	// TinyLFU frequency sketch is sized from the budget.
 	Admission Admission
-	// SketchCounters sizes the TinyLFU frequency sketch: total 4-bit
-	// counters across all shards (rounded up per shard to a power of
-	// two). 0 derives a size from the budget assuming ~4 KB mean
-	// entries. Ignored when admission is off.
-	SketchCounters int
-	// Doorkeeper puts a bloom filter in front of each shard's
-	// frequency sketch: a key's first sighting per decay period sets
-	// bloom bits instead of count-min counters, so one-hit wonders
-	// cannot inflate the sketch (and, through collisions, the
-	// estimates of unrelated keys). The filter is cleared on every
-	// sketch decay. Ignored when admission is off.
-	Doorkeeper bool
 }
 
 // Stats reports cache activity, aggregated across shards.
@@ -229,17 +218,14 @@ func New(cfg Config) *LRU {
 	lfu := cfg.Admission == AdmissionLFU && budget > 0
 	var perShardCounters int
 	if lfu {
-		counters := cfg.SketchCounters
-		if counters <= 0 {
-			// Assume ~4 KB mean entries; clamp so tiny budgets still
-			// discriminate and huge budgets stay a few MB of sketch.
-			counters = int(budget / 4096)
-			if counters < 1024 {
-				counters = 1024
-			}
-			if counters > 1<<22 {
-				counters = 1 << 22
-			}
+		// Assume ~4 KB mean entries; clamp so tiny budgets still
+		// discriminate and huge budgets stay a few MB of sketch.
+		counters := int(budget / 4096)
+		if counters < 1024 {
+			counters = 1024
+		}
+		if counters > 1<<22 {
+			counters = 1 << 22
 		}
 		perShardCounters = counters / n
 	}
@@ -254,7 +240,7 @@ func New(cfg Config) *LRU {
 		if lfu {
 			s.windowCap = share / 8
 			s.protectedCap = (share - s.windowCap) * 4 / 5
-			s.sk = newSketch(perShardCounters, cfg.Doorkeeper)
+			s.sk = newSketch(perShardCounters)
 		}
 		c.shards[i] = s
 	}
@@ -331,7 +317,7 @@ func (c *LRU) Peek(key string) (any, bool) {
 }
 
 // EstimateFreq returns the admission sketch's decayed frequency
-// estimate for key (0..15, doorkeeper-adjusted), or -1 when the cache
+// estimate for key (0..15), or -1 when the cache
 // keeps no sketch (admission off). It does not record an access. The
 // cluster's hot-key replication reads it to decide whether a peer-
 // filled payload is popular enough to double-cache locally.

@@ -11,29 +11,14 @@ package cache
 //
 // The sketch is NOT internally synchronized: each cache shard owns one
 // and mutates it under the shard mutex.
-//
-// With the doorkeeper enabled (Config.Doorkeeper) a small bloom filter
-// sits in front of the counters: a key's FIRST sighting within a decay
-// period sets bloom bits and never touches the count-min rows, so
-// one-hit wonders (a sequential scan, a crawler) cannot inflate the
-// shared counters and — through collisions — make unrelated cold keys
-// look warm. Only a key's second and later sightings reach the rows.
-// Estimates transparently add the doorkeeper bit back (first sighting
-// counts as frequency 1), and the doorkeeper is cleared on every decay
-// halving: membership is as perishable as the counts it fronts.
 type sketch struct {
 	// rows[r] holds width 4-bit counters packed 16 per uint64.
 	rows [sketchDepth][]uint64
 	// mask = width-1 (width is a power of two).
 	mask uint64
 	// additions counts recorded accesses since the last halving;
-	// resetAt is the halving threshold. Doorkeeper first-sightings
-	// count too (the TinyLFU paper's sample counts all accesses), so a
-	// pure one-hit stream still cycles the decay and resets the bloom
-	// before it saturates into uselessness.
+	// resetAt is the halving threshold.
 	additions, resetAt int
-	// dk is the doorkeeper bloom filter; nil when disabled.
-	dk *doorkeeper
 }
 
 const (
@@ -48,12 +33,8 @@ const (
 
 // newSketch builds a sketch with at least `counters` counters per row
 // (rounded up to a power of two, floored at 64 so tiny shards still
-// discriminate a handful of keys). doorkeeper adds the bloom filter in
-// front of the rows, sized at 8 bits per possible insert in one decay
-// period (resetAt) — with 3 probe bits that keeps occupancy under
-// ~40% and the false-positive rate in the low percents even when
-// every access in the period is a first sighting.
-func newSketch(counters int, doorkeeper bool) *sketch {
+// discriminate a handful of keys).
+func newSketch(counters int) *sketch {
 	if counters < 64 {
 		counters = 64
 	}
@@ -65,9 +46,6 @@ func newSketch(counters int, doorkeeper bool) *sketch {
 	sk.resetAt = sampleFactor * int(w)
 	if sk.resetAt < 256 {
 		sk.resetAt = 256
-	}
-	if doorkeeper {
-		sk.dk = newDoorkeeper(8 * sk.resetAt)
 	}
 	return sk
 }
@@ -91,16 +69,8 @@ func (sk *sketch) counter(r int, i uint64) uint64 {
 }
 
 // add records one access of the key with hash h, halving all counters
-// when the sample period elapses. With the doorkeeper on, a first
-// sighting is parked in the bloom filter and the rows stay untouched.
+// when the sample period elapses.
 func (sk *sketch) add(h uint64) {
-	if sk.dk != nil && sk.dk.firstSighting(h) {
-		sk.additions++
-		if sk.additions >= sk.resetAt {
-			sk.halve()
-		}
-		return
-	}
 	bumped := false
 	for r := 0; r < sketchDepth; r++ {
 		i := sk.idx(h, r)
@@ -118,17 +88,13 @@ func (sk *sketch) add(h uint64) {
 }
 
 // estimate returns the decayed access-frequency estimate for hash h:
-// the minimum counter across rows (0..15), plus the doorkeeper bit —
-// a key whose only sighting sits in the bloom filter estimates as 1.
+// the minimum counter across rows (0..15).
 func (sk *sketch) estimate(h uint64) int {
 	min := uint64(counterMax)
 	for r := 0; r < sketchDepth; r++ {
 		if c := sk.counter(r, sk.idx(h, r)); c < min {
 			min = c
 		}
-	}
-	if sk.dk != nil && sk.dk.contains(h) && min < counterMax {
-		min++
 	}
 	return int(min)
 }
@@ -137,10 +103,7 @@ func (sk *sketch) estimate(h uint64) int {
 // shift-right-by-one halves all 16 counters at once.
 const halveMask = 0x7777777777777777
 
-// halve ages the sketch: every counter is divided by two and the
-// doorkeeper is cleared — first-sighting memory decays with the counts
-// it fronts, and the periodic clear is also what bounds the bloom
-// filter's load.
+// halve ages the sketch: every counter is divided by two.
 func (sk *sketch) halve() {
 	for r := range sk.rows {
 		row := sk.rows[r]
@@ -149,9 +112,6 @@ func (sk *sketch) halve() {
 		}
 	}
 	sk.additions /= 2
-	if sk.dk != nil {
-		sk.dk.reset()
-	}
 }
 
 // reset zeroes every counter (used by Clear: after an update the old
@@ -164,67 +124,6 @@ func (sk *sketch) reset() {
 		}
 	}
 	sk.additions = 0
-	if sk.dk != nil {
-		sk.dk.reset()
-	}
-}
-
-// doorkeeper is a small bloom filter recording which keys have been
-// seen at least once in the current decay period.
-type doorkeeper struct {
-	bits []uint64
-	mask uint64 // bit-index mask (bit count is a power of two)
-}
-
-// dkProbes is the bloom filter's hash-function count.
-const dkProbes = 3
-
-func newDoorkeeper(bits int) *doorkeeper {
-	if bits < 64 {
-		bits = 64
-	}
-	n := uint64(nextPow2(bits))
-	return &doorkeeper{bits: make([]uint64, n/64), mask: n - 1}
-}
-
-// probe derives the p-th bit index from a key hash, reusing the
-// sketch's per-row seed multipliers.
-func (d *doorkeeper) probe(h uint64, p int) uint64 {
-	h = (h ^ (h >> 31)) * rowSeeds[p]
-	h ^= h >> 33
-	return h & d.mask
-}
-
-// firstSighting reports whether h was NOT yet present, marking it
-// present either way.
-func (d *doorkeeper) firstSighting(h uint64) bool {
-	fresh := false
-	for p := 0; p < dkProbes; p++ {
-		i := d.probe(h, p)
-		w, b := i>>6, uint64(1)<<(i&63)
-		if d.bits[w]&b == 0 {
-			d.bits[w] |= b
-			fresh = true
-		}
-	}
-	return fresh
-}
-
-// contains reports whether h may have been seen this period.
-func (d *doorkeeper) contains(h uint64) bool {
-	for p := 0; p < dkProbes; p++ {
-		i := d.probe(h, p)
-		if d.bits[i>>6]&(uint64(1)<<(i&63)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (d *doorkeeper) reset() {
-	for i := range d.bits {
-		d.bits[i] = 0
-	}
 }
 
 // fnv64a hashes a key for the sketch (distinct from the 32-bit shard

@@ -3,7 +3,7 @@ package cache
 import "testing"
 
 func TestSketchEstimate(t *testing.T) {
-	sk := newSketch(1024, false)
+	sk := newSketch(1024)
 	h := fnv64a("hot")
 	if got := sk.estimate(h); got != 0 {
 		t.Fatalf("fresh estimate = %d", got)
@@ -23,7 +23,7 @@ func TestSketchEstimate(t *testing.T) {
 }
 
 func TestSketchSaturates(t *testing.T) {
-	sk := newSketch(1024, false)
+	sk := newSketch(1024)
 	h := fnv64a("k")
 	for i := 0; i < 100; i++ {
 		sk.add(h)
@@ -34,7 +34,7 @@ func TestSketchSaturates(t *testing.T) {
 }
 
 func TestSketchHalving(t *testing.T) {
-	sk := newSketch(1024, false)
+	sk := newSketch(1024)
 	h := fnv64a("aging")
 	for i := 0; i < 12; i++ {
 		sk.add(h)
@@ -53,7 +53,7 @@ func TestSketchHalving(t *testing.T) {
 }
 
 func TestSketchAutoHalvesAtSamplePeriod(t *testing.T) {
-	sk := newSketch(64, false) // resetAt = max(8*64, 256) = 512
+	sk := newSketch(64) // resetAt = max(8*64, 256) = 512
 	hot := fnv64a("hot")
 	for i := 0; i < 20; i++ {
 		sk.add(hot)
@@ -70,7 +70,7 @@ func TestSketchAutoHalvesAtSamplePeriod(t *testing.T) {
 }
 
 func TestSketchMinimumWidth(t *testing.T) {
-	sk := newSketch(0, false)
+	sk := newSketch(0)
 	if got := sk.mask + 1; got < 64 {
 		t.Fatalf("width = %d, want >= 64", got)
 	}

@@ -20,29 +20,17 @@ type Options struct {
 	// the list (the harness passes one list to every node); it is
 	// skipped for transport purposes and deduplicated on the ring.
 	Peers []string
-	// VirtualNodes is the consistent-hash ring's virtual-node count per
-	// physical node (0 = DefaultVirtualNodes).
-	VirtualNodes int
 	// HotReplicate is the sketch-frequency threshold at which a
 	// non-owned key is admitted into the local cache after a peer fill,
 	// so cluster-hot keys are served locally everywhere instead of
 	// bottlenecking their owner. 0 picks DefaultHotReplicate; < 0
 	// disables replication (every non-owned request pays the peer hop).
 	HotReplicate int
-	// PeerTimeout bounds one peer fill end to end (0 = 2s).
+	// PeerTimeout bounds one peer fill end to end, retries included
+	// (0 = 2s).
 	PeerTimeout time.Duration
-	// PeerConcurrency bounds in-flight fills per peer (0 = 32).
-	PeerConcurrency int
-	// PeerRetries is the number of extra attempts after a failed peer
-	// fill, each preceded by jittered exponential backoff inside the
-	// same PeerTimeout budget (0 = 2; < 0 disables retry).
-	PeerRetries int
-	// BreakerThreshold opens a peer's circuit after this many
-	// consecutive failures — further exchanges fail fast until a
-	// half-open probe succeeds (0 = 8; < 0 disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit rejects before the
-	// half-open probe (0 = 1s).
+	// BreakerCooldown is how long an open peer circuit rejects before
+	// the half-open probe (0 = 1s).
 	BreakerCooldown time.Duration
 	// Replog configures the replicated update log (internal/replog), the
 	// only way an /update reaches the other nodes: the server routes it
@@ -59,10 +47,9 @@ type ReplogOptions struct {
 	// cluster; standalone, it makes /update a durable single-member log.
 	Dir string
 	// ElectionTimeout is the base leader-election timeout; each
-	// follower randomizes in [1x, 2x).
+	// follower randomizes in [1x, 2x). The leader's heartbeat is a
+	// fifth of it.
 	ElectionTimeout time.Duration
-	// Heartbeat is the leader's append/heartbeat interval.
-	Heartbeat time.Duration
 	// SubmitTimeout bounds one /update end to end: forward to leader,
 	// quorum commit, local apply.
 	SubmitTimeout time.Duration
@@ -135,13 +122,10 @@ func New(opts Options) (*Node, error) {
 	}
 	return &Node{
 		opts: opts,
-		ring: NewRing(opts.VirtualNodes, members...),
+		ring: NewRing(DefaultVirtualNodes, members...),
 		tr: NewTransport(others, TransportConfig{
-			PerPeer:          opts.PeerConcurrency,
-			Timeout:          opts.PeerTimeout,
-			Retries:          opts.PeerRetries,
-			BreakerThreshold: opts.BreakerThreshold,
-			BreakerCooldown:  opts.BreakerCooldown,
+			Timeout:         opts.PeerTimeout,
+			BreakerCooldown: opts.BreakerCooldown,
 		}),
 	}, nil
 }

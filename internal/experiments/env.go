@@ -221,7 +221,6 @@ func newEnv(cfg Config, d *workload.Dataset, copts server.ClusterOptions, ln net
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    cfg.TileSizes,
-			MappingIndex: sqldb.IndexBTree,
 		},
 	})
 	if err != nil {

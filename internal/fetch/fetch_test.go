@@ -198,7 +198,6 @@ func TestTileMappingMatchesSpatial(t *testing.T) {
 	pl, err := Materialize(context.Background(), db, ca, 0, 0, Options{
 		BuildSpatial: true,
 		TileSizes:    []float64{1024},
-		MappingIndex: sqldb.IndexBTree,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -30,13 +30,11 @@ func lodApp(tb testing.TB, d *workload.Dataset, radius float64) (*sqldb.DB, *spe
 	if _, err := db.Exec("CREATE TABLE points (id INT, x DOUBLE, y DOUBLE, val DOUBLE)"); err != nil {
 		tb.Fatal(err)
 	}
-	rows := make([]storage.Row, len(d.Points))
 	for i := range d.Points {
 		p := &d.Points[i]
-		rows[i] = storage.Row{storage.I64(p.ID), storage.F64(p.X), storage.F64(p.Y), storage.F64(p.Val)}
-	}
-	if err := db.InsertRows("points", rows); err != nil {
-		tb.Fatal(err)
+		if err := db.InsertRow("points", storage.Row{storage.I64(p.ID), storage.F64(p.X), storage.F64(p.Y), storage.F64(p.Val)}); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	reg := spec.NewRegistry()
 	reg.RegisterRenderer("dots")

@@ -60,11 +60,9 @@ type Options struct {
 	// BuildSpatial builds the bbox R-tree (database design 2, §3.1).
 	BuildSpatial bool
 	// TileSizes lists the tile sizes to precompute tuple–tile mapping
-	// tables for (database design 1, §3.1).
+	// tables for (database design 1, §3.1). Each table's tile_id column
+	// gets a B-tree, as in the paper's experiments.
 	TileSizes []float64
-	// MappingIndex is the index kind on the mapping table's tile_id
-	// column (BTREE in the paper's experiments; HASH also supported).
-	MappingIndex sqldb.IndexKind
 
 	// LODRowBudget bounds the rows a window query against an auto-LOD
 	// layer should scan at any zoom (0 = 4096).
@@ -401,12 +399,8 @@ func buildTileMaps(ctx context.Context, db *sqldb.DB, pl *PhysicalLayer, opts Op
 		if err != nil {
 			return err
 		}
-		kind := "BTREE"
-		if opts.MappingIndex == sqldb.IndexHash {
-			kind = "HASH"
-		}
 		if _, err := db.Exec(fmt.Sprintf(
-			"CREATE INDEX kyrix_%s_tid ON %s USING %s (tile_id)", sanitize(mt), mt, kind)); err != nil {
+			"CREATE INDEX kyrix_%s_tid ON %s USING BTREE (tile_id)", sanitize(mt), mt)); err != nil {
 			return err
 		}
 		pl.TileMaps[size] = mt

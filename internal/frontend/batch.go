@@ -42,16 +42,12 @@ type frameResult struct {
 }
 
 // batchSub is one planned sub-request of a /batch round trip and how to
-// fold its decoded result into client state. merge always runs on the
-// client's goroutine — even when chunks stream concurrently — so
-// layers land incrementally as frames arrive without locking client
-// state.
+// fold its decoded result into client state. merge runs as each frame
+// arrives, so layers land incrementally.
 type batchSub struct {
 	item server.BatchItem
 	// base is the box state item.Base was declared from: the delta
 	// base the client guarantees it holds until this batch completes.
-	// boxState contents are immutable once published (merges replace
-	// whole states), so concurrent chunk decoders may read it.
 	base  *boxState
 	merge func(fr frameResult)
 }
@@ -119,57 +115,17 @@ func (c *Client) dboxSub(li int, box geom.Rect) batchSub {
 }
 
 // runBatch issues the sub-requests as /batch round trips, split into
-// MaxBatchItems-sized chunks. The chunks run one after another, or
-// overlap under FetchConcurrency with their frames merged back onto
-// this goroutine through a merge queue — client state is never touched
-// concurrently. Every OK frame's rows and logical bytes are counted on
-// rep before its merge runs.
+// MaxBatchItems-sized chunks that run one after another. A failed chunk
+// does not stop the rest; the first error is returned. Every OK frame's
+// rows and logical bytes are counted on rep before its merge runs.
 func (c *Client) runBatch(subs []batchSub, rep *FetchReport, start time.Time) error {
-	var chunks [][]batchSub
+	var firstErr error
 	for len(subs) > 0 {
 		n := min(len(subs), server.MaxBatchItems)
-		chunks = append(chunks, subs[:n])
+		if err := c.postBatch(subs[:n], rep, start); err != nil && firstErr == nil {
+			firstErr = err
+		}
 		subs = subs[n:]
-	}
-	conc := min(c.opts.FetchConcurrency, len(chunks))
-	var firstErr error
-	if conc <= 1 {
-		// Sequential chunk loop (the conservative FetchConcurrency
-		// default, matching the per-tile path).
-		inline := func(f func()) { f() }
-		for _, chunk := range chunks {
-			if err := c.postBatch(chunk, rep, start, inline); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-
-	// Overlapped chunks: bounded fetch+decode concurrency, with every
-	// merge (and all rep accounting) funneled back onto this goroutine.
-	// Both channels are unbuffered, so a chunk's done error arrives
-	// strictly after all its merges were executed here.
-	mergeCh := make(chan func())
-	doneCh := make(chan error)
-	sem := make(chan struct{}, conc)
-	for _, chunk := range chunks {
-		chunk := chunk
-		go func() {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			doneCh <- c.postBatch(chunk, rep, start, func(f func()) { mergeCh <- f })
-		}()
-	}
-	for outstanding := len(chunks); outstanding > 0; {
-		select {
-		case f := <-mergeCh:
-			f()
-		case err := <-doneCh:
-			outstanding--
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
 	}
 	return firstErr
 }
@@ -187,14 +143,11 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// postBatch issues one /batch round trip and hands each decoded
-// frame's merge to exec as it arrives — exec runs the closure on the
-// client's goroutine (directly on the sequential path, via the merge
-// queue when chunks overlap), and all rep mutation happens inside
-// those closures. Per-frame errors do not abort the stream: sibling
+// postBatch issues one /batch round trip and merges each decoded frame
+// as it arrives. Per-frame errors do not abort the stream: sibling
 // frames still merge, and the first frame error is returned after the
 // stream is drained.
-func (c *Client) postBatch(subs []batchSub, rep *FetchReport, start time.Time, exec func(func())) error {
+func (c *Client) postBatch(subs []batchSub, rep *FetchReport, start time.Time) error {
 	req := server.BatchRequestV2{
 		V:      wire.V3,
 		Canvas: c.canvas.ID,
@@ -229,7 +182,7 @@ func (c *Client) postBatch(subs []batchSub, rep *FetchReport, start time.Time, e
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return fmt.Errorf("frontend: batch: %s: %s", resp.Status, msg)
 	}
-	exec(func() { rep.Requests++ })
+	rep.Requests++
 	cr := &countingReader{r: resp.Body}
 	br := bufio.NewReader(cr)
 	_, nframes, err := wire.ReadHeader(br)
@@ -241,7 +194,7 @@ func (c *Client) postBatch(subs []batchSub, rep *FetchReport, start time.Time, e
 	}
 	seen := make([]bool, nframes)
 	var firstErr error
-	addWire := func() { n := cr.n; exec(func() { rep.WireBytes += n }) }
+	addWire := func() { rep.WireBytes += cr.n }
 	for i := 0; i < nframes; i++ {
 		f, err := wire.ReadFrame(br, wire.V3)
 		if err != nil {
@@ -256,12 +209,9 @@ func (c *Client) postBatch(subs []batchSub, rep *FetchReport, start time.Time, e
 			return fmt.Errorf("frontend: batch bogus frame index %d", f.Index)
 		}
 		seen[f.Index] = true
-		at := time.Since(start)
-		exec(func() {
-			if rep.FirstFrame == 0 || at < rep.FirstFrame {
-				rep.FirstFrame = at
-			}
-		})
+		if rep.FirstFrame == 0 {
+			rep.FirstFrame = time.Since(start)
+		}
 		if f.Status != server.FrameOK {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("frontend: batch item %d: %s", f.Index, f.Payload)
@@ -276,11 +226,9 @@ func (c *Client) postBatch(subs []batchSub, rep *FetchReport, start time.Time, e
 			}
 			continue
 		}
-		exec(func() {
-			rep.Rows += len(fr.dr.Rows)
-			rep.Bytes += fr.rawN
-			sub.merge(fr)
-		})
+		rep.Rows += len(fr.dr.Rows)
+		rep.Bytes += fr.rawN
+		sub.merge(fr)
 	}
 	// Every frame is in, but the chunked terminator is still unread: a
 	// body closed short of EOF makes net/http discard the connection,
@@ -294,9 +242,7 @@ func (c *Client) postBatch(subs []batchSub, rep *FetchReport, start time.Time, e
 // decodeFrame turns one OK frame into a mergeable result: inflate a
 // compressed payload (bounded — a hostile length cannot become a
 // decompression bomb), reconstruct a delta frame against the sub's
-// declared base, or decode a raw payload directly. Pure with respect
-// to mutable client state, so overlapped chunks may run it off the
-// client goroutine.
+// declared base, or decode a raw payload directly.
 func (c *Client) decodeFrame(sub *batchSub, f wire.Frame) (frameResult, error) {
 	var fr frameResult
 	payload := f.Payload

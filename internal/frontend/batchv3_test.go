@@ -2,7 +2,6 @@ package frontend
 
 import (
 	"bytes"
-	"net/http"
 	"testing"
 	"time"
 
@@ -220,70 +219,13 @@ func TestDecodeFrameCorrupt(t *testing.T) {
 	}
 }
 
-// TestParallelChunkStreaming: a viewport larger than MaxBatchItems is
-// split into chunks that overlap under FetchConcurrency, with all
-// merges landing on the caller's goroutine — and yields exactly the
-// same tiles as the sequential client.
-func TestParallelChunkStreaming(t *testing.T) {
-	db, ca := multiLayerApp(t, 3000)
-	_, hs := startBackend(t, db, ca)
-	scheme := fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 16}
-
-	ct := &countingTransport{}
-	par, err := NewClient(hs.URL, ca, Options{
-		Scheme: scheme, Codec: server.CodecJSON, CacheBytes: 32 << 20,
-		BatchSize: 8, FetchConcurrency: 4,
-		HTTPClient: &http.Client{Transport: ct},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := NewClient(hs.URL, ca, Options{
-		Scheme: scheme, Codec: server.CodecJSON, CacheBytes: 32 << 20,
-		BatchSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ct.reset()
-	repPar, err := par.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	repSeq, err := seq.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A 512x512 viewport at 32px tiles over two layers needs >512
-	// sub-requests: at least 3 chunks at MaxBatchItems=256.
-	if repSeq.Requests < 3 {
-		t.Fatalf("workload too small to chunk: %d round trips", repSeq.Requests)
-	}
-	if repPar.Requests != repSeq.Requests || ct.count("/batch") != repSeq.Requests {
-		t.Fatalf("parallel client used %d round trips (transport saw %d), sequential %d",
-			repPar.Requests, ct.count("/batch"), repSeq.Requests)
-	}
-	if repPar.Rows != repSeq.Rows || repPar.Rows == 0 {
-		t.Fatalf("parallel fetched %d rows, sequential %d", repPar.Rows, repSeq.Rows)
-	}
-	for li := 0; li < 2; li++ {
-		a, _ := par.ObjectsInViewport(li)
-		b, _ := seq.ObjectsInViewport(li)
-		if len(a) != len(b) || len(a) == 0 {
-			t.Fatalf("layer %d: parallel sees %d objects, sequential %d", li, len(a), len(b))
-		}
-	}
-}
-
-// TestParallelChunkErrorIsolation: one chunk failing mid-overlap must
-// not discard sibling chunks' merges or hang the merge queue.
+// TestParallelChunkErrorIsolation: one chunk's failed items must not
+// discard sibling frames' merges or stop the next chunk.
 func TestParallelChunkErrorIsolation(t *testing.T) {
 	db, ca := multiLayerApp(t, 1200)
 	_, hs := startBackend(t, db, ca)
 	c, err := NewClient(hs.URL, ca, Options{
 		Scheme: fetch.DBoxExact, Codec: server.CodecJSON, CacheBytes: 16 << 20,
-		FetchConcurrency: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -291,8 +233,8 @@ func TestParallelChunkErrorIsolation(t *testing.T) {
 	if _, err := c.Load(); err != nil {
 		t.Fatal(err)
 	}
-	// Hand-build > MaxBatchItems subs so the parallel path engages,
-	// half of them broken (no such layer).
+	// Hand-build > MaxBatchItems subs so the batch splits into two
+	// chunks, half of them broken (no such layer).
 	var subs []batchSub
 	merged := 0
 	for i := 0; i < server.MaxBatchItems+8; i++ {

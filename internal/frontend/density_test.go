@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"sync"
 	"testing"
 
 	"kyrix/internal/fetch"
@@ -71,41 +72,53 @@ func TestSemanticPrefetchIntegration(t *testing.T) {
 	}
 }
 
+// TestParallelTileFetch: two per-tile clients loading the same viewport
+// from one backend at once see the same tiles, rows and objects.
 func TestParallelTileFetch(t *testing.T) {
-	seq, _ := newTestClient(t, Options{
+	db, ca := testApp(t, 3000)
+	_, hs := startBackend(t, db, ca)
+	opts := Options{
 		Scheme:     fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 256},
 		Codec:      server.CodecJSON,
 		CacheBytes: 16 << 20,
-	})
-	par, _ := newTestClient(t, Options{
-		Scheme:           fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 256},
-		Codec:            server.CodecJSON,
-		CacheBytes:       16 << 20,
-		FetchConcurrency: 6,
-	})
-	repSeq, err := seq.Load()
-	if err != nil {
-		t.Fatal(err)
 	}
-	repPar, err := par.Load()
-	if err != nil {
-		t.Fatal(err)
+	var clients [2]*Client
+	var reps [2]FetchReport
+	for i := range clients {
+		c, err := NewClient(hs.URL, ca, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
 	}
-	// Same tiles, same rows, either way.
-	if repSeq.Requests != repPar.Requests {
-		t.Fatalf("requests: seq %d par %d", repSeq.Requests, repPar.Requests)
+	var wg sync.WaitGroup
+	for i := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := clients[i].Load()
+			if err != nil {
+				t.Error(err)
+			}
+			reps[i] = rep
+		}()
 	}
-	if repSeq.Rows != repPar.Rows {
-		t.Fatalf("rows: seq %d par %d", repSeq.Rows, repPar.Rows)
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
-	// Objects visible identically.
-	a, _ := seq.ObjectsInViewport(1)
-	b, _ := par.ObjectsInViewport(1)
-	if len(a) != len(b) {
-		t.Fatalf("objects: seq %d par %d", len(a), len(b))
+	if reps[0].Requests != reps[1].Requests || reps[0].Requests == 0 {
+		t.Fatalf("requests: %d vs %d", reps[0].Requests, reps[1].Requests)
 	}
-	// And panning keeps working in parallel mode.
-	if _, err := par.PanBy(256, 0); err != nil {
+	if reps[0].Rows != reps[1].Rows {
+		t.Fatalf("rows: %d vs %d", reps[0].Rows, reps[1].Rows)
+	}
+	a, _ := clients[0].ObjectsInViewport(1)
+	b, _ := clients[1].ObjectsInViewport(1)
+	if len(a) != len(b) || len(a) == 0 {
+		t.Fatalf("objects: %d vs %d", len(a), len(b))
+	}
+	if _, err := clients[1].PanBy(256, 0); err != nil {
 		t.Fatal(err)
 	}
 }

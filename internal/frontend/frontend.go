@@ -45,21 +45,11 @@ type Options struct {
 	// Codec selects the wire encoding.
 	Codec server.Codec
 	// CacheBytes is the frontend cache budget (tiles; 0 disables).
+	// The cache is one shard with exact LRU order: a Client runs on
+	// one goroutine, so there is no lock contention to shard away.
 	CacheBytes int64
-	// CacheShards is the frontend cache shard count. The default (0)
-	// is a single shard with exact LRU order — a Client runs on one
-	// goroutine, so there is no lock contention to shard away. Set it
-	// only when sharing one client's cache across goroutines.
-	CacheShards int
 	// HTTPClient overrides the default client (tests inject one).
 	HTTPClient *http.Client
-	// FetchConcurrency issues up to this many per-tile GETs, or /batch
-	// chunks past server.MaxBatchItems, in parallel (browsers open ~6
-	// connections per host; the paper's §3.2 notes frontend work "can
-	// also be easily parallelized"). 0 or 1 fetches sequentially, the
-	// conservative default matching "every tile is individually
-	// fetched and rendered".
-	FetchConcurrency int
 	// BatchSize > 1 puts tile fetches on POST /batch: every layer's
 	// missing tiles ride one framed round trip (split only past
 	// server.MaxBatchItems). 0 or 1 keeps the paper's one-GET-per-tile
@@ -116,10 +106,6 @@ type FetchReport struct {
 // its data ("whenever the viewport moves outside the current box,
 // frontend sends the current viewport location to backend and requests
 // a new box").
-// A boxState's box, data and wireID are immutable once the state is
-// published into Client.boxes (merges replace whole states); overlapped
-// batch chunks rely on that to read declared delta bases off the
-// client goroutine.
 type boxState struct {
 	box  geom.Rect
 	data *server.DataResponse
@@ -149,10 +135,7 @@ type Client struct {
 	renderers   map[string]RenderFunc
 
 	// ictx carries the current interaction's obs span (context.Background
-	// when Options.Tracer is nil or between interactions). Written only
-	// at the top of fetchViewport, before any fetch goroutine launches,
-	// and read-only until the interaction completes — overlapped batch
-	// chunks may safely read it concurrently.
+	// when Options.Tracer is nil or between interactions).
 	ictx context.Context
 
 	// TotalReports accumulates every interaction's report.
@@ -172,7 +155,7 @@ func NewClient(baseURL string, ca *spec.CompiledApp, opts Options) (*Client, err
 		hc:          hc,
 		opts:        opts,
 		ca:          ca,
-		fcache:      cache.NewLRUSharded(opts.CacheBytes, max(opts.CacheShards, 1)),
+		fcache:      cache.NewLRUSharded(opts.CacheBytes, 1),
 		boxes:       make(map[int]*boxState),
 		density:     make(map[int]float64),
 		densityGrid: make(map[int]map[cellKey]float64),
@@ -346,78 +329,22 @@ func (c *Client) fetchViewport(vp geom.Rect, includeStatic bool) (FetchReport, e
 	return rep, nil
 }
 
-// fetchTiles requests missing tiles one GET /tile each — the paper's
-// per-tile protocol — sequentially by default or with bounded
-// parallelism when FetchConcurrency > 1.
+// fetchTiles requests missing tiles one GET /tile each, one after
+// another — the paper's per-tile protocol, where "every tile is
+// individually fetched and rendered".
 func (c *Client) fetchTiles(li int, sz float64, missing []geom.TileID, rep *FetchReport) error {
-	if len(missing) == 0 {
-		return nil
-	}
-	conc := c.opts.FetchConcurrency
-	if conc <= 1 || len(missing) == 1 {
-		for _, tid := range missing {
-			dr, n, err := c.getTile(li, sz, tid)
-			if err != nil {
-				return err
-			}
-			rep.Requests++
-			rep.Rows += len(dr.Rows)
-			rep.Bytes += n
-			c.fcache.Put(c.tileCacheKey(li, sz, tid), dr, n)
-			c.observeDensity(li, tid.TileRect(sz), len(dr.Rows))
+	for _, tid := range missing {
+		dr, n, err := c.getTile(li, sz, tid)
+		if err != nil {
+			return err
 		}
-		return nil
-	}
-	type tileData struct {
-		dr *server.DataResponse
-		n  int64
-	}
-	return parallelCollect(len(missing), conc, func(i int) (tileData, error) {
-		dr, n, err := c.getTile(li, sz, missing[i])
-		return tileData{dr, n}, err
-	}, func(i int, td tileData) {
 		rep.Requests++
-		rep.Rows += len(td.dr.Rows)
-		rep.Bytes += td.n
-		c.fcache.Put(c.tileCacheKey(li, sz, missing[i]), td.dr, td.n)
-		c.observeDensity(li, missing[i].TileRect(sz), len(td.dr.Rows))
-	})
-}
-
-// parallelCollect fans fetch out over n items with at most conc
-// concurrent calls, merging each result on the caller's goroutine
-// (merge may touch unsynchronized client state). Failed items are
-// skipped, the rest still merge, and the first fetch error is returned
-// after every item settles.
-func parallelCollect[T any](n, conc int, fetch func(i int) (T, error), merge func(i int, v T)) error {
-	type result struct {
-		idx int
-		v   T
-		err error
+		rep.Rows += len(dr.Rows)
+		rep.Bytes += n
+		c.fcache.Put(c.tileCacheKey(li, sz, tid), dr, n)
+		c.observeDensity(li, tid.TileRect(sz), len(dr.Rows))
 	}
-	sem := make(chan struct{}, conc)
-	results := make(chan result, n)
-	for i := 0; i < n; i++ {
-		i := i
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem }()
-			v, err := fetch(i)
-			results <- result{i, v, err}
-		}()
-	}
-	var firstErr error
-	for j := 0; j < n; j++ {
-		r := <-results
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
-		}
-		merge(r.idx, r.v)
-	}
-	return firstErr
+	return nil
 }
 
 func (c *Client) tileCacheKey(li int, sz float64, tid geom.TileID) string {

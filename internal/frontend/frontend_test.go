@@ -97,7 +97,6 @@ func startBackend(t testing.TB, db *sqldb.DB, ca *spec.CompiledApp) (*server.Ser
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{256},
-			MappingIndex: sqldb.IndexBTree,
 		},
 	})
 	if err != nil {
@@ -594,14 +593,12 @@ func TestBatchSizeClampedToServerLimit(t *testing.T) {
 
 func TestBatchChunksRunConcurrently(t *testing.T) {
 	// A viewport past MaxBatchItems tile items produces several /batch
-	// chunks; with FetchConcurrency they overlap and must still all
-	// land, matching a per-tile reference client.
+	// chunks; they must all land, matching a per-tile reference client.
 	c, srv := newTestClient(t, Options{
-		Scheme:           fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 16},
-		Codec:            server.CodecJSON,
-		CacheBytes:       16 << 20,
-		BatchSize:        8,
-		FetchConcurrency: 4,
+		Scheme:     fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 16},
+		Codec:      server.CodecJSON,
+		CacheBytes: 16 << 20,
+		BatchSize:  8,
 	})
 	rep, err := c.Load()
 	if err != nil {
@@ -611,7 +608,7 @@ func TestBatchChunksRunConcurrently(t *testing.T) {
 		t.Fatalf("expected multiple chunked batches, got %d", srv.Stats.BatchRequests.Load())
 	}
 	if rep.Rows == 0 {
-		t.Fatal("concurrent chunks fetched nothing")
+		t.Fatal("chunked batches fetched nothing")
 	}
 	ref, _ := newTestClient(t, Options{
 		Scheme:     fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 256},
@@ -624,7 +621,7 @@ func TestBatchChunksRunConcurrently(t *testing.T) {
 	refRows, _ := ref.ObjectsInViewport(1)
 	rows, _ := c.ObjectsInViewport(1)
 	if len(rows) != len(refRows) {
-		t.Fatalf("concurrent-chunk client sees %d objects, reference %d", len(rows), len(refRows))
+		t.Fatalf("chunked client sees %d objects, reference %d", len(rows), len(refRows))
 	}
 }
 

@@ -71,7 +71,7 @@ func TestBatchStreamKeepsConnectionAlive(t *testing.T) {
 	// after an error frame.
 	var rep FetchReport
 	bad := []batchSub{{item: server.BatchItem{Kind: "dbox", Layer: 99, MaxX: 10, MaxY: 10}}}
-	if err := c.postBatch(bad, &rep, time.Now(), func(f func()) { f() }); err == nil {
+	if err := c.postBatch(bad, &rep, time.Now()); err == nil {
 		t.Fatal("bad layer must surface as a frame error")
 	}
 	if _, err := c.PanBy(7, 3); err != nil {

@@ -143,6 +143,12 @@ var ErrClosed = errors.New("replog: closed")
 // the uncommitted slot. SubmitWithID proposes again under the same ID.
 var errOverwritten = errors.New("replog: entry overwritten by a later leader")
 
+// ErrNotDurable (wrapped) is returned by Submit when the leader could
+// not append or fsync the command to its WAL: the entry was not added,
+// and the command did not commit. Callers surface it as "temporarily
+// unavailable, retry".
+var ErrNotDurable = errors.New("replog: log write failed")
+
 // ErrNoLeader is returned by Submit when no leader could be reached
 // within the deadline — the cluster is mid-election or lacks a quorum.
 // Callers surface it as "temporarily unavailable, retry".
@@ -430,9 +436,12 @@ func (n *Node) quorumReachableLocked(now time.Time) bool {
 func (n *Node) becomeFollowerLocked(term uint64, leader string) {
 	stepping := n.role != Follower || term != n.term
 	if term != n.term {
+		// Stepping down must happen, persisted or not. Forgetting a
+		// term with no vote in it is safe: a vote cast later in this
+		// term persists the term with it (HandleVote).
+		_ = n.persistMetaLocked(term, "")
 		n.term = term
 		n.votedFor = ""
-		n.persistMetaLocked()
 	}
 	n.role = Follower
 	n.leader = leader
@@ -442,12 +451,16 @@ func (n *Node) becomeFollowerLocked(term uint64, leader string) {
 }
 
 func (n *Node) startElectionLocked() {
+	// No vote for self that is not on disk: a node that cannot persist
+	// it stays where it is and tries again after another timeout.
+	n.resetDeadlineLocked(time.Now())
+	if n.persistMetaLocked(n.term+1, n.cfg.Self) != nil {
+		return
+	}
 	n.role = Candidate
 	n.term++
 	n.votedFor = n.cfg.Self
 	n.leader = ""
-	n.persistMetaLocked()
-	n.resetDeadlineLocked(time.Now())
 	term := n.term
 	req := &VoteRequest{
 		Term:      term,
@@ -503,23 +516,35 @@ func (n *Node) becomeLeaderLocked() {
 	// Commit a no-op immediately: a leader may only count replicas of
 	// its *own-term* entries toward commit (§5.4.2), so without this
 	// an idle new leader would never learn its predecessors' tail is
-	// committed — and neither would anyone else.
-	n.appendLocalLocked("", nil)
+	// committed — and neither would anyone else. A leader that cannot
+	// write it cannot commit anything, so it steps down.
+	if _, err := n.appendLocalLocked("", nil); err != nil {
+		n.becomeFollowerLocked(n.term, "")
+		return
+	}
 	n.broadcastLocked()
 }
 
 // appendLocalLocked appends one entry with the current term to the
 // local log and WAL (synced — a leader acks nothing it could forget).
-func (n *Node) appendLocalLocked(id string, cmd []byte) uint64 {
+// On a WAL error the entry is not added.
+func (n *Node) appendLocalLocked(id string, cmd []byte) (uint64, error) {
 	e := entry{Index: n.lastIndexLocked() + 1, Term: n.term, ID: id, Cmd: cmd}
-	lsn := n.persistEntryLocked(e)
+	lsn, err := n.persistEntryNoSyncLocked(e)
+	if err != nil {
+		return 0, err
+	}
 	n.log = append(n.log, e)
 	n.lsns = append(n.lsns, lsn)
 	if id != "" {
 		n.idIndex[id] = e.Index
 	}
+	if err := n.syncEntriesLocked(); err != nil {
+		n.abandonLocked(e.Index, lsn)
+		return 0, err
+	}
 	n.advanceCommitLocked()
-	return e.Index
+	return e.Index, nil
 }
 
 // appendCmdLocked is the leader's dedicated command-append path: an ID
@@ -530,10 +555,10 @@ func (n *Node) appendLocalLocked(id string, cmd []byte) uint64 {
 // electable leader's log (election restriction), so its ID is found
 // here; an uncommitted copy that a new leader lacks is truncated from
 // the old leader's log before it could ever apply.
-func (n *Node) appendCmdLocked(id string, cmd []byte) uint64 {
+func (n *Node) appendCmdLocked(id string, cmd []byte) (uint64, error) {
 	if id != "" {
 		if idx, ok := n.idIndex[id]; ok {
-			return idx
+			return idx, nil
 		}
 	}
 	return n.appendLocalLocked(id, cmd)
@@ -625,6 +650,13 @@ func (n *Node) replicateLocked(peer string) {
 					n.mu.Unlock()
 					continue // more to ship
 				}
+				n.inflight[peer] = false
+				n.mu.Unlock()
+				return
+			}
+			if resp.NotDurable {
+				// The follower's disk failed, not the log check: the
+				// next heartbeat retries.
 				n.inflight[peer] = false
 				n.mu.Unlock()
 				return
@@ -801,7 +833,11 @@ func (n *Node) SubmitWithID(ctx context.Context, id string, cmd []byte) (uint64,
 			return 0, ErrClosed
 		}
 		if n.role == Leader {
-			idx := n.appendCmdLocked(id, cmd)
+			idx, err := n.appendCmdLocked(id, cmd)
+			if err != nil {
+				n.mu.Unlock()
+				return 0, err
+			}
 			n.broadcastLocked()
 			n.mu.Unlock()
 			if err := n.waitAcked(ctx, idx, id); !errors.Is(err, errOverwritten) {
@@ -833,6 +869,8 @@ func (n *Node) SubmitWithID(ctx context.Context, id string, cmd []byte) (uint64,
 						return resp.Index, errors.New(resp.Err)
 					}
 					return resp.Index, nil
+				case resp.NotDurable:
+					return 0, fmt.Errorf("%w: leader %s: %s", ErrNotDurable, leader, resp.Err)
 				case resp.NotLeader:
 					// Stale hint; adopt the leader's own hint if any.
 					n.mu.Lock()

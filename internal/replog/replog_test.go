@@ -656,3 +656,100 @@ func TestSingleNodeLog(t *testing.T) {
 		t.Fatalf("replay waited for an election: %+v", st)
 	}
 }
+
+// TestWALFailureNotAcked: a single-member log whose WAL file is closed
+// under it refuses the next command. Submit fails with ErrNotDurable,
+// the entry is not added and nothing more applies, and a reopen over
+// the directory replays only what was acked before the failure.
+func TestWALFailureNotAcked(t *testing.T) {
+	dir := t.TempDir()
+	open := func(rec *applyRec, election time.Duration) *Node {
+		n, err := Open(Config{
+			Self:            "http://solo",
+			Dir:             dir,
+			Apply:           rec.apply,
+			ElectionTimeout: election,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	rec := &applyRec{}
+	n := open(rec, 30*time.Millisecond)
+	ctx := context.Background()
+	if _, err := n.Submit(ctx, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	before := n.Snapshot()
+	if err := n.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Submit(ctx, []byte("lost")); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("Submit over a closed WAL = %v, want ErrNotDurable", err)
+	}
+	if after := n.Snapshot(); after.LastIndex != before.LastIndex ||
+		after.Commit != before.Commit || after.Applied != before.Applied {
+		t.Fatalf("failed append moved the log: before %+v, after %+v", before, after)
+	}
+	if got := rec.snapshot(); !equalStrings(got, []string{"kept"}) {
+		t.Fatalf("applied %v, want only the acked command", got)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A minute-long election timeout: nothing appends after the replay.
+	rec = &applyRec{}
+	n = open(rec, time.Minute)
+	defer n.Close()
+	if got := rec.snapshot(); !equalStrings(got, []string{"kept"}) {
+		t.Fatalf("replayed %v, want only the acked command", got)
+	}
+	if st := n.Snapshot(); st.LastIndex != before.LastIndex {
+		t.Fatalf("reopened log ends at %d, want %d", st.LastIndex, before.LastIndex)
+	}
+}
+
+// TestFollowerWALFailureRefuses: a follower that cannot write its
+// entry WAL refuses the append without moving its log or commit, and
+// one that cannot write its term/vote WAL grants no vote and starts no
+// election.
+func TestFollowerWALFailureRefuses(t *testing.T) {
+	n, _ := openFollower(t)
+	e := func(i uint64, cmd string) entry {
+		return entry{Index: i, Term: 1, Cmd: []byte(cmd)}
+	}
+	if r := n.HandleAppend(&AppendRequest{Term: 1, Leader: "http://b", Entries: []entry{e(1, "A")}, Commit: 1}); !r.Success {
+		t.Fatal("append rejected before the failure")
+	}
+	if err := n.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := n.HandleAppend(&AppendRequest{Term: 1, Leader: "http://b", PrevIndex: 1, PrevTerm: 1,
+		Entries: []entry{e(2, "B"), e(3, "C")}, Commit: 3})
+	if r.Success || !r.NotDurable {
+		t.Fatalf("append over a closed WAL = %+v, want a NotDurable refusal", r)
+	}
+	if st := n.Snapshot(); st.LastIndex != 1 || st.Commit != 1 {
+		t.Fatalf("refused append moved the log: %+v", st)
+	}
+
+	if err := n.metaWal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n.mu.Lock()
+	n.lastLeaderSeen = time.Now().Add(-2 * time.Minute) // leader silent
+	n.mu.Unlock()
+	if r := n.HandleVote(&VoteRequest{Term: 5, Candidate: "http://c", LastIndex: 9, LastTerm: 5}); r.Granted {
+		t.Fatal("vote granted without persisting it")
+	}
+	n.mu.Lock()
+	term := n.term
+	n.startElectionLocked()
+	role, after, voted := n.role, n.term, n.votedFor
+	n.mu.Unlock()
+	if role != Follower || after != term || voted != "" {
+		t.Fatalf("election started without persisting the self-vote: role %v term %d->%d votedFor %q", role, term, after, voted)
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"kyrix/internal/wal"
 )
 
 // RPC endpoint paths, mounted by the server under the node's HTTP mux
@@ -49,6 +51,10 @@ type AppendResponse struct {
 	Term    uint64 `json:"term"`
 	Success bool   `json:"success"`
 	Hint    uint64 `json:"hint,omitempty"`
+	// NotDurable reports a refusal because the follower could not
+	// write the entries to its WAL: the logs may well match, so the
+	// leader does not walk back, and retries on its next heartbeat.
+	NotDurable bool `json:"notDurable,omitempty"`
 }
 
 // ProposeRequest forwards a command from a follower to the leader. ID
@@ -67,6 +73,9 @@ type ProposeResponse struct {
 	NotLeader bool   `json:"notLeader,omitempty"`
 	Leader    string `json:"leader,omitempty"`
 	Err       string `json:"err,omitempty"`
+	// NotDurable marks Err as the leader's failure to write the command
+	// to its WAL (ErrNotDurable) rather than the command's own error.
+	NotDurable bool `json:"notDurable,omitempty"`
 }
 
 // HandleVote is the vote RPC receiver.
@@ -99,8 +108,11 @@ func (n *Node) HandleVote(req *VoteRequest) *VoteResponse {
 	lastTerm := n.termAtLocked(lastIdx)
 	upToDate := req.LastTerm > lastTerm || (req.LastTerm == lastTerm && req.LastIndex >= lastIdx)
 	if (n.votedFor == "" || n.votedFor == req.Candidate) && upToDate {
+		// A vote that is not on disk is not granted.
+		if n.persistMetaLocked(n.term, req.Candidate) != nil {
+			return resp
+		}
 		n.votedFor = req.Candidate
-		n.persistMetaLocked()
 		n.resetDeadlineLocked(time.Now())
 		resp.Granted = true
 	}
@@ -140,16 +152,28 @@ func (n *Node) HandleAppend(req *AppendRequest) *AppendResponse {
 			return resp
 		}
 	}
-	dirty := false
+	// first is the index of this exchange's first new entry (0 = none
+	// yet), from the WAL offset of its record.
+	var first uint64
+	var from wal.LSN
+	var err error
 	for i := range req.Entries {
 		e := req.Entries[i]
 		if e.Index <= n.lastIndexLocked() {
 			if n.termAtLocked(e.Index) == e.Term {
 				continue // already have it
 			}
-			n.truncateFromLocked(e.Index)
+			if err = n.truncateFromLocked(e.Index); err != nil {
+				break
+			}
 		}
-		lsn := n.persistEntryNoSyncLocked(e)
+		var lsn wal.LSN
+		if lsn, err = n.persistEntryNoSyncLocked(e); err != nil {
+			break
+		}
+		if first == 0 {
+			first, from = e.Index, lsn
+		}
 		n.log = append(n.log, e)
 		n.lsns = append(n.lsns, lsn)
 		if e.ID != "" {
@@ -157,12 +181,21 @@ func (n *Node) HandleAppend(req *AppendRequest) *AppendResponse {
 			// must dedupe retries against the entries it inherited.
 			n.idIndex[e.ID] = e.Index
 		}
-		dirty = true
 	}
-	if dirty {
+	if err == nil && first != 0 {
 		// One fsync per batch: an acked entry must survive a crash —
 		// the leader counts this ack toward quorum commit.
-		_ = n.wal.Sync()
+		err = n.syncEntriesLocked()
+	}
+	if err != nil {
+		// Nothing this exchange appended is known durable: forget it
+		// and refuse, leaving log and commit where they were; the
+		// leader resends.
+		if first != 0 {
+			n.abandonLocked(first, from)
+		}
+		resp.NotDurable = true
+		return resp
 	}
 	// Advance commit only over the prefix this exchange verified:
 	// min(leaderCommit, prevIndex+len(entries)), the raft figure-2 rule.
@@ -192,7 +225,11 @@ func (n *Node) HandlePropose(req *ProposeRequest) *ProposeResponse {
 		n.mu.Unlock()
 		return resp
 	}
-	idx := n.appendCmdLocked(req.ID, req.Cmd)
+	idx, err := n.appendCmdLocked(req.ID, req.Cmd)
+	if err != nil {
+		n.mu.Unlock()
+		return &ProposeResponse{Err: err.Error(), NotDurable: true}
+	}
 	n.broadcastLocked()
 	n.mu.Unlock()
 

@@ -58,39 +58,69 @@ func (n *Node) loadLocked() error {
 	})
 }
 
-// persistMetaLocked fsyncs the current (term, votedFor) before the
-// caller acts on it — the "never vote twice in one term" invariant.
-func (n *Node) persistMetaLocked() {
-	payload, _ := json.Marshal(metaRecord{Term: n.term, VotedFor: n.votedFor})
-	if _, err := n.metaWal.Append(payload); err == nil {
-		_ = n.metaWal.Sync()
+// persistMetaLocked fsyncs (term, votedFor) before the caller acts on
+// it — the "never vote twice in one term" invariant. On an error the
+// caller must not act: the record may or may not be on disk, and either
+// way it only names a vote the node then never casts.
+func (n *Node) persistMetaLocked(term uint64, votedFor string) error {
+	payload, _ := json.Marshal(metaRecord{Term: term, VotedFor: votedFor})
+	if _, err := n.metaWal.Append(payload); err != nil {
+		return fmt.Errorf("%w: %w", ErrNotDurable, err)
 	}
+	if err := n.metaWal.Sync(); err != nil {
+		return fmt.Errorf("%w: %w", ErrNotDurable, err)
+	}
+	return nil
 }
 
 // persistEntryNoSyncLocked appends one entry record; the caller syncs
 // once per batch.
-func (n *Node) persistEntryNoSyncLocked(e entry) wal.LSN {
+func (n *Node) persistEntryNoSyncLocked(e entry) (wal.LSN, error) {
 	payload, _ := json.Marshal(e)
-	lsn, _ := n.wal.Append(payload)
-	return lsn
+	lsn, err := n.wal.Append(payload)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %w", ErrNotDurable, err)
+	}
+	return lsn, nil
 }
 
-// persistEntryLocked appends and fsyncs one entry record (the leader's
-// own append path — it acks nothing it could forget).
-func (n *Node) persistEntryLocked(e entry) wal.LSN {
-	lsn := n.persistEntryNoSyncLocked(e)
-	_ = n.wal.Sync()
-	return lsn
+// syncEntriesLocked fsyncs the entry records appended so far.
+func (n *Node) syncEntriesLocked() error {
+	if err := n.wal.Sync(); err != nil {
+		return fmt.Errorf("%w: %w", ErrNotDurable, err)
+	}
+	return nil
+}
+
+// abandonLocked forgets the entries from index on, appended at WAL
+// offset from but not known durable: memory drops them and the WAL cuts
+// them, so the next append does not land behind a record memory never
+// held.
+func (n *Node) abandonLocked(index uint64, from wal.LSN) {
+	// A failed cut leaves that record in front of the next append: the
+	// WAL then holds its index twice, and the next Open refuses to
+	// replay it (loadLocked's position check) instead of guessing.
+	_ = n.wal.TruncateAt(from)
+	n.forgetFromLocked(index)
 }
 
 // truncateFromLocked discards entries from index on, both in memory
-// and physically in the WAL. Only ever called for uncommitted suffixes
-// (committed entries never conflict).
-func (n *Node) truncateFromLocked(index uint64) {
+// and physically in the WAL; when the WAL cut fails, memory keeps them
+// too. Only ever called for uncommitted suffixes (committed entries
+// never conflict).
+func (n *Node) truncateFromLocked(index uint64) error {
 	if index < 1 || index > n.lastIndexLocked() {
-		return
+		return nil
 	}
-	_ = n.wal.TruncateAt(n.lsns[index-1])
+	if err := n.wal.TruncateAt(n.lsns[index-1]); err != nil {
+		return fmt.Errorf("%w: %w", ErrNotDurable, err)
+	}
+	n.forgetFromLocked(index)
+	return nil
+}
+
+// forgetFromLocked drops entries from index on from the in-memory log.
+func (n *Node) forgetFromLocked(index uint64) {
 	for _, e := range n.log[index-1:] {
 		if e.ID != "" && n.idIndex[e.ID] == e.Index {
 			delete(n.idIndex, e.ID)

@@ -230,12 +230,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Items), MaxBatchItems), http.StatusBadRequest)
 		return
 	}
-	codec := req.Codec
-	if codec == "" {
-		codec = CodecJSON
-	}
-	if codec != CodecJSON && codec != CodecBinary {
-		http.Error(w, fmt.Sprintf("unknown codec %q", codec), http.StatusBadRequest)
+	codec, err := checkCodec(req.Codec)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	var compress bool

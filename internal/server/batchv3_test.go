@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"kyrix/internal/fetch"
-	"kyrix/internal/sqldb"
 	"kyrix/internal/storage"
 	"kyrix/internal/wire"
 )
@@ -388,7 +387,7 @@ func TestDeltaFrameMemoMatchesFresh(t *testing.T) {
 		}
 		srv, err := New(db, ca, Options{
 			Cache:      CacheOptions{L1: L1CacheOptions{Bytes: 8 << 20}},
-			Precompute: fetch.Options{BuildSpatial: true, TileSizes: []float64{512}, MappingIndex: sqldb.IndexBTree},
+			Precompute: fetch.Options{BuildSpatial: true, TileSizes: []float64{512}},
 		})
 		if err != nil {
 			t.Fatal(err)

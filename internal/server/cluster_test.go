@@ -105,7 +105,6 @@ func newTestCluster(t testing.TB, n, points int, mutate func(i int, o *Options))
 			Precompute: fetch.Options{
 				BuildSpatial: true,
 				TileSizes:    []float64{512},
-				MappingIndex: sqldb.IndexBTree,
 			},
 		}
 		if mutate != nil {

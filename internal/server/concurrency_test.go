@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,51 +86,6 @@ func TestCoalescingOneQuery(t *testing.T) {
 	}
 	if got := srv.Stats.CoalescedHits.Load(); got != n-1 {
 		t.Fatalf("CoalescedHits = %d, want %d", got, n-1)
-	}
-}
-
-// TestCoalescingDisabled checks the ablation knob: with
-// DisableCoalescing every concurrent miss runs its own query.
-func TestCoalescingDisabled(t *testing.T) {
-	srv, hs := newPointsServer(t, 200, 4096, 2048)
-	srv.opts.DisableCoalescing = true
-	var paused atomic.Bool
-	release := make(chan struct{})
-	srv.queryHook = func() {
-		if paused.Load() {
-			<-release
-		}
-	}
-	paused.Store(true)
-	const n = 4
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Get(hs.URL + "/tile?canvas=main&layer=0&size=512&col=3&row=1")
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}()
-	}
-	// Wait until all four queries are in flight (each holds the hook).
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Stats.DBQueries.Load() < n {
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	paused.Store(false)
-	close(release)
-	wg.Wait()
-	if got := srv.Stats.DBQueries.Load(); got != n {
-		t.Fatalf("DBQueries = %d, want %d (coalescing disabled)", got, n)
-	}
-	if got := srv.Stats.CoalescedHits.Load(); got != 0 {
-		t.Fatalf("CoalescedHits = %d, want 0", got)
 	}
 }
 
@@ -264,12 +218,10 @@ func TestParallelPrecompute(t *testing.T) {
 	const canvases = 6
 	ca := multiLayerApp(t, db, canvases)
 	srv, err := New(db, ca, Options{
-		Cache:                 CacheOptions{L1: L1CacheOptions{Bytes: 4 << 20}},
-		PrecomputeParallelism: 4,
+		Cache: CacheOptions{L1: L1CacheOptions{Bytes: 4 << 20}},
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{512},
-			MappingIndex: sqldb.IndexBTree,
 		},
 	})
 	if err != nil {
@@ -310,9 +262,8 @@ func TestParallelPrecomputeFirstErrorWins(t *testing.T) {
 	// Sabotage one canvas's transform to reference a missing table.
 	ca.Spec.Canvases[2].Transforms[0].Query = "SELECT * FROM missing_table"
 	_, err := New(db, ca, Options{
-		Cache:                 CacheOptions{L1: L1CacheOptions{Bytes: 1 << 20}},
-		PrecomputeParallelism: 4,
-		Precompute:            fetch.Options{BuildSpatial: true},
+		Cache:      CacheOptions{L1: L1CacheOptions{Bytes: 1 << 20}},
+		Precompute: fetch.Options{BuildSpatial: true},
 	})
 	if err == nil {
 		t.Fatal("New should fail when a layer cannot materialize")

@@ -11,7 +11,6 @@ import (
 
 	"kyrix/internal/fetch"
 	"kyrix/internal/geom"
-	"kyrix/internal/sqldb"
 	"kyrix/internal/storage"
 	"kyrix/internal/store"
 )
@@ -31,7 +30,6 @@ func l2Options(dir string) Options {
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{512},
-			MappingIndex: sqldb.IndexBTree,
 		},
 	}
 }
@@ -180,7 +178,6 @@ func TestL2StaleFillDropped(t *testing.T) {
 	dir := t.TempDir()
 	db, ca := newPointsApp(t, 200, 4096, 2048)
 	opts := l2Options(dir)
-	opts.DisableCoalescing = true // hook runs inline, keep the flow simple
 	srv, err := New(db, ca, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -293,26 +290,21 @@ func TestL2ClusterPeerFillTombstoned(t *testing.T) {
 	}
 }
 
-// TestCacheOptionsAliasCompat: the Cache.L1 knobs reach the serving
-// cache — the configured shard count sticks and the budget caches.
+// TestCacheOptionsAliasCompat: the Cache.L1 budget reaches the serving
+// cache.
 func TestCacheOptionsAliasCompat(t *testing.T) {
 	db, ca := newPointsApp(t, 100, 4096, 2048)
 	srv, err := New(db, ca, Options{
-		// >= 1 MiB per shard, so Shards=2 sticks.
-		Cache: CacheOptions{L1: L1CacheOptions{Bytes: 4 << 20, Shards: 2}},
+		Cache: CacheOptions{L1: L1CacheOptions{Bytes: 4 << 20}},
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{512},
-			MappingIndex: sqldb.IndexBTree,
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if got := srv.BackendCache().ShardCount(); got != 2 {
-		t.Fatalf("Cache.L1.Shards=2 produced %d shards", got)
-	}
 	pl, _ := srv.Layer("main", 0)
 	if _, err := srv.serveTile(context.Background(), pl, "spatial", CodecJSON, 512, geom.TileID{}, false); err != nil {
 		t.Fatal(err)

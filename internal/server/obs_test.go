@@ -16,7 +16,6 @@ import (
 	"kyrix/internal/fetch"
 	"kyrix/internal/geom"
 	"kyrix/internal/obs"
-	"kyrix/internal/sqldb"
 	"kyrix/internal/wire"
 )
 
@@ -30,7 +29,6 @@ func newPointsServerOpts(t testing.TB, n int, mutate func(o *Options)) (*Server,
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{512},
-			MappingIndex: sqldb.IndexBTree,
 		},
 	}
 	if mutate != nil {

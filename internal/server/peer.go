@@ -169,13 +169,6 @@ func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequ
 		s.l2Fill(l2fence, key, p.raw)
 		return p, nil
 	}
-	if s.opts.DisableCoalescing {
-		v, err := fill()
-		if err != nil {
-			return nil, err
-		}
-		return v.(*payload), nil
-	}
 	v, err, dup := s.flight.Do(flightKey(gen, key), fill)
 	if err != nil {
 		return nil, err

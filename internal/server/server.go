@@ -39,29 +39,17 @@ type ReplogOptions = cluster.ReplogOptions
 // L1CacheOptions configures the in-memory backend cache (the first
 // tier every request consults).
 type L1CacheOptions struct {
-	// Bytes is the cache byte budget (0 disables the cache).
+	// Bytes is the cache byte budget (0 disables the cache). The shard
+	// count is picked from GOMAXPROCS and the budget.
 	Bytes int64
-	// Shards is the shard count (rounded up to a power of two; 0 picks
-	// an automatic count from GOMAXPROCS).
-	Shards int
 	// Admission selects the admission policy: "lfu" enables W-TinyLFU
 	// frequency-based admission (a count-min sketch estimates key
 	// popularity; once the cache is at budget a new entry must be more
 	// frequent than the would-be victim to displace it, so one-shot
 	// scans cannot flush the hot tile set); "off" or "" keeps the plain
-	// sharded LRU. DefaultOptions enables "lfu".
+	// sharded LRU. DefaultOptions enables "lfu". The frequency sketch
+	// is sized from Bytes.
 	Admission string
-	// SketchCounters sizes the TinyLFU frequency sketch (total 4-bit
-	// counters across shards; 0 derives a size from Bytes). Ignored
-	// unless Admission is "lfu".
-	SketchCounters int
-	// Doorkeeper puts a bloom-filter doorkeeper in front of the
-	// TinyLFU sketch: a key's first sighting per decay period sets
-	// bloom bits instead of count-min counters, so one-hit wonders (a
-	// sequential scan) cannot inflate the sketch and, through
-	// collisions, make unrelated cold keys look admissible. The filter
-	// resets on sketch decay. Ignored unless Admission is "lfu".
-	Doorkeeper bool
 }
 
 // L2CacheOptions configures the persistent tile store (internal/store)
@@ -72,11 +60,9 @@ type L2CacheOptions struct {
 	// Path is the segment directory; empty disables the L2 tier.
 	Path string
 	// MaxBytes is the on-disk budget (0 = 1 GiB); oldest segments are
-	// evicted with live-record salvage when it is exceeded.
+	// evicted with live-record salvage when it is exceeded. Segment
+	// files are sized from it.
 	MaxBytes int64
-	// SegmentBytes bounds one segment file (0 picks a default from
-	// MaxBytes).
-	SegmentBytes int64
 	// WriteQueueDepth bounds the write-behind fill queue; fills finding
 	// it full are dropped, never blocked on (0 = 1024).
 	WriteQueueDepth int
@@ -115,13 +101,6 @@ type Options struct {
 	// replicated log every node applies (Cluster.Replog.Dir is
 	// required). The zero value serves standalone.
 	Cluster ClusterOptions
-	// DisableCoalescing turns off singleflight request coalescing.
-	// With coalescing on (the default), N concurrent requests for the
-	// same tile/box key run one database query and share the payload.
-	DisableCoalescing bool
-	// PrecomputeParallelism bounds how many layers are materialized
-	// concurrently at startup (0 = GOMAXPROCS).
-	PrecomputeParallelism int
 	// Obs configures observability: request tracing and the flight
 	// recorder (on by default), the /metrics exposition, and opt-in
 	// pprof. See ObsOptions.
@@ -144,7 +123,6 @@ func DefaultOptions() Options {
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{256, 1024, 4096},
-			MappingIndex: sqldb.IndexBTree,
 		},
 	}
 }
@@ -302,11 +280,8 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		ca:     ca,
 		layers: make(map[string]*fetch.PhysicalLayer),
 		bcache: cache.New(cache.Config{
-			Budget:         opts.Cache.L1.Bytes,
-			Shards:         opts.Cache.L1.Shards,
-			Admission:      admission,
-			SketchCounters: opts.Cache.L1.SketchCounters,
-			Doorkeeper:     opts.Cache.L1.Doorkeeper,
+			Budget:    opts.Cache.L1.Bytes,
+			Admission: admission,
 		}),
 		// One entry = size 1, so the byte budget counts plans; a single
 		// shard keeps exact LRU order (the cap is tiny).
@@ -322,7 +297,6 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		l2, err := store.Open(store.Options{
 			Path:            opts.Cache.L2.Path,
 			MaxBytes:        opts.Cache.L2.MaxBytes,
-			SegmentBytes:    opts.Cache.L2.SegmentBytes,
 			WriteQueueDepth: opts.Cache.L2.WriteQueueDepth,
 			FlushInterval:   opts.Cache.L2.FlushInterval,
 			ScrubInterval:   opts.Cache.L2.ScrubInterval,
@@ -331,7 +305,7 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 			return nil, fmt.Errorf("server: open L2 tile store: %w", err)
 		}
 		if _, err := l2.Invalidate(func(k string) bool { return strings.HasPrefix(k, retiredKeySpace) }); err != nil {
-			_ = l2.Close()
+			_ = l2.Close() // already failing; the invalidate error wins
 			return nil, fmt.Errorf("server: drop retired L2 records: %w", err)
 		}
 		s.l2 = l2
@@ -347,12 +321,7 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 	// Per-layer materialization tasks on the shared work-stealing pool.
 	// The pool cancels the context on the first error, so sibling layer
 	// builds in flight stop at their next batch boundary instead of
-	// running a doomed startup to completion — previously a failure only
-	// kept *unstarted* layers from running.
-	workers := opts.PrecomputeParallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	// running a doomed startup to completion.
 	var (
 		layerMu sync.Mutex
 		tasks   []fetch.Task
@@ -372,7 +341,7 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 			})
 		}
 	}
-	if err := fetch.RunTasks(context.Background(), workers, tasks); err != nil {
+	if err := fetch.RunTasks(context.Background(), runtime.GOMAXPROCS(0), tasks); err != nil {
 		return nil, err
 	}
 	if opts.Cluster.Replog.Dir != "" {
@@ -396,12 +365,11 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 			Transport:       rpc,
 			Apply:           s.applyUpdate,
 			ElectionTimeout: opts.Cluster.Replog.ElectionTimeout,
-			Heartbeat:       opts.Cluster.Replog.Heartbeat,
 			SubmitTimeout:   opts.Cluster.Replog.SubmitTimeout,
 		})
 		if err != nil {
 			if s.l2 != nil {
-				_ = s.l2.Close()
+				_ = s.l2.Close() // already failing; the open error wins
 			}
 			return nil, fmt.Errorf("server: open replicated log: %w", err)
 		}
@@ -595,11 +563,23 @@ func (s *Server) layerFromQuery(r *http.Request) (*fetch.PhysicalLayer, error) {
 	return pl, nil
 }
 
-func codecOf(r *http.Request) Codec {
-	if c := r.URL.Query().Get("codec"); c != "" {
-		return Codec(c)
+// codecOf reads a request's codec parameter (empty is JSON).
+func codecOf(r *http.Request) (Codec, error) {
+	return checkCodec(Codec(r.URL.Query().Get("codec")))
+}
+
+// checkCodec defaults an empty codec to JSON and refuses any name but
+// json and binary. The codec picks the cache key space, so an unchecked
+// name could reach bytes cached in another layout ("bincol" is the
+// binary key space) or probe both tiers for a payload no encoder makes.
+func checkCodec(c Codec) (Codec, error) {
+	switch c {
+	case "":
+		return CodecJSON, nil
+	case CodecJSON, CodecBinary:
+		return c, nil
 	}
-	return CodecJSON
+	return "", fmt.Errorf("unknown codec %q", c)
 }
 
 func floatParam(r *http.Request, name string) (float64, error) {
@@ -666,8 +646,8 @@ func httpStatusOf(err error) int {
 
 // cachedQuery runs one cacheable request body: on a cache miss it
 // executes the query (through the plan cache) and stores the payload.
-// Unless disabled, concurrent identical keys collapse onto a single
-// execution whose payload all callers share.
+// Concurrent identical keys collapse onto a single execution whose
+// payload all callers share.
 //
 // The cache generation is captured before the query runs and checked
 // before the payload is stored: a query that raced an /update holds
@@ -694,9 +674,6 @@ func (s *Server) cachedQuery(ctx context.Context, key, sql string, args []storag
 		s.putUnlessStale(gen, key, p)
 		s.l2Fill(l2fence, key, p.raw)
 		return p, nil
-	}
-	if s.opts.DisableCoalescing {
-		return fill()
 	}
 	v, err, dup := s.flight.Do(flightKey(gen, key), func() (any, error) {
 		// Double-check the cache: a previous flight for this key may
@@ -817,7 +794,11 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	if design == "" {
 		design = "spatial"
 	}
-	codec := codecOf(r)
+	codec, err := codecOf(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	ctx, sp := s.startRequestSpan(r, "http.tile")
 	sp.Attr("canvas", pl.CanvasID)
 	start := time.Now()
@@ -858,7 +839,11 @@ func (s *Server) handleDBox(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "invalid box", http.StatusBadRequest)
 		return
 	}
-	codec := codecOf(r)
+	codec, err := codecOf(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	ctx, sp := s.startRequestSpan(r, "http.dbox")
 	sp.Attr("canvas", pl.CanvasID)
 	start := time.Now()

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"kyrix/internal/fetch"
@@ -161,7 +162,6 @@ func newPointsServer(t testing.TB, n int, canvasW, canvasH float64) (*Server, *h
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{512},
-			MappingIndex: sqldb.IndexBTree,
 		},
 	})
 	if err != nil {
@@ -325,6 +325,45 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode == http.StatusOK {
 			t.Errorf("GET %s should fail", u)
 		}
+	}
+}
+
+// TestUnknownCodecRefused: /tile and /dbox answer 400 to a codec other
+// than json or binary before consulting either cache tier. "bincol"
+// names the binary key space, so without the check a warm L1 would
+// answer it with columnar bytes labelled as JSON.
+func TestUnknownCodecRefused(t *testing.T) {
+	srv, hs := newPointsServer(t, 200, 4096, 2048)
+	get := func(u string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(hs.URL + u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp, body
+	}
+	const tile = "/tile?canvas=main&layer=0&size=512&col=0&row=0"
+	const box = "/dbox?canvas=main&layer=0&minx=0&miny=0&maxx=512&maxy=512"
+	for _, u := range []string{tile + "&codec=binary", box + "&codec=binary"} {
+		if resp, body := get(u); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s: %s", u, resp.Status, body)
+		}
+	}
+	hits, queries := srv.Stats.CacheHits.Load(), srv.Stats.DBQueries.Load()
+	for _, u := range []string{
+		tile + "&codec=bincol", box + "&codec=bincol",
+		tile + "&codec=xml", box + "&codec=xml",
+	} {
+		if resp, body := get(u); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s: %s (%s), want 400", u, resp.Status, resp.Header.Get("Content-Type"))
+		} else if !strings.Contains(string(body), "unknown codec") {
+			t.Errorf("GET %s: body %q does not name the codec", u, body)
+		}
+	}
+	if h, q := srv.Stats.CacheHits.Load(), srv.Stats.DBQueries.Load(); h != hits || q != queries {
+		t.Fatalf("refused codecs reached the cache or database: hits %d -> %d, queries %d -> %d", hits, h, queries, q)
 	}
 }
 

@@ -180,6 +180,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, replog.ErrNoLeader) || errors.Is(err, replog.ErrClosed) ||
+				errors.Is(err, replog.ErrNotDurable) ||
 				errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 				// Not committed — or not KNOWN committed: the update may
 				// have reached the log before the error. A retry is

@@ -72,7 +72,6 @@ func scaledOptions(l2dir string) Options {
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{512},
-			MappingIndex: sqldb.IndexBTree,
 		},
 	}
 	if l2dir != "" {

@@ -37,16 +37,11 @@ func clusteredPoints(tb testing.TB, n int) (*DB, []testPoint, float64) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	pts := make([]testPoint, n)
-	rows := make([]storage.Row, 0, 4096)
 	for i := range pts {
 		pts[i] = testPoint{id: int64(i), x: rng.Float64() * w, y: rng.Float64() * h}
-		rows = append(rows, storage.Row{storage.I64(pts[i].id), storage.F64(pts[i].x),
-			storage.F64(pts[i].y), storage.F64(float64(i)), storage.Str("")})
-		if len(rows) == cap(rows) || i == n-1 {
-			if err := db.InsertRows("pts", rows); err != nil {
-				tb.Fatal(err)
-			}
-			rows = rows[:0]
+		if err := db.InsertRow("pts", storage.Row{storage.I64(pts[i].id), storage.F64(pts[i].x),
+			storage.F64(pts[i].y), storage.F64(float64(i)), storage.Str("")}); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	for _, ddl := range []string{

@@ -306,42 +306,6 @@ func (db *DB) InsertRow(table string, row storage.Row) error {
 	return nil
 }
 
-// InsertRows appends a batch of rows under one lock acquisition: the
-// caller's batch is coerced outside the lock, then the table's write
-// lock is held once per batch instead of once per row, so several
-// goroutines can bulk-load one table. Rows are coerced in place.
-func (db *DB) InsertRows(table string, rows []storage.Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	t, err := db.Table(table)
-	if err != nil {
-		return err
-	}
-	for _, row := range rows {
-		if len(row) != len(t.schema) {
-			return fmt.Errorf("sqldb: row arity %d != table arity %d", len(row), len(t.schema))
-		}
-		for i := range row {
-			row[i], err = coerce(row[i], t.schema[i].Type)
-			if err != nil {
-				return err
-			}
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, row := range rows {
-		rid, err := t.heap.Insert(row)
-		if err != nil {
-			return err
-		}
-		t.indexInsert(rid, row)
-	}
-	db.bump(func(s *DBStats) { s.Inserts += int64(len(rows)) })
-	return nil
-}
-
 // matchingRIDs collects (rid, row-copy) pairs satisfying where, using
 // an index when one applies, and counts the heap pages it pinned.
 // Caller holds at least a read lock on t.

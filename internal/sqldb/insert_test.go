@@ -10,68 +10,54 @@ import (
 	"kyrix/internal/storage"
 )
 
+// TestInsertRowsBasics: InsertRow coerces a value into its column's
+// type.
 func TestInsertRowsBasics(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, "CREATE TABLE t (a INT, b DOUBLE)")
-	rows := []storage.Row{
-		{storage.I64(1), storage.F64(1.5)},
-		{storage.I64(2), storage.I64(3)}, // int coerced into the DOUBLE column
-	}
-	if err := db.InsertRows("t", rows); err != nil {
+	if err := db.InsertRow("t", storage.Row{storage.I64(1), storage.F64(1.5)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.InsertRows("t", nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
+	// int coerced into the DOUBLE column
+	if err := db.InsertRow("t", storage.Row{storage.I64(2), storage.I64(3)}); err != nil {
+		t.Fatal(err)
 	}
 	res := mustQuery(t, db, "SELECT * FROM t ORDER BY a")
 	if len(res.Rows) != 2 {
 		t.Fatalf("%d rows, want 2", len(res.Rows))
 	}
 	if res.Rows[1][1].Kind != storage.TFloat64 || res.Rows[1][1].F != 3 {
-		t.Fatalf("batch insert did not coerce int into DOUBLE column: %v", res.Rows[1][1])
-	}
-	if got := db.Stats().Inserts; got != 2 {
-		t.Fatalf("Inserts stat = %d, want 2", got)
+		t.Fatalf("insert did not coerce int into DOUBLE column: %v", res.Rows[1][1])
 	}
 }
 
+// TestInsertRowsErrors: InsertRow refuses a missing table, a wrong
+// arity and an uncoercible value without inserting anything.
 func TestInsertRowsErrors(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, "CREATE TABLE t (a INT, b DOUBLE)")
-	if err := db.InsertRows("missing", []storage.Row{{storage.I64(1), storage.F64(2)}}); err == nil {
+	if err := db.InsertRow("missing", storage.Row{storage.I64(1), storage.F64(2)}); err == nil {
 		t.Fatal("missing table must fail")
 	}
-	// A bad row anywhere in the batch rejects the whole batch before any
-	// insert happens, so a failed bulk load leaves no partial batch.
-	batch := []storage.Row{
-		{storage.I64(1), storage.F64(2)},
-		{storage.I64(2)}, // arity
-	}
-	if err := db.InsertRows("t", batch); err == nil {
+	if err := db.InsertRow("t", storage.Row{storage.I64(3)}); err == nil {
 		t.Fatal("arity mismatch must fail")
 	}
-	batch = []storage.Row{
-		{storage.I64(1), storage.F64(2)},
-		{storage.Str("nope"), storage.F64(2)}, // type
-	}
-	if err := db.InsertRows("t", batch); err == nil {
+	if err := db.InsertRow("t", storage.Row{storage.Str("nope"), storage.F64(2)}); err == nil {
 		t.Fatal("type mismatch must fail")
 	}
 	if res := mustQuery(t, db, "SELECT * FROM t"); len(res.Rows) != 0 {
-		t.Fatalf("failed batches left %d rows behind", len(res.Rows))
+		t.Fatalf("refused rows left %d rows behind", len(res.Rows))
 	}
 }
 
-func TestInsertRowsIndexVisibility(t *testing.T) {
+func TestInsertRowIndexVisibility(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, "CREATE TABLE t (a INT, b DOUBLE)")
 	mustExec(t, db, "CREATE INDEX t_a ON t USING BTREE (a)")
-	rows := make([]storage.Row, 100)
-	for i := range rows {
-		rows[i] = storage.Row{storage.I64(int64(i)), storage.F64(float64(i))}
-	}
-	if err := db.InsertRows("t", rows); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 100; i++ {
+		if err := db.InsertRow("t", storage.Row{storage.I64(int64(i)), storage.F64(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	plan := mustQuery(t, db, "EXPLAIN SELECT * FROM t WHERE a = ?", storage.I64(42))
 	var joined strings.Builder
@@ -84,21 +70,19 @@ func TestInsertRowsIndexVisibility(t *testing.T) {
 	}
 	res := mustQuery(t, db, "SELECT * FROM t WHERE a = ?", storage.I64(42))
 	if len(res.Rows) != 1 || res.Rows[0][1].F != 42 {
-		t.Fatalf("index lookup after batch insert: %v", res.Rows)
+		t.Fatalf("index lookup after InsertRow: %v", res.Rows)
 	}
 }
 
-// TestInsertRowsConcurrentBatches is the pyramid bulk-insert shape:
-// several goroutines each append disjoint chunks with InsertRows while
-// readers scan. Run under -race it proves the one-lock-per-batch path
-// is safe; the final count proves no batch was lost or duplicated.
-func TestInsertRowsConcurrentBatches(t *testing.T) {
+// TestInsertRowConcurrentLoaders: several goroutines load disjoint rows
+// with InsertRow while readers scan. Run under -race it proves the
+// path is safe; the final count proves no row was lost or duplicated.
+func TestInsertRowConcurrentLoaders(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, "CREATE TABLE t (a INT, b DOUBLE)")
 	const (
-		writers   = 8
-		batches   = 10
-		batchSize = 50
+		writers = 8
+		perW    = 500
 	)
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers+2)
@@ -106,13 +90,9 @@ func TestInsertRowsConcurrentBatches(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for b := 0; b < batches; b++ {
-				rows := make([]storage.Row, batchSize)
-				for i := range rows {
-					id := int64(w*batches*batchSize + b*batchSize + i)
-					rows[i] = storage.Row{storage.I64(id), storage.F64(float64(id))}
-				}
-				if err := db.InsertRows("t", rows); err != nil {
+			for i := 0; i < perW; i++ {
+				id := int64(w*perW + i)
+				if err := db.InsertRow("t", storage.Row{storage.I64(id), storage.F64(float64(id))}); err != nil {
 					errCh <- fmt.Errorf("writer %d: %w", w, err)
 					return
 				}
@@ -137,8 +117,8 @@ func TestInsertRowsConcurrentBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := mustQuery(t, db, "SELECT COUNT(*) FROM t")
-	if got := res.Rows[0][0].AsInt(); got != writers*batches*batchSize {
-		t.Fatalf("count = %d, want %d", got, writers*batches*batchSize)
+	if got := res.Rows[0][0].AsInt(); got != writers*perW {
+		t.Fatalf("count = %d, want %d", got, writers*perW)
 	}
 }
 

@@ -246,13 +246,13 @@ func Open(opts Options) (*Store, error) {
 	for _, id := range ids {
 		seg, err := openSegment(opts.Path, id)
 		if err != nil {
-			s.closeSegsLocked()
+			_ = s.closeSegsLocked() // already failing; the open error wins
 			return nil, err
 		}
 		s.segs = append(s.segs, seg)
 		s.segByID[id] = seg
 		if err := s.replaySegmentLocked(seg); err != nil {
-			s.closeSegsLocked()
+			_ = s.closeSegsLocked() // already failing; the open error wins
 			return nil, err
 		}
 		s.totalBytes += seg.log.Size()
@@ -521,19 +521,24 @@ func (s *Store) Close() error {
 	case <-time.After(s.opts.DrainTimeout):
 	}
 	s.mu.Lock()
-	s.closeSegsLocked()
-	s.mu.Unlock()
-	return nil
+	defer s.mu.Unlock()
+	return s.closeSegsLocked()
 }
 
-func (s *Store) closeSegsLocked() {
+// closeSegsLocked syncs and closes every segment, returning the first
+// error.
+func (s *Store) closeSegsLocked() error {
 	if s.segsClosed {
-		return
+		return nil
 	}
 	s.segsClosed = true
+	var first error
 	for _, seg := range s.segs {
-		_ = seg.log.Close()
+		if err := seg.log.Close(); err != nil && first == nil {
+			first = fmt.Errorf("store: close segment %d: %w", seg.id, err)
+		}
 	}
+	return first
 }
 
 // Snapshot returns a point-in-time copy of the store's counters and
@@ -717,6 +722,9 @@ func (s *Store) appendBatch(batch []putReq) {
 	}
 	if wrote {
 		active := s.segs[len(s.segs)-1]
+		// Fills are re-derivable and acked to no one: one whose sync
+		// failed is at worst a miss after a crash, since replay drops
+		// torn records by checksum.
 		_ = active.log.Sync()
 		s.Stats.BatchFlushes.Add(1)
 		s.evictLocked()
@@ -740,7 +748,9 @@ func (s *Store) appendRecordLocked(gen uint64, kind int, key string, val []byte)
 	if active.log.Size() >= s.opts.SegmentBytes {
 		// Sync the outgoing active segment before rotating: it is
 		// immutable from here on and must be durable.
-		_ = active.log.Sync()
+		if err := active.log.Sync(); err != nil {
+			return loc{}, fmt.Errorf("store: sync segment %d before rotation: %w", active.id, err)
+		}
 		if err := s.rotateLocked(); err != nil {
 			return loc{}, err
 		}
@@ -787,7 +797,7 @@ func (s *Store) evictLocked() {
 		budget := s.opts.MaxBytes - (s.totalBytes - freed)
 		gen := s.gen.Load()
 		var salvagedBytes int64
-		_ = victim.log.Replay(func(lsn wal.LSN, payload []byte) error {
+		err := victim.log.Replay(func(lsn wal.LSN, payload []byte) error {
 			rec, err := decodeRecord(payload)
 			if err != nil || rec.kind != recordPut {
 				return nil
@@ -811,9 +821,24 @@ func (s *Store) evictLocked() {
 			s.Stats.Salvaged.Add(1)
 			return nil
 		})
+		if err != nil {
+			// The unread rest of the victim cannot be salvaged: forget
+			// every key still in it, or Get would read a removed
+			// segment.
+			for k, l := range s.index {
+				if l.seg == victim.id {
+					delete(s.index, k)
+					s.Stats.EvictedLive.Add(1)
+				}
+			}
+		}
 		if salvagedBytes > 0 {
+			// Salvaged copies are cache fills like any other: one whose
+			// sync failed is at worst a miss after a crash.
 			_ = s.segs[len(s.segs)-1].log.Sync()
 		}
+		// Every live record left the victim above; it is removed next,
+		// so its close error loses nothing.
 		_ = victim.log.Close()
 		_ = os.Remove(victim.path)
 		s.totalBytes -= freed

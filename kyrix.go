@@ -40,20 +40,17 @@
 //
 // The backend is built to scale with cores, not collapse on one lock:
 //
-//   - Both caches are sharded: keys are fnv-hashed onto a
-//     power-of-two number of independently locked shards. Shard counts
-//     are knobs ([ServerOptions].Cache.L1.Shards, [ClientOptions].CacheShards;
-//     0 picks an automatic count, and small budgets collapse to one
-//     shard with exact global LRU order). The backend cache adds a
-//     frequency-aware admission policy — see "Backend cache admission"
-//     below.
+//   - The backend cache is sharded: keys are fnv-hashed onto a
+//     power-of-two number of independently locked shards, a count
+//     derived from GOMAXPROCS (small budgets collapse to one shard with
+//     exact global LRU order). It adds a frequency-aware admission
+//     policy — see "Backend cache admission" below. The frontend
+//     cache is one shard: a client runs on one goroutine.
 //   - Identical concurrent tile/box requests are coalesced
 //     (singleflight): one database query runs, every caller shares the
-//     payload. Disable with [ServerOptions].DisableCoalescing for
-//     ablations.
-//   - [NewServer] materializes layers in parallel under a bounded
-//     worker pool ([ServerOptions].PrecomputeParallelism, 0 =
-//     GOMAXPROCS); the first error wins.
+//     payload.
+//   - [NewServer] materializes layers in parallel under a worker pool
+//     of GOMAXPROCS workers; the first error wins.
 //   - The server keeps a prepared-plan cache: each layer's constant
 //     statement shapes are parsed once and re-executed with fresh '?'
 //     arguments, skipping the SQL parser on the hot path.
@@ -77,11 +74,10 @@
 // while a genuinely popular key is admitted on its second touch.
 // Entries re-accessed in the window or probation graduate to the
 // protected segment (capped at 4/5 of a shard's share; overflow
-// demotes back to probation). Knobs: [ServerOptions].Cache.L1.Admission
-// ("lfu"|"off" — "off" keeps the plain sharded LRU) and
-// [ServerOptions].Cache.L1.SketchCounters (sketch size, 0 = derived
-// from the budget). The cache's Stats expose Admitted/Rejected gate
-// decisions, surfaced by GET /stats.
+// demotes back to probation). Knob: [ServerOptions].Cache.L1.Admission
+// ("lfu"|"off" — "off" keeps the plain sharded LRU); the sketch is
+// sized from the budget. The cache's Stats expose Admitted/Rejected
+// gate decisions, surfaced by GET /stats.
 //
 // Two invariants hold regardless of policy. First, the byte budget is
 // hard: after every Put, resident bytes <= budget — eviction tries
@@ -94,13 +90,6 @@
 // benchmarks: BenchmarkHitRatioZipf and BenchmarkHitRatioScan
 // (internal/cache) replay the zipf and scan adversaries with admission
 // off vs lfu and report hit ratios policy-by-policy on the same trace.
-//
-// [ServerOptions].Cache.L1.Doorkeeper adds a bloom-filter doorkeeper in
-// front of the sketch: a key's first sighting per decay period sets
-// bloom bits instead of count-min counters, so one-hit wonders cannot
-// inflate the sketch and — through counter collisions — make unrelated
-// cold keys look admissible. The filter clears on every sketch decay;
-// estimates transparently count the bloom bit as one sighting.
 //
 // # Persistent tile store (L2)
 //
@@ -137,8 +126,9 @@
 //     salvaging still-live records within the byte budget) reclaims the
 //     dead space, doubling as compaction.
 //
-// Knobs: [ServerOptions].Cache.L2 Path/MaxBytes/SegmentBytes/
-// WriteQueueDepth/FlushInterval; GET /stats reports the tier under
+// Knobs: [ServerOptions].Cache.L2 Path/MaxBytes/WriteQueueDepth/
+// FlushInterval/ScrubInterval (segment files are sized from MaxBytes);
+// GET /stats reports the tier under
 // cache.l2 ([StatsSnapshot]). `kyrix-bench -restart -l2dir DIR`
 // measures the restart benefit, and BenchmarkColdStart guards it in CI.
 //
@@ -176,7 +166,7 @@
 //
 // One process, however well sharded, is one machine. With
 // [ServerOptions].Cluster ([ClusterOptions]: Self, Peers,
-// VirtualNodes, HotReplicate) N backends form a serving tier in the
+// HotReplicate) N backends form a serving tier in the
 // groupcache mold, assuming a shared (or identically loaded) backing
 // store:
 //
@@ -224,7 +214,7 @@
 // # Replicated updates
 //
 // The cluster section above shares reads; [ClusterOptions].Replog
-// ([ReplogOptions]: Dir, ElectionTimeout, Heartbeat, SubmitTimeout)
+// ([ReplogOptions]: Dir, ElectionTimeout, SubmitTimeout)
 // replicates writes, and a cluster requires its Dir ([NewServer]
 // refuses a cluster without one). Every node runs a member of a
 // leader-based replicated log (internal/replog — a minimal Raft
@@ -436,8 +426,7 @@
 // names the framed family, the version byte bumps on any layout change
 // or new kind, status or codec, and decoders reject what they do not
 // know. At most 256 items per request; the frontend splits larger
-// viewports across round trips, overlapped under
-// [ClientOptions].FetchConcurrency.
+// viewports across round trips, issued one after another.
 //
 // A raw payload is the exact bytes a single GET /tile or /dbox would
 // return for the item, in the request codec.
@@ -692,9 +681,6 @@ type (
 	// constructible by external module consumers, who cannot import
 	// the internal package the struct lives in.
 	PrecomputeOptions = fetch.Options
-	// IndexKind selects the index structure on the tuple–tile mapping
-	// table (PrecomputeOptions.MappingIndex).
-	IndexKind = sqldb.IndexKind
 	// ClusterOptions joins a backend to a serving cluster
 	// (ServerOptions.Cluster): consistent-hash tile ownership with
 	// peer cache fill — see the "Clustered serving" section above.
@@ -720,12 +706,6 @@ type (
 	// see the "Observability" section above. The zero value traces with
 	// a 64-deep recorder and no pprof.
 	ObsOptions = server.ObsOptions
-)
-
-// Mapping-table index kinds (§3.1 compares B-tree and hash).
-const (
-	IndexBTree = sqldb.IndexBTree
-	IndexHash  = sqldb.IndexHash
 )
 
 // DefaultPrecomputeOptions builds both §3.1 database designs with the

@@ -257,7 +257,6 @@ func TestPrecomputeOptionsConstructible(t *testing.T) {
 		Precompute: kyrix.PrecomputeOptions{
 			BuildSpatial: true,
 			TileSizes:    []float64{512},
-			MappingIndex: kyrix.IndexBTree,
 		},
 	}
 	inst, err := kyrix.Launch(db, app, reg, opts, kyrix.DefaultClientOptions())
@@ -270,13 +269,10 @@ func TestPrecomputeOptionsConstructible(t *testing.T) {
 		t.Fatalf("load over root-constructed options: %v, %d rows", err, rep.Rows)
 	}
 	// The default precompute options are the ones DefaultServerOptions
-	// ships, and the hash-index kind is usable too.
+	// ships.
 	def := kyrix.DefaultPrecomputeOptions()
 	if !def.BuildSpatial || len(def.TileSizes) != 3 {
 		t.Fatalf("default precompute = %+v", def)
-	}
-	if kyrix.IndexHash == kyrix.IndexBTree {
-		t.Fatal("index kinds must differ")
 	}
 }
 
