@@ -1,0 +1,305 @@
+package server
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+	"time"
+
+	"kyrix/internal/cluster"
+	"kyrix/internal/fetch"
+	"kyrix/internal/geom"
+	"kyrix/internal/spec"
+	"kyrix/internal/storage"
+)
+
+// LayerMeta is what the frontend needs to know about one layer:
+// schema, placement parameters for client-side bbox computation, and
+// which renderer to run.
+type LayerMeta struct {
+	CanvasID string `json:"canvas"`
+	Index    int    `json:"index"`
+	Static   bool   `json:"static"`
+	Renderer string `json:"renderer"`
+	// Table is the physical table serving this layer (the base table
+	// for separable layers, the materialized layer table otherwise);
+	// §4-style updates that should be visible in the view target it.
+	Table     string    `json:"table"`
+	Cols      []string  `json:"cols"`
+	Types     ColTypes  `json:"types"`
+	Separable bool      `json:"separable"`
+	XIdx      int       `json:"xIdx"`
+	YIdx      int       `json:"yIdx"`
+	XScale    float64   `json:"xScale"`
+	YScale    float64   `json:"yScale"`
+	Radius    float64   `json:"radius"`
+	BBoxIdx   [4]int    `json:"bboxIdx"`
+	TileSizes []float64 `json:"tileSizes"`
+	HasData   bool      `json:"hasData"`
+	// LOD reports that the layer serves an aggregation pyramid: zoomed-
+	// out windows return per-cell aggregate rows (base schema + appended
+	// lod_* columns), so cached boxes must be refetched when the zoom
+	// level changes; LODLevels is the pyramid height.
+	LOD       bool `json:"lod,omitempty"`
+	LODLevels int  `json:"lodLevels,omitempty"`
+}
+
+// RowBox computes the canvas bbox of a fetched row client-side.
+func (lm *LayerMeta) RowBox(row storage.Row) geom.Rect {
+	if lm.Separable {
+		p := geom.Point{
+			X: row[lm.XIdx].AsFloat() * lm.XScale,
+			Y: row[lm.YIdx].AsFloat() * lm.YScale,
+		}
+		return geom.RectAround(p, lm.Radius)
+	}
+	return geom.Rect{
+		MinX: row[lm.BBoxIdx[0]].AsFloat(),
+		MinY: row[lm.BBoxIdx[1]].AsFloat(),
+		MaxX: row[lm.BBoxIdx[2]].AsFloat(),
+		MaxY: row[lm.BBoxIdx[3]].AsFloat(),
+	}
+}
+
+// CanvasMeta describes one canvas to the frontend.
+type CanvasMeta struct {
+	ID     string      `json:"id"`
+	W      float64     `json:"w"`
+	H      float64     `json:"h"`
+	Layers []LayerMeta `json:"layers"`
+}
+
+// AppMeta is the full /app response.
+type AppMeta struct {
+	Name          string       `json:"name"`
+	Canvases      []CanvasMeta `json:"canvases"`
+	Jumps         []spec.Jump  `json:"jumps"`
+	InitialCanvas string       `json:"initialCanvas"`
+	InitialX      float64      `json:"initialX"`
+	InitialY      float64      `json:"initialY"`
+	ViewportW     float64      `json:"viewportW"`
+	ViewportH     float64      `json:"viewportH"`
+}
+
+// Meta builds the app metadata from the compiled spec + physical
+// layers.
+func (s *Server) Meta() *AppMeta {
+	app := s.ca.Spec
+	meta := &AppMeta{
+		Name:          app.Name,
+		Jumps:         app.Jumps,
+		InitialCanvas: app.InitialCanvas,
+		InitialX:      app.InitialX,
+		InitialY:      app.InitialY,
+		ViewportW:     app.ViewportW,
+		ViewportH:     app.ViewportH,
+	}
+	for _, c := range app.Canvases {
+		cm := CanvasMeta{ID: c.ID, W: c.W, H: c.H}
+		for li, l := range c.Layers {
+			pl := s.layers[layerKey(c.ID, li)]
+			lm := LayerMeta{
+				CanvasID: c.ID,
+				Index:    li,
+				Static:   l.Static,
+				Renderer: l.Renderer,
+			}
+			if pl != nil && pl.Table != "" {
+				lm.HasData = true
+				lm.Table = pl.Table
+				lm.Separable = pl.Separable
+				lm.Radius = pl.Radius
+				lm.XScale, lm.YScale = pl.XScale, pl.YScale
+				for _, col := range pl.Schema {
+					lm.Cols = append(lm.Cols, col.Name)
+					lm.Types = append(lm.Types, col.Type)
+				}
+				if pl.Separable {
+					lm.XIdx = pl.Schema.ColIndex(pl.XCol)
+					lm.YIdx = pl.Schema.ColIndex(pl.YCol)
+				} else {
+					for i, b := range pl.BBoxCols {
+						lm.BBoxIdx[i] = pl.Schema.ColIndex(b)
+					}
+				}
+				for sz := range pl.TileMaps {
+					lm.TileSizes = append(lm.TileSizes, sz)
+				}
+				if pl.LOD != nil {
+					lm.LOD = true
+					lm.LODLevels = len(pl.LOD.Levels)
+				}
+			}
+			cm.Layers = append(cm.Layers, lm)
+		}
+		meta.Canvases = append(meta.Canvases, cm)
+	}
+	return meta
+}
+
+// Handler returns the backend's HTTP handler.
+func (s *Server) Handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/app", s.handleApp)
+	mux.HandleFunc("/tile", s.handleTile)
+	mux.HandleFunc("/batch", s.handleBatch)
+	mux.HandleFunc("/dbox", s.handleDBox)
+	mux.HandleFunc("/update", s.handleUpdate)
+	mux.HandleFunc("/stats", s.handleStats)
+	mux.HandleFunc(cluster.PeerPath, s.handlePeer)
+	if s.replog != nil {
+		mux.Handle("/replog/", s.traceMiddleware("replog.rpc", s.replog.Handler()))
+	}
+	s.mountDebug(mux)
+	return mux
+}
+
+func (s *Server) handleApp(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(s.Meta()); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+func (s *Server) layerFromQuery(r *http.Request) (*fetch.PhysicalLayer, error) {
+	canvas := r.URL.Query().Get("canvas")
+	layerStr := r.URL.Query().Get("layer")
+	idx, err := strconv.Atoi(layerStr)
+	if err != nil {
+		return nil, fmt.Errorf("bad layer index %q", layerStr)
+	}
+	pl, ok := s.Layer(canvas, idx)
+	if !ok {
+		return nil, fmt.Errorf("no layer %s/%d", canvas, idx)
+	}
+	if pl.Table == "" {
+		return nil, fmt.Errorf("layer %s/%d has no data", canvas, idx)
+	}
+	return pl, nil
+}
+
+// codecOf reads a request's codec parameter (empty is JSON).
+func codecOf(r *http.Request) (Codec, error) {
+	return checkCodec(Codec(r.URL.Query().Get("codec")))
+}
+
+// checkCodec defaults an empty codec to JSON and refuses any name but
+// json and binary. The codec picks the cache key space, so an unchecked
+// name could reach bytes cached in another layout ("bincol" is the
+// binary key space) or probe both tiers for a payload no encoder makes.
+func checkCodec(c Codec) (Codec, error) {
+	switch c {
+	case "":
+		return CodecJSON, nil
+	case CodecJSON, CodecBinary:
+		return c, nil
+	}
+	return "", fmt.Errorf("unknown codec %q", c)
+}
+
+func floatParam(r *http.Request, name string) (float64, error) {
+	v, err := strconv.ParseFloat(r.URL.Query().Get(name), 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s: %v", name, err)
+	}
+	return v, nil
+}
+
+// handleTile answers one static-tile request under either database
+// design.
+func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
+	s.Stats.TileRequests.Add(1)
+	pl, err := s.layerFromQuery(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	q := r.URL.Query()
+	size, err := floatParam(r, "size")
+	if err != nil || size <= 0 {
+		http.Error(w, "bad size", http.StatusBadRequest)
+		return
+	}
+	col, err1 := strconv.Atoi(q.Get("col"))
+	row, err2 := strconv.Atoi(q.Get("row"))
+	if err1 != nil || err2 != nil || col < 0 || row < 0 {
+		http.Error(w, "bad col/row", http.StatusBadRequest)
+		return
+	}
+	design := q.Get("design")
+	if design == "" {
+		design = "spatial"
+	}
+	codec, err := codecOf(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	ctx, sp := s.startRequestSpan(r, "http.tile")
+	sp.Attr("canvas", pl.CanvasID)
+	start := time.Now()
+	p, err := s.serveTile(ctx, pl, design, codec, size, geom.TileID{Col: col, Row: row}, false)
+	s.obs.stageItem.Observe(time.Since(start))
+	sp.End()
+	if err != nil {
+		http.Error(w, err.Error(), httpStatusOf(err))
+		return
+	}
+	s.writePayload(w, codec, p.raw)
+}
+
+// handleDBox answers one dynamic-box request (always the spatial
+// design, §3.1).
+func (s *Server) handleDBox(w http.ResponseWriter, r *http.Request) {
+	s.Stats.BoxRequests.Add(1)
+	pl, err := s.layerFromQuery(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	var box geom.Rect
+	for _, p := range []struct {
+		name string
+		dst  *float64
+	}{
+		{"minx", &box.MinX}, {"miny", &box.MinY}, {"maxx", &box.MaxX}, {"maxy", &box.MaxY},
+	} {
+		v, err := floatParam(r, p.name)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		*p.dst = v
+	}
+	if !box.Valid() {
+		http.Error(w, "invalid box", http.StatusBadRequest)
+		return
+	}
+	codec, err := codecOf(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	ctx, sp := s.startRequestSpan(r, "http.dbox")
+	sp.Attr("canvas", pl.CanvasID)
+	start := time.Now()
+	p, err := s.serveBox(ctx, pl, codec, box, false)
+	s.obs.stageItem.Observe(time.Since(start))
+	sp.End()
+	if err != nil {
+		http.Error(w, err.Error(), httpStatusOf(err))
+		return
+	}
+	s.writePayload(w, codec, p.raw)
+}
+
+func (s *Server) writePayload(w http.ResponseWriter, codec Codec, payload []byte) {
+	if codec == CodecBinary {
+		w.Header().Set("Content-Type", "application/octet-stream")
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+	}
+	s.Stats.BytesServed.Add(int64(len(payload)))
+	_, _ = w.Write(payload)
+}
