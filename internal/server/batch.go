@@ -20,7 +20,7 @@ import (
 // each sub-result completes so the client renders layers as they
 // arrive. OK payloads may be DEFLATE-compressed, and dynamic-box frames
 // may be delta-encoded against a base box the client declares it
-// already holds (batchv3.go).
+// already holds (frames.go).
 //
 // The frame codec itself (header/frame layout, compression, the delta
 // format) lives in the internal/wire package shared with the frontend;
@@ -193,7 +193,7 @@ func (fw *frameWriter) totals() (bytes, rawBytes int64) {
 // through the same cache + coalescing path as its single-request
 // equivalent, so a batch overlapping another client's requests still
 // runs each query once; OK payloads ship in their compressed form or
-// as a delta (batchv3.go).
+// as a delta (frames.go).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)

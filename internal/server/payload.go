@@ -28,7 +28,7 @@ import (
 //
 // A pair of payloads — a client's declared delta base and the payload
 // it pans to — has one more: the delta frame that ships between them
-// (batchv3.go), or the verdict that no delta pays.
+// (frames.go), or the verdict that no delta pays.
 //
 // The derived forms are built on first need and live in the
 // content-addressed wire memo (Server.wireMemo), keyed by id — by both

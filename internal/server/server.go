@@ -65,7 +65,7 @@ type Server struct {
 	// wireMemo holds the derived forms of cached payloads — DEFLATE
 	// bodies and row indexes, keyed by the payload's content hash — and
 	// the shipped delta frame of every (base, new) pair, keyed by both
-	// hashes (payload.go, batchv3.go). Every response after the first
+	// hashes (payload.go, frames.go). Every response after the first
 	// ships them with a lookup. Content-addressed entries are immutable,
 	// so updates need no invalidation; the LRU bound caps residency.
 	// memoFlight collapses concurrent first builds of one form.
