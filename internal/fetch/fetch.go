@@ -1,7 +1,7 @@
 // Package fetch implements Kyrix's data-fetching layer (§3.1): the two
 // fetching granularities — static tiles and the novel dynamic boxes —
 // and the two database designs that serve them — the tuple–tile mapping
-// tables with B-tree/hash indexes, and the bbox spatial-index design.
+// tables with B-tree indexes, and the bbox spatial-index design.
 //
 // The pure request-planning logic lives here (what to ask the backend
 // for, given a viewport move and what is already cached); the HTTP

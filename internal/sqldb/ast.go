@@ -15,10 +15,11 @@ type CreateTableStmt struct {
 // IndexKind selects the index structure.
 type IndexKind int
 
-// Index kinds supported by CREATE INDEX ... USING.
+// Index kinds supported by CREATE INDEX ... USING: BTREE is the one
+// point index (equality, range and index-nested-loop join probes),
+// RTREE the spatial one.
 const (
 	IndexBTree IndexKind = iota
-	IndexHash
 	IndexRTree
 )
 
@@ -26,15 +27,13 @@ func (k IndexKind) String() string {
 	switch k {
 	case IndexBTree:
 		return "BTREE"
-	case IndexHash:
-		return "HASH"
 	case IndexRTree:
 		return "RTREE"
 	}
 	return "?"
 }
 
-// CreateIndexStmt creates an index. BTREE/HASH take one column; RTREE
+// CreateIndexStmt creates an index. BTREE takes one column; RTREE
 // takes exactly four (minx, miny, maxx, maxy).
 type CreateIndexStmt struct {
 	Name    string

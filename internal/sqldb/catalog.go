@@ -7,7 +7,6 @@ import (
 
 	"kyrix/internal/btree"
 	"kyrix/internal/geom"
-	"kyrix/internal/hashidx"
 	"kyrix/internal/rtree"
 	"kyrix/internal/storage"
 )
@@ -96,7 +95,6 @@ type Index struct {
 	pos  []int // column positions in the table schema
 
 	bt *btree.Tree
-	hi *hashidx.Index
 	rt *rtree.Tree
 }
 
@@ -105,25 +103,31 @@ func (ix *Index) Len() int {
 	switch ix.Kind {
 	case IndexBTree:
 		return ix.bt.Len()
-	case IndexHash:
-		return ix.hi.Len()
 	case IndexRTree:
 		return ix.rt.Len()
 	}
 	return 0
 }
 
-// HasPointIndex reports whether a BTREE or HASH index on col alone
-// exists — what the planner needs to answer `col = ?` without a scan.
+// HasPointIndex reports whether a BTREE index on col exists — what the
+// planner needs to answer `col = ?` without a scan.
 func (t *Table) HasPointIndex(col string) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.btreeOn(col) != nil
+}
+
+// btreeOn returns t's BTREE index on col, or nil. When several cover
+// col the smallest name wins, so a plan never depends on map order.
+// Caller holds t.mu.
+func (t *Table) btreeOn(col string) *Index {
+	var best *Index
 	for _, ix := range t.indexes {
-		if (ix.Kind == IndexBTree || ix.Kind == IndexHash) && ix.Cols[0] == col {
-			return true
+		if ix.Kind == IndexBTree && ix.Cols[0] == col && (best == nil || ix.Name < best.Name) {
+			best = ix
 		}
 	}
-	return false
+	return best
 }
 
 // Table returns the named table, or an error.
@@ -203,9 +207,9 @@ func (db *DB) createIndex(st *CreateIndexStmt) error {
 		return fmt.Errorf("sqldb: index %q already exists on %q", st.Name, st.Table)
 	}
 	switch st.Kind {
-	case IndexBTree, IndexHash:
+	case IndexBTree:
 		if len(st.Columns) != 1 {
-			return fmt.Errorf("sqldb: %s index takes exactly one column", st.Kind)
+			return fmt.Errorf("sqldb: BTREE index takes exactly one column")
 		}
 	case IndexRTree:
 		if len(st.Columns) != 4 {
@@ -220,9 +224,9 @@ func (db *DB) createIndex(st *CreateIndexStmt) error {
 		}
 		ct := t.schema[pos].Type
 		switch st.Kind {
-		case IndexBTree, IndexHash:
+		case IndexBTree:
 			if ct != storage.TInt64 {
-				return fmt.Errorf("sqldb: %s index requires an INT column, %q is %s", st.Kind, col, ct)
+				return fmt.Errorf("sqldb: BTREE index requires an INT column, %q is %s", col, ct)
 			}
 		case IndexRTree:
 			if ct != storage.TFloat64 && ct != storage.TInt64 {
@@ -231,8 +235,8 @@ func (db *DB) createIndex(st *CreateIndexStmt) error {
 		}
 		ix.pos = append(ix.pos, pos)
 	}
-	// Build: bulk-load the trees (the precomputation phase inserts
-	// millions of rows before indexing), incremental for the hash.
+	// Build: bulk-load the tree (the precomputation phase inserts
+	// millions of rows before indexing).
 	if ix.Kind != IndexRTree {
 		err = ix.build(t.heap)
 	} else {
@@ -300,26 +304,19 @@ func (db *DB) cluster(t *Table, items []rtree.Item) error {
 	return nil
 }
 
-// build fills a BTREE or HASH index from every row of h.
+// build fills a BTREE index from every row of h.
 func (ix *Index) build(h *storage.HeapFile) error {
-	if ix.Kind == IndexBTree {
-		// Sized once so the pair array the leaves will slice is the only
-		// copy ever made.
-		entries := make([]btree.Entry, 0, h.Count())
-		err := h.Scan(func(rid storage.RID, row storage.Row) bool {
-			entries = append(entries, btree.Entry{Key: row[ix.pos[0]].AsInt(), Val: rid.Pack()})
-			return true
-		})
-		if err == nil {
-			ix.bt = btree.BulkLoad(entries)
-		}
-		return err
-	}
-	ix.hi = hashidx.New()
-	return h.Scan(func(rid storage.RID, row storage.Row) bool {
-		ix.hi.Insert(row[ix.pos[0]].AsInt(), rid.Pack())
+	// Sized once so the pair array the leaves will slice is the only
+	// copy ever made.
+	entries := make([]btree.Entry, 0, h.Count())
+	err := h.Scan(func(rid storage.RID, row storage.Row) bool {
+		entries = append(entries, btree.Entry{Key: row[ix.pos[0]].AsInt(), Val: rid.Pack()})
 		return true
 	})
+	if err == nil {
+		ix.bt = btree.BulkLoad(entries)
+	}
+	return err
 }
 
 func (ix *Index) rowBox(row storage.Row) geom.Rect {
@@ -337,8 +334,6 @@ func (t *Table) indexInsert(rid storage.RID, row storage.Row) {
 		switch ix.Kind {
 		case IndexBTree:
 			ix.bt.Insert(row[ix.pos[0]].AsInt(), rid.Pack())
-		case IndexHash:
-			ix.hi.Insert(row[ix.pos[0]].AsInt(), rid.Pack())
 		case IndexRTree:
 			ix.rt.Insert(ix.rowBox(row), rid.Pack())
 		}
@@ -351,8 +346,6 @@ func (t *Table) indexDelete(rid storage.RID, row storage.Row) {
 		switch ix.Kind {
 		case IndexBTree:
 			ix.bt.Delete(row[ix.pos[0]].AsInt(), rid.Pack())
-		case IndexHash:
-			ix.hi.Delete(row[ix.pos[0]].AsInt(), rid.Pack())
 		case IndexRTree:
 			ix.rt.Delete(ix.rowBox(row), rid.Pack())
 		}

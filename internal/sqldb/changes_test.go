@@ -43,7 +43,7 @@ func sameRows(a, b []string) bool {
 }
 
 // randomTwins builds the same random table twice: once with a random
-// subset of BTREE/HASH/RTREE indexes (all of them on trial 0; built over
+// subset of BTREE/RTREE indexes (all of them on trial 0; built over
 // the loaded table on even trials, maintained by the inserts on odd
 // ones), once with none.
 func randomTwins(t *testing.T, trial int) (rng *rand.Rand, indexed, plain *DB, kinds []string, n int) {
@@ -54,8 +54,8 @@ func randomTwins(t *testing.T, trial int) (rng *rand.Rand, indexed, plain *DB, k
 	mustExec(t, plain, ddl)
 	for _, ix := range []string{
 		"CREATE INDEX t_id ON t USING BTREE (id)",
-		"CREATE INDEX t_id_h ON t USING HASH (id)",
-		"CREATE INDEX t_grp ON t USING HASH (grp)",
+		"CREATE INDEX t_id2 ON t USING BTREE (id)",
+		"CREATE INDEX t_grp ON t USING BTREE (grp)",
 		"CREATE INDEX t_grp_b ON t USING BTREE (grp)",
 		"CREATE INDEX t_xy ON t USING RTREE (x, y, x, y)",
 	} {
@@ -92,7 +92,7 @@ func randomTwins(t *testing.T, trial int) (rng *rand.Rand, indexed, plain *DB, k
 }
 
 // TestIndexedDMLMatchesSeqScan is the differential plan test: a table
-// with a random subset of BTREE/HASH/RTREE indexes and an unindexed twin
+// with a random subset of BTREE/RTREE indexes and an unindexed twin
 // take the same random statements — point, range and INTERSECTS
 // predicates; updates that change the indexed column itself or grow a
 // row until it relocates to a new RID — and must report the same affected

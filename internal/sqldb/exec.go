@@ -82,8 +82,6 @@ func (sc scanChoice) run(t *Table, visit func(rid storage.RID, tuple []byte) err
 	switch sc.kind {
 	case "btree-eq":
 		sc.index.bt.Lookup(sc.eqKey, fetch)
-	case "hash-eq":
-		sc.index.hi.Lookup(sc.eqKey, fetch)
 	case "btree-range":
 		sc.index.bt.AscendRange(sc.lo, sc.hi, func(_ int64, v uint64) bool { return fetch(v) })
 	case "rtree":
@@ -147,11 +145,7 @@ func joinOp(jc joinChoice, outerWidth int, n *stmtCounts, next RowFunc) (RowFunc
 			copy(combined, orow)
 			key := orow[jc.outerIdx].AsInt()
 			ferr = nil
-			if jc.index.Kind == IndexBTree {
-				jc.index.bt.Lookup(key, lookup)
-			} else {
-				jc.index.hi.Lookup(key, lookup)
-			}
+			jc.index.bt.Lookup(key, lookup)
 			return ferr
 		}, done, nil
 	case "hash":

@@ -37,8 +37,6 @@ func refScan(t *Table, sc scanChoice, st *refStats) ([]storage.Row, error) {
 		ferr = t.heap.Scan(func(_ storage.RID, r storage.Row) bool { copy(row, r); emit(); return true })
 	case "btree-eq":
 		sc.index.bt.Lookup(sc.eqKey, byRID)
-	case "hash-eq":
-		sc.index.hi.Lookup(sc.eqKey, byRID)
 	case "btree-range":
 		sc.index.bt.AscendRange(sc.lo, sc.hi, func(_ int64, v uint64) bool { return byRID(v) })
 	case "rtree":
@@ -66,11 +64,7 @@ func refJoin(outer []storage.Row, jc joinChoice, st *refStats) ([]storage.Row, e
 				combine(orow, innerRow)
 				return true
 			}
-			if jc.index.Kind == IndexBTree {
-				jc.index.bt.Lookup(orow[jc.outerIdx].AsInt(), lookup)
-			} else {
-				jc.index.hi.Lookup(orow[jc.outerIdx].AsInt(), lookup)
-			}
+			jc.index.bt.Lookup(orow[jc.outerIdx].AsInt(), lookup)
 			if ferr != nil {
 				return nil, ferr
 			}
@@ -307,7 +301,7 @@ func TestPipelineMatchesMaterialized(t *testing.T) {
 		}
 		// The indexed twin joins by index nested loop in both directions,
 		// the plain one by hash join.
-		mustExec(t, db, "CREATE INDEX u_grp ON u USING HASH (grp)")
+		mustExec(t, db, "CREATE INDEX u_grp ON u USING BTREE (grp)")
 		if trial%2 == 0 {
 			mustExec(t, db, "CREATE INDEX u_id ON u USING BTREE (id)")
 		}
@@ -393,7 +387,7 @@ func TestEmitStopsOrFails(t *testing.T) {
 		mustExec(t, db, "INSERT INTO side VALUES (?, ?)", storage.I64(int64(i)), storage.F64(float64(i)))
 	}
 	mustExec(t, db, "CREATE INDEX big_xy ON big USING RTREE (x, y, x, y)")
-	mustExec(t, db, "CREATE INDEX side_id ON side USING HASH (id)")
+	mustExec(t, db, "CREATE INDEX side_id ON side USING BTREE (id)")
 	boom := errors.New("emit failed")
 	for _, sql := range []string{
 		"SELECT * FROM big",

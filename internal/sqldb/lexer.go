@@ -1,7 +1,7 @@
 // Package sqldb implements the embedded relational DBMS that stands in
 // for PostgreSQL in this reproduction. It provides a SQL dialect large
 // enough for every query the paper issues: the record/tile-mapping
-// tables of §3.1, B-tree/hash/R-tree index creation, the tile join, the
+// tables of §3.1, B-tree/R-tree index creation, the tile join, the
 // spatial window query used by both tile-spatial and dynamic-box
 // fetching, and the UPDATE path for the §4 update model.
 //
@@ -41,7 +41,7 @@ var keywords = map[string]bool{
 	"ASC": true, "DESC": true, "LIMIT": true, "GROUP": true,
 	"UPDATE": true, "SET": true, "DELETE": true, "TRUE": true, "FALSE": true,
 	"INT": true, "DOUBLE": true, "TEXT": true, "BOOL": true,
-	"BTREE": true, "HASH": true, "RTREE": true, "EXPLAIN": true,
+	"BTREE": true, "RTREE": true, "EXPLAIN": true,
 	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
 	"INTERSECTS": true, "DROP": true, "IF": true, "EXISTS": true,
 	"BETWEEN": true,

@@ -203,12 +203,10 @@ func (p *parser) createIndex() (Statement, error) {
 	switch {
 	case t.kind == tokKeyword && t.text == "BTREE":
 		st.Kind = IndexBTree
-	case t.kind == tokKeyword && t.text == "HASH":
-		st.Kind = IndexHash
 	case t.kind == tokKeyword && t.text == "RTREE":
 		st.Kind = IndexRTree
 	default:
-		return nil, p.errf("expected BTREE, HASH or RTREE, got %q", t.text)
+		return nil, p.errf("expected BTREE or RTREE, got %q", t.text)
 	}
 	if err := p.expectSymbol("("); err != nil {
 		return nil, err

@@ -35,7 +35,7 @@ func constValue(e Expr, args []storage.Value) (storage.Value, bool) {
 
 // scanChoice is the chosen access path for the FROM table.
 type scanChoice struct {
-	kind         string // "seq" | "btree-eq" | "hash-eq" | "btree-range" | "rtree"
+	kind         string // "seq" | "btree-eq" | "btree-range" | "rtree"
 	index        *Index
 	eqKey        int64
 	lo, hi       int64
@@ -47,8 +47,6 @@ func (sc scanChoice) describe(table string) string {
 	switch sc.kind {
 	case "btree-eq":
 		return fmt.Sprintf("BTree Eq Scan on %s using %s (%s = %d)", table, sc.index.Name, sc.index.Cols[0], sc.eqKey)
-	case "hash-eq":
-		return fmt.Sprintf("Hash Eq Scan on %s using %s (%s = %d)", table, sc.index.Name, sc.index.Cols[0], sc.eqKey)
 	case "btree-range":
 		return fmt.Sprintf("BTree Range Scan on %s using %s (%d <= %s <= %d)", table, sc.index.Name, sc.lo, sc.index.Cols[0], sc.hi)
 	case "rtree":
@@ -59,7 +57,7 @@ func (sc scanChoice) describe(table string) string {
 
 // chooseScan picks the best access path for table t given the WHERE
 // conjuncts. Preference order mirrors a textbook rule-based optimizer:
-// equality (hash, then btree), spatial window, btree range, seq scan.
+// btree equality, spatial window, btree range, seq scan.
 func chooseScan(t *Table, tname string, conjuncts []Expr, args []storage.Value) scanChoice {
 	best := scanChoice{kind: "seq", usedConjunct: -1}
 	score := 0 // higher wins: eq=4, rtree=3, range=2
@@ -105,8 +103,8 @@ func refOn(e Expr, t *Table, tname string) (string, bool) {
 	return ref.Col, true
 }
 
-// matchEq matches `col = const` (either order) with a hash or btree
-// index on col.
+// matchEq matches `col = const` (either order) with a btree index on
+// col.
 func matchEq(t *Table, tname string, e Expr, args []storage.Value) (scanChoice, bool) {
 	b, ok := e.(*Binary)
 	if !ok || b.Op != OpEq {
@@ -124,20 +122,8 @@ func matchEq(t *Table, tname string, e Expr, args []storage.Value) (scanChoice, 
 	if val.Kind != storage.TInt64 && val.Kind != storage.TFloat64 {
 		return scanChoice{}, false
 	}
-	// Prefer hash over btree for pure equality.
-	var btIx *Index
-	for _, ix := range t.indexes {
-		if len(ix.Cols) == 1 && ix.Cols[0] == col {
-			switch ix.Kind {
-			case IndexHash:
-				return scanChoice{kind: "hash-eq", index: ix, eqKey: val.AsInt()}, true
-			case IndexBTree:
-				btIx = ix
-			}
-		}
-	}
-	if btIx != nil {
-		return scanChoice{kind: "btree-eq", index: btIx, eqKey: val.AsInt()}, true
+	if ix := t.btreeOn(col); ix != nil {
+		return scanChoice{kind: "btree-eq", index: ix, eqKey: val.AsInt()}, true
 	}
 	return scanChoice{}, false
 }
@@ -198,10 +184,8 @@ func matchRange(t *Table, tname string, e Expr, args []storage.Value) (scanChoic
 	default:
 		return scanChoice{}, false
 	}
-	for _, ix := range t.indexes {
-		if ix.Kind == IndexBTree && len(ix.Cols) == 1 && ix.Cols[0] == col {
-			return scanChoice{kind: "btree-range", index: ix, lo: lo, hi: hi}, true
-		}
+	if ix := t.btreeOn(col); ix != nil {
+		return scanChoice{kind: "btree-range", index: ix, lo: lo, hi: hi}, true
 	}
 	return scanChoice{}, false
 }
@@ -258,7 +242,7 @@ type joinChoice struct {
 }
 
 // chooseJoin resolves jc.On as outerCol = innerCol and picks INL when
-// the inner column has a hash or btree index.
+// the inner column has a btree index.
 func chooseJoin(jc JoinClause, inner *Table, bs bindings) (joinChoice, error) {
 	b, ok := jc.On.(*Binary)
 	if !ok || b.Op != OpEq {
@@ -294,13 +278,9 @@ func chooseJoin(jc JoinClause, inner *Table, bs bindings) (joinChoice, error) {
 	}
 	innerPos := inner.schema.ColIndex(innerRef.Col)
 	out := joinChoice{ref: jc.Ref, table: inner, outerIdx: outerIdx, innerIdx: innerPos, kind: "hash"}
-	for _, ix := range inner.indexes {
-		if len(ix.Cols) == 1 && ix.Cols[0] == innerRef.Col &&
-			(ix.Kind == IndexBTree || ix.Kind == IndexHash) {
-			out.kind = "inl"
-			out.index = ix
-			break
-		}
+	if ix := inner.btreeOn(innerRef.Col); ix != nil {
+		out.kind = "inl"
+		out.index = ix
 	}
 	if out.kind == "inl" {
 		out.desc = fmt.Sprintf("Index Nested Loop Join with %s using %s (%s)", innerName, out.index.Name, innerRef.Col)

@@ -260,9 +260,6 @@ func TestIndexSelectionExplain(t *testing.T) {
 	expectPlan("SELECT * FROM records WHERE INTERSECTS(minx, miny, maxx, maxy, ?, ?, ?, ?)",
 		"RTree Window Scan",
 		storage.F64(0), storage.F64(0), storage.F64(50), storage.F64(50))
-	// Hash preferred over btree for equality.
-	mustExec(t, db, "CREATE INDEX idx_id_hash ON records USING HASH (id)")
-	expectPlan("SELECT * FROM records WHERE id = 5", "Hash Eq Scan")
 }
 
 func TestIndexScanResultsMatchSeqScan(t *testing.T) {
@@ -304,6 +301,28 @@ func TestCreateIndexValidation(t *testing.T) {
 	mustExec(t, db, "CREATE INDEX i ON records USING BTREE (id)")
 	if _, err := db.Exec("CREATE INDEX i ON records USING BTREE (id)"); err == nil {
 		t.Fatal("duplicate index name must fail")
+	}
+}
+
+// TestCreateIndexUsingHashRefused: the B-tree is the one point index.
+// USING HASH is a parse error naming the kinds that exist, and the
+// table is left without an index.
+func TestCreateIndexUsingHashRefused(t *testing.T) {
+	db := pointsDB(t, 10)
+	const ddl = "CREATE INDEX i ON records USING HASH (id)"
+	if _, err := Parse(ddl); err == nil {
+		t.Fatal("USING HASH parsed")
+	}
+	_, err := db.Exec(ddl)
+	if err == nil || !strings.Contains(err.Error(), `expected BTREE or RTREE, got "HASH"`) {
+		t.Fatalf("USING HASH: err = %v, want the BTREE/RTREE parse error", err)
+	}
+	tbl, err := db.Table("records")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tbl.indexes); n != 0 || tbl.HasPointIndex("id") {
+		t.Fatalf("refused DDL left %d indexes (point index on id: %v)", n, tbl.HasPointIndex("id"))
 	}
 }
 
@@ -412,7 +431,7 @@ func TestDelete(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, "CREATE TABLE t (id INT, v INT)")
 	mustExec(t, db, "INSERT INTO t VALUES (1,1),(2,2),(3,3),(4,4)")
-	mustExec(t, db, "CREATE INDEX idx ON t USING HASH (id)")
+	mustExec(t, db, "CREATE INDEX idx ON t USING BTREE (id)")
 	n := mustExec(t, db, "DELETE FROM t WHERE v > 2")
 	if n != 2 {
 		t.Fatalf("deleted %d", n)

@@ -10,11 +10,14 @@
 //   - [Compile] the spec; the compiler performs the constraint checks
 //     of §2.1.
 //   - Load data into the embedded DBMS ([NewDB], [DB.Exec],
-//     [DB.InsertRow]) — the substrate standing in for PostgreSQL.
+//     [DB.InsertRow]) — the substrate standing in for PostgreSQL. Its
+//     CREATE INDEX … USING takes BTREE (one INT column, the one point
+//     index) or RTREE (four bounding-box columns).
 //   - Start the backend with [NewServer]; it precomputes both of
-//     §3.1's database designs (tuple–tile mapping tables and the bbox
-//     spatial index) and serves tiles and dynamic boxes over HTTP with
-//     a backend cache.
+//     §3.1's database designs (tuple–tile mapping tables, B-tree
+//     indexed on tile_id where the paper offers "Btree/hash", and the
+//     bbox spatial index) and serves tiles and dynamic boxes over HTTP
+//     with a backend cache.
 //   - Drive a frontend with [NewClient]: pan, jump, render; choose the
 //     fetching granularity per §3.1 ([DBoxExact], [DBox50],
 //     [TileSpatial1024], ...).
