@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"net/http/httptest"
 	"slices"
 	"testing"
 	"time"
@@ -225,6 +226,30 @@ func TestL2StaleFillDropped(t *testing.T) {
 		if got := srv.l2.Stats.DroppedStale.Load(); got != int64(i+1) {
 			t.Fatalf("update %d: %d fence drops, want %d", i, got, i+1)
 		}
+	}
+}
+
+// TestL2WriteErrorsExported: the store's count of fills that never
+// reached disk is served under cache.l2 in /stats and as
+// kyrix_l2_write_errors_total in /metrics, apart from the fence drops.
+func TestL2WriteErrorsExported(t *testing.T) {
+	db, ca := newPointsApp(t, 200, 4096, 2048)
+	srv, err := New(db, ca, l2Options(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	srv.l2.Stats.WriteErrors.Add(2)
+
+	var snap StatsSnapshot
+	getJSON(t, hs.URL+"/stats", &snap)
+	if snap.Cache.L2 == nil || snap.Cache.L2.WriteErrors != 2 || snap.Cache.L2.DroppedStale != 0 {
+		t.Fatalf("/stats cache.l2 = %+v, want writeErrors 2, droppedStale 0", snap.Cache.L2)
+	}
+	if got := sampleValue(scrape(t, hs.URL), "kyrix_l2_write_errors_total"); got != 2 {
+		t.Fatalf("kyrix_l2_write_errors_total = %v, want 2", got)
 	}
 }
 

@@ -156,6 +156,7 @@ func (s *Server) collectMetrics(c *obs.CollectorScratchpad) {
 		c.Counter("kyrix_l2_scrubs_total", "L2 background scrub passes.", float64(l2.Scrubs))
 		c.Counter("kyrix_l2_scrubbed_bad_total", "L2 records dropped by scrubbing.", float64(l2.ScrubbedBad))
 		c.Counter("kyrix_l2_corrupt_reads_total", "L2 reads failing checksum verification.", float64(l2.CorruptReads))
+		c.Counter("kyrix_l2_write_errors_total", "L2 fills that never reached disk: the append failed, or the store closed first.", float64(l2.WriteErrors))
 	}
 	if s.cluster != nil {
 		cs := &s.cluster.Stats

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"kyrix/internal/btree"
 	"kyrix/internal/geom"
@@ -21,6 +22,9 @@ type DB struct {
 
 	statsMu sync.Mutex
 	stats   DBStats
+	// inserts is DBStats.Inserts, kept apart so that InsertRow, the
+	// per-row bulk-load path, counts without taking statsMu.
+	inserts atomic.Int64
 }
 
 // DBStats counts executed statements, for the experiment reports.
@@ -59,8 +63,10 @@ func NewDB(opts ...Option) *DB {
 // Stats returns a snapshot of execution counters.
 func (db *DB) Stats() DBStats {
 	db.statsMu.Lock()
-	defer db.statsMu.Unlock()
-	return db.stats
+	s := db.stats
+	db.statsMu.Unlock()
+	s.Inserts = db.inserts.Load()
+	return s
 }
 
 func (db *DB) bump(f func(*DBStats)) {

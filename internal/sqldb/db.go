@@ -217,7 +217,7 @@ func (db *DB) execInsert(st *InsertStmt, args []storage.Value, ch *Changes) (int
 		t.indexInsert(rid, row)
 		ch.record(nil, row)
 	}
-	db.bump(func(s *DBStats) { s.Inserts += int64(len(rows)) })
+	db.inserts.Add(int64(len(rows)))
 	return int64(len(rows)), nil
 }
 
@@ -276,7 +276,7 @@ func (db *DB) AppendTuples(table string, fill func(put func(tuple []byte) error)
 		n++
 		return nil
 	})
-	db.bump(func(s *DBStats) { s.Inserts += n })
+	db.inserts.Add(n)
 	return err
 }
 
@@ -303,6 +303,7 @@ func (db *DB) InsertRow(table string, row storage.Row) error {
 		return err
 	}
 	t.indexInsert(rid, row)
+	db.inserts.Add(1)
 	return nil
 }
 

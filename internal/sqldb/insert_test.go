@@ -31,6 +31,37 @@ func TestInsertRowsBasics(t *testing.T) {
 	}
 }
 
+// TestInsertRowCountsInserts: every insert path counts DBStats.Inserts
+// — InsertRow (what dataset loaders call) as well as SQL INSERT and
+// AppendTuples — and a refused row counts nothing.
+func TestInsertRowCountsInserts(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, "CREATE TABLE t (a INT, b DOUBLE)")
+	for i := 0; i < 3; i++ {
+		if err := db.InsertRow("t", storage.Row{storage.I64(int64(i)), storage.F64(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.InsertRow("t", storage.Row{storage.I64(9)}); err == nil {
+		t.Fatal("wrong arity must fail")
+	}
+	if got := db.Stats().Inserts; got != 3 {
+		t.Fatalf("after 3 InsertRow calls Inserts = %d, want 3", got)
+	}
+	mustExec(t, db, "INSERT INTO t VALUES (10, 1.5), (11, 2.5)")
+	schema := storage.Schema{{Name: "a", Type: storage.TInt64}, {Name: "b", Type: storage.TFloat64}}
+	tuple, err := storage.EncodeRow(nil, schema, storage.Row{storage.I64(12), storage.F64(3.5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AppendTuples("t", func(put func([]byte) error) error { return put(tuple) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Stats().Inserts; got != 6 {
+		t.Fatalf("Inserts = %d, want 6 (3 InsertRow + 2 INSERT + 1 AppendTuples)", got)
+	}
+}
+
 // TestInsertRowsErrors: InsertRow refuses a missing table, a wrong
 // arity and an uncoercible value without inserting anything.
 func TestInsertRowsErrors(t *testing.T) {

@@ -136,6 +136,7 @@ type Stats struct {
 	Puts            atomic.Int64
 	DroppedFull     atomic.Int64 // queue full
 	DroppedStale    atomic.Int64 // fence moved between the caller's read and the flush
+	WriteErrors     atomic.Int64 // fill not written: its append failed, or Close's drain deadline closed the segments first
 	DroppedOversize atomic.Int64
 	CorruptReads    atomic.Int64 // checksum rejected a record at read time
 	BatchFlushes    atomic.Int64
@@ -155,6 +156,7 @@ type StatsSnapshot struct {
 	Puts            int64  `json:"puts"`
 	DroppedFull     int64  `json:"droppedFull"`
 	DroppedStale    int64  `json:"droppedStale"`
+	WriteErrors     int64  `json:"writeErrors"`
 	DroppedOversize int64  `json:"droppedOversize"`
 	CorruptReads    int64  `json:"corruptReads"`
 	BatchFlushes    int64  `json:"batchFlushes"`
@@ -553,6 +555,7 @@ func (s *Store) Snapshot() StatsSnapshot {
 		Puts:            s.Stats.Puts.Load(),
 		DroppedFull:     s.Stats.DroppedFull.Load(),
 		DroppedStale:    s.Stats.DroppedStale.Load(),
+		WriteErrors:     s.Stats.WriteErrors.Load(),
 		DroppedOversize: s.Stats.DroppedOversize.Load(),
 		CorruptReads:    s.Stats.CorruptReads.Load(),
 		BatchFlushes:    s.Stats.BatchFlushes.Load(),
@@ -698,9 +701,7 @@ func (s *Store) appendBatch(batch []putReq) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.segsClosed {
-		for range batch {
-			s.Stats.DroppedStale.Add(1)
-		}
+		s.Stats.WriteErrors.Add(int64(len(batch)))
 		return
 	}
 	gen, fence := s.gen.Load(), s.fence.Load()
@@ -714,7 +715,7 @@ func (s *Store) appendBatch(batch []putReq) {
 			continue
 		}
 		if err := s.appendPutLocked(req.key, req.val, gen); err != nil {
-			s.Stats.DroppedStale.Add(1)
+			s.Stats.WriteErrors.Add(1)
 			continue
 		}
 		wrote = true

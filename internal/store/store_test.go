@@ -293,6 +293,35 @@ func TestStaleGenerationFillDropped(t *testing.T) {
 	}
 }
 
+// TestFailedAppendCountsWriteError: a fill whose disk append fails is a
+// write error, not a fence race, and is not served.
+func TestFailedAppendCountsWriteError(t *testing.T) {
+	opts := testOptions(t)
+	opts.FlushInterval = time.Hour // only Flush appends
+	s := mustOpen(t, opts)
+	defer s.Close()
+
+	s.mu.Lock()
+	active := s.segs[len(s.segs)-1]
+	if err := active.log.Close(); err != nil { // every append to it now fails
+		t.Fatal(err)
+	}
+	s.mu.Unlock()
+	if !s.Put("k", []byte("payload")) {
+		t.Fatal("fill not enqueued")
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Snapshot()
+	if snap.WriteErrors != 1 || snap.DroppedStale != 0 || snap.Puts != 0 {
+		t.Fatalf("WriteErrors = %d, DroppedStale = %d, Puts = %d; want 1, 0, 0", snap.WriteErrors, snap.DroppedStale, snap.Puts)
+	}
+	if _, ok := s.Get("k"); ok {
+		t.Fatal("a fill whose append failed was served")
+	}
+}
+
 func TestCloseDrainsQueue(t *testing.T) {
 	opts := testOptions(t)
 	opts.FlushInterval = time.Hour // nothing flushes except via drain
