@@ -579,6 +579,39 @@ func TestUpdateBodyBounded(t *testing.T) {
 	}
 }
 
+// TestUpdateCutShortIsAnError: the replicated log applies an /update's
+// SQL on its applier goroutine, on every node and again at every
+// replay, so a statement cut short must come back as a parse error
+// rather than a panic that would take the process down with it.
+func TestUpdateCutShortIsAnError(t *testing.T) {
+	db, ca := scaledApp(t, nil)
+	opts := scaledOptions("")
+	opts.Cluster.Replog.Dir = t.TempDir()
+	srv, err := New(db, ca, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, body := range []string{`{"sql":"CREATE TABLE A(A"}`, `{"sql":"CREATE TABLE ok (a INT)"}`} {
+		var w *httptest.ResponseRecorder
+		for try := 0; try < 100; try++ { // 503 until the single member elects itself
+			w = httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/update", strings.NewReader(body)))
+			if w.Code != http.StatusServiceUnavailable {
+				break
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		want := http.StatusOK
+		if strings.Contains(body, "A(A") {
+			want = http.StatusBadRequest
+		}
+		if w.Code != want {
+			t.Fatalf("%s answered %d (%s), want %d", body, w.Code, strings.TrimSpace(w.Body.String()), want)
+		}
+	}
+}
+
 // TestFirstUpdateBuildsIDIndex: a server that only reads never indexes
 // the id column; the first update does, once, and from then on a point
 // update is an index probe.

@@ -32,7 +32,17 @@ type parser struct {
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+
+// next consumes a token. It never steps past the EOF token, so a
+// statement cut short meets EOF again at the next peek, not the end of
+// p.toks.
+func (p *parser) next() token {
+	t := p.toks[p.pos]
+	if t.kind != tokEOF {
+		p.pos++
+	}
+	return t
+}
 func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 
 func (p *parser) errf(format string, args ...any) error {
