@@ -43,6 +43,7 @@ func (p *parser) next() token {
 	}
 	return t
 }
+
 func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 
 func (p *parser) errf(format string, args ...any) error {
