@@ -562,6 +562,18 @@ func TestUpdateBodyBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	// The single member elects itself and appends its election no-op in
+	// the background; wait until that has happened, so LastIndex only
+	// moves if a refused body reached the log.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		st := srv.Replog().Snapshot()
+		if st.Role == "leader" && st.Applied == st.LastIndex {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("single-member log never settled as leader: %+v", st)
+		}
+	}
 	for name, sql := range map[string]string{
 		"body":    strings.Repeat("a", 2<<20),
 		"command": strings.Repeat("<", 300<<10), // re-encoded as \u003c, 6 bytes each
