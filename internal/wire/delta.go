@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/bits"
 )
 
@@ -36,13 +35,71 @@ type Delta struct {
 	Entering   []byte
 }
 
-// PayloadID is the identity of a payload's exact bytes (FNV-64a),
-// used to match a client-declared delta base against the server's
-// cached copy.
+// PayloadID is the identity of a payload's exact bytes, used to match a
+// client-declared delta base against the server's cached copy. It is
+// XXH64 with seed 0: four 64-bit lanes over each 32-byte stripe, then
+// the tail word by word, so a box hashes at memory speed rather than a
+// byte at a time. Ids live only in memory (memo keys, held-box ids), so
+// the function may change between builds without moving a stored key.
 func PayloadID(payload []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(payload)
-	return h.Sum64()
+	b, n := payload, uint64(len(payload))
+	var h uint64
+	if len(b) >= 32 {
+		v1, v2, v3, v4 := xxLane1, xxPrime2, uint64(0), xxLane4
+		for ; len(b) >= 32; b = b[32:] {
+			v1 = xxRound(v1, binary.LittleEndian.Uint64(b[0:8]))
+			v2 = xxRound(v2, binary.LittleEndian.Uint64(b[8:16]))
+			v3 = xxRound(v3, binary.LittleEndian.Uint64(b[16:24]))
+			v4 = xxRound(v4, binary.LittleEndian.Uint64(b[24:32]))
+		}
+		h = bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) + bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
+		h = xxMerge(h, v1)
+		h = xxMerge(h, v2)
+		h = xxMerge(h, v3)
+		h = xxMerge(h, v4)
+	} else {
+		h = xxPrime5
+	}
+	h += n
+	for ; len(b) >= 8; b = b[8:] {
+		h ^= xxRound(0, binary.LittleEndian.Uint64(b[:8]))
+		h = bits.RotateLeft64(h, 27)*xxPrime1 + xxPrime4
+	}
+	if len(b) >= 4 {
+		h ^= uint64(binary.LittleEndian.Uint32(b[:4])) * xxPrime1
+		h = bits.RotateLeft64(h, 23)*xxPrime2 + xxPrime3
+		b = b[4:]
+	}
+	for _, c := range b {
+		h ^= uint64(c) * xxPrime5
+		h = bits.RotateLeft64(h, 11) * xxPrime1
+	}
+	h ^= h >> 33
+	h *= xxPrime2
+	h ^= h >> 29
+	h *= xxPrime3
+	h ^= h >> 32
+	return h
+}
+
+const (
+	xxPrime1 uint64 = 0x9E3779B185EBCA87
+	xxPrime2 uint64 = 0xC2B2AE3D27D4EB4F
+	xxPrime3 uint64 = 0x165667B19E3779F9
+	xxPrime4 uint64 = 0x85EBCA77C2B2AE63
+	xxPrime5 uint64 = 0x27D4EB2F165667C5
+	// The first and last lanes start at xxPrime1+xxPrime2 and
+	// -xxPrime1, wrapped to 64 bits.
+	xxLane1 uint64 = 0x60EA27EEADC0B5D6
+	xxLane4 uint64 = 0x61C8864E7A143579
+)
+
+func xxRound(acc, lane uint64) uint64 {
+	return bits.RotateLeft64(acc+lane*xxPrime2, 31) * xxPrime1
+}
+
+func xxMerge(h, v uint64) uint64 {
+	return (h^xxRound(0, v))*xxPrime1 + xxPrime4
 }
 
 // EncodeDelta serializes d into a slice sized exactly: cap == len, so a

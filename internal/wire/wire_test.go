@@ -286,6 +286,71 @@ func TestPayloadIDStable(t *testing.T) {
 		t.Fatal("id not deterministic")
 	}
 	if a == PayloadID([]byte("payloae")) {
-		t.Fatal("distinct payloads collided (fnv64 on 7 bytes)")
+		t.Fatal("distinct payloads collided (xxh64 on 7 bytes)")
 	}
+}
+
+// TestPayloadIDKnownAnswers pins PayloadID to XXH64 with seed 0 at the
+// lengths where its code paths meet: empty, a lone tail byte, one byte
+// short of a stripe, exactly one stripe, one past it, and a box-sized
+// input. The text vectors are XXH64's published ones; the patterned ones
+// pin this implementation at the remaining lengths.
+func TestPayloadIDKnownAnswers(t *testing.T) {
+	pattern := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*131 + 7)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		in   []byte
+		want uint64
+	}{
+		{"empty", nil, 0xEF46DB3751D8E999},
+		{"a", []byte("a"), 0xD24EC4F1A98C6E5B},
+		{"abc", []byte("abc"), 0x44BC2CF5AD770999},
+		{"32 text", []byte("abcdefghijklmnopqrstuvwxyz012345"), 0xBF2CD639B4143B80},
+		{"39 text", []byte("Nobody inspects the spammish repetition"), 0xFBCEA83C8A378BF1},
+		{"31", pattern(31), 0x6711D55E306B5D8F},
+		{"32", pattern(32), 0x07F7B8E3BC5D6E25},
+		{"33", pattern(33), 0x09F85EEB4E1CBE9F},
+		{"33 KiB", pattern(33 << 10), 0xA033B92DFF1BF372},
+	} {
+		if got := PayloadID(c.in); got != c.want {
+			t.Errorf("%s: PayloadID = %#016x, want %#016x", c.name, got, c.want)
+		}
+	}
+}
+
+// TestPayloadIDBitFlips: flipping any single bit of an input of 0 to 100
+// bytes changes its id, whichever lane, tail word or tail byte the bit
+// lands in.
+func TestPayloadIDBitFlips(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for n := 0; n <= 100; n++ {
+		b := make([]byte, n)
+		rng.Read(b)
+		id := PayloadID(b)
+		for i := range 8 * n {
+			b[i/8] ^= 1 << (i % 8)
+			if PayloadID(b) == id {
+				t.Fatalf("length %d: flipping bit %d left the id at %#x", n, i, id)
+			}
+			b[i/8] ^= 1 << (i % 8)
+		}
+	}
+}
+
+// BenchmarkPayloadID hashes one 33 KiB box per op — what the client pays
+// per full dbox frame and the server per fill — and reports ns/KiB.
+func BenchmarkPayloadID(b *testing.B) {
+	box := make([]byte, 33<<10)
+	rand.New(rand.NewSource(1)).Read(box)
+	b.SetBytes(int64(len(box)))
+	for b.Loop() {
+		PayloadID(box)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/33, "ns/KiB")
 }
