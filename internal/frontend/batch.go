@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -28,10 +30,11 @@ const (
 )
 
 // frameResult is one decoded OK frame, ready to merge into client
-// state: the (possibly delta-reconstructed) rows, byte accounting, and
-// the payload identity future delta fetches can declare as their base.
+// state: the (possibly delta-reconstructed) columns, byte accounting,
+// and the payload identity future delta fetches can declare as their
+// base.
 type frameResult struct {
-	dr *server.DataResponse
+	data *server.Columns
 	// rawN is the full-payload equivalent size — what a raw frame would
 	// have carried (wire-side byte accounting is handled by the round
 	// trip's countingReader, not per frame).
@@ -80,9 +83,9 @@ func (c *Client) tileSubs(li int, sz float64, missing []geom.TileID, observe boo
 				Design: c.opts.Scheme.Design, Col: tid.Col, Row: tid.Row,
 			},
 			merge: func(fr frameResult) {
-				c.fcache.Put(c.tileCacheKey(li, sz, tid), fr.dr, fr.rawN)
+				c.fcache.Put(c.tileCacheKey(li, sz, tid), fr.data, fr.rawN)
 				if observe {
-					c.observeDensity(li, tid.TileRect(sz), len(fr.dr.Rows))
+					c.observeDensity(li, tid.TileRect(sz), fr.data.N)
 				}
 			},
 		}
@@ -102,12 +105,12 @@ func (c *Client) dboxSub(li int, box geom.Rect) batchSub {
 		},
 		merge: func(fr frameResult) {
 			prev := c.boxes[li]
-			st := &boxState{box: box, data: fr.dr, wireID: fr.boxID}
+			st := &boxState{box: box, data: fr.data, wireID: fr.boxID}
 			if prev != nil {
 				st.prefetched = prev.prefetched
 			}
 			c.boxes[li] = st
-			c.observeDensity(li, box, len(fr.dr.Rows))
+			c.observeDensity(li, box, fr.data.N)
 		},
 	}
 	declareBase(&sub, c.boxes[li])
@@ -226,7 +229,7 @@ func (c *Client) postBatch(subs []batchSub, rep *FetchReport, start time.Time) e
 			}
 			continue
 		}
-		rep.Rows += len(fr.dr.Rows)
+		rep.Rows += fr.data.N
 		rep.Bytes += fr.rawN
 		sub.merge(fr)
 	}
@@ -261,22 +264,22 @@ func (c *Client) decodeFrame(sub *batchSub, f wire.Frame) (frameResult, error) {
 		if err != nil {
 			return fr, fmt.Errorf("frontend: batch item %d: %w", f.Index, err)
 		}
-		entering, err := server.Decode(d.Entering, c.opts.Codec)
+		entering, err := server.DecodeColumns(d.Entering, c.opts.Codec)
 		if err != nil {
 			return fr, fmt.Errorf("frontend: batch item %d entering rows: %w", f.Index, err)
 		}
-		dr, err := applyDelta(sub.base.data, d, entering)
+		data, err := applyDelta(sub.base.data, d, entering)
 		if err != nil {
 			return fr, fmt.Errorf("frontend: batch item %d: %w", f.Index, err)
 		}
-		fr.dr, fr.rawN, fr.boxID = dr, int64(d.FullLen), d.NewID
+		fr.data, fr.rawN, fr.boxID = data, int64(d.FullLen), d.NewID
 		return fr, nil
 	}
-	dr, err := server.Decode(payload, c.opts.Codec)
+	data, err := server.DecodeColumns(payload, c.opts.Codec)
 	if err != nil {
 		return fr, err
 	}
-	fr.dr, fr.rawN = dr, int64(len(payload))
+	fr.data, fr.rawN = data, int64(len(payload))
 	if sub.item.Kind == "dbox" {
 		// The payload identity becomes the delta base id of the next
 		// fetch of this layer.
@@ -285,36 +288,122 @@ func (c *Client) decodeFrame(sub *batchSub, f wire.Frame) (frameResult, error) {
 	return fr, nil
 }
 
-// applyDelta reconstructs a full box result from the base the client
-// holds plus the server's delta: base rows minus the tombstoned ids,
-// plus the entering rows. The reconstruction is exactly the row set of
-// the full payload the server diffed against (rows are keyed by their
-// integer first column, the same identity the renderer deduplicates
-// on).
-func applyDelta(base *server.DataResponse, d wire.Delta, entering *server.DataResponse) (*server.DataResponse, error) {
+// applyDelta reconstructs a full box from the base the client holds
+// plus the server's delta: the base rows whose id is not tombstoned,
+// then the entering rows — exactly the row set of the full payload the
+// server diffed against (rows are keyed by their integer first column,
+// the same identity the renderer deduplicates on). It runs a column at
+// a time: a keep list from the tombstones over the base's id column,
+// then per column a gather of the kept base values and an append of the
+// entering ones. The base is not modified.
+func applyDelta(base *server.Columns, d wire.Delta, entering *server.Columns) (*server.Columns, error) {
 	if base == nil {
 		return nil, errors.New("delta frame but no base rows held")
 	}
-	tomb := make(map[int64]bool, len(d.Tombstones))
-	for _, id := range d.Tombstones {
-		tomb[id] = true
-	}
-	out := &server.DataResponse{Cols: entering.Cols, Types: entering.Types}
-	if len(entering.Rows) == 0 {
-		// An empty entering payload carries fallback column types; the
+	keep := keptRows(base, d.Tombstones)
+	cols, types := entering.Cols, entering.Types
+	switch {
+	case entering.N == 0:
+		// An empty entering payload may carry fallback column types; the
 		// surviving rows are all base rows, so keep the base schema.
-		out.Cols, out.Types = base.Cols, base.Types
+		cols, types = base.Cols, base.Types
+	case len(keep) > 0 && !slices.Equal(base.Types, entering.Types):
+		return nil, fmt.Errorf("delta entering rows have column types %v, the held box %v", entering.Types, base.Types)
 	}
-	rows := make([]storage.Row, 0, len(base.Rows)+len(entering.Rows))
-	for _, row := range base.Rows {
-		if len(row) == 0 || tomb[row[0].AsInt()] {
-			continue
+	out := server.NewColumns(cols, types, len(keep)+entering.N)
+	for c, t := range types {
+		dst := &out.Data[c]
+		var from, add server.Column
+		if len(keep) > 0 {
+			from = base.Data[c]
 		}
-		rows = append(rows, row)
+		if entering.N > 0 {
+			add = entering.Data[c]
+		}
+		switch t {
+		case storage.TInt64:
+			copy(dst.Ints[gather(dst.Ints, from.Ints, keep):], add.Ints)
+		case storage.TFloat64:
+			copy(dst.Floats[gather(dst.Floats, from.Floats, keep):], add.Floats)
+		case storage.TBool:
+			copy(dst.Bools[gather(dst.Bools, from.Bools, keep):], add.Bools)
+		case storage.TString:
+			dst.Offs[0] = uint32(len(out.Text))
+			for k, r := range keep {
+				out.Text = append(out.Text, base.Text[from.Offs[r]:from.Offs[r+1]]...)
+				dst.Offs[k+1] = uint32(len(out.Text))
+			}
+			for i := range entering.N {
+				out.Text = append(out.Text, entering.Text[add.Offs[i]:add.Offs[i+1]]...)
+				dst.Offs[len(keep)+i+1] = uint32(len(out.Text))
+			}
+		}
 	}
-	rows = append(rows, entering.Rows...)
-	out.Rows = rows
 	return out, nil
+}
+
+// keptRows lists, in order, the base rows whose id (first column, read
+// as storage.Value.AsInt reads it) is not tombstoned. A base without
+// columns has no ids, so none of its rows survive.
+func keptRows(base *server.Columns, tombstones []int64) []int32 {
+	if len(base.Types) == 0 {
+		return nil
+	}
+	tomb := newIDSet(tombstones)
+	keep := make([]int32, 0, base.N)
+	for i := range base.N {
+		if !tomb.has(base.Int(0, i)) {
+			keep = append(keep, int32(i))
+		}
+	}
+	return keep
+}
+
+// idSet is the tombstone set of one delta: open addressing with linear
+// probing in a table at most half full, so a lookup is a multiply and
+// usually one probe.
+type idSet struct {
+	slots []idSlot
+	shift uint
+}
+
+type idSlot struct {
+	id   int64
+	used bool
+}
+
+func newIDSet(ids []int64) idSet {
+	n := bits.Len(uint(2*len(ids)) | 7)
+	s := idSet{slots: make([]idSlot, 1<<n), shift: uint(64 - n)}
+	for _, id := range ids {
+		i := s.home(id)
+		for s.slots[i].used && s.slots[i].id != id {
+			i = (i + 1) & (len(s.slots) - 1)
+		}
+		s.slots[i] = idSlot{id: id, used: true}
+	}
+	return s
+}
+
+// home is id's first slot: the top bits of a Fibonacci hash.
+func (s idSet) home(id int64) int { return int(uint64(id) * 0x9E3779B97F4A7C15 >> s.shift) }
+
+func (s idSet) has(id int64) bool {
+	for i := s.home(id); s.slots[i].used; i = (i + 1) & (len(s.slots) - 1) {
+		if s.slots[i].id == id {
+			return true
+		}
+	}
+	return false
+}
+
+// gather writes src's values at the keep positions to the front of dst
+// and returns how many it wrote.
+func gather[T any](dst, src []T, keep []int32) int {
+	for k, r := range keep {
+		dst[k] = src[r]
+	}
+	return len(keep)
 }
 
 // PrefetchBoxes warms the dynamic-box prefetch slot of several layers
@@ -341,7 +430,7 @@ func (c *Client) PrefetchBoxes(layers []int, box geom.Rect) error {
 					st = &boxState{}
 					c.boxes[li] = st
 				}
-				st.prefetched = &boxState{box: box, data: fr.dr, wireID: fr.boxID}
+				st.prefetched = &boxState{box: box, data: fr.data, wireID: fr.boxID}
 			},
 		}
 		declareBase(&sub, c.boxes[li])

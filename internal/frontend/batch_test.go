@@ -143,11 +143,11 @@ func checkPerItemObjects(t *testing.T, base string, c *Client, li int) {
 	lm := &cv.Layers[li]
 	want := make(map[int64]storage.Row)
 	for _, u := range urls {
-		dr, _, err := c.getData(u)
+		data, _, err := c.getData(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range dr.Rows {
+		for _, row := range data.Response().Rows {
 			if lm.RowBox(row).Intersects(vp) {
 				want[row[0].AsInt()] = row
 			}
@@ -298,7 +298,7 @@ func TestV2PerFrameErrorIsolation(t *testing.T) {
 	var got []int
 	subs := []batchSub{
 		{item: server.BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 500, MaxY: 500},
-			merge: func(fr frameResult) { got = append(got, len(fr.dr.Rows)) }},
+			merge: func(fr frameResult) { got = append(got, fr.data.N) }},
 		{item: server.BatchItem{Kind: "dbox", Layer: 9, MinX: 0, MinY: 0, MaxX: 500, MaxY: 500},
 			merge: func(fr frameResult) { t.Error("broken item must not merge") }},
 	}

@@ -197,7 +197,7 @@ func TestDecodeFrameCorrupt(t *testing.T) {
 	}
 	withBase := &batchSub{
 		item: server.BatchItem{Kind: "dbox"},
-		base: &boxState{data: &server.DataResponse{}},
+		base: &boxState{data: &server.Columns{}},
 	}
 	if _, err := c.decodeFrame(withBase, wire.Frame{
 		Codec: wire.CodecDelta, Payload: []byte{0x01},
@@ -212,7 +212,7 @@ func TestDecodeFrameCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	comp, _ := wire.Compress(payload)
-	if fr, err := c.decodeFrame(dboxSub, wire.Frame{Codec: wire.CodecFlate, Payload: comp}); err != nil || fr.dr == nil {
+	if fr, err := c.decodeFrame(dboxSub, wire.Frame{Codec: wire.CodecFlate, Payload: comp}); err != nil || fr.data == nil {
 		t.Fatalf("valid flate frame failed: %v", err)
 	} else if fr.rawN != int64(len(payload)) {
 		t.Fatalf("rawN = %d, want inflated size %d", fr.rawN, len(payload))

@@ -107,11 +107,14 @@ type FetchReport struct {
 // frontend sends the current viewport location to backend and requests
 // a new box").
 type boxState struct {
-	box  geom.Rect
-	data *server.DataResponse
-	// wireID identifies the exact payload bytes data decodes from
-	// (wire.PayloadID) — the delta-base id declared to the server.
-	// Zero disables deltas against this state.
+	box geom.Rect
+	// data holds the box's rows column by column, as decoded or as a
+	// delta rebuilt them; rows are built only for what is drawn.
+	data *server.Columns
+	// wireID identifies the exact payload bytes data stands for
+	// (wire.PayloadID of the full payload, or a delta's NewID) — the
+	// delta-base id declared to the server. Zero disables deltas against
+	// this state.
 	wireID uint64
 	// prefetched holds a box fetched ahead of need (momentum
 	// prefetching, §4); promoted when the viewport enters it.
@@ -334,15 +337,15 @@ func (c *Client) fetchViewport(vp geom.Rect, includeStatic bool) (FetchReport, e
 // individually fetched and rendered".
 func (c *Client) fetchTiles(li int, sz float64, missing []geom.TileID, rep *FetchReport) error {
 	for _, tid := range missing {
-		dr, n, err := c.getTile(li, sz, tid)
+		data, n, err := c.getTile(li, sz, tid)
 		if err != nil {
 			return err
 		}
 		rep.Requests++
-		rep.Rows += len(dr.Rows)
+		rep.Rows += data.N
 		rep.Bytes += n
-		c.fcache.Put(c.tileCacheKey(li, sz, tid), dr, n)
-		c.observeDensity(li, tid.TileRect(sz), len(dr.Rows))
+		c.fcache.Put(c.tileCacheKey(li, sz, tid), data, n)
+		c.observeDensity(li, tid.TileRect(sz), data.N)
 	}
 	return nil
 }
@@ -351,7 +354,7 @@ func (c *Client) tileCacheKey(li int, sz float64, tid geom.TileID) string {
 	return fmt.Sprintf("%s/%s", c.canvas.ID, fetch.TileKeyOf(fmt.Sprint(li), sz, tid))
 }
 
-func (c *Client) getTile(li int, sz float64, tid geom.TileID) (*server.DataResponse, int64, error) {
+func (c *Client) getTile(li int, sz float64, tid geom.TileID) (*server.Columns, int64, error) {
 	u := fmt.Sprintf("%s/tile?canvas=%s&layer=%d&size=%g&col=%d&row=%d&design=%s&codec=%s",
 		c.base, url.QueryEscape(c.canvas.ID), li, sz, tid.Col, tid.Row,
 		c.opts.Scheme.Design, c.opts.Codec)
@@ -406,7 +409,7 @@ func (c *Client) nextDBox(li int, vp geom.Rect, rep *FetchReport) (geom.Rect, bo
 	return want, true
 }
 
-func (c *Client) getData(u string) (*server.DataResponse, int64, error) {
+func (c *Client) getData(u string) (*server.Columns, int64, error) {
 	resp, err := c.hc.Get(u)
 	if err != nil {
 		return nil, 0, fmt.Errorf("frontend: %w", err)
@@ -419,11 +422,11 @@ func (c *Client) getData(u string) (*server.DataResponse, int64, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, 0, fmt.Errorf("frontend: %s: %s", resp.Status, body)
 	}
-	dr, err := server.Decode(body, c.opts.Codec)
+	data, err := server.DecodeColumns(body, c.opts.Codec)
 	if err != nil {
 		return nil, 0, err
 	}
-	return dr, int64(len(body)), nil
+	return data, int64(len(body)), nil
 }
 
 // PrefetchTiles warms the frontend tile cache: one /batch round trip
@@ -441,11 +444,11 @@ func (c *Client) PrefetchTiles(li int, sz float64, tiles []geom.TileID) error {
 		return c.runBatch(c.tileSubs(li, sz, missing, false), &rep, time.Now())
 	}
 	for _, tid := range missing {
-		dr, n, err := c.getTile(li, sz, tid)
+		data, n, err := c.getTile(li, sz, tid)
 		if err != nil {
 			return err
 		}
-		c.fcache.Put(c.tileCacheKey(li, sz, tid), dr, n)
+		c.fcache.Put(c.tileCacheKey(li, sz, tid), data, n)
 	}
 	return nil
 }
@@ -454,39 +457,51 @@ func (c *Client) PrefetchTiles(li int, sz float64, tiles []geom.TileID) error {
 // whose bounding boxes intersect the current viewport, from frontend
 // state only — exactly what the renderer draws.
 func (c *Client) ObjectsInViewport(li int) ([]storage.Row, error) {
+	var rows []storage.Row
+	c.eachVisible(li, func(row storage.Row, _ geom.Rect) { rows = append(rows, row) })
+	return rows, nil
+}
+
+// eachVisible calls fn with every held object of layer li whose
+// placement box meets the viewport, once per id. Boxes are computed
+// from the held columns; a row is built only for an object that is
+// visible.
+func (c *Client) eachVisible(li int, fn func(row storage.Row, box geom.Rect)) {
 	lm := &c.canvas.Layers[li]
 	if !lm.HasData {
-		return nil, nil
+		return
 	}
-	var rows []storage.Row
 	seen := make(map[int64]bool)
-	add := func(dr *server.DataResponse) {
-		for _, row := range dr.Rows {
-			box := lm.RowBox(row)
+	// Visible rows are carved from one growing slab of cells; a row keeps
+	// the array it was carved from when the slab moves.
+	var cells storage.Row
+	add := func(data *server.Columns) {
+		for i := range data.N {
+			box := lm.BoxAt(data, i)
 			if !box.Intersects(c.viewport) {
 				continue
 			}
-			id := row[0].AsInt()
+			id := data.Int(0, i)
 			if seen[id] {
 				continue // objects overlapping several tiles appear once
 			}
 			seen[id] = true
-			rows = append(rows, row)
+			cells = data.AppendRow(cells, i)
+			fn(cells[len(cells)-len(data.Types):len(cells):len(cells)], box)
 		}
 	}
 	if lm.Static || c.opts.Scheme.Kind == "dbox" {
 		if st := c.boxes[li]; st != nil && st.data != nil {
 			add(st.data)
 		}
-		return rows, nil
+		return
 	}
 	sz := c.opts.Scheme.TileSize
 	for _, tid := range fetch.TilesNeeded(c.viewport, sz, c.canvas.W, c.canvas.H) {
 		if v, ok := c.fcache.Get(c.tileCacheKey(li, sz, tid)); ok {
-			add(v.(*server.DataResponse))
+			add(v.(*server.Columns))
 		}
 	}
-	return rows, nil
 }
 
 // Render rasterizes the current viewport at the given pixel size,
@@ -503,13 +518,7 @@ func (c *Client) Render(pxW, pxH int) (*render.Image, error) {
 			fn(img, lm, nil, geom.Rect{})
 			continue
 		}
-		rows, err := c.ObjectsInViewport(li)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range rows {
-			fn(img, lm, row, lm.RowBox(row))
-		}
+		c.eachVisible(li, func(row storage.Row, box geom.Rect) { fn(img, lm, row, box) })
 	}
 	return img, nil
 }

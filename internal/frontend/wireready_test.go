@@ -181,7 +181,7 @@ func TestV3DeltaApplyReconstructsFullPayload(t *testing.T) {
 			comp := []string{server.CompOff, server.CompFlate}[trial%2]
 
 			held := postOneV3(t, hs.URL, codec, server.CompOff, item(base)).Payload
-			heldDR, err := server.Decode(held, codec)
+			heldData, err := server.DecodeColumns(held, codec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +198,7 @@ func TestV3DeltaApplyReconstructsFullPayload(t *testing.T) {
 			if f.Codec.IsDelta() {
 				deltas++
 			}
-			sub := &batchSub{item: it, base: &boxState{box: base, data: heldDR, wireID: wire.PayloadID(held)}}
+			sub := &batchSub{item: it, base: &boxState{box: base, data: heldData, wireID: wire.PayloadID(held)}}
 			fr, err := c.decodeFrame(sub, f)
 			if err != nil {
 				t.Fatalf("%s trial %d: %v", codec, trial, err)
@@ -211,10 +211,11 @@ func TestV3DeltaApplyReconstructsFullPayload(t *testing.T) {
 			for _, row := range fullDR.Rows {
 				want[row[0].AsInt()] = row
 			}
-			if len(fr.dr.Rows) != len(fullDR.Rows) {
-				t.Fatalf("%s trial %d: reconstructed %d rows, full payload has %d", codec, trial, len(fr.dr.Rows), len(fullDR.Rows))
+			got := fr.data.Response()
+			if len(got.Rows) != len(fullDR.Rows) {
+				t.Fatalf("%s trial %d: reconstructed %d rows, full payload has %d", codec, trial, len(got.Rows), len(fullDR.Rows))
 			}
-			for _, row := range fr.dr.Rows {
+			for _, row := range got.Rows {
 				if !reflect.DeepEqual(row, want[row[0].AsInt()]) {
 					t.Fatalf("%s trial %d: row %v, full payload has %v", codec, trial, row, want[row[0].AsInt()])
 				}

@@ -47,18 +47,26 @@ type LayerMeta struct {
 
 // RowBox computes the canvas bbox of a fetched row client-side.
 func (lm *LayerMeta) RowBox(row storage.Row) geom.Rect {
+	return lm.box(func(col int) float64 { return row[col].AsFloat() })
+}
+
+// BoxAt is RowBox for row i of a column-held payload, read without
+// building the row.
+func (lm *LayerMeta) BoxAt(c *Columns, i int) geom.Rect {
+	return lm.box(func(col int) float64 { return c.Float(col, i) })
+}
+
+// box places a row whose numeric cells at reads.
+func (lm *LayerMeta) box(at func(col int) float64) geom.Rect {
 	if lm.Separable {
-		p := geom.Point{
-			X: row[lm.XIdx].AsFloat() * lm.XScale,
-			Y: row[lm.YIdx].AsFloat() * lm.YScale,
-		}
+		p := geom.Point{X: at(lm.XIdx) * lm.XScale, Y: at(lm.YIdx) * lm.YScale}
 		return geom.RectAround(p, lm.Radius)
 	}
 	return geom.Rect{
-		MinX: row[lm.BBoxIdx[0]].AsFloat(),
-		MinY: row[lm.BBoxIdx[1]].AsFloat(),
-		MaxX: row[lm.BBoxIdx[2]].AsFloat(),
-		MaxY: row[lm.BBoxIdx[3]].AsFloat(),
+		MinX: at(lm.BBoxIdx[0]),
+		MinY: at(lm.BBoxIdx[1]),
+		MaxX: at(lm.BBoxIdx[2]),
+		MaxY: at(lm.BBoxIdx[3]),
 	}
 }
 

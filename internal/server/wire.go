@@ -396,8 +396,23 @@ func Encode(dr *DataResponse, codec Codec) ([]byte, error) {
 	return b.finish(dr.Cols), nil
 }
 
-// Decode parses a payload produced by Encode.
+// Decode parses a payload produced by Encode into rows: the row view of
+// DecodeColumns.
 func Decode(data []byte, codec Codec) (*DataResponse, error) {
+	c, err := DecodeColumns(data, codec)
+	if err != nil {
+		return nil, err
+	}
+	return c.Response(), nil
+}
+
+// DecodeColumns parses a payload produced by Encode column by column.
+// It is the one reader of each codec; Decode's rows are built from its
+// result.
+func DecodeColumns(data []byte, codec Codec) (*Columns, error) {
+	if len(data) > math.MaxUint32 {
+		return nil, fmt.Errorf("server: decode: %d-byte payload", len(data))
+	}
 	switch codec {
 	case CodecJSON, "":
 		return decodeJSON(data)
@@ -551,63 +566,89 @@ func (s *jsonScanner) rows(ncols int, row func(start int), cell func(col int, to
 	return end, nil
 }
 
-// decodeJSON is Decode's JSON sink: each cell is parsed by its column's
-// declared type straight into a storage.Value — integers exactly, never
-// through float64.
-func decodeJSON(data []byte) (*DataResponse, error) {
+// decodeJSON is DecodeColumns' JSON sink: each cell is parsed by its
+// column's declared type and appended to that column — integers exactly,
+// never through float64. Each TEXT column unquotes into its own arena
+// while the rows interleave, so its values stay contiguous; the arenas
+// are joined at the end.
+func decodeJSON(data []byte) (*Columns, error) {
 	s := jsonScanner{b: data}
 	cols, types, err := s.header()
 	if err != nil {
 		return nil, err
 	}
-	dr := &DataResponse{Cols: cols, Types: types, Rows: []storage.Row{}}
-	var cur storage.Row
+	c := &Columns{Cols: cols, Types: types, Data: make([]Column, len(types))}
+	texts := make([][]byte, len(types))
+	for col, t := range types {
+		if t == storage.TString {
+			c.Data[col].Offs = []uint32{0}
+		}
+	}
 	_, err = s.rows(len(cols),
-		func(int) {
-			cur = make(storage.Row, len(cols))
-			dr.Rows = append(dr.Rows, cur)
-		},
+		func(int) { c.N++ },
 		func(col int, tok []byte) error {
-			v, err := jsonCell(tok, types[col])
-			if err != nil {
-				return fmt.Errorf("server: row %d col %d: %w", len(dr.Rows)-1, col, err)
+			d := &c.Data[col]
+			var err error
+			switch types[col] {
+			case storage.TInt64:
+				var v int64
+				if v, err = jsonInt(tok); err == nil {
+					d.Ints = append(d.Ints, v)
+				}
+			case storage.TFloat64:
+				var v float64
+				if v, err = jsonFloat(tok); err == nil {
+					d.Floats = append(d.Floats, v)
+				}
+			case storage.TString:
+				if texts[col], err = appendJSONUnquoted(texts[col], tok); err == nil {
+					d.Offs = append(d.Offs, uint32(len(texts[col])))
+				}
+			default: // TBool: header() admits no other type
+				switch string(tok) {
+				case "true":
+					d.Bools = append(d.Bools, true)
+				case "false":
+					d.Bools = append(d.Bools, false)
+				default:
+					err = errors.New("not bool")
+				}
 			}
-			cur[col] = v
+			if err != nil {
+				return fmt.Errorf("server: row %d col %d: %w", c.N-1, col, err)
+			}
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	return dr, nil
+	for col, text := range texts {
+		if types[col] != storage.TString {
+			continue
+		}
+		base, offs := uint32(len(c.Text)), c.Data[col].Offs
+		for i := range offs {
+			offs[i] += base
+		}
+		c.Text = append(c.Text, text...)
+	}
+	return c, nil
 }
 
-// jsonCell converts one cell token to a value of type t.
-func jsonCell(tok []byte, t storage.ColType) (storage.Value, error) {
-	switch t {
-	case storage.TInt64:
-		if !jsonNumber(tok) {
-			return storage.Value{}, errors.New("not numeric")
-		}
-		i, err := strconv.ParseInt(string(tok), 10, 64)
-		return storage.I64(i), err
-	case storage.TFloat64:
-		if !jsonNumber(tok) {
-			return storage.Value{}, errors.New("not numeric")
-		}
-		f, err := strconv.ParseFloat(string(tok), 64)
-		return storage.F64(f), err
-	case storage.TString:
-		str, err := jsonString(tok)
-		return storage.Str(str), err
-	default: // TBool: header() admits no other type
-		switch string(tok) {
-		case "true":
-			return storage.Bool(true), nil
-		case "false":
-			return storage.Bool(false), nil
-		}
-		return storage.Value{}, errors.New("not bool")
+// jsonInt parses an INT cell.
+func jsonInt(tok []byte) (int64, error) {
+	if !jsonNumber(tok) {
+		return 0, errors.New("not numeric")
 	}
+	return strconv.ParseInt(string(tok), 10, 64)
+}
+
+// jsonFloat parses a DOUBLE cell.
+func jsonFloat(tok []byte) (float64, error) {
+	if !jsonNumber(tok) {
+		return 0, errors.New("not numeric")
+	}
+	return strconv.ParseFloat(string(tok), 64)
 }
 
 // jsonNumber reports whether tok is made of JSON number characters only,
@@ -623,15 +664,22 @@ func jsonNumber(tok []byte) bool {
 
 // jsonString unquotes a string token.
 func jsonString(tok []byte) (string, error) {
+	out, err := appendJSONUnquoted(nil, tok)
+	return string(out), err
+}
+
+// appendJSONUnquoted appends the unquoted contents of a string token to
+// dst.
+func appendJSONUnquoted(dst, tok []byte) ([]byte, error) {
 	if len(tok) < 2 || tok[0] != '"' || tok[len(tok)-1] != '"' {
-		return "", errors.New("not string")
+		return dst, errors.New("not string")
 	}
 	body := tok[1 : len(tok)-1]
 	esc := bytes.IndexByte(body, '\\')
 	if esc < 0 {
-		return string(body), nil
+		return append(dst, body...), nil
 	}
-	out := append(make([]byte, 0, len(body)), body[:esc]...)
+	out := append(dst, body[:esc]...)
 	for i := esc; i < len(body); i++ {
 		c := body[i]
 		if c != '\\' {
@@ -639,7 +687,7 @@ func jsonString(tok []byte) (string, error) {
 			continue
 		}
 		if i++; i >= len(body) {
-			return "", errors.New("bad string escape")
+			return dst, errors.New("bad string escape")
 		}
 		switch body[i] {
 		case '"', '\\', '/':
@@ -657,7 +705,7 @@ func jsonString(tok []byte) (string, error) {
 		case 'u':
 			r, ok := jsonHex4(body[i+1:])
 			if !ok {
-				return "", errors.New("bad \\u escape")
+				return dst, errors.New("bad \\u escape")
 			}
 			i += 4
 			if utf16.IsSurrogate(r) {
@@ -676,10 +724,10 @@ func jsonString(tok []byte) (string, error) {
 			}
 			out = utf8.AppendRune(out, r)
 		default:
-			return "", errors.New("bad string escape")
+			return dst, errors.New("bad string escape")
 		}
 	}
-	return string(out), nil
+	return out, nil
 }
 
 // jsonHex4 reads the four hex digits of a \u escape.
@@ -811,54 +859,46 @@ func textSectionEnd(data []byte, off, n int) (int, error) {
 	return off + total, nil
 }
 
-// decodeBinary is Decode's binary sink. One allocation holds every cell
-// — parseBinary bounds it by the input, a cell being at least one byte —
-// and the columns fill it one at a time.
-func decodeBinary(data []byte) (*DataResponse, error) {
+// decodeBinary is DecodeColumns' binary sink. parseBinary bounds every
+// count by the input, so the column slabs are too, and each column fills
+// in one pass over its section: byte planes into words, BOOL bytes, and
+// a TEXT column's bytes copied into the arena whole, its lengths turned
+// into offsets.
+func decodeBinary(data []byte) (*Columns, error) {
 	l, err := parseBinary(data)
 	if err != nil {
 		return nil, err
 	}
-	n, nc := l.nrows, len(l.types)
-	dr := &DataResponse{Cols: l.cols, Types: l.types, Rows: make([]storage.Row, n)}
-	cells := make([]storage.Value, n*nc)
-	for i := range dr.Rows {
-		dr.Rows[i] = cells[i*nc : (i+1)*nc : (i+1)*nc]
-	}
-	for c, t := range l.types {
-		col := data[l.colOff[c]:l.colOff[c+1]]
+	n := l.nrows
+	c := NewColumns(l.cols, l.types, n)
+	for col, t := range l.types {
+		sec, d := data[l.colOff[col]:l.colOff[col+1]], &c.Data[col]
 		switch t {
 		case storage.TInt64:
-			for i := range n {
-				v := &cells[i*nc+c]
-				v.Kind, v.I = t, int64(planeValue(col, n, i))
+			for i := range d.Ints {
+				d.Ints[i] = int64(planeValue(sec, n, i))
 			}
 		case storage.TFloat64:
-			for i := range n {
-				v := &cells[i*nc+c]
-				v.Kind, v.F = t, math.Float64frombits(planeValue(col, n, i))
+			for i := range d.Floats {
+				d.Floats[i] = math.Float64frombits(planeValue(sec, n, i))
 			}
 		case storage.TBool:
-			for i, b := range col {
-				v := &cells[i*nc+c]
-				v.Kind, v.B = t, b != 0
+			for i, b := range sec {
+				d.Bools[i] = b != 0
 			}
 		case storage.TString:
-			pos := 0
-			for range n {
-				_, sz := binary.Uvarint(col[pos:])
-				pos += sz
-			}
-			lens := 0
+			pos, at := 0, uint32(len(c.Text))
+			d.Offs[0] = at
 			for i := range n {
-				ln, sz := binary.Uvarint(col[lens:])
-				lens += sz
-				pos += int(ln)
-				cells[i*nc+c] = storage.Str(string(col[pos-int(ln) : pos]))
+				ln, sz := binary.Uvarint(sec[pos:])
+				pos += sz
+				at += uint32(ln)
+				d.Offs[i+1] = at
 			}
+			c.Text = append(c.Text, sec[pos:]...)
 		}
 	}
-	return dr, nil
+	return c, nil
 }
 
 // planeValue reassembles value i of a fixed-width column from its eight

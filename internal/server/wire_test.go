@@ -18,6 +18,7 @@ import (
 	"kyrix/internal/geom"
 	"kyrix/internal/obs"
 	"kyrix/internal/storage"
+	"kyrix/internal/workload"
 )
 
 // The reference implementation of the JSON codec: encoding/json over a
@@ -446,6 +447,41 @@ func BenchmarkWindowFill(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+		})
+	}
+}
+
+// BenchmarkDecodeBox decodes one 1536² box of the benchmark's dots
+// (≈ 1 100 rows of id, x, y, val at its density) into columns per op —
+// what the client pays for every full frame it receives. B/op and
+// allocs/op are the columns' slabs; a row per cell would be ≈ 48 bytes
+// a cell more.
+func BenchmarkDecodeBox(b *testing.B) {
+	d := workload.Uniform(200_000, 131072/5, 16384, 2019)
+	win := geom.Rect{MinX: 8192, MinY: 4096, MaxX: 8192 + 1536, MaxY: 4096 + 1536}
+	dr := &DataResponse{
+		Cols:  []string{"id", "x", "y", "val"},
+		Types: ColTypes{storage.TInt64, storage.TFloat64, storage.TFloat64, storage.TFloat64},
+	}
+	for _, p := range d.Points {
+		if win.ContainsPoint(geom.Point{X: p.X, Y: p.Y}) {
+			dr.Rows = append(dr.Rows, storage.Row{storage.I64(p.ID), storage.F64(p.X), storage.F64(p.Y), storage.F64(p.Val)})
+		}
+	}
+	for _, codec := range []Codec{CodecBinary, CodecJSON} {
+		raw, err := Encode(dr, codec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(string(codec), func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := DecodeColumns(raw, codec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dr.Rows)), "ns/row")
 		})
 	}
 }

@@ -335,9 +335,14 @@
 // header, in the codec the request names; GET /tile, GET /dbox, batch
 // frames, L1, L2 and peer fills all carry exactly these bytes. Each
 // codec has one writer (the payload builder in internal/server, fed by
-// the query path and by server.Encode) and one reader (server.Decode,
-// whose scanner the delta planner's row index shares), and both are
-// fixed formats, not "whatever a marshaller emits".
+// the query path and by server.Encode) and one reader
+// (server.DecodeColumns, whose scanner the delta planner's row index
+// shares), and both are fixed formats, not "whatever a marshaller
+// emits". The reader fills columns — one typed slice per column, TEXT
+// as offsets into one byte arena — which is what the frontend holds for
+// a box or a tile, applies deltas to column by column, and turns into
+// rows only for the objects it draws; server.Decode is the row view of
+// the same result.
 //
 // JSON is one document with no insignificant whitespace and its three
 // members in this order:
@@ -442,8 +447,10 @@
 // content hash of the full payload they replace, a tombstone list (ids
 // of rows leaving the base box) and the entering rows as a nested
 // payload: the client reconstructs base − tombstones + entering, which
-// is row-for-row the full result. The "id" is the FNV-64a hash of the
-// exact payload bytes the client holds; the server only delta-encodes
+// is row-for-row the full result. The "id" is the XXH64 hash (seed 0)
+// of the exact payload bytes the client holds, hashed eight bytes at a
+// time; ids live only in memory (memo keys, the client's held-box id),
+// so no stored key depends on the function. The server only delta-encodes
 // when its cached copy of the base hashes identically, so stale bases
 // (after an /update), evicted bases, low overlap, or a delta bigger
 // than the full payload all degrade to a full frame — the delta is an
