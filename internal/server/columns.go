@@ -23,10 +23,10 @@ type Columns struct {
 	Text []byte
 }
 
-// Column is one column of a Columns. Exactly one slice is set, by the
-// column's type: Ints (INT), Floats (DOUBLE), Bools (BOOL), or Offs
-// (TEXT), where row i's value is Text[Offs[i]:Offs[i+1]] and Offs has
-// N+1 entries.
+// Column is one column of a Columns. Its values are in the slice the
+// column's type names — Ints (INT), Floats (DOUBLE), Bools (BOOL), or
+// Offs (TEXT), where row i's value is Text[Offs[i]:Offs[i+1]] and Offs
+// has N+1 entries — and the other slices are nil.
 type Column struct {
 	Ints   []int64
 	Floats []float64
