@@ -19,16 +19,6 @@ import (
 	"kyrix/internal/wire"
 )
 
-// Compression selection for ClientOptions.Compression.
-const (
-	// CompressionAuto lets the server DEFLATE-compress frames that
-	// compression makes smaller (the default).
-	CompressionAuto = 0
-	// CompressionOff asks for raw frames (ablations, CPU-bound
-	// clients). Delta frames are still used when profitable.
-	CompressionOff = 1
-)
-
 // frameResult is one decoded OK frame, ready to merge into client
 // state: the (possibly delta-reconstructed) columns, byte accounting,
 // and the payload identity future delta fetches can declare as their
@@ -156,9 +146,6 @@ func (c *Client) postBatch(subs []batchSub, rep *FetchReport, start time.Time) e
 		Canvas: c.canvas.ID,
 		Codec:  c.opts.Codec,
 		Items:  make([]server.BatchItem, len(subs)),
-	}
-	if c.opts.Compression == CompressionOff {
-		req.Comp = server.CompOff
 	}
 	for i := range subs {
 		req.Items[i] = subs[i].item

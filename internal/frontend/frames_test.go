@@ -42,42 +42,16 @@ func TestV3AgainstV3Server(t *testing.T) {
 	}
 }
 
-// TestV3CompressionOffOverride: CompressionOff is honored end to end —
-// the stream still works and ships exactly raw-sized payloads.
-func TestV3CompressionOffOverride(t *testing.T) {
-	db, ca := multiLayerApp(t, 3000)
-	srv, hs := startBackend(t, db, ca)
-	c, err := NewClient(hs.URL, ca, Options{
-		Scheme: fetch.DBox50, Codec: server.CodecJSON, CacheBytes: 16 << 20,
-		Compression: CompressionOff,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.WireBytes < rep.Bytes {
-		t.Fatalf("comp-off wire bytes %d below payload bytes %d — something compressed", rep.WireBytes, rep.Bytes)
-	}
-	if got := srv.Stats.CompressedFrames.Load(); got != 0 {
-		t.Fatalf("server compressed %d frames under comp=off", got)
-	}
-}
-
-// TestV3DeltaPan: an overlapping pan sequence ships deltas — with
-// compression off, fewer wire bytes than the full payloads they stand
-// for — and reconstructs exactly the rows per-item GETs return. This
-// covers tombstone apply: rows leaving the box must disappear
-// client-side.
+// TestV3DeltaPan: an overlapping pan sequence ships deltas — fewer wire
+// bytes than the full payloads they stand for — and reconstructs exactly
+// the rows per-item GETs return. This covers tombstone apply: rows
+// leaving the box must disappear client-side.
 func TestV3DeltaPan(t *testing.T) {
 	for _, codec := range []server.Codec{server.CodecJSON, server.CodecBinary} {
 		db, ca := multiLayerApp(t, 5000)
 		srv, hs := startBackend(t, db, ca)
 		c, err := NewClient(hs.URL, ca, Options{
 			Scheme: fetch.DBoxExact, Codec: codec, CacheBytes: 16 << 20,
-			Compression: CompressionOff,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +72,7 @@ func TestV3DeltaPan(t *testing.T) {
 			t.Fatalf("codec %s: overlapping pans produced no delta frames", codec)
 		}
 		if wire >= raw {
-			t.Fatalf("codec %s: uncompressed pan wire bytes %d not below the full payloads' %d", codec, wire, raw)
+			t.Fatalf("codec %s: pan wire bytes %d not below the full payloads' %d", codec, wire, raw)
 		}
 		for li := 0; li < 2; li++ {
 			checkPerItemObjects(t, hs.URL, c, li)

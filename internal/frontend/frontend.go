@@ -55,10 +55,6 @@ type Options struct {
 	// server.MaxBatchItems). 0 or 1 keeps the paper's one-GET-per-tile
 	// protocol. Dynamic boxes and static layers always ride /batch.
 	BatchSize int
-	// Compression selects per-frame compression: CompressionAuto
-	// (default) lets the server DEFLATE-compress frames that
-	// compression makes smaller, CompressionOff asks for raw frames.
-	Compression int
 	// Tracer, when non-nil, opens one client-side "interaction" span per
 	// Load/Pan/Jump covering the whole viewport fetch (time-to-first-
 	// frame and duration land as attributes), and stamps the trace

@@ -135,15 +135,18 @@ type BatchRequestV2 struct {
 
 // frameWriter serializes concurrent frame writes onto one HTTP
 // response, flushing after each frame so the client renders sub-
-// results as they complete instead of waiting for the whole batch.
+// results as they complete instead of waiting for the whole batch. The
+// last frame goes out with the end of the body, after the handler.
 type frameWriter struct {
 	// flushHist, when set, gets one sample per frame covering the
 	// serialized write + flush; assigned once before any worker runs.
 	flushHist *obs.Histogram
+	frames    int // announced in the stream header
 	mu        sync.Mutex
 	w         io.Writer    // guarded by mu
 	fl        http.Flusher // guarded by mu
 	err       error        // guarded by mu; first write error; later writes are dropped
+	written   int          // guarded by mu
 	// bytes counts payload bytes as written (post-compression/delta);
 	// rawBytes counts the full-frame equivalent (what a raw frame would
 	// have carried) — the pair is the stream's compression ratio.
@@ -151,8 +154,8 @@ type frameWriter struct {
 	rawBytes int64 // guarded by mu
 }
 
-func newFrameWriter(w http.ResponseWriter) *frameWriter {
-	fw := &frameWriter{w: w}
+func newFrameWriter(w http.ResponseWriter, frames int) *frameWriter {
+	fw := &frameWriter{w: w, frames: frames}
 	if fl, ok := w.(http.Flusher); ok {
 		fw.fl = fl
 	}
@@ -172,7 +175,7 @@ func (fw *frameWriter) writeFrame(f Frame, rawLen int) {
 	}
 	fw.bytes += int64(len(f.Payload))
 	fw.rawBytes += int64(rawLen)
-	if fw.fl != nil {
+	if fw.written++; fw.fl != nil && fw.written < fw.frames {
 		fw.fl.Flush()
 	}
 	fw.flushHist.Observe(time.Since(start))
@@ -263,7 +266,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// stream, so an item failure becomes an error frame, never an HTTP
 	// error code.
 	w.Header().Set("Content-Type", BatchV3ContentType)
-	fw := newFrameWriter(w)
+	fw := newFrameWriter(w, len(req.Items))
 	fw.flushHist = s.obs.stageFlush
 	if err := wire.WriteHeader(w, wire.V3, len(req.Items)); err != nil {
 		return // client went away before the header landed
@@ -292,7 +295,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				fw.writeFrame(f, rawLen)
 			}()
 			if it.Kind == "dbox" && it.Base != nil {
-				if s.ownsDBox(req.Canvas, it, codec) {
+				if s.ownsDBox(req.Canvas, it) {
 					// Delta-eligible: hold the update fence's read
 					// lock across query + delta plan so an /update
 					// cannot slip between them and pair a post-update
@@ -318,7 +321,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				s.obs.stageItem.Observe(time.Since(itemStart))
 				isp.End()
 			}()
-			p, err := s.serveItem(ictx, req.Canvas, it, codec, false)
+			p, err := s.serveItem(ictx, req.Canvas, it, false)
+			if err == nil {
+				f.Payload, f.Codec, rawLen, err = s.encodeFrame(ictx, req.Canvas, it, codec, p, compress)
+			}
 			if err != nil {
 				f.Payload = []byte(err.Error())
 				rawLen = len(f.Payload)
@@ -327,10 +333,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				} else {
 					f.Status = FrameInternal
 				}
-				return
 			}
-			rawLen = len(p.raw)
-			f.Payload, f.Codec = s.encodeFrame(ictx, req.Canvas, it, codec, p, compress)
 		}(i, req.Items[i])
 	}
 	wg.Wait()
@@ -344,7 +347,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // serveItem resolves and serves one batch item through the same
 // cache/coalescing path as the single-request endpoints. localOnly
 // (peer-originated fills) suppresses cluster forwarding.
-func (s *Server) serveItem(ctx context.Context, canvas string, it BatchItem, codec Codec, localOnly bool) (*payload, error) {
+func (s *Server) serveItem(ctx context.Context, canvas string, it BatchItem, localOnly bool) (*payload, error) {
 	pl, ok := s.Layer(canvas, it.Layer)
 	if !ok || pl.Table == "" {
 		return nil, badRequestError{fmt.Errorf("no data layer %s/%d", canvas, it.Layer)}
@@ -361,13 +364,13 @@ func (s *Server) serveItem(ctx context.Context, canvas string, it BatchItem, cod
 		if design == "" {
 			design = "spatial"
 		}
-		return s.serveTile(ctx, pl, design, codec, it.Size, geom.TileID{Col: it.Col, Row: it.Row}, localOnly)
+		return s.serveTile(ctx, pl, design, it.Size, geom.TileID{Col: it.Col, Row: it.Row}, localOnly)
 	case "dbox":
 		box := it.Box()
 		if !box.Valid() {
 			return nil, badRequestError{fmt.Errorf("invalid box %+v", box)}
 		}
-		return s.serveBox(ctx, pl, codec, box, localOnly)
+		return s.serveBox(ctx, pl, box, localOnly)
 	}
 	return nil, badRequestError{fmt.Errorf("unknown item kind %q", it.Kind)}
 }

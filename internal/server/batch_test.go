@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -310,4 +311,62 @@ func TestBatchV2CoalescesWithSingles(t *testing.T) {
 	if got := srv.Stats.DBQueries.Load() - dbqBefore; got != 0 {
 		t.Fatalf("batched re-request ran %d queries, want cache hit", got)
 	}
+}
+
+// flushCounter is a ResponseWriter that counts flushes.
+type flushCounter struct {
+	bytes.Buffer
+	header  http.Header
+	status  int
+	flushes int
+}
+
+func (fc *flushCounter) Header() http.Header {
+	if fc.header == nil {
+		fc.header = http.Header{}
+	}
+	return fc.header
+}
+
+func (fc *flushCounter) WriteHeader(code int) { fc.status = code }
+func (fc *flushCounter) Flush()               { fc.flushes++ }
+
+// TestBatchSkipsFinalFlush: every frame but the last is flushed as it is
+// written, so earlier frames still stream; the last one goes out with
+// the end of the body, which net/http writes when the handler returns.
+func TestBatchSkipsFinalFlush(t *testing.T) {
+	srv, _ := newPointsServer(t, 500, 4096, 2048)
+	for _, n := range []int{1, 2, 5} {
+		req := BatchRequestV2{V: wire.V3, Canvas: "main", Codec: CodecJSON}
+		for i := range n {
+			req.Items = append(req.Items, BatchItem{Kind: "tile", Layer: 0, Size: 512, Col: i, Row: 0})
+		}
+		body, _ := json.Marshal(req)
+		fc := &flushCounter{}
+		srv.handleBatch(fc, httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body)))
+		frames := postedFrames(t, fc.Bytes())
+		if len(frames) != n {
+			t.Fatalf("%d-item batch wrote %d frames", n, len(frames))
+		}
+		if fc.flushes != n-1 {
+			t.Errorf("%d-item batch flushed %d times, want %d", n, fc.flushes, n-1)
+		}
+	}
+}
+
+// postedFrames reads every frame of a v3 stream.
+func postedFrames(t *testing.T, stream []byte) []Frame {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(stream))
+	_, n, err := wire.ReadHeader(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make([]Frame, n)
+	for i := range frames {
+		if frames[i], err = wire.ReadFrame(br, wire.V3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return frames
 }

@@ -133,8 +133,8 @@ func newTestCluster(t testing.TB, n, points int, mutate func(i int, o *Options))
 }
 
 // tileKeyFor reproduces serveTile's canonical cache key.
-func tileKeyFor(codec Codec, design string, size float64, tid geom.TileID) string {
-	return fmt.Sprintf("%s/%s/%s", keySpace(codec), design, fetch.TileKeyOf("main/0", size, tid))
+func tileKeyFor(design string, size float64, tid geom.TileID) string {
+	return fmt.Sprintf("%s/%s/%s", keySpace, design, fetch.TileKeyOf("main/0", size, tid))
 }
 
 // ownerAndOther finds a tile whose key node 0 does NOT own, returning
@@ -145,7 +145,7 @@ func ownerAndOther(t *testing.T, nodes []*clusterNode) (*clusterNode, *clusterNo
 	for col := 0; col < 8; col++ {
 		for row := 0; row < 4; row++ {
 			tid := geom.TileID{Col: col, Row: row}
-			key := tileKeyFor(CodecJSON, "spatial", 512, tid)
+			key := tileKeyFor("spatial", 512, tid)
 			ownerURL := nodes[0].srv.cluster.Owner(key)
 			var owner, other *clusterNode
 			for _, n := range nodes {
@@ -233,7 +233,7 @@ func rowInTile(t *testing.T, n *clusterNode) (geom.TileID, int64) {
 	for col := 0; col < 8; col++ {
 		for row := 0; row < 4; row++ {
 			tid := geom.TileID{Col: col, Row: row}
-			if !n.srv.cluster.Owns(tileKeyFor(CodecJSON, "spatial", 512, tid)) {
+			if !n.srv.cluster.Owns(tileKeyFor("spatial", 512, tid)) {
 				continue
 			}
 			r := tid.TileRect(512)
@@ -253,10 +253,10 @@ func rowInTile(t *testing.T, n *clusterNode) (geom.TileID, int64) {
 	return geom.TileID{}, 0
 }
 
-// valOf returns the val column of row id in a JSON payload.
-func valOf(t *testing.T, raw []byte, id int64) float64 {
+// valOf returns the val column of row id in a payload of codec.
+func valOf(t *testing.T, raw []byte, codec Codec, id int64) float64 {
 	t.Helper()
-	dr, err := Decode(raw, CodecJSON)
+	dr, err := Decode(raw, codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestClusterCrossNodeSingleflight(t *testing.T) {
 		o.Cluster.HotReplicate = -1
 	})
 	owner, other, tid := ownerAndOther(t, nodes)
-	key := tileKeyFor(CodecJSON, "spatial", 512, tid)
+	key := tileKeyFor("spatial", 512, tid)
 
 	for gen := 0; gen < 2; gen++ {
 		release := make(chan struct{})
@@ -385,7 +385,7 @@ func TestClusterUpdateInvalidatesEveryNode(t *testing.T) {
 	nodes := newTestCluster(t, 2, 500, nil)
 	owner, other := nodes[0], nodes[1]
 	tid, id := rowInTile(t, owner)
-	key := tileKeyFor(CodecJSON, "spatial", 512, tid)
+	key := tileKeyFor("spatial", 512, tid)
 
 	// Warm the owner's cache: the edited tile plus a witness the edit
 	// does not touch.
@@ -394,7 +394,7 @@ func TestClusterUpdateInvalidatesEveryNode(t *testing.T) {
 	for col := 0; col < 8 && witnessKey == ""; col++ {
 		for row := 0; row < 4 && witnessKey == ""; row++ {
 			cand := geom.TileID{Col: col, Row: row}
-			k := tileKeyFor(CodecJSON, "spatial", 512, cand)
+			k := tileKeyFor("spatial", 512, cand)
 			if cand != tid && owner.srv.cluster.Owns(k) {
 				getTile(t, owner.url, cand)
 				witnessKey = k
@@ -419,7 +419,7 @@ func TestClusterUpdateInvalidatesEveryNode(t *testing.T) {
 	if full := owner.srv.Stats.InvalidationsFull.Load(); full != 0 {
 		t.Fatalf("owner cleared whole tiers %d times, want 0", full)
 	}
-	if got := valOf(t, getTile(t, other.url, tid), id); got != 2.5 {
+	if got := valOf(t, getTile(t, other.url, tid), CodecJSON, id); got != 2.5 {
 		t.Fatalf("non-owner served val %v after the update, want 2.5", got)
 	}
 }
@@ -452,7 +452,7 @@ func TestPeerFillNeverOlderThanRequester(t *testing.T) {
 	}
 	owner, a := followers[0], followers[1]
 	tid, id := rowInTile(t, owner)
-	key := tileKeyFor(CodecJSON, "spatial", 512, tid)
+	key := tileKeyFor("spatial", 512, tid)
 	getTile(t, a.url, tid) // A holds a peer-filled copy for the update to sweep
 
 	leader.srv.cluster.Transport().FailDrop(owner.url, true)
@@ -462,7 +462,7 @@ func TestPeerFillNeverOlderThanRequester(t *testing.T) {
 	if owner.srv.cacheGen.Load() >= a.srv.cacheGen.Load() {
 		t.Fatal("the partitioned owner applied the update: the partition did not hold")
 	}
-	if got := valOf(t, getTile(t, a.url, tid), id); got != want {
+	if got := valOf(t, getTile(t, a.url, tid), CodecJSON, id); got != want {
 		t.Fatalf("A acked val = %v, then served %v from the lagging owner", want, got)
 	}
 	// The refusal is told apart from a peer failure: its own counter in
@@ -494,7 +494,7 @@ func TestPeerFillNeverOlderThanRequester(t *testing.T) {
 	if !ok {
 		t.Fatal("A's L1 does not hold the tile")
 	}
-	if got := valOf(t, p.(*payload).raw, id); got != want {
+	if got := valOf(t, p.(*payload).raw, CodecBinary, id); got != want {
 		t.Fatalf("A's L1 holds val %v, want %v", got, want)
 	}
 	if err := a.srv.l2.Flush(); err != nil {
@@ -504,7 +504,7 @@ func TestPeerFillNeverOlderThanRequester(t *testing.T) {
 	if !ok {
 		t.Fatal("A's L2 does not hold the tile")
 	}
-	if got := valOf(t, raw, id); got != want {
+	if got := valOf(t, raw, CodecBinary, id); got != want {
 		t.Fatalf("A's L2 holds val %v, want %v", got, want)
 	}
 }
@@ -558,7 +558,7 @@ func TestClusterHotKeyReplication(t *testing.T) {
 		o.Cluster.HotReplicate = 3
 	})
 	owner, other, tid := ownerAndOther(t, nodes)
-	key := tileKeyFor(CodecJSON, "spatial", 512, tid)
+	key := tileKeyFor("spatial", 512, tid)
 
 	// Each miss records one sketch sighting; the fill whose recorded
 	// frequency reaches the threshold replicates.
@@ -608,7 +608,7 @@ func TestClusterLocalFallback(t *testing.T) {
 	for col := 0; col < 16 && !found; col++ {
 		for row := 0; row < 8 && !found; row++ {
 			tid2 := geom.TileID{Col: col, Row: row}
-			k := tileKeyFor(CodecJSON, "spatial", 512, tid2)
+			k := tileKeyFor("spatial", 512, tid2)
 			if other.srv.cluster.Owner(k) == ownerURL && !other.srv.bcache.Contains(k) {
 				fresh, found = tid2, true
 			}
@@ -636,7 +636,7 @@ func unownedBox(t *testing.T, nodes []*clusterNode) (*clusterNode, geom.Rect) {
 	pl, _ := nodes[0].srv.Layer("main", 0)
 	for i := 0; i < 64; i++ {
 		box := geom.Rect{MinX: float64(i) * 50, MinY: 0, MaxX: float64(i)*50 + 1500, MaxY: 1500}
-		owner := nodes[0].srv.cluster.Owner(nodes[0].srv.boxCacheKey(pl, CodecBinary, box))
+		owner := nodes[0].srv.cluster.Owner(boxCacheKey(pl, box))
 		for _, n := range nodes[1:] {
 			if n.url == owner {
 				return n, box
@@ -659,7 +659,7 @@ func TestPeerFillNamesLayout(t *testing.T) {
 	req := nodes[0]
 	owner, box := unownedBox(t, nodes)
 	pl, _ := req.srv.Layer("main", 0)
-	ref, err := owner.srv.serveBox(context.Background(), pl, CodecBinary, box, true)
+	ref, err := owner.srv.serveBox(context.Background(), pl, box, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +684,7 @@ func TestPeerFillNamesLayout(t *testing.T) {
 	})
 	owner.peer.Store(&oldBuild)
 
-	p, err := req.srv.serveBox(context.Background(), pl, CodecBinary, box, false)
+	p, err := req.srv.serveBox(context.Background(), pl, box, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -702,13 +702,15 @@ func TestPeerFillNamesLayout(t *testing.T) {
 }
 
 // TestPeerRefusesUnknownLayout: an owner answers a fill for a layout it
-// cannot produce — "binary" from a row-major requester — with a
-// bad-request frame, and a "bincol" fill with the columnar payload.
+// does not cache — "binary" from a row-major requester, "json" (or the
+// empty name, which meant JSON) from a build that cached JSON copies —
+// with a bad-request frame, and a "bincol" fill with the columnar
+// payload.
 func TestPeerRefusesUnknownLayout(t *testing.T) {
 	nodes := newTestCluster(t, 2, 500, nil)
 	owner, box := unownedBox(t, nodes)
 	pl, _ := owner.srv.Layer("main", 0)
-	ref, err := owner.srv.serveBox(context.Background(), pl, CodecBinary, box, true)
+	ref, err := owner.srv.serveBox(context.Background(), pl, box, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -738,8 +740,10 @@ func TestPeerRefusesUnknownLayout(t *testing.T) {
 		}
 		return f
 	}
-	if f := fill("binary"); f.Status != wire.FrameBadRequest {
-		t.Fatalf("a row-major fill got status %d (%.60q), want bad request", f.Status, f.Payload)
+	for _, layout := range []string{"binary", "json", ""} {
+		if f := fill(layout); f.Status != wire.FrameBadRequest {
+			t.Fatalf("a %q fill got status %d (%.60q), want bad request", layout, f.Status, f.Payload)
+		}
 	}
 	if f := fill("bincol"); f.Status != wire.FrameOK || !bytes.Equal(f.Payload, ref.raw) {
 		t.Fatalf("a columnar fill got status %d and %d bytes, want OK and the %d-byte payload", f.Status, len(f.Payload), len(ref.raw))

@@ -34,7 +34,7 @@ func TestCoalescingOneQuery(t *testing.T) {
 	selectsBefore := srv.DB().Stats().Selects
 	// Flight keys are scoped to the backend-cache generation (0 on a
 	// fresh server); see flightKey.
-	key := flightKey(0, fmt.Sprintf("%s/%s/%s", CodecJSON, "spatial", fetch.TileKeyOf("main/0", 512, geom.TileID{Col: 1, Row: 1})))
+	key := flightKey(0, fmt.Sprintf("%s/%s/%s", keySpace, "spatial", fetch.TileKeyOf("main/0", 512, geom.TileID{Col: 1, Row: 1})))
 
 	var wg sync.WaitGroup
 	bodies := make([][]byte, n)

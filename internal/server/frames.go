@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"strconv"
+	"strings"
 	"time"
 
 	"kyrix/internal/fetch"
 	"kyrix/internal/geom"
+	"kyrix/internal/obs"
 	"kyrix/internal/wire"
 )
 
@@ -14,21 +16,22 @@ import (
 // boxes, shipped from memoized wire forms (payload.go) rather than
 // recomputed per response:
 //
-//   - A full frame is the payload's raw bytes or its DEFLATE body. The
+//   - A full frame is the payload in the response codec — the binary
+//     payload itself or its JSON form — or that form's DEFLATE body. The
 //     body is deflated once, by the first response that wants it, and
-//     found in the wire memo afterwards — an L1 hit ships with two
+//     found in the wire memo afterwards — an L1 hit ships with a few
 //     lookups and no hashing, deflating or decoding.
-//   - A delta frame is built once per (base, new) pair: the first
-//     response diffs the two payloads' row indexes (ids and byte ranges,
-//     scanned once per payload), copies the entering rows' bytes out of
-//     the new payload and deflates the delta when that pays. The frame —
-//     or the verdict that no delta pays — is memoized under both ids, so
-//     every later response for the pair is one lookup after the gates.
-//     The base is matched by the id computed when it was filled.
+//   - A delta frame is built once per (base, new) pair and codec: the
+//     first response diffs the two payloads' row indexes, gathers the
+//     entering rows out of the new payload (as JSON for a JSON client)
+//     and deflates the delta when that pays. The frame — or the verdict
+//     that no delta pays — is memoized under both ids, so every later
+//     response for the pair is one lookup after the gates. The base is
+//     matched by the id of the form the client holds.
 //
 // The frame codec only decides how a payload crosses THIS wire: L1 and
-// L2 hold raw bytes, so a delta or compressed frame never pollutes the
-// cache.
+// L2 hold the binary payload, so a JSON, delta or compressed frame never
+// pollutes the cache.
 
 // deltaMinOverlap is the fraction of the new box's area its base must
 // cover before delta encoding can pay off: below it most rows are
@@ -37,14 +40,15 @@ const deltaMinOverlap = 0.25
 
 // encodeFrame picks one OK payload's wire form: the pair's delta frame
 // when the item declares a base the planner accepts and a delta pays,
-// else the full payload, DEFLATE-compressed when allowed and worth it.
-// The fallback at every step is the previous form — worst case the
-// frame ships the raw payload.
-func (s *Server) encodeFrame(ctx context.Context, canvas string, it BatchItem, codec Codec, full *payload, compress bool) ([]byte, FrameCodec) {
+// else the full payload in the response codec, DEFLATE-compressed when
+// allowed and worth it. The fallback at every step is the previous
+// form — worst case the frame ships the payload uncompressed. size is
+// the full payload's length in the response codec.
+func (s *Server) encodeFrame(ctx context.Context, canvas string, it BatchItem, codec Codec, full *payload, compress bool) (body []byte, fc FrameCodec, size int, err error) {
 	if it.Kind == "dbox" && it.Base != nil {
-		_, sp := s.tracer().Start(ctx, "delta.plan")
+		pctx, sp := s.tracer().Start(ctx, "delta.plan")
 		start := time.Now()
-		df, cached := s.planDeltaFrame(canvas, it, codec, full, compress)
+		df, cached := s.planDeltaFrame(pctx, canvas, it, codec, full, compress)
 		s.obs.stageDelta.Observe(time.Since(start))
 		sp.Attr("applied", df != nil)
 		sp.Attr("cached", cached)
@@ -54,22 +58,27 @@ func (s *Server) encodeFrame(ctx context.Context, canvas string, it BatchItem, c
 			if df.codec == FrameDeltaFlate {
 				s.Stats.CompressedFrames.Add(1)
 			}
-			return df.body, df.codec
+			return df.body, df.codec, df.size, nil
 		}
 	}
-	if !compress {
-		return full.raw, FrameRaw
+	fctx, sp := ctx, (*obs.Span)(nil)
+	if compress {
+		fctx, sp = s.tracer().Start(ctx, "compress")
+		defer sp.End()
 	}
-	_, sp := s.tracer().Start(ctx, "compress")
-	cb, cached := s.flateOf(full)
-	sp.Attr("applied", cb != nil)
+	f, cached, err := s.frameOf(fctx, full, codec, compress)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	sp.Attr("applied", f.codec == FrameFlate)
 	sp.Attr("cached", cached)
-	sp.End()
-	if cb == nil {
-		return full.raw, FrameRaw
+	if f.body == nil {
+		return full.raw, FrameRaw, f.size, nil
 	}
-	s.Stats.CompressedFrames.Add(1)
-	return cb, FrameFlate
+	if f.codec == FrameFlate {
+		s.Stats.CompressedFrames.Add(1)
+	}
+	return f.body, f.codec, f.size, nil
 }
 
 // planDeltaFrame returns the frame that delta-encodes a dbox payload
@@ -84,13 +93,14 @@ func (s *Server) encodeFrame(ctx context.Context, canvas string, it BatchItem, c
 //   - the two boxes sit at different LOD levels,
 //   - the base payload is no longer in the backend cache (recomputing
 //     it would cost a database query to save wire bytes), or
-//   - the cached base's id is not the client's declared id (the client
-//     holds stale bytes, e.g. from before an /update).
+//   - the id of the cached base, in the form a client of this codec
+//     holds, is not the client's declared id (the client holds stale
+//     bytes, e.g. from before an /update).
 //
 // Past them the frame depends only on the two payloads' bytes, the
 // codec and compress: deltaFrameOf. cached reports that the frame, or
 // the verdict that no delta pays, came out of the wire memo.
-func (s *Server) planDeltaFrame(canvas string, it BatchItem, codec Codec, full *payload, compress bool) (df *deltaFrame, cached bool) {
+func (s *Server) planDeltaFrame(ctx context.Context, canvas string, it BatchItem, codec Codec, full *payload, compress bool) (df *frame, cached bool) {
 	baseBox, newBox := it.Base.Box(), it.Box()
 	if !baseBox.Valid() || baseBox.Area() <= 0 {
 		return nil, false
@@ -115,27 +125,27 @@ func (s *Server) planDeltaFrame(canvas string, it BatchItem, codec Codec, full *
 	if pl.LODLevelFor(baseBox) != pl.LODLevelFor(newBox) {
 		return nil, false
 	}
-	held, found := s.bcache.Peek(s.boxCacheKey(pl, codec, baseBox))
+	held, found := s.bcache.Peek(boxCacheKey(pl, baseBox))
 	if !found {
 		return nil, false
 	}
-	base := held.(*payload)
-	if base.id != baseID {
+	if sum, err := s.shipped(ctx, held.(*payload), codec); err != nil || sum.id != baseID {
 		return nil, false
 	}
-	return s.deltaFrameOf(base, full, codec, compress)
+	return s.deltaFrameOf(ctx, held.(*payload), full, codec, compress)
 }
 
-// deltaFrame is the wire form of one (base, new) pair: the delta body
-// as it ships — deflated (FrameDeltaFlate) or not (FrameDelta).
-type deltaFrame struct {
+// frame is a payload's wire form: body under codec, standing for size
+// bytes of the payload in the response codec. A nil body ships L1's.
+type frame struct {
 	body  []byte
 	codec FrameCodec
+	size  int
 }
 
 // deltaFrameOf returns the frame that turns base into full on the wire
 // (nil: no delta pays), building it on the pair's first request only.
-func (s *Server) deltaFrameOf(base, full *payload, codec Codec, compress bool) (df *deltaFrame, cached bool) {
+func (s *Server) deltaFrameOf(ctx context.Context, base, full *payload, codec Codec, compress bool) (df *frame, cached bool) {
 	var kind byte
 	switch {
 	case codec == CodecBinary && compress:
@@ -147,52 +157,62 @@ func (s *Server) deltaFrameOf(base, full *payload, codec Codec, compress bool) (
 	default:
 		kind = memoDeltaJSON
 	}
-	k := newPairKey(kind, base.id, full.id)
-	if v, ok := s.memoGet(k); ok {
-		return v.(*deltaFrame), true
-	}
-	return s.memoBuild(k, func() (any, int64) {
-		df := s.buildDeltaFrame(base, full, codec, compress)
+	v, cached := s.memo(newPairKey(kind, base.id, full.id), func() (any, int64) {
+		df := s.buildDeltaFrame(ctx, base, full, codec, compress)
 		if df == nil {
 			return df, 0
 		}
 		return df, int64(cap(df.body))
-	}).(*deltaFrame), false
+	})
+	return v.(*frame), cached
 }
 
 // buildDeltaFrame diffs base against full and assembles the frame. It
 // returns nil when either payload's first column is not a unique
 // integer id (no row identity to diff on) or the encoded delta is not
-// smaller than full. The delta is deflated when compress allows and
-// that pays; this is the only deflate pass a pair ever runs.
-func (s *Server) buildDeltaFrame(base, full *payload, codec Codec, compress bool) *deltaFrame {
-	bix, nix := s.rowIndexOf(base, codec), s.rowIndexOf(full, codec)
+// smaller than full in the response codec. The delta is deflated when
+// compress allows and that pays; this is the only deflate pass a pair
+// ever runs.
+func (s *Server) buildDeltaFrame(ctx context.Context, base, full *payload, codec Codec, compress bool) *frame {
+	bix, nix := s.rowIndexOf(base), s.rowIndexOf(full)
 	if bix == nil || nix == nil || !bix.diffable || !nix.diffable {
 		return nil
 	}
-	delta, ok := deltaBody(bix, nix, full)
+	sum, err := s.shipped(ctx, full, codec)
+	if err != nil {
+		return nil
+	}
+	delta, ok := deltaBody(bix, nix, full, sum, codec)
 	if !ok {
 		return nil
 	}
 	if compress {
 		if cb := s.deflate(delta); cb != nil {
-			return &deltaFrame{body: cb, codec: FrameDeltaFlate}
+			return &frame{body: cb, codec: FrameDeltaFlate, size: sum.size}
 		}
 	}
-	return &deltaFrame{body: delta, codec: FrameDelta}
+	return &frame{body: delta, codec: FrameDelta, size: sum.size}
 }
 
 // deltaBody encodes the delta that turns the base behind bix into full
-// (indexed by nix); ok=false when it would not be smaller than full.
-func deltaBody(bix, nix *rowIndex, full *payload) ([]byte, bool) {
+// (indexed by nix) for a client of codec, which receives full as
+// shipped; ok=false when it would not be smaller than that.
+func deltaBody(bix, nix *rowIndex, full *payload, shipped formSum, codec Codec) ([]byte, bool) {
 	tombstones, entering := bix.diff(nix)
+	rows := nix.subset(full.raw, entering)
+	if codec != CodecBinary {
+		var err error
+		if rows, err = jsonPayload(rows); err != nil {
+			return nil, false
+		}
+	}
 	body := wire.EncodeDelta(wire.Delta{
-		FullLen:    len(full.raw),
-		NewID:      full.id,
+		FullLen:    shipped.size,
+		NewID:      shipped.id,
 		Tombstones: tombstones,
-		Entering:   nix.subset(full.raw, entering),
+		Entering:   rows,
 	})
-	if len(body) >= len(full.raw) {
+	if len(body) >= shipped.size {
 		return nil, false
 	}
 	return body, true
@@ -201,43 +221,20 @@ func deltaBody(bix, nix *rowIndex, full *payload) ([]byte, bool) {
 // boxCacheKey is the backend-cache key of one dynamic-box payload —
 // shared by serveBox (store/lookup) and the delta planner (base
 // lookup), so the two can never disagree on where a base lives.
-func (s *Server) boxCacheKey(pl *fetch.PhysicalLayer, codec Codec, box geom.Rect) string {
-	return codecBoxKey(codec, layerKey(pl.CanvasID, pl.LayerIdx), box)
+func boxCacheKey(pl *fetch.PhysicalLayer, box geom.Rect) string {
+	return keySpace + "/" + fetch.BoxKeyOf(layerKey(pl.CanvasID, pl.LayerIdx), box)
 }
 
-func codecBoxKey(codec Codec, layer string, box geom.Rect) string {
-	return keySpace(codec) + "/" + fetch.BoxKeyOf(layer, box)
-}
+// keySpace is the first component of every L1 and L2 key, named for the
+// layout cached under it. L2 outlives the process, so a layout change
+// moves its keys: an older build's record is never found, and the miss
+// refills it. The name rides a peer fill request (FillRequest.Codec) too,
+// so builds that disagree on a layout refuse each other's fills.
+const keySpace = "bincol"
 
-// keySpace is the first component of every L1 and L2 key: the codec,
-// named for the layout of the bytes cached under it. L2 outlives the
-// process, so a layout change moves its keys — a record an older build
-// wrote is then never found and the miss refills it, instead of its
-// bytes reaching a decoder for the new layout. Binary payloads were
-// row-major under "binary/"; the columnar layout lives under "bincol/".
-// The same name rides a peer fill request (FillRequest.Codec), so two
-// builds that disagree on a layout refuse each other's fills.
-func keySpace(codec Codec) string {
-	if codec == CodecBinary {
-		return "bincol"
-	}
-	return string(codec)
+// retiredKey reports an L2 key of a layout no build reads: row-major
+// binary payloads and JSON copies. New drops them once at open, so they
+// stop holding the store's budget.
+func retiredKey(k string) bool {
+	return strings.HasPrefix(k, "binary/") || strings.HasPrefix(k, "json/")
 }
-
-// codecOfKeySpace inverts keySpace for a peer fill request; "" is JSON,
-// as it always was. Any other name — "binary" from a row-major build
-// included — is a layout this build cannot produce.
-func codecOfKeySpace(space string) (Codec, bool) {
-	switch space {
-	case "", "json":
-		return CodecJSON, true
-	case keySpace(CodecBinary):
-		return CodecBinary, true
-	}
-	return "", false
-}
-
-// retiredKeySpace prefixes the L2 records of the row-major binary
-// layout, which no build reads any more. New drops them once at open,
-// so they stop holding the store's budget.
-const retiredKeySpace = "binary/"

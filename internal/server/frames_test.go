@@ -398,7 +398,7 @@ func TestDeltaFrameMemoMatchesFresh(t *testing.T) {
 				name := tc.name + "/" + string(codec) + "/" + comp
 				basePayload, baseID := fetchBoxPayload(t, hs.URL, tc.base, codec)
 				newPayload, _ := fetchBoxPayload(t, hs.URL, tc.pan, codec)
-				bix, nix := buildRowIndex(basePayload, codec), buildRowIndex(newPayload, codec)
+				bix, nix := buildRowIndex(binaryOf(t, basePayload, codec)), buildRowIndex(binaryOf(t, newPayload, codec))
 				if diffable := bix.diffable && nix.diffable; diffable == tc.dupIDs {
 					t.Fatalf("%s: row indexes diffable=%v", name, diffable)
 				}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"kyrix/internal/cluster"
 	"kyrix/internal/fetch"
 	"kyrix/internal/geom"
+	"kyrix/internal/obs"
 	"kyrix/internal/spec"
 	"kyrix/internal/storage"
 )
@@ -193,9 +195,8 @@ func codecOf(r *http.Request) (Codec, error) {
 }
 
 // checkCodec defaults an empty codec to JSON and refuses any name but
-// json and binary. The codec picks the cache key space, so an unchecked
-// name could reach bytes cached in another layout ("bincol" is the
-// binary key space) or probe both tiers for a payload no encoder makes.
+// json and binary — "bincol", the cache key space, included — before
+// any cache lookup, so an unknown name costs neither tier a probe.
 func checkCodec(c Codec) (Codec, error) {
 	switch c {
 	case "":
@@ -247,14 +248,8 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := s.startRequestSpan(r, "http.tile")
 	sp.Attr("canvas", pl.CanvasID)
 	start := time.Now()
-	p, err := s.serveTile(ctx, pl, design, codec, size, geom.TileID{Col: col, Row: row}, false)
-	s.obs.stageItem.Observe(time.Since(start))
-	sp.End()
-	if err != nil {
-		http.Error(w, err.Error(), httpStatusOf(err))
-		return
-	}
-	s.writePayload(w, codec, p.raw)
+	p, err := s.serveTile(ctx, pl, design, size, geom.TileID{Col: col, Row: row}, false)
+	s.answer(ctx, w, codec, p, err, start, sp)
 }
 
 // handleDBox answers one dynamic-box request (always the spatial
@@ -292,22 +287,30 @@ func (s *Server) handleDBox(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := s.startRequestSpan(r, "http.dbox")
 	sp.Attr("canvas", pl.CanvasID)
 	start := time.Now()
-	p, err := s.serveBox(ctx, pl, codec, box, false)
+	p, err := s.serveBox(ctx, pl, box, false)
+	s.answer(ctx, w, codec, p, err, start, sp)
+}
+
+// answer ends a single request's item stage and span once p is in codec,
+// then writes it or err (a serving error, or a payload JSON cannot carry).
+func (s *Server) answer(ctx context.Context, w http.ResponseWriter, codec Codec, p *payload, err error, start time.Time, sp *obs.Span) {
+	var f *frame
+	if err == nil {
+		f, _, err = s.frameOf(ctx, p, codec, false)
+	}
 	s.obs.stageItem.Observe(time.Since(start))
 	sp.End()
 	if err != nil {
 		http.Error(w, err.Error(), httpStatusOf(err))
 		return
 	}
-	s.writePayload(w, codec, p.raw)
-}
-
-func (s *Server) writePayload(w http.ResponseWriter, codec Codec, payload []byte) {
+	body := p.raw
 	if codec == CodecBinary {
 		w.Header().Set("Content-Type", "application/octet-stream")
 	} else {
 		w.Header().Set("Content-Type", "application/json")
+		body = f.body
 	}
-	s.Stats.BytesServed.Add(int64(len(payload)))
-	_, _ = w.Write(payload)
+	s.Stats.BytesServed.Add(int64(len(body)))
+	_, _ = w.Write(body)
 }

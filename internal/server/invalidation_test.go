@@ -74,7 +74,7 @@ func TestUpdateDropsStaleFlight(t *testing.T) {
 
 	// The stale query completed after the update — its payload must
 	// not be resident in the backend cache.
-	key := fmt.Sprintf("%s/%s/%s", CodecJSON, "spatial",
+	key := fmt.Sprintf("%s/%s/%s", keySpace, "spatial",
 		fetch.TileKeyOf("main/0", 512, geom.TileID{Col: 1, Row: 1}))
 	if srv.bcache.Contains(key) {
 		t.Fatal("stale pre-update query repopulated the backend cache")

@@ -50,7 +50,7 @@ func TestL2WarmRestart(t *testing.T) {
 	tiles := []geom.TileID{{Col: 0, Row: 0}, {Col: 1, Row: 0}, {Col: 2, Row: 1}}
 	want := make(map[geom.TileID][]byte)
 	for _, tid := range tiles {
-		payload, err := srv1.serveTile(context.Background(), pl, "spatial", CodecJSON, 512, tid, false)
+		payload, err := srv1.serveTile(context.Background(), pl, "spatial", 512, tid, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestL2WarmRestart(t *testing.T) {
 	defer srv2.Close()
 	pl2, _ := srv2.Layer("main", 0)
 	for _, tid := range tiles {
-		payload, err := srv2.serveTile(context.Background(), pl2, "spatial", CodecJSON, 512, tid, false)
+		payload, err := srv2.serveTile(context.Background(), pl2, "spatial", 512, tid, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestL2WarmRestart(t *testing.T) {
 	// neither disk nor database.
 	l2HitsBefore := srv2.l2.Stats.Hits.Load()
 	for _, tid := range tiles {
-		if _, err := srv2.serveTile(context.Background(), pl2, "spatial", CodecJSON, 512, tid, false); err != nil {
+		if _, err := srv2.serveTile(context.Background(), pl2, "spatial", 512, tid, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func TestL2UpdateInvalidates(t *testing.T) {
 	}
 	pl, _ := srv.Layer("main", 0)
 	tid := geom.TileID{Col: 0, Row: 0}
-	if _, err := srv.serveTile(context.Background(), pl, "spatial", CodecJSON, 512, tid, false); err != nil {
+	if _, err := srv.serveTile(context.Background(), pl, "spatial", 512, tid, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.l2.Flush(); err != nil {
@@ -133,7 +133,7 @@ func TestL2UpdateInvalidates(t *testing.T) {
 		t.Fatalf("tombstones = %d, want 1 (the one resident tile)", got)
 	}
 	dbqBefore := srv.Stats.DBQueries.Load()
-	post, err := srv.serveTile(context.Background(), pl, "spatial", CodecJSON, 512, tid, false)
+	post, err := srv.serveTile(context.Background(), pl, "spatial", 512, tid, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestL2UpdateInvalidates(t *testing.T) {
 	defer srv2.Close()
 	pl2, _ := srv2.Layer("main", 0)
 	dbqBefore = srv2.Stats.DBQueries.Load()
-	payload, err := srv2.serveTile(context.Background(), pl2, "spatial", CodecJSON, 512, tid, false)
+	payload, err := srv2.serveTile(context.Background(), pl2, "spatial", 512, tid, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestL2StaleFillDropped(t *testing.T) {
 	if err != nil || len(res.Rows) == 0 {
 		t.Fatalf("no row far from tile 0/0: %v", err)
 	}
-	key := tileKeyFor(CodecJSON, "spatial", 512, tid)
+	key := tileKeyFor("spatial", 512, tid)
 	for i, id := range []storage.Value{inside, res.Rows[0][0]} {
 		fired := false
 		srv.queryHook = func() {
@@ -208,7 +208,7 @@ func TestL2StaleFillDropped(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		if _, err := srv.serveTile(context.Background(), pl, "spatial", CodecJSON, 512, tid, false); err != nil {
+		if _, err := srv.serveTile(context.Background(), pl, "spatial", 512, tid, false); err != nil {
 			t.Fatal(err)
 		}
 		srv.queryHook = nil
@@ -269,7 +269,7 @@ func TestL2ClusterPeerFillTombstoned(t *testing.T) {
 	})
 	owner, other := nodes[0], nodes[1]
 	tid, id := rowInTile(t, owner)
-	key := tileKeyFor(CodecJSON, "spatial", 512, tid)
+	key := tileKeyFor("spatial", 512, tid)
 
 	// Non-owner miss: peer fill from the owner, persisted locally.
 	want := getTile(t, other.url, tid)
@@ -280,8 +280,8 @@ func TestL2ClusterPeerFillTombstoned(t *testing.T) {
 	if !ok {
 		t.Fatal("peer fill did not land in the non-owner's L2")
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("L2 holds a payload that differs from the served tile")
+	if doc, err := jsonPayload(got); err != nil || !bytes.Equal(doc, want) {
+		t.Fatalf("L2 holds a payload whose JSON form differs from the served tile (%v)", err)
 	}
 
 	// Re-request: with hot-replication off the payload is not in L1, so
@@ -310,7 +310,7 @@ func TestL2ClusterPeerFillTombstoned(t *testing.T) {
 	if other.srv.l2.Generation() != gen {
 		t.Fatal("a one-row update bumped the non-owner's whole L2 generation")
 	}
-	if got := valOf(t, getTile(t, other.url, tid), id); got != 7.5 {
+	if got := valOf(t, getTile(t, other.url, tid), CodecJSON, id); got != 7.5 {
 		t.Fatalf("non-owner served val %v after the update, want 7.5", got)
 	}
 }
@@ -331,10 +331,10 @@ func TestCacheOptionsAliasCompat(t *testing.T) {
 	}
 	defer srv.Close()
 	pl, _ := srv.Layer("main", 0)
-	if _, err := srv.serveTile(context.Background(), pl, "spatial", CodecJSON, 512, geom.TileID{}, false); err != nil {
+	if _, err := srv.serveTile(context.Background(), pl, "spatial", 512, geom.TileID{}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.serveTile(context.Background(), pl, "spatial", CodecJSON, 512, geom.TileID{}, false); err != nil {
+	if _, err := srv.serveTile(context.Background(), pl, "spatial", 512, geom.TileID{}, false); err != nil {
 		t.Fatal(err)
 	}
 	if srv.Stats.CacheHits.Load() == 0 {
@@ -365,11 +365,12 @@ func encodeRowMajor(t testing.TB, dr *DataResponse) []byte {
 }
 
 // TestL2RowMajorRecordMisses: an L2 directory written by a build with
-// the row-major binary layout must never serve its bytes to the
-// columnar decoder. The old record — checksummed, under the key that
-// build used — is dropped when the store opens; the box is queried,
-// served with the right rows and refilled under the columnar key space,
-// and that record survives the next open.
+// the row-major binary layout, or one that cached a JSON copy of each
+// payload, must never serve those bytes to the columnar decoder. The old
+// records — checksummed, under the keys those builds used — are dropped
+// when the store opens; the box is queried, served with the right rows
+// and refilled under the columnar key space, and that record survives
+// the next open.
 func TestL2RowMajorRecordMisses(t *testing.T) {
 	dir := t.TempDir()
 	box := geom.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800}
@@ -380,7 +381,7 @@ func TestL2RowMajorRecordMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl, _ := ref.Layer("main", 0)
-	p, err := ref.serveBox(context.Background(), pl, CodecBinary, box, false)
+	p, err := ref.serveBox(context.Background(), pl, box, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,6 +401,16 @@ func TestL2RowMajorRecordMisses(t *testing.T) {
 	if !old.Put(oldKey, encodeRowMajor(t, want)) {
 		t.Fatal("write-behind queue refused the record")
 	}
+	// Builds that cached a JSON copy beside the binary one kept it under
+	// "json/".
+	jsonKey := "json/" + fetch.BoxKeyOf(layerKey(pl.CanvasID, pl.LayerIdx), box)
+	jsonDoc, err := rowWriterDocument(want.Cols, want.Types, want.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !old.Put(jsonKey, jsonDoc) {
+		t.Fatal("write-behind queue refused the JSON record")
+	}
 	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -413,10 +424,13 @@ func TestL2RowMajorRecordMisses(t *testing.T) {
 	if _, ok := srv.l2.Get(oldKey); ok {
 		t.Fatal("the row-major record survived the open")
 	}
-	if n := srv.l2.Stats.Tombstones.Load(); n != 1 {
-		t.Fatalf("open wrote %d tombstones, want 1 for the row-major record", n)
+	if _, ok := srv.l2.Get(jsonKey); ok {
+		t.Fatal("the JSON record survived the open")
 	}
-	p, err = srv.serveBox(context.Background(), pl, CodecBinary, box, false)
+	if n := srv.l2.Stats.Tombstones.Load(); n != 2 {
+		t.Fatalf("open wrote %d tombstones, want 2: the row-major and the JSON record", n)
+	}
+	p, err = srv.serveBox(context.Background(), pl, box, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +449,7 @@ func TestL2RowMajorRecordMisses(t *testing.T) {
 	if q := srv.Stats.DBQueries.Load(); q != 1 {
 		t.Fatalf("served with %d db queries, want 1: the old record must miss and refill", q)
 	}
-	newKey := srv.boxCacheKey(pl, CodecBinary, box)
+	newKey := boxCacheKey(pl, box)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if raw, ok := srv.l2.Get(newKey); ok {
@@ -461,7 +475,7 @@ func TestL2RowMajorRecordMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv3.Close()
-	p3, err := srv3.serveBox(context.Background(), pl, CodecBinary, box, false)
+	p3, err := srv3.serveBox(context.Background(), pl, box, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,46 +1,57 @@
 package server
 
 import (
-	"bytes"
 	"cmp"
+	"context"
 	"encoding/binary"
 	"slices"
-	"strconv"
+	"sync/atomic"
 	"time"
 
 	"kyrix/internal/storage"
 	"kyrix/internal/wire"
 )
 
-// A cached payload exists in three forms, each computed once:
+// A cached payload exists in one form — raw + id: the binary payload's
+// bytes (column-major, wire.go) and their content hash (wire.PayloadID).
+// It is built in the fill flight — database query, L2 promote or peer
+// fill — and stored in L1 as one immutable *payload, so a box costs one
+// query and one L1 entry whichever codecs its clients speak. Everything
+// else is derived from it, once, on first need:
 //
-//   - raw + id: the rows in the request codec and their content hash
-//     (wire.PayloadID). Built in the fill flight — database query, L2
-//     promote or peer fill — and stored in L1 as one immutable *payload.
-//     L1 and L2 account for the raw bytes only. A binary payload is
-//     column-major (wire.go): byte planes, BOOL bytes, TEXT lengths and
-//     bytes.
-//   - the DEFLATE body — high-entropy byte planes stored, the rest
-//     deflated (wire.Compress) — or the verdict that it is not smaller.
-//   - the row index: each row's id, and where its bytes sit inside raw —
-//     a byte range per JSON row, a position in every column of a binary
-//     one.
+//   - the JSON form: the document a JSON client receives, written from
+//     the byte planes, with its own id — the id a JSON client declares
+//     as its delta base. Kept for uncompressed responses.
+//   - per codec, the full frame a compressing response ships: the
+//     DEFLATE body (wire.Compress) or, when that is not smaller, the
+//     payload itself. A JSON frame deflates a document written for it
+//     alone, so a sweep of misses holds one memo entry per payload.
+//   - the row index: each row's id and its position in every column.
 //
 // A pair of payloads — a client's declared delta base and the payload
-// it pans to — has one more: the delta frame that ships between them
-// (frames.go), or the verdict that no delta pays.
+// it pans to — has one more per codec: the delta frame that ships
+// between them (frames.go), or the verdict that no delta pays.
 //
-// The derived forms are built on first need and live in the
-// content-addressed wire memo (Server.wireMemo), keyed by id — by both
-// ids for a pair. Content addressing makes them immutable too: an
+// The derived forms live in the content-addressed wire memo
+// (Server.wireMemo), keyed by id — by both ids for a pair — and charged
+// against its budget. Content addressing makes them immutable too: an
 // /update produces new bytes under a new id, so the memo needs no
 // invalidation, only its LRU bound.
 
 // payload is the L1 value: one tile's or box's encoded rows plus the
-// identity of those exact bytes. Never mutated after construction.
+// identity of those exact bytes, never changed. json, noted when the
+// JSON form is first written, is what the delta planner checks a JSON
+// base against and names in a JSON delta, kept as long as the entry.
 type payload struct {
-	raw []byte
-	id  uint64
+	raw  []byte
+	id   uint64
+	json atomic.Pointer[formSum]
+}
+
+// formSum is the id and length of a payload in a response codec.
+type formSum struct {
+	id   uint64
+	size int
 }
 
 func newPayload(raw []byte) *payload {
@@ -51,14 +62,15 @@ func newPayload(raw []byte) *payload {
 // "not worth compressing" verdicts and empty indexes are not free.
 const memoEntryOverhead = 64
 
-// Memo key kinds: one derived form per (kind, payload id). The row
-// index depends on how the bytes are parsed, so each codec has its own.
-// A delta frame is keyed by (kind, base id, new id); its bytes depend on
-// the codec and on whether the response may deflate it.
+// Memo key kinds: one derived form per (kind, payload id). A delta
+// frame is keyed by (kind, base id, new id) of the binary payloads; its
+// bytes depend on the response codec and on whether the response may
+// deflate it.
 const (
-	memoFlate       = 'z'
-	memoIndexJSON   = 'j'
-	memoIndexBinary = 'b'
+	memoFlate     = 'z'
+	memoJSONFrame = 'Z'
+	memoIndex     = 'b'
+	memoJSON      = 'j'
 
 	memoDeltaJSON        = 'd'
 	memoDeltaJSONFlate   = 'D'
@@ -82,17 +94,15 @@ func newPairKey(kind byte, base, next uint64) memoKey {
 	return k
 }
 
-// memoGet looks one derived form up in the wire memo.
-func (s *Server) memoGet(k memoKey) (any, bool) {
-	return s.wireMemo.Get(string(k[:]))
-}
-
-// memoBuild builds the derived form a memoGet just missed and stores it
-// charged at size, at most once per residency: concurrent first
-// requests for a hot payload share one build.
-func (s *Server) memoBuild(k memoKey, build func() (v any, size int64)) any {
+// memo returns the derived form under k (cached: found in the wire
+// memo), or builds it and stores it charged at size — at most once per
+// residency: concurrent first requests share one build.
+func (s *Server) memo(k memoKey, build func() (v any, size int64)) (v any, cached bool) {
 	key := string(k[:])
-	v, _, _ := s.memoFlight.Do(key, func() (any, error) {
+	if v, ok := s.wireMemo.Get(key); ok {
+		return v, true
+	}
+	v, _, _ = s.memoFlight.Do(key, func() (any, error) {
 		// A flight that finished while this caller queued has already
 		// stored the form.
 		if v, ok := s.wireMemo.Peek(key); ok {
@@ -102,7 +112,7 @@ func (s *Server) memoBuild(k memoKey, build func() (v any, size int64)) any {
 		s.wireMemo.Put(key, v, memoEntryOverhead+size)
 		return v, nil
 	})
-	return v
+	return v, false
 }
 
 // deflate is the server's one real DEFLATE call site: the pass itself,
@@ -124,34 +134,84 @@ func (s *Server) deflate(body []byte) []byte {
 	return cb
 }
 
-// flateOf returns p's DEFLATE body (nil: not worth compressing),
-// deflating on the first request only.
-func (s *Server) flateOf(p *payload) (body []byte, cached bool) {
-	k := newMemoKey(memoFlate, p.id)
-	if v, ok := s.memoGet(k); ok {
-		return v.([]byte), true
+// frameOf returns p's full frame for a client of codec, DEFLATE-
+// compressed when compress allows and that is smaller, built on the
+// first request only. For a payload JSON cannot carry (NaN, ±Inf) the
+// error is memoized instead; binary requests still ship p.
+func (s *Server) frameOf(ctx context.Context, p *payload, codec Codec, compress bool) (f *frame, cached bool, err error) {
+	kind := byte(memoJSON)
+	switch {
+	case codec == CodecBinary && !compress:
+		return &frame{codec: FrameRaw, size: len(p.raw)}, true, nil
+	case codec == CodecBinary:
+		kind = memoFlate
+	case compress:
+		kind = memoJSONFrame
 	}
-	return s.memoBuild(k, func() (any, int64) {
-		cb := s.deflate(p.raw)
-		return cb, int64(len(cb))
-	}).([]byte), false
+	v, cached := s.memo(newMemoKey(kind, p.id), func() (any, int64) {
+		raw := p.raw
+		if codec != CodecBinary {
+			var err error
+			if raw, err = s.writeJSON(ctx, p); err != nil {
+				return err, 0
+			}
+		}
+		f := &frame{body: raw, codec: FrameRaw, size: len(raw)}
+		if !compress {
+			return f, int64(len(raw))
+		}
+		if cb := s.deflate(raw); cb != nil {
+			f.body, f.codec = cb, FrameFlate
+		} else if codec == CodecBinary {
+			f.body = nil
+		}
+		return f, int64(len(f.body))
+	})
+	if err, failed := v.(error); failed {
+		return nil, false, err
+	}
+	return v.(*frame), cached, nil
+}
+
+// writeJSON writes p's JSON document under a json.write span and notes
+// its id and length on p.
+func (s *Server) writeJSON(ctx context.Context, p *payload) ([]byte, error) {
+	_, sp := s.tracer().Start(ctx, "json.write")
+	defer sp.End()
+	raw, err := jsonPayload(p.raw)
+	if err != nil {
+		sp.Attr("err", err.Error())
+		return nil, err
+	}
+	sp.Attr("bytes", len(raw))
+	p.json.Store(&formSum{id: wire.PayloadID(raw), size: len(raw)})
+	return raw, nil
+}
+
+// shipped returns the id and length of p as a client of codec receives
+// it, writing the JSON form (without keeping it) only if none has been.
+func (s *Server) shipped(ctx context.Context, p *payload, codec Codec) (formSum, error) {
+	if codec == CodecBinary {
+		return formSum{id: p.id, size: len(p.raw)}, nil
+	}
+	if p.json.Load() == nil {
+		if _, err := s.writeJSON(ctx, p); err != nil {
+			return formSum{}, err
+		}
+	}
+	return *p.json.Load(), nil
 }
 
 // rowIndex locates every row of a payload inside its raw bytes, so the
-// delta planner can diff two payloads by id and assemble the entering
-// rows by copying bytes — no row is ever decoded or re-encoded. A JSON
-// row is one byte range; a binary row is one position in every column.
+// delta planner can diff two payloads by id and gather the entering
+// rows by copying bytes — no row is ever decoded or re-encoded. A row is
+// one position in every column.
 type rowIndex struct {
-	// hdr is where the codec's per-payload row section starts: the row
-	// count varint (binary) or the first byte after `"rows":[` (JSON).
-	// raw[:hdr] is the schema header, identical for any subset of rows.
+	// hdr is where the row count varint starts: raw[:hdr] is the schema
+	// header, identical for any subset of rows.
 	hdr uint32
 	n   int
-	// off (JSON only) holds where each row starts; row i ends at
-	// off[i+1]-1, before the comma that separates rows. len(off) == n+1.
-	off []uint32
-	// cols (binary only) is every column's section, in schema order;
-	// non-nil for every binary payload, even one with no columns.
+	// cols is every column's section, in schema order.
 	cols []indexColumn
 	// ids[i] is row i's integer first column; perm lists row positions
 	// in ascending id order. Both nil unless diffable.
@@ -173,71 +233,77 @@ type indexColumn struct {
 	lens, strs []uint32
 }
 
-func (ix *rowIndex) rows() int { return ix.n }
-
 // pinned is the bytes the index's slices hold, which is what the wire
 // memo charges for it.
 func (ix *rowIndex) pinned() int64 {
-	n := 8*cap(ix.ids) + 4*cap(ix.off) + 4*cap(ix.perm)
+	n := 8*cap(ix.ids) + 4*cap(ix.perm)
 	for _, c := range ix.cols {
 		n += 4*cap(c.lens) + 4*cap(c.strs)
 	}
 	return int64(n)
 }
 
-// rowIndexOf returns p's row index under codec (nil: the bytes do not
-// scan as a payload of that codec), scanning on the first request only.
-func (s *Server) rowIndexOf(p *payload, codec Codec) *rowIndex {
-	kind := byte(memoIndexJSON)
-	if codec == CodecBinary {
-		kind = memoIndexBinary
-	}
-	k := newMemoKey(kind, p.id)
-	if v, ok := s.memoGet(k); ok {
-		return v.(*rowIndex)
-	}
-	return s.memoBuild(k, func() (any, int64) {
-		ix := buildRowIndex(p.raw, codec)
+// rowIndexOf returns p's row index (nil: the bytes do not parse as a
+// payload), scanning on the first request only.
+func (s *Server) rowIndexOf(p *payload) *rowIndex {
+	v, _ := s.memo(newMemoKey(memoIndex, p.id), func() (any, int64) {
+		ix := buildRowIndex(p.raw)
 		if ix == nil {
 			return ix, 0
 		}
 		return ix, ix.pinned()
-	}).(*rowIndex)
+	})
+	return v.(*rowIndex)
 }
 
 // buildRowIndex scans raw once. The bytes may come from the L2 store or
 // a peer, so every count and length is checked against what remains.
-func buildRowIndex(raw []byte, codec Codec) *rowIndex {
+// The rows can carry an integer identity when the schema is not empty
+// and its first column is an integer — or, with no rows to say
+// otherwise, any non-empty schema (an empty result carries fallback
+// column types).
+func buildRowIndex(raw []byte) *rowIndex {
 	if len(raw) > int(^uint32(0)>>1) {
 		return nil
 	}
-	var ix *rowIndex
-	var intID bool
-	switch codec {
-	case CodecBinary:
-		ix, intID = scanBinaryRows(raw)
-	default:
-		ix, intID = scanJSONRows(raw)
-	}
-	if ix == nil {
+	l, err := parseBinary(raw)
+	if err != nil {
 		return nil
 	}
-	n := ix.rows()
-	if n == 0 {
-		ix.diffable = intID
+	n := l.nrows
+	ix := &rowIndex{hdr: uint32(l.countOff), n: n, cols: make([]indexColumn, len(l.types))}
+	for c, t := range l.types {
+		col := &ix.cols[c]
+		col.typ, col.at = t, uint32(l.colOff[c])
+		if t != storage.TString {
+			continue
+		}
+		col.lens, col.strs = make([]uint32, n+1), make([]uint32, n+1)
+		lens := l.colOff[c]
+		for i := range n {
+			col.lens[i] = uint32(lens)
+			_, sz := binary.Uvarint(raw[lens:])
+			lens += sz
+		}
+		col.lens[n] = uint32(lens)
+		str := lens
+		for i := range n {
+			col.strs[i] = uint32(str)
+			ln, _ := binary.Uvarint(raw[col.lens[i]:])
+			str += int(ln)
+		}
+		col.strs[n] = uint32(str)
+	}
+	if len(l.types) == 0 || (n > 0 && l.types[0] != storage.TInt64) {
 		return ix
 	}
-	if !intID {
+	if n == 0 {
+		ix.diffable = true
 		return ix
 	}
 	ix.ids = make([]int64, n)
 	for i := range ix.ids {
-		id, ok := ix.rowID(raw, i)
-		if !ok {
-			ix.ids = nil
-			return ix
-		}
-		ix.ids[i] = id
+		ix.ids[i] = int64(planeValue(raw[ix.cols[0].at:], n, i))
 	}
 	ix.perm = make([]uint32, n)
 	for i := range ix.perm {
@@ -255,83 +321,6 @@ func buildRowIndex(raw []byte, codec Codec) *rowIndex {
 		}
 	}
 	return ix
-}
-
-// rowID reads the integer first column of row i: out of the id column's
-// byte planes (binary) or the row's first cell (JSON).
-func (ix *rowIndex) rowID(raw []byte, i int) (int64, bool) {
-	if ix.cols != nil {
-		return int64(planeValue(raw[ix.cols[0].at:], ix.n, i)), true
-	}
-	// `[123,...]` or `[123]`.
-	row := raw[ix.off[i] : ix.off[i+1]-1]
-	end := bytes.IndexAny(row, ",]")
-	if len(row) < 2 || end < 1 {
-		return 0, false
-	}
-	id, err := strconv.ParseInt(string(row[1:end]), 10, 64)
-	return id, err == nil
-}
-
-// scanBinaryRows indexes a binary payload. intID reports whether the
-// rows can carry an integer identity: a non-empty schema whose first
-// column is an integer — or, with no rows to say otherwise, any
-// non-empty schema (an empty result carries fallback column types).
-func scanBinaryRows(raw []byte) (ix *rowIndex, intID bool) {
-	l, err := parseBinary(raw)
-	if err != nil {
-		return nil, false
-	}
-	ix = &rowIndex{hdr: uint32(l.countOff), n: l.nrows, cols: make([]indexColumn, len(l.types))}
-	for c, t := range l.types {
-		col := &ix.cols[c]
-		col.typ, col.at = t, uint32(l.colOff[c])
-		if t != storage.TString {
-			continue
-		}
-		col.lens, col.strs = make([]uint32, l.nrows+1), make([]uint32, l.nrows+1)
-		lens := l.colOff[c]
-		for i := range l.nrows {
-			col.lens[i] = uint32(lens)
-			_, sz := binary.Uvarint(raw[lens:])
-			lens += sz
-		}
-		col.lens[l.nrows] = uint32(lens)
-		str := lens
-		for i := range l.nrows {
-			col.strs[i] = uint32(str)
-			ln, _ := binary.Uvarint(raw[col.lens[i]:])
-			str += int(ln)
-		}
-		col.strs[l.nrows] = uint32(str)
-	}
-	return ix, len(l.types) > 0 && (l.nrows == 0 || l.types[0] == storage.TInt64)
-}
-
-// scanJSONRows indexes a JSON payload: the jsonScanner's rows walk with
-// a sink that keeps each row's offset and converts no cell. Bytes that
-// are not the payload grammar are "no index", which only costs the
-// delta — the full frame never needs one.
-func scanJSONRows(raw []byte) (ix *rowIndex, intID bool) {
-	s := jsonScanner{b: raw}
-	cols, types, err := s.header()
-	if err != nil {
-		return nil, false
-	}
-	ix = &rowIndex{hdr: uint32(s.pos)}
-	end, err := s.rows(len(cols), func(start int) { ix.off = append(ix.off, uint32(start)) }, nil)
-	if err != nil {
-		return nil, false
-	}
-	ix.n = len(ix.off)
-	if ix.n == 0 {
-		ix.off = append(ix.off, ix.hdr)
-	} else {
-		// One past the position a separator after the last row would
-		// occupy, so every row ends at off[i+1]-1.
-		ix.off = append(ix.off, uint32(end)+1)
-	}
-	return ix, len(cols) > 0 && (ix.rows() == 0 || types[0] == storage.TInt64)
 }
 
 // diff computes the delta from base to next by id: the ids leaving (in
@@ -368,26 +357,11 @@ func (base *rowIndex) diff(next *rowIndex) (tombstones []int64, entering []uint3
 }
 
 // subset assembles the payload holding only the given rows of raw (in
-// the given order): the schema header, the row section re-opened for the
-// new count, and each row's bytes copied verbatim — exactly what Encode
-// would produce for those rows. A binary payload is gathered column by
-// column: each byte plane, then the BOOL bytes, TEXT lengths and TEXT
-// bytes, picked out at the rows' positions.
+// the given order) — exactly what Encode would produce for those rows:
+// the schema header, the new row count, then each column gathered at
+// the rows' positions: each byte plane, then the BOOL bytes, TEXT
+// lengths and TEXT bytes.
 func (ix *rowIndex) subset(raw []byte, rows []uint32) []byte {
-	if ix.cols == nil {
-		n := int(ix.hdr) + 2
-		for _, r := range rows {
-			n += int(ix.off[r+1] - ix.off[r])
-		}
-		out := append(make([]byte, 0, n), raw[:ix.hdr]...)
-		for i, r := range rows {
-			if i > 0 {
-				out = append(out, ',')
-			}
-			out = append(out, raw[ix.off[r]:ix.off[r+1]-1]...)
-		}
-		return append(out, "]}"...)
-	}
 	// A subset of the rows is never larger than all of them.
 	out := append(make([]byte, 0, len(raw)), raw[:ix.hdr]...)
 	out = binary.AppendUvarint(out, uint64(len(rows)))

@@ -83,14 +83,36 @@ func rowsDelta(t *testing.T, basePayload, full []byte, codec Codec) ([]byte, boo
 	return body, true
 }
 
+// binaryOf is the binary payload holding the rows of raw, a payload of
+// codec: what the server caches for the box a client of codec received
+// as raw.
+func binaryOf(t testing.TB, raw []byte, codec Codec) []byte {
+	t.Helper()
+	if codec == CodecBinary {
+		return raw
+	}
+	dr, err := Decode(raw, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Encode(dr, CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // indexDelta plans the same delta from row indexes scanned out of the
-// payload bytes, as planDeltaFrame does past its request-level guards.
-func indexDelta(basePayload, full []byte, codec Codec) ([]byte, bool) {
-	bix, nix := buildRowIndex(basePayload, codec), buildRowIndex(full, codec)
+// cached binary payloads, as planDeltaFrame does past its request-level
+// guards, for a client of codec that received basePayload and full.
+func indexDelta(t testing.TB, basePayload, full []byte, codec Codec) ([]byte, bool) {
+	t.Helper()
+	binFull := binaryOf(t, full, codec)
+	bix, nix := buildRowIndex(binaryOf(t, basePayload, codec)), buildRowIndex(binFull)
 	if bix == nil || nix == nil || !bix.diffable || !nix.diffable {
 		return nil, false
 	}
-	return deltaBody(bix, nix, newPayload(full))
+	return deltaBody(bix, nix, newPayload(binFull), formSum{id: wire.PayloadID(full), size: len(full)}, codec)
 }
 
 var awkwardStrings = []string{
@@ -170,7 +192,7 @@ func TestIndexDeltaMatchesRowsPlanner(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, wantOK := rowsDelta(t, base, full, codec)
-			got, gotOK := indexDelta(base, full, codec)
+			got, gotOK := indexDelta(t, base, full, codec)
 			if gotOK != wantOK {
 				t.Fatalf("%s trial %d: index planner ok=%v, rows planner ok=%v", codec, trial, gotOK, wantOK)
 			}
@@ -233,14 +255,14 @@ func TestDecodeBinaryBounded(t *testing.T) {
 		if dr, err := Decode(tc.data, CodecBinary); err == nil {
 			t.Errorf("%s: decoded %d rows from a corrupt payload, want an error", tc.name, len(dr.Rows))
 		}
-		if ix := buildRowIndex(tc.data, CodecBinary); ix != nil {
-			t.Errorf("%s: corrupt payload indexed as %d rows", tc.name, ix.rows())
+		if ix := buildRowIndex(tc.data); ix != nil {
+			t.Errorf("%s: corrupt payload indexed as %d rows", tc.name, ix.n)
 		}
 	}
 	if dr, err := Decode(good, CodecBinary); err != nil || len(dr.Rows) != 3 {
 		t.Fatalf("intact payload: %v", err)
 	}
-	if ix := buildRowIndex(good, CodecBinary); ix == nil || ix.rows() != 3 || !ix.diffable {
+	if ix := buildRowIndex(good); ix == nil || ix.n != 3 || !ix.diffable {
 		t.Fatalf("intact payload index = %+v", ix)
 	}
 }
@@ -310,7 +332,7 @@ func TestBinaryColumnarRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if ix := buildRowIndex(raw, CodecBinary); ix == nil || ix.rows() != len(want.Rows) {
+		if ix := buildRowIndex(raw); ix == nil || ix.n != len(want.Rows) {
 			t.Fatalf("trial %d: row index %+v for %d rows", trial, ix, len(want.Rows))
 		}
 	}
@@ -341,7 +363,7 @@ func TestBinaryDeltaRebuildsFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, ok := indexDelta(base, full, CodecBinary)
+		body, ok := indexDelta(t, base, full, CodecBinary)
 		if !ok {
 			continue
 		}
@@ -419,7 +441,7 @@ func FuzzDecodeBinary(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dr, err := Decode(data, CodecBinary)
-		ix := buildRowIndex(data, CodecBinary)
+		ix := buildRowIndex(data)
 		if (err == nil) != (ix != nil) {
 			t.Fatalf("decoder error %v, row index %v: the two must accept the same payloads", err, ix)
 		}
@@ -429,8 +451,8 @@ func FuzzDecodeBinary(f *testing.F) {
 		if len(dr.Cols) > len(data) || len(dr.Rows) > len(data) || len(dr.Rows)*len(dr.Cols) > len(data) {
 			t.Fatalf("%d cols × %d rows out of %d bytes", len(dr.Cols), len(dr.Rows), len(data))
 		}
-		if ix.rows() != len(dr.Rows) {
-			t.Fatalf("index sees %d rows, decoder %d", ix.rows(), len(dr.Rows))
+		if ix.n != len(dr.Rows) {
+			t.Fatalf("index sees %d rows, decoder %d", ix.n, len(dr.Rows))
 		}
 		for i := range ix.ids {
 			if ix.ids[i] != dr.Rows[i][0].AsInt() {
@@ -681,7 +703,7 @@ func TestDeltaIndexRebuiltFromBytes(t *testing.T) {
 		hs2 := httptest.NewServer(srv2.Handler())
 		// The client still holds box A; the restarted server finds it in
 		// L2, hashes it on promotion, and accepts it as a base.
-		if _, err := srv2.serveItem(context.Background(), "main", a, codec, false); err != nil {
+		if _, err := srv2.serveItem(context.Background(), "main", a, false); err != nil {
 			t.Fatal(err)
 		}
 		if got := deltaOf(hs2.URL); !bytes.Equal(got, want) {
@@ -698,20 +720,134 @@ func TestDeltaIndexRebuiltFromBytes(t *testing.T) {
 }
 
 // TestRowIndexChargeIsPinnedBytes: the wire memo charges a row index
-// the bytes its slices pin — their capacities — for both codecs,
-// whatever slack the scan left behind.
+// the bytes its slices pin — their capacities — whatever slack the scan
+// left behind, and a JSON form its bytes.
 func TestRowIndexChargeIsPinnedBytes(t *testing.T) {
 	srv, hs := newPointsServer(t, 4000, 4096, 2048)
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		raw, _ := fetchBoxPayload(t, hs.URL, BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1500, MaxY: 1200}, codec)
-		srv.wireMemo.Clear()
-		ix := srv.rowIndexOf(newPayload(raw), codec)
-		if ix == nil || !ix.diffable || ix.rows() == 0 {
-			t.Fatalf("%s: no diffable index", codec)
+	raw, _ := fetchBoxPayload(t, hs.URL, BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1500, MaxY: 1200}, CodecBinary)
+	srv.wireMemo.Clear()
+	p := newPayload(raw)
+	ix := srv.rowIndexOf(p)
+	if ix == nil || !ix.diffable || ix.n == 0 {
+		t.Fatal("no diffable index")
+	}
+	pinned := int64(memoEntryOverhead + 8*cap(ix.ids) + 4*cap(ix.perm))
+	if got := srv.wireMemo.Stats().Bytes; got != pinned {
+		t.Errorf("%d-row index charged %d bytes, its slices pin %d", ix.n, got, pinned)
+	}
+	form, _, err := srv.frameOf(context.Background(), p, CodecJSON, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := srv.wireMemo.Stats().Bytes-pinned, int64(memoEntryOverhead+len(form.body)); got != want {
+		t.Errorf("%d-byte JSON form charged %d bytes, want %d", len(form.body), got, want)
+	}
+}
+
+// TestOneFormServesBothCodecs: a box served as JSON and then as binary
+// costs one database query and one L1 entry, whose charge is the binary
+// payload alone; the JSON client receives that payload's JSON form, and
+// panning from it still gets a delta frame naming the next box's JSON
+// form.
+func TestOneFormServesBothCodecs(t *testing.T) {
+	box := BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800}
+	ref, refHS := newPointsServer(t, 4000, 4096, 2048)
+	fetchBoxPayload(t, refHS.URL, box, CodecBinary)
+	var alone StatsSnapshot
+	getJSON(t, refHS.URL+"/stats", &alone)
+	if ref.Stats.DBQueries.Load() != 1 || alone.Cache.L1.Bytes == 0 {
+		t.Fatalf("binary alone: %d queries, %d L1 bytes", ref.Stats.DBQueries.Load(), alone.Cache.L1.Bytes)
+	}
+
+	srv, hs := newPointsServer(t, 4000, 4096, 2048)
+	jsonRaw, jsonID := fetchBoxPayload(t, hs.URL, box, CodecJSON)
+	binRaw, _ := fetchBoxPayload(t, hs.URL, box, CodecBinary)
+	var both StatsSnapshot
+	getJSON(t, hs.URL+"/stats", &both)
+	if q := srv.Stats.DBQueries.Load(); q != 1 {
+		t.Fatalf("one box in two codecs ran %d queries, want 1", q)
+	}
+	if n := srv.BackendCache().Stats().Entries; n != 1 || both.Cache.L1.Bytes != alone.Cache.L1.Bytes {
+		t.Fatalf("L1 holds %d entries, %d bytes; want 1 entry of %d bytes, as after binary alone", n, both.Cache.L1.Bytes, alone.Cache.L1.Bytes)
+	}
+	if doc, err := jsonPayload(binRaw); err != nil || !bytes.Equal(doc, jsonRaw) {
+		t.Fatalf("the JSON frame is not the cached payload's JSON form: %v", err)
+	}
+
+	pan := BatchItem{Kind: "dbox", Layer: 0, MinX: 200, MinY: 0, MaxX: 1200, MaxY: 800}
+	fullJSON, fullID := fetchBoxPayload(t, hs.URL, pan, CodecJSON)
+	pan.Base = &BaseRef{MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY, ID: strconv.FormatUint(jsonID, 16)}
+	f, err := postOneV3(hs.URL, CodecJSON, pan)
+	if err != nil || !f.Codec.IsDelta() {
+		t.Fatalf("JSON pan from a held JSON base: codec %d, %v; want a delta frame", f.Codec, err)
+	}
+	body := f.Payload
+	if f.Codec.Compressed() {
+		if body, err = wire.Decompress(body, wire.MaxFramePayload); err != nil {
+			t.Fatal(err)
 		}
-		pinned := int64(memoEntryOverhead + 8*cap(ix.ids) + 4*cap(ix.off) + 4*cap(ix.perm))
-		if got := srv.wireMemo.Stats().Bytes; got != pinned {
-			t.Errorf("%s: %d-row index charged %d bytes, its slices pin %d", codec, ix.rows(), got, pinned)
+	}
+	d, err := wire.DecodeDelta(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.NewID != fullID || d.FullLen != len(fullJSON) {
+		t.Fatalf("delta names id %x, %d bytes; the JSON form is %x, %d bytes", d.NewID, d.FullLen, fullID, len(fullJSON))
+	}
+	// The binary payload's id is not what a JSON client holds.
+	pan.Base.ID = strconv.FormatUint(wire.PayloadID(binRaw), 16)
+	if f, err := postOneV3(hs.URL, CodecJSON, pan); err != nil || f.Codec.IsDelta() {
+		t.Fatalf("a JSON pan declaring the binary id: codec %d, %v; want a full frame", f.Codec, err)
+	}
+}
+
+// TestJSONFormlessPayloadKeepsBinary: a payload holding a NaN has no JSON
+// form. A JSON request for it fails as a server error — a 500, an
+// internal error frame — every time, from one query, while the binary
+// payload stays in L1 and keeps serving binary clients.
+func TestJSONFormlessPayloadKeepsBinary(t *testing.T) {
+	srv, hs := newPointsServer(t, 300, 4096, 2048)
+	if _, err := srv.DB().Exec("UPDATE points SET val = ? WHERE id = 7", storage.F64(math.NaN())); err != nil {
+		t.Fatal(err)
+	}
+	url := hs.URL + "/dbox?canvas=main&layer=0&minx=0&miny=0&maxx=4096&maxy=2048"
+	get := func(codec Codec) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(url + "&codec=" + string(codec))
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, body
+	}
+	for range 2 {
+		if code, body := get(CodecJSON); code != http.StatusInternalServerError || !strings.Contains(string(body), "unsupported value") {
+			t.Fatalf("JSON dbox over a NaN: %d %q, want 500 naming the value", code, body)
+		}
+	}
+	box := BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 4096, MaxY: 2048}
+	if f, err := postOneV3(hs.URL, CodecJSON, box); err != nil || f.Status != FrameInternal {
+		t.Fatalf("JSON batch over a NaN: status %d, %v; want an internal error frame", f.Status, err)
+	}
+	code, body := get(CodecBinary)
+	if code != http.StatusOK {
+		t.Fatalf("binary dbox: %d %s", code, body)
+	}
+	dr, err := Decode(body, CodecBinary)
+	if err != nil || len(dr.Rows) != 300 {
+		t.Fatalf("binary dbox: %d rows, %v", len(dr.Rows), err)
+	}
+	nan := 0
+	for _, row := range dr.Rows {
+		if math.IsNaN(row[3].F) {
+			nan++
+		}
+	}
+	if nan != 1 {
+		t.Fatalf("binary payload carries %d NaN cells, want 1", nan)
+	}
+	if q, n := srv.Stats.DBQueries.Load(), srv.BackendCache().Stats().Entries; q != 1 || n != 1 {
+		t.Fatalf("%d queries, %d L1 entries; want the one payload, queried once", q, n)
 	}
 }

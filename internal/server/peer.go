@@ -48,8 +48,7 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 	version := s.cacheGen.Load()
 	s.updateMu.RUnlock()
 
-	codec, ok := codecOfKeySpace(fr.Codec)
-	if !ok {
+	if fr.Codec != keySpace {
 		err := fmt.Errorf("unknown payload layout %q", fr.Codec)
 		_ = cluster.WritePeerResponse(w, &version, cluster.FrameKindOf(fr.Kind), nil, err, true)
 		return
@@ -67,7 +66,7 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := s.startRequestSpan(r, "peer.serve")
 	sp.Attr("kind", fr.Kind)
 	srvStart := time.Now()
-	p, err := s.serveItem(ctx, fr.Canvas, it, codec, true)
+	p, err := s.serveItem(ctx, fr.Canvas, it, true)
 	s.obs.stagePeerSrv.Observe(time.Since(srvStart))
 	sp.End()
 	if v := obs.EncodeSpansHeader(sp.Data()); v != "" {
@@ -101,7 +100,7 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 // the cluster's aggregate cache capacity scales with node count. With
 // admission off (no sketch) every fill replicates, the plain
 // groupcache behavior.
-func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequest, sql string, args []storage.Value, codec Codec) (*payload, error) {
+func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequest, sql string, args []storage.Value) (*payload, error) {
 	gen := s.cacheGen.Load()
 	l2fence := s.l2Fence()
 	owner := s.cluster.Owner(key)
@@ -161,7 +160,7 @@ func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequ
 		if !behind {
 			s.cluster.Stats.LocalFallbacks.Add(1)
 		}
-		p, qerr := s.runQuery(ctx, sql, args, codec)
+		p, qerr := s.runQuery(ctx, sql, args)
 		if qerr != nil {
 			return nil, qerr
 		}
@@ -186,7 +185,7 @@ func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequ
 // planned against, outside this node's update fence, and the delta
 // diff is id-based and content-blind — such a delta could skip changed
 // rows, so non-owned items always ship full frames.
-func (s *Server) ownsDBox(canvas string, it BatchItem, codec Codec) bool {
+func (s *Server) ownsDBox(canvas string, it BatchItem) bool {
 	if s.cluster == nil {
 		return true
 	}
@@ -198,5 +197,5 @@ func (s *Server) ownsDBox(canvas string, it BatchItem, codec Codec) bool {
 	if !box.Valid() {
 		return true
 	}
-	return s.cluster.Owns(s.boxCacheKey(pl, codec, box))
+	return s.cluster.Owns(boxCacheKey(pl, box))
 }

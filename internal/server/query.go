@@ -28,8 +28,8 @@ const planCacheSize = 512
 // queried locally; localOnly (peer-originated requests) suppresses the
 // forwarding so two nodes with diverging ring views can never bounce a
 // request between each other.
-func (s *Server) serveTile(ctx context.Context, pl *fetch.PhysicalLayer, design string, codec Codec, size float64, tid geom.TileID, localOnly bool) (*payload, error) {
-	key := fmt.Sprintf("%s/%s/%s", keySpace(codec), design, fetch.TileKeyOf(layerKey(pl.CanvasID, pl.LayerIdx), size, tid))
+func (s *Server) serveTile(ctx context.Context, pl *fetch.PhysicalLayer, design string, size float64, tid geom.TileID, localOnly bool) (*payload, error) {
+	key := fmt.Sprintf("%s/%s/%s", keySpace, design, fetch.TileKeyOf(layerKey(pl.CanvasID, pl.LayerIdx), size, tid))
 	if data, ok := s.bcache.Get(key); ok {
 		s.Stats.CacheHits.Add(1)
 		obs.SpanFromContext(ctx).Attr("l1", "hit")
@@ -52,12 +52,12 @@ func (s *Server) serveTile(ctx context.Context, pl *fetch.PhysicalLayer, design 
 	if !localOnly && s.cluster != nil && !s.cluster.Owns(key) {
 		fr := &cluster.FillRequest{
 			Key: key, Canvas: pl.CanvasID, Layer: pl.LayerIdx,
-			Kind: "tile", Codec: keySpace(codec), Design: design,
+			Kind: "tile", Codec: keySpace, Design: design,
 			Size: size, Col: tid.Col, Row: tid.Row,
 		}
-		return s.peerQuery(ctx, key, fr, sql, args, codec)
+		return s.peerQuery(ctx, key, fr, sql, args)
 	}
-	return s.cachedQuery(ctx, key, sql, args, codec)
+	return s.cachedQuery(ctx, key, sql, args)
 }
 
 // badRequestError marks an error as the caller's fault (HTTP 400);
@@ -86,7 +86,7 @@ func httpStatusOf(err error) int {
 // flight key embeds the generation too, so a request arriving after
 // the update never coalesces onto (and never re-serves) a stale
 // in-flight query.
-func (s *Server) cachedQuery(ctx context.Context, key, sql string, args []storage.Value, codec Codec) (*payload, error) {
+func (s *Server) cachedQuery(ctx context.Context, key, sql string, args []storage.Value) (*payload, error) {
 	gen := s.cacheGen.Load()
 	l2fence := s.l2Fence()
 	// fill is the miss path past L1. The persistent tier answers before
@@ -98,7 +98,7 @@ func (s *Server) cachedQuery(ctx context.Context, key, sql string, args []storag
 			s.putUnlessStale(gen, key, p)
 			return p, nil
 		}
-		p, err := s.runQuery(ctx, sql, args, codec)
+		p, err := s.runQuery(ctx, sql, args)
 		if err != nil {
 			return nil, err
 		}
@@ -192,8 +192,8 @@ func (s *Server) putUnlessStale(gen int64, key string, p *payload) {
 	if s.cacheGen.Load() != gen {
 		return
 	}
-	// Charged raw bytes only: the derived forms live (and are bounded)
-	// in the wire memo.
+	// Charged the binary payload's bytes only: the derived forms — the
+	// JSON form included — live (and are bounded) in the wire memo.
 	s.bcache.Put(key, p, int64(len(p.raw)))
 	if s.cacheGen.Load() != gen {
 		s.bcache.Remove(key)
@@ -202,8 +202,8 @@ func (s *Server) putUnlessStale(gen int64, key string, p *payload) {
 
 // serveBox produces the payload of one dynamic-box request, with the
 // same cache + coalescing + cluster-routing treatment as serveTile.
-func (s *Server) serveBox(ctx context.Context, pl *fetch.PhysicalLayer, codec Codec, box geom.Rect, localOnly bool) (*payload, error) {
-	key := s.boxCacheKey(pl, codec, box)
+func (s *Server) serveBox(ctx context.Context, pl *fetch.PhysicalLayer, box geom.Rect, localOnly bool) (*payload, error) {
+	key := boxCacheKey(pl, box)
 	if data, ok := s.bcache.Get(key); ok {
 		s.Stats.CacheHits.Add(1)
 		obs.SpanFromContext(ctx).Attr("l1", "hit")
@@ -213,12 +213,12 @@ func (s *Server) serveBox(ctx context.Context, pl *fetch.PhysicalLayer, codec Co
 	if !localOnly && s.cluster != nil && !s.cluster.Owns(key) {
 		fr := &cluster.FillRequest{
 			Key: key, Canvas: pl.CanvasID, Layer: pl.LayerIdx,
-			Kind: "dbox", Codec: keySpace(codec),
+			Kind: "dbox", Codec: keySpace,
 			MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY,
 		}
-		return s.peerQuery(ctx, key, fr, sql, args, codec)
+		return s.peerQuery(ctx, key, fr, sql, args)
 	}
-	return s.cachedQuery(ctx, key, sql, args, codec)
+	return s.cachedQuery(ctx, key, sql, args)
 }
 
 // windowSQL builds the database query answering one window (a tile
@@ -261,19 +261,16 @@ func (s *Server) preparedSelect(sql string) (*sqldb.SelectStmt, error) {
 	return sel, nil
 }
 
-// runQuery executes one window query straight into a fresh payload,
-// hashed here, once: the executor pushes each row into the codec's
-// builder as it leaves the heap page, so scan and encode are one pass
-// and the "db.query" span and stage time both.
-func (s *Server) runQuery(ctx context.Context, sql string, args []storage.Value, codec Codec) (*payload, error) {
+// runQuery executes one window query straight into a fresh binary
+// payload, hashed here, once: the executor pushes each row's tuple into
+// the builder as it leaves the heap page, so scan and encode are one
+// pass and the "db.query" span and stage time both.
+func (s *Server) runQuery(ctx context.Context, sql string, args []storage.Value) (*payload, error) {
 	sel, err := s.preparedSelect(sql)
 	if err != nil {
 		return nil, err
 	}
-	b, err := newPayloadBuilder(codec)
-	if err != nil {
-		return nil, err
-	}
+	b := builderPool.Get().(*payloadBuilder)
 	defer b.release()
 	if hook := s.queryHook; hook != nil {
 		hook()
@@ -284,7 +281,7 @@ func (s *Server) runQuery(ctx context.Context, sql string, args []storage.Value,
 	cols, err := s.db.SelectInto(sel, args, b.add)
 	var raw []byte
 	if err == nil {
-		raw = b.finish(cols)
+		raw, _ = b.finish(cols)
 	}
 	elapsed := time.Since(start)
 	s.obs.stageDB.Observe(elapsed)

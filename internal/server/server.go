@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -62,8 +61,9 @@ type Server struct {
 	// constant statement shape per design (arguments ride in '?'
 	// placeholders), so the hot path skips the parser entirely.
 	plans *cache.LRU
-	// wireMemo holds the derived forms of cached payloads — DEFLATE
-	// bodies and row indexes, keyed by the payload's content hash — and
+	// wireMemo holds the derived forms of cached payloads — JSON forms,
+	// DEFLATE bodies and row indexes, keyed by the content hash of the
+	// bytes they derive from — and
 	// the shipped delta frame of every (base, new) pair, keyed by both
 	// hashes (payload.go, frames.go). Every response after the first
 	// ships them with a lookup. Content-addressed entries are immutable,
@@ -143,8 +143,8 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		// One entry = size 1, so the byte budget counts plans; a single
 		// shard keeps exact LRU order (the cap is tiny).
 		plans: cache.NewLRUSharded(planCacheSize, 1),
-		// Entries are charged what they hold (deflated bytes, index
-		// slices, delta frames), so resident memory stays bounded like
+		// Entries are charged what they hold (JSON and deflated bytes,
+		// index slices, delta frames), so resident memory stays bounded like
 		// the other caches.
 		wireMemo: cache.NewLRU(32 << 20),
 		opts:     opts,
@@ -161,7 +161,7 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: open L2 tile store: %w", err)
 		}
-		if _, err := l2.Invalidate(func(k string) bool { return strings.HasPrefix(k, retiredKeySpace) }); err != nil {
+		if _, err := l2.Invalidate(retiredKey); err != nil {
 			_ = l2.Close() // already failing; the invalidate error wins
 			return nil, fmt.Errorf("server: drop retired L2 records: %w", err)
 		}

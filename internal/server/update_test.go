@@ -139,9 +139,17 @@ type window struct {
 	rect  geom.Rect
 }
 
+// serve returns the window's payload as a client of its codec receives
+// it.
 func (w *window) serve(t testing.TB, srv *Server) *payload {
 	t.Helper()
-	p, err := srv.serveItem(context.Background(), "main", w.item, w.codec, false)
+	p, err := srv.serveItem(context.Background(), "main", w.item, false)
+	if err == nil && w.codec == CodecJSON {
+		var f *frame
+		if f, _, err = srv.frameOf(context.Background(), p, w.codec, false); err == nil {
+			p = &payload{raw: f.body}
+		}
+	}
 	if err != nil {
 		t.Fatalf("serve %+v: %v", w.item, err)
 	}
@@ -272,11 +280,11 @@ func TestScopedInvalidationCoherence(t *testing.T) {
 			} else {
 				q, qargs = pl.WindowSQL(w.rect)
 			}
-			fresh, err := srv.runQuery(context.Background(), q, qargs, w.codec)
+			fresh, err := srv.runQuery(context.Background(), q, qargs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, f := sortedRows(t, got.raw, w.codec), sortedRows(t, fresh.raw, w.codec)
+			g, f := sortedRows(t, got.raw, w.codec), sortedRows(t, fresh.raw, CodecBinary)
 			if strings.Join(g, ";") != strings.Join(f, ";") {
 				t.Fatalf("step %d %q %v: window %d %+v (%s, L1 dropped %v) serves\n %v\nfresh query says\n %v", step, sql, args, wi, w.item, w.codec, dropL1, g, f)
 			}
@@ -432,7 +440,7 @@ func TestScopedInvalidationConcurrentV3(t *testing.T) {
 		t.Errorf("right readers: %d full frames after their first, %d deltas; an untouched base must keep yielding deltas", rightFull.Load(), rightDeltas.Load())
 	}
 	// The right box was queried once, before the stream, and never again.
-	rightKey := codecBoxKey(codec, "main/0", right.Box())
+	rightKey := keySpace + "/" + fetch.BoxKeyOf("main/0", right.Box())
 	if !srv.bcache.Contains(rightKey) {
 		t.Error("the untouched box was removed from L1")
 	}
@@ -479,7 +487,7 @@ func TestFailedStatementInvalidatesTouchedRows(t *testing.T) {
 		t.Fatalf("/update = %d %q, want the division error", code, msg)
 	}
 	for i, w := range wins {
-		key := codecBoxKey(w.codec, "main/0", w.rect)
+		key := keySpace + "/" + fetch.BoxKeyOf("main/0", w.rect)
 		_, inL2 := srv.l2.Get(key)
 		if changed := i < 2; srv.bcache.Contains(key) == changed || inL2 == changed {
 			t.Errorf("window %d (row changed: %v): in L1 %v, in L2 %v", i, changed, srv.bcache.Contains(key), inL2)
@@ -773,7 +781,7 @@ func BenchmarkUpdateAck(b *testing.B) {
 			// 512 resident boxes of 1536², as a dbox-50% client leaves behind.
 			for i := 0; i < 512; i++ {
 				x, y := float64(i%32)*4000, float64(i/32)*900
-				if _, err := srv.serveBox(context.Background(), pl, CodecBinary, geom.Rect{MinX: x, MinY: y, MaxX: x + 1536, MaxY: y + 1536}, false); err != nil {
+				if _, err := srv.serveBox(context.Background(), pl, geom.Rect{MinX: x, MinY: y, MaxX: x + 1536, MaxY: y + 1536}, false); err != nil {
 					b.Fatal(err)
 				}
 			}

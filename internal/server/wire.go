@@ -77,47 +77,32 @@ const (
 )
 
 // payloadBuilder encodes the rows of one payload as they are produced
-// and assembles the payload around them. It is the only writer of either
-// codec: the query path pushes executor rows into it, Encode pushes a
-// DataResponse's.
+// and assembles the binary payload around them. It is the only payload
+// writer: the query path pushes executor rows into it, Encode pushes a
+// DataResponse's; JSON is written from its output.
 //
-// Rows go into a pooled scratch buffer first, because neither header can
-// be written before them — a binary header carries the row count, and
-// both carry column types the query path learns from its first row. A
-// binary row is staged as a storage tuple (row-major) and only becomes
-// columns in finish, once the row count fixes where each column starts.
-// finish copies header, rows and trailer into one buffer of exactly the
-// payload's size, the only allocation that outlives the builder.
+// Rows go into a pooled scratch buffer first, because the header cannot
+// be written before them — it carries the row count, and column types
+// the query path learns from its first row. A row is staged as a
+// storage tuple (row-major) and only becomes columns in finish, once the
+// row count fixes where each column starts. finish copies header and
+// columns into one buffer of exactly the payload's size, the only
+// allocation that outlives the builder.
 type payloadBuilder struct {
-	codec Codec
 	// types is the header's type list. Left nil, it becomes the value
 	// kinds of the first row — all DOUBLE if there is none — which is the
 	// query path's rule; Encode declares its own.
 	types ColTypes
-	// schema is types as EncodeRow wants them, built on the first binary
-	// row that is not already a stored tuple.
+	// schema is types as EncodeRow wants them, built on the first row
+	// that is not already a stored tuple.
 	schema storage.Schema
 	rows   []byte
-	// starts[i] is where binary row i's tuple begins in rows.
+	// starts[i] is where row i's tuple begins in rows.
 	starts []int
 	n      int
 }
 
 var builderPool = sync.Pool{New: func() any { return new(payloadBuilder) }}
-
-// newPayloadBuilder returns a builder for codec; release it when done.
-func newPayloadBuilder(codec Codec) (*payloadBuilder, error) {
-	switch codec {
-	case "":
-		codec = CodecJSON
-	case CodecJSON, CodecBinary:
-	default:
-		return nil, fmt.Errorf("server: unknown codec %q", codec)
-	}
-	b := builderPool.Get().(*payloadBuilder)
-	b.codec = codec
-	return b, nil
-}
 
 // release returns the builder's scratch buffer to the pool.
 func (b *payloadBuilder) release() {
@@ -125,9 +110,9 @@ func (b *payloadBuilder) release() {
 	builderPool.Put(b)
 }
 
-// add encodes one row. A non-nil tuple is the row's stored heap bytes
-// (sqldb.RowFunc) — the row-major form the binary codec stages before
-// finish transposes it, so the binary codec copies it verbatim.
+// add stages one row. A non-nil tuple is the row's stored heap bytes
+// (sqldb.RowFunc) — the row-major form finish transposes — so it is
+// copied verbatim.
 func (b *payloadBuilder) add(row storage.Row, tuple []byte) error {
 	if b.types == nil {
 		b.types = make(ColTypes, len(row))
@@ -136,14 +121,6 @@ func (b *payloadBuilder) add(row storage.Row, tuple []byte) error {
 		}
 	}
 	b.n++
-	if b.codec == CodecJSON {
-		if b.n > 1 {
-			b.rows = append(b.rows, ',')
-		}
-		var err error
-		b.rows, err = appendJSONRow(b.rows, row)
-		return err
-	}
 	b.starts = append(b.starts, len(b.rows))
 	if tuple != nil {
 		b.rows = append(b.rows, tuple...)
@@ -164,7 +141,8 @@ func (b *payloadBuilder) add(row storage.Row, tuple []byte) error {
 }
 
 // finish assembles the payload; cols and b.types must agree in length.
-func (b *payloadBuilder) finish(cols []string) []byte {
+// colsAt is where the column sections start, past the row count.
+func (b *payloadBuilder) finish(cols []string) (raw []byte, colsAt int) {
 	if b.types == nil {
 		b.types = make(ColTypes, len(cols))
 		for i := range b.types {
@@ -174,51 +152,20 @@ func (b *payloadBuilder) finish(cols []string) []byte {
 	// The header is written behind the rows in the same scratch buffer,
 	// then both are copied out in payload order.
 	nrows := len(b.rows)
-	hdr := b.rows
-	trailer := ""
-	if b.codec == CodecJSON {
-		hdr = append(hdr, `{"cols":`...)
-		if cols == nil {
-			hdr = append(hdr, "null"...)
-		} else {
-			hdr = append(hdr, '[')
-			for i, c := range cols {
-				if i > 0 {
-					hdr = append(hdr, ',')
-				}
-				hdr = appendJSONString(hdr, c)
-			}
-			hdr = append(hdr, ']')
-		}
-		hdr = append(hdr, `,"types":[`...)
-		for i, t := range b.types {
-			if i > 0 {
-				hdr = append(hdr, ',')
-			}
-			hdr = strconv.AppendUint(hdr, uint64(t), 10)
-		}
-		hdr = append(hdr, `],"rows":[`...)
-		trailer = "]}"
-	} else {
-		hdr = binary.AppendUvarint(hdr, uint64(len(cols)))
-		for i, c := range cols {
-			hdr = binary.AppendUvarint(hdr, uint64(len(c)))
-			hdr = append(hdr, c...)
-			hdr = append(hdr, byte(b.types[i]))
-		}
-		hdr = binary.AppendUvarint(hdr, uint64(b.n))
+	hdr := binary.AppendUvarint(b.rows, uint64(len(cols)))
+	for i, c := range cols {
+		hdr = binary.AppendUvarint(hdr, uint64(len(c)))
+		hdr = append(hdr, c...)
+		hdr = append(hdr, byte(b.types[i]))
 	}
+	hdr = binary.AppendUvarint(hdr, uint64(b.n))
 	b.rows = hdr // keep the grown buffer for the pool
-	out := make([]byte, 0, len(hdr)+len(trailer))
-	out = append(out, hdr[nrows:]...)
-	if b.codec == CodecBinary {
-		// Columns hold exactly the bytes the tuples did, rearranged.
-		out = out[:len(out)+nrows]
-		transposeRows(out[len(hdr)-nrows:], hdr[:nrows], b.starts, b.types)
-		return out
-	}
-	out = append(out, hdr[:nrows]...)
-	return append(out, trailer...)
+	colsAt = len(hdr) - nrows
+	// Columns hold exactly the bytes the tuples did, rearranged.
+	out := make([]byte, len(hdr))
+	copy(out, hdr[nrows:])
+	transposeRows(out[colsAt:], hdr[:nrows], b.starts, b.types)
+	return out, colsAt
 }
 
 // transposeRows writes the row-major storage tuples in rows (tuple i
@@ -269,35 +216,109 @@ func transposeRows(dst, rows []byte, cur []int, types ColTypes) {
 }
 
 // The JSON payload is one fixed document shape (see "Wire payloads" in
-// the root package doc): appendJSONRow and its helpers below write it,
-// jsonScanner reads it, and both follow encoding/json's conventions for
-// numbers and strings byte for byte, so a payload is also what
-// json.Marshal would produce for the same cells.
+// the root package doc): appendJSONDocument and its helpers below write
+// it from a binary payload's columns, jsonScanner reads it, and both
+// follow encoding/json's conventions for numbers and strings byte for
+// byte, so a payload is also what json.Marshal would produce for the
+// same cells.
 
-// appendJSONRow appends row as a JSON array, each cell by its own kind.
-func appendJSONRow(dst []byte, row storage.Row) ([]byte, error) {
-	dst = append(dst, '[')
-	for i, v := range row {
+// jsonPayload writes the JSON document of a binary payload. It fails on
+// a DOUBLE that JSON cannot carry (NaN, ±Inf).
+func jsonPayload(raw []byte) ([]byte, error) {
+	l, err := parseBinary(raw)
+	if err != nil {
+		return nil, err
+	}
+	b := builderPool.Get().(*payloadBuilder)
+	defer b.release()
+	return b.json(l.cols, l.types, l.nrows, raw[l.colOff[0]:])
+}
+
+// json is appendJSONDocument's output at its exact size, written in b's
+// scratch buffer.
+func (b *payloadBuilder) json(cols []string, types ColTypes, n int, data []byte) ([]byte, error) {
+	doc, err := appendJSONDocument(b.rows[:0], cols, types, n, data)
+	b.rows = doc[:0]
+	if err != nil {
+		return nil, err
+	}
+	return append(make([]byte, 0, len(doc)), doc...), nil
+}
+
+// appendJSONDocument appends the JSON document of n rows whose column
+// sections (transposeRows' layout) are data, each cell written by its
+// column's type; a nil cols is written as null, as json.Marshal does.
+func appendJSONDocument(dst []byte, cols []string, types ColTypes, n int, data []byte) ([]byte, error) {
+	dst = append(dst, `{"cols":`...)
+	if cols == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, c := range cols {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, []byte(c))
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"types":[`...)
+	// at[c] is where column c's section starts — for TEXT, its next
+	// length varint — and str[c] where a TEXT column's next value starts.
+	at, str := make([]int, len(types)), make([]int, len(types))
+	pos := 0
+	for i, t := range types {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		switch v.Kind {
-		case storage.TInt64:
-			dst = strconv.AppendInt(dst, v.I, 10)
-		case storage.TFloat64:
-			var err error
-			if dst, err = appendJSONFloat(dst, v.F); err != nil {
-				return dst, err
-			}
-		case storage.TString:
-			dst = appendJSONString(dst, v.S)
+		dst = strconv.AppendUint(dst, uint64(t), 10)
+		at[i] = pos
+		switch t {
+		case storage.TInt64, storage.TFloat64:
+			pos += 8 * n
 		case storage.TBool:
-			dst = strconv.AppendBool(dst, v.B)
-		default:
-			dst = append(dst, "null"...)
+			pos += n
+		case storage.TString:
+			total := 0
+			for range n {
+				ln, sz := binary.Uvarint(data[pos:])
+				pos += sz
+				total += int(ln)
+			}
+			str[i] = pos
+			pos += total
 		}
 	}
-	return append(dst, ']'), nil
+	dst = append(dst, `],"rows":[`...)
+	for r := range n {
+		if r > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '[')
+		for c, t := range types {
+			if c > 0 {
+				dst = append(dst, ',')
+			}
+			switch t {
+			case storage.TInt64:
+				dst = strconv.AppendInt(dst, int64(planeValue(data[at[c]:], n, r)), 10)
+			case storage.TFloat64:
+				var err error
+				if dst, err = appendJSONFloat(dst, math.Float64frombits(planeValue(data[at[c]:], n, r))); err != nil {
+					return dst, err
+				}
+			case storage.TBool:
+				dst = strconv.AppendBool(dst, data[at[c]+r] != 0)
+			case storage.TString:
+				ln, sz := binary.Uvarint(data[at[c]:])
+				at[c] += sz
+				dst = appendJSONString(dst, data[str[c]:str[c]+int(ln)])
+				str[c] += int(ln)
+			}
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, "]}"...), nil
 }
 
 // appendJSONFloat formats f as encoding/json (and ES6) do: shortest
@@ -328,7 +349,7 @@ const hexDigits = "0123456789abcdef"
 // short escapes for the usual control characters, \u00XX for the other
 // bytes below 0x20 and for <, > and &, \u2028 and \u2029 escaped, and
 // invalid UTF-8 replaced by \ufffd.
-func appendJSONString(dst []byte, s string) []byte {
+func appendJSONString(dst []byte, s []byte) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -358,7 +379,7 @@ func appendJSONString(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		r, size := utf8.DecodeRune(s[i:])
 		switch {
 		case r == utf8.RuneError && size == 1:
 			dst = append(dst, s[start:i]...)
@@ -375,15 +396,16 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// Encode serializes dr with the chosen codec.
+// Encode serializes dr with the chosen codec. Cells are stored by their
+// column's declared type, and JSON is written from the binary payload.
 func Encode(dr *DataResponse, codec Codec) ([]byte, error) {
 	if len(dr.Types) != len(dr.Cols) {
 		return nil, fmt.Errorf("server: encode: %d column types for %d columns", len(dr.Types), len(dr.Cols))
 	}
-	b, err := newPayloadBuilder(codec)
-	if err != nil {
-		return nil, err
+	if _, err := checkCodec(codec); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
+	b := builderPool.Get().(*payloadBuilder)
 	defer b.release()
 	if b.types = dr.Types; b.types == nil {
 		b.types = ColTypes{} // no columns, not "ask the first row"
@@ -393,7 +415,13 @@ func Encode(dr *DataResponse, codec Codec) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return b.finish(dr.Cols), nil
+	raw, colsAt := b.finish(dr.Cols)
+	if codec == CodecBinary {
+		return raw, nil
+	}
+	// Not parsed back: parseBinary refuses rows without columns, and a
+	// nil column list stays null.
+	return b.json(dr.Cols, b.types, b.n, raw[colsAt:])
 }
 
 // Decode parses a payload produced by Encode into rows: the row view of
@@ -424,7 +452,7 @@ func DecodeColumns(data []byte, codec Codec) (*Columns, error) {
 
 // jsonScanner tokenizes the JSON payload grammar: cols, types and rows
 // in that order, no insignificant whitespace. It is the one reader of the
-// format; Decode and the row-index scan are two sinks on its rows walk.
+// format, and decodeJSON its one sink.
 // Payloads arrive off the wire, from the L2 store and from peers, so it
 // trusts nothing: everything it allocates is paid for by input bytes
 // already consumed.
@@ -535,22 +563,21 @@ func (s *jsonScanner) header() (cols []string, types ColTypes, err error) {
 	return cols, types, nil
 }
 
-// rows walks the row section to the end of the document, calling row
-// with each row's offset and cell (when non-nil) with each of its
-// tokens; every row must have ncols cells. It returns the offset of the
-// ']' closing the section.
-func (s *jsonScanner) rows(ncols int, row func(start int), cell func(col int, tok []byte) error) (int, error) {
-	for n := 0; !s.lit("]"); n++ {
+// rows walks the row section to the end of the document, calling cell
+// with each token and its row and column; every row must have ncols
+// cells. It returns the row count.
+func (s *jsonScanner) rows(ncols int, cell func(row, col int, tok []byte) error) (int, error) {
+	n := 0
+	for ; !s.lit("]"); n++ {
 		if n > 0 && !s.lit(",") {
 			return 0, errJSONPayload
 		}
-		row(s.pos)
 		col := 0
 		err := s.list(func(tok []byte) error {
-			if col++; col > ncols || cell == nil {
+			if col++; col > ncols {
 				return nil
 			}
-			return cell(col-1, tok)
+			return cell(n, col-1, tok)
 		})
 		if err != nil {
 			return 0, err
@@ -559,11 +586,10 @@ func (s *jsonScanner) rows(ncols int, row func(start int), cell func(col int, to
 			return 0, fmt.Errorf("server: row %d arity %d != %d", n, col, ncols)
 		}
 	}
-	end := s.pos - 1
 	if !s.lit("}") || s.pos != len(s.b) {
 		return 0, errJSONPayload
 	}
-	return end, nil
+	return n, nil
 }
 
 // decodeJSON is DecodeColumns' JSON sink: each cell is parsed by its
@@ -584,9 +610,8 @@ func decodeJSON(data []byte) (*Columns, error) {
 			c.Data[col].Offs = []uint32{0}
 		}
 	}
-	_, err = s.rows(len(cols),
-		func(int) { c.N++ },
-		func(col int, tok []byte) error {
+	c.N, err = s.rows(len(cols),
+		func(row, col int, tok []byte) error {
 			d := &c.Data[col]
 			var err error
 			switch types[col] {
@@ -615,7 +640,7 @@ func decodeJSON(data []byte) (*Columns, error) {
 				}
 			}
 			if err != nil {
-				return fmt.Errorf("server: row %d col %d: %w", c.N-1, col, err)
+				return fmt.Errorf("server: row %d col %d: %w", row, col, err)
 			}
 			return nil
 		})

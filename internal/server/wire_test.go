@@ -191,6 +191,134 @@ func FuzzEncodeJSONMatchesStdlib(f *testing.F) {
 	})
 }
 
+// appendJSONRow is the row writer JSON payloads were built with before
+// they were written from the binary payload's columns: one row as a JSON
+// array, each cell by its own kind. It stays as the reference that
+// writer is held to.
+func appendJSONRow(dst []byte, row storage.Row) ([]byte, error) {
+	dst = append(dst, '[')
+	for i, v := range row {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		switch v.Kind {
+		case storage.TInt64:
+			dst = strconv.AppendInt(dst, v.I, 10)
+		case storage.TFloat64:
+			var err error
+			if dst, err = appendJSONFloat(dst, v.F); err != nil {
+				return dst, err
+			}
+		case storage.TString:
+			dst = appendJSONString(dst, []byte(v.S))
+		case storage.TBool:
+			dst = strconv.AppendBool(dst, v.B)
+		default:
+			dst = append(dst, "null"...)
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// rowWriterDocument is a JSON payload as the row writer's builder
+// assembled it: the header, then appendJSONRow's rows, comma-separated.
+// A delta's entering rows were the same document over the entering rows,
+// their bytes copied out of the full payload.
+func rowWriterDocument(cols []string, types ColTypes, rows []storage.Row) ([]byte, error) {
+	dst := []byte(`{"cols":`)
+	if cols == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, c := range cols {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, []byte(c))
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"types":[`...)
+	for i, t := range types {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, uint64(t), 10)
+	}
+	dst = append(dst, `],"rows":[`...)
+	for i, row := range rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = appendJSONRow(dst, row); err != nil {
+			return nil, err
+		}
+	}
+	return append(dst, "]}"...), nil
+}
+
+// FuzzJSONFormMatchesRowWriter: the JSON writer, reading a binary
+// payload's byte planes, writes exactly what the row writer wrote for
+// the same rows — Encode's JSON, the JSON form of the cached binary
+// payload, and the entering rows of a JSON delta (a subset gathered out
+// of the binary payload, in any order) — over all four column types,
+// TEXT that needs escaping, floats on both sides of the 1e-6 and 1e21
+// format switches, empty results and schemas with no columns. A NaN or
+// an infinity fails both writers, and never the binary payload.
+func FuzzJSONFormMatchesRowWriter(f *testing.F) {
+	for seed := int64(0); seed < 48; seed++ {
+		f.Add(seed, uint8(0), uint64(seed))
+	}
+	f.Add(int64(7), uint8(1), uint64(3))
+	f.Add(int64(8), uint8(2), uint64(5))
+	f.Add(int64(9), uint8(3), uint64(9))
+	f.Fuzz(func(t *testing.T, seed int64, poison uint8, pick uint64) {
+		dr := genResponse(seed)
+		if poison%4 != 0 && len(dr.Rows) > 0 {
+			for j, ct := range dr.Types {
+				if ct == storage.TFloat64 {
+					dr.Rows[0][j] = storage.F64([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[poison%3])
+				}
+			}
+		}
+		want, wantErr := rowWriterDocument(dr.Cols, dr.Types, dr.Rows)
+		got, err := Encode(dr, CodecJSON)
+		if (err != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: Encode %q (%v), row writer %q (%v)", seed, got, err, want, wantErr)
+		}
+		raw, err := Encode(dr, CodecBinary)
+		if err != nil {
+			t.Fatalf("seed %d: binary payload: %v", seed, err)
+		}
+		if len(dr.Cols) == 0 && len(dr.Rows) > 0 {
+			return // rows without columns have no bytes to be counted by
+		}
+		form, err := jsonPayload(raw)
+		if (err != nil) != (wantErr != nil) || !bytes.Equal(form, want) {
+			t.Fatalf("seed %d: JSON form %q (%v), row writer %q (%v)", seed, form, err, want, wantErr)
+		}
+		ix := buildRowIndex(raw)
+		if ix == nil {
+			t.Fatalf("seed %d: binary payload does not index", seed)
+		}
+		rng := rand.New(rand.NewSource(int64(pick)))
+		var rows []uint32
+		var picked []storage.Row
+		for _, i := range rng.Perm(len(dr.Rows)) {
+			if rng.Intn(2) == 0 {
+				rows = append(rows, uint32(i))
+				picked = append(picked, dr.Rows[i])
+			}
+		}
+		wantSub, wantErr := rowWriterDocument(dr.Cols, dr.Types, picked)
+		sub, err := jsonPayload(ix.subset(raw, rows))
+		if (err != nil) != (wantErr != nil) || !bytes.Equal(sub, wantSub) {
+			t.Fatalf("seed %d rows %v: entering JSON %q (%v), row writer %q (%v)", seed, rows, sub, err, wantSub, wantErr)
+		}
+	})
+}
+
 func TestEncodeJSONCells(t *testing.T) {
 	// Every edge value, one cell each, through both writers.
 	dr := &DataResponse{Cols: []string{"i", "f", "s"}, Types: ColTypes{storage.TInt64, storage.TFloat64, storage.TString}}
@@ -249,9 +377,8 @@ func sameCells(t *testing.T, got, ref *DataResponse) {
 }
 
 // FuzzDecodeJSON: arbitrary bytes never panic or allocate beyond what
-// the input pays for, whatever the typed reader accepts re-encodes, and
-// every payload Encode can produce decodes to the reference decoder's
-// cells.
+// the input pays for, and every payload Encode can produce decodes to
+// the reference decoder's cells.
 func FuzzDecodeJSON(f *testing.F) {
 	for seed := int64(0); seed < 32; seed++ {
 		data, err := Encode(genResponse(seed), CodecJSON)
@@ -282,17 +409,6 @@ func FuzzDecodeJSON(f *testing.F) {
 			if len(dr.Cols) > len(data) || len(dr.Rows) > len(data)/2 || cells > len(data)/2 {
 				t.Fatalf("%d cols, %d rows, %d cells out of %d bytes", len(dr.Cols), len(dr.Rows), cells, len(data))
 			}
-			// The row index is the same scanner with another sink: it must
-			// accept what Decode accepts and see the same rows.
-			ix, _ := scanJSONRows(data)
-			if ix == nil || ix.rows() != len(dr.Rows) {
-				t.Fatalf("Decode read %d rows, the row index scan %v", len(dr.Rows), ix)
-			}
-			for i := range dr.Rows {
-				if row := data[ix.off[i] : ix.off[i+1]-1]; len(row) < 2 || row[0] != '[' || row[len(row)-1] != ']' {
-					t.Fatalf("indexed row %d is %q", i, row)
-				}
-			}
 		}
 
 		want := genResponse(seed)
@@ -321,7 +437,8 @@ func FuzzDecodeJSON(f *testing.F) {
 }
 
 // TestBigIDsRoundTrip: ids past 2^53 survive both codecs exactly, and
-// the row index reads the same identity the client will key on.
+// the row index of the cached binary payload reads the same identity the
+// client will key on.
 func TestBigIDsRoundTrip(t *testing.T) {
 	ids := []int64{1<<53 + 1, math.MaxInt64, math.MinInt64, -(1<<53 + 1), 1 << 53}
 	dr := &DataResponse{Cols: []string{"id", "x"}, Types: ColTypes{storage.TInt64, storage.TFloat64}}
@@ -337,7 +454,7 @@ func TestBigIDsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := buildRowIndex(payload, codec)
+		ix := buildRowIndex(binaryOf(t, payload, codec))
 		if ix == nil || !ix.diffable {
 			t.Fatalf("%s: payload not diffable: %+v", codec, ix)
 		}
@@ -349,9 +466,28 @@ func TestBigIDsRoundTrip(t *testing.T) {
 	}
 }
 
+// fill runs one window query as a miss does and returns the payload a
+// client of codec receives: the binary payload runQuery builds, or the
+// JSON form written from it.
+func fill(t testing.TB, srv *Server, sql string, args []storage.Value, codec Codec) []byte {
+	t.Helper()
+	p, err := srv.runQuery(context.Background(), sql, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if codec == CodecBinary {
+		return p.raw
+	}
+	raw, err := jsonPayload(p.raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // TestQueryPayloadMatchesEncode: what runQuery streams out of the
-// executor is byte for byte what Encode makes of the collected result,
-// for both codecs — including the header rule (types from the first
+// executor, in either codec, is byte for byte what Encode makes of the
+// collected result — including the header rule (types from the first
 // row, DOUBLE when there is none) and the index's visit order.
 func TestQueryPayloadMatchesEncode(t *testing.T) {
 	srv, _ := newPointsServer(t, 3000, 4096, 2048)
@@ -363,10 +499,7 @@ func TestQueryPayloadMatchesEncode(t *testing.T) {
 			{MinX: -50, MinY: -50, MaxX: -10, MaxY: -10}, // empty
 		} {
 			sql, args := pl.WindowSQL(win)
-			p, err := srv.runQuery(context.Background(), sql, args, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			raw := fill(t, srv, sql, args, codec)
 			res, err := srv.db.Query(sql, args...)
 			if err != nil {
 				t.Fatal(err)
@@ -382,11 +515,11 @@ func TestQueryPayloadMatchesEncode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(p.raw, want) {
-				t.Fatalf("%s %v: streamed payload differs from Encode(result) (%d vs %d bytes)", codec, win, len(p.raw), len(want))
+			if !bytes.Equal(raw, want) {
+				t.Fatalf("%s %v: streamed payload differs from Encode(result) (%d vs %d bytes)", codec, win, len(raw), len(want))
 			}
-			if cap(p.raw) != len(p.raw) {
-				t.Fatalf("%s: payload buffer %d bytes for %d of payload", codec, cap(p.raw), len(p.raw))
+			if cap(raw) != len(raw) {
+				t.Fatalf("%s: payload buffer %d bytes for %d of payload", codec, cap(raw), len(raw))
 			}
 		}
 		// A projection is not a heap tuple: the binary writer encodes it
@@ -395,12 +528,8 @@ func TestQueryPayloadMatchesEncode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := srv.runQuery(context.Background(), mapSQL, mapArgs, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
 		res, _ := srv.db.Query(mapSQL, mapArgs...)
-		back, err := Decode(p.raw, codec)
+		back, err := Decode(fill(t, srv, mapSQL, mapArgs, codec), codec)
 		if err != nil || len(back.Rows) != len(res.Rows) || len(res.Rows) == 0 {
 			t.Fatalf("%s mapping tile: %d rows decoded, %d queried, err %v", codec, len(back.Rows), len(res.Rows), err)
 		}
@@ -416,7 +545,8 @@ func TestQueryPayloadMatchesEncode(t *testing.T) {
 
 // BenchmarkWindowFill is the miss path behind the caches: one ≈ 500-row
 // window query through runQuery — index probe, heap reads, encode and
-// payload hash — over 200k uniform rows.
+// payload hash — over 200k uniform rows, and for json the JSON form
+// written from it.
 func BenchmarkWindowFill(b *testing.B) {
 	db, ca := newPointsApp(b, 200_000, 131072, 16384)
 	srv, err := New(db, ca, Options{
@@ -440,8 +570,14 @@ func BenchmarkWindowFill(b *testing.B) {
 				x, y := float64(i%50)*2500, float64(i/50%6)*2500
 				sql, args := pl.WindowSQL(geom.Rect{MinX: x, MinY: y, MaxX: x + side, MaxY: y + side})
 				before := srv.Stats.RowsServed.Load()
-				if _, err := srv.runQuery(ctx, sql, args, codec); err != nil {
+				p, err := srv.runQuery(ctx, sql, args)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if codec == CodecJSON {
+					if _, err := jsonPayload(p.raw); err != nil {
+						b.Fatal(err)
+					}
 				}
 				rows += srv.Stats.RowsServed.Load() - before
 			}
@@ -486,12 +622,12 @@ func BenchmarkDecodeBox(b *testing.B) {
 	}
 }
 
-// TestWindowFillAllocations: a fill allocates per window, not per row
-// (binary) and not per cell (JSON): ten thousand rows cost a few dozen
-// allocations of planning, closures and the one payload buffer, plus the
-// scratch buffer regrowing by doubling whenever a collection (or the race
-// detector) has emptied the pool. BenchmarkWindowFill reports the exact
-// figure.
+// TestWindowFillAllocations: a fill allocates per window, not per row,
+// and so does writing its JSON form, not per cell: ten thousand rows
+// cost a few dozen allocations of planning, closures and the payload
+// buffers, plus the scratch buffers regrowing by doubling whenever a
+// collection (or the race detector) has emptied a pool.
+// BenchmarkWindowFill reports the exact figure.
 func TestWindowFillAllocations(t *testing.T) {
 	srv, _ := newPointsServer(t, 20000, 4096, 2048)
 	pl, _ := srv.Layer("main", 0)
@@ -500,9 +636,7 @@ func TestWindowFillAllocations(t *testing.T) {
 		var rows int64
 		allocs := testing.AllocsPerRun(20, func() {
 			before := srv.Stats.RowsServed.Load()
-			if _, err := srv.runQuery(context.Background(), sql, args, codec); err != nil {
-				t.Fatal(err)
-			}
+			fill(t, srv, sql, args, codec)
 			rows = srv.Stats.RowsServed.Load() - before
 		})
 		if rows < 5000 || allocs > float64(rows)/10 {
@@ -513,11 +647,15 @@ func TestWindowFillAllocations(t *testing.T) {
 
 // TestTracedMissAccountsForRows: one traced spatial-tile miss records a
 // db.query span whose rows attr is the number of rows the client decodes
-// and whose bytes attr is the payload's size, the db.query stage takes
-// one sample, and a pure R-tree window reads exactly the rows it returns.
+// and a bytes attr that is the payload's size — for a JSON client, the
+// json.write span's is — the db.query stage takes one sample, and a pure
+// R-tree window reads exactly the rows it returns.
 func TestTracedMissAccountsForRows(t *testing.T) {
 	srv, hs := newPointsServer(t, 3000, 4096, 2048)
 	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		// Both codecs are served from one cached payload: empty L1 so the
+		// second request misses too.
+		srv.BackendCache().Clear()
 		before := srv.db.Stats()
 		stageBefore := sampleValue(scrape(t, hs.URL), "kyrix_stage_duration_seconds_count", "stage", "db.query")
 		trace := map[Codec]string{CodecJSON: "a1", CodecBinary: "b2"}[codec]
@@ -533,21 +671,29 @@ func TestTracedMissAccountsForRows(t *testing.T) {
 		if err != nil || len(dr.Rows) == 0 {
 			t.Fatalf("%s tile: %d rows, %v", codec, len(dr.Rows), err)
 		}
-		var sp *obs.SpanData
-		for _, d := range srv.FlightRecorder().Snapshot().Recent {
-			if d.TraceID == trace {
-				sp = findSpan(d, "db.query")
+		attrs := func(name string) map[string]string {
+			t.Helper()
+			var sp *obs.SpanData
+			for _, d := range srv.FlightRecorder().Snapshot().Recent {
+				if d.TraceID == trace {
+					sp = findSpan(d, name)
+				}
 			}
+			if sp == nil {
+				t.Fatalf("%s: no %s span under trace %s", codec, name, trace)
+			}
+			m := map[string]string{}
+			for _, a := range sp.Attrs {
+				m[a.Key] = a.Value
+			}
+			return m
 		}
-		if sp == nil {
-			t.Fatalf("%s: no db.query span under trace %s", codec, trace)
+		query, written := attrs("db.query"), attrs("db.query")
+		if codec == CodecJSON {
+			written = attrs("json.write")
 		}
-		attrs := map[string]string{}
-		for _, a := range sp.Attrs {
-			attrs[a.Key] = a.Value
-		}
-		if attrs["rows"] != strconv.Itoa(len(dr.Rows)) || attrs["bytes"] != strconv.Itoa(len(body)) {
-			t.Fatalf("%s: db.query attrs %v, decoded %d rows from %d bytes", codec, attrs, len(dr.Rows), len(body))
+		if query["rows"] != strconv.Itoa(len(dr.Rows)) || written["bytes"] != strconv.Itoa(len(body)) {
+			t.Fatalf("%s: db.query attrs %v, written %v, decoded %d rows from %d bytes", codec, query, written, len(dr.Rows), len(body))
 		}
 		if got := sampleValue(scrape(t, hs.URL), "kyrix_stage_duration_seconds_count", "stage", "db.query"); got != stageBefore+1 {
 			t.Fatalf("%s: db.query stage count %v -> %v", codec, stageBefore, got)
@@ -562,8 +708,8 @@ func TestTracedMissAccountsForRows(t *testing.T) {
 
 // TestWindowFillRacesUpdate (run with -race): fills of one window, in
 // both codecs, race updates that rewrite two columns of a row inside it
-// together. The binary fill copies tuple bytes off the page and the JSON
-// fill formats decoded cells, both under the table's read lock, so every
+// together. The fill copies tuple bytes off the page under the table's
+// read lock and the JSON form is written from those bytes, so every
 // payload holds the row whole: y and val from the same update.
 func TestWindowFillRacesUpdate(t *testing.T) {
 	srv, _ := newPointsServer(t, 2000, 4096, 2048)
@@ -590,12 +736,19 @@ func TestWindowFillRacesUpdate(t *testing.T) {
 		go func(codec Codec) {
 			defer wg.Done()
 			for fills := 0; !stop.Load() || fills < 3; fills++ {
-				p, err := srv.runQuery(context.Background(), sql, args, codec)
+				p, err := srv.runQuery(context.Background(), sql, args)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				dr, err := Decode(p.raw, codec)
+				raw := p.raw
+				if codec == CodecJSON {
+					if raw, err = jsonPayload(p.raw); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				dr, err := Decode(raw, codec)
 				if err != nil || len(dr.Rows) != 2000 {
 					t.Errorf("%s fill: %d rows, %v", codec, len(dr.Rows), err)
 					return

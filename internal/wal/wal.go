@@ -68,8 +68,15 @@ func Open(path string) (*Log, error) {
 }
 
 // validate scans the log and returns the offset after the last intact
-// record.
+// record. A header's length is checked against the bytes the file holds
+// behind it before anything is allocated for the payload, so a corrupt
+// header costs nothing.
 func validate(f *os.File) (int64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("wal: stat: %w", err)
+	}
+	size := fi.Size()
 	var off int64
 	hdr := make([]byte, frameHeader)
 	for {
@@ -78,6 +85,9 @@ func validate(f *os.File) (int64, error) {
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:])
 		sum := binary.LittleEndian.Uint32(hdr[4:])
+		if int64(length) > size-off-frameHeader {
+			return off, nil // torn payload
+		}
 		payload := make([]byte, length)
 		if _, err := f.ReadAt(payload, off+frameHeader); err != nil {
 			return off, nil // torn payload

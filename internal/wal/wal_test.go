@@ -2,10 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -367,4 +370,136 @@ func TestTruncateAt(t *testing.T) {
 	if err := l2.TruncateAt(LSN(l2.Size() + 1)); err == nil {
 		t.Fatal("TruncateAt beyond end succeeded")
 	}
+}
+
+// allocatedBy reports the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestOpenBoundsHeaderLength: a header whose length runs past the end of
+// the file is a torn tail, found without allocating the length it
+// claims — every L2 segment and replicated-log directory opens through
+// here.
+func TestOpenBoundsHeaderLength(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "test.wal")
+	hdr := make([]byte, frameHeader)
+	binary.LittleEndian.PutUint32(hdr, 256<<20)
+	if err := os.WriteFile(path, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var l *Log
+	var err error
+	if n := allocatedBy(func() { l, err = Open(path) }); n > 1<<20 {
+		t.Fatalf("Open of an %d-byte log allocated %d bytes", len(hdr), n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.Size() != 0 {
+		t.Fatalf("log opened at %d bytes, want the torn header cut", l.Size())
+	}
+}
+
+// FuzzWALOpen writes records, then overwrites, truncates or extends the
+// file's bytes, then opens and replays it. Nothing panics, neither Open
+// nor Replay allocates more than the file holds (plus a fixed slack),
+// and Replay returns the written records as a prefix: every record the
+// surviving bytes still hold whole, in order, unchanged. Past them only
+// a record read wholly out of changed bytes can appear — a well-formed
+// frame is indistinguishable from a written one — and after a plain
+// truncation none does.
+func FuzzWALOpen(f *testing.F) {
+	f.Add([]byte("alpha\xffbeta\xffgamma"), uint8(0), uint32(13), []byte{0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte("alpha\xffbeta\xffgamma"), uint8(1), uint32(20), []byte(nil))
+	f.Add([]byte("alpha\xffbeta"), uint8(2), uint32(0), []byte{0, 0, 0, 0x10, 1, 2, 3, 4})
+	f.Add([]byte("\xff\xff"), uint8(2), uint32(0), make([]byte, 8))
+	f.Add([]byte(nil), uint8(0), uint32(0), []byte{0, 0, 0, 0x40, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, payloads []byte, op uint8, at uint32, patch []byte) {
+		records := bytes.Split(payloads, []byte{0xff})
+		if len(records) > 32 || len(payloads) > 1<<16 || len(patch) > 1<<16 {
+			return
+		}
+		path := filepath.Join(t.TempDir(), "fuzz.wal")
+		l, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ends []int // ends[i] is where record i's frame ends
+		for _, r := range records {
+			lsn, err := l.Append(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ends = append(ends, int(lsn)+frameHeader+len(r))
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		written, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := bytes.Clone(written)
+		switch op % 3 {
+		case 0: // overwrite, possibly past the end
+			pos := int(at % uint32(len(data)+1))
+			data = slices.Concat(data[:pos], patch, data[min(pos+len(patch), len(data)):])
+		case 1: // truncate
+			data = data[:int(at%uint32(len(data)+1))]
+		case 2: // extend
+			data = slices.Concat(data, patch)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		const slack = 64 << 10
+		var opened *Log
+		if n := allocatedBy(func() { opened, err = Open(path) }); n > uint64(len(data))+slack {
+			t.Fatalf("Open of a %d-byte log allocated %d bytes", len(data), n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer opened.Close()
+		var got [][]byte
+		if n := allocatedBy(func() {
+			err = opened.Replay(func(_ LSN, p []byte) error {
+				got = append(got, p)
+				return nil
+			})
+		}); n > uint64(len(data))+slack {
+			t.Fatalf("Replay of a %d-byte log allocated %d bytes", len(data), n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// intact is how far the file still holds the bytes written.
+		intact := 0
+		for intact < min(len(data), len(written)) && data[intact] == written[intact] {
+			intact++
+		}
+		whole := 0 // written records wholly inside the intact bytes
+		for whole < len(ends) && ends[whole] <= intact {
+			whole++
+		}
+		if len(got) < whole {
+			t.Fatalf("replayed %d records; the intact bytes hold %d", len(got), whole)
+		}
+		for i := range whole {
+			if !bytes.Equal(got[i], records[i]) {
+				t.Fatalf("record %d replayed as %q, written as %q", i, got[i], records[i])
+			}
+		}
+		if intact == len(data) && len(got) != whole {
+			t.Fatalf("a truncated log replayed %d records, want the %d it holds whole", len(got), whole)
+		}
+	})
 }

@@ -332,17 +332,22 @@
 // # Wire payloads (the JSON and binary codecs)
 //
 // A payload is the rows of one tile or dynamic box under a small schema
-// header, in the codec the request names; GET /tile, GET /dbox, batch
-// frames, L1, L2 and peer fills all carry exactly these bytes. Each
-// codec has one writer (the payload builder in internal/server, fed by
-// the query path and by server.Encode) and one reader
-// (server.DecodeColumns, whose scanner the delta planner's row index
-// shares), and both are fixed formats, not "whatever a marshaller
-// emits". The reader fills columns — one typed slice per column, TEXT
-// as offsets into one byte arena — which is what the frontend holds for
-// a box or a tile, applies deltas to column by column, and turns into
-// rows only for the objects it draws; server.Decode is the row view of
-// the same result.
+// header, in the codec the request names; GET /tile, GET /dbox and batch
+// frames carry exactly these bytes. The server caches one form only: the
+// binary payload, which L1, L2 and peer fills hold whichever codec a
+// client speaks, so a box costs one query and one L1 entry. There is one
+// writer, the payload builder in internal/server (fed by the query path
+// and by server.Encode), and it writes the binary payload; a JSON payload
+// is written from the binary one's columns on first need and kept in the
+// wire memo — the document for uncompressed responses, only the DEFLATE
+// body for compressed frames — while its id and length stay with the
+// cached binary payload for the delta planner. Each codec has one reader
+// (server.DecodeColumns). Both are fixed formats, not "whatever a
+// marshaller emits". The reader fills columns — one typed slice per
+// column, TEXT as offsets into one byte arena — which is what the
+// frontend holds for a box or a tile, applies deltas to column by column,
+// and turns into rows only for the objects it draws; server.Decode is the
+// row view of the same result.
 //
 // JSON is one document with no insignificant whitespace and its three
 // members in this order:
@@ -359,7 +364,9 @@
 // float64, so ids above 2^53 survive). A DOUBLE cell is the shortest
 // digits that round-trip, positional when 1e-6 <= |v| < 1e21 and
 // otherwise exponent form with an unpadded exponent ("1e-7", "1e+21");
-// NaN and the infinities cannot be encoded. Strings escape
+// NaN and the infinities cannot be encoded: a binary payload holding one
+// is served to binary clients and fails JSON requests with a server
+// error. Strings escape
 // ", \ and control bytes (\b \f \n \r \t, else \u00XX), <, > and & as
 // \u003c \u003e \u0026, U+2028/9 as \u2028 \u2029, and replace invalid
 // UTF-8 with \ufffd. These are encoding/json's conventions byte for
@@ -386,17 +393,18 @@
 // shared exponents — and leave the random low mantissa bytes in runs of
 // their own, which the frame compressor stores instead of Huffman-coding
 // (see the wire package). A delta's entering rows are a per-column
-// gather of the new payload, and the row index reads ids straight out
-// of the id column's planes.
+// gather of the new binary payload — written as JSON for a JSON client,
+// whose delta names the JSON form's id and length — and the row index
+// reads ids straight out of the id column's planes.
 //
-// L1 and L2 keys start with the codec's key space: "json" for JSON,
-// "bincol" for the columnar binary layout. The row-major binary layout
-// that preceded it was cached under "binary", so an L2 directory
-// written before the change is never read by the columnar decoder: the
-// store drops those records when it opens, and the misses refill under
-// the new keys. A peer fill request names the key space too, so during
-// a node-by-node upgrade an owner on either build refuses a layout it
-// cannot produce and the requester queries its own database instead.
+// L1 and L2 keys start with the key space "bincol", named for the
+// columnar binary layout. Older builds cached the row-major binary
+// layout under "binary" and a JSON copy under "json", so an L2 directory
+// they wrote is never read by the columnar decoder: the store drops
+// those records when it opens, and the misses refill under the new
+// keys. A peer fill request names the key space too, so during a
+// node-by-node upgrade an owner on either build refuses a layout it
+// does not cache and the requester queries its own database instead.
 //
 // In both codecs the header's types are the value kinds of the first
 // row (all DOUBLE for an empty result), and rows appear in the order the
@@ -482,10 +490,9 @@
 // Every dynamic box, every static layer and [Client.PrefetchBoxes]
 // ride this stream. Tiles do when [ClientOptions].BatchSize > 1; at 0 or
 // 1 the client keeps the paper's one GET /tile per tile, the baseline
-// Figures 6 and 7 measure. [ClientOptions].Compression
-// ([CompressionAuto], [CompressionOff]) selects per-request
-// compression. GET /tile and GET /dbox stay on the server for single
-// requests (curl, debugging). The benchmark in bench/ (`bash
+// Figures 6 and 7 measure. The server DEFLATE-compresses a frame when
+// that makes it smaller. GET /tile and GET /dbox stay on the server for
+// single requests (curl, debugging). The benchmark in bench/ (`bash
 // bench/run.sh`) reports wire bytes per step, the wire/raw ratio and
 // time-to-first-frame.
 //
@@ -748,12 +755,6 @@ type (
 	// LayerMeta is what the frontend knows about one layer (schema,
 	// placement parameters, renderer name); renderers receive it.
 	LayerMeta = server.LayerMeta
-)
-
-// Per-frame compression selection for [ClientOptions].Compression.
-const (
-	CompressionAuto = frontend.CompressionAuto
-	CompressionOff  = frontend.CompressionOff
 )
 
 // NewClient connects a frontend to a backend URL.

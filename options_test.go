@@ -17,7 +17,6 @@ var optionSurface = []string{
 	"ClientOptions.BatchSize",
 	"ClientOptions.CacheBytes",
 	"ClientOptions.Codec",
-	"ClientOptions.Compression",
 	"ClientOptions.HTTPClient",
 	"ClientOptions.Scheme.Adaptive",
 	"ClientOptions.Scheme.Design",
