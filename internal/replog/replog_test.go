@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -708,6 +709,59 @@ func TestWALFailureNotAcked(t *testing.T) {
 	}
 	if st := n.Snapshot(); st.LastIndex != before.LastIndex {
 		t.Fatalf("reopened log ends at %d, want %d", st.LastIndex, before.LastIndex)
+	}
+}
+
+// TestZeroTailReopens: a standalone log whose entry WAL gained a
+// zero-filled tail, as a crash can leave one, reopens and replays the
+// entries it holds. Eight zero bytes are a frame whose CRC matches, so
+// the tail once replayed as empty records that failed to parse.
+func TestZeroTailReopens(t *testing.T) {
+	dir := t.TempDir()
+	open := func(rec *applyRec, election time.Duration) *Node {
+		n, err := Open(Config{
+			Self:            "http://solo",
+			Dir:             dir,
+			Apply:           rec.apply,
+			ElectionTimeout: election,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	rec := &applyRec{}
+	n := open(rec, 30*time.Millisecond)
+	want := []string{"a", "b", "c"}
+	for _, cmd := range want {
+		if _, err := n.Submit(context.Background(), []byte(cmd)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := n.Snapshot().LastIndex
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "replog.kyx"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A minute-long election timeout: nothing appends after the replay.
+	rec = &applyRec{}
+	n = open(rec, time.Minute)
+	defer n.Close()
+	if got := rec.snapshot(); !equalStrings(got, want) {
+		t.Fatalf("replayed %v, want %v", got, want)
+	}
+	if st := n.Snapshot(); st.LastIndex != last {
+		t.Fatalf("reopened log ends at %d, want %d", st.LastIndex, last)
 	}
 }
 

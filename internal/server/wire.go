@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 	"unicode/utf16"
@@ -450,9 +451,11 @@ func DecodeColumns(data []byte, codec Codec) (*Columns, error) {
 	return nil, fmt.Errorf("server: unknown codec %q", codec)
 }
 
-// jsonScanner tokenizes the JSON payload grammar: cols, types and rows
-// in that order, no insignificant whitespace. It is the one reader of the
-// format, and decodeJSON its one sink.
+// jsonScanner reads the JSON payload grammar: cols, types and rows in
+// that order, no insignificant whitespace. It is the one reader of the
+// format. header reads the schema a token at a time, and decodeJSON
+// walks the row section in one loop, reading each number cell with
+// number as it scans it.
 // Payloads arrive off the wire, from the L2 store and from peers, so it
 // trusts nothing: everything it allocates is paid for by input bytes
 // already consumed.
@@ -472,9 +475,18 @@ func (s *jsonScanner) lit(lit string) bool {
 	return true
 }
 
-// token consumes one scalar cell — a string with its quotes, or the
-// bytes of a number or literal up to the next ',' or ']' — and returns
-// it. nil means the input ended inside it.
+// next consumes c if it is the next byte.
+func (s *jsonScanner) next(c byte) bool {
+	if s.pos < len(s.b) && s.b[s.pos] == c {
+		s.pos++
+		return true
+	}
+	return false
+}
+
+// token consumes one header item or TEXT or BOOL cell — a string with
+// its quotes, or the bytes up to the next ',' or ']' — and returns it.
+// nil means the input ended inside it.
 func (s *jsonScanner) token() []byte {
 	start := s.pos
 	if s.pos < len(s.b) && s.b[s.pos] == '"' {
@@ -563,40 +575,12 @@ func (s *jsonScanner) header() (cols []string, types ColTypes, err error) {
 	return cols, types, nil
 }
 
-// rows walks the row section to the end of the document, calling cell
-// with each token and its row and column; every row must have ncols
-// cells. It returns the row count.
-func (s *jsonScanner) rows(ncols int, cell func(row, col int, tok []byte) error) (int, error) {
-	n := 0
-	for ; !s.lit("]"); n++ {
-		if n > 0 && !s.lit(",") {
-			return 0, errJSONPayload
-		}
-		col := 0
-		err := s.list(func(tok []byte) error {
-			if col++; col > ncols {
-				return nil
-			}
-			return cell(n, col-1, tok)
-		})
-		if err != nil {
-			return 0, err
-		}
-		if col != ncols {
-			return 0, fmt.Errorf("server: row %d arity %d != %d", n, col, ncols)
-		}
-	}
-	if !s.lit("}") || s.pos != len(s.b) {
-		return 0, errJSONPayload
-	}
-	return n, nil
-}
-
-// decodeJSON is DecodeColumns' JSON sink: each cell is parsed by its
-// column's declared type and appended to that column — integers exactly,
-// never through float64. Each TEXT column unquotes into its own arena
-// while the rows interleave, so its values stay contiguous; the arenas
-// are joined at the end.
+// decodeJSON is DecodeColumns' JSON sink. One loop walks the row
+// section and appends each cell to its column by the column's declared
+// type: a number cell is read once, as it is scanned (jsonNum), and
+// integers never pass through a float64. Each TEXT column unquotes into
+// its own arena while the rows interleave, so its values stay
+// contiguous; the arenas are joined at the end.
 func decodeJSON(data []byte) (*Columns, error) {
 	s := jsonScanner{b: data}
 	cols, types, err := s.header()
@@ -610,27 +594,30 @@ func decodeJSON(data []byte) (*Columns, error) {
 			c.Data[col].Offs = []uint32{0}
 		}
 	}
-	c.N, err = s.rows(len(cols),
-		func(row, col int, tok []byte) error {
+	for ; !s.next(']'); c.N++ {
+		if c.N > 0 && !s.next(',') || !s.next('[') {
+			return nil, errJSONPayload
+		}
+		for col, t := range types {
+			if col > 0 && !s.next(',') {
+				return nil, fmt.Errorf("server: row %d arity != %d", c.N, len(types))
+			}
 			d := &c.Data[col]
-			var err error
-			switch types[col] {
+			switch t {
 			case storage.TInt64:
 				var v int64
-				if v, err = jsonInt(tok); err == nil {
-					d.Ints = append(d.Ints, v)
-				}
+				v, err = s.int()
+				d.Ints = append(d.Ints, v)
 			case storage.TFloat64:
 				var v float64
-				if v, err = jsonFloat(tok); err == nil {
-					d.Floats = append(d.Floats, v)
-				}
+				v, err = s.float()
+				d.Floats = append(d.Floats, v)
 			case storage.TString:
-				if texts[col], err = appendJSONUnquoted(texts[col], tok); err == nil {
+				if texts[col], err = appendJSONUnquoted(texts[col], s.token()); err == nil {
 					d.Offs = append(d.Offs, uint32(len(texts[col])))
 				}
 			default: // TBool: header() admits no other type
-				switch string(tok) {
+				switch string(s.token()) {
 				case "true":
 					d.Bools = append(d.Bools, true)
 				case "false":
@@ -640,12 +627,15 @@ func decodeJSON(data []byte) (*Columns, error) {
 				}
 			}
 			if err != nil {
-				return fmt.Errorf("server: row %d col %d: %w", row, col, err)
+				return nil, fmt.Errorf("server: row %d col %d: %w", c.N, col, err)
 			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
+		}
+		if !s.next(']') {
+			return nil, fmt.Errorf("server: row %d arity != %d", c.N, len(types))
+		}
+	}
+	if !s.lit("}") || s.pos != len(s.b) {
+		return nil, errJSONPayload
 	}
 	for col, text := range texts {
 		if types[col] != storage.TString {
@@ -660,31 +650,160 @@ func decodeJSON(data []byte) (*Columns, error) {
 	return c, nil
 }
 
-// jsonInt parses an INT cell.
-func jsonInt(tok []byte) (int64, error) {
-	if !jsonNumber(tok) {
-		return 0, errors.New("not numeric")
-	}
-	return strconv.ParseInt(string(tok), 10, 64)
+// jsonNum is what number learned of one number cell.
+type jsonNum struct {
+	// mant holds the significant digits' value (leading zeros do not
+	// count) when there are at most 19 of them, and is not used
+	// otherwise; digits counts them, and frac the digits after the point.
+	mant              uint64
+	digits, frac      int
+	neg, point, expon bool
 }
 
-// jsonFloat parses a DOUBLE cell.
-func jsonFloat(tok []byte) (float64, error) {
-	if !jsonNumber(tok) {
-		return 0, errors.New("not numeric")
-	}
-	return strconv.ParseFloat(string(tok), 64)
-}
+var errNotNumber = errors.New("not a JSON number")
 
-// jsonNumber reports whether tok is made of JSON number characters only,
-// which keeps strconv's wider syntax (inf, nan, hex, underscores) out.
-func jsonNumber(tok []byte) bool {
-	for _, c := range tok {
-		if (c < '0' || c > '9') && c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' {
-			return false
+// number reads the number cell at the scanner's position in one pass.
+// The cell must be an RFC 8259 number,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, followed by ',' or
+// ']'; only the digits are collected, and an exponent is checked, not
+// read. Nothing is consumed if the cell is anything else.
+func (s *jsonScanner) number() (n jsonNum, ok bool) {
+	b, i := s.b, s.pos
+	if n.neg = i < len(b) && b[i] == '-'; n.neg {
+		i++
+	}
+	switch {
+	case i >= len(b) || b[i]-'0' > 9:
+		return n, false
+	case b[i] == '0':
+		i++
+	default:
+		at := i
+		i, n.mant = digitRun(b, i, 0)
+		n.digits = i - at
+	}
+	if i < len(b) && b[i] == '.' {
+		n.point = true
+		i++
+		at := i
+		if n.digits == 0 { // zeros after "0." are not significant
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+		}
+		sig := i
+		if i, n.mant = digitRun(b, i, n.mant); i == at {
+			return n, false
+		}
+		n.digits += i - sig
+		n.frac = i - at
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		n.expon = true
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		at := i
+		for i < len(b) && b[i]-'0' <= 9 {
+			i++
+		}
+		if i == at {
+			return n, false
 		}
 	}
-	return len(tok) > 0
+	if i >= len(b) || b[i] != ',' && b[i] != ']' {
+		return n, false
+	}
+	s.pos = i
+	return n, true
+}
+
+// digitRun reads the run of digits at b[i:] into mant, which wraps past
+// 19 digits, and returns where the run ends.
+func digitRun(b []byte, i int, mant uint64) (int, uint64) {
+	for ; i < len(b); i++ {
+		d := b[i] - '0'
+		if d > 9 {
+			break
+		}
+		mant = mant*10 + uint64(d)
+	}
+	return i, mant
+}
+
+// Powers of ten that are exact in a float64 (up to 1e22) and in a
+// uint64 (up to 1e19).
+var (
+	float64Pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+	uint64Pow10 = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+)
+
+// float reads a DOUBLE cell, bit for bit as strconv.ParseFloat does. The
+// positional text appendJSONFloat writes, at most 19 significant digits,
+// is mant / 10^frac, rounded once: by a float64 division when both
+// operands are exact (Clinger's fast path), by divPow10 otherwise.
+// Exponent form and longer digit strings go to strconv.
+func (s *jsonScanner) float() (float64, error) {
+	start := s.pos
+	n, ok := s.number()
+	if !ok {
+		return 0, errNotNumber
+	}
+	if n.expon || n.digits > 19 || n.mant > 1<<53 && n.frac > 19 || n.frac > 22 {
+		return strconv.ParseFloat(string(s.b[start:s.pos]), 64)
+	}
+	var f float64
+	if n.mant <= 1<<53 {
+		f = float64(n.mant) / float64Pow10[n.frac]
+	} else {
+		f = divPow10(n.mant, n.frac)
+	}
+	if n.neg {
+		f = -f
+	}
+	return f, nil
+}
+
+// divPow10 returns m / 10^k rounded to nearest, ties to even, for
+// 2^53 < m < 2^64 and k <= 19. Both are shifted left until their top bit
+// is set; one 128-by-64-bit division of half the mantissa, so that the
+// high word is below the divisor, gives a quotient of 63 or 64 bits. Its
+// top 53 are the result, and the dropped bits, with the remainder as
+// the sticky bit, round it.
+func divPow10(m uint64, k int) float64 {
+	d := uint64Pow10[k]
+	lm, ld := bits.LeadingZeros64(m), bits.LeadingZeros64(d)
+	m, d = m<<lm, d<<ld
+	q, r := bits.Div64(m>>1, m<<63, d) // q = ⌊m·2^63 / d⌋
+	sh := 64 - 53 - bits.LeadingZeros64(q)
+	mant, dropped, half := q>>sh, q&(1<<sh-1), uint64(1)<<(sh-1)
+	if dropped > half || dropped == half && (r != 0 || mant&1 == 1) {
+		mant++ // 2^53 at most, still exact
+	}
+	return math.Ldexp(float64(mant), sh-63+ld-lm)
+}
+
+// int reads an INT cell exactly. An integer beyond int64's range goes to
+// strconv.ParseInt, which refuses it.
+func (s *jsonScanner) int() (int64, error) {
+	start := s.pos
+	n, ok := s.number()
+	if !ok {
+		return 0, errNotNumber
+	}
+	if n.point || n.expon {
+		return 0, errors.New("not an integer")
+	}
+	if n.digits > 19 || n.mant > math.MaxInt64 && !(n.neg && n.mant == 1<<63) {
+		return strconv.ParseInt(string(s.b[start:s.pos]), 10, 64)
+	}
+	v := int64(n.mant)
+	if n.neg {
+		v = -v
+	}
+	return v, nil
 }
 
 // jsonString unquotes a string token.

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
+	"regexp"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -376,9 +380,149 @@ func sameCells(t *testing.T, got, ref *DataResponse) {
 	}
 }
 
+// callbackDecodeJSON is the JSON reader decodeJSON replaced: token
+// pre-scans each cell, a callback per cell appends it, and every number
+// goes through strconv after a character check that admits more than
+// the payload grammar. It stays as the reference the one-loop reader is
+// held to. outside reports that a number cell it read is not in RFC
+// 8259's number form, which the one-loop reader refuses.
+func callbackDecodeJSON(data []byte) (c *Columns, outside bool, err error) {
+	s := jsonScanner{b: data}
+	cols, types, err := s.header()
+	if err != nil {
+		return nil, false, err
+	}
+	c = &Columns{Cols: cols, Types: types, Data: make([]Column, len(types))}
+	texts := make([][]byte, len(types))
+	for col, t := range types {
+		if t == storage.TString {
+			c.Data[col].Offs = []uint32{0}
+		}
+	}
+	numeric := func(tok []byte) bool {
+		for _, ch := range tok {
+			if (ch < '0' || ch > '9') && ch != '-' && ch != '+' && ch != '.' && ch != 'e' && ch != 'E' {
+				return false
+			}
+		}
+		outside = outside || !rfcNumber.Match(tok)
+		return len(tok) > 0
+	}
+	c.N, err = callbackRows(&s, len(cols),
+		func(row, col int, tok []byte) error {
+			d := &c.Data[col]
+			var err error
+			switch types[col] {
+			case storage.TInt64:
+				var v int64
+				if !numeric(tok) {
+					err = errors.New("not numeric")
+				} else if v, err = strconv.ParseInt(string(tok), 10, 64); err == nil {
+					d.Ints = append(d.Ints, v)
+				}
+			case storage.TFloat64:
+				var v float64
+				if !numeric(tok) {
+					err = errors.New("not numeric")
+				} else if v, err = strconv.ParseFloat(string(tok), 64); err == nil {
+					d.Floats = append(d.Floats, v)
+				}
+			case storage.TString:
+				if texts[col], err = appendJSONUnquoted(texts[col], tok); err == nil {
+					d.Offs = append(d.Offs, uint32(len(texts[col])))
+				}
+			default:
+				switch string(tok) {
+				case "true":
+					d.Bools = append(d.Bools, true)
+				case "false":
+					d.Bools = append(d.Bools, false)
+				default:
+					err = errors.New("not bool")
+				}
+			}
+			if err != nil {
+				return fmt.Errorf("server: row %d col %d: %w", row, col, err)
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, outside, err
+	}
+	for col, text := range texts {
+		if types[col] != storage.TString {
+			continue
+		}
+		base, offs := uint32(len(c.Text)), c.Data[col].Offs
+		for i := range offs {
+			offs[i] += base
+		}
+		c.Text = append(c.Text, text...)
+	}
+	return c, outside, nil
+}
+
+// callbackRows walks the row section to the end of the document, calling
+// cell with each token and its row and column; every row must have ncols
+// cells. It returns the row count.
+func callbackRows(s *jsonScanner, ncols int, cell func(row, col int, tok []byte) error) (int, error) {
+	n := 0
+	for ; !s.lit("]"); n++ {
+		if n > 0 && !s.lit(",") {
+			return 0, errJSONPayload
+		}
+		col := 0
+		err := s.list(func(tok []byte) error {
+			if col++; col > ncols {
+				return nil
+			}
+			return cell(n, col-1, tok)
+		})
+		if err != nil {
+			return 0, err
+		}
+		if col != ncols {
+			return 0, fmt.Errorf("server: row %d arity %d != %d", n, col, ncols)
+		}
+	}
+	if !s.lit("}") || s.pos != len(s.b) {
+		return 0, errJSONPayload
+	}
+	return n, nil
+}
+
+// rfcNumber is RFC 8259's number grammar, the one JSON payloads use.
+var rfcNumber = regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
+
+// sameColumns reports the first difference between two decoded
+// payloads, comparing DOUBLE cells by their bits; "" means none.
+func sameColumns(got, want *Columns) string {
+	if !slices.Equal(got.Cols, want.Cols) || !slices.Equal(got.Types, want.Types) || got.N != want.N {
+		return fmt.Sprintf("shape %q %v %d vs %q %v %d", got.Cols, got.Types, got.N, want.Cols, want.Types, want.N)
+	}
+	if (got.Cols == nil) != (want.Cols == nil) || !bytes.Equal(got.Text, want.Text) || len(got.Data) != len(want.Data) {
+		return fmt.Sprintf("columns %q text %q vs columns %q text %q", got.Cols, got.Text, want.Cols, want.Text)
+	}
+	for col, d := range got.Data {
+		w := want.Data[col]
+		if !slices.Equal(d.Ints, w.Ints) || !slices.Equal(d.Bools, w.Bools) || !slices.Equal(d.Offs, w.Offs) ||
+			len(d.Floats) != len(w.Floats) {
+			return fmt.Sprintf("column %d: %+v vs %+v", col, d, w)
+		}
+		for i, f := range d.Floats {
+			if math.Float64bits(f) != math.Float64bits(w.Floats[i]) {
+				return fmt.Sprintf("column %d row %d: %v (%#x) vs %v (%#x)", col, i, f, math.Float64bits(f), w.Floats[i], math.Float64bits(w.Floats[i]))
+			}
+		}
+	}
+	return ""
+}
+
 // FuzzDecodeJSON: arbitrary bytes never panic or allocate beyond what
-// the input pays for, and every payload Encode can produce decodes to
-// the reference decoder's cells.
+// the input pays for; on any input whose number cells are in the RFC
+// 8259 form, the reader accepts what the callback reader accepts and
+// returns the same columns, float bits included; and every payload
+// Encode can produce decodes to the reference decoder's cells.
 func FuzzDecodeJSON(f *testing.F) {
 	for seed := int64(0); seed < 32; seed++ {
 		data, err := Encode(genResponse(seed), CodecJSON)
@@ -396,18 +540,34 @@ func FuzzDecodeJSON(f *testing.F) {
 		`{"cols":["a"],"types":[1],"rows":[[1,2]]}`, `{"cols":["a"],"types":[1],"rows":[[1]],}`,
 		`{"cols":["a"],"types":[4],"rows":[[true],[false],[maybe]]}`, `{"rows":[],"cols":[],"types":[]}`,
 		`{"cols":["a"],"types":[1],"rows":[[9223372036854775808]]}`, `{"cols":["a"],"types":[1],"rows":[[1]]} `,
+		`{"cols":["a","b"],"types":[2,1],"rows":[[-0,-0],[0.0000001234,-9223372036854775808],[1e400,0]]}`,
+		`{"cols":["a","b"],"types":[2,2],"rows":[[9007199254740993,4503599627370496.5],[123456789012345678.9,1.7976931348623157e308]]}`,
+		`{"cols":["a","b"],"types":[2,1],"rows":[[+1,01],[.5,-01],[1.,1e5]]}`,
+		`{"cols":[],"types":[],"rows":[[],[]]}`, `{"cols":["a"],"types":[2],"rows":[[]]}`,
 	} {
 		f.Add([]byte(s), int64(0))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
-		if dr, err := Decode(data, CodecJSON); err == nil {
+		got, err := DecodeColumns(data, CodecJSON)
+		if err == nil {
 			cells := 0
-			for _, row := range dr.Rows {
-				cells += len(row)
+			for _, d := range got.Data {
+				cells += len(d.Ints) + len(d.Floats) + len(d.Bools) + len(d.Offs) - min(len(d.Offs), 1)
 			}
 			// A row costs at least "[]," and a cell at least "0,".
-			if len(dr.Cols) > len(data) || len(dr.Rows) > len(data)/2 || cells > len(data)/2 {
-				t.Fatalf("%d cols, %d rows, %d cells out of %d bytes", len(dr.Cols), len(dr.Rows), cells, len(data))
+			if len(got.Cols) > len(data) || got.N > len(data)/2 || cells > len(data)/2 {
+				t.Fatalf("%d cols, %d rows, %d cells out of %d bytes", len(got.Cols), got.N, cells, len(data))
+			}
+		}
+		ref, outside, refErr := callbackDecodeJSON(data)
+		switch {
+		case err == nil && refErr != nil:
+			t.Fatalf("%q: accepted; the callback reader refuses it: %v", data, refErr)
+		case err != nil && refErr == nil && !outside:
+			t.Fatalf("%q: refused (%v); the callback reader accepts it", data, err)
+		case err == nil:
+			if diff := sameColumns(got, ref); diff != "" {
+				t.Fatalf("%q: %s", data, diff)
 			}
 		}
 
@@ -416,24 +576,110 @@ func FuzzDecodeJSON(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Decode(payload, CodecJSON)
+		back, err := Decode(payload, CodecJSON)
 		if err != nil {
 			t.Fatalf("Decode(Encode(seed %d)): %v\n%s", seed, err, payload)
 		}
-		ref, err := referenceDecodeJSON(payload)
+		refRows, err := referenceDecodeJSON(payload)
 		if err != nil {
 			t.Fatalf("reference decoder on seed %d: %v", seed, err)
 		}
-		sameCells(t, got, ref)
+		sameCells(t, back, refRows)
 		// And the integers the reference rounds come back exactly.
 		for i, row := range want.Rows {
 			for j, v := range row {
-				if v.Kind == storage.TInt64 && want.Types[j] == storage.TInt64 && got.Rows[i][j].I != v.I {
-					t.Fatalf("cell %d,%d: int %d came back %d", i, j, v.I, got.Rows[i][j].I)
+				if v.Kind == storage.TInt64 && want.Types[j] == storage.TInt64 && back.Rows[i][j].I != v.I {
+					t.Fatalf("cell %d,%d: int %d came back %d", i, j, v.I, back.Rows[i][j].I)
 				}
 			}
 		}
 	})
+}
+
+// FuzzJSONNumber: on every token in RFC 8259's number form the number
+// reader agrees with strconv bit for bit — ParseFloat for a DOUBLE cell,
+// ParseInt for an INT cell, value and refusal alike, -0 included — and
+// it reads no token outside that form.
+func FuzzJSONNumber(f *testing.F) {
+	for _, tok := range []string{
+		"0", "-0", "-0.0", "1", "-1.5", "9007199254740991", "9007199254740992", "9007199254740993",
+		"-9007199254740993", "9007199254740995", "4503599627370496.5", "9007199254740993.0",
+		"1234567890.123456789", "12345678901.23456789", "9999999999999999999", "18446744073709551615",
+		"0.1", "0.30000000000000004", "9688.108792214192", "0.26243769383667637", "123456789012345678.9",
+		"0.000001", "0.0000009999999", "9.999999e-7", "1e-7", "1e-6", "100000000000000000000",
+		"999999999999999900000", "1e+21", "1e21", "1.7976931348623157e+308", "5e-324", "1e400",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+		"+1", ".5", "1.", "01", "-01", "-", "1e", "1e+", "0x10", "1_0", "Inf", "1.5.5", "--1", "",
+	} {
+		f.Add([]byte(tok))
+	}
+	f.Fuzz(func(t *testing.T, tok []byte) {
+		in := rfcNumber.Match(tok)
+		s := jsonScanner{b: append(slices.Clip(tok), ']')}
+		got, err := s.float()
+		if !in {
+			if err == nil && s.pos == len(tok) {
+				t.Fatalf("%q: read as %v outside the grammar", tok, got)
+			}
+			return
+		}
+		want, wantErr := strconv.ParseFloat(string(tok), 64)
+		if (err != nil) != (wantErr != nil) || math.Float64bits(got) != math.Float64bits(want) || s.pos != len(tok) {
+			t.Fatalf("%q: float %v (%#x, %v) at %d, strconv %v (%#x, %v)", tok, got, math.Float64bits(got), err, s.pos,
+				want, math.Float64bits(want), wantErr)
+		}
+		s.pos = 0
+		gotInt, err := s.int()
+		wantInt, wantErr := strconv.ParseInt(string(tok), 10, 64)
+		if (err != nil) != (wantErr != nil) || err == nil && gotInt != wantInt {
+			t.Fatalf("%q: int %d (%v), strconv %d (%v)", tok, gotInt, err, wantInt, wantErr)
+		}
+	})
+}
+
+// TestJSONNumberForms: a number cell is exactly RFC 8259's form. Every
+// other spelling strconv or a lenient reader would take is refused in an
+// INT and in a DOUBLE column, with an error naming the cell; the forms
+// the server writes read back.
+func TestJSONNumberForms(t *testing.T) {
+	doc := func(typ, cell string) []byte {
+		return []byte(`{"cols":["a","n"],"types":[1,` + typ + `],"rows":[[0,0],[1,` + cell + `]]}`)
+	}
+	for _, cell := range []string{
+		"+1", ".5", "1.", "01", "-01", "00", "-", "--1", "+", "1e", "1e+", "1E-", "e5", "-.5", "1.e5", ".e1",
+		"1.5.5", "1e5.5", "0x10", "1_000", "Inf", "-Infinity", "NaN", "nan", "infinity", " 1", "1 ", "\"1\"",
+		"true", "null", "1,", "",
+	} {
+		for _, typ := range []string{"1", "2"} {
+			_, err := DecodeColumns(doc(typ, cell), CodecJSON)
+			if err == nil || !strings.Contains(err.Error(), "row 1") {
+				t.Errorf("type %s cell %q: err %v, want a refusal naming row 1", typ, cell, err)
+			}
+		}
+	}
+	for cell, want := range map[string]float64{
+		"0": 0, "-0": math.Copysign(0, -1), "-0.0": math.Copysign(0, -1), "1.5": 1.5, "-2.25": -2.25,
+		"0.000001": 1e-6, "1e-7": 1e-7, "1e+21": 1e21, "1E2": 100, "9007199254740993": 9007199254740992,
+		"100000000000000000000": 1e20, "9688.108792214192": 9688.108792214192,
+	} {
+		c, err := DecodeColumns(doc("2", cell), CodecJSON)
+		if err != nil || math.Float64bits(c.Data[1].Floats[1]) != math.Float64bits(want) {
+			t.Errorf("DOUBLE %q: %v, want %v", cell, c, want)
+		}
+	}
+	for cell, want := range map[string]int64{
+		"0": 0, "-0": 0, "42": 42, "-9223372036854775808": math.MinInt64, "9223372036854775807": math.MaxInt64,
+	} {
+		c, err := DecodeColumns(doc("1", cell), CodecJSON)
+		if err != nil || c.Data[1].Ints[1] != want {
+			t.Errorf("INT %q: %v, want %d", cell, err, want)
+		}
+	}
+	for _, cell := range []string{"1.5", "1e5", "1.0", "9223372036854775808", "-9223372036854775809", "18446744073709551616"} {
+		if _, err := DecodeColumns(doc("1", cell), CodecJSON); err == nil {
+			t.Errorf("INT %q: accepted", cell)
+		}
+	}
 }
 
 // TestBigIDsRoundTrip: ids past 2^53 survive both codecs exactly, and

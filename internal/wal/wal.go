@@ -7,8 +7,14 @@
 //
 //	uint32 length | uint32 CRC-32 (IEEE) of payload | payload
 //
-// Recovery replays records in order and stops at the first torn or
-// corrupt frame, truncating the tail — the standard redo-log contract.
+// A record is never empty: Append refuses an empty payload. The CRC-32
+// of no bytes is 0, so eight zero bytes would otherwise be a valid frame,
+// and the zero-filled tail a file system can leave after a crash would
+// replay as empty records.
+//
+// Recovery replays records in order and stops at the first torn,
+// corrupt or zero-length frame, truncating the tail — the standard
+// redo-log contract.
 package wal
 
 import (
@@ -26,6 +32,9 @@ type LSN int64
 
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("wal: closed")
+
+// errEmptyRecord is returned by Append for an empty payload.
+var errEmptyRecord = errors.New("wal: empty record")
 
 // ErrCorrupt is returned by ReadAt when a record's stored checksum does
 // not match its payload (torn write, bit rot, or a bad LSN landing
@@ -68,7 +77,8 @@ func Open(path string) (*Log, error) {
 }
 
 // validate scans the log and returns the offset after the last intact
-// record. A header's length is checked against the bytes the file holds
+// record; a zero-length frame ends it, as a zero-filled tail reads as
+// one. A header's length is checked against the bytes the file holds
 // behind it before anything is allocated for the payload, so a corrupt
 // header costs nothing.
 func validate(f *os.File) (int64, error) {
@@ -85,6 +95,9 @@ func validate(f *os.File) (int64, error) {
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:])
 		sum := binary.LittleEndian.Uint32(hdr[4:])
+		if length == 0 {
+			return off, nil // zero-filled tail
+		}
 		if int64(length) > size-off-frameHeader {
 			return off, nil // torn payload
 		}
@@ -99,13 +112,16 @@ func validate(f *os.File) (int64, error) {
 	}
 }
 
-// Append writes one record and returns its LSN. The record is flushed
-// to the OS; call Sync for durability to stable storage.
+// Append writes one non-empty record and returns its LSN. The record is
+// flushed to the OS; call Sync for durability to stable storage.
 func (l *Log) Append(payload []byte) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrClosed
+	}
+	if len(payload) == 0 {
+		return 0, errEmptyRecord
 	}
 	frame := make([]byte, frameHeader+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
@@ -132,7 +148,8 @@ func (l *Log) Sync() error {
 // ReadAt reads the single record at lsn, verifying its checksum — the
 // random-access counterpart of Replay, for callers that keep an
 // external key→LSN index (the persistent tile store). A record whose
-// stored CRC does not match returns ErrCorrupt; an LSN outside the
+// stored CRC does not match, or a zero-length frame, returns
+// ErrCorrupt; an LSN outside the
 // validated log returns an error. The returned slice is freshly
 // allocated and owned by the caller.
 func (l *Log) ReadAt(lsn LSN) ([]byte, error) {
@@ -151,6 +168,9 @@ func (l *Log) ReadAt(lsn LSN) ([]byte, error) {
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:])
 	sum := binary.LittleEndian.Uint32(hdr[4:])
+	if length == 0 {
+		return nil, fmt.Errorf("wal: ReadAt %d: empty frame: %w", off, ErrCorrupt)
+	}
 	if off+frameHeader+int64(length) > l.end {
 		return nil, fmt.Errorf("wal: ReadAt %d: record overruns log end", off)
 	}

@@ -159,20 +159,61 @@ func TestCorruptPayloadTruncated(t *testing.T) {
 	}
 }
 
+// TestEmptyAndBinaryPayloads: any bytes are a record except none at
+// all, which Append refuses without writing a frame.
 func TestEmptyAndBinaryPayloads(t *testing.T) {
 	l, _ := tempLog(t)
 	defer l.Close()
 	bin := bytes.Repeat([]byte{0x00, 0xFF}, 500)
-	if _, err := l.Append(nil); err != nil {
-		t.Fatal(err)
+	for _, empty := range [][]byte{nil, {}} {
+		if _, err := l.Append(empty); err == nil || l.Size() != 0 {
+			t.Fatalf("Append(%q) = %v, log at %d bytes", empty, err, l.Size())
+		}
 	}
 	if _, err := l.Append(bin); err != nil {
 		t.Fatal(err)
 	}
 	var sizes []int
 	_ = l.Replay(func(_ LSN, p []byte) error { sizes = append(sizes, len(p)); return nil })
-	if len(sizes) != 2 || sizes[0] != 0 || sizes[1] != 1000 {
+	if len(sizes) != 1 || sizes[0] != 1000 {
 		t.Fatalf("sizes = %v", sizes)
+	}
+}
+
+// TestZeroTailEndsLog: a zero-filled tail, which a file system can leave
+// after a crash, is not a run of empty records. The CRC-32 of no bytes
+// is 0, so eight zero bytes frame one; Open ends the log at the first
+// and truncates the file to the records before it.
+func TestZeroTailEndsLog(t *testing.T) {
+	l, path := tempLog(t)
+	if _, err := l.Append([]byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 16)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	l2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	var got []string
+	_ = l2.Replay(func(_ LSN, p []byte) error { got = append(got, string(p)); return nil })
+	const frame = int64(frameHeader + len("hello"))
+	if len(got) != 1 || got[0] != "hello" || l2.Size() != frame {
+		t.Fatalf("replayed %q from a %d-byte log, want [hello] from %d", got, l2.Size(), frame)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != frame {
+		t.Fatalf("file left at %v bytes (%v), want %d", fi.Size(), err, frame)
 	}
 }
 
@@ -311,6 +352,15 @@ func TestReadAtMisalignedLSN(t *testing.T) {
 			t.Fatalf("ReadAt(misaligned %d) returned %d bytes", off, len(got))
 		}
 	}
+	// Eight zero bytes inside a record frame an empty record whose CRC
+	// matches. A record is never empty, so that reads as corrupt too.
+	zeros, err := l.Append(append(make([]byte, 16), "tail"...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := l.ReadAt(zeros + frameHeader + 4); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadAt(zero bytes inside a record) = %q, %v; want ErrCorrupt", got, err)
+	}
 }
 
 func TestTruncateAt(t *testing.T) {
@@ -413,7 +463,8 @@ func TestOpenBoundsHeaderLength(t *testing.T) {
 // surviving bytes still hold whole, in order, unchanged. Past them only
 // a record read wholly out of changed bytes can appear — a well-formed
 // frame is indistinguishable from a written one — and after a plain
-// truncation none does.
+// truncation none does. An empty record never replays: zero bytes
+// patched in or appended end the log.
 func FuzzWALOpen(f *testing.F) {
 	f.Add([]byte("alpha\xffbeta\xffgamma"), uint8(0), uint32(13), []byte{0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte("alpha\xffbeta\xffgamma"), uint8(1), uint32(20), []byte(nil))
@@ -421,7 +472,8 @@ func FuzzWALOpen(f *testing.F) {
 	f.Add([]byte("\xff\xff"), uint8(2), uint32(0), make([]byte, 8))
 	f.Add([]byte(nil), uint8(0), uint32(0), []byte{0, 0, 0, 0x40, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, payloads []byte, op uint8, at uint32, patch []byte) {
-		records := bytes.Split(payloads, []byte{0xff})
+		// A record is never empty: Append refuses one.
+		records := slices.DeleteFunc(bytes.Split(payloads, []byte{0xff}), func(r []byte) bool { return len(r) == 0 })
 		if len(records) > 32 || len(payloads) > 1<<16 || len(patch) > 1<<16 {
 			return
 		}
@@ -500,6 +552,11 @@ func FuzzWALOpen(f *testing.F) {
 		}
 		if intact == len(data) && len(got) != whole {
 			t.Fatalf("a truncated log replayed %d records, want the %d it holds whole", len(got), whole)
+		}
+		for i, p := range got {
+			if len(p) == 0 {
+				t.Fatalf("record %d replayed empty", i)
+			}
 		}
 	})
 }

@@ -359,6 +359,8 @@
 //	type    = '1' INT | '2' DOUBLE | '3' TEXT | '4' BOOL, one per column
 //	row     = '[' cell,* ']'                 one cell per column
 //	cell    = integer | number | string | 'true' | 'false'
+//	number  = -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?  (RFC 8259)
+//	integer = a number with neither fraction nor exponent
 //
 // An INT cell is the decimal int64, read back exactly (never through a
 // float64, so ids above 2^53 survive). A DOUBLE cell is the shortest
@@ -372,7 +374,16 @@
 // UTF-8 with \ufffd. These are encoding/json's conventions byte for
 // byte — the tests hold the writer to json.Marshal and the reader to
 // json.Unmarshal as reference implementations — so any JSON parser reads
-// a payload; the reader here accepts this grammar only.
+// a payload; the reader here accepts this grammar only, and refuses
+// such spellings as "+1", ".5", "1." and "01" that a lenient reader
+// takes. It reads the row section in one pass and each number cell as
+// it scans it: the significant digits go into an integer mantissa, and
+// a DOUBLE in positional form with at most 19 of them — nearly every
+// cell the writer emits — is rounded once: by one float64 division of
+// two exact operands when the mantissa is at most 2^53, otherwise by one
+// 128-by-64-bit integer division rounded half to even. Exponent form and
+// longer digit strings go to strconv; either way the result is bit for
+// bit strconv.ParseFloat's.
 //
 // Binary is column-major. A header — uvarint(ncols), then per column
 // uvarint(len) name and one type byte, then uvarint(nrows) — is followed
