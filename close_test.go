@@ -1,6 +1,7 @@
 package kyrix_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"kyrix/internal/fetch"
 	"kyrix/internal/server"
 	"kyrix/internal/storage"
+	"kyrix/internal/wire"
 )
 
 // TestInstanceCloseDrainsInFlight: Close must let a request already in
@@ -63,7 +65,7 @@ func TestInstanceCloseDrainsInFlight(t *testing.T) {
 	// the connection counts as active. The settle delay covers the
 	// accept + header-read window (pw.Write returns when the client
 	// transport consumed the bytes, not when the server did).
-	if _, err := pw.Write([]byte(`{"v":3,"canvas":"main","comp":"off",`)); err != nil {
+	if _, err := pw.Write([]byte(`{"v":3,"canvas":"main",`)); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond)
@@ -89,7 +91,7 @@ func TestInstanceCloseDrainsInFlight(t *testing.T) {
 	if r.err != nil {
 		t.Fatalf("in-flight request failed under Close: %v", r.err)
 	}
-	if r.status != http.StatusOK || !strings.HasPrefix(r.body, "KYXB") || !strings.Contains(r.body, `"rows"`) {
+	if r.status != http.StatusOK || !strings.Contains(inflatedFrame(t, r.body), `"rows"`) {
 		t.Fatalf("in-flight request: status %d body %q", r.status, r.body)
 	}
 	if err := <-closed; err != nil {
@@ -100,6 +102,28 @@ func TestInstanceCloseDrainsInFlight(t *testing.T) {
 	if _, err := http.Get(inst.BaseURL + "/app"); err == nil {
 		t.Fatal("server still accepting after Close")
 	}
+}
+
+// inflatedFrame reads the one frame of a /batch stream and returns its
+// payload, inflated when the frame is compressed.
+func inflatedFrame(t *testing.T, stream string) string {
+	t.Helper()
+	br := bufio.NewReader(strings.NewReader(stream))
+	if _, n, err := wire.ReadHeader(br); err != nil || n != 1 {
+		t.Fatalf("batch stream header: %d frames, %v", n, err)
+	}
+	f, err := wire.ReadFrame(br, wire.V3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Codec.Compressed() {
+		return string(f.Payload)
+	}
+	payload, err := wire.Decompress(f.Payload, wire.MaxFramePayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(payload)
 }
 
 // TestInstanceCloseFlushesL2 is the write-behind drain contract at the

@@ -103,6 +103,10 @@ func (pl *PhysicalLayer) LODWindowSQL(level int, window geom.Rect) (string, []st
 	return sql, args
 }
 
+// lodBaseCell is the finest pyramid level's grid cell size in canvas
+// units.
+const lodBaseCell float64 = 64
+
 // lodCell is one pyramid cell, keyed by the Morton (Z-order) code of its
 // grid column and row at its level. A level is a slice of cells sorted
 // by key, and the (up to four) children of a parent cell are the
@@ -124,7 +128,7 @@ type lodCell struct {
 //     layer radius) intersects the canvas, edges inclusive. A counted
 //     row whose point lies just outside the canvas joins the nearest
 //     edge cell.
-//   - Level 0 aggregates the counted rows per cell of side baseCell:
+//   - Level 0 aggregates the counted rows per cell of side lodBaseCell:
 //     count, sum, extent (the union of the rendered boxes) and the
 //     member with the smallest id as representative (the first scanned
 //     on a tie).
@@ -143,10 +147,6 @@ func buildLOD(ctx context.Context, db *sqldb.DB, pl *PhysicalLayer, opts Options
 	budget := opts.LODRowBudget
 	if budget <= 0 {
 		budget = 4096
-	}
-	baseCell := opts.LODBaseCell
-	if baseCell <= 0 {
-		baseCell = 64
 	}
 	for _, col := range pl.Schema {
 		if strings.HasPrefix(col.Name, "lod_") {
@@ -169,7 +169,7 @@ func buildLOD(ctx context.Context, db *sqldb.DB, pl *PhysicalLayer, opts Options
 		return math.Ceil(pl.CanvasW/cell) * math.Ceil(pl.CanvasH/cell)
 	}
 	var cells []float64
-	for c := baseCell; len(cells) == 0 || gridCells(cells[len(cells)-1]) > float64(budget); c *= 2 {
+	for c := lodBaseCell; len(cells) == 0 || gridCells(cells[len(cells)-1]) > float64(budget); c *= 2 {
 		cells = append(cells, c)
 		if len(cells) >= 24 {
 			break // defensive cap; 64 * 2^24 out-sizes any real canvas

@@ -71,7 +71,7 @@ func TestLODPyramidBuild(t *testing.T) {
 	const n = 20000
 	db, ca := buildLODApp(t, n)
 	pl, err := Materialize(context.Background(), db, ca, 0, 0, Options{
-		LODRowBudget: 256, LODBaseCell: 64,
+		LODRowBudget: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestLODPyramidBuild(t *testing.T) {
 func TestLODLevelForAndWindowSQL(t *testing.T) {
 	db, ca := buildLODApp(t, 20000)
 	pl, err := Materialize(context.Background(), db, ca, 0, 0, Options{
-		LODRowBudget: 256, LODBaseCell: 64,
+		LODRowBudget: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func levelRows(t *testing.T, db *sqldb.DB, table string) []storage.Row {
 // one LOD key.
 func TestLODPyramidDeterministic(t *testing.T) {
 	const n = 20000
-	opts := Options{LODRowBudget: 256, LODBaseCell: 64}
+	opts := Options{LODRowBudget: 256}
 	var (
 		builds [2][][]storage.Row
 		pl     *PhysicalLayer
@@ -365,7 +365,7 @@ func TestLODSparseCanvasMemoryBounded(t *testing.T) {
 	db, ca := lodApp(t, workload.Uniform(n, 1<<22, 1<<22, 11), 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	pl, err := Materialize(context.Background(), db, ca, 0, 0, Options{LODBaseCell: 64})
+	pl, err := Materialize(context.Background(), db, ca, 0, 0, Options{})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +413,7 @@ func TestLODOutOfCanvasRule(t *testing.T) {
 		probe(along+256, h+off, in) // top
 	}
 	db, ca := lodApp(t, d, radius)
-	pl, err := Materialize(context.Background(), db, ca, 0, 0, Options{LODRowBudget: 4, LODBaseCell: 64})
+	pl, err := Materialize(context.Background(), db, ca, 0, 0, Options{LODRowBudget: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

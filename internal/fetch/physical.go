@@ -67,9 +67,6 @@ type Options struct {
 	// LODRowBudget bounds the rows a window query against an auto-LOD
 	// layer should scan at any zoom (0 = 4096).
 	LODRowBudget int
-	// LODBaseCell is the finest pyramid level's grid cell size in
-	// canvas units (0 = 64).
-	LODBaseCell float64
 }
 
 // CanvasRect returns the layer's canvas extent.

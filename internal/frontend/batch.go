@@ -393,8 +393,9 @@ func gather[T any](dst, src []T, keep []int32) int {
 	return len(keep)
 }
 
-// PrefetchBoxes warms the dynamic-box prefetch slot of several layers
-// with one box in a single /batch round trip. Each layer's current box
+// PrefetchBoxes fetches one box for several layers ahead of need and
+// parks it in each layer's prefetch slot (momentum-based prefetching,
+// §4), in a single /batch round trip. Each layer's current box
 // is declared as the delta base, so a momentum prefetch one viewport
 // ahead ships mostly as entering rows. Like every prefetch it does not
 // count toward interaction reports.
@@ -425,11 +426,4 @@ func (c *Client) PrefetchBoxes(layers []int, box geom.Rect) error {
 	}
 	var rep FetchReport // prefetches do not count toward interaction reports
 	return c.runBatch(subs, &rep, time.Now())
-}
-
-// PrefetchBox fetches a box for one layer ahead of need and parks it in
-// the layer's prefetch slot (momentum-based prefetching, §4): a
-// one-layer PrefetchBoxes.
-func (c *Client) PrefetchBox(li int, box geom.Rect) error {
-	return c.PrefetchBoxes([]int{li}, box)
 }

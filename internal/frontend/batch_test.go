@@ -242,12 +242,12 @@ func TestMultiLayerViewportOneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2MatchesV1Results cross-checks the batch stream against the
+// TestBatchMatchesSingleResults cross-checks the batch stream against the
 // single-request endpoints: after the same load and pan, the objects a
 // batching client holds — tiles, and boxes delta-reconstructed across
 // the pan — are row for row what per-item GET /tile or GET /dbox
 // returns, in both codecs.
-func TestV2MatchesV1Results(t *testing.T) {
+func TestBatchMatchesSingleResults(t *testing.T) {
 	db, ca := multiLayerApp(t, 2000)
 	_, hs := startBackend(t, db, ca)
 	for _, codec := range []server.Codec{server.CodecJSON, server.CodecBinary} {

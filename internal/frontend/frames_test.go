@@ -1,20 +1,25 @@
 package frontend
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
 	"kyrix/internal/fetch"
+	"kyrix/internal/geom"
 	"kyrix/internal/server"
 	"kyrix/internal/storage"
 	"kyrix/internal/wire"
 )
 
-// TestV3AgainstV3Server: the happy path — compressed frames, wire
+// TestBatchAgainstServer: the happy path — compressed frames, wire
 // bytes below the logical payload bytes, and the same visible objects
 // as per-item GETs of the final viewport.
-func TestV3AgainstV3Server(t *testing.T) {
+func TestBatchAgainstServer(t *testing.T) {
 	db, ca := multiLayerApp(t, 4000)
 	_, hs := startBackend(t, db, ca)
 	c, err := NewClient(hs.URL, ca, Options{
@@ -233,4 +238,129 @@ func TestParallelChunkErrorIsolation(t *testing.T) {
 	if rep.Requests != 2 {
 		t.Fatalf("expected 2 chunk round trips, got %d", rep.Requests)
 	}
+}
+
+// FuzzDecodeFrame runs the client's frame decode over mutated v3
+// streams. The seeds are /batch streams captured from a test server in
+// both codecs, holding full and delta frames, each raw and deflated, a
+// tile and an error frame. Every OK frame an input yields is decoded the
+// way runBatch decodes it: a dbox frame against a fixed held base (the
+// box the captured deltas were planned against), a tile frame without
+// one. Whatever the bytes, the decode must not panic, must not yield
+// more rows than its inflated payload (plus the held base) can carry,
+// must leave the held base untouched, and a full frame it accepts must
+// hold exactly the columns server.DecodeColumns reads from the inflated
+// payload.
+func FuzzDecodeFrame(f *testing.F) {
+	db, ca := multiLayerApp(f, 2000)
+	_, hs := startBackend(f, db, ca)
+	held := geom.Rect{MinX: 0, MinY: 0, MaxX: 300, MaxY: 200}
+	box := func(r geom.Rect) server.BatchItem {
+		return server.BatchItem{Kind: "dbox", Layer: 0, MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
+	}
+	bases := map[server.Codec]*boxState{}
+	pristine := map[server.Codec]*server.Columns{}
+	for _, codec := range []server.Codec{server.CodecJSON, server.CodecBinary} {
+		raw := postFullV3(f, hs.URL, codec, box(held))
+		var err error
+		if pristine[codec], err = server.DecodeColumns(raw, codec); err != nil {
+			f.Fatal(err)
+		}
+		data, _ := server.DecodeColumns(raw, codec)
+		bases[codec] = &boxState{box: held, data: data, wireID: wire.PayloadID(raw)}
+		withBase := func(r geom.Rect) server.BatchItem {
+			it := box(r)
+			it.Base = &server.BaseRef{MinX: held.MinX, MinY: held.MinY, MaxX: held.MaxX, MaxY: held.MaxY,
+				ID: strconv.FormatUint(wire.PayloadID(raw), 16)}
+			return it
+		}
+		stream := postStream(f, hs.URL, server.BatchRequestV2{V: wire.V3, Canvas: "main", Codec: codec, Items: []server.BatchItem{
+			box(held),                        // full, deflated
+			box(geom.Rect{MaxX: 2, MaxY: 2}), // full, raw: too few rows to deflate
+			withBase(held.Translate(120, 0)), // delta, deflated
+			withBase(held.Translate(0.5, 0)), // delta, raw: no row moves
+			{Kind: "tile", Layer: 0, Size: 256, Col: 1, Row: 1},
+			{Kind: "tile", Layer: 0, Size: 256, Col: -1}, // error frame
+		}})
+		seen := map[wire.FrameCodec]bool{}
+		br := bufio.NewReader(bytes.NewReader(stream))
+		_, n, err := wire.ReadHeader(br)
+		for range n {
+			fr, ferr := wire.ReadFrame(br, wire.V3)
+			if err = ferr; err != nil {
+				break
+			}
+			if fr.Status == wire.FrameOK {
+				seen[fr.Codec] = true
+			}
+		}
+		if err != nil || len(seen) != 4 {
+			f.Fatalf("%s seed stream: frame codecs %v, %v; want all four", codec, seen, err)
+		}
+		f.Add(stream, codec == server.CodecBinary)
+	}
+	f.Fuzz(func(t *testing.T, stream []byte, binary bool) {
+		codec := server.CodecJSON
+		if binary {
+			codec = server.CodecBinary
+		}
+		c := &Client{opts: Options{Codec: codec}}
+		base := bases[codec]
+		br := bufio.NewReader(bytes.NewReader(stream))
+		_, n, err := wire.ReadHeader(br)
+		if err != nil {
+			return
+		}
+		for range n {
+			fr, err := wire.ReadFrame(br, wire.V3)
+			if err != nil {
+				return
+			}
+			if fr.Status != wire.FrameOK {
+				continue
+			}
+			sub := &batchSub{item: server.BatchItem{Kind: "tile"}}
+			if fr.Kind == wire.FrameDBox {
+				sub = &batchSub{item: box(held), base: base}
+			}
+			res, err := c.decodeFrame(sub, fr)
+			if !reflect.DeepEqual(base.data, pristine[codec]) {
+				t.Fatal("decode changed the held base")
+			}
+			if err != nil {
+				continue
+			}
+			payload := fr.Payload
+			if fr.Codec.Compressed() {
+				if payload, err = wire.Decompress(payload, wire.MaxFramePayload); err != nil {
+					t.Fatalf("accepted frame %d does not inflate: %v", fr.Index, err)
+				}
+			}
+			if fr.Codec.IsDelta() {
+				if limit := base.data.N + len(payload); res.data.N > limit || res.rawN > wire.MaxFramePayload {
+					t.Fatalf("delta of %d bytes decoded to %d rows standing for %d bytes", len(payload), res.data.N, res.rawN)
+				}
+				continue
+			}
+			want, err := server.DecodeColumns(payload, codec)
+			if err != nil {
+				t.Fatalf("accepted full frame %d: DecodeColumns refuses its payload: %v", fr.Index, err)
+			}
+			if !sameColumns(res.data, want) || res.rawN != int64(len(payload)) {
+				t.Fatalf("full frame %d decoded to other columns than its payload holds", fr.Index)
+			}
+			if want.N > len(payload) {
+				t.Fatalf("%d-byte payload decoded to %d rows", len(payload), want.N)
+			}
+			if fr.Kind == wire.FrameDBox && res.boxID != wire.PayloadID(payload) {
+				t.Fatalf("full dbox frame %d names id %x, its payload hashes to %x", fr.Index, res.boxID, wire.PayloadID(payload))
+			}
+		}
+	})
+}
+
+// sameColumns is reflect.DeepEqual for Columns, except that a NaN equals
+// a NaN: a binary payload carries any float bits.
+func sameColumns(a, b *server.Columns) bool {
+	return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
 }

@@ -402,7 +402,7 @@ func TestPrefetchBoxPromotion(t *testing.T) {
 	}
 	// Prefetch the box exactly where the next pan will land.
 	next := c.Viewport().Translate(600, 0)
-	if err := c.PrefetchBox(1, next); err != nil {
+	if err := c.PrefetchBoxes([]int{1}, next); err != nil {
 		t.Fatal(err)
 	}
 	before := srv.Stats.BoxRequests.Load()
@@ -626,8 +626,8 @@ func TestBatchChunksRunConcurrently(t *testing.T) {
 }
 
 // TestStaticLayerAndPrefetchBoxRideBatch: with the per-layer GET /dbox
-// path gone, a static data layer and a PrefetchBox each cost exactly
-// one /batch round trip — even for a per-tile client — and both
+// path gone, a static data layer and a one-layer box prefetch each cost
+// exactly one /batch round trip — even for a per-tile client — and both
 // declare the box already held as their delta base.
 func TestStaticLayerAndPrefetchBoxRideBatch(t *testing.T) {
 	db, ca := multiLayerApp(t, 2000, func(a *spec.App) { a.Canvases[0].Layers[1].Static = true })
@@ -682,8 +682,8 @@ func TestStaticLayerAndPrefetchBoxRideBatch(t *testing.T) {
 		t.Fatal("static layer empty after reload")
 	}
 
-	// PrefetchBox is a one-layer PrefetchBoxes: one batch, the layer's
-	// held box declared as base (a dbox client's dynamic layer 0).
+	// A one-layer PrefetchBoxes: one batch, the layer's held box
+	// declared as base (a dbox client's dynamic layer 0).
 	d, err := NewClient(hs.URL, ca, Options{
 		Scheme: fetch.DBoxExact, Codec: server.CodecJSON, CacheBytes: 16 << 20,
 		HTTPClient: &http.Client{Transport: ct},
@@ -695,11 +695,11 @@ func TestStaticLayerAndPrefetchBoxRideBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct.reset()
-	if err := d.PrefetchBox(0, d.Viewport().Translate(100, 0)); err != nil {
+	if err := d.PrefetchBoxes([]int{0}, d.Viewport().Translate(100, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if it := oneBatch("PrefetchBox", 0); it.Base == nil {
-		t.Fatal("PrefetchBox did not declare the held box")
+	if it := oneBatch("PrefetchBoxes", 0); it.Base == nil {
+		t.Fatal("PrefetchBoxes did not declare the held box")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -134,18 +135,28 @@ func taggedApp(t *testing.T, rng *rand.Rand, n int) (*sqldb.DB, *spec.CompiledAp
 	return db, ca
 }
 
-// postOneV3 posts a single-item v3 batch and returns its one frame.
-func postOneV3(t *testing.T, url string, codec server.Codec, comp string, it server.BatchItem) wire.Frame {
+// postStream posts a v3 batch and returns the whole response stream.
+func postStream(t testing.TB, url string, req server.BatchRequestV2) []byte {
 	t.Helper()
-	body, _ := json.Marshal(server.BatchRequestV2{
-		V: wire.V3, Canvas: "main", Codec: codec, Comp: comp, Items: []server.BatchItem{it},
-	})
+	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	br := bufio.NewReader(resp.Body)
+	stream, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %s, %v: %s", resp.Status, err, stream)
+	}
+	return stream
+}
+
+// postOneV3 posts a single-item v3 batch and returns its one frame.
+func postOneV3(t testing.TB, url string, codec server.Codec, it server.BatchItem) wire.Frame {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(postStream(t, url, server.BatchRequestV2{
+		V: wire.V3, Canvas: "main", Codec: codec, Items: []server.BatchItem{it},
+	})))
 	if _, n, err := wire.ReadHeader(br); err != nil || n != 1 {
 		t.Fatalf("v3 header: %d frames, %v", n, err)
 	}
@@ -154,6 +165,21 @@ func postOneV3(t *testing.T, url string, codec server.Codec, comp string, it ser
 		t.Fatalf("v3 frame: %v %s", err, f.Payload)
 	}
 	return f
+}
+
+// postFullV3 posts a single-item v3 batch with no delta base and returns
+// the full payload its frame carries, inflated.
+func postFullV3(t testing.TB, url string, codec server.Codec, it server.BatchItem) []byte {
+	t.Helper()
+	f := postOneV3(t, url, codec, it)
+	if !f.Codec.Compressed() {
+		return f.Payload
+	}
+	payload, err := wire.Decompress(f.Payload, wire.MaxFramePayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
 }
 
 // TestV3DeltaApplyReconstructsFullPayload: over random overlapping box
@@ -178,14 +204,12 @@ func TestV3DeltaApplyReconstructsFullPayload(t *testing.T) {
 			item := func(r geom.Rect) server.BatchItem {
 				return server.BatchItem{Kind: "dbox", Layer: 0, MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
 			}
-			comp := []string{server.CompOff, server.CompFlate}[trial%2]
-
-			held := postOneV3(t, hs.URL, codec, server.CompOff, item(base)).Payload
+			held := postFullV3(t, hs.URL, codec, item(base))
 			heldData, err := server.DecodeColumns(held, codec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full := postOneV3(t, hs.URL, codec, server.CompOff, item(next)).Payload
+			full := postFullV3(t, hs.URL, codec, item(next))
 			fullDR, err := server.Decode(full, codec)
 			if err != nil {
 				t.Fatal(err)
@@ -194,7 +218,7 @@ func TestV3DeltaApplyReconstructsFullPayload(t *testing.T) {
 			it := item(next)
 			it.Base = &server.BaseRef{MinX: base.MinX, MinY: base.MinY, MaxX: base.MaxX, MaxY: base.MaxY,
 				ID: strconv.FormatUint(wire.PayloadID(held), 16)}
-			f := postOneV3(t, hs.URL, codec, comp, it)
+			f := postOneV3(t, hs.URL, codec, it)
 			if f.Codec.IsDelta() {
 				deltas++
 			}

@@ -143,20 +143,13 @@ func (s *SemanticPredictor) Predict() (geom.Rect, bool) {
 	return best, found
 }
 
-// BoxFetcher warms a cache with a viewport-shaped region; the frontend
-// client's PrefetchBox satisfies it.
+// BoxFetcher warms several layers' prefetch slots with one box in a
+// single call; the frontend client's PrefetchBoxes satisfies it, riding
+// one /batch round trip. The fetcher declares each layer's current box
+// as the delta base, so a momentum prefetch one viewport ahead — which
+// overlaps the current box heavily by construction — ships mostly as
+// entering rows instead of a full payload.
 type BoxFetcher interface {
-	PrefetchBox(layerIdx int, box geom.Rect) error
-}
-
-// BoxBatchFetcher warms several layers' prefetch slots with one box in
-// a single call; the frontend client's PrefetchBoxes satisfies it,
-// riding one /batch round trip. The fetcher declares each layer's
-// current box as the delta base, so a momentum prefetch one viewport
-// ahead — which overlaps the current box heavily by construction —
-// ships mostly as entering rows instead of a full payload. A Prefetcher
-// prefers it over per-layer PrefetchBox.
-type BoxBatchFetcher interface {
 	PrefetchBoxes(layers []int, box geom.Rect) error
 }
 
@@ -185,10 +178,9 @@ func NewPrefetcher(pred Predictor, fetcher BoxFetcher, layers []int, bounds geom
 // OnPan records the movement and synchronously issues the prefetch for
 // the predicted next viewport. (The frontend calls it after reporting
 // the user-visible response time, so prefetch cost stays off the
-// interaction path, like ForeCache's background fetches.) A fetcher
-// that also implements BoxBatchFetcher receives all layers in one
-// call — one round trip for the whole prediction, delta-encoded
-// against the current boxes — instead of one PrefetchBox per layer.
+// interaction path, like ForeCache's background fetches.) The fetcher
+// receives all layers in one call — one round trip for the whole
+// prediction, delta-encoded against the current boxes.
 func (p *Prefetcher) OnPan(viewport geom.Rect) {
 	p.pred.Observe(viewport)
 	next, ok := p.pred.Predict()
@@ -199,18 +191,9 @@ func (p *Prefetcher) OnPan(viewport geom.Rect) {
 	if !box.Valid() || box.Area() == 0 {
 		return
 	}
-	if bf, ok := p.fetcher.(BoxBatchFetcher); ok {
-		p.Issued += len(p.layers)
-		if err := bf.PrefetchBoxes(p.layers, box); err != nil {
-			p.Errs++
-		}
-		return
-	}
-	for _, li := range p.layers {
-		p.Issued++
-		if err := p.fetcher.PrefetchBox(li, box); err != nil {
-			p.Errs++
-		}
+	p.Issued += len(p.layers)
+	if err := p.fetcher.PrefetchBoxes(p.layers, box); err != nil {
+		p.Errs++
 	}
 }
 

@@ -116,12 +116,17 @@ func TestSemanticUnobservedNeighbors(t *testing.T) {
 	}
 }
 
+// fakeFetcher records each PrefetchBoxes call: its layers and box.
 type fakeFetcher struct {
-	boxes []geom.Rect
-	fail  bool
+	calls  int
+	layers []int
+	boxes  []geom.Rect
+	fail   bool
 }
 
-func (f *fakeFetcher) PrefetchBox(layerIdx int, box geom.Rect) error {
+func (f *fakeFetcher) PrefetchBoxes(layers []int, box geom.Rect) error {
+	f.calls++
+	f.layers = append([]int(nil), layers...)
 	if f.fail {
 		return errors.New("boom")
 	}
@@ -129,43 +134,25 @@ func (f *fakeFetcher) PrefetchBox(layerIdx int, box geom.Rect) error {
 	return nil
 }
 
-// fakeBatchFetcher also implements BoxBatchFetcher; the Prefetcher
-// must prefer the single multi-layer call over per-layer PrefetchBox.
-type fakeBatchFetcher struct {
-	fakeFetcher
-	batchCalls  int
-	batchLayers []int
-	batchFail   bool
-}
-
-func (f *fakeBatchFetcher) PrefetchBoxes(layers []int, box geom.Rect) error {
-	f.batchCalls++
-	f.batchLayers = append([]int(nil), layers...)
-	if f.batchFail {
-		return errors.New("boom")
-	}
-	f.boxes = append(f.boxes, box)
-	return nil
-}
-
+// TestPrefetcherUsesBatchFetcher: one prediction is one multi-layer
+// call, whatever the layer count.
 func TestPrefetcherUsesBatchFetcher(t *testing.T) {
 	bounds := geom.Rect{MinX: 0, MinY: 0, MaxX: 10000, MaxY: 10000}
-	ff := &fakeBatchFetcher{}
+	ff := &fakeFetcher{}
 	p := NewPrefetcher(NewMomentum(3), ff, []int{0, 1, 2}, bounds)
 	p.OnPan(vp(0, 500))
 	p.OnPan(vp(100, 500))
-	if ff.batchCalls != 1 || len(ff.fakeFetcher.boxes) != 1 {
-		t.Fatalf("batch calls = %d, boxes = %d, want one multi-layer call",
-			ff.batchCalls, len(ff.fakeFetcher.boxes))
+	if ff.calls != 1 || len(ff.boxes) != 1 {
+		t.Fatalf("calls = %d, boxes = %d, want one multi-layer call", ff.calls, len(ff.boxes))
 	}
-	if len(ff.batchLayers) != 3 {
-		t.Fatalf("batched layers = %v", ff.batchLayers)
+	if len(ff.layers) != 3 {
+		t.Fatalf("batched layers = %v", ff.layers)
 	}
 	if p.Issued != 3 {
 		t.Fatalf("Issued = %d, want one per layer", p.Issued)
 	}
 	// A failing batched prefetch counts one error for the whole call.
-	ff.batchFail = true
+	ff.fail = true
 	p.OnPan(vp(200, 500))
 	if p.Errs != 1 {
 		t.Fatalf("Errs = %d", p.Errs)

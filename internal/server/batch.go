@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -111,25 +112,14 @@ func (it BatchItem) Box() geom.Rect {
 	return geom.Rect{MinX: it.MinX, MinY: it.MinY, MaxX: it.MaxX, MaxY: it.MaxY}
 }
 
-// Compression modes for BatchRequestV2.Comp.
-const (
-	// CompFlate (the default, also selected by "") lets the server
-	// DEFLATE-compress OK payloads when that makes them smaller.
-	CompFlate = "flate"
-	// CompOff forces raw payloads (ablations, pre-compressed codecs).
-	CompOff = "off"
-)
-
 // BatchRequestV2 is the POST /batch body: one viewport's worth of tile
 // and dbox sub-requests against one canvas, answered as a framed
 // stream. V must be wire.V3 — a body without it (the retired v1/v2
-// shapes) is rejected with 400 before anything is served. Comp
-// ("flate"|"off") selects per-request compression.
+// shapes) is rejected with 400 before anything is served.
 type BatchRequestV2 struct {
 	V      int         `json:"v"`
 	Canvas string      `json:"canvas"`
 	Codec  Codec       `json:"codec,omitempty"`
-	Comp   string      `json:"comp,omitempty"`
 	Items  []BatchItem `json:"items"`
 }
 
@@ -238,16 +228,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var compress bool
-	switch req.Comp {
-	case "", CompFlate:
-		compress = true
-	case CompOff:
-	default:
-		http.Error(w, fmt.Sprintf("unknown compression %q", req.Comp), http.StatusBadRequest)
-		return
-	}
-
 	s.Stats.BatchRequests.Add(1)
 	for i := range req.Items {
 		if req.Items[i].Kind == "dbox" {
@@ -323,7 +303,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}()
 			p, err := s.serveItem(ictx, req.Canvas, it, false)
 			if err == nil {
-				f.Payload, f.Codec, rawLen, err = s.encodeFrame(ictx, req.Canvas, it, codec, p, compress)
+				f.Payload, f.Codec, rawLen, err = s.encodeFrame(ictx, req.Canvas, it, codec, p)
 			}
 			if err != nil {
 				f.Payload = []byte(err.Error())
@@ -344,8 +324,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.Stats.WireBytes.Add(wireBytes)
 }
 
-// serveItem resolves and serves one batch item through the same
-// cache/coalescing path as the single-request endpoints. localOnly
+// serveItem checks and serves one item — of a /batch, a GET /tile or
+// /dbox, or a peer fill — through the cache/coalescing path. localOnly
 // (peer-originated fills) suppresses cluster forwarding.
 func (s *Server) serveItem(ctx context.Context, canvas string, it BatchItem, localOnly bool) (*payload, error) {
 	pl, ok := s.Layer(canvas, it.Layer)
@@ -354,7 +334,7 @@ func (s *Server) serveItem(ctx context.Context, canvas string, it BatchItem, loc
 	}
 	switch it.Kind {
 	case "tile", "":
-		if it.Size <= 0 {
+		if !finite(it.Size) || it.Size <= 0 {
 			return nil, badRequestError{fmt.Errorf("bad size %g", it.Size)}
 		}
 		if it.Col < 0 || it.Row < 0 {
@@ -367,10 +347,21 @@ func (s *Server) serveItem(ctx context.Context, canvas string, it BatchItem, loc
 		return s.serveTile(ctx, pl, design, it.Size, geom.TileID{Col: it.Col, Row: it.Row}, localOnly)
 	case "dbox":
 		box := it.Box()
-		if !box.Valid() {
+		if !box.Valid() || !finite(box.MinX, box.MinY, box.MaxX, box.MaxY) {
 			return nil, badRequestError{fmt.Errorf("invalid box %+v", box)}
 		}
 		return s.serveBox(ctx, pl, box, localOnly)
 	}
 	return nil, badRequestError{fmt.Errorf("unknown item kind %q", it.Kind)}
+}
+
+// finite reports that no v is NaN or ±Inf: a window with such an edge
+// has no tile grid and no key, and an infinite box would scan the table.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }

@@ -99,7 +99,7 @@ func TestBatchEndpoint(t *testing.T) {
 
 	want := []struct{ col, row int }{{0, 0}, {1, 0}, {2, 1}}
 	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		req := BatchRequestV2{V: wire.V3, Canvas: "main", Codec: codec, Comp: CompOff}
+		req := BatchRequestV2{V: wire.V3, Canvas: "main", Codec: codec}
 		for _, w := range want {
 			req.Items = append(req.Items, BatchItem{Kind: "tile", Layer: 0, Size: 512, Col: w.col, Row: w.row})
 		}
@@ -111,10 +111,11 @@ func TestBatchEndpoint(t *testing.T) {
 			if f.Status != FrameOK || f.Kind != FrameTile {
 				t.Fatalf("%s tile %d = %+v", codec, i, f)
 			}
-			if !bytes.Equal(f.Payload, single(codec, w.col, w.row)) {
+			payload := inflateFrame(t, f)
+			if !bytes.Equal(payload, single(codec, w.col, w.row)) {
 				t.Fatalf("%s tile %d payload differs from single GET", codec, i)
 			}
-			if _, err := Decode(f.Payload, codec); err != nil {
+			if _, err := Decode(payload, codec); err != nil {
 				t.Fatalf("%s tile %d payload undecodable: %v", codec, i, err)
 			}
 		}
@@ -141,7 +142,7 @@ func TestBatchV2MixedTileDBox(t *testing.T) {
 	}
 
 	req := BatchRequestV2{
-		V: wire.V3, Canvas: "main", Codec: CodecJSON, Comp: CompOff,
+		V: wire.V3, Canvas: "main", Codec: CodecJSON,
 		Items: []BatchItem{
 			{Kind: "tile", Layer: 0, Size: 512, Col: 1, Row: 1},
 			{Kind: "dbox", Layer: 0, MinX: 100, MinY: 100, MaxX: 900, MaxY: 700},
@@ -153,18 +154,18 @@ func TestBatchV2MixedTileDBox(t *testing.T) {
 	}
 	frames := postBatchV3Raw(t, hs.URL, req)
 
-	// Good raw frames carry exactly the bytes the single-request
+	// Good frames inflate to exactly the bytes the single-request
 	// endpoints would have returned — no envelope.
 	if frames[0].Status != FrameOK || frames[0].Kind != FrameTile {
 		t.Fatalf("frame 0 = %+v", frames[0])
 	}
-	if want := get("/tile?canvas=main&layer=0&size=512&col=1&row=1"); !bytes.Equal(frames[0].Payload, want) {
+	if want := get("/tile?canvas=main&layer=0&size=512&col=1&row=1"); !bytes.Equal(inflateFrame(t, frames[0]), want) {
 		t.Fatal("tile frame payload differs from GET /tile")
 	}
 	if frames[1].Status != FrameOK || frames[1].Kind != FrameDBox {
 		t.Fatalf("frame 1 = %+v", frames[1])
 	}
-	if want := get("/dbox?canvas=main&layer=0&minx=100&miny=100&maxx=900&maxy=700"); !bytes.Equal(frames[1].Payload, want) {
+	if want := get("/dbox?canvas=main&layer=0&minx=100&miny=100&maxx=900&maxy=700"); !bytes.Equal(inflateFrame(t, frames[1]), want) {
 		t.Fatal("dbox frame payload differs from GET /dbox")
 	}
 	if frames[5].Status != FrameOK {

@@ -8,7 +8,6 @@ import (
 
 	"kyrix/internal/fetch"
 	"kyrix/internal/geom"
-	"kyrix/internal/obs"
 	"kyrix/internal/wire"
 )
 
@@ -41,14 +40,14 @@ const deltaMinOverlap = 0.25
 // encodeFrame picks one OK payload's wire form: the pair's delta frame
 // when the item declares a base the planner accepts and a delta pays,
 // else the full payload in the response codec, DEFLATE-compressed when
-// allowed and worth it. The fallback at every step is the previous
-// form — worst case the frame ships the payload uncompressed. size is
-// the full payload's length in the response codec.
-func (s *Server) encodeFrame(ctx context.Context, canvas string, it BatchItem, codec Codec, full *payload, compress bool) (body []byte, fc FrameCodec, size int, err error) {
+// that is worth it. The fallback at every step is the previous form —
+// worst case the frame ships the payload uncompressed. size is the full
+// payload's length in the response codec.
+func (s *Server) encodeFrame(ctx context.Context, canvas string, it BatchItem, codec Codec, full *payload) (body []byte, fc FrameCodec, size int, err error) {
 	if it.Kind == "dbox" && it.Base != nil {
 		pctx, sp := s.tracer().Start(ctx, "delta.plan")
 		start := time.Now()
-		df, cached := s.planDeltaFrame(pctx, canvas, it, codec, full, compress)
+		df, cached := s.planDeltaFrame(pctx, canvas, it, codec, full)
 		s.obs.stageDelta.Observe(time.Since(start))
 		sp.Attr("applied", df != nil)
 		sp.Attr("cached", cached)
@@ -61,12 +60,9 @@ func (s *Server) encodeFrame(ctx context.Context, canvas string, it BatchItem, c
 			return df.body, df.codec, df.size, nil
 		}
 	}
-	fctx, sp := ctx, (*obs.Span)(nil)
-	if compress {
-		fctx, sp = s.tracer().Start(ctx, "compress")
-		defer sp.End()
-	}
-	f, cached, err := s.frameOf(fctx, full, codec, compress)
+	fctx, sp := s.tracer().Start(ctx, "compress")
+	defer sp.End()
+	f, cached, err := s.frameOf(fctx, full, codec)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -97,10 +93,10 @@ func (s *Server) encodeFrame(ctx context.Context, canvas string, it BatchItem, c
 //     holds, is not the client's declared id (the client holds stale
 //     bytes, e.g. from before an /update).
 //
-// Past them the frame depends only on the two payloads' bytes, the
-// codec and compress: deltaFrameOf. cached reports that the frame, or
-// the verdict that no delta pays, came out of the wire memo.
-func (s *Server) planDeltaFrame(ctx context.Context, canvas string, it BatchItem, codec Codec, full *payload, compress bool) (df *frame, cached bool) {
+// Past them the frame depends only on the two payloads' bytes and the
+// codec: deltaFrameOf. cached reports that the frame, or the verdict
+// that no delta pays, came out of the wire memo.
+func (s *Server) planDeltaFrame(ctx context.Context, canvas string, it BatchItem, codec Codec, full *payload) (df *frame, cached bool) {
 	baseBox, newBox := it.Base.Box(), it.Box()
 	if !baseBox.Valid() || baseBox.Area() <= 0 {
 		return nil, false
@@ -132,7 +128,7 @@ func (s *Server) planDeltaFrame(ctx context.Context, canvas string, it BatchItem
 	if sum, err := s.shipped(ctx, held.(*payload), codec); err != nil || sum.id != baseID {
 		return nil, false
 	}
-	return s.deltaFrameOf(ctx, held.(*payload), full, codec, compress)
+	return s.deltaFrameOf(ctx, held.(*payload), full, codec)
 }
 
 // frame is a payload's wire form: body under codec, standing for size
@@ -145,20 +141,13 @@ type frame struct {
 
 // deltaFrameOf returns the frame that turns base into full on the wire
 // (nil: no delta pays), building it on the pair's first request only.
-func (s *Server) deltaFrameOf(ctx context.Context, base, full *payload, codec Codec, compress bool) (df *frame, cached bool) {
-	var kind byte
-	switch {
-	case codec == CodecBinary && compress:
+func (s *Server) deltaFrameOf(ctx context.Context, base, full *payload, codec Codec) (df *frame, cached bool) {
+	kind := byte(memoDeltaJSONFlate)
+	if codec == CodecBinary {
 		kind = memoDeltaBinaryFlate
-	case codec == CodecBinary:
-		kind = memoDeltaBinary
-	case compress:
-		kind = memoDeltaJSONFlate
-	default:
-		kind = memoDeltaJSON
 	}
 	v, cached := s.memo(newPairKey(kind, base.id, full.id), func() (any, int64) {
-		df := s.buildDeltaFrame(ctx, base, full, codec, compress)
+		df := s.buildDeltaFrame(ctx, base, full, codec)
 		if df == nil {
 			return df, 0
 		}
@@ -171,9 +160,8 @@ func (s *Server) deltaFrameOf(ctx context.Context, base, full *payload, codec Co
 // returns nil when either payload's first column is not a unique
 // integer id (no row identity to diff on) or the encoded delta is not
 // smaller than full in the response codec. The delta is deflated when
-// compress allows and that pays; this is the only deflate pass a pair
-// ever runs.
-func (s *Server) buildDeltaFrame(ctx context.Context, base, full *payload, codec Codec, compress bool) *frame {
+// that pays; this is the only deflate pass a pair ever runs.
+func (s *Server) buildDeltaFrame(ctx context.Context, base, full *payload, codec Codec) *frame {
 	bix, nix := s.rowIndexOf(base), s.rowIndexOf(full)
 	if bix == nil || nix == nil || !bix.diffable || !nix.diffable {
 		return nil
@@ -186,10 +174,8 @@ func (s *Server) buildDeltaFrame(ctx context.Context, base, full *payload, codec
 	if !ok {
 		return nil
 	}
-	if compress {
-		if cb := s.deflate(delta); cb != nil {
-			return &frame{body: cb, codec: FrameDeltaFlate, size: sum.size}
-		}
+	if cb := s.deflate(delta); cb != nil {
+		return &frame{body: cb, codec: FrameDeltaFlate, size: sum.size}
 	}
 	return &frame{body: delta, codec: FrameDelta, size: sum.size}
 }

@@ -76,61 +76,57 @@ func inflateFrame(t testing.TB, f Frame) []byte {
 	return out
 }
 
-// TestBatchV3CompressionMatchesV2 serves the same items with
-// compression on and off and checks that every flate frame inflates to
-// exactly the comp:"off" frame (the raw payload), error frames stay
-// raw, and the JSON-codec frames actually shrink on the wire.
-func TestBatchV3CompressionMatchesV2(t *testing.T) {
+// TestBatchCompressionMatchesGet serves the same items as a batch and
+// as single GETs and checks that every flate frame inflates to exactly
+// the GET body (the raw payload), error frames stay raw, and the
+// JSON-codec frames actually shrink on the wire.
+func TestBatchCompressionMatchesGet(t *testing.T) {
 	_, hs := newPointsServer(t, 4000, 4096, 2048)
 	items := []BatchItem{
 		{Kind: "tile", Layer: 0, Size: 512, Col: 1, Row: 1},
 		{Kind: "dbox", Layer: 0, MinX: 100, MinY: 100, MaxX: 1200, MaxY: 900},
 		{Kind: "tile", Layer: 0, Size: 512, Col: -1, Row: 0}, // bad col (error frame)
 	}
-	rawFrames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-		V: wire.V3, Canvas: "main", Codec: CodecJSON, Comp: CompOff, Items: items,
-	})
-	flateFrames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
+	gets := []string{
+		"/tile?canvas=main&layer=0&size=512&col=1&row=1",
+		"/dbox?canvas=main&layer=0&minx=100&miny=100&maxx=1200&maxy=900",
+	}
+	frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
 		V: wire.V3, Canvas: "main", Codec: CodecJSON, Items: items,
 	})
 	var wireRaw, wireFlate int
-	for i := range items {
-		if rawFrames[i].Codec != FrameRaw {
-			t.Fatalf("comp=off frame %d codec = %d, want raw", i, rawFrames[i].Codec)
+	for i, path := range gets {
+		if frames[i].Status != FrameOK || frames[i].Codec != FrameFlate {
+			t.Fatalf("frame %d: status %d codec %d, want an OK flate frame", i, frames[i].Status, frames[i].Codec)
 		}
-		wireRaw += len(rawFrames[i].Payload)
-		wireFlate += len(flateFrames[i].Payload)
-		if flateFrames[i].Status != rawFrames[i].Status {
-			t.Fatalf("frame %d status: flate %d vs raw %d", i, flateFrames[i].Status, rawFrames[i].Status)
+		raw := getBody(t, hs.URL+path)
+		wireRaw += len(raw)
+		wireFlate += len(frames[i].Payload)
+		if got := inflateFrame(t, frames[i]); !bytes.Equal(got, raw) {
+			t.Fatalf("frame %d inflates to different bytes than GET %s", i, path)
 		}
-		if flateFrames[i].Status != FrameOK {
-			if flateFrames[i].Codec != FrameRaw {
-				t.Fatalf("error frame %d not raw: codec %d", i, flateFrames[i].Codec)
-			}
-			continue
-		}
-		if got := inflateFrame(t, flateFrames[i]); !bytes.Equal(got, rawFrames[i].Payload) {
-			t.Fatalf("frame %d inflates to different bytes than the raw frame", i)
-		}
+	}
+	if bad := frames[2]; bad.Status != FrameBadRequest || bad.Codec != FrameRaw {
+		t.Fatalf("error frame: status %d codec %d, want a raw bad-request frame", bad.Status, bad.Codec)
 	}
 	if wireFlate >= wireRaw {
 		t.Fatalf("JSON frames did not shrink: raw=%d flate=%d", wireRaw, wireFlate)
 	}
+}
 
-	// Unknown compression mode is a request-level error.
-	body, _ := json.Marshal(BatchRequestV2{
-		V: wire.V3, Canvas: "main", Comp: "zstd",
-		Items: []BatchItem{{Kind: "tile", Size: 512}},
-	})
-	resp, err := http.Post(hs.URL+"/batch", "application/json", bytes.NewReader(body))
+// getBody returns the body of a GET that must answer 200.
+func getBody(t testing.TB, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("comp=zstd accepted: %d", resp.StatusCode)
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s: %s", url, resp.Status, body)
 	}
+	return body
 }
 
 // fetchBoxPayload grabs one dbox payload (and its wire id) via a plain
@@ -138,13 +134,14 @@ func TestBatchV3CompressionMatchesV2(t *testing.T) {
 func fetchBoxPayload(t testing.TB, url string, it BatchItem, codec Codec) ([]byte, uint64) {
 	t.Helper()
 	frames := postBatchV3Raw(t, url, BatchRequestV2{
-		V: wire.V3, Canvas: "main", Codec: codec, Comp: CompOff,
+		V: wire.V3, Canvas: "main", Codec: codec,
 		Items: []BatchItem{it},
 	})
-	if frames[0].Status != FrameOK || frames[0].Codec != FrameRaw {
+	if frames[0].Status != FrameOK || frames[0].Codec.IsDelta() {
 		t.Fatalf("full fetch frame = %+v", frames[0])
 	}
-	return frames[0].Payload, wire.PayloadID(frames[0].Payload)
+	payload := inflateFrame(t, frames[0])
+	return payload, wire.PayloadID(payload)
 }
 
 func TestBatchV3DeltaFrames(t *testing.T) {
@@ -162,11 +159,11 @@ func TestBatchV3DeltaFrames(t *testing.T) {
 
 		deltaBefore := srv.Stats.DeltaFrames.Load()
 		frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-			V: wire.V3, Canvas: "main", Codec: codec, Comp: CompOff,
+			V: wire.V3, Canvas: "main", Codec: codec,
 			Items: []BatchItem{newItem},
 		})
 		f := frames[0]
-		if f.Status != FrameOK || f.Codec != FrameDelta {
+		if f.Status != FrameOK || !f.Codec.IsDelta() {
 			t.Fatalf("codec %s: overlap pan frame = status %d codec %d, want delta", codec, f.Status, f.Codec)
 		}
 		if srv.Stats.DeltaFrames.Load() != deltaBefore+1 {
@@ -178,7 +175,7 @@ func TestBatchV3DeltaFrames(t *testing.T) {
 
 		// Applying the delta to the base reconstructs the full result
 		// row-for-row.
-		d, err := wire.DecodeDelta(f.Payload)
+		d, err := wire.DecodeDelta(inflateFrame(t, f))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +228,7 @@ func TestBatchV3DeltaFallsBackToFull(t *testing.T) {
 	expectFull := func(name string, it BatchItem) {
 		t.Helper()
 		frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-			V: wire.V3, Canvas: "main", Codec: CodecJSON, Comp: CompOff,
+			V: wire.V3, Canvas: "main", Codec: CodecJSON,
 			Items: []BatchItem{it},
 		})
 		if frames[0].Status != FrameOK {
@@ -278,7 +275,7 @@ func TestBatchV3DeltaAcrossUpdate(t *testing.T) {
 	pan := func(baseID uint64) Frame {
 		t.Helper()
 		frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-			V: wire.V3, Canvas: "main", Codec: CodecJSON, Comp: CompOff,
+			V: wire.V3, Canvas: "main", Codec: CodecJSON,
 			Items: []BatchItem{{Kind: "dbox", Layer: 0, MinX: 200, MinY: 0, MaxX: 1200, MaxY: 800,
 				Base: &BaseRef{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800, ID: strconv.FormatUint(baseID, 16)}}},
 		})
@@ -292,7 +289,7 @@ func TestBatchV3DeltaAcrossUpdate(t *testing.T) {
 		if f.Codec.IsDelta() {
 			t.Fatal("post-update request delta-encoded against a pre-update base")
 		}
-		dr, err := Decode(f.Payload, CodecJSON)
+		dr, err := Decode(inflateFrame(t, f), CodecJSON)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,8 +355,7 @@ func TestBatchV3DeltaAcrossUpdate(t *testing.T) {
 }
 
 // TestDeltaFrameMemoMatchesFresh: a memoized pair frame is exactly the
-// frame a fresh build ships. For both codecs, both comp modes and three
-// pairs — a profitable delta, a delta no smaller than the full payload,
+// frame a fresh build ships. For both codecs and three pairs — a profitable delta, a delta no smaller than the full payload,
 // and a layer whose ids repeat — the second response builds nothing and
 // carries the first response's frame codec and bytes, and so does a
 // rebuild after the memo is emptied.
@@ -394,48 +390,43 @@ func TestDeltaFrameMemoMatchesFresh(t *testing.T) {
 		}
 		hs := httptest.NewServer(srv.Handler())
 		for _, codec := range []Codec{CodecJSON, CodecBinary} {
-			for _, comp := range []string{CompFlate, CompOff} {
-				name := tc.name + "/" + string(codec) + "/" + comp
-				basePayload, baseID := fetchBoxPayload(t, hs.URL, tc.base, codec)
-				newPayload, _ := fetchBoxPayload(t, hs.URL, tc.pan, codec)
-				bix, nix := buildRowIndex(binaryOf(t, basePayload, codec)), buildRowIndex(binaryOf(t, newPayload, codec))
-				if diffable := bix.diffable && nix.diffable; diffable == tc.dupIDs {
-					t.Fatalf("%s: row indexes diffable=%v", name, diffable)
+			name := tc.name + "/" + string(codec)
+			basePayload, baseID := fetchBoxPayload(t, hs.URL, tc.base, codec)
+			newPayload, _ := fetchBoxPayload(t, hs.URL, tc.pan, codec)
+			bix, nix := buildRowIndex(binaryOf(t, basePayload, codec)), buildRowIndex(binaryOf(t, newPayload, codec))
+			if diffable := bix.diffable && nix.diffable; diffable == tc.dupIDs {
+				t.Fatalf("%s: row indexes diffable=%v", name, diffable)
+			}
+			it := tc.pan
+			it.Base = &BaseRef{MinX: tc.base.MinX, MinY: tc.base.MinY, MaxX: tc.base.MaxX, MaxY: tc.base.MaxY,
+				ID: strconv.FormatUint(baseID, 16)}
+			post := func() Frame {
+				t.Helper()
+				f := postBatchV3Raw(t, hs.URL, BatchRequestV2{V: wire.V3, Canvas: "main", Codec: codec,
+					Items: []BatchItem{it}})[0]
+				if f.Status != FrameOK {
+					t.Fatalf("%s: status %d: %s", name, f.Status, f.Payload)
 				}
-				it := tc.pan
-				it.Base = &BaseRef{MinX: tc.base.MinX, MinY: tc.base.MinY, MaxX: tc.base.MaxX, MaxY: tc.base.MaxY,
-					ID: strconv.FormatUint(baseID, 16)}
-				post := func() Frame {
-					t.Helper()
-					f := postBatchV3Raw(t, hs.URL, BatchRequestV2{V: wire.V3, Canvas: "main", Codec: codec, Comp: comp,
-						Items: []BatchItem{it}})[0]
-					if f.Status != FrameOK {
-						t.Fatalf("%s: status %d: %s", name, f.Status, f.Payload)
-					}
-					return f
-				}
-				first := post()
-				if first.Codec.IsDelta() != tc.wantDelta {
-					t.Fatalf("%s: codec %d, want delta=%v", name, first.Codec, tc.wantDelta)
-				}
-				if first.Codec.Compressed() != (comp == CompFlate) {
-					t.Fatalf("%s: codec %d under comp %q", name, first.Codec, comp)
-				}
-				builds := srv.wireMemo.Stats().Misses
-				hit := post()
-				if got := srv.wireMemo.Stats().Misses; got != builds {
-					t.Fatalf("%s: memo-hit response built %d forms", name, got-builds)
-				}
-				srv.wireMemo.Clear()
-				fresh := post()
-				for _, f := range []struct {
-					what string
-					f    Frame
-				}{{"memo hit", hit}, {"fresh build", fresh}} {
-					if f.f.Codec != first.Codec || !bytes.Equal(f.f.Payload, first.Payload) {
-						t.Fatalf("%s: %s ships codec %d (%d B), first response codec %d (%d B)",
-							name, f.what, f.f.Codec, len(f.f.Payload), first.Codec, len(first.Payload))
-					}
+				return f
+			}
+			first := post()
+			if first.Codec.IsDelta() != tc.wantDelta {
+				t.Fatalf("%s: codec %d, want delta=%v", name, first.Codec, tc.wantDelta)
+			}
+			builds := srv.wireMemo.Stats().Misses
+			hit := post()
+			if got := srv.wireMemo.Stats().Misses; got != builds {
+				t.Fatalf("%s: memo-hit response built %d forms", name, got-builds)
+			}
+			srv.wireMemo.Clear()
+			fresh := post()
+			for _, f := range []struct {
+				what string
+				f    Frame
+			}{{"memo hit", hit}, {"fresh build", fresh}} {
+				if f.f.Codec != first.Codec || !bytes.Equal(f.f.Payload, first.Payload) {
+					t.Fatalf("%s: %s ships codec %d (%d B), first response codec %d (%d B)",
+						name, f.what, f.f.Codec, len(f.f.Payload), first.Codec, len(first.Payload))
 				}
 			}
 		}

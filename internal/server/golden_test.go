@@ -16,13 +16,13 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v3_stream.golden from this build's responses")
 
-// goldenV3Sequence replays one fixed pan session — full fetch, two
+// goldenSequence replays one fixed pan session — full fetch, two
 // overlapping pans declaring the previous box as base, a repeat, a far
-// jump, a tile, and the compression-off forms — as single-item v3
+// jump and a tile — as single-item v3
 // batches (one frame per stream, so completion order cannot reorder
 // bytes) and returns one line per response: codec, frame codec, body
 // length and the SHA-256 of the whole response body.
-func goldenV3Sequence(t *testing.T, url string, codec Codec) []string {
+func goldenSequence(t *testing.T, url string, codec Codec) []string {
 	t.Helper()
 	box := func(minx, maxx float64) BatchItem {
 		return BatchItem{Kind: "dbox", Layer: 0, MinX: minx, MinY: 100, MaxX: maxx, MaxY: 900}
@@ -37,10 +37,10 @@ func goldenV3Sequence(t *testing.T, url string, codec Codec) []string {
 	var lines []string
 	// post returns the PayloadID of the full payload the frame stands
 	// for — what a client would declare as its next base.
-	post := func(name string, it BatchItem, comp string) uint64 {
+	post := func(name string, it BatchItem) uint64 {
 		t.Helper()
 		stream, frames, err := postV3Stream(url, BatchRequestV2{
-			V: wire.V3, Canvas: "main", Codec: codec, Comp: comp, Items: []BatchItem{it},
+			V: wire.V3, Canvas: "main", Codec: codec, Items: []BatchItem{it},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -63,16 +63,14 @@ func goldenV3Sequence(t *testing.T, url string, codec Codec) []string {
 		return wire.PayloadID(payload)
 	}
 
-	idA := post("full-a", a, "")
-	idB := post("delta-b/a", withBase(b, a, idA), "")
-	idC := post("delta-c/b", withBase(c, b, idB), "")
-	post("delta-b/a-again", withBase(b, a, idA), "")
-	post("delta-b/c", withBase(b, c, idC), "")
-	post("full-far/c", withBase(far, c, idC), "")
-	post("stale-base", withBase(b, a, idA^1), "")
-	post("tile", BatchItem{Kind: "tile", Layer: 0, Size: 512, Col: 2, Row: 1}, "")
-	post("raw-full-a", a, CompOff)
-	post("raw-delta-c/b", withBase(c, b, idB), CompOff)
+	idA := post("full-a", a)
+	idB := post("delta-b/a", withBase(b, a, idA))
+	idC := post("delta-c/b", withBase(c, b, idB))
+	post("delta-b/a-again", withBase(b, a, idA))
+	post("delta-b/c", withBase(b, c, idC))
+	post("full-far/c", withBase(far, c, idC))
+	post("stale-base", withBase(b, a, idA^1))
+	post("tile", BatchItem{Kind: "tile", Layer: 0, Size: 512, Col: 2, Row: 1})
 	return lines
 }
 
@@ -87,8 +85,8 @@ func TestV3StreamGolden(t *testing.T) {
 	var cold []string
 	for _, codec := range []Codec{CodecJSON, CodecBinary} {
 		_, hs := newPointsServer(t, 6000, 4096, 2048)
-		first := goldenV3Sequence(t, hs.URL, codec)
-		warm := goldenV3Sequence(t, hs.URL, codec)
+		first := goldenSequence(t, hs.URL, codec)
+		warm := goldenSequence(t, hs.URL, codec)
 		for i := range first {
 			if first[i] != warm[i] {
 				t.Errorf("cold vs warm memo differ:\n cold %s\n warm %s", first[i], warm[i])

@@ -1,17 +1,16 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
 	"kyrix/internal/cluster"
-	"kyrix/internal/fetch"
 	"kyrix/internal/geom"
-	"kyrix/internal/obs"
 	"kyrix/internal/spec"
 	"kyrix/internal/storage"
 )
@@ -172,28 +171,6 @@ func (s *Server) handleApp(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) layerFromQuery(r *http.Request) (*fetch.PhysicalLayer, error) {
-	canvas := r.URL.Query().Get("canvas")
-	layerStr := r.URL.Query().Get("layer")
-	idx, err := strconv.Atoi(layerStr)
-	if err != nil {
-		return nil, fmt.Errorf("bad layer index %q", layerStr)
-	}
-	pl, ok := s.Layer(canvas, idx)
-	if !ok {
-		return nil, fmt.Errorf("no layer %s/%d", canvas, idx)
-	}
-	if pl.Table == "" {
-		return nil, fmt.Errorf("layer %s/%d has no data", canvas, idx)
-	}
-	return pl, nil
-}
-
-// codecOf reads a request's codec parameter (empty is JSON).
-func codecOf(r *http.Request) (Codec, error) {
-	return checkCodec(Codec(r.URL.Query().Get("codec")))
-}
-
 // checkCodec defaults an empty codec to JSON and refuses any name but
 // json and binary — "bincol", the cache key space, included — before
 // any cache lookup, so an unknown name costs neither tier a probe.
@@ -207,96 +184,65 @@ func checkCodec(c Codec) (Codec, error) {
 	return "", fmt.Errorf("unknown codec %q", c)
 }
 
-func floatParam(r *http.Request, name string) (float64, error) {
-	v, err := strconv.ParseFloat(r.URL.Query().Get(name), 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s: %v", name, err)
-	}
-	return v, nil
-}
-
-// handleTile answers one static-tile request under either database
-// design.
+// handleTile answers GET /tile: one static tile under either database
+// design, served as a batch item.
 func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	s.Stats.TileRequests.Add(1)
-	pl, err := s.layerFromQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	q := r.URL.Query()
-	size, err := floatParam(r, "size")
-	if err != nil || size <= 0 {
-		http.Error(w, "bad size", http.StatusBadRequest)
-		return
-	}
-	col, err1 := strconv.Atoi(q.Get("col"))
-	row, err2 := strconv.Atoi(q.Get("row"))
-	if err1 != nil || err2 != nil || col < 0 || row < 0 {
-		http.Error(w, "bad col/row", http.StatusBadRequest)
-		return
-	}
-	design := q.Get("design")
-	if design == "" {
-		design = "spatial"
-	}
-	codec, err := codecOf(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, sp := s.startRequestSpan(r, "http.tile")
-	sp.Attr("canvas", pl.CanvasID)
-	start := time.Now()
-	p, err := s.serveTile(ctx, pl, design, size, geom.TileID{Col: col, Row: row}, false)
-	s.answer(ctx, w, codec, p, err, start, sp)
+	it := BatchItem{Kind: "tile", Design: q.Get("design")}
+	err := errors.Join(
+		queryInt(q, "layer", &it.Layer), queryFloat(q, "size", &it.Size),
+		queryInt(q, "col", &it.Col), queryInt(q, "row", &it.Row))
+	s.serveGet(w, r, it, err)
 }
 
-// handleDBox answers one dynamic-box request (always the spatial
-// design, §3.1).
+// handleDBox answers GET /dbox: one dynamic box (always the spatial
+// design, §3.1), served as a batch item.
 func (s *Server) handleDBox(w http.ResponseWriter, r *http.Request) {
 	s.Stats.BoxRequests.Add(1)
-	pl, err := s.layerFromQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var box geom.Rect
-	for _, p := range []struct {
-		name string
-		dst  *float64
-	}{
-		{"minx", &box.MinX}, {"miny", &box.MinY}, {"maxx", &box.MaxX}, {"maxy", &box.MaxY},
-	} {
-		v, err := floatParam(r, p.name)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		*p.dst = v
-	}
-	if !box.Valid() {
-		http.Error(w, "invalid box", http.StatusBadRequest)
-		return
-	}
-	codec, err := codecOf(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, sp := s.startRequestSpan(r, "http.dbox")
-	sp.Attr("canvas", pl.CanvasID)
-	start := time.Now()
-	p, err := s.serveBox(ctx, pl, box, false)
-	s.answer(ctx, w, codec, p, err, start, sp)
+	q := r.URL.Query()
+	it := BatchItem{Kind: "dbox"}
+	err := errors.Join(
+		queryInt(q, "layer", &it.Layer),
+		queryFloat(q, "minx", &it.MinX), queryFloat(q, "miny", &it.MinY),
+		queryFloat(q, "maxx", &it.MaxX), queryFloat(q, "maxy", &it.MaxY))
+	s.serveGet(w, r, it, err)
 }
 
-// answer ends a single request's item stage and span once p is in codec,
-// then writes it or err (a serving error, or a payload JSON cannot carry).
-func (s *Server) answer(ctx context.Context, w http.ResponseWriter, codec Codec, p *payload, err error, start time.Time, sp *obs.Span) {
-	var f *frame
+// queryInt and queryFloat parse one query parameter into dst; its value
+// is checked by serveItem, as a /batch item's is.
+func queryInt(q url.Values, name string, dst *int) (err error) {
+	if *dst, err = strconv.Atoi(q.Get(name)); err != nil {
+		return fmt.Errorf("bad %s %q", name, q.Get(name))
+	}
+	return nil
+}
+
+func queryFloat(q url.Values, name string, dst *float64) (err error) {
+	if *dst, err = strconv.ParseFloat(q.Get(name), 64); err != nil {
+		return fmt.Errorf("bad %s %q", name, q.Get(name))
+	}
+	return nil
+}
+
+// serveGet serves a parsed GET item through serveItem, which checks it
+// as it checks a /batch item, and writes the payload in the request's
+// codec: the binary payload itself or its JSON document.
+func (s *Server) serveGet(w http.ResponseWriter, r *http.Request, it BatchItem, parseErr error) {
+	q := r.URL.Query()
+	codec, err := checkCodec(Codec(q.Get("codec")))
+	if err = errors.Join(parseErr, err); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	canvas := q.Get("canvas")
+	ctx, sp := s.startRequestSpan(r, "http."+it.Kind)
+	sp.Attr("canvas", canvas)
+	start := time.Now()
+	p, err := s.serveItem(ctx, canvas, it, false)
+	var body []byte
 	if err == nil {
-		f, _, err = s.frameOf(ctx, p, codec, false)
+		body, err = s.document(ctx, p, codec)
 	}
 	s.obs.stageItem.Observe(time.Since(start))
 	sp.End()
@@ -304,12 +250,10 @@ func (s *Server) answer(ctx context.Context, w http.ResponseWriter, codec Codec,
 		http.Error(w, err.Error(), httpStatusOf(err))
 		return
 	}
-	body := p.raw
 	if codec == CodecBinary {
 		w.Header().Set("Content-Type", "application/octet-stream")
 	} else {
 		w.Header().Set("Content-Type", "application/json")
-		body = f.body
 	}
 	s.Stats.BytesServed.Add(int64(len(body)))
 	_, _ = w.Write(body)

@@ -62,7 +62,6 @@ func newLODServer(t testing.TB, n int) (*Server, *httptest.Server) {
 		Cache: CacheOptions{L1: L1CacheOptions{Bytes: 8 << 20}},
 		Precompute: fetch.Options{
 			LODRowBudget: 64,
-			LODBaseCell:  64,
 		},
 	})
 	if err != nil {

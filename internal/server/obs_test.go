@@ -183,23 +183,23 @@ func TestWireMemoObservability(t *testing.T) {
 
 	exp := scrape(t, hs.URL)
 	// One full payload deflated once, one (base, new) pair deflated
-	// once. The memo built five forms — the compressed full frame, the
-	// JSON form the uncompressed fetch ships, the pair's frame and the
-	// two row indexes it diffed — and served the second full response
-	// and the second pan from memory. The JSON ids the planner checks
-	// and names ride on the cached payloads, not in the memo.
+	// once. The memo built four forms — the compressed full frame, the
+	// pair's frame and the two row indexes it diffed — and served the
+	// second and third full responses and the second pan from memory.
+	// The JSON ids the planner checks and names ride on the cached
+	// payloads, not in the memo.
 	if got := sampleValue(exp, "kyrix_stage_duration_seconds_count", "stage", "compress"); got != 2 {
 		t.Errorf("compress stage count = %v, want 2", got)
 	}
 	var snap StatsSnapshot
 	getJSON(t, hs.URL+"/stats", &snap)
 	sv := snap.Serving
-	if sv.WireMemoMisses != 5 || sv.WireMemoHits != 2 {
-		t.Errorf("wire memo: %d hits %d misses, want 2 and 5", sv.WireMemoHits, sv.WireMemoMisses)
+	if sv.WireMemoMisses != 4 || sv.WireMemoHits != 3 {
+		t.Errorf("wire memo: %d hits %d misses, want 3 and 4", sv.WireMemoHits, sv.WireMemoMisses)
 	}
-	if sv.WireMemoEntries != 5 || sv.WireMemoBytes <= 5*memoEntryOverhead || sv.WireMemoEvictions != 0 {
-		t.Errorf("wire memo residency: %d entries, %d bytes, %d evictions; want 5 entries over %d bytes, none evicted",
-			sv.WireMemoEntries, sv.WireMemoBytes, sv.WireMemoEvictions, 5*memoEntryOverhead)
+	if sv.WireMemoEntries != 4 || sv.WireMemoBytes <= 4*memoEntryOverhead || sv.WireMemoEvictions != 0 {
+		t.Errorf("wire memo residency: %d entries, %d bytes, %d evictions; want 4 entries over %d bytes, none evicted",
+			sv.WireMemoEntries, sv.WireMemoBytes, sv.WireMemoEvictions, 4*memoEntryOverhead)
 	}
 	if hit, miss := sampleValue(exp, "kyrix_wire_memo_events_total", "event", "hit"),
 		sampleValue(exp, "kyrix_wire_memo_events_total", "event", "miss"); int64(hit) != sv.WireMemoHits || int64(miss) != sv.WireMemoMisses {

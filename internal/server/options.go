@@ -50,11 +50,6 @@ type L2CacheOptions struct {
 	// FlushInterval is the longest an enqueued fill waits before its
 	// batch is appended and fsynced (0 = 50 ms).
 	FlushInterval time.Duration
-	// ScrubInterval, when positive, re-verifies every resident record's
-	// checksum each interval in the background, dropping any that no
-	// longer read back clean (surfaced as scrubbedBad in /stats). 0
-	// disables scrubbing.
-	ScrubInterval time.Duration
 }
 
 // CacheOptions is the cache configuration: L1 is the in-memory

@@ -21,11 +21,11 @@ import (
 //
 //   - the JSON form: the document a JSON client receives, written from
 //     the byte planes, with its own id — the id a JSON client declares
-//     as its delta base. Kept for uncompressed responses.
-//   - per codec, the full frame a compressing response ships: the
-//     DEFLATE body (wire.Compress) or, when that is not smaller, the
-//     payload itself. A JSON frame deflates a document written for it
-//     alone, so a sweep of misses holds one memo entry per payload.
+//     as its delta base. Kept for GET /tile and /dbox responses.
+//   - per codec, the full frame a /batch response ships: the DEFLATE
+//     body (wire.Compress) or, when that is not smaller, the payload
+//     itself. A JSON frame deflates a document written for it alone, so
+//     a sweep of misses holds one memo entry per payload.
 //   - the row index: each row's id and its position in every column.
 //
 // A pair of payloads — a client's declared delta base and the payload
@@ -64,17 +64,14 @@ const memoEntryOverhead = 64
 
 // Memo key kinds: one derived form per (kind, payload id). A delta
 // frame is keyed by (kind, base id, new id) of the binary payloads; its
-// bytes depend on the response codec and on whether the response may
-// deflate it.
+// bytes depend on the response codec.
 const (
 	memoFlate     = 'z'
 	memoJSONFrame = 'Z'
 	memoIndex     = 'b'
 	memoJSON      = 'j'
 
-	memoDeltaJSON        = 'd'
 	memoDeltaJSONFlate   = 'D'
-	memoDeltaBinary      = 'e'
 	memoDeltaBinaryFlate = 'E'
 )
 
@@ -135,18 +132,13 @@ func (s *Server) deflate(body []byte) []byte {
 }
 
 // frameOf returns p's full frame for a client of codec, DEFLATE-
-// compressed when compress allows and that is smaller, built on the
-// first request only. For a payload JSON cannot carry (NaN, ±Inf) the
-// error is memoized instead; binary requests still ship p.
-func (s *Server) frameOf(ctx context.Context, p *payload, codec Codec, compress bool) (f *frame, cached bool, err error) {
-	kind := byte(memoJSON)
-	switch {
-	case codec == CodecBinary && !compress:
-		return &frame{codec: FrameRaw, size: len(p.raw)}, true, nil
-	case codec == CodecBinary:
+// compressed when that is smaller, built on the first request only. For
+// a payload JSON cannot carry (NaN, ±Inf) the error is memoized instead;
+// binary requests still ship p.
+func (s *Server) frameOf(ctx context.Context, p *payload, codec Codec) (f *frame, cached bool, err error) {
+	kind := byte(memoJSONFrame)
+	if codec == CodecBinary {
 		kind = memoFlate
-	case compress:
-		kind = memoJSONFrame
 	}
 	v, cached := s.memo(newMemoKey(kind, p.id), func() (any, int64) {
 		raw := p.raw
@@ -157,9 +149,6 @@ func (s *Server) frameOf(ctx context.Context, p *payload, codec Codec, compress 
 			}
 		}
 		f := &frame{body: raw, codec: FrameRaw, size: len(raw)}
-		if !compress {
-			return f, int64(len(raw))
-		}
 		if cb := s.deflate(raw); cb != nil {
 			f.body, f.codec = cb, FrameFlate
 		} else if codec == CodecBinary {
@@ -171,6 +160,26 @@ func (s *Server) frameOf(ctx context.Context, p *payload, codec Codec, compress 
 		return nil, false, err
 	}
 	return v.(*frame), cached, nil
+}
+
+// document returns p as a GET response body in codec: the binary payload
+// itself, or its JSON document, written on the first request only (or
+// the error that JSON cannot carry p, memoized the same way).
+func (s *Server) document(ctx context.Context, p *payload, codec Codec) ([]byte, error) {
+	if codec == CodecBinary {
+		return p.raw, nil
+	}
+	v, _ := s.memo(newMemoKey(memoJSON, p.id), func() (any, int64) {
+		raw, err := s.writeJSON(ctx, p)
+		if err != nil {
+			return err, 0
+		}
+		return raw, int64(len(raw))
+	})
+	if err, failed := v.(error); failed {
+		return nil, err
+	}
+	return v.([]byte), nil
 }
 
 // writeJSON writes p's JSON document under a json.write span and notes

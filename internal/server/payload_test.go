@@ -735,12 +735,12 @@ func TestRowIndexChargeIsPinnedBytes(t *testing.T) {
 	if got := srv.wireMemo.Stats().Bytes; got != pinned {
 		t.Errorf("%d-row index charged %d bytes, its slices pin %d", ix.n, got, pinned)
 	}
-	form, _, err := srv.frameOf(context.Background(), p, CodecJSON, false)
+	form, err := srv.document(context.Background(), p, CodecJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := srv.wireMemo.Stats().Bytes-pinned, int64(memoEntryOverhead+len(form.body)); got != want {
-		t.Errorf("%d-byte JSON form charged %d bytes, want %d", len(form.body), got, want)
+	if got, want := srv.wireMemo.Stats().Bytes-pinned, int64(memoEntryOverhead+len(form)); got != want {
+		t.Errorf("%d-byte JSON form charged %d bytes, want %d", len(form), got, want)
 	}
 }
 

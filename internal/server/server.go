@@ -156,7 +156,6 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 			MaxBytes:        opts.Cache.L2.MaxBytes,
 			WriteQueueDepth: opts.Cache.L2.WriteQueueDepth,
 			FlushInterval:   opts.Cache.L2.FlushInterval,
-			ScrubInterval:   opts.Cache.L2.ScrubInterval,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: open L2 tile store: %w", err)

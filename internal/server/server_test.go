@@ -367,6 +367,41 @@ func TestUnknownCodecRefused(t *testing.T) {
 	}
 }
 
+// TestNonFiniteWindowRefused: a tile size that is NaN or infinite, or a
+// box with an infinite edge, is a 400 — it has no tile grid and no cache
+// key, and an infinite box would answer every row of the table — and
+// the refusal costs L1 neither a miss nor a byte.
+func TestNonFiniteWindowRefused(t *testing.T) {
+	_, hs := newPointsServer(t, 200, 4096, 2048)
+	l1 := func() L1Stats {
+		var snap StatsSnapshot
+		getJSON(t, hs.URL+"/stats", &snap)
+		return snap.Cache.L1
+	}
+	before := l1()
+	for _, u := range []string{
+		"/tile?canvas=main&layer=0&size=NaN&col=0&row=0",
+		"/tile?canvas=main&layer=0&size=Inf&col=0&row=0",
+		"/tile?canvas=main&layer=0&size=NaN&col=0&row=0&codec=binary",
+		"/dbox?canvas=main&layer=0&minx=-Inf&miny=-Inf&maxx=Inf&maxy=Inf",
+		"/dbox?canvas=main&layer=0&minx=0&miny=0&maxx=Inf&maxy=512&codec=binary",
+	} {
+		resp, err := http.Get(hs.URL + u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s: %s (%d bytes), want 400", u, resp.Status, len(body))
+		}
+	}
+	if after := l1(); after.Misses != before.Misses || after.Bytes != before.Bytes {
+		t.Fatalf("refused windows reached L1: misses %d -> %d, bytes %d -> %d",
+			before.Misses, after.Misses, before.Bytes, after.Bytes)
+	}
+}
+
 func TestUpdateEndpoint(t *testing.T) {
 	srv, hs := newPointsServer(t, 100, 4096, 2048)
 	// Warm the backend cache.

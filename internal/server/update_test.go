@@ -145,9 +145,9 @@ func (w *window) serve(t testing.TB, srv *Server) *payload {
 	t.Helper()
 	p, err := srv.serveItem(context.Background(), "main", w.item, false)
 	if err == nil && w.codec == CodecJSON {
-		var f *frame
-		if f, _, err = srv.frameOf(context.Background(), p, w.codec, false); err == nil {
-			p = &payload{raw: f.body}
+		var doc []byte
+		if doc, err = srv.document(context.Background(), p, w.codec); err == nil {
+			p = &payload{raw: doc}
 		}
 	}
 	if err != nil {

@@ -130,7 +130,7 @@
 //     dead space, doubling as compaction.
 //
 // Knobs: [ServerOptions].Cache.L2 Path/MaxBytes/WriteQueueDepth/
-// FlushInterval/ScrubInterval (segment files are sized from MaxBytes);
+// FlushInterval (segment files are sized from MaxBytes);
 // GET /stats reports the tier under
 // cache.l2 ([StatsSnapshot]). `kyrix-bench -restart -l2dir DIR`
 // measures the restart benefit, and BenchmarkColdStart guards it in CI.
@@ -282,10 +282,10 @@
 // direction: any viewport at any zoom scans a bounded number of rows.
 //
 //   - Pyramid layout. Level ℓ partitions the canvas into square cells
-//     of side baseCell·2^ℓ ([PrecomputeOptions].LODBaseCell, default
-//     64). Each cell stores one materialized row: the cell's
-//     representative base row (rule below; the base-schema prefix,
-//     id/x/y/..., decodes exactly like a raw row) with appended
+//     of side 64·2^ℓ canvas units. Each cell stores one materialized
+//     row: the cell's representative base row (rule below; the
+//     base-schema prefix, id/x/y/..., decodes exactly like a raw row)
+//     with appended
 //     aggregate columns lod_count (rows in the cell), lod_sum (first
 //     non-coordinate numeric column), and lod_minx/miny/maxx/maxy (the
 //     union of the member rows' rendered boxes, R-tree indexed).
@@ -339,8 +339,8 @@
 // writer, the payload builder in internal/server (fed by the query path
 // and by server.Encode), and it writes the binary payload; a JSON payload
 // is written from the binary one's columns on first need and kept in the
-// wire memo — the document for uncompressed responses, only the DEFLATE
-// body for compressed frames — while its id and length stay with the
+// wire memo — the document for GET /tile and /dbox, only the DEFLATE
+// body for batch frames — while its id and length stay with the
 // cached binary payload for the delta planner. Each codec has one reader
 // (server.DecodeColumns). Both are fixed formats, not "whatever a
 // marshaller emits". The reader fills columns — one typed slice per
@@ -428,9 +428,9 @@
 // a binary stream flushed frame by frame as sub-results complete, so
 // the client renders layers as they arrive. The request is JSON. "v"
 // must be 3: a body without it (the retired v1 envelope and v2 stream
-// shapes) is a 400 "unsupported batch protocol". "comp":"off" asks for
-// raw frames, and a dbox item may declare a base box the client
-// already holds:
+// shapes) is a 400 "unsupported batch protocol". Every frame is
+// DEFLATE-compressed when that makes it smaller, and a dbox item may
+// declare a base box the client already holds:
 //
 //	{"v":3,"canvas":"main","codec":"binary","items":[
 //	 {"kind":"tile","layer":0,"size":256,"col":0,"row":0},
@@ -503,7 +503,11 @@
 // 1 the client keeps the paper's one GET /tile per tile, the baseline
 // Figures 6 and 7 measure. The server DEFLATE-compresses a frame when
 // that makes it smaller. GET /tile and GET /dbox stay on the server for
-// single requests (curl, debugging). The benchmark in bench/ (`bash
+// single requests (curl, debugging): each turns its query string into
+// one batch item and serves it through the same check and cache path,
+// so a window the batch refuses (a bad layer, a tile size that is not
+// finite and positive, a box with a non-finite or inverted edge) is a
+// 400 there too. The benchmark in bench/ (`bash
 // bench/run.sh`) reports wire bytes per step, the wire/raw ratio and
 // time-to-first-frame.
 //

@@ -26,7 +26,6 @@ var optionSurface = []string{
 	"ClientOptions.Scheme.TileSize",
 	"ClientOptions.Tracer",
 	"PrecomputeOptions.BuildSpatial",
-	"PrecomputeOptions.LODBaseCell",
 	"PrecomputeOptions.LODRowBudget",
 	"PrecomputeOptions.TileSizes",
 	"ServerOptions.Cache.L1.Admission",
@@ -34,7 +33,6 @@ var optionSurface = []string{
 	"ServerOptions.Cache.L2.FlushInterval",
 	"ServerOptions.Cache.L2.MaxBytes",
 	"ServerOptions.Cache.L2.Path",
-	"ServerOptions.Cache.L2.ScrubInterval",
 	"ServerOptions.Cache.L2.WriteQueueDepth",
 	"ServerOptions.Cluster.BreakerCooldown",
 	"ServerOptions.Cluster.HotReplicate",
@@ -48,7 +46,6 @@ var optionSurface = []string{
 	"ServerOptions.Obs.FlightRecorderSize",
 	"ServerOptions.Obs.Pprof",
 	"ServerOptions.Precompute.BuildSpatial",
-	"ServerOptions.Precompute.LODBaseCell",
 	"ServerOptions.Precompute.LODRowBudget",
 	"ServerOptions.Precompute.TileSizes",
 }
