@@ -194,14 +194,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// A valid request is a few KB (MaxBatchItems items plus header
 	// fields); cap the body so an oversized request is rejected while
-	// decoding instead of allocated in full first.
+	// decoding instead of allocated in full first. An unknown field is
+	// refused, not ignored: a misspelled "codec" would otherwise be
+	// served in the default one. The decoder still fills the known
+	// fields after one, so a retired v1/v2 body is named as such.
 	var req BatchRequestV2
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if req.V != wire.V3 {
+		msg := fmt.Sprintf("unsupported batch protocol v%d", req.V)
+		if err != nil {
+			msg += ": " + err.Error()
+		}
+		http.Error(w, msg, http.StatusBadRequest)
 		return
 	}
-	if req.V != wire.V3 {
-		http.Error(w, fmt.Sprintf("unsupported batch protocol v%d", req.V), http.StatusBadRequest)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	// The root span of the whole batch; per-item spans hang off it from

@@ -289,6 +289,53 @@ func TestBatchRejectsRetiredProtocols(t *testing.T) {
 	}
 }
 
+// TestBatchRefusesUnknownFields: a v3 body with a field the request
+// does not define — the retired "comp" switch, a misspelled "codec", an
+// unknown item field — is a 400 before any stream starts, so it is not
+// served as if the field were absent; the body the frontend marshals,
+// every field set, is served.
+func TestBatchRefusesUnknownFields(t *testing.T) {
+	srv, hs := newPointsServer(t, 200, 4096, 2048)
+	post := func(body []byte) (int, string, []byte) {
+		t.Helper()
+		resp, err := http.Post(hs.URL+"/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, resp.Header.Get("Content-Type"), msg
+	}
+	for _, body := range []string{
+		`{"v":3,"canvas":"main","comp":"off","items":[{"kind":"tile","layer":0,"size":512}]}`,
+		`{"v":3,"canvas":"main","codex":"binary","items":[{"kind":"tile","layer":0,"size":512}]}`,
+		`{"v":3,"canvas":"main","items":[{"kind":"tile","layer":0,"size":512,"column":1}]}`,
+	} {
+		code, ct, msg := post([]byte(body))
+		if code != http.StatusBadRequest || !strings.Contains(string(msg), "unknown field") {
+			t.Fatalf("%s: %d %q, want 400 naming the unknown field", body, code, msg)
+		}
+		if ct == BatchV3ContentType || bytes.HasPrefix(msg, []byte(wire.Magic)) {
+			t.Fatalf("%s: refused body still opened a stream (%s)", body, ct)
+		}
+	}
+	if b := srv.Stats.BatchRequests.Load(); b != 0 {
+		t.Fatalf("refused bodies counted: BatchRequests=%d", b)
+	}
+
+	body, err := json.Marshal(BatchRequestV2{V: wire.V3, Canvas: "main", Codec: CodecBinary, Items: []BatchItem{
+		{Kind: "tile", Layer: 0, Size: 512, Col: 1, Row: 1},
+		{Kind: "dbox", Layer: 0, MinX: 1, MinY: 1, MaxX: 900, MaxY: 900,
+			Base: &BaseRef{MinX: 1, MinY: 1, MaxX: 800, MaxY: 800, ID: "1f"}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, ct, msg := post(body); code != http.StatusOK || ct != BatchV3ContentType {
+		t.Fatalf("frontend-shaped body: %d %s %q", code, ct, msg[:min(len(msg), 64)])
+	}
+}
+
 // TestBatchV2CoalescesWithSingles verifies batch items ride the same
 // cache as single requests: a tile served via GET /tile is a backend
 // cache hit when re-requested inside a batch.

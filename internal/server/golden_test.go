@@ -21,7 +21,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v3_stream
 // jump and a tile — as single-item v3
 // batches (one frame per stream, so completion order cannot reorder
 // bytes) and returns one line per response: codec, frame codec, body
-// length and the SHA-256 of the whole response body.
+// length, the SHA-256 of the whole response body and the SHA-256 of the
+// frame's payload once inflated (a full payload or a delta), which no
+// change of compression moves.
 func goldenSequence(t *testing.T, url string, codec Codec) []string {
 	t.Helper()
 	box := func(minx, maxx float64) BatchItem {
@@ -49,10 +51,10 @@ func goldenSequence(t *testing.T, url string, codec Codec) []string {
 		if f.Status != FrameOK {
 			t.Fatalf("%s: error frame: %s", name, f.Payload)
 		}
-		sum := sha256.Sum256(stream)
-		lines = append(lines, fmt.Sprintf("%s %s fc=%d len=%d sha256=%s",
-			codec, name, f.Codec, len(stream), hex.EncodeToString(sum[:])))
 		payload := inflateFrame(t, f)
+		sum, psum := sha256.Sum256(stream), sha256.Sum256(payload)
+		lines = append(lines, fmt.Sprintf("%s %s fc=%d len=%d sha256=%s payload=%s",
+			codec, name, f.Codec, len(stream), hex.EncodeToString(sum[:]), hex.EncodeToString(psum[:])))
 		if f.Codec.IsDelta() {
 			d, err := wire.DecodeDelta(payload)
 			if err != nil {
@@ -74,14 +76,17 @@ func goldenSequence(t *testing.T, url string, codec Codec) []string {
 	return lines
 }
 
-// TestV3StreamGolden pins the v3 wire bytes: the stream for a fixed
+// TestBatchStreamGolden pins the v3 wire bytes: the stream for a fixed
 // request sequence must equal testdata/v3_stream.golden byte for byte,
 // for both codecs — and replaying the sequence against the now-warm
-// derived-form memo must reproduce the cold bytes exactly. The JSON
-// lines date from before wire-ready payloads; the binary lines were
-// rewritten once, for the columnar layout and its entropy-segmented
-// DEFLATE streams.
-func TestV3StreamGolden(t *testing.T) {
+// derived-form memo must reproduce the cold bytes exactly. Each line
+// also pins the frame's inflated payload, so a drift is told apart: new
+// compressed bytes over the same payloads are a compression change, new
+// payloads a server change. The lines were last rewritten when Compress
+// began keeping the shorter of its BestSpeed and Huffman-only codings;
+// every frame then inflated to the payload the previous compressor's
+// frame did.
+func TestBatchStreamGolden(t *testing.T) {
 	var cold []string
 	for _, codec := range []Codec{CodecJSON, CodecBinary} {
 		_, hs := newPointsServer(t, 6000, 4096, 2048)
@@ -109,7 +114,24 @@ func TestV3StreamGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
-		t.Errorf("v3 stream bytes drifted from the golden frames (a compress/flate change in the Go toolchain also lands here; regenerate with -update-golden only after ruling out a server change)\n got:\n%s\nwant:\n%s", got, want)
+	if got == string(want) {
+		return
 	}
+	if payloads(got) != payloads(string(want)) {
+		t.Errorf("frames inflate to other payloads than the golden ones: a server change, not a compression one\n got:\n%s\nwant:\n%s", got, want)
+		return
+	}
+	t.Errorf("v3 stream bytes drifted from the golden frames, though every frame inflates to its golden payload: a compression change (a compress/flate change in the Go toolchain also lands here); regenerate with -update-golden once it is deliberate\n got:\n%s\nwant:\n%s", got, want)
+}
+
+// payloads keeps each golden line's name and payload hash.
+func payloads(golden string) string {
+	var b strings.Builder
+	for _, line := range strings.Split(golden, "\n") {
+		f := strings.Fields(line)
+		if len(f) > 0 {
+			fmt.Fprintln(&b, f[0], f[1], f[len(f)-1])
+		}
+	}
+	return b.String()
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf16"
@@ -578,7 +579,8 @@ func (s *jsonScanner) header() (cols []string, types ColTypes, err error) {
 // decodeJSON is DecodeColumns' JSON sink. One loop walks the row
 // section and appends each cell to its column by the column's declared
 // type: a number cell is read once, as it is scanned (jsonNum), and
-// integers never pass through a float64. Each TEXT column unquotes into
+// integers never pass through a float64. The columns' slabs are sized
+// once, by jsonRowBound, and never grow. Each TEXT column unquotes into
 // its own arena while the rows interleave, so its values stay
 // contiguous; the arenas are joined at the end.
 func decodeJSON(data []byte) (*Columns, error) {
@@ -587,13 +589,18 @@ func decodeJSON(data []byte) (*Columns, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Columns{Cols: cols, Types: types, Data: make([]Column, len(types))}
-	texts := make([][]byte, len(types))
-	for col, t := range types {
-		if t == storage.TString {
-			c.Data[col].Offs = []uint32{0}
+	// The rows are appended to slabs of the bound's capacity, so no
+	// append reallocates; a TEXT column's Offs keeps its opening 0.
+	c := NewColumns(cols, types, jsonRowBound(s.b[s.pos:], len(types)))
+	for col := range c.Data {
+		d := &c.Data[col]
+		d.Ints, d.Floats, d.Bools = d.Ints[:0], d.Floats[:0], d.Bools[:0]
+		if d.Offs != nil {
+			d.Offs = d.Offs[:1]
 		}
 	}
+	c.N = 0
+	texts := make([][]byte, len(types))
 	for ; !s.next(']'); c.N++ {
 		if c.N > 0 && !s.next(',') || !s.next('[') {
 			return nil, errJSONPayload
@@ -637,6 +644,12 @@ func decodeJSON(data []byte) (*Columns, error) {
 	if !s.lit("}") || s.pos != len(s.b) {
 		return nil, errJSONPayload
 	}
+	// Clipped, as NewColumns leaves them: an append to one column must
+	// not run into the next one's part of the slab.
+	for col := range c.Data {
+		d := &c.Data[col]
+		d.Ints, d.Floats, d.Bools, d.Offs = slices.Clip(d.Ints), slices.Clip(d.Floats), slices.Clip(d.Bools), slices.Clip(d.Offs)
+	}
 	for col, text := range texts {
 		if types[col] != storage.TString {
 			continue
@@ -648,6 +661,16 @@ func decodeJSON(data []byte) (*Columns, error) {
 		c.Text = append(c.Text, text...)
 	}
 	return c, nil
+}
+
+// jsonRowBound is at least the number of rows in rows, a row section of
+// ncols columns, so the column slabs can be sized before the first row.
+// Every row ends with a ']' (a TEXT cell may hold more), and takes at
+// least 2·ncols+2 bytes with its separator: two brackets, ncols
+// one-byte cells and ncols commas. The second bound keeps a section of
+// bare "]" from allocating more than a few bytes per input byte.
+func jsonRowBound(rows []byte, ncols int) int {
+	return min(bytes.Count(rows, []byte{']'}), (len(rows)+1)/(2*ncols+2))
 }
 
 // jsonNum is what number learned of one number cell.

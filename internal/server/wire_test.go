@@ -519,7 +519,8 @@ func sameColumns(got, want *Columns) string {
 }
 
 // FuzzDecodeJSON: arbitrary bytes never panic or allocate beyond what
-// the input pays for; on any input whose number cells are in the RFC
+// the input pays for, and the columns come back with no spare capacity;
+// on any input whose number cells are in the RFC
 // 8259 form, the reader accepts what the callback reader accepts and
 // returns the same columns, float bits included; and every payload
 // Encode can produce decodes to the reference decoder's cells.
@@ -551,8 +552,12 @@ func FuzzDecodeJSON(f *testing.F) {
 		got, err := DecodeColumns(data, CodecJSON)
 		if err == nil {
 			cells := 0
-			for _, d := range got.Data {
+			for col, d := range got.Data {
 				cells += len(d.Ints) + len(d.Floats) + len(d.Bools) + len(d.Offs) - min(len(d.Offs), 1)
+				// Clipped, so an append cannot run into the next column.
+				if cap(d.Ints) != len(d.Ints) || cap(d.Floats) != len(d.Floats) || cap(d.Bools) != len(d.Bools) || cap(d.Offs) != len(d.Offs) {
+					t.Fatalf("%q: column %d has spare capacity", data, col)
+				}
 			}
 			// A row costs at least "[]," and a cell at least "0,".
 			if len(got.Cols) > len(data) || got.N > len(data)/2 || cells > len(data)/2 {

@@ -146,7 +146,8 @@ func checkRoundTrip(t testing.TB, raw, c []byte) {
 // FuzzCompressRoundTrip: every Compress output is one DEFLATE stream
 // that inflates to its input under compress/flate's reader and under
 // wire.Decompress — whatever mix of stored and deflated runs the
-// entropy classifier cut it into.
+// entropy classifier cut it into — and is never longer than the
+// BestSpeed-only reference.
 func FuzzCompressRoundTrip(f *testing.F) {
 	w := dotWindows(f)
 	rnd := rand.New(rand.NewSource(29))
@@ -166,7 +167,97 @@ func FuzzCompressRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkRoundTrip(t, raw, c)
+		lz, err := wire.LZOnlyCompress(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c) > len(lz) {
+			t.Fatalf("Compress wrote %d bytes, the BestSpeed-only reference %d", len(c), len(lz))
+		}
 	})
+}
+
+// eegJSON is the JSON payload of n rows shaped like examples/eeg's
+// table — ids, a channel, six doubles and a TEXT tag drawn from tags.
+func eegJSON(tb testing.TB, n int, tags []string) []byte {
+	d := workload.EEG(4, float64(n)/4/16, 16, 42)
+	rnd := rand.New(rand.NewSource(7))
+	dr := &server.DataResponse{
+		Cols: []string{"id", "channel", "t", "amp", "delta", "theta", "alpha", "beta", "tag"},
+		Types: server.ColTypes{storage.TInt64, storage.TInt64, storage.TFloat64, storage.TFloat64,
+			storage.TFloat64, storage.TFloat64, storage.TFloat64, storage.TFloat64, storage.TString},
+	}
+	for _, s := range d.Samples[:n] {
+		dr.Rows = append(dr.Rows, storage.Row{storage.I64(s.ID), storage.I64(int64(s.Channel)),
+			storage.F64(s.T), storage.F64(s.Amp), storage.F64(s.Delta), storage.F64(s.Theta),
+			storage.F64(s.Alpha), storage.F64(s.Beta), storage.Str(tags[rnd.Intn(len(tags))])})
+	}
+	b, err := server.Encode(dr, server.CodecJSON)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// TestCompressKeepsShorterCoding: Compress codes each deflated run both
+// ways and keeps the shorter. A dot window's JSON — random digits, whose
+// short matches cost more than their literals — comes out as
+// literal-only blocks (the flush and final markers around them are
+// empty), smaller than the BestSpeed-only reference. JSON with a TEXT
+// column of a few repeated tags keeps LZ blocks, no larger than the
+// reference.
+func TestCompressKeepsShorterCoding(t *testing.T) {
+	blocks := func(c []byte) []wire.Block {
+		t.Helper()
+		b, err := wire.BlockKinds(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	compress := func(raw []byte) (c, lz []byte) {
+		t.Helper()
+		c, err := wire.Compress(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lz, err = wire.LZOnlyCompress(raw); err != nil {
+			t.Fatal(err)
+		}
+		checkRoundTrip(t, raw, c)
+		return c, lz
+	}
+
+	raw := dotWindows(t)[server.CodecJSON]
+	c, lz := compress(raw)
+	if len(c) >= len(lz) {
+		t.Fatalf("dot window JSON: %d bytes, BestSpeed-only %d: want smaller", len(c), len(lz))
+	}
+	t.Logf("dot window JSON, %d bytes: %d deflated, %d BestSpeed-only", len(raw), len(c), len(lz))
+	for i, b := range blocks(c) {
+		if b.Out > 0 && b.Kind != "literal-only" {
+			t.Fatalf("dot window JSON block %d is %s, inflating to %d bytes: want literal-only blocks only", i, b.Kind, b.Out)
+		}
+	}
+
+	for _, tags := range [][]string{
+		{"", "artifact", "spike", "rem"},
+		{"movement artifact, channel re-referenced", "electrode pop on the reference lead", "eye blink during the alpha burst"},
+	} {
+		raw := eegJSON(t, 1000, tags)
+		c, lz := compress(raw)
+		if len(c) > len(lz) {
+			t.Fatalf("eeg JSON with tags %q: %d bytes, BestSpeed-only %d", tags, len(c), len(lz))
+		}
+		t.Logf("eeg JSON with %d tags, %d bytes: %d deflated, %d BestSpeed-only", len(tags), len(raw), len(c), len(lz))
+		mixed := false
+		for _, b := range blocks(c) {
+			mixed = mixed || b.Kind == "mixed" && b.Out > 0
+		}
+		if !mixed {
+			t.Fatalf("eeg JSON with tags %q: no block with matches: %v", tags, blocks(c))
+		}
+	}
 }
 
 // BenchmarkCompressBinaryBox deflates the columnar payload of one 1536²
@@ -186,7 +277,25 @@ func BenchmarkCompressBinaryBox(b *testing.B) {
 	b.ReportMetric(float64(len(c))/float64(len(raw)), "ratio")
 }
 
-// BenchmarkDecompress inflates one BestSpeed-deflated dot window — the
+// BenchmarkCompressJSONBox deflates the JSON payload of the same box
+// per op — both codings of its one run, the server's cost of a full JSON
+// frame's first build — and reports the compressed size over raw as
+// ratio.
+func BenchmarkCompressJSONBox(b *testing.B) {
+	raw := dotWindows(b)[server.CodecJSON]
+	var c []byte
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	for b.Loop() {
+		var err error
+		if c, err = wire.Compress(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(c))/float64(len(raw)), "ratio")
+}
+
+// BenchmarkDecompress inflates one Compress-deflated dot window — the
 // frame a pan or zoom step ships — per op; MB/s is of inflated bytes and
 // ratio is the frame's compressed size over raw.
 func BenchmarkDecompress(b *testing.B) {

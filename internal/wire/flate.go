@@ -20,16 +20,20 @@ import (
 // entropy from its byte histogram; a run of chunks too close to random
 // for Huffman coding to pay (a binary payload's low mantissa and id byte
 // planes) ships as stored blocks, which inflate as a plain copy, and
-// every other run goes through the writer. The writer is reset at each
-// such run, so no back-reference reaches into bytes it never saw, and
-// flushed at its end, which byte-aligns the stream for the stored block
-// that follows. The result is one ordinary DEFLATE stream. Input with no
-// high-entropy chunk — every JSON payload — takes the single-writer
-// path and comes out exactly as compress/flate alone would write it.
-
-// flateLevel trades ratio for speed; frames are latency-sensitive
-// (the 500 ms budget), so BestSpeed wins over a few extra percent.
-const flateLevel = flate.BestSpeed
+// every other run is deflated afresh, so no back-reference reaches into
+// bytes the writer never saw, and flushed at its end, which byte-aligns
+// the stream for the stored block that follows. The result is one
+// ordinary DEFLATE stream.
+//
+// Each deflated run is coded twice, by a BestSpeed writer and by a
+// Huffman-only one, and the shorter coding is kept (BestSpeed on a
+// tie), so a run is never longer than BestSpeed alone would make it.
+// Digit-heavy text — a JSON payload's numbers — finds only short
+// matches that cost more bits than the literals they replace, so its
+// runs usually come out Huffman-only: blocks with no length code, which
+// the inflater decodes two literals per lookup. Repeated strings (a
+// TEXT column of a few tags) keep their LZ coding. Both passes are paid
+// once per payload: the server memoizes the DEFLATE body.
 
 // CompressMinSize is the payload size below which compression cannot
 // pay for its own frame-codec overhead and CPU; callers ship smaller
@@ -61,6 +65,14 @@ var xlog2x = func() (t [segmentChunk + 1]float64) {
 	return t
 }()
 
+// xlog2 is c·log2(c), from xlog2x when c is a chunk's count.
+func xlog2(c uint16) float64 {
+	if int(c) < len(xlog2x) {
+		return xlog2x[c]
+	}
+	return float64(c) * math.Log2(float64(c))
+}
+
 // highEntropy reports whether chunk (at most segmentChunk bytes) is too
 // close to random for DEFLATE to shrink: its entropy estimate exceeds
 // storedBitsPerByte per byte.
@@ -78,33 +90,51 @@ func highEntropy(chunk []byte) bool {
 	return high&0x8080808080808080 != 0 && entropyBits(chunk) > storedBitsPerByte*float64(len(chunk))
 }
 
-// entropyBits is chunk's order-0 entropy estimate in bits: n·log2(n) −
-// Σ c·log2(c) over its byte histogram. Kept apart from highEntropy so
-// the text fast path does not pay for zeroing the histograms.
-func entropyBits(chunk []byte) float64 {
+// entropyBits is b's order-0 entropy in bits: n·log2(n) − Σ c·log2(c)
+// over its byte histogram; b is at most maxStoredBlock bytes, so every
+// count fits a uint16. Kept apart from highEntropy so the text fast path
+// does not pay for zeroing the histograms.
+func entropyBits(b []byte) float64 {
 	// Four interleaved histograms, so a run of one byte value (a zero
 	// plane) is not a chain of increments to a single counter.
 	var hist [4][256]uint16
 	i := 0
-	for ; i+4 <= len(chunk); i += 4 {
-		hist[0][chunk[i]]++
-		hist[1][chunk[i+1]]++
-		hist[2][chunk[i+2]]++
-		hist[3][chunk[i+3]]++
+	for ; i+4 <= len(b); i += 4 {
+		hist[0][b[i]]++
+		hist[1][b[i+1]]++
+		hist[2][b[i+2]]++
+		hist[3][b[i+3]]++
 	}
-	for ; i < len(chunk); i++ {
-		hist[0][chunk[i]]++
+	for ; i < len(b); i++ {
+		hist[0][b[i]]++
 	}
-	bits := xlog2x[len(chunk)]
-	for b := range 256 {
-		bits -= xlog2x[hist[0][b]+hist[1][b]+hist[2][b]+hist[3][b]]
+	bits := xlog2(uint16(len(b)))
+	for c := range 256 {
+		bits -= xlog2(hist[0][c] + hist[1][c] + hist[2][c] + hist[3][c])
 	}
 	return bits
 }
 
+// huffmanFloor is a lower bound on the bytes of run's Huffman-only
+// coding: each block the writer codes (maxStoredBlock bytes, its window)
+// takes at least one bit per byte, and at least the block's entropy. A
+// run whose BestSpeed coding is no longer than this keeps it without a
+// Huffman-only pass — a binary payload's near-constant planes, which LZ
+// shrinks far below a bit per byte. The bound leaves out the block
+// headers, so float rounding cannot lift it past the true length.
+func huffmanFloor(run []byte) int {
+	bits := 0.0
+	for len(run) > 0 {
+		block := run[:min(len(run), maxStoredBlock)]
+		run = run[len(block):]
+		bits += max(entropyBits(block), float64(len(block)))
+	}
+	return int(bits / 8)
+}
+
 type deflater struct {
-	fw  *flate.Writer
-	buf bytes.Buffer
+	fast, huff *flate.Writer
+	buf, alt   bytes.Buffer
 }
 
 // maxPooledScratch bounds the scratch buffer an idle pooled deflater or
@@ -114,28 +144,53 @@ const maxPooledScratch = 1 << 20
 var deflaters = sync.Pool{
 	New: func() any {
 		d := &deflater{}
-		d.fw, _ = flate.NewWriter(&d.buf, flateLevel)
+		d.fast, _ = flate.NewWriter(&d.buf, flate.BestSpeed)
+		d.huff, _ = flate.NewWriter(&d.alt, flate.HuffmanOnly)
 		return d
 	},
 }
 
 var inflaters = sync.Pool{New: func() any { return new(inflater) }}
 
-// Compress deflates src through a pooled writer, high-entropy runs as
+// Compress deflates src through pooled writers, high-entropy runs as
 // stored blocks, and returns the compressed bytes: a fresh slice with no
 // spare capacity, so a caller that retains it (the server caches
 // deflated payloads) pins exactly len bytes. src is not retained. An
 // incompressible src comes back as stored blocks only, a few bytes
 // longer than src: callers compare lengths and ship such a payload raw.
-func Compress(src []byte) ([]byte, error) {
+func Compress(src []byte) (_ []byte, err error) {
 	d := deflaters.Get().(*deflater)
 	defer func() {
+		if err != nil {
+			return // a writer that failed stays failed; let it go
+		}
 		if d.buf.Cap() > maxPooledScratch {
 			d.buf = bytes.Buffer{}
+		}
+		if d.alt.Cap() > maxPooledScratch {
+			d.alt = bytes.Buffer{}
 		}
 		deflaters.Put(d)
 	}()
 	d.buf.Reset()
+	err = segment(src, func(run []byte, stored, final bool) error {
+		if stored {
+			appendStored(&d.buf, run, final)
+			return nil
+		}
+		return d.deflateRun(run, final)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(d.buf.Bytes()), nil
+}
+
+// segment cuts src into maximal runs of high-entropy chunks, to be
+// stored, and of other chunks, to be deflated, and hands them to emit
+// in order; final marks the last. An empty src is one empty run to
+// deflate, so the stream still has its final block.
+func segment(src []byte, emit func(run []byte, stored, final bool) error) error {
 	// low is where the pending run of low-entropy chunks starts.
 	low := 0
 	for off := 0; off < len(src); {
@@ -153,34 +208,65 @@ func Compress(src []byte) ([]byte, error) {
 			end = next
 		}
 		if low < off {
-			if err := d.deflateRun(src[low:off], false); err != nil {
-				return nil, err
+			if err := emit(src[low:off], false, false); err != nil {
+				return err
 			}
 		}
-		appendStored(&d.buf, src[off:end], end == len(src))
+		if err := emit(src[off:end], true, end == len(src)); err != nil {
+			return err
+		}
 		low, off = end, end
 	}
 	if low < len(src) || len(src) == 0 {
-		if err := d.deflateRun(src[low:], true); err != nil {
-			return nil, err
-		}
+		return emit(src[low:], false, true)
 	}
-	return bytes.Clone(d.buf.Bytes()), nil
+	return nil
 }
 
-// deflateRun appends run to d.buf through a freshly reset writer: closed
-// (a final block) when the run ends the stream, else flushed so the
-// stream is byte-aligned for the stored block after it.
+// finalEmptyBlock is an empty final block with fixed codes: BFINAL,
+// BTYPE 01 and the 7-bit end-of-block code.
+var finalEmptyBlock = []byte{0x03, 0x00}
+
+// deflateRun appends run to d.buf as the shorter of its BestSpeed and
+// Huffman-only codings, BestSpeed on a tie; the Huffman-only pass is
+// skipped when huffmanFloor shows it cannot be shorter. Each coding ends
+// byte-aligned (flushed, so the stored block after it can follow) or,
+// when the run ends the stream, with a final block.
+//
+// The BestSpeed writer is reset for each run, so no match reaches into
+// an earlier run, and closed on the last. The Huffman-only writer keeps
+// no history, so after a Flush it is as good as reset; it is never
+// Reset, which would clear the 640 KiB of match tables it never uses,
+// and so never closed either: its last run is flushed and ends with
+// finalEmptyBlock, two bytes more than Close's empty stored block.
 func (d *deflater) deflateRun(run []byte, final bool) error {
-	d.fw.Reset(&d.buf)
-	_, err := d.fw.Write(run)
+	start := d.buf.Len()
+	d.fast.Reset(&d.buf)
+	_, err := d.fast.Write(run)
 	if err == nil && final {
-		err = d.fw.Close()
+		err = d.fast.Close()
 	} else if err == nil {
-		err = d.fw.Flush()
+		err = d.fast.Flush()
 	}
 	if err != nil {
 		return fmt.Errorf("wire: compress: %w", err)
+	}
+	if huffmanFloor(run) >= d.buf.Len()-start {
+		return nil
+	}
+	d.alt.Reset()
+	if _, err = d.huff.Write(run); err == nil {
+		err = d.huff.Flush()
+	}
+	if err != nil {
+		return fmt.Errorf("wire: compress: %w", err)
+	}
+	if final {
+		d.alt.Write(finalEmptyBlock)
+	}
+	if d.alt.Len() < d.buf.Len()-start {
+		d.buf.Truncate(start)
+		d.buf.Write(d.alt.Bytes())
 	}
 	return nil
 }

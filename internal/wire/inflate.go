@@ -16,6 +16,15 @@ import (
 // lookup; longer codes, which the encoder gives only to rare symbols,
 // take a canonical bit-by-bit walk.
 //
+// A dynamic block whose literal/length code gives no length symbol a
+// code — what Compress's Huffman-only coding writes for digit-heavy
+// text — is literal-only, and decodes through a pair table built from
+// the literal table in one pass: where a literal's code leaves room in
+// the 10 index bits for the whole code of the literal after it, one
+// entry yields both bytes (the double-symbol tables of Zstandard's
+// HUF_decompress4X2). Mixed blocks, whose literals are interleaved with
+// matches, keep the one-symbol loop and pay for no second table.
+//
 // It accepts exactly the streams compress/flate's reader accepts (that
 // reader is the tests' reference): complete Huffman codes plus the
 // degenerate single one-bit code, HLIT ≤ 286 and HDIST ≤ 30, no
@@ -41,9 +50,11 @@ const (
 // with:
 //
 //	bits 0–3    code length; 0 sends the lookup to the slow path
-//	bits 4–7    count of extra bits that follow the code
+//	bits 4–7    count of extra bits that follow the code; for a literal,
+//	            the count of literals the entry yields (1, or 2 in a pair table)
 //	bits 8–9    kind: literal, match (length or distance), end of block, invalid
-//	bits 16–31  value: literal byte, length or distance base, code-length symbol
+//	bits 16–31  value: literal byte (two in a pair entry, the first in
+//	            bits 16–23), length or distance base, code-length symbol
 const (
 	kindLiteral = 0 << 8
 	kindMatch   = 1 << 8
@@ -65,7 +76,7 @@ var fixedLit, fixedDist huffman
 
 func init() {
 	for s := 0; s < 256; s++ {
-		litInfo[s] = uint32(s)<<16 | kindLiteral
+		litInfo[s] = uint32(s)<<16 | 1<<4 | kindLiteral
 	}
 	litInfo[256] = kindEnd
 	base, extra := 3, 0
@@ -249,6 +260,8 @@ type inflater struct {
 
 	lit, dist, clen huffman
 	lens            [maxLitCodes + maxDistCode]uint8
+	// pairs is a literal-only block's pair table; see buildPairs.
+	pairs [1 << tableBits]uint32
 }
 
 // inflate decodes the DEFLATE stream src into f.out[:n], failing if it
@@ -271,7 +284,10 @@ func (f *inflater) inflate(src []byte, limit int) (n int, err error) {
 		case 1:
 			err = f.block(&fixedLit, &fixedDist)
 		case 2:
-			if err = f.readTables(); err == nil {
+			var litOnly bool
+			if litOnly, err = f.readTables(); err == nil && litOnly {
+				err = f.literals()
+			} else if err == nil {
 				err = f.block(&f.lit, &f.dist)
 			}
 		default:
@@ -378,39 +394,40 @@ func (f *inflater) stored() error {
 }
 
 // readTables reads a dynamic block's code definitions into f.lit and
-// f.dist.
-func (f *inflater) readTables() error {
+// f.dist, and reports whether the block is literal-only: no length
+// symbol has a code.
+func (f *inflater) readTables() (litOnly bool, err error) {
 	if !f.need(14) {
-		return errTruncated
+		return false, errTruncated
 	}
 	nlit := int(f.bits&0x1F) + 257
 	ndist := int(f.bits>>5&0x1F) + 1
 	nclen := int(f.bits>>10&0xF) + 4
 	f.consume(14)
 	if nlit > maxLitCodes || ndist > maxDistCode {
-		return errCounts
+		return false, errCounts
 	}
 	var clens [len(codeOrder)]uint8
 	for _, s := range codeOrder[:nclen] {
 		if !f.need(3) {
-			return errTruncated
+			return false, errTruncated
 		}
 		clens[s] = uint8(f.bits & 7)
 		f.consume(3)
 	}
 	if !f.clen.init(clens[:], clenInfo[:]) {
-		return errLengths
+		return false, errLengths
 	}
 	lens := f.lens[:nlit+ndist]
 	for i := 0; i < len(lens); {
 		// A code-length code is at most 7 bits, its repeat count 7 more.
 		if !f.need(14) {
-			return errTruncated
+			return false, errTruncated
 		}
 		e := f.clen.table[f.bits&tableMask]
 		if e&15 == 0 {
 			if e = f.clen.slow(f.bits); e == 0 {
-				return errCode
+				return false, errCode
 			}
 		}
 		f.consume(uint(e & 15))
@@ -425,7 +442,7 @@ func (f *inflater) readTables() error {
 		switch sym {
 		case 16:
 			if i == 0 {
-				return errRepeat
+				return false, errRepeat
 			}
 			rep, prev = 3+int(f.bits&3), lens[i-1]
 			f.consume(2)
@@ -437,16 +454,21 @@ func (f *inflater) readTables() error {
 			f.consume(7)
 		}
 		if i+rep > len(lens) {
-			return errRepeat
+			return false, errRepeat
 		}
 		for end := i + rep; i < end; i++ {
 			lens[i] = prev
 		}
 	}
 	if !f.lit.init(lens[:nlit], litInfo[:]) || !f.dist.init(lens[nlit:], distInfo[:]) {
-		return errLengths
+		return false, errLengths
 	}
-	return nil
+	for _, l := range lens[257:nlit] {
+		if l != 0 {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // block decodes one Huffman-coded block. Its inner loop keeps the
@@ -546,14 +568,123 @@ func (f *inflater) block(lit, dist *huffman) (err error) {
 		if err != nil || end {
 			return err
 		}
-		if op > len(out)-outMargin {
-			if op > f.limit {
-				return f.overLimit()
-			}
-			f.grow(op + outMargin)
+		if err = f.reload(); err != nil {
+			return err
 		}
-		if in+8 > len(src) && !f.toTail() {
-			return errTruncated
+	}
+}
+
+// reload readies a Huffman block's next inner-loop run, after one
+// stopped short of the end of its block: it grows the output when
+// fewer than outMargin bytes are left, or moves the input into the
+// tail when fewer than 8 bytes are left to load.
+func (f *inflater) reload() error {
+	if f.op > len(f.out)-outMargin {
+		if f.op > f.limit {
+			return f.overLimit()
+		}
+		f.grow(f.op + outMargin)
+	}
+	if f.in+8 > len(f.src) && !f.toTail() {
+		return errTruncated
+	}
+	return nil
+}
+
+// pairsAfter is how many bytes a literal-only block decodes one literal
+// per lookup before it builds its pair table. The build visits the
+// table's 1<<tableBits entries, which costs about what decoding that
+// many literals does; a block that has run to four times as many is
+// likely long enough to repay it, and a short one — a binary payload's
+// last run can code as one — ends first.
+const pairsAfter = 4 << tableBits
+
+// buildPairs fills f.pairs from f.lit's table, which holds no length
+// symbol. Entry i pairs its literal of code length l1 with the literal
+// whose code starts at bit l1, read from the entry at i>>l1, when that
+// code is fully inside i: l1+l2 ≤ tableBits. Every other entry is copied
+// as it is: a literal alone, the end of block, or one sending a lookup
+// to slow.
+func (f *inflater) buildPairs() {
+	lit := &f.lit.table
+	for i, e := range lit {
+		f.pairs[i] = e
+		l1 := e & 15
+		if e&kindMask != kindLiteral || l1 == 0 {
+			continue
+		}
+		if e2 := lit[i>>l1]; e2&kindMask == kindLiteral && e2&15 != 0 && l1+e2&15 <= tableBits {
+			f.pairs[i] = e2>>16<<24 | e&0xFF0000 | 2<<4 | kindLiteral | (l1 + e2&15)
+		}
+	}
+}
+
+// literals decodes a literal-only block: through f.lit's table, then,
+// once the block has decoded pairsAfter bytes, through f.pairs, two
+// literals per lookup where the pair table has them. Its inner loop
+// runs like block's: while 8 input bytes remain to load and the output
+// has outMargin bytes of room. A refill leaves at most 63 bits in the
+// buffer and every lookup consumes at least one bit per literal it
+// writes, so one refill writes at most 63 literals, plus the unused
+// second byte a one-literal entry stores past them — inside the margin.
+// The end of block and codes longer than tableBits are decoded right
+// after a load, through slow (which covers 15 bits).
+func (f *inflater) literals() (err error) {
+	lit := &f.lit
+	table, pairsAt := &lit.table, f.op+pairsAfter
+	for end := false; ; {
+		src, in, b, nb := f.src, f.in, f.bits, f.nbits
+		out, op := f.out, f.op
+		for in+8 <= len(src) && op <= len(out)-outMargin {
+			b |= binary.LittleEndian.Uint64(src[in:]) << nb
+			in += int(63-nb) >> 3
+			nb |= 56
+			if op >= pairsAt && table == &lit.table {
+				f.buildPairs()
+				table = &f.pairs
+			}
+
+			e := table[b&tableMask]
+			if e&kindMask != kindLiteral || e&15 == 0 {
+				if e&15 == 0 {
+					if e = lit.slow(b); e == 0 {
+						err = errCode
+						break
+					}
+				}
+				n := uint(e & 15)
+				b >>= n
+				nb -= n
+				// With no length symbol, a non-literal is the end.
+				if end = e&kindMask != kindLiteral; end {
+					break
+				}
+				out[op] = byte(e >> 16)
+				op++
+				continue
+			}
+			for {
+				out[op] = byte(e >> 16)
+				out[op+1] = byte(e >> 24)
+				op += int(e>>4) & 15
+				n := uint(e & 15)
+				b >>= n
+				nb -= n
+				if nb < tableBits {
+					break
+				}
+				// Anything but a table literal waits for the next load.
+				if e = table[b&tableMask]; e&kindMask != kindLiteral || e&15 == 0 {
+					break
+				}
+			}
+		}
+		f.in, f.bits, f.nbits, f.op = in, b, nb, op
+		if err != nil || end {
+			return err
+		}
+		if err = f.reload(); err != nil {
+			return err
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -101,6 +102,9 @@ func (w *bitWriter) stored(final bool, data []byte) *bitWriter {
 	w.buf = append(w.buf, data...)
 	return w
 }
+
+// pos is the number of bits written so far.
+func (w *bitWriter) pos() int { return len(w.buf)*8 + int(w.n) }
 
 func (w *bitWriter) align() *bitWriter {
 	if w.n > 0 {
@@ -213,6 +217,56 @@ func oneBitDistBlock(w *bitWriter, empty bool) (lit, dist []uint16) {
 		distLens[0] = 0
 	}
 	return w.dynamic(true, litLens, distLens)
+}
+
+// litCode writes symbols in a hand-built dynamic block's
+// literal/length code.
+type litCode struct {
+	w     *bitWriter
+	lens  []uint8
+	codes []uint16
+}
+
+func (c litCode) lits(s string) litCode {
+	for i := 0; i < len(s); i++ {
+		c.w.code(c.codes[s[i]], uint(c.lens[s[i]]))
+	}
+	return c
+}
+
+func (c litCode) end() *bitWriter { return c.w.code(c.codes[256], uint(c.lens[256])) }
+
+// literalOnly starts a literal-only dynamic block: lens gives each
+// literal's code length and eob the end of block's, no length symbol has
+// a code, and the distance code is one 1-bit code, as compress/flate's
+// Huffman-only writer sends.
+func (w *bitWriter) literalOnly(final bool, lens map[byte]uint8, eob uint8) litCode {
+	lit := make([]uint8, 257)
+	for b, l := range lens {
+		lit[b] = l
+	}
+	lit[256] = eob
+	codes, _ := w.dynamic(final, lit, []uint8{1})
+	return litCode{w, lit, codes}
+}
+
+// pairsLead opens the literal-only edge streams: more literals than
+// pairsAfter, so what follows decodes through the pair table.
+var pairsLead = strings.Repeat("ab", pairsAfter/2+100)
+
+// huffmanOnlyDigits returns 2·pairsAfter random digits and their
+// compress/flate Huffman-only stream: one literal-only block, long
+// enough to switch to its pair table.
+func huffmanOnlyDigits(rnd *rand.Rand) (digits, stream []byte) {
+	digits = make([]byte, 2*pairsAfter)
+	for i := range digits {
+		digits[i] = '0' + byte(rnd.Intn(10))
+	}
+	var buf bytes.Buffer
+	fw, _ := flate.NewWriter(&buf, flate.HuffmanOnly)
+	fw.Write(digits)
+	fw.Close()
+	return digits, buf.Bytes()
 }
 
 // TestInflateEdgeStreams: hand-built streams at the corners of RFC 1951,
@@ -340,6 +394,49 @@ func TestInflateEdgeStreams(t *testing.T) {
 				return w.bytes()
 			}(),
 		},
+		{
+			name: "literal-only, codes longer than tableBits",
+			// a..l take 1..12 bits and the end of block 12: pairs, single
+			// entries and the slow walk, the end of block through it too.
+			stream: new(bitWriter).literalOnly(true, map[byte]uint8{
+				'a': 1, 'b': 2, 'c': 3, 'd': 4, 'e': 5, 'f': 6, 'g': 7, 'h': 8, 'i': 9, 'j': 10, 'k': 11, 'l': 12,
+			}, 12).lits(pairsLead + "abcdefghijkllkjihgfedcbaaaalakaaaab").end().bytes(),
+			want: []byte(pairsLead + "abcdefghijkllkjihgfedcbaaaalakaaaab"),
+		},
+		{
+			name: "literal-only, end of block in a pair's second slot",
+			// 'a' and the end of block fit one lookup: 'a' alone, then the end.
+			stream: new(bitWriter).literalOnly(true, map[byte]uint8{'a': 1, 'b': 2}, 2).
+				lits(pairsLead + "a").end().bytes(),
+			want: []byte(pairsLead + "a"),
+		},
+		{
+			name: "literal-only, truncated mid-pair",
+			stream: func() []byte {
+				w := new(bitWriter)
+				c := w.literalOnly(true, map[byte]uint8{'a': 1, 'b': 3, 'c': 3, 'd': 3}, 3).lits(pairsLead)
+				for w.pos()%8 != 6 {
+					c.lits("a")
+				}
+				// The pair "ab": the stream is cut after the first of
+				// 'b''s 3 bits, at a byte boundary.
+				c.lits("a")
+				cut := w.pos()/8 + 1
+				c.lits("b").end()
+				return w.bytes()[:cut]
+			}(),
+		},
+		{
+			name: "literal-only block, then a mixed block",
+			stream: func() []byte {
+				w := new(bitWriter)
+				w.literalOnly(false, map[byte]uint8{'a': 1, 'b': 2, 'c': 3}, 3).lits(pairsLead + "abcab").end()
+				lit, dist := oneBitDistBlock(w, false)
+				w.code(lit['a'], 1).code(lit[257], 2).code(dist[0], 1).code(lit[256], 2)
+				return w.bytes()
+			}(),
+			want: []byte(pairsLead + "abcabaaaa"),
+		},
 	}
 	// A stored block after a Huffman block, at every bit offset: the bit
 	// buffer has loaded bytes of the stored block ahead and must hand
@@ -363,12 +460,14 @@ func TestInflateEdgeStreams(t *testing.T) {
 	}
 	fixed := new(bitWriter).header(true, 1).fixedLits("abcd").fixedLit(285).code(3, 5).fixedLit(256).bytes()
 	storedOnly := new(bitWriter).stored(true, window[:100]).bytes()
+	digits, huffOnly := huffmanOnlyDigits(rnd)
 	for _, c := range []struct {
 		name   string
 		stream []byte
 		out    []byte
 	}{
 		{"dynamic", deflated, text},
+		{"literal-only", huffOnly, digits},
 		{"fixed", fixed, bytes.Repeat([]byte("abcd"), 66)[:4+258]},
 		{"stored", storedOnly, window[:100]},
 	} {
@@ -490,6 +589,8 @@ func FuzzInflateMatchesStdlib(f *testing.F) {
 	w.code(lit['a'], 1).code(lit[257], 2).code(dist[0], 1).code(lit[256], 2)
 	f.Add(w.bytes(), uint32(0))
 	f.Add(new(bitWriter).header(false, 1).fixedLits("abc").fixedLit(256).stored(true, []byte("xyz")).bytes(), uint32(0))
+	_, huffOnly := huffmanOnlyDigits(rnd)
+	f.Add(huffOnly, uint32(0))
 	f.Fuzz(func(t *testing.T, stream []byte, limit uint32) {
 		// Bounded so a mutated stream cannot ask for a frame-sized output.
 		InflateMatchesStdlib(t, stream, int(limit%(1<<20))+1)

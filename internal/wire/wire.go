@@ -9,9 +9,11 @@
 // segments. The compressor estimates the byte entropy of each 512-byte
 // chunk of the payload: runs of chunks too close to random for Huffman
 // coding to pay are written as stored blocks, which inflate as a copy;
-// the runs between go through a writer reset at the start of each run,
-// so no back-reference reaches across a stored run. A payload with no
-// high-entropy chunk is exactly compress/flate's BestSpeed stream.
+// each run between is coded by compress/flate's BestSpeed and
+// Huffman-only writers, no back-reference reaching across a stored run,
+// and the shorter coding is kept. A JSON payload of numbers usually
+// ships as literal-only blocks, which the inflater decodes two literals
+// per table lookup; repeated text keeps its LZ matches.
 //
 // Stream layout (all integers are unsigned varints unless noted):
 //

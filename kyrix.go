@@ -428,7 +428,8 @@
 // a binary stream flushed frame by frame as sub-results complete, so
 // the client renders layers as they arrive. The request is JSON. "v"
 // must be 3: a body without it (the retired v1 envelope and v2 stream
-// shapes) is a 400 "unsupported batch protocol". Every frame is
+// shapes) is a 400 "unsupported batch protocol"; a field the request
+// does not define is a 400 too. Every frame is
 // DEFLATE-compressed when that makes it smaller, and a dbox item may
 // declare a base box the client already holds:
 //
