@@ -3,80 +3,38 @@ package fetch
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 )
 
-// Task is one unit of precompute work run under the work-stealing pool.
-// Tasks must honor ctx: the pool cancels it on the first error so
-// in-flight work against a doomed build stops instead of running to
-// completion.
+// Task is one unit of precompute work run under the worker pool. Tasks
+// must honor ctx: the pool cancels it on the first error so in-flight
+// work against a doomed build stops instead of running to completion.
 type Task func(ctx context.Context) error
 
-// taskDeque is one worker's queue. The owner pops newest-first from the
-// back (good locality for its own pre-assigned range); thieves steal
-// oldest-first from the front, taking the work the owner is furthest
-// from reaching. A mutex per deque is plenty here: tasks are
-// coarse-grained (a whole layer materialization), so queue operations are nowhere near the critical path.
-type taskDeque struct {
-	mu    sync.Mutex
-	tasks []Task
-}
-
-func (q *taskDeque) pop() Task {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.tasks) == 0 {
-		return nil
-	}
-	t := q.tasks[len(q.tasks)-1]
-	q.tasks = q.tasks[:len(q.tasks)-1]
-	return t
-}
-
-func (q *taskDeque) steal() Task {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.tasks) == 0 {
-		return nil
-	}
-	t := q.tasks[0]
-	q.tasks = q.tasks[1:]
-	return t
-}
-
-// RunTasks executes tasks on a work-stealing pool of the given width:
-// tasks are dealt round-robin onto per-worker deques, each worker
-// drains its own deque and then steals from the others, so uneven task
-// costs (one huge layer among small ones) rebalance instead of serializing behind the pre-assigned
-// owner. The first error cancels the derived context — remaining queued
-// tasks are skipped and in-flight tasks see ctx.Done() — and is
-// returned. A cancelled parent context is returned as its ctx.Err().
+// RunTasks executes tasks on a pool of the given width. Workers claim
+// tasks through one shared cursor, from the last task to the first, so
+// an idle worker always takes the next unclaimed task and uneven task
+// costs (one huge layer among small ones) rebalance instead of
+// serializing behind a pre-assigned owner. Tasks never spawn tasks, so
+// once the cursor passes the first task nothing is left. The first
+// error cancels the derived context — remaining tasks are skipped and
+// in-flight tasks see ctx.Done() — and is returned. A cancelled parent
+// context is returned as its ctx.Err().
 func RunTasks(ctx context.Context, workers int, tasks []Task) error {
 	if len(tasks) == 0 {
 		return ctx.Err()
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = min(max(workers, 1), len(tasks))
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	queues := make([]*taskDeque, workers)
-	for i := range queues {
-		queues[i] = &taskDeque{}
-	}
-	for i, t := range tasks {
-		q := queues[i%workers]
-		q.tasks = append(q.tasks, t)
-	}
-
 	var (
+		next     atomic.Int64
 		mu       sync.Mutex
 		firstErr error
 		wg       sync.WaitGroup
 	)
+	next.Store(int64(len(tasks)))
 	fail := func(err error) {
 		mu.Lock()
 		if firstErr == nil {
@@ -85,29 +43,21 @@ func RunTasks(ctx context.Context, workers int, tasks []Task) error {
 		}
 		mu.Unlock()
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(self int) {
+	wg.Add(workers)
+	for range workers {
+		go func() {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
+			for ctx.Err() == nil {
+				i := next.Add(-1)
+				if i < 0 {
 					return
 				}
-				t := queues[self].pop()
-				for off := 1; t == nil && off < workers; off++ {
-					t = queues[(self+off)%workers].steal()
-				}
-				if t == nil {
-					// All deques empty. Tasks never spawn tasks, so
-					// nothing can appear later: this worker is done.
-					return
-				}
-				if err := t(ctx); err != nil {
+				if err := tasks[i](ctx); err != nil {
 					fail(err)
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	mu.Lock()

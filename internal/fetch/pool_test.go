@@ -8,25 +8,6 @@ import (
 	"time"
 )
 
-func TestTaskDequeOrder(t *testing.T) {
-	var ran []int
-	mk := func(i int) Task {
-		return func(context.Context) error { ran = append(ran, i); return nil }
-	}
-	q := &taskDeque{tasks: []Task{mk(0), mk(1), mk(2)}}
-	// Owner pops newest-first from the back...
-	_ = q.pop()(context.Background())
-	// ...thieves steal oldest-first from the front.
-	_ = q.steal()(context.Background())
-	_ = q.steal()(context.Background())
-	if len(ran) != 3 || ran[0] != 2 || ran[1] != 0 || ran[2] != 1 {
-		t.Fatalf("deque order = %v, want [2 0 1]", ran)
-	}
-	if q.pop() != nil || q.steal() != nil {
-		t.Fatal("empty deque must return nil")
-	}
-}
-
 func TestRunTasksRunsAll(t *testing.T) {
 	const n = 57
 	var ran atomic.Int64

@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kyrix/internal/geom"
@@ -262,70 +262,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return // client went away before the header landed
 	}
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range req.Items {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(idx int, it BatchItem) {
-			defer func() { <-sem; wg.Done() }()
-			f := Frame{Index: idx, Kind: FrameTile}
-			if it.Kind == "dbox" {
-				f.Kind = FrameDBox
-			}
-			rawLen := 0
-			// net/http's panic recovery only covers the connection
-			// goroutine; a panic here would kill the whole process.
-			// Contain it as a per-frame error instead.
-			defer func() {
-				if r := recover(); r != nil {
-					f.Status, f.Codec, f.Payload = FrameInternal, FrameRaw, []byte(fmt.Sprintf("internal: %v", r))
-					rawLen = len(f.Payload)
-				}
-				fw.writeFrame(f, rawLen)
-			}()
-			if it.Kind == "dbox" && it.Base != nil {
-				if s.ownsDBox(req.Canvas, it) {
-					// Delta-eligible: hold the update fence's read
-					// lock across query + delta plan so an /update
-					// cannot slip between them and pair a post-update
-					// result with a pre-update base.
-					s.updateMu.RLock()
-					defer s.updateMu.RUnlock()
-				} else {
-					// Non-owned in a cluster: the payload may arrive
-					// from a peer at a different data version, and the
-					// content-blind id diff cannot prove a delta
-					// across versions safe. Dropping the base ships a
-					// full frame (and keeps the peer hop outside
-					// updateMu, where this node's log applies need the
-					// write lock).
-					it.Base = nil
-				}
-			}
-			ictx, isp := s.tracer().Start(ctx, "item")
-			isp.Attr("kind", it.Kind)
-			isp.Attr("layer", it.Layer)
-			itemStart := time.Now()
-			defer func() {
-				s.obs.stageItem.Observe(time.Since(itemStart))
-				isp.End()
-			}()
-			p, err := s.serveItem(ictx, req.Canvas, it, false)
-			if err == nil {
-				f.Payload, f.Codec, rawLen, err = s.encodeFrame(ictx, req.Canvas, it, codec, p)
-			}
-			if err != nil {
-				f.Payload = []byte(err.Error())
-				rawLen = len(f.Payload)
-				if httpStatusOf(err) == http.StatusBadRequest {
-					f.Status = FrameBadRequest
-				} else {
-					f.Status = FrameInternal
-				}
-			}
-		}(i, req.Items[i])
+	// The handler is one of the workers and the rest start here; each
+	// takes the next item through a shared index, so a one-item batch
+	// runs on the handler goroutine.
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(req.Items); i = int(next.Add(1)) - 1 {
+			s.serveBatchItem(ctx, fw, req.Canvas, codec, i, req.Items[i])
+		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	// BytesServed stays the raw-payload count (comparable to /tile and
 	// /dbox); the wire-side count and savings land in their own stats.
@@ -334,44 +288,62 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.Stats.WireBytes.Add(wireBytes)
 }
 
-// serveItem checks and serves one item — of a /batch, a GET /tile or
-// /dbox, or a peer fill — through the cache/coalescing path. localOnly
-// (peer-originated fills) suppresses cluster forwarding.
-func (s *Server) serveItem(ctx context.Context, canvas string, it BatchItem, localOnly bool) (*payload, error) {
-	pl, ok := s.Layer(canvas, it.Layer)
-	if !ok || pl.Table == "" {
-		return nil, badRequestError{fmt.Errorf("no data layer %s/%d", canvas, it.Layer)}
+// serveBatchItem serves item idx of a batch through serveItem and writes
+// its frame: the payload in its wire form (frames.go), or the item's
+// error.
+func (s *Server) serveBatchItem(ctx context.Context, fw *frameWriter, canvas string, codec Codec, idx int, it BatchItem) {
+	f := Frame{Index: idx, Kind: FrameTile}
+	if it.Kind == "dbox" {
+		f.Kind = FrameDBox
 	}
-	switch it.Kind {
-	case "tile", "":
-		if !finite(it.Size) || it.Size <= 0 {
-			return nil, badRequestError{fmt.Errorf("bad size %g", it.Size)}
+	rawLen := 0
+	// net/http's panic recovery only covers the connection goroutine; a
+	// panic on a worker would kill the whole process, and one on the
+	// handler would end the stream. Contain it as a per-frame error
+	// instead.
+	defer func() {
+		if r := recover(); r != nil {
+			f.Status, f.Codec, f.Payload = FrameInternal, FrameRaw, []byte(fmt.Sprintf("internal: %v", r))
+			rawLen = len(f.Payload)
 		}
-		if it.Col < 0 || it.Row < 0 {
-			return nil, badRequestError{fmt.Errorf("bad col/row %d/%d", it.Col, it.Row)}
-		}
-		design := it.Design
-		if design == "" {
-			design = "spatial"
-		}
-		return s.serveTile(ctx, pl, design, it.Size, geom.TileID{Col: it.Col, Row: it.Row}, localOnly)
-	case "dbox":
-		box := it.Box()
-		if !box.Valid() || !finite(box.MinX, box.MinY, box.MaxX, box.MaxY) {
-			return nil, badRequestError{fmt.Errorf("invalid box %+v", box)}
-		}
-		return s.serveBox(ctx, pl, box, localOnly)
-	}
-	return nil, badRequestError{fmt.Errorf("unknown item kind %q", it.Kind)}
-}
-
-// finite reports that no v is NaN or ±Inf: a window with such an edge
-// has no tile grid and no key, and an infinite box would scan the table.
-func finite(vs ...float64) bool {
-	for _, v := range vs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
+		fw.writeFrame(f, rawLen)
+	}()
+	if it.Kind == "dbox" && it.Base != nil {
+		if s.ownsDBox(canvas, it) {
+			// Delta-eligible: hold the update fence's read lock across
+			// query + delta plan so an /update cannot slip between them
+			// and pair a post-update result with a pre-update base.
+			s.updateMu.RLock()
+			defer s.updateMu.RUnlock()
+		} else {
+			// Non-owned in a cluster: the payload may arrive from a
+			// peer at a different data version, and the content-blind
+			// id diff cannot prove a delta across versions safe.
+			// Dropping the base ships a full frame (and keeps the peer
+			// hop outside updateMu, where this node's log applies need
+			// the write lock).
+			it.Base = nil
 		}
 	}
-	return true
+	ictx, isp := s.tracer().Start(ctx, "item")
+	isp.Attr("kind", it.Kind)
+	isp.Attr("layer", it.Layer)
+	itemStart := time.Now()
+	defer func() {
+		s.obs.stageItem.Observe(time.Since(itemStart))
+		isp.End()
+	}()
+	p, err := s.serveItem(ictx, canvas, it, false)
+	if err == nil {
+		f.Payload, f.Codec, rawLen, err = s.encodeFrame(ictx, canvas, it, codec, p)
+	}
+	if err != nil {
+		f.Payload = []byte(err.Error())
+		rawLen = len(f.Payload)
+		if httpStatusOf(err) == http.StatusBadRequest {
+			f.Status = FrameBadRequest
+		} else {
+			f.Status = FrameInternal
+		}
+	}
 }

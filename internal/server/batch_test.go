@@ -16,7 +16,7 @@ import (
 
 // --- frame codec, in isolation ---
 
-func TestBatchV2TruncatedAndCorrupt(t *testing.T) {
+func TestBatchTruncatedAndCorrupt(t *testing.T) {
 	var buf bytes.Buffer
 	_ = wire.WriteHeader(&buf, wire.V3, 2)
 	_ = wire.WriteFrame(&buf, wire.V3, Frame{Index: 0, Kind: FrameTile, Status: FrameOK, Payload: []byte("0123456789")})
@@ -80,7 +80,7 @@ func TestBatchV2TruncatedAndCorrupt(t *testing.T) {
 // TestBatchEndpoint checks the payload contract of POST /batch: every
 // tile frame, in either codec, carries exactly the bytes of the
 // single-tile GET, and a bad tile fails alone. Request validation is
-// TestBatchV2Validation's.
+// TestBatchValidation's.
 func TestBatchEndpoint(t *testing.T) {
 	_, hs := newPointsServer(t, 2000, 4096, 2048)
 
@@ -125,7 +125,7 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
-func TestBatchV2MixedTileDBox(t *testing.T) {
+func TestBatchMixedTileDBox(t *testing.T) {
 	srv, hs := newPointsServer(t, 2000, 4096, 2048)
 
 	get := func(path string) []byte {
@@ -191,10 +191,10 @@ func TestBatchV2MixedTileDBox(t *testing.T) {
 	}
 }
 
-// TestBatchV2Validation covers the request contract: malformed
+// TestBatchValidation covers the request contract: malformed
 // requests are rejected whole with 400 before the stream header, while
 // a bad item is a per-frame error next to healthy siblings.
-func TestBatchV2Validation(t *testing.T) {
+func TestBatchValidation(t *testing.T) {
 	_, hs := newPointsServer(t, 200, 4096, 2048)
 	post := func(req BatchRequestV2) int {
 		body, _ := json.Marshal(req)
@@ -336,10 +336,10 @@ func TestBatchRefusesUnknownFields(t *testing.T) {
 	}
 }
 
-// TestBatchV2CoalescesWithSingles verifies batch items ride the same
+// TestBatchCoalescesWithSingles verifies batch items ride the same
 // cache as single requests: a tile served via GET /tile is a backend
 // cache hit when re-requested inside a batch.
-func TestBatchV2CoalescesWithSingles(t *testing.T) {
+func TestBatchCoalescesWithSingles(t *testing.T) {
 	srv, hs := newPointsServer(t, 1000, 4096, 2048)
 	resp, err := http.Get(hs.URL + "/tile?canvas=main&layer=0&size=512&col=1&row=1")
 	if err != nil {

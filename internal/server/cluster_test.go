@@ -132,9 +132,19 @@ func newTestCluster(t testing.TB, n, points int, mutate func(i int, o *Options))
 	return nodes
 }
 
-// tileKeyFor reproduces serveTile's canonical cache key.
+// tileKeyFor reproduces serveItem's canonical tile cache key.
 func tileKeyFor(design string, size float64, tid geom.TileID) string {
 	return fmt.Sprintf("%s/%s/%s", keySpace, design, fetch.TileKeyOf("main/0", size, tid))
+}
+
+// tileItem and boxItem address a spatial tile or a dynamic box of pl as
+// the item serveItem takes.
+func tileItem(pl *fetch.PhysicalLayer, size float64, tid geom.TileID) BatchItem {
+	return BatchItem{Kind: "tile", Layer: pl.LayerIdx, Size: size, Col: tid.Col, Row: tid.Row}
+}
+
+func boxItem(pl *fetch.PhysicalLayer, box geom.Rect) BatchItem {
+	return BatchItem{Kind: "dbox", Layer: pl.LayerIdx, MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY}
 }
 
 // ownerAndOther finds a tile whose key node 0 does NOT own, returning
@@ -659,7 +669,7 @@ func TestPeerFillNamesLayout(t *testing.T) {
 	req := nodes[0]
 	owner, box := unownedBox(t, nodes)
 	pl, _ := req.srv.Layer("main", 0)
-	ref, err := owner.srv.serveBox(context.Background(), pl, box, true)
+	ref, err := owner.srv.serveItem(context.Background(), pl.CanvasID, boxItem(pl, box), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +694,7 @@ func TestPeerFillNamesLayout(t *testing.T) {
 	})
 	owner.peer.Store(&oldBuild)
 
-	p, err := req.srv.serveBox(context.Background(), pl, box, false)
+	p, err := req.srv.serveItem(context.Background(), pl.CanvasID, boxItem(pl, box), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,7 +720,7 @@ func TestPeerRefusesUnknownLayout(t *testing.T) {
 	nodes := newTestCluster(t, 2, 500, nil)
 	owner, box := unownedBox(t, nodes)
 	pl, _ := owner.srv.Layer("main", 0)
-	ref, err := owner.srv.serveBox(context.Background(), pl, box, true)
+	ref, err := owner.srv.serveItem(context.Background(), pl.CanvasID, boxItem(pl, box), true)
 	if err != nil {
 		t.Fatal(err)
 	}

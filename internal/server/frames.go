@@ -205,7 +205,7 @@ func deltaBody(bix, nix *rowIndex, full *payload, shipped formSum, codec Codec) 
 }
 
 // boxCacheKey is the backend-cache key of one dynamic-box payload —
-// shared by serveBox (store/lookup) and the delta planner (base
+// shared by serveItem (store/lookup) and the delta planner (base
 // lookup), so the two can never disagree on where a base lives.
 func boxCacheKey(pl *fetch.PhysicalLayer, box geom.Rect) string {
 	return keySpace + "/" + fetch.BoxKeyOf(layerKey(pl.CanvasID, pl.LayerIdx), box)

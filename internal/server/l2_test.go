@@ -50,7 +50,7 @@ func TestL2WarmRestart(t *testing.T) {
 	tiles := []geom.TileID{{Col: 0, Row: 0}, {Col: 1, Row: 0}, {Col: 2, Row: 1}}
 	want := make(map[geom.TileID][]byte)
 	for _, tid := range tiles {
-		payload, err := srv1.serveTile(context.Background(), pl, "spatial", 512, tid, false)
+		payload, err := srv1.serveItem(context.Background(), pl.CanvasID, tileItem(pl, 512, tid), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestL2WarmRestart(t *testing.T) {
 	defer srv2.Close()
 	pl2, _ := srv2.Layer("main", 0)
 	for _, tid := range tiles {
-		payload, err := srv2.serveTile(context.Background(), pl2, "spatial", 512, tid, false)
+		payload, err := srv2.serveItem(context.Background(), pl2.CanvasID, tileItem(pl2, 512, tid), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestL2WarmRestart(t *testing.T) {
 	// neither disk nor database.
 	l2HitsBefore := srv2.l2.Stats.Hits.Load()
 	for _, tid := range tiles {
-		if _, err := srv2.serveTile(context.Background(), pl2, "spatial", 512, tid, false); err != nil {
+		if _, err := srv2.serveItem(context.Background(), pl2.CanvasID, tileItem(pl2, 512, tid), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func TestL2UpdateInvalidates(t *testing.T) {
 	}
 	pl, _ := srv.Layer("main", 0)
 	tid := geom.TileID{Col: 0, Row: 0}
-	if _, err := srv.serveTile(context.Background(), pl, "spatial", 512, tid, false); err != nil {
+	if _, err := srv.serveItem(context.Background(), pl.CanvasID, tileItem(pl, 512, tid), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.l2.Flush(); err != nil {
@@ -133,7 +133,7 @@ func TestL2UpdateInvalidates(t *testing.T) {
 		t.Fatalf("tombstones = %d, want 1 (the one resident tile)", got)
 	}
 	dbqBefore := srv.Stats.DBQueries.Load()
-	post, err := srv.serveTile(context.Background(), pl, "spatial", 512, tid, false)
+	post, err := srv.serveItem(context.Background(), pl.CanvasID, tileItem(pl, 512, tid), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestL2UpdateInvalidates(t *testing.T) {
 	defer srv2.Close()
 	pl2, _ := srv2.Layer("main", 0)
 	dbqBefore = srv2.Stats.DBQueries.Load()
-	payload, err := srv2.serveTile(context.Background(), pl2, "spatial", 512, tid, false)
+	payload, err := srv2.serveItem(context.Background(), pl2.CanvasID, tileItem(pl2, 512, tid), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestL2StaleFillDropped(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		if _, err := srv.serveTile(context.Background(), pl, "spatial", 512, tid, false); err != nil {
+		if _, err := srv.serveItem(context.Background(), pl.CanvasID, tileItem(pl, 512, tid), false); err != nil {
 			t.Fatal(err)
 		}
 		srv.queryHook = nil
@@ -331,10 +331,10 @@ func TestCacheOptionsAliasCompat(t *testing.T) {
 	}
 	defer srv.Close()
 	pl, _ := srv.Layer("main", 0)
-	if _, err := srv.serveTile(context.Background(), pl, "spatial", 512, geom.TileID{}, false); err != nil {
+	if _, err := srv.serveItem(context.Background(), pl.CanvasID, tileItem(pl, 512, geom.TileID{}), false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.serveTile(context.Background(), pl, "spatial", 512, geom.TileID{}, false); err != nil {
+	if _, err := srv.serveItem(context.Background(), pl.CanvasID, tileItem(pl, 512, geom.TileID{}), false); err != nil {
 		t.Fatal(err)
 	}
 	if srv.Stats.CacheHits.Load() == 0 {
@@ -381,7 +381,7 @@ func TestL2RowMajorRecordMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl, _ := ref.Layer("main", 0)
-	p, err := ref.serveBox(context.Background(), pl, box, false)
+	p, err := ref.serveItem(context.Background(), pl.CanvasID, boxItem(pl, box), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestL2RowMajorRecordMisses(t *testing.T) {
 	if n := srv.l2.Stats.Tombstones.Load(); n != 2 {
 		t.Fatalf("open wrote %d tombstones, want 2: the row-major and the JSON record", n)
 	}
-	p, err = srv.serveBox(context.Background(), pl, box, false)
+	p, err = srv.serveItem(context.Background(), pl.CanvasID, boxItem(pl, box), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestL2RowMajorRecordMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv3.Close()
-	p3, err := srv3.serveBox(context.Background(), pl, box, false)
+	p3, err := srv3.serveItem(context.Background(), pl.CanvasID, boxItem(pl, box), false)
 	if err != nil {
 		t.Fatal(err)
 	}

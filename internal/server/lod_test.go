@@ -5,9 +5,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"kyrix/internal/fetch"
+	"kyrix/internal/geom"
 	"kyrix/internal/spec"
 	"kyrix/internal/sqldb"
 	"kyrix/internal/storage"
@@ -164,6 +167,62 @@ func TestSpatialTileRoutesToLOD(t *testing.T) {
 	}
 	if len(dr.Rows) == 0 || len(dr.Rows) > 64 {
 		t.Fatalf("tile rows = %d, want 1..64", len(dr.Rows))
+	}
+}
+
+// TestLODQueriesCountCoalescedOnce: LODQueries counts pyramid queries
+// run, not windows routed. N concurrent identical misses on a zoomed-out
+// box join one flight while the query hook holds it open; one query
+// runs, so LODQueries and DBQueries each rise by one.
+func TestLODQueriesCountCoalescedOnce(t *testing.T) {
+	srv, hs := newLODServer(t, 5000)
+	const n = 8
+	release := make(chan struct{})
+	srv.queryHook = func() { <-release }
+	pl, _ := srv.Layer("main", 0)
+	box := geom.Rect{MinX: 0, MinY: 0, MaxX: 8192, MaxY: 4096}
+	if pl.LODLevelFor(box) < 0 {
+		t.Fatal("full-canvas box does not route to the pyramid")
+	}
+	key := flightKey(0, boxCacheKey(pl, box))
+	lodBefore, dbBefore := srv.Stats.LODQueries.Load(), srv.Stats.DBQueries.Load()
+
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(hs.URL + "/dbox?canvas=main&layer=0&minx=0&miny=0&maxx=8192&maxy=4096")
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if body, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("%s: %s", resp.Status, body)
+			}
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.flight.Pending(key) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d requests joined the flight on %q", srv.flight.Pending(key), n, key)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if got := srv.Stats.DBQueries.Load() - dbBefore; got != 1 {
+		t.Fatalf("DBQueries rose by %d for %d coalesced misses, want 1", got, n)
+	}
+	if got := srv.Stats.LODQueries.Load() - lodBefore; got != 1 {
+		t.Fatalf("LODQueries rose by %d for %d coalesced misses, want 1", got, n)
 	}
 }
 

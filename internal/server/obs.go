@@ -13,8 +13,8 @@ import (
 )
 
 // Observability: this file wires internal/obs into the serving pipeline.
-// Spans thread through the request path on context (see serveTile /
-// cachedQuery / peerQuery), per-stage latencies land in registry-owned
+// Spans thread through the request path on context (see serveItem /
+// fill / fetchOwner), per-stage latencies land in registry-owned
 // histograms, and everything /stats already counted is re-exposed at
 // /metrics through a scrape-time collector — one set of atomic counters,
 // two renderings. /debug/requests serves the flight recorder.

@@ -438,7 +438,7 @@ func BenchmarkObsOverheadDirect(b *testing.B) {
 			}
 			tid := geom.TileID{Col: 1, Row: 1}
 			ctx := context.Background()
-			if _, err := srv.serveTile(ctx, pl, "spatial", 512, tid, false); err != nil {
+			if _, err := srv.serveItem(ctx, pl.CanvasID, tileItem(pl, 512, tid), false); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -446,7 +446,7 @@ func BenchmarkObsOverheadDirect(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sctx, sp := srv.tracer().Start(ctx, "http.tile")
 				start := time.Now()
-				if _, err := srv.serveTile(sctx, pl, "spatial", 512, tid, false); err != nil {
+				if _, err := srv.serveItem(sctx, pl.CanvasID, tileItem(pl, 512, tid), false); err != nil {
 					b.Fatal(err)
 				}
 				srv.obs.stageItem.Observe(time.Since(start))

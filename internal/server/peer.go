@@ -10,14 +10,13 @@ import (
 
 	"kyrix/internal/cluster"
 	"kyrix/internal/obs"
-	"kyrix/internal/storage"
 )
 
 // Clustered serving: this file is the server half of internal/cluster.
-// POST /peer is the owner-side fill endpoint (a peer's cache miss
-// lands here and is served through the normal cache + singleflight
-// path), and peerQuery is the requester-side routing for misses on
-// keys another node owns.
+// POST /peer is the owner-side fill endpoint: a peer's cache miss lands
+// here and is served through serveItem like any other item. On the
+// requester side, fill's owner hop (fetchOwner) answers a miss on a key
+// another node owns, after L1 and L2 and before a local query.
 
 // Cluster exposes this node's cluster membership (nil when serving
 // standalone); experiment harnesses read its stats.
@@ -80,102 +79,62 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 	_ = cluster.WritePeerResponse(w, &version, cluster.FrameKindOf(fr.Kind), raw, err, badReq)
 }
 
-// peerQuery fills a locally missed key this node does not own: forward
-// to the owner, falling back to a local database query when the peer
-// is unreachable — a peer problem degrades the cluster to independent
-// nodes, never to an outage. Concurrent identical misses coalesce onto
-// one peer exchange (and, at the owner, onto one generation-scoped
-// flight), so one database query serves the whole cluster per key per
-// generation.
+// fillRequest is the /peer body asking key's owner for a checked item's
+// payload, the inverse of handlePeer's copy into a BatchItem: a tile
+// carries its design and grid address, a box its bounds.
+func fillRequest(canvas, key string, it BatchItem) *cluster.FillRequest {
+	fr := &cluster.FillRequest{Key: key, Canvas: canvas, Layer: it.Layer, Kind: it.Kind, Codec: keySpace}
+	if it.Kind == "dbox" {
+		fr.MinX, fr.MinY, fr.MaxX, fr.MaxY = it.MinX, it.MinY, it.MaxX, it.MaxY
+	} else {
+		fr.Design, fr.Size, fr.Col, fr.Row = it.Design, it.Size, it.Col, it.Row
+	}
+	return fr
+}
+
+// fetchOwner is fill's owner hop for a key this node does not own. It
+// returns nil when the owner failed or was behind, and fill then
+// queries locally: a peer problem degrades the cluster to independent
+// nodes, never to an outage.
 //
 // A fill is accepted only from an owner at or past gen, this node's data
 // version before the hop: an owner behind an update this node applied
 // (and perhaps acked) hands back pre-update rows that no later sweep
-// here would remove. Such a reply is queried locally, like a failed peer.
+// here would remove.
 //
-// Peer-filled payloads are admitted into the local cache only when the
-// key's sketch frequency has crossed the HotReplicate threshold —
-// cluster-hot keys become locally resident everywhere instead of
-// bottlenecking their owner, while the long tail stays owner-only and
-// the cluster's aggregate cache capacity scales with node count. With
-// admission off (no sketch) every fill replicates, the plain
-// groupcache behavior.
-func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequest, sql string, args []storage.Value) (*payload, error) {
-	gen := s.cacheGen.Load()
-	l2fence := s.l2Fence()
-	owner := s.cluster.Owner(key)
-	fill := func() (any, error) {
-		// Double-check like cachedQuery: a previous flight (or a hot
-		// replication) may have populated the cache while queuing.
-		if data, ok := s.bcache.Peek(key); ok {
-			s.Stats.CacheHits.Add(1)
-			return data.(*payload), nil
-		}
-		// The local persistent tier answers before the peer hop: a
-		// payload this node once fetched (or served) survives in L2
-		// across restarts, and a checksum-verified local disk read
-		// beats a network exchange. L1 admission for non-owned keys
-		// stays behind the hot-replicate gate, same as a peer fill.
-		if raw, ok := s.l2ReadTraced(ctx, key); ok {
-			p := newPayload(raw)
-			if hr := s.cluster.HotReplicate(); hr >= 0 {
-				if f := s.bcache.EstimateFreq(key); f < 0 || f >= hr {
-					s.putUnlessStale(gen, key, p)
-				}
-			}
-			return p, nil
-		}
-		fctx, fsp := s.tracer().Start(ctx, "peer.fetch")
-		fsp.Attr("owner", owner)
-		fetchStart := time.Now()
-		raw, ownerGen, err := s.cluster.FetchContext(fctx, owner, fr, gen)
-		s.obs.stagePeer.Observe(time.Since(fetchStart))
-		behind := errors.Is(err, cluster.ErrBehind)
-		fsp.Attr("ownerGen", ownerGen)
-		fsp.Attr("behind", behind)
-		if err != nil {
-			fsp.Attr("err", err.Error())
-		}
-		fsp.End()
-		if err == nil {
-			// Peer fills populate L2 unconditionally: the hot-replicate
-			// gate protects L1's scarce memory, while the persistent
-			// tier exists precisely to keep refetchable bytes off the
-			// network after a restart.
-			p := newPayload(raw)
-			s.l2Fill(l2fence, key, raw)
-			if hr := s.cluster.HotReplicate(); hr >= 0 {
-				if f := s.bcache.EstimateFreq(key); f < 0 || f >= hr {
-					s.putUnlessStale(gen, key, p)
-					// Count replicas actually resident after the Put —
-					// the generation re-check or the cache's own
-					// admission gate may have declined the store.
-					if s.bcache.Contains(key) {
-						s.cluster.Stats.HotReplicas.Add(1)
-					}
-				}
-			}
-			return p, nil
-		}
+// An accepted fill populates L2 unconditionally — the hot-replicate gate
+// protects L1's scarce memory, while the persistent tier exists
+// precisely to keep refetchable bytes off the network after a restart —
+// and L1 through admit's gate for non-owned keys.
+func (s *Server) fetchOwner(ctx context.Context, gen int64, l2fence uint64, fr *cluster.FillRequest) *payload {
+	owner := s.cluster.Owner(fr.Key)
+	fctx, fsp := s.tracer().Start(ctx, "peer.fetch")
+	fsp.Attr("owner", owner)
+	fetchStart := time.Now()
+	raw, ownerGen, err := s.cluster.FetchContext(fctx, owner, fr, gen)
+	s.obs.stagePeer.Observe(time.Since(fetchStart))
+	behind := errors.Is(err, cluster.ErrBehind)
+	fsp.Attr("ownerGen", ownerGen)
+	fsp.Attr("behind", behind)
+	if err != nil {
+		fsp.Attr("err", err.Error())
+	}
+	fsp.End()
+	if err != nil {
 		if !behind {
 			s.cluster.Stats.LocalFallbacks.Add(1)
 		}
-		p, qerr := s.runQuery(ctx, sql, args)
-		if qerr != nil {
-			return nil, qerr
-		}
-		s.putUnlessStale(gen, key, p)
-		s.l2Fill(l2fence, key, p.raw)
-		return p, nil
+		return nil
 	}
-	v, err, dup := s.flight.Do(flightKey(gen, key), fill)
-	if err != nil {
-		return nil, err
+	p := newPayload(raw)
+	s.l2Fill(l2fence, fr.Key, raw)
+	// Count replicas actually resident after the Put — the generation
+	// re-check or the cache's own admission gate may have declined the
+	// store.
+	if s.admit(gen, fr.Key, p, false) && s.bcache.Contains(fr.Key) {
+		s.cluster.Stats.HotReplicas.Add(1)
 	}
-	if dup {
-		s.Stats.CoalescedHits.Add(1)
-	}
-	return v.(*payload), nil
+	return p
 }
 
 // ownsDBox reports whether this node serves the item's dynamic box

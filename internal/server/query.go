@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -15,49 +16,79 @@ import (
 	"kyrix/internal/storage"
 )
 
+// The path from an item to its payload, one for every caller: a /batch
+// item, a GET /tile or /dbox, and a peer's fill all enter serveItem,
+// which builds the item's cache key and looks it up in L1. A miss goes
+// to fill, which tries L2, then the key's owner (when another node owns
+// it), then the database, inside one generation-scoped flight. What
+// fill finds is admitted to L1 by ownership (admit).
+
 // planCacheSize bounds the prepared-plan cache (parsed SELECT
 // statements, LRU-evicted): far above the constant per-layer statement
 // shapes, but a hard ceiling if ad-hoc SQL ever flows through
 // RunSelect.
 const planCacheSize = 512
 
-// serveTile produces the payload of one tile request under either
-// database design, consulting the backend cache and coalescing
-// concurrent identical requests onto one database query. In a cluster,
-// a miss on a key another node owns is forwarded there instead of
-// queried locally; localOnly (peer-originated requests) suppresses the
-// forwarding so two nodes with diverging ring views can never bounce a
-// request between each other.
-func (s *Server) serveTile(ctx context.Context, pl *fetch.PhysicalLayer, design string, size float64, tid geom.TileID, localOnly bool) (*payload, error) {
-	key := fmt.Sprintf("%s/%s/%s", keySpace, design, fetch.TileKeyOf(layerKey(pl.CanvasID, pl.LayerIdx), size, tid))
+// serveItem checks and serves one item under either database design.
+// localOnly (peer-originated fills) suppresses cluster forwarding, so
+// two nodes with diverging ring views can never bounce a request
+// between each other.
+func (s *Server) serveItem(ctx context.Context, canvas string, it BatchItem, localOnly bool) (*payload, error) {
+	pl, ok := s.Layer(canvas, it.Layer)
+	if !ok || pl.Table == "" {
+		return nil, badRequestError{fmt.Errorf("no data layer %s/%d", canvas, it.Layer)}
+	}
+	var key string
+	var window geom.Rect
+	switch it.Kind {
+	case "tile", "":
+		if !finite(it.Size) || it.Size <= 0 {
+			return nil, badRequestError{fmt.Errorf("bad size %g", it.Size)}
+		}
+		if it.Col < 0 || it.Row < 0 {
+			return nil, badRequestError{fmt.Errorf("bad col/row %d/%d", it.Col, it.Row)}
+		}
+		it.Kind = "tile"
+		if it.Design == "" {
+			it.Design = "spatial"
+		}
+		tid := geom.TileID{Col: it.Col, Row: it.Row}
+		key = fmt.Sprintf("%s/%s/%s", keySpace, it.Design, fetch.TileKeyOf(layerKey(pl.CanvasID, pl.LayerIdx), it.Size, tid))
+		window = tid.TileRect(it.Size)
+	case "dbox":
+		window = it.Box()
+		if !window.Valid() || !finite(window.MinX, window.MinY, window.MaxX, window.MaxY) {
+			return nil, badRequestError{fmt.Errorf("invalid box %+v", window)}
+		}
+		key = boxCacheKey(pl, window)
+	default:
+		return nil, badRequestError{fmt.Errorf("unknown item kind %q", it.Kind)}
+	}
 	if data, ok := s.bcache.Get(key); ok {
 		s.Stats.CacheHits.Add(1)
 		obs.SpanFromContext(ctx).Attr("l1", "hit")
 		return data.(*payload), nil
 	}
-	var sql string
-	var args []storage.Value
-	var err error
-	switch design {
-	case "spatial":
-		sql, args = s.windowSQL(ctx, pl, tid.TileRect(size))
-	case "mapping":
-		sql, args, err = pl.TileSQLMapping(tid, size)
-		if err != nil {
-			return nil, badRequestError{err}
-		}
-	default:
-		return nil, badRequestError{fmt.Errorf("unknown design %q", design)}
+	q, err := s.itemQuery(ctx, pl, it, window)
+	if err != nil {
+		return nil, err
 	}
+	var fr *cluster.FillRequest
 	if !localOnly && s.cluster != nil && !s.cluster.Owns(key) {
-		fr := &cluster.FillRequest{
-			Key: key, Canvas: pl.CanvasID, Layer: pl.LayerIdx,
-			Kind: "tile", Codec: keySpace, Design: design,
-			Size: size, Col: tid.Col, Row: tid.Row,
-		}
-		return s.peerQuery(ctx, key, fr, sql, args)
+		fr = fillRequest(pl.CanvasID, key, it)
 	}
-	return s.cachedQuery(ctx, key, sql, args)
+	return s.fill(ctx, key, q, fr)
+}
+
+// finite reports that no v is NaN or ±Inf: a window with such an edge
+// has no tile grid and no key, and an infinite box would scan the table.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // badRequestError marks an error as the caller's fault (HTTP 400);
@@ -75,49 +106,94 @@ func httpStatusOf(err error) int {
 	return http.StatusInternalServerError
 }
 
-// cachedQuery runs one cacheable request body: on a cache miss it
-// executes the query (through the plan cache) and stores the payload.
-// Concurrent identical keys collapse onto a single execution whose
-// payload all callers share.
+// query is the database statement answering one item; lod marks a read
+// of an aggregation-pyramid level.
+type query struct {
+	sql  string
+	args []storage.Value
+	lod  bool
+}
+
+// itemQuery builds the query answering a checked item's window (a tile
+// rectangle or a dynamic box). Auto-LOD layers route to the
+// aggregation-pyramid level matching the window's zoom, falling through
+// to raw rows at leaf level; everything else queries raw rows. Level
+// selection is a pure function of the window and the build-time
+// pyramid, so a cache key's payload is the same no matter which node —
+// or which side of a cluster forward — computes it, and cache keys need
+// no level component. The tuple–tile mapping design keeps serving raw
+// rows: its precomputed join is already bounded by tile extent.
+func (s *Server) itemQuery(ctx context.Context, pl *fetch.PhysicalLayer, it BatchItem, window geom.Rect) (query, error) {
+	if it.Kind == "tile" && it.Design != "spatial" {
+		if it.Design != "mapping" {
+			return query{}, badRequestError{fmt.Errorf("unknown design %q", it.Design)}
+		}
+		sql, args, err := pl.TileSQLMapping(geom.TileID{Col: it.Col, Row: it.Row}, it.Size)
+		if err != nil {
+			return query{}, badRequestError{err}
+		}
+		return query{sql: sql, args: args}, nil
+	}
+	if lvl := pl.LODLevelFor(window); lvl >= 0 {
+		obs.SpanFromContext(ctx).Attr("lodLevel", lvl)
+		sql, args := pl.LODWindowSQL(lvl, window)
+		return query{sql: sql, args: args, lod: true}, nil
+	}
+	sql, args := pl.WindowSQL(window)
+	return query{sql: sql, args: args}, nil
+}
+
+// fill answers an L1 miss on key: from L2; else, when fr asks for it
+// (another node owns the key), from the owner; else — this node owns
+// the key, or the owner failed or was behind — by running q.
+// Concurrent identical misses collapse onto one flight whose payload
+// all callers share, so N misses do one L2 read, one peer exchange or
+// one query, and hash the payload once.
 //
-// The cache generation is captured before the query runs and checked
-// before the payload is stored: a query that raced an /update holds
-// pre-update rows and must not repopulate the just-cleared cache. The
-// flight key embeds the generation too, so a request arriving after
-// the update never coalesces onto (and never re-serves) a stale
-// in-flight query.
-func (s *Server) cachedQuery(ctx context.Context, key, sql string, args []storage.Value) (*payload, error) {
+// The cache generation and the L2 fence are read before anything runs
+// and checked before anything is stored: a fill that raced an /update
+// holds pre-update rows and must not repopulate the just-cleared tiers.
+// The flight key embeds the generation too, so a request arriving after
+// the update never coalesces onto (and never re-serves) a stale flight.
+func (s *Server) fill(ctx context.Context, key string, q query, fr *cluster.FillRequest) (*payload, error) {
 	gen := s.cacheGen.Load()
 	l2fence := s.l2Fence()
-	// fill is the miss path past L1. The persistent tier answers before
-	// the database: an L2 hit is a checksum-verified disk read, promoted
-	// into L1 so the next request never touches disk.
-	fill := func() (*payload, error) {
-		if raw, ok := s.l2ReadTraced(ctx, key); ok {
-			p := newPayload(raw)
-			s.putUnlessStale(gen, key, p)
-			return p, nil
-		}
-		p, err := s.runQuery(ctx, sql, args)
-		if err != nil {
-			return nil, err
-		}
-		s.putUnlessStale(gen, key, p)
-		s.l2Fill(l2fence, key, p.raw)
-		return p, nil
-	}
 	v, err, dup := s.flight.Do(flightKey(gen, key), func() (any, error) {
-		// Double-check the cache: a previous flight for this key may
-		// have populated it while this caller was queuing for a slot.
-		// Peek, not Get — the caller already recorded this key's miss,
-		// and a second lookup must not double-count it.
+		// Double-check the cache: a previous flight (or a hot
+		// replication) may have populated it while this caller was
+		// queuing for a slot. Peek, not Get — the caller already
+		// recorded this key's miss, and a second lookup must not
+		// double-count it.
 		if data, ok := s.bcache.Peek(key); ok {
 			s.Stats.CacheHits.Add(1)
 			return data.(*payload), nil
 		}
-		// Inside the flight, so N concurrent misses do one L2 read or
-		// one query, and hash the payload once.
-		return fill()
+		// The persistent tier answers before the peer hop and the
+		// database: a payload this node once queried, fetched or served
+		// survives in L2 across restarts, and a checksum-verified local
+		// disk read beats both.
+		if raw, ok := s.l2Read(ctx, key); ok {
+			p := newPayload(raw)
+			s.admit(gen, key, p, fr == nil)
+			return p, nil
+		}
+		if fr != nil {
+			if p := s.fetchOwner(ctx, gen, l2fence, fr); p != nil {
+				return p, nil
+			}
+		}
+		if q.lod {
+			s.Stats.LODQueries.Add(1)
+		}
+		p, err := s.runQuery(ctx, q.sql, q.args)
+		if err != nil {
+			return nil, err
+		}
+		// A payload this node queried is its own answer, admitted as an
+		// owned key's is, whoever owns the key.
+		s.putUnlessStale(gen, key, p)
+		s.l2Fill(l2fence, key, p.raw)
+		return p, nil
 	})
 	if err != nil {
 		return nil, err
@@ -126,6 +202,29 @@ func (s *Server) cachedQuery(ctx context.Context, key, sql string, args []storag
 		s.Stats.CoalescedHits.Add(1)
 	}
 	return v.(*payload), nil
+}
+
+// admit puts a payload that fill read from L2 or fetched from the
+// owner into L1 under generation gen, and reports whether it tried. An
+// owned key always goes in, through putUnlessStale. A key another node
+// owns goes in only once its sketch frequency has crossed the
+// HotReplicate threshold: cluster-hot keys become locally resident
+// everywhere instead of bottlenecking their owner, while the long tail
+// stays owner-only and the cluster's aggregate cache capacity scales
+// with node count. With admission off (no sketch) every such fill
+// replicates, the plain groupcache behavior.
+func (s *Server) admit(gen int64, key string, p *payload, owned bool) bool {
+	if !owned {
+		hr := s.cluster.HotReplicate()
+		if hr < 0 {
+			return false
+		}
+		if f := s.bcache.EstimateFreq(key); f >= 0 && f < hr {
+			return false
+		}
+	}
+	s.putUnlessStale(gen, key, p)
+	return true
 }
 
 // l2Fence reads the persistent tier's write-behind fence before a query
@@ -138,18 +237,11 @@ func (s *Server) l2Fence() uint64 {
 	return s.l2.Fence()
 }
 
-// l2Read consults the persistent tile store (nil-safe). Every hit was
-// checksum-verified by the store; a torn or corrupt record is a miss.
-func (s *Server) l2Read(key string) ([]byte, bool) {
-	if s.l2 == nil {
-		return nil, false
-	}
-	return s.l2.Get(key)
-}
-
-// l2ReadTraced is l2Read wrapped in an "l2.read" span + stage histogram
-// sample. The no-store case pays nothing (not even a span).
-func (s *Server) l2ReadTraced(ctx context.Context, key string) ([]byte, bool) {
+// l2Read consults the persistent tile store under an "l2.read" span and
+// stage histogram sample. Every hit was checksum-verified by the store;
+// a torn or corrupt record is a miss. The no-store case pays nothing
+// (not even a span).
+func (s *Server) l2Read(ctx context.Context, key string) ([]byte, bool) {
 	if s.l2 == nil {
 		return nil, false
 	}
@@ -198,45 +290,6 @@ func (s *Server) putUnlessStale(gen int64, key string, p *payload) {
 	if s.cacheGen.Load() != gen {
 		s.bcache.Remove(key)
 	}
-}
-
-// serveBox produces the payload of one dynamic-box request, with the
-// same cache + coalescing + cluster-routing treatment as serveTile.
-func (s *Server) serveBox(ctx context.Context, pl *fetch.PhysicalLayer, box geom.Rect, localOnly bool) (*payload, error) {
-	key := boxCacheKey(pl, box)
-	if data, ok := s.bcache.Get(key); ok {
-		s.Stats.CacheHits.Add(1)
-		obs.SpanFromContext(ctx).Attr("l1", "hit")
-		return data.(*payload), nil
-	}
-	sql, args := s.windowSQL(ctx, pl, box)
-	if !localOnly && s.cluster != nil && !s.cluster.Owns(key) {
-		fr := &cluster.FillRequest{
-			Key: key, Canvas: pl.CanvasID, Layer: pl.LayerIdx,
-			Kind: "dbox", Codec: keySpace,
-			MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY,
-		}
-		return s.peerQuery(ctx, key, fr, sql, args)
-	}
-	return s.cachedQuery(ctx, key, sql, args)
-}
-
-// windowSQL builds the database query answering one window (a tile
-// rectangle or a dynamic box) against a layer: auto-LOD layers route to
-// the aggregation-pyramid level matching the window's zoom, falling
-// through to raw rows at leaf level; everything else queries raw rows.
-// Level selection is a pure function of the window and the build-time
-// pyramid, so a cache key's payload is the same no matter which node —
-// or which side of a cluster forward — computes it, and cache keys need
-// no level component. The tuple–tile mapping design keeps serving raw
-// rows: its precomputed join is already bounded by tile extent.
-func (s *Server) windowSQL(ctx context.Context, pl *fetch.PhysicalLayer, window geom.Rect) (string, []storage.Value) {
-	if lvl := pl.LODLevelFor(window); lvl >= 0 {
-		s.Stats.LODQueries.Add(1)
-		obs.SpanFromContext(ctx).Attr("lodLevel", lvl)
-		return pl.LODWindowSQL(lvl, window)
-	}
-	return pl.WindowSQL(window)
 }
 
 // preparedSelect returns the parsed form of sql, parsing at most once

@@ -174,7 +174,7 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		s.cluster = cn
 	}
 
-	// Per-layer materialization tasks on the shared work-stealing pool.
+	// Per-layer materialization tasks on the shared worker pool.
 	// The pool cancels the context on the first error, so sibling layer
 	// builds in flight stop at their next batch boundary instead of
 	// running a doomed startup to completion.

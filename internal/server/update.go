@@ -36,7 +36,7 @@ import (
 // removes the same rectangles at the same log position, and cacheGen,
 // which counts those transitions, is one data version: equal on every
 // member at equal applied index. A peer fill carries the owner's, and a
-// requester refuses one older than its own (peerQuery). Standalone
+// requester refuses one older than its own (fetchOwner). Standalone
 // without a log, /update calls execUpdate directly: a log of one.
 //
 // What stays global is the fence, because it is what makes in-flight

@@ -781,7 +781,7 @@ func BenchmarkUpdateAck(b *testing.B) {
 			// 512 resident boxes of 1536², as a dbox-50% client leaves behind.
 			for i := 0; i < 512; i++ {
 				x, y := float64(i%32)*4000, float64(i/32)*900
-				if _, err := srv.serveBox(context.Background(), pl, geom.Rect{MinX: x, MinY: y, MaxX: x + 1536, MaxY: y + 1536}, false); err != nil {
+				if _, err := srv.serveItem(context.Background(), pl.CanvasID, boxItem(pl, geom.Rect{MinX: x, MinY: y, MaxX: x + 1536, MaxY: y + 1536}), false); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -262,8 +262,6 @@ func Open(opts Options) (*Store, error) {
 			s.nextSegID = id + 1
 		}
 	}
-	// Entries indexed before the final generation marker are stale.
-	s.pruneIndexLocked()
 	if len(s.segs) == 0 {
 		if err := s.rotateLocked(); err != nil {
 			return nil, err
@@ -307,13 +305,6 @@ func (s *Store) replaySegmentLocked(seg *segment) error {
 		}
 		return nil
 	})
-}
-
-// pruneIndexLocked drops index entries from earlier generations (only
-// possible transiently during replay).
-func (s *Store) pruneIndexLocked() {
-	// replaySegment already clears on markers and filters on gen, so
-	// this is a no-op safeguard kept cheap by the small index.
 }
 
 // Generation returns the current generation.

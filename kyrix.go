@@ -49,9 +49,17 @@
 //     exact global LRU order). It adds a frequency-aware admission
 //     policy — see "Backend cache admission" below. The frontend
 //     cache is one shard: a client runs on one goroutine.
-//   - Identical concurrent tile/box requests are coalesced
-//     (singleflight): one database query runs, every caller shares the
-//     payload.
+//   - Every item — a /batch item, a GET /tile or /dbox, a peer's fill —
+//     takes one path to its payload: one L1 lookup, and on a miss one
+//     fill that reads L2, then asks the key's owner when another node
+//     owns it, then queries the database. Identical concurrent misses
+//     are coalesced onto one such fill (singleflight): one L2 read,
+//     peer exchange or database query runs, and every caller shares the
+//     payload. L1 admits a fill's payload by ownership: an owned key
+//     always, a non-owned one only once it is hot (see "Clustered
+//     serving").
+//   - A /batch handler serves its items on up to max(GOMAXPROCS, 8)
+//     workers, itself one of them, so a one-item batch runs inline.
 //   - [NewServer] materializes layers in parallel under a worker pool
 //     of GOMAXPROCS workers; the first error wins.
 //   - The server keeps a prepared-plan cache: each layer's constant
@@ -179,10 +187,12 @@
 //     join/leave remaps only ~K/N keys (property-tested in
 //     internal/cluster), so growing the tier does not restart the
 //     world.
-//   - Peer fill. A node that misses its cache on a key it does not
+//   - Peer fill. A node that misses L1 and L2 on a key it does not
 //     own forwards the request to the owner's /peer endpoint instead
-//     of querying the database. The reply reuses the wire v3 frame
-//     codec (one frame: status byte, bounded DEFLATE when worth it).
+//     of querying the database; the owner serves it through the same
+//     path as its own items, without forwarding. The reply reuses the
+//     wire v3 frame codec (one frame: status byte, bounded DEFLATE when
+//     worth it).
 //     Transport is pooled HTTP with per-peer bounded concurrency and
 //     a hard timeout; any peer failure degrades to a local database
 //     query — a slow or dead peer costs latency, never availability.
@@ -194,8 +204,9 @@
 //     tests).
 //   - Hot-key replication. A non-owned key whose sketch frequency
 //     crosses HotReplicate is admitted into the local cache after a
-//     peer fill, so a viral viewport is served everywhere locally
-//     instead of bottlenecking its owner; the long tail stays
+//     peer fill or an L2 read (a payload this node had to query itself
+//     is always admitted), so a viral viewport is served everywhere
+//     locally instead of bottlenecking its owner; the long tail stays
 //     owner-only and aggregate cache capacity scales with N.
 //   - Invalidation. A cluster requires the replicated update log
 //     (below): every node applies each update itself, in log order,
