@@ -50,7 +50,7 @@ var errFailpointDrop = errors.New("cluster: failpoint: dropped")
 // payload. It carries the same addressing fields as a /batch item plus
 // the canonical cache key (debugging identity; the owner recomputes
 // its own). Codec names the payload layout wanted, as the key space of
-// that key ("json", "bincol"): an owner that cannot produce the layout
+// that key ("binplane"): an owner that cannot produce the layout
 // answers with an error frame and the requester queries locally, so
 // nodes of two builds never trade bytes one of them would misread.
 type FillRequest struct {

@@ -232,17 +232,28 @@ func (c *Client) postBatch(subs []batchSub, rep *FetchReport, start time.Time) e
 // decodeFrame turns one OK frame into a mergeable result: inflate a
 // compressed payload (bounded — a hostile length cannot become a
 // decompression bomb), reconstruct a delta frame against the sub's
-// declared base, or decode a raw payload directly.
-func (c *Client) decodeFrame(sub *batchSub, f wire.Frame) (frameResult, error) {
-	var fr frameResult
-	payload := f.Payload
-	if f.Codec.Compressed() {
-		var err error
-		payload, err = wire.Decompress(payload, wire.MaxFramePayload)
-		if err != nil {
-			return fr, fmt.Errorf("frontend: batch item %d: %w", f.Index, err)
-		}
+// declared base, or decode a raw payload directly. An inflated payload
+// is decoded in the inflater's pooled buffer, never copied: everything
+// the result keeps — columns, delta tombstones, the payload id — is
+// copied or computed out of it.
+func (c *Client) decodeFrame(sub *batchSub, f wire.Frame) (fr frameResult, err error) {
+	if !f.Codec.Compressed() {
+		return c.decodePayload(sub, f, f.Payload)
 	}
+	ierr := wire.Inflate(f.Payload, wire.MaxFramePayload, func(payload []byte) error {
+		fr, err = c.decodePayload(sub, f, payload)
+		return nil
+	})
+	if ierr != nil {
+		return fr, fmt.Errorf("frontend: batch item %d: %w", f.Index, ierr)
+	}
+	return fr, err
+}
+
+// decodePayload is decodeFrame past the inflate: payload is the frame's
+// payload as the server wrote it, a delta or a full payload.
+func (c *Client) decodePayload(sub *batchSub, f wire.Frame, payload []byte) (frameResult, error) {
+	var fr frameResult
 	if f.Codec.IsDelta() {
 		if sub.base == nil {
 			return fr, fmt.Errorf("frontend: batch item %d: delta frame for a sub-request that declared no base", f.Index)

@@ -698,7 +698,7 @@ func TestPeerFillNamesLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := asked.Load("bincol"); !ok {
+	if _, ok := asked.Load(keySpace); !ok {
 		t.Fatal("the fill request did not name the columnar layout")
 	}
 	if !bytes.Equal(p.raw, ref.raw) {
@@ -713,8 +713,9 @@ func TestPeerFillNamesLayout(t *testing.T) {
 
 // TestPeerRefusesUnknownLayout: an owner answers a fill for a layout it
 // does not cache — "binary" from a row-major requester, "json" (or the
-// empty name, which meant JSON) from a build that cached JSON copies —
-// with a bad-request frame, and a "bincol" fill with the columnar
+// empty name, which meant JSON) from a build that cached JSON copies,
+// "bincol" from a build whose byte planes were not ordered by class —
+// with a bad-request frame, and a keySpace fill with the columnar
 // payload.
 func TestPeerRefusesUnknownLayout(t *testing.T) {
 	nodes := newTestCluster(t, 2, 500, nil)
@@ -750,12 +751,12 @@ func TestPeerRefusesUnknownLayout(t *testing.T) {
 		}
 		return f
 	}
-	for _, layout := range []string{"binary", "json", ""} {
+	for _, layout := range []string{"binary", "json", "", "bincol"} {
 		if f := fill(layout); f.Status != wire.FrameBadRequest {
 			t.Fatalf("a %q fill got status %d (%.60q), want bad request", layout, f.Status, f.Payload)
 		}
 	}
-	if f := fill("bincol"); f.Status != wire.FrameOK || !bytes.Equal(f.Payload, ref.raw) {
+	if f := fill(keySpace); f.Status != wire.FrameOK || !bytes.Equal(f.Payload, ref.raw) {
 		t.Fatalf("a columnar fill got status %d and %d bytes, want OK and the %d-byte payload", f.Status, len(f.Payload), len(ref.raw))
 	}
 }

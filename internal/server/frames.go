@@ -216,11 +216,12 @@ func boxCacheKey(pl *fetch.PhysicalLayer, box geom.Rect) string {
 // moves its keys: an older build's record is never found, and the miss
 // refills it. The name rides a peer fill request (FillRequest.Codec) too,
 // so builds that disagree on a layout refuse each other's fills.
-const keySpace = "bincol"
+const keySpace = "binplane"
 
 // retiredKey reports an L2 key of a layout no build reads: row-major
-// binary payloads and JSON copies. New drops them once at open, so they
+// binary payloads, JSON copies and column-major payloads whose byte
+// planes were not ordered by class. New drops them once at open, so they
 // stop holding the store's budget.
 func retiredKey(k string) bool {
-	return strings.HasPrefix(k, "binary/") || strings.HasPrefix(k, "json/")
+	return strings.HasPrefix(k, "binary/") || strings.HasPrefix(k, "json/") || strings.HasPrefix(k, "bincol/")
 }

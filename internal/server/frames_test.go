@@ -144,7 +144,7 @@ func fetchBoxPayload(t testing.TB, url string, it BatchItem, codec Codec) ([]byt
 	return payload, wire.PayloadID(payload)
 }
 
-func TestBatchV3DeltaFrames(t *testing.T) {
+func TestBatchDeltaFrames(t *testing.T) {
 	for _, codec := range []Codec{CodecJSON, CodecBinary} {
 		srv, hs := newPointsServer(t, 6000, 4096, 2048)
 
@@ -219,7 +219,7 @@ func TestBatchV3DeltaFrames(t *testing.T) {
 	}
 }
 
-func TestBatchV3DeltaFallsBackToFull(t *testing.T) {
+func TestBatchDeltaFallsBackToFull(t *testing.T) {
 	srv, hs := newPointsServer(t, 5000, 4096, 2048)
 	baseItem := BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800}
 	_, baseID := fetchBoxPayload(t, hs.URL, baseItem, CodecJSON)
@@ -261,7 +261,7 @@ func TestBatchV3DeltaFallsBackToFull(t *testing.T) {
 	expectFull("base missing from cache", good)
 }
 
-// TestBatchV3DeltaAcrossUpdate: an /update between the base fetch and
+// TestBatchDeltaAcrossUpdate: an /update between the base fetch and
 // an overlapping pan must never ship a delta computed against the
 // pre-update world — the stale-base guarantee is "full frame, never
 // wrong rows", and the post-update frame must carry the new values.
@@ -269,7 +269,7 @@ func TestBatchV3DeltaFallsBackToFull(t *testing.T) {
 // base gate runs before the memo, so a warm pre-update pair entry is
 // never served — not even when it would still be exact (the changed row
 // left the box), because the memo must never widen where a delta ships.
-func TestBatchV3DeltaAcrossUpdate(t *testing.T) {
+func TestBatchDeltaAcrossUpdate(t *testing.T) {
 	_, hs := newPointsServer(t, 3000, 4096, 2048)
 	baseItem := BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800}
 	pan := func(baseID uint64) Frame {

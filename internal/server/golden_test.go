@@ -82,10 +82,10 @@ func goldenSequence(t *testing.T, url string, codec Codec) []string {
 // derived-form memo must reproduce the cold bytes exactly. Each line
 // also pins the frame's inflated payload, so a drift is told apart: new
 // compressed bytes over the same payloads are a compression change, new
-// payloads a server change. The lines were last rewritten when Compress
-// began keeping the shorter of its BestSpeed and Huffman-only codings;
-// every frame then inflated to the payload the previous compressor's
-// frame did.
+// payloads a server change. The lines were last rewritten when binary
+// payloads began ordering their byte planes by class: the JSON lines
+// stayed byte-identical, and every binary payload, rewritten in the
+// column-major layout (encodeColumnMajor), hashed to its previous line.
 func TestBatchStreamGolden(t *testing.T) {
 	var cold []string
 	for _, codec := range []Codec{CodecJSON, CodecBinary} {

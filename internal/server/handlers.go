@@ -172,7 +172,7 @@ func (s *Server) handleApp(w http.ResponseWriter, r *http.Request) {
 }
 
 // checkCodec defaults an empty codec to JSON and refuses any name but
-// json and binary — "bincol", the cache key space, included — before
+// json and binary — "binplane", the cache key space, included — before
 // any cache lookup, so an unknown name costs neither tier a probe.
 func checkCodec(c Codec) (Codec, error) {
 	switch c {

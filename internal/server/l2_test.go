@@ -365,12 +365,13 @@ func encodeRowMajor(t testing.TB, dr *DataResponse) []byte {
 }
 
 // TestL2RowMajorRecordMisses: an L2 directory written by a build with
-// the row-major binary layout, or one that cached a JSON copy of each
-// payload, must never serve those bytes to the columnar decoder. The old
-// records — checksummed, under the keys those builds used — are dropped
-// when the store opens; the box is queried, served with the right rows
-// and refilled under the columnar key space, and that record survives
-// the next open.
+// the row-major binary layout, one that cached a JSON copy of each
+// payload, or one whose columnar payloads kept each column's byte planes
+// together, must never serve those bytes to this build's decoder. The
+// old records — checksummed, under the keys those builds used — are
+// dropped when the store opens; the box is queried, served with the
+// right rows and refilled under the current key space, and that record
+// survives the next open.
 func TestL2RowMajorRecordMisses(t *testing.T) {
 	dir := t.TempDir()
 	box := geom.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800}
@@ -411,6 +412,12 @@ func TestL2RowMajorRecordMisses(t *testing.T) {
 	if !old.Put(jsonKey, jsonDoc) {
 		t.Fatal("write-behind queue refused the JSON record")
 	}
+	// Builds whose columnar payloads left the byte planes in column
+	// order kept them under "bincol/".
+	colKey := "bincol/" + fetch.BoxKeyOf(layerKey(pl.CanvasID, pl.LayerIdx), box)
+	if !old.Put(colKey, encodeColumnMajor(t, want)) {
+		t.Fatal("write-behind queue refused the column-major record")
+	}
 	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -427,8 +434,11 @@ func TestL2RowMajorRecordMisses(t *testing.T) {
 	if _, ok := srv.l2.Get(jsonKey); ok {
 		t.Fatal("the JSON record survived the open")
 	}
-	if n := srv.l2.Stats.Tombstones.Load(); n != 2 {
-		t.Fatalf("open wrote %d tombstones, want 2: the row-major and the JSON record", n)
+	if _, ok := srv.l2.Get(colKey); ok {
+		t.Fatal("the column-major record survived the open")
+	}
+	if n := srv.l2.Stats.Tombstones.Load(); n != 3 {
+		t.Fatalf("open wrote %d tombstones, want 3: the row-major, the JSON and the column-major record", n)
 	}
 	p, err = srv.serveItem(context.Background(), pl.CanvasID, boxItem(pl, box), false)
 	if err != nil {

@@ -13,7 +13,8 @@ import (
 )
 
 // A cached payload exists in one form — raw + id: the binary payload's
-// bytes (column-major, wire.go) and their content hash (wire.PayloadID).
+// bytes (column-major, byte planes ordered by class, wire.go) and their
+// content hash (wire.PayloadID).
 // It is built in the fill flight — database query, L2 promote or peer
 // fill — and stored in L1 as one immutable *payload, so a box costs one
 // query and one L1 entry whichever codecs its clients speak. Everything
@@ -216,10 +217,7 @@ func (s *Server) shipped(ctx context.Context, p *payload, codec Codec) (formSum,
 // rows by copying bytes — no row is ever decoded or re-encoded. A row is
 // one position in every column.
 type rowIndex struct {
-	// hdr is where the row count varint starts: raw[:hdr] is the schema
-	// header, identical for any subset of rows.
-	hdr uint32
-	n   int
+	n int
 	// cols is every column's section, in schema order.
 	cols []indexColumn
 	// ids[i] is row i's integer first column; perm lists row positions
@@ -234,9 +232,7 @@ type rowIndex struct {
 // indexColumn is one column of a binary payload as subset gathers it.
 type indexColumn struct {
 	typ storage.ColType
-	// at is where the section starts: the first byte plane (INT,
-	// DOUBLE), the bytes (BOOL) or the length varints (TEXT).
-	at uint32
+	section
 	// lens and strs (TEXT only) bound row i's length varint at
 	// raw[lens[i]:lens[i+1]] and its bytes at raw[strs[i]:strs[i+1]].
 	lens, strs []uint32
@@ -280,22 +276,22 @@ func buildRowIndex(raw []byte) *rowIndex {
 		return nil
 	}
 	n := l.nrows
-	ix := &rowIndex{hdr: uint32(l.countOff), n: n, cols: make([]indexColumn, len(l.types))}
+	ix := &rowIndex{n: n, cols: make([]indexColumn, len(l.types))}
 	for c, t := range l.types {
 		col := &ix.cols[c]
-		col.typ, col.at = t, uint32(l.colOff[c])
+		col.typ, col.section = t, l.secs[c]
 		if t != storage.TString {
 			continue
 		}
 		col.lens, col.strs = make([]uint32, n+1), make([]uint32, n+1)
-		lens := l.colOff[c]
+		lens := col.at
 		for i := range n {
 			col.lens[i] = uint32(lens)
 			_, sz := binary.Uvarint(raw[lens:])
 			lens += sz
 		}
 		col.lens[n] = uint32(lens)
-		str := lens
+		str := col.str
 		for i := range n {
 			col.strs[i] = uint32(str)
 			ln, _ := binary.Uvarint(raw[col.lens[i]:])
@@ -311,8 +307,9 @@ func buildRowIndex(raw []byte) *rowIndex {
 		return ix
 	}
 	ix.ids = make([]int64, n)
+	id := planesOf(raw, &ix.cols[0].section, n)
 	for i := range ix.ids {
-		ix.ids[i] = int64(planeValue(raw[ix.cols[0].at:], n, i))
+		ix.ids[i] = int64(id.value(i))
 	}
 	ix.perm = make([]uint32, n)
 	for i := range ix.perm {
@@ -367,32 +364,66 @@ func (base *rowIndex) diff(next *rowIndex) (tombstones []int64, entering []uint3
 
 // subset assembles the payload holding only the given rows of raw (in
 // the given order) — exactly what Encode would produce for those rows:
-// the schema header, the new row count, then each column gathered at
-// the rows' positions: each byte plane, then the BOOL bytes, TEXT
-// lengths and TEXT bytes.
+// the schema header with each INT or DOUBLE column's planes classified
+// afresh over the rows kept, the new row count, then each column
+// gathered at the rows' positions: the leading planes, BOOL bytes and
+// TEXT lengths and bytes column by column, then the trailing planes.
 func (ix *rowIndex) subset(raw []byte, rows []uint32) []byte {
-	// A subset of the rows is never larger than all of them.
-	out := append(make([]byte, 0, len(raw)), raw[:ix.hdr]...)
-	out = binary.AppendUvarint(out, uint64(len(rows)))
-	for _, c := range ix.cols {
-		switch c.typ {
+	n := len(rows)
+	ps := make([]planes, len(ix.cols))
+	lead := make([]uint8, len(ix.cols))
+	var at [planeSample]int
+	var sample [planeSample]uint64
+	m := sampleRows(at[:], n)
+	for c, col := range ix.cols {
+		if col.typ == storage.TInt64 || col.typ == storage.TFloat64 {
+			ps[c] = planesOf(raw, &col.section, ix.n)
+			for j, r := range at[:m] {
+				sample[j] = ps[c].value(int(rows[r]))
+			}
+			lead[c] = leadMask(sample[:m])
+		}
+	}
+	// A subset of the rows is rarely larger than all of them: only its
+	// plane orders can be, by a few bytes.
+	out := make([]byte, 0, len(raw))
+	out = binary.AppendUvarint(out, uint64(len(ix.cols)))
+	for c, col := range ix.cols {
+		out = append(out, raw[col.name[0]:col.name[1]]...)
+		out = appendLead(out, lead[c])
+	}
+	out = binary.AppendUvarint(out, uint64(n))
+	gather := func(plane []byte) {
+		for _, r := range rows {
+			out = append(out, plane[r])
+		}
+	}
+	for c, col := range ix.cols {
+		switch col.typ {
 		case storage.TInt64, storage.TFloat64:
-			for p := range 8 {
-				plane := raw[int(c.at)+p*ix.n:]
-				for _, r := range rows {
-					out = append(out, plane[r])
+			for k, plane := range ps[c] {
+				if lead[c]>>k&1 == 1 {
+					gather(plane)
 				}
 			}
 		case storage.TBool:
-			for _, r := range rows {
-				out = append(out, raw[int(c.at)+int(r)])
-			}
+			gather(raw[col.at:])
 		case storage.TString:
 			for _, r := range rows {
-				out = append(out, raw[c.lens[r]:c.lens[r+1]]...)
+				out = append(out, raw[col.lens[r]:col.lens[r+1]]...)
 			}
 			for _, r := range rows {
-				out = append(out, raw[c.strs[r]:c.strs[r+1]]...)
+				out = append(out, raw[col.strs[r]:col.strs[r+1]]...)
+			}
+		}
+	}
+	for c, col := range ix.cols {
+		if col.typ != storage.TInt64 && col.typ != storage.TFloat64 {
+			continue
+		}
+		for k, plane := range ps[c] {
+			if lead[c]>>k&1 == 0 {
+				gather(plane)
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -241,22 +242,37 @@ func TestDecodeBinaryBounded(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"inflated column count", append(append([]byte{}, huge...), good[1:]...)},
-		{"column count past input", []byte{40, 1, 'a', 1}},
+		{"column count past input", []byte{40, 1, 'a', 1, 0}},
 		{"inflated name length", append(append([]byte{4}, huge...), good[2:]...)},
 		{"name runs off the end", []byte{1, 9, 'a', 'b'}},
 		{"missing type byte", []byte{1, 2, 'i', 'd'}},
-		{"unknown column type", []byte{1, 2, 'i', 'd', 99, 0}},
-		{"missing row count", []byte{1, 2, 'i', 'd', 1}},
-		{"inflated row count", append(append([]byte{1, 2, 'i', 'd', 1}, huge...), make([]byte, 16)...)},
-		{"row count past input", []byte{1, 2, 'i', 'd', 1, 3, 0, 0, 0, 0, 0, 0, 0, 0}},
-		{"inflated string length", append(append([]byte{1, 1, 's', 3, 1}, huge...), 'x')},
+		{"unknown column type", []byte{1, 2, 'i', 'd', 99, 0, 0}},
+		{"missing plane order", []byte{1, 2, 'i', 'd', 1}},
+		{"missing row count", []byte{1, 2, 'i', 'd', 1, 0}},
+		{"inflated row count", append(append([]byte{1, 2, 'i', 'd', 1, 0}, huge...), make([]byte, 16)...)},
+		{"row count past input", []byte{1, 2, 'i', 'd', 1, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"inflated string length", append(append([]byte{1, 1, 's', 3, 0, 1}, huge...), 'x')},
 		{"truncated last row", good[:len(good)-3]},
+		{"plane out of range", []byte{1, 2, 'i', 'd', 1, 1, 8, 1, 1, 0, 0, 0, 0, 0, 0, 0}},
+		{"plane repeated", []byte{1, 2, 'i', 'd', 1, 2, 3, 3, 1, 1, 0, 0, 0, 0, 0, 0, 0}},
+		{"planes out of order", []byte{1, 2, 'i', 'd', 1, 2, 4, 3, 1, 1, 0, 0, 0, 0, 0, 0, 0}},
+		{"nine planes", []byte{1, 2, 'i', 'd', 1, 9, 0, 1, 2, 3, 4, 5, 6, 7, 7, 1, 1, 0, 0, 0, 0, 0, 0, 0}},
+		{"plane order runs off the end", []byte{1, 2, 'i', 'd', 1, 3, 0, 1}},
+		{"plane order on BOOL", []byte{1, 2, 'o', 'k', 4, 1, 0, 1, 1}},
+		{"plane order on TEXT", []byte{1, 1, 's', 3, 1, 0, 1, 1, 'x'}},
 	} {
 		if dr, err := Decode(tc.data, CodecBinary); err == nil {
 			t.Errorf("%s: decoded %d rows from a corrupt payload, want an error", tc.name, len(dr.Rows))
 		}
 		if ix := buildRowIndex(tc.data); ix != nil {
 			t.Errorf("%s: corrupt payload indexed as %d rows", tc.name, ix.n)
+		}
+		// A refusal allocates what the header's bytes pay for — its
+		// names, per-column bookkeeping and the error — never what a
+		// count claims.
+		allocated := allocatedBytes(func() { _, _ = parseBinary(tc.data) })
+		if allocated > uint64(128*len(tc.data)+512) {
+			t.Errorf("%s: refusing %d bytes allocated %d", tc.name, len(tc.data), allocated)
 		}
 	}
 	if dr, err := Decode(good, CodecBinary); err != nil || len(dr.Rows) != 3 {
@@ -265,6 +281,19 @@ func TestDecodeBinaryBounded(t *testing.T) {
 	if ix := buildRowIndex(good); ix == nil || ix.n != 3 || !ix.diffable {
 		t.Fatalf("intact payload index = %+v", ix)
 	}
+}
+
+// allocatedBytes is the heap bytes one call of f allocates, averaged
+// over 1000 calls so that what other goroutines allocate meanwhile
+// washes out.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 1000 {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / 1000
 }
 
 // randomResponse draws a schema of 0…6 columns mixing every type and
@@ -439,6 +468,20 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		f.Add(raw)
 	}
+	// Payloads with both plane classes, and headers whose plane order
+	// names a plane past 7, repeats a plane, or sits on a BOOL or TEXT
+	// column.
+	for _, n := range []int{9, 300} {
+		raw, err := Encode(layoutResponse(rng, n), CodecBinary)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte{1, 2, 'i', 'd', 1, 1, 8, 1, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 2, 'i', 'd', 1, 2, 3, 3, 1, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 2, 'o', 'k', 4, 1, 0, 1, 1})
+	f.Add([]byte{1, 1, 's', 3, 1, 0, 1, 1, 'x'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dr, err := Decode(data, CodecBinary)
 		ix := buildRowIndex(data)

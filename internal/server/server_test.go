@@ -329,7 +329,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestUnknownCodecRefused: /tile and /dbox answer 400 to a codec other
-// than json or binary before consulting either cache tier. "bincol"
+// than json or binary before consulting either cache tier. keySpace
 // names the binary key space, so without the check a warm L1 would
 // answer it with columnar bytes labelled as JSON.
 func TestUnknownCodecRefused(t *testing.T) {
@@ -353,7 +353,7 @@ func TestUnknownCodecRefused(t *testing.T) {
 	}
 	hits, queries := srv.Stats.CacheHits.Load(), srv.Stats.DBQueries.Load()
 	for _, u := range []string{
-		tile + "&codec=bincol", box + "&codec=bincol",
+		tile + "&codec=" + keySpace, box + "&codec=" + keySpace,
 		tile + "&codec=xml", box + "&codec=xml",
 	} {
 		if resp, body := get(u); resp.StatusCode != http.StatusBadRequest {

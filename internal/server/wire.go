@@ -102,13 +102,16 @@ type payloadBuilder struct {
 	// starts[i] is where row i's tuple begins in rows.
 	starts []int
 	n      int
+	// lead is, per column, the mask of the byte planes finish puts in
+	// the leading run (leadPlanes).
+	lead []uint8
 }
 
 var builderPool = sync.Pool{New: func() any { return new(payloadBuilder) }}
 
 // release returns the builder's scratch buffer to the pool.
 func (b *payloadBuilder) release() {
-	*b = payloadBuilder{rows: b.rows[:0], starts: b.starts[:0]}
+	*b = payloadBuilder{rows: b.rows[:0], starts: b.starts[:0], lead: b.lead[:0]}
 	builderPool.Put(b)
 }
 
@@ -151,6 +154,7 @@ func (b *payloadBuilder) finish(cols []string) (raw []byte, colsAt int) {
 			b.types[i] = storage.TFloat64
 		}
 	}
+	b.leadPlanes()
 	// The header is written behind the rows in the same scratch buffer,
 	// then both are copied out in payload order.
 	nrows := len(b.rows)
@@ -159,6 +163,7 @@ func (b *payloadBuilder) finish(cols []string) (raw []byte, colsAt int) {
 		hdr = binary.AppendUvarint(hdr, uint64(len(c)))
 		hdr = append(hdr, c...)
 		hdr = append(hdr, byte(b.types[i]))
+		hdr = appendLead(hdr, b.lead[i])
 	}
 	hdr = binary.AppendUvarint(hdr, uint64(b.n))
 	b.rows = hdr // keep the grown buffer for the pool
@@ -166,34 +171,168 @@ func (b *payloadBuilder) finish(cols []string) (raw []byte, colsAt int) {
 	// Columns hold exactly the bytes the tuples did, rearranged.
 	out := make([]byte, len(hdr))
 	copy(out, hdr[nrows:])
-	transposeRows(out[colsAt:], hdr[:nrows], b.starts, b.types)
+	transposeRows(out[colsAt:], hdr[:nrows], b.starts, b.types, b.lead)
 	return out, colsAt
 }
 
-// transposeRows writes the row-major storage tuples in rows (tuple i
-// starting at cur[i]) into dst as the binary payload's columns: eight
-// byte planes per INT or DOUBLE column, least significant plane first;
-// one byte per row for BOOL; for TEXT every row's uvarint length, then
-// every row's bytes. cur is consumed as the per-row read cursor.
-func transposeRows(dst, rows []byte, cur []int, types ColTypes) {
-	n, pos := len(cur), 0
-	for _, t := range types {
+// leadPlanes sets b.lead: every INT and DOUBLE column's planes
+// classified by leadMask over the staged tuples of the sampled rows,
+// which their own cursors walk column by column; 0 for BOOL and TEXT.
+func (b *payloadBuilder) leadPlanes() {
+	b.lead = slices.Grow(b.lead[:0], len(b.types))[:len(b.types)]
+	var cur [planeSample]int
+	var sample [planeSample]uint64
+	m := sampleRows(cur[:], b.n)
+	for j, r := range cur[:m] {
+		cur[j] = b.starts[r]
+	}
+	for c, t := range b.types {
+		b.lead[c] = 0
 		switch t {
 		case storage.TInt64, storage.TFloat64:
-			planes := dst[pos : pos+8*n]
+			for j, at := range cur[:m] {
+				sample[j] = binary.LittleEndian.Uint64(b.rows[at:])
+				cur[j] = at + 8
+			}
+			b.lead[c] = leadMask(sample[:m])
+		case storage.TBool:
+			for j := range cur[:m] {
+				cur[j]++
+			}
+		case storage.TString:
+			for j, at := range cur[:m] {
+				ln, sz := binary.Uvarint(b.rows[at:])
+				cur[j] = at + sz + int(ln)
+			}
+		}
+	}
+}
+
+// Plane classes. A byte plane is "random" when a sample of its bytes
+// shows as many distinct values as bytes drawn uniformly from
+// randomAlphabet values would: bytes the frame compressor stores instead
+// of Huffman-coding (the wire package). Every other plane — an id's high
+// bytes, a box's shared exponent bytes — is "leading": the payload puts
+// the leading planes, BOOL and TEXT sections first and the random planes
+// after them all, so a compressed frame is one deflated run and one
+// stored run.
+
+// planeSample is the most bytes of a plane the classifier reads: every
+// byte of a shorter plane, else bytes spread evenly over it (sampleRows).
+const planeSample = 128
+
+// randomAlphabet is the smallest alphabet whose uniformly drawn bytes
+// the frame compressor's entropy estimate over a 512-byte chunk puts
+// above its 7 bits a byte, so stores.
+const randomAlphabet = 150
+
+// sampleRows writes the rows a plane of n rows is sampled at to rows
+// (planeSample long), the j-th at j·n/m for m = min(n, planeSample), and
+// returns m.
+func sampleRows(rows []int, n int) int {
+	m := min(n, planeSample)
+	for j := range rows[:m] {
+		rows[j] = j * n / m
+	}
+	return m
+}
+
+// randomDistinct[m] is the fewest distinct values among m sampled bytes
+// that mark a plane random: the expected count for m bytes drawn
+// uniformly from randomAlphabet values, rounded up. The count is exactly
+// m for m ≤ 1, which the slack keeps from rounding up to m+1.
+var randomDistinct = func() (t [planeSample + 1]int) {
+	for m := range t {
+		const k = randomAlphabet
+		t[m] = int(math.Ceil(k*(1-math.Pow(1-1.0/k, float64(m))) - 1e-9))
+	}
+	return t
+}()
+
+// leadMask classifies the eight byte planes of an INT or DOUBLE column
+// from its sampled values (at most planeSample) and returns the mask of
+// the leading ones: bit k set when plane k is not random.
+func leadMask(sample []uint64) uint8 {
+	// seen[k][b] is 1 once plane k's sample has shown byte b.
+	var seen [8][256]byte
+	for _, v := range sample {
+		seen[0][byte(v)] = 1
+		seen[1][byte(v>>8)] = 1
+		seen[2][byte(v>>16)] = 1
+		seen[3][byte(v>>24)] = 1
+		seen[4][byte(v>>32)] = 1
+		seen[5][byte(v>>40)] = 1
+		seen[6][byte(v>>48)] = 1
+		seen[7][byte(v>>56)] = 1
+	}
+	var lead uint8
+	for k := range seen {
+		// A plane's distinct count is the sum of its flags: eight lanes
+		// at a time (no lane passes 32), then across the lanes (the
+		// total, at most planeSample, fits the top lane).
+		var lanes uint64
+		for i := 0; i < 256; i += 8 {
+			lanes += binary.LittleEndian.Uint64(seen[k][i:])
+		}
+		if distinct := int(lanes * 0x0101010101010101 >> 56); distinct < randomDistinct[len(sample)] {
+			lead |= 1 << k
+		}
+	}
+	return lead
+}
+
+// appendLead appends a column's plane order: the count of its leading
+// planes, then their indexes in ascending order.
+func appendLead(dst []byte, lead uint8) []byte {
+	dst = append(dst, byte(bits.OnesCount8(lead)))
+	for k := range 8 {
+		if lead>>k&1 == 1 {
+			dst = append(dst, byte(k))
+		}
+	}
+	return dst
+}
+
+// transposeRows writes the row-major storage tuples in rows (tuple i
+// starting at cur[i]) into dst as the binary payload's columns. The
+// leading run takes, column by column, an INT or DOUBLE column's leading
+// planes (lead[c]) in ascending order, one byte per row for BOOL, and
+// for TEXT every row's uvarint length, then every row's bytes; the
+// trailing run after it takes every other plane, column by column in
+// ascending order. cur is consumed as the per-row read cursor.
+func transposeRows(dst, rows []byte, cur []int, types ColTypes, lead []uint8) {
+	n, pos, tail := len(cur), 0, len(dst)
+	for c, t := range types {
+		if t == storage.TInt64 || t == storage.TFloat64 {
+			tail -= n * (8 - bits.OnesCount8(lead[c]))
+		}
+	}
+	for col, t := range types {
+		switch t {
+		case storage.TInt64, storage.TFloat64:
+			var p planes
+			for k := range p {
+				if lead[col]>>k&1 == 1 {
+					p[k], pos = dst[pos:pos+n], pos+n
+				} else {
+					p[k], tail = dst[tail:tail+n], tail+n
+				}
+			}
+			// Resliced to len(cur), the planes take their writes without
+			// bounds checks.
+			p0, p1, p2, p3, p4, p5, p6, p7 := p[0][:n], p[1][:n], p[2][:n], p[3][:n], p[4][:n], p[5][:n], p[6][:n], p[7][:n]
 			for i, c := range cur {
 				v := binary.LittleEndian.Uint64(rows[c:])
-				planes[i] = byte(v)
-				planes[n+i] = byte(v >> 8)
-				planes[2*n+i] = byte(v >> 16)
-				planes[3*n+i] = byte(v >> 24)
-				planes[4*n+i] = byte(v >> 32)
-				planes[5*n+i] = byte(v >> 40)
-				planes[6*n+i] = byte(v >> 48)
-				planes[7*n+i] = byte(v >> 56)
+				p0[i] = byte(v)
+				p1[i] = byte(v >> 8)
+				p2[i] = byte(v >> 16)
+				p3[i] = byte(v >> 24)
+				p4[i] = byte(v >> 32)
+				p5[i] = byte(v >> 40)
+				p6[i] = byte(v >> 48)
+				p7[i] = byte(v >> 56)
 				cur[i] = c + 8
 			}
-			pos += 8 * n
 		case storage.TBool:
 			for i, c := range cur {
 				dst[pos+i] = rows[c]
@@ -233,13 +372,13 @@ func jsonPayload(raw []byte) ([]byte, error) {
 	}
 	b := builderPool.Get().(*payloadBuilder)
 	defer b.release()
-	return b.json(l.cols, l.types, l.nrows, raw[l.colOff[0]:])
+	return b.json(l.cols, l.types, l.nrows, raw, l.secs)
 }
 
 // json is appendJSONDocument's output at its exact size, written in b's
 // scratch buffer.
-func (b *payloadBuilder) json(cols []string, types ColTypes, n int, data []byte) ([]byte, error) {
-	doc, err := appendJSONDocument(b.rows[:0], cols, types, n, data)
+func (b *payloadBuilder) json(cols []string, types ColTypes, n int, data []byte, secs []section) ([]byte, error) {
+	doc, err := appendJSONDocument(b.rows[:0], cols, types, n, data, secs)
 	b.rows = doc[:0]
 	if err != nil {
 		return nil, err
@@ -247,10 +386,10 @@ func (b *payloadBuilder) json(cols []string, types ColTypes, n int, data []byte)
 	return append(make([]byte, 0, len(doc)), doc...), nil
 }
 
-// appendJSONDocument appends the JSON document of n rows whose column
-// sections (transposeRows' layout) are data, each cell written by its
-// column's type; a nil cols is written as null, as json.Marshal does.
-func appendJSONDocument(dst []byte, cols []string, types ColTypes, n int, data []byte) ([]byte, error) {
+// appendJSONDocument appends the JSON document of n rows whose columns
+// secs locates in data, each cell written by its column's type; a nil
+// cols is written as null, as json.Marshal does.
+func appendJSONDocument(dst []byte, cols []string, types ColTypes, n int, data []byte, secs []section) ([]byte, error) {
 	dst = append(dst, `{"cols":`...)
 	if cols == nil {
 		dst = append(dst, "null"...)
@@ -265,30 +404,20 @@ func appendJSONDocument(dst []byte, cols []string, types ColTypes, n int, data [
 		dst = append(dst, ']')
 	}
 	dst = append(dst, `,"types":[`...)
-	// at[c] is where column c's section starts — for TEXT, its next
-	// length varint — and str[c] where a TEXT column's next value starts.
+	// ps[c] is an INT or DOUBLE column's planes; at[c] is where a TEXT
+	// column's next length varint is and str[c] its next value.
+	ps := make([]planes, len(types))
 	at, str := make([]int, len(types)), make([]int, len(types))
-	pos := 0
 	for i, t := range types {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = strconv.AppendUint(dst, uint64(t), 10)
-		at[i] = pos
 		switch t {
 		case storage.TInt64, storage.TFloat64:
-			pos += 8 * n
-		case storage.TBool:
-			pos += n
+			ps[i] = planesOf(data, &secs[i], n)
 		case storage.TString:
-			total := 0
-			for range n {
-				ln, sz := binary.Uvarint(data[pos:])
-				pos += sz
-				total += int(ln)
-			}
-			str[i] = pos
-			pos += total
+			at[i], str[i] = secs[i].at, secs[i].str
 		}
 	}
 	dst = append(dst, `],"rows":[`...)
@@ -303,14 +432,14 @@ func appendJSONDocument(dst []byte, cols []string, types ColTypes, n int, data [
 			}
 			switch t {
 			case storage.TInt64:
-				dst = strconv.AppendInt(dst, int64(planeValue(data[at[c]:], n, r)), 10)
+				dst = strconv.AppendInt(dst, int64(ps[c].value(r)), 10)
 			case storage.TFloat64:
 				var err error
-				if dst, err = appendJSONFloat(dst, math.Float64frombits(planeValue(data[at[c]:], n, r))); err != nil {
+				if dst, err = appendJSONFloat(dst, math.Float64frombits(ps[c].value(r))); err != nil {
 					return dst, err
 				}
 			case storage.TBool:
-				dst = strconv.AppendBool(dst, data[at[c]+r] != 0)
+				dst = strconv.AppendBool(dst, data[secs[c].at+r] != 0)
 			case storage.TString:
 				ln, sz := binary.Uvarint(data[at[c]:])
 				at[c] += sz
@@ -423,7 +552,14 @@ func Encode(dr *DataResponse, codec Codec) ([]byte, error) {
 	}
 	// Not parsed back: parseBinary refuses rows without columns, and a
 	// nil column list stays null.
-	return b.json(dr.Cols, b.types, b.n, raw[colsAt:])
+	secs := make([]section, len(b.types))
+	for c := range secs {
+		secs[c].lead = b.lead[c]
+	}
+	if _, err := locate(secs, b.types, b.n, raw, colsAt); err != nil {
+		return nil, err
+	}
+	return b.json(dr.Cols, b.types, b.n, raw, secs)
 }
 
 // Decode parses a payload produced by Encode into rows: the row view of
@@ -924,22 +1060,33 @@ type binaryLayout struct {
 	cols  []string
 	types ColTypes
 	nrows int
-	// countOff is the offset of the row-count varint: data[:countOff] is
-	// the schema header, the same for any subset of the rows.
-	countOff int
-	// colOff[c] is where column c's section starts; the last entry is
-	// len(data).
-	colOff []int
+	// secs[c] locates column c.
+	secs []section
+}
+
+// section locates one column of a binary payload.
+type section struct {
+	// name is the column's header entry from its name length through its
+	// type byte: data[name[0]:name[1]].
+	name [2]int
+	// lead is the mask of an INT or DOUBLE column's planes in the leading
+	// run: bit k for plane k.
+	lead uint8
+	// plane[k] is where byte plane k of an INT or DOUBLE column starts.
+	plane [8]int
+	// at is where a BOOL column's bytes or a TEXT column's length varints
+	// start, and str where a TEXT column's bytes start.
+	at, str int
 }
 
 // parseBinary reads the header of a binary payload and finds every
 // column's section. Payloads arrive off the wire, from the L2 store and
 // from peers, so no count is trusted further than the bytes behind it: a
-// column costs at least two bytes (name length + type), a name cannot
-// outrun the input, a row costs at least eight bytes per INT or DOUBLE
-// column and one per BOOL or TEXT column, and the sections must end
-// exactly at the end of the input — a corrupt header is an error, never
-// an allocation.
+// column costs at least three bytes (name length, type, plane count), a
+// name or plane order cannot outrun the input, a row costs at least
+// eight bytes per INT or DOUBLE column and one per BOOL or TEXT column,
+// and the sections must end exactly at the end of the input — a corrupt
+// header is an error, never an allocation.
 func parseBinary(data []byte) (binaryLayout, error) {
 	var l binaryLayout
 	ncols, n := binary.Uvarint(data)
@@ -947,12 +1094,14 @@ func parseBinary(data []byte) (binaryLayout, error) {
 		return l, fmt.Errorf("server: decode binary header: bad column count")
 	}
 	off := n
-	if ncols > uint64(len(data)-off)/2 {
+	if ncols > uint64(len(data)-off)/3 {
 		return l, fmt.Errorf("server: decode binary header: %d columns in %d bytes", ncols, len(data)-off)
 	}
-	l.cols, l.types = make([]string, ncols), make(ColTypes, ncols)
+	l.cols, l.types, l.secs = make([]string, ncols), make(ColTypes, ncols), make([]section, ncols)
 	minRow := 0
 	for i := range l.cols {
+		sec := &l.secs[i]
+		sec.name[0] = off
 		ln, n := binary.Uvarint(data[off:])
 		if n <= 0 || ln >= uint64(len(data)-off-n) {
 			return l, fmt.Errorf("server: decode col name %d: truncated", i)
@@ -962,6 +1111,7 @@ func parseBinary(data []byte) (binaryLayout, error) {
 		off += int(ln)
 		l.types[i] = storage.ColType(data[off])
 		off++
+		sec.name[1] = off
 		switch l.types[i] {
 		case storage.TInt64, storage.TFloat64:
 			minRow += 8
@@ -970,8 +1120,11 @@ func parseBinary(data []byte) (binaryLayout, error) {
 		default:
 			return l, fmt.Errorf("server: decode col %d: unknown type %d", i, l.types[i])
 		}
+		var err error
+		if sec.lead, off, err = readLead(data, off, l.types[i]); err != nil {
+			return l, fmt.Errorf("server: decode col %d: %w", i, err)
+		}
 	}
-	l.countOff = off
 	nrows, n := binary.Uvarint(data[off:])
 	if n <= 0 {
 		return l, fmt.Errorf("server: decode row count: truncated")
@@ -981,49 +1134,110 @@ func parseBinary(data []byte) (binaryLayout, error) {
 		return l, fmt.Errorf("server: decode row count: %d rows in %d bytes", nrows, len(data)-off)
 	}
 	l.nrows = int(nrows)
-	l.colOff = make([]int, 0, ncols+1)
-	for i, t := range l.types {
-		l.colOff = append(l.colOff, off)
+	end, err := locate(l.secs, l.types, l.nrows, data, off)
+	switch {
+	case err != nil:
+		return l, err
+	case end > len(data):
+		return l, fmt.Errorf("server: decode binary: planes end %d bytes past the payload", end-len(data))
+	case end < len(data):
+		return l, fmt.Errorf("server: decode binary: %d bytes past the last column", len(data)-end)
+	}
+	return l, nil
+}
+
+// readLead reads the plane order of one column at off: the count of its
+// leading planes and their indexes, strictly ascending. A BOOL or TEXT
+// column has no planes, so its count is 0.
+func readLead(data []byte, off int, t storage.ColType) (lead uint8, end int, err error) {
+	if off >= len(data) {
+		return 0, off, errors.New("truncated plane order")
+	}
+	f := int(data[off])
+	off++
+	switch {
+	case f > 0 && (t == storage.TBool || t == storage.TString):
+		return 0, off, fmt.Errorf("plane order on a type %d column", t)
+	case f > 8:
+		return 0, off, fmt.Errorf("%d leading planes", f)
+	case f > len(data)-off:
+		return 0, off, errors.New("truncated plane order")
+	}
+	prev := -1
+	for _, k := range data[off : off+f] {
+		switch {
+		case k >= 8:
+			return 0, off, fmt.Errorf("plane %d out of range", k)
+		case int(k) <= prev:
+			return 0, off, fmt.Errorf("plane %d repeated or out of order", k)
+		}
+		lead |= 1 << k
+		prev = int(k)
+	}
+	return lead, off + f, nil
+}
+
+// locate fills in where every column of n rows lies, given each
+// column's lead, for sections starting at off: the leading run — column
+// by column, an INT or DOUBLE column's leading planes, a BOOL column's
+// bytes, a TEXT column's lengths and bytes — then the trailing run of
+// every other plane, column by column. It returns where the sections
+// end, which a caller checks against len(data); a TEXT column's lengths
+// are read bounded by data.
+func locate(secs []section, types ColTypes, n int, data []byte, off int) (end int, err error) {
+	for c, t := range types {
+		sec := &secs[c]
 		switch t {
 		case storage.TInt64, storage.TFloat64:
-			off += 8 * l.nrows
+			for k := range sec.plane {
+				if sec.lead>>k&1 == 1 {
+					sec.plane[k], off = off, off+n
+				}
+			}
 		case storage.TBool:
-			off += l.nrows
+			sec.at, off = off, off+n
 		case storage.TString:
-			var err error
-			if off, err = textSectionEnd(data, off, l.nrows); err != nil {
-				return l, fmt.Errorf("server: decode col %d: %w", i, err)
+			sec.at = off
+			if sec.str, off, err = textSection(data, off, n); err != nil {
+				return 0, fmt.Errorf("server: decode col %d: %w", c, err)
 			}
 		}
 		if off > len(data) {
-			return l, fmt.Errorf("server: decode col %d: truncated", i)
+			return 0, fmt.Errorf("server: decode col %d: truncated", c)
 		}
 	}
-	if off != len(data) {
-		return l, fmt.Errorf("server: decode binary: %d bytes past the last column", len(data)-off)
+	for c, t := range types {
+		if t != storage.TInt64 && t != storage.TFloat64 {
+			continue
+		}
+		sec := &secs[c]
+		for k := range sec.plane {
+			if sec.lead>>k&1 == 0 {
+				sec.plane[k], off = off, off+n
+			}
+		}
 	}
-	l.colOff = append(l.colOff, off)
-	return l, nil
+	return off, nil
 }
 
 var errTruncatedText = errors.New("truncated TEXT column")
 
-// textSectionEnd walks the n length varints of the TEXT column starting
-// at off and returns where its bytes end.
-func textSectionEnd(data []byte, off, n int) (int, error) {
+// textSection walks the n length varints of the TEXT column starting
+// at off and returns where its bytes start and end.
+func textSection(data []byte, off, n int) (str, end int, err error) {
 	total := 0
 	for range n {
 		ln, sz := binary.Uvarint(data[min(off, len(data)):])
 		if sz <= 0 || ln > uint64(len(data)) {
-			return 0, errTruncatedText
+			return 0, 0, errTruncatedText
 		}
 		off += sz
 		total += int(ln)
 		if total > len(data) {
-			return 0, errTruncatedText
+			return 0, 0, errTruncatedText
 		}
 	}
-	return off + total, nil
+	return off, off + total, nil
 }
 
 // decodeBinary is DecodeColumns' binary sink. parseBinary bounds every
@@ -1039,39 +1253,59 @@ func decodeBinary(data []byte) (*Columns, error) {
 	n := l.nrows
 	c := NewColumns(l.cols, l.types, n)
 	for col, t := range l.types {
-		sec, d := data[l.colOff[col]:l.colOff[col+1]], &c.Data[col]
+		sec, d := &l.secs[col], &c.Data[col]
 		switch t {
 		case storage.TInt64:
-			for i := range d.Ints {
-				d.Ints[i] = int64(planeValue(sec, n, i))
+			// The planes resliced to the column's length let the compiler
+			// drop every bounds check from the loop.
+			p := planesOf(data, sec, n)
+			p0, p1, p2, p3, p4, p5, p6, p7 := p[0][:n], p[1][:n], p[2][:n], p[3][:n], p[4][:n], p[5][:n], p[6][:n], p[7][:n]
+			out := d.Ints[:n]
+			for i := range out {
+				out[i] = int64(uint64(p0[i]) | uint64(p1[i])<<8 | uint64(p2[i])<<16 | uint64(p3[i])<<24 |
+					uint64(p4[i])<<32 | uint64(p5[i])<<40 | uint64(p6[i])<<48 | uint64(p7[i])<<56)
 			}
 		case storage.TFloat64:
-			for i := range d.Floats {
-				d.Floats[i] = math.Float64frombits(planeValue(sec, n, i))
+			p := planesOf(data, sec, n)
+			p0, p1, p2, p3, p4, p5, p6, p7 := p[0][:n], p[1][:n], p[2][:n], p[3][:n], p[4][:n], p[5][:n], p[6][:n], p[7][:n]
+			out := d.Floats[:n]
+			for i := range out {
+				out[i] = math.Float64frombits(uint64(p0[i]) | uint64(p1[i])<<8 | uint64(p2[i])<<16 | uint64(p3[i])<<24 |
+					uint64(p4[i])<<32 | uint64(p5[i])<<40 | uint64(p6[i])<<48 | uint64(p7[i])<<56)
 			}
 		case storage.TBool:
-			for i, b := range sec {
+			for i, b := range data[sec.at : sec.at+n] {
 				d.Bools[i] = b != 0
 			}
 		case storage.TString:
-			pos, at := 0, uint32(len(c.Text))
+			pos, at := sec.at, uint32(len(c.Text))
 			d.Offs[0] = at
 			for i := range n {
-				ln, sz := binary.Uvarint(sec[pos:])
+				ln, sz := binary.Uvarint(data[pos:])
 				pos += sz
 				at += uint32(ln)
 				d.Offs[i+1] = at
 			}
-			c.Text = append(c.Text, sec[pos:]...)
+			c.Text = append(c.Text, data[sec.str:sec.str+int(at-d.Offs[0])]...)
 		}
 	}
 	return c, nil
 }
 
-// planeValue reassembles value i of a fixed-width column from its eight
-// byte planes of n bytes each.
-func planeValue(planes []byte, n, i int) uint64 {
-	return uint64(planes[i]) | uint64(planes[n+i])<<8 | uint64(planes[2*n+i])<<16 |
-		uint64(planes[3*n+i])<<24 | uint64(planes[4*n+i])<<32 | uint64(planes[5*n+i])<<40 |
-		uint64(planes[6*n+i])<<48 | uint64(planes[7*n+i])<<56
+// planes is the eight byte planes of an INT or DOUBLE column, least
+// significant first, each one byte per row.
+type planes [8][]byte
+
+// planesOf returns the planes of the n-row column sec locates in data.
+func planesOf(data []byte, sec *section, n int) (p planes) {
+	for k, at := range sec.plane {
+		p[k] = data[at : at+n]
+	}
+	return p
+}
+
+// value reassembles value i of the column from its eight bytes.
+func (p *planes) value(i int) uint64 {
+	return uint64(p[0][i]) | uint64(p[1][i])<<8 | uint64(p[2][i])<<16 | uint64(p[3][i])<<24 |
+		uint64(p[4][i])<<32 | uint64(p[5][i])<<40 | uint64(p[6][i])<<48 | uint64(p[7][i])<<56
 }

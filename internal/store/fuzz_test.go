@@ -15,8 +15,9 @@ import (
 // operation: its low three bits pick the operation, bits 4–5 the key,
 // bits 6–7 the value's length. After every operation, and so before and
 // after every reopen, Get must never return a value written before the
-// key's last Invalidate or the store's last Bump. Misses are allowed:
-// the store is a cache, and a fill may be dropped or evicted.
+// key's last Invalidate or the store's last Bump, and a reopen must
+// come back at the generation the store closed with. Misses are
+// allowed: the store is a cache, and a fill may be dropped or evicted.
 func FuzzStoreReopen(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x20, 0x30, 0x05, 0x06, 0x03, 0x06})
 	f.Add([]byte{0xc0, 0xd0, 0xe0, 0xf0, 0xc1, 0xd1, 0xe1, 0xf1, 0x05, 0x13, 0x04, 0x06, 0xc0, 0x06})
@@ -95,11 +96,15 @@ func FuzzStoreReopen(f *testing.F) {
 				}
 			case 6:
 				what = "reopen"
+				gen := s.Generation()
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}
 				if s, err = Open(opts); err != nil {
 					t.Fatal(err)
+				}
+				if got := s.Generation(); got != gen {
+					t.Fatalf("op %d: reopened at generation %d, closed at %d", seq, got, gen)
 				}
 			default:
 				what = "put " + key

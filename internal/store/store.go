@@ -761,11 +761,28 @@ func (s *Store) appendRecordLocked(gen uint64, kind int, key string, val []byte)
 	return loc{seg: active.id, lsn: lsn}, nil
 }
 
-// rotateLocked opens a fresh active segment.
+// rotateLocked opens a fresh active segment. Past generation 0 it starts
+// with the current generation's marker: the segment holding the marker
+// Bump wrote is evicted in its turn, and without a copy in every newer
+// segment a reopen would replay at generation 0 and skip every
+// surviving put.
 func (s *Store) rotateLocked() error {
 	seg, err := openSegment(s.opts.Path, s.nextSegID)
 	if err != nil {
 		return err
+	}
+	if gen := s.gen.Load(); gen > 0 {
+		before := seg.log.Size()
+		rec, err := encodeRecord(gen, recordGen, "", nil)
+		if err == nil {
+			_, err = seg.log.Append(rec)
+		}
+		if err != nil {
+			_ = seg.log.Close() // already failing; the append error wins
+			_ = os.Remove(seg.path)
+			return err
+		}
+		s.totalBytes += seg.log.Size() - before
 	}
 	s.nextSegID++
 	s.segs = append(s.segs, seg)

@@ -272,6 +272,53 @@ func TestBumpInvalidates(t *testing.T) {
 	}
 }
 
+// TestGenerationSurvivesEvictedMarker: once the segment holding Bump's
+// marker is evicted, a reopen still replays at the bumped generation,
+// so the puts that outlived the eviction are served. Before every new
+// segment started with the current marker, the reopened store fell back
+// to generation 0 and skipped every one of them.
+func TestGenerationSurvivesEvictedMarker(t *testing.T) {
+	opts := Options{
+		Path:            filepath.Join(t.TempDir(), "l2"),
+		MaxBytes:        2048,
+		SegmentBytes:    512,
+		WriteQueueDepth: 64,
+		FlushInterval:   time.Hour,
+	}
+	s := mustOpen(t, opts)
+	if _, err := s.Bump(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 40 {
+		key := fmt.Sprintf("k%d", i%8)
+		s.Put(key, bytes.Repeat([]byte{byte('a' + i%8)}, 150))
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.Snapshot()
+	if before.Generation != 1 || before.Keys == 0 || before.Evictions == 0 {
+		t.Fatalf("before close: generation %d, %d keys, %d evictions: want generation 1, keys and evictions",
+			before.Generation, before.Keys, before.Evictions)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, opts)
+	defer s.Close()
+	after := s.Snapshot()
+	if after.Generation != before.Generation || after.Keys != before.Keys {
+		t.Fatalf("after reopen: generation %d, %d keys; before close: generation %d, %d keys",
+			after.Generation, after.Keys, before.Generation, before.Keys)
+	}
+	for i := range 8 {
+		key := fmt.Sprintf("k%d", i)
+		if got, ok := s.Get(key); ok && !bytes.Equal(got, bytes.Repeat([]byte{byte('a' + i)}, 150)) {
+			t.Fatalf("Get(%s) = %.20q…, not the value written to it", key, got)
+		}
+	}
+}
+
 func TestStaleGenerationFillDropped(t *testing.T) {
 	opts := testOptions(t)
 	opts.FlushInterval = time.Hour // hold fills in the queue

@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"compress/flate"
+	"errors"
 	"io"
 	"math/rand"
 	"strconv"
@@ -129,6 +130,98 @@ func TestBinaryBoxCompressRatio(t *testing.T) {
 	checkRoundTrip(t, raw, c)
 }
 
+// lodLevelBox returns the binary payload of one zoomed-out box of an
+// auto-LOD level over the benchmark's dots: a 6144² window at the
+// level whose 128-unit cells it holds within the 4096-row budget, one
+// row per non-empty cell — the cell's first dot as representative, then
+// the level's aggregate columns (count, sum of val, and the extent of
+// the dots' radius-1 boxes), in cell order.
+func lodLevelBox(tb testing.TB) []byte {
+	const n, h, cell, side, minX, minY = 200_000, 16384, 128.0, 6144.0, 8192.0, 4096.0
+	d := workload.Uniform(n, 131072*n/1_000_000, h, 2019)
+	type agg struct {
+		rep                    workload.Point
+		count                  int64
+		sum                    float64
+		minx, miny, maxx, maxy float64
+	}
+	const grid = int(side / cell)
+	cells := make([]*agg, grid*grid)
+	for _, p := range d.Points {
+		if p.X < minX || p.X >= minX+side || p.Y < minY || p.Y >= minY+side {
+			continue
+		}
+		i := int((p.Y-minY)/cell)*grid + int((p.X-minX)/cell)
+		a := cells[i]
+		if a == nil {
+			a = &agg{rep: p, minx: p.X - 1, miny: p.Y - 1, maxx: p.X + 1, maxy: p.Y + 1}
+			cells[i] = a
+		}
+		a.count++
+		a.sum += p.Val
+		a.minx, a.miny = min(a.minx, p.X-1), min(a.miny, p.Y-1)
+		a.maxx, a.maxy = max(a.maxx, p.X+1), max(a.maxy, p.Y+1)
+	}
+	dr := &server.DataResponse{
+		Cols: []string{"id", "x", "y", "val", "lod_count", "lod_sum", "lod_minx", "lod_miny", "lod_maxx", "lod_maxy"},
+		Types: server.ColTypes{storage.TInt64, storage.TFloat64, storage.TFloat64, storage.TFloat64,
+			storage.TInt64, storage.TFloat64, storage.TFloat64, storage.TFloat64, storage.TFloat64, storage.TFloat64},
+	}
+	for _, a := range cells {
+		if a != nil {
+			dr.Rows = append(dr.Rows, storage.Row{storage.I64(a.rep.ID), storage.F64(a.rep.X), storage.F64(a.rep.Y), storage.F64(a.rep.Val),
+				storage.I64(a.count), storage.F64(a.sum), storage.F64(a.minx), storage.F64(a.miny), storage.F64(a.maxx), storage.F64(a.maxy)})
+		}
+	}
+	raw, err := server.Encode(dr, server.CodecBinary)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// TestBinaryBoxOneDeflatedRun: a binary payload puts its compressible
+// byte planes ahead of its random ones, so the compressed frame of a
+// bench-shaped dot window, and of a bench-shaped LOD-level box, builds
+// at most two dynamic blocks' code tables — one deflated run, plus at
+// most the short tail chunk the segmenter judges too small to store —
+// and the rest of the frame is stored.
+func TestBinaryBoxOneDeflatedRun(t *testing.T) {
+	for _, box := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"dot window", dotWindows(t)[server.CodecBinary]},
+		{"lod level", lodLevelBox(t)},
+	} {
+		c, err := wire.Compress(box.raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRoundTrip(t, box.raw, c)
+		blocks, err := wire.BlockKinds(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dynamic, stored := 0, 0
+		for _, b := range blocks {
+			switch b.Kind {
+			case "mixed", "literal-only":
+				dynamic++
+			case "stored":
+				stored += b.Out
+			}
+		}
+		t.Logf("%s: %d bytes → %d, blocks %v", box.name, len(box.raw), len(c), blocks)
+		if dynamic > 2 {
+			t.Errorf("%s: %d dynamic blocks, want ≤ 2: %v", box.name, dynamic, blocks)
+		}
+		if stored < len(box.raw)/3 {
+			t.Errorf("%s: %d of %d bytes stored: the random planes are not one run", box.name, stored, len(box.raw))
+		}
+	}
+}
+
 // checkRoundTrip fails unless c inflates to raw under compress/flate's
 // reader and under wire.Decompress.
 func checkRoundTrip(t testing.TB, raw, c []byte) {
@@ -140,6 +233,18 @@ func checkRoundTrip(t testing.TB, raw, c []byte) {
 	got, err := wire.Decompress(c, 0)
 	if err != nil || !bytes.Equal(got, raw) {
 		t.Fatalf("wire.Decompress inflates %d bytes of %d (%v)", len(got), len(raw), err)
+	}
+	// Inflate lends the same bytes, with no capacity past them, and
+	// returns what the callback does.
+	stop := errors.New("stop")
+	err = wire.Inflate(c, 0, func(out []byte) error {
+		if !bytes.Equal(out, raw) || cap(out) != len(out) {
+			t.Fatalf("wire.Inflate lent %d bytes (cap %d), want the %d inflated ones", len(out), cap(out), len(raw))
+		}
+		return stop
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("wire.Inflate returned %v, want the callback's error", err)
 	}
 }
 

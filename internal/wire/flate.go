@@ -12,18 +12,23 @@ import (
 // Per-frame compression. Compress deflates through pooled
 // compress/flate writers: a writer allocates ~hundreds of KB of window
 // state, far too much to rebuild per frame on the serving hot path.
-// Decompress inflates with the package's own one-pass inflater
-// (inflate.go), pooled with its tables and output buffer. Both keep
-// their scratch buffer in the pool and hand back a copy of the result.
+// Inflate inflates with the package's own one-pass inflater
+// (inflate.go), pooled with its tables and output buffer, and lends the
+// result to a callback; Decompress is Inflate plus a copy. Compress keeps
+// its scratch buffer in the pool and hands back a copy of the result.
 //
 // Compress segments its input by entropy. It estimates each chunk's
 // entropy from its byte histogram; a run of chunks too close to random
-// for Huffman coding to pay (a binary payload's low mantissa and id byte
-// planes) ships as stored blocks, which inflate as a plain copy, and
-// every other run is deflated afresh, so no back-reference reaches into
-// bytes the writer never saw, and flushed at its end, which byte-aligns
-// the stream for the stored block that follows. The result is one
-// ordinary DEFLATE stream.
+// for Huffman coding to pay ships as stored blocks, which inflate as a
+// plain copy, and every other run is deflated afresh, so no
+// back-reference reaches into bytes the writer never saw, and flushed at
+// its end, which byte-aligns the stream for the stored block that
+// follows. The result is one ordinary DEFLATE stream. A binary payload
+// puts its random byte planes — the low mantissa and id bytes — after
+// everything else, so its frame is one deflated run and one trailing
+// stored run: one set of code tables to build on inflate, whatever the
+// column count. A deflated run longer than the writer's block size, or
+// a last chunk too short for its estimate to reach 7 bits, adds one.
 //
 // Each deflated run is coded twice, by a BestSpeed writer and by a
 // Huffman-only one, and the shorter coding is kept (BestSpeed on a
@@ -289,15 +294,14 @@ func appendStored(buf *bytes.Buffer, run []byte, final bool) {
 	}
 }
 
-// Decompress inflates the DEFLATE stream src, refusing to produce more
-// than limit bytes (MaxFramePayload when limit is not in 1..MaxFramePayload):
-// a corrupt or hostile compressed payload must not become a decompression
-// bomb, so the output stops growing at the limit. It inflates in one pass
-// into a pooled scratch buffer and returns a fresh copy with no spare
-// capacity, so a caller that retains it (L1 caches peer fills) pins
-// exactly len bytes and shares nothing with a later call. src is not
-// retained.
-func Decompress(src []byte, limit int) ([]byte, error) {
+// Inflate inflates the DEFLATE stream src, refusing to produce more
+// than limit bytes (MaxFramePayload when limit is not in
+// 1..MaxFramePayload): a corrupt or hostile compressed payload must not
+// become a decompression bomb, so the output stops growing at the limit.
+// It inflates in one pass into a pooled scratch buffer and runs fn on
+// it, then takes the buffer back: fn must not retain out past its return
+// (copy what it keeps), and its error is Inflate's. src is not retained.
+func Inflate(src []byte, limit int, fn func(out []byte) error) error {
 	if limit <= 0 || limit > MaxFramePayload {
 		limit = MaxFramePayload
 	}
@@ -311,9 +315,19 @@ func Decompress(src []byte, limit int) ([]byte, error) {
 	}()
 	n, err := f.inflate(src, limit)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]byte, n)
-	copy(out, f.out[:n])
-	return out, nil
+	return fn(f.out[:n:n])
+}
+
+// Decompress is Inflate returning a copy of the result with no spare
+// capacity, so a caller that retains it (L1 caches peer fills) pins
+// exactly len bytes and shares nothing with a later call.
+func Decompress(src []byte, limit int) (out []byte, err error) {
+	err = Inflate(src, limit, func(b []byte) error {
+		out = make([]byte, len(b))
+		copy(out, b)
+		return nil
+	})
+	return out, err
 }

@@ -34,7 +34,7 @@ func TestHeaderVersions(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTripV3(t *testing.T) {
+func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Index: 0, Kind: FrameTile, Status: FrameOK, Codec: CodecRaw, Payload: []byte("raw")},
 		{Index: 1, Kind: FrameDBox, Status: FrameOK, Codec: CodecFlate, Payload: []byte("deflated bytes")},

@@ -396,33 +396,49 @@
 // longer digit strings go to strconv; either way the result is bit for
 // bit strconv.ParseFloat's.
 //
-// Binary is column-major. A header — uvarint(ncols), then per column
-// uvarint(len) name and one type byte, then uvarint(nrows) — is followed
-// by one section per column, in column order:
+// Binary is column-major, with each fixed-width column cut into byte
+// planes ordered by class. A header — uvarint(ncols), then per column
+// uvarint(len) name, one type byte and its plane order, then
+// uvarint(nrows) — is followed by two runs of sections:
 //
-//	INT, DOUBLE  8 byte planes of nrows bytes each, least significant
-//	             plane first: plane k holds byte k of every row's
-//	             little-endian value (a DOUBLE as its IEEE-754 bits)
-//	BOOL         nrows bytes, 0 or 1
-//	TEXT         nrows uvarint lengths, then every row's bytes abutting
+//	plane order  one byte f, then f plane indexes 0..7, strictly
+//	             ascending: the column's leading planes. f is 0 for
+//	             BOOL and TEXT, which have no planes.
+//	leading run  per column, in column order:
+//	  INT, DOUBLE  its leading planes, in the header's order
+//	  BOOL         nrows bytes, 0 or 1
+//	  TEXT         nrows uvarint lengths, then every row's bytes abutting
+//	trailing run per INT or DOUBLE column, in column order, its other
+//	             planes in ascending order
 //
-// The sections end exactly at the end of the payload, and a reader
-// checks every count against the bytes behind it before allocating. A
-// payload holds the same bytes as the rows' storage tuples, rearranged:
-// a `SELECT *` window query copies each heap tuple from its pinned page
-// into a scratch buffer, and the finished payload transposes them. Byte
-// planes put like bytes together — an id's zero high bytes, a box's
-// shared exponents — and leave the random low mantissa bytes in runs of
-// their own, which the frame compressor stores instead of Huffman-coding
-// (see the wire package). A delta's entering rows are a per-column
-// gather of the new binary payload — written as JSON for a JSON client,
-// whose delta names the JSON form's id and length — and the row index
-// reads ids straight out of the id column's planes.
+// A plane is nrows bytes: plane k holds byte k of every row's
+// little-endian value (a DOUBLE as its IEEE-754 bits). The writer reads
+// up to 128 bytes of each plane, spread evenly over it, and calls the plane
+// random when they show as many distinct values as bytes drawn
+// uniformly from 150 values would — the alphabet whose bytes the frame
+// compressor stores rather than Huffman-codes (see the wire package);
+// every other plane leads. So like bytes sit together — an id's zero
+// high bytes, a box's shared exponents, BOOL and TEXT — ahead of the
+// random low id and mantissa bytes, and a compressed frame is one
+// deflated run and one stored one. The sections end exactly at the end
+// of the payload, and a reader checks every count and plane order
+// against the bytes behind it before allocating: a plane index past 7,
+// a repeated or unordered one, or a plane order on a BOOL or TEXT
+// column is refused. A payload holds the same bytes as the rows'
+// storage tuples, rearranged, plus the plane orders: a `SELECT *` window
+// query copies each heap tuple from its pinned page into a scratch
+// buffer, and the finished payload transposes them. A delta's entering
+// rows are a per-column gather of the new binary payload, its planes
+// classified afresh so that it is exactly the payload of those rows —
+// written as JSON for a JSON client, whose delta names the JSON form's
+// id and length — and the row index reads ids straight out of the id
+// column's planes.
 //
-// L1 and L2 keys start with the key space "bincol", named for the
-// columnar binary layout. Older builds cached the row-major binary
-// layout under "binary" and a JSON copy under "json", so an L2 directory
-// they wrote is never read by the columnar decoder: the store drops
+// L1 and L2 keys start with the key space "binplane", named for the
+// class-ordered byte planes. Older builds cached the row-major binary
+// layout under "binary", a JSON copy under "json" and column-major
+// payloads whose planes kept column order under "bincol", so an L2
+// directory they wrote is never read by this decoder: the store drops
 // those records when it opens, and the misses refill under the new
 // keys. A peer fill request names the key space too, so during a
 // node-by-node upgrade an owner on either build refuses a layout it
@@ -474,7 +490,10 @@
 // are inflated by internal/wire's own one-pass inflater, which decodes
 // the whole frame in memory and stops at a byte limit, so a corrupt or
 // hostile stream can never become a decompression bomb; it accepts
-// exactly what compress/flate's reader does. Delta payloads carry the byte size and
+// exactly what compress/flate's reader does. The client decodes a frame
+// where the inflater wrote it (wire.Inflate lends its pooled buffer),
+// copying only the columns it keeps; a peer fill, which caches the
+// payload, takes a copy (wire.Decompress). Delta payloads carry the byte size and
 // content hash of the full payload they replace, a tombstone list (ids
 // of rows leaving the base box) and the entering rows as a nested
 // payload: the client reconstructs base − tombstones + entering, which
@@ -596,7 +615,7 @@
 //   - boundedread: io.ReadAll over a reader of unknown size and direct
 //     flate/gzip/zlib reader construction are forbidden outside
 //     internal/wire — bound with io.LimitReader/http.MaxBytesReader or
-//     decompress through wire.Decompress, whose inflater enforces a
+//     decompress through wire.Inflate or wire.Decompress, whose inflater enforces a
 //     byte budget. The standing form of the v3 decompression-bomb
 //     defense.
 //   - ctxloop: a function handed a context must stay cancellable — row
