@@ -71,8 +71,8 @@ func (v ClientView) MoveTo(r Rect) error {
 type (
 	// Prefetcher issues background dynamic-box fetches from a predictor.
 	Prefetcher = prefetch.Prefetcher
-	// TilePrefetcher warms predicted tiles, one batched round trip per
-	// prediction (pair it with ClientOptions.BatchSize > 1).
+	// TilePrefetcher warms predicted tiles: one /batch round trip per
+	// prediction with ClientOptions.BatchSize > 1, one per tile otherwise.
 	TilePrefetcher = prefetch.TilePrefetcher
 	// Predictor forecasts the next viewport.
 	Predictor = prefetch.Predictor

@@ -21,8 +21,9 @@ type ConcurrentOptions struct {
 	StepsPerClient int
 	// Scheme is the fetching granularity every client uses.
 	Scheme fetch.Granularity
-	// BatchSize is each client's tile-batching knob (tiles schemes
-	// only; 0 disables).
+	// BatchSize is each client's tile-batching knob (tile schemes
+	// only): > 1 puts a step's tiles in one /batch round trip, 0 fetches
+	// each tile in a round trip of its own.
 	BatchSize int
 	// Workload selects each client's trace shape:
 	//

@@ -195,19 +195,38 @@ func TestShapeReportRuns(t *testing.T) {
 	}
 }
 
+// TestFigure4Diagnostics pins Figure 4's fetch volume on the quick
+// uniform environment cell for cell: requests and rows per step depend
+// only on the schemes, the traces and the data, never on timing or on
+// the transport a fetch rides. dbox issues exactly one request a step;
+// tile 256 issues sixteen.
 func TestFigure4Diagnostics(t *testing.T) {
 	env, _ := quickEnvs(t)
 	tab, err := Figure4(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// dbox issues exactly 1 request/step on trace-a.
-	if got := tab.Get("dbox req/step", "trace-a"); got != 1 {
-		t.Fatalf("dbox req/step = %g", got)
+	want := map[string][3]float64{ // trace-a, trace-b, trace-c
+		"dbox req/step":               {1, 1, 1},
+		"dbox rows/step":              {234.08333333333334, 230.58333333333334, 226.16666666666666},
+		"dbox 50% req/step":           {1, 1, 1},
+		"dbox 50% rows/step":          {527.75, 524.8333333333334, 521.1666666666666},
+		"tile spatial 256 req/step":   {16, 16, 16},
+		"tile spatial 256 rows/step":  {237.33333333333334, 233.25, 228.66666666666666},
+		"tile spatial 1024 req/step":  {1, 2, 1},
+		"tile spatial 1024 rows/step": {234.08333333333334, 469.0833333333333, 226.16666666666666},
+		"tile spatial 4096 req/step":  {0.25, 0.3333333333333333, 0.3333333333333333},
+		"tile spatial 4096 rows/step": {939.4166666666666, 1245, 1241.6666666666667},
 	}
-	// tile 256 issues many more.
-	if got := tab.Get("tile spatial 256 req/step", "trace-b"); got < 5 {
-		t.Fatalf("tile256 req/step = %g", got)
+	if len(tab.Rows) != len(want) || len(tab.Cols) != 3 {
+		t.Fatalf("table is %d rows x %d columns, want %d x 3", len(tab.Rows), len(tab.Cols), len(want))
+	}
+	for _, row := range tab.Rows {
+		for i, col := range tab.Cols {
+			if got := tab.Get(row, col); got != want[row][i] {
+				t.Errorf("%s on %s = %v, want %v", row, col, got, want[row][i])
+			}
+		}
 	}
 }
 

@@ -27,7 +27,8 @@ type RestartOptions struct {
 	Steps int
 	// Scheme is the fetching granularity (default tile spatial 1024).
 	Scheme fetch.Granularity
-	// BatchSize batches tile requests (0 disables).
+	// BatchSize > 1 puts a step's tiles in one /batch round trip; 0
+	// fetches each tile in a round trip of its own.
 	BatchSize int
 	// L2Dir enables the persistent store at that directory for both
 	// phases; empty runs the no-L2 baseline (the restart phase is then

@@ -3,6 +3,7 @@ package frontend
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -83,38 +84,44 @@ func (c *Client) tileSubs(li int, sz float64, missing []geom.TileID, observe boo
 	return subs
 }
 
-// dboxSub plans one dynamic-box sub-request whose result becomes the
-// layer's current box. The layer's held box, if any, is declared as
-// the delta base so the server can ship only the rows entering the
-// new box.
-func (c *Client) dboxSub(li int, box geom.Rect) batchSub {
+// dboxSub plans one dynamic-box sub-request whose result merge folds
+// into client state. The layer's held box, if any, is declared as the
+// delta base so the server can ship only the rows entering the new box.
+func (c *Client) dboxSub(li int, box geom.Rect, merge func(fr frameResult)) batchSub {
 	sub := batchSub{
 		item: server.BatchItem{
 			Kind: "dbox", Layer: li,
 			MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY,
 		},
-		merge: func(fr frameResult) {
-			prev := c.boxes[li]
-			st := &boxState{box: box, data: fr.data, wireID: fr.boxID}
-			if prev != nil {
-				st.prefetched = prev.prefetched
-			}
-			c.boxes[li] = st
-			c.observeDensity(li, box, fr.data.N)
-		},
+		merge: merge,
 	}
 	declareBase(&sub, c.boxes[li])
 	return sub
 }
 
-// runBatch issues the sub-requests as /batch round trips, split into
-// MaxBatchItems-sized chunks that run one after another. A failed chunk
-// does not stop the rest; the first error is returned. Every OK frame's
-// rows and logical bytes are counted on rep before its merge runs.
-func (c *Client) runBatch(subs []batchSub, rep *FetchReport, start time.Time) error {
+// currentBoxSub plans the dynamic-box sub-request whose result becomes
+// the layer's current box.
+func (c *Client) currentBoxSub(li int, box geom.Rect) batchSub {
+	return c.dboxSub(li, box, func(fr frameResult) {
+		prev := c.boxes[li]
+		st := &boxState{box: box, data: fr.data, wireID: fr.boxID}
+		if prev != nil {
+			st.prefetched = prev.prefetched
+		}
+		c.boxes[li] = st
+		c.observeDensity(li, box, fr.data.N)
+	})
+}
+
+// runBatch issues the sub-requests as /batch round trips of at most
+// perTrip items each (server.MaxBatchItems, or 1 for the per-tile
+// protocol), one after another in order. A failed round trip does not
+// stop the rest; the first error is returned. Every OK frame's rows and
+// logical bytes are counted on rep before its merge runs.
+func (c *Client) runBatch(subs []batchSub, perTrip int, rep *FetchReport, start time.Time) error {
 	var firstErr error
 	for len(subs) > 0 {
-		n := min(len(subs), server.MaxBatchItems)
+		n := min(len(subs), perTrip)
 		if err := c.postBatch(subs[:n], rep, start); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -150,7 +157,7 @@ func (c *Client) postBatch(subs []batchSub, rep *FetchReport, start time.Time) e
 	for i := range subs {
 		req.Items[i] = subs[i].item
 	}
-	body, err := jsonMarshal(req)
+	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("frontend: encode batch: %w", err)
 	}
@@ -418,23 +425,15 @@ func (c *Client) PrefetchBoxes(layers []int, box geom.Rect) error {
 		if !lm.HasData || lm.Static {
 			continue
 		}
-		sub := batchSub{
-			item: server.BatchItem{
-				Kind: "dbox", Layer: li,
-				MinX: box.MinX, MinY: box.MinY, MaxX: box.MaxX, MaxY: box.MaxY,
-			},
-			merge: func(fr frameResult) {
-				st := c.boxes[li]
-				if st == nil {
-					st = &boxState{}
-					c.boxes[li] = st
-				}
-				st.prefetched = &boxState{box: box, data: fr.data, wireID: fr.boxID}
-			},
-		}
-		declareBase(&sub, c.boxes[li])
-		subs = append(subs, sub)
+		subs = append(subs, c.dboxSub(li, box, func(fr frameResult) {
+			st := c.boxes[li]
+			if st == nil {
+				st = &boxState{}
+				c.boxes[li] = st
+			}
+			st.prefetched = &boxState{box: box, data: fr.data, wireID: fr.boxID}
+		}))
 	}
 	var rep FetchReport // prefetches do not count toward interaction reports
-	return c.runBatch(subs, &rep, time.Now())
+	return c.runBatch(subs, server.MaxBatchItems, &rep, time.Now())
 }

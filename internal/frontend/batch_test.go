@@ -143,11 +143,7 @@ func checkPerItemObjects(t *testing.T, base string, c *Client, li int) {
 	lm := &cv.Layers[li]
 	want := make(map[int64]storage.Row)
 	for _, u := range urls {
-		data, _, err := c.getData(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range data.Response().Rows {
+		for _, row := range getColumns(t, u, c.opts.Codec).Response().Rows {
 			if lm.RowBox(row).Intersects(vp) {
 				want[row[0].AsInt()] = row
 			}
@@ -165,6 +161,29 @@ func checkPerItemObjects(t *testing.T, base string, c *Client, li int) {
 			t.Fatalf("%s layer %d: client row %v, per-item GETs %v", c.opts.Scheme.Name(), li, row, want[row[0].AsInt()])
 		}
 	}
+}
+
+// getColumns fetches u from one of the server's GET endpoints and
+// decodes the body in codec.
+func getColumns(t *testing.T, u string, codec server.Codec) *server.Columns {
+	t.Helper()
+	resp, err := http.Get(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s: %s", u, resp.Status, body)
+	}
+	data, err := server.DecodeColumns(body, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestMultiLayerViewportOneRoundTrip: a viewport over a canvas with
@@ -279,9 +298,9 @@ func TestBatchMatchesSingleResults(t *testing.T) {
 	}
 }
 
-// TestV2PerFrameErrorIsolation: one failing item must not discard its
+// TestPerFrameErrorIsolation: one failing item must not discard its
 // siblings — the good layers still land, and the error surfaces.
-func TestV2PerFrameErrorIsolation(t *testing.T) {
+func TestPerFrameErrorIsolation(t *testing.T) {
 	db, ca := multiLayerApp(t, 1500)
 	_, hs := startBackend(t, db, ca)
 	c, err := NewClient(hs.URL, ca, Options{
@@ -303,7 +322,7 @@ func TestV2PerFrameErrorIsolation(t *testing.T) {
 			merge: func(fr frameResult) { t.Error("broken item must not merge") }},
 	}
 	var rep FetchReport
-	err = c.runBatch(subs, &rep, time.Now())
+	err = c.runBatch(subs, server.MaxBatchItems, &rep, time.Now())
 	if err == nil {
 		t.Fatal("batch with a broken item should surface the error")
 	}

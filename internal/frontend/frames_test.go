@@ -47,11 +47,11 @@ func TestBatchAgainstServer(t *testing.T) {
 	}
 }
 
-// TestV3DeltaPan: an overlapping pan sequence ships deltas — fewer wire
+// TestDeltaPan: an overlapping pan sequence ships deltas — fewer wire
 // bytes than the full payloads they stand for — and reconstructs exactly
 // the rows per-item GETs return. This covers tombstone apply: rows
 // leaving the box must disappear client-side.
-func TestV3DeltaPan(t *testing.T) {
+func TestDeltaPan(t *testing.T) {
 	for _, codec := range []server.Codec{server.CodecJSON, server.CodecBinary} {
 		db, ca := multiLayerApp(t, 5000)
 		srv, hs := startBackend(t, db, ca)
@@ -85,11 +85,11 @@ func TestV3DeltaPan(t *testing.T) {
 	}
 }
 
-// TestV3DeltaBaseEvicted: when the server can no longer prove the
+// TestDeltaBaseEvicted: when the server can no longer prove the
 // declared base (cache cleared under it), pans still produce correct
 // full-frame results — the delta is an optimization, never a
 // correctness dependency.
-func TestV3DeltaBaseEvicted(t *testing.T) {
+func TestDeltaBaseEvicted(t *testing.T) {
 	db, ca := multiLayerApp(t, 3000)
 	srv, hs := startBackend(t, db, ca)
 	c, err := NewClient(hs.URL, ca, Options{
@@ -112,10 +112,10 @@ func TestV3DeltaBaseEvicted(t *testing.T) {
 	checkPerItemObjects(t, hs.URL, c, 0)
 }
 
-// TestV3PrefetchDeclaresDeltaBase: a momentum-style prefetch of a box
+// TestPrefetchDeclaresDeltaBase: a momentum-style prefetch of a box
 // overlapping the current one rides a delta frame, and the promoted
 // prefetched box both renders correctly and seeds the next delta base.
-func TestV3PrefetchDeclaresDeltaBase(t *testing.T) {
+func TestPrefetchDeclaresDeltaBase(t *testing.T) {
 	db, ca := multiLayerApp(t, 4000)
 	srv, hs := startBackend(t, db, ca)
 	c, err := NewClient(hs.URL, ca, Options{
@@ -228,7 +228,7 @@ func TestParallelChunkErrorIsolation(t *testing.T) {
 		})
 	}
 	var rep FetchReport
-	err = c.runBatch(subs, &rep, time.Now())
+	err = c.runBatch(subs, server.MaxBatchItems, &rep, time.Now())
 	if err == nil {
 		t.Fatal("broken items must surface an error")
 	}

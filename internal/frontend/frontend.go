@@ -12,10 +12,10 @@
 package frontend
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"time"
 
 	"context"
@@ -50,10 +50,11 @@ type Options struct {
 	CacheBytes int64
 	// HTTPClient overrides the default client (tests inject one).
 	HTTPClient *http.Client
-	// BatchSize > 1 puts tile fetches on POST /batch: every layer's
-	// missing tiles ride one framed round trip (split only past
-	// server.MaxBatchItems). 0 or 1 keeps the paper's one-GET-per-tile
-	// protocol. Dynamic boxes and static layers always ride /batch.
+	// BatchSize > 1 puts every layer's missing tiles in the viewport's
+	// one /batch round trip, beside its boxes (split only past
+	// server.MaxBatchItems). 0 or 1 keeps the paper's per-tile protocol:
+	// each missing tile is a /batch round trip of its own. Dynamic boxes
+	// and static layers always share the viewport's round trip.
 	BatchSize int
 	// Tracer, when non-nil, opens one client-side "interaction" span per
 	// Load/Pan/Jump covering the whole viewport fetch (time-to-first-
@@ -83,17 +84,17 @@ type FetchReport struct {
 	Rows      int
 	// Bytes counts logical payload bytes: what a raw (uncompressed,
 	// un-delta'd) frame would have carried, so the number is comparable
-	// across batched and per-tile fetches.
+	// however the items were grouped into round trips.
 	Bytes int64
-	// WireBytes counts bytes actually read off the wire by batch round
+	// WireBytes counts bytes actually read off the wire by the round
 	// trips, header and framing included — per-frame compression and
 	// delta boxes shrink it below Bytes (WireBytes/Bytes is the
-	// achieved ratio). Zero for per-tile GETs (where it would equal
-	// Bytes).
+	// achieved ratio).
 	WireBytes int64
 	// FirstFrame is the time from interaction start to the first
-	// decoded batch frame — how long before the first layer could
-	// render. Zero when no batch round trip ran.
+	// decoded frame — how long before the first layer (under per-tile
+	// fetching, the first tile) could render. Zero when no round trip
+	// ran.
 	FirstFrame time.Duration
 	OverBudget bool // exceeded the 500 ms interactivity budget
 }
@@ -209,7 +210,7 @@ func decodeJSON(r io.Reader, v any) error {
 	if err != nil {
 		return fmt.Errorf("frontend: read body: %w", err)
 	}
-	if err := jsonUnmarshal(data, v); err != nil {
+	if err := json.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("frontend: decode: %w", err)
 	}
 	return nil
@@ -268,8 +269,10 @@ func (c *Client) PanBy(dx, dy float64) (FetchReport, error) {
 
 // fetchViewport is the core of the details-on-demand loop. Every
 // layer's dynamic box, the static layers on load and — when BatchSize
-// > 1 — the missing tiles ride one /batch round trip; unbatched tile
-// layers fetch tile by tile over GET /tile.
+// > 1 — the missing tiles ride one /batch round trip. Otherwise a tile
+// layer first fetches its missing tiles one /batch round trip each, in
+// fetch.TilesNeeded order: the paper's per-tile protocol, where "every
+// tile is individually fetched and rendered".
 func (c *Client) fetchViewport(vp geom.Rect, includeStatic bool) (FetchReport, error) {
 	start := time.Now()
 	rep := FetchReport{Canvas: c.canvas.ID, Viewport: vp}
@@ -297,28 +300,28 @@ func (c *Client) fetchViewport(vp geom.Rect, includeStatic bool) (FetchReport, e
 			// A static data layer loads its full canvas once; §2.2:
 			// static layers are not re-fetched on pan.
 			if includeStatic {
-				subs = append(subs, c.dboxSub(li, c.canvasRect()))
+				subs = append(subs, c.currentBoxSub(li, c.canvasRect()))
 			}
 			continue
 		}
 		switch c.opts.Scheme.Kind {
 		case "tile":
 			sz := c.opts.Scheme.TileSize
-			missing := c.missingTiles(li, sz, vp, &rep)
+			tiles := c.tileSubs(li, sz, c.missingTiles(li, sz, vp, &rep), true)
 			if c.opts.BatchSize > 1 {
-				subs = append(subs, c.tileSubs(li, sz, missing, true)...)
-			} else if err := c.fetchTiles(li, sz, missing, &rep); err != nil {
+				subs = append(subs, tiles...)
+			} else if err := c.runBatch(tiles, 1, &rep, start); err != nil {
 				return rep, err
 			}
 		case "dbox":
 			if box, need := c.nextDBox(li, vp, &rep); need {
-				subs = append(subs, c.dboxSub(li, box))
+				subs = append(subs, c.currentBoxSub(li, box))
 			}
 		default:
 			return rep, fmt.Errorf("frontend: unknown scheme kind %q", c.opts.Scheme.Kind)
 		}
 	}
-	if err := c.runBatch(subs, &rep, start); err != nil {
+	if err := c.runBatch(subs, server.MaxBatchItems, &rep, start); err != nil {
 		return rep, err
 	}
 	c.viewport = vp
@@ -328,38 +331,14 @@ func (c *Client) fetchViewport(vp geom.Rect, includeStatic bool) (FetchReport, e
 	return rep, nil
 }
 
-// fetchTiles requests missing tiles one GET /tile each, one after
-// another — the paper's per-tile protocol, where "every tile is
-// individually fetched and rendered".
-func (c *Client) fetchTiles(li int, sz float64, missing []geom.TileID, rep *FetchReport) error {
-	for _, tid := range missing {
-		data, n, err := c.getTile(li, sz, tid)
-		if err != nil {
-			return err
-		}
-		rep.Requests++
-		rep.Rows += data.N
-		rep.Bytes += n
-		c.fcache.Put(c.tileCacheKey(li, sz, tid), data, n)
-		c.observeDensity(li, tid.TileRect(sz), data.N)
-	}
-	return nil
-}
-
 func (c *Client) tileCacheKey(li int, sz float64, tid geom.TileID) string {
 	return fmt.Sprintf("%s/%s", c.canvas.ID, fetch.TileKeyOf(fmt.Sprint(li), sz, tid))
 }
 
-func (c *Client) getTile(li int, sz float64, tid geom.TileID) (*server.Columns, int64, error) {
-	u := fmt.Sprintf("%s/tile?canvas=%s&layer=%d&size=%g&col=%d&row=%d&design=%s&codec=%s",
-		c.base, url.QueryEscape(c.canvas.ID), li, sz, tid.Col, tid.Row,
-		c.opts.Scheme.Design, c.opts.Codec)
-	return c.getData(u)
-}
-
-// missingTiles scans the frontend cache for the tiles vp needs,
-// counting hits on rep and returning the misses — the request-planning
-// step shared by the per-tile and the batched paths.
+// missingTiles scans the frontend cache for the tiles vp needs, in
+// fetch.TilesNeeded order, counting hits on rep and returning the
+// misses — the request-planning step of every tile fetch, batched or
+// per tile.
 func (c *Client) missingTiles(li int, sz float64, vp geom.Rect, rep *FetchReport) []geom.TileID {
 	var missing []geom.TileID
 	for _, tid := range fetch.TilesNeeded(vp, sz, c.canvas.W, c.canvas.H) {
@@ -405,28 +384,8 @@ func (c *Client) nextDBox(li int, vp geom.Rect, rep *FetchReport) (geom.Rect, bo
 	return want, true
 }
 
-func (c *Client) getData(u string) (*server.Columns, int64, error) {
-	resp, err := c.hc.Get(u)
-	if err != nil {
-		return nil, 0, fmt.Errorf("frontend: %w", err)
-	}
-	defer resp.Body.Close()
-	body, err := readBounded(resp.Body, maxResponseBytes)
-	if err != nil {
-		return nil, 0, fmt.Errorf("frontend: read: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("frontend: %s: %s", resp.Status, body)
-	}
-	data, err := server.DecodeColumns(body, c.opts.Codec)
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, int64(len(body)), nil
-}
-
 // PrefetchTiles warms the frontend tile cache: one /batch round trip
-// for the whole predicted viewport when BatchSize > 1, per-tile GETs
+// for the whole predicted viewport when BatchSize > 1, one per tile
 // otherwise.
 func (c *Client) PrefetchTiles(li int, sz float64, tiles []geom.TileID) error {
 	var missing []geom.TileID
@@ -435,18 +394,12 @@ func (c *Client) PrefetchTiles(li int, sz float64, tiles []geom.TileID) error {
 			missing = append(missing, tid)
 		}
 	}
+	perTrip := 1
 	if c.opts.BatchSize > 1 {
-		var rep FetchReport // prefetches do not count toward interaction reports
-		return c.runBatch(c.tileSubs(li, sz, missing, false), &rep, time.Now())
+		perTrip = server.MaxBatchItems
 	}
-	for _, tid := range missing {
-		data, n, err := c.getTile(li, sz, tid)
-		if err != nil {
-			return err
-		}
-		c.fcache.Put(c.tileCacheKey(li, sz, tid), data, n)
-	}
-	return nil
+	var rep FetchReport // prefetches do not count toward interaction reports
+	return c.runBatch(c.tileSubs(li, sz, missing, false), perTrip, &rep, time.Now())
 }
 
 // ObjectsInViewport returns the (deduplicated) data objects of a layer

@@ -473,7 +473,7 @@ func TestTileBatchFetch(t *testing.T) {
 			BatchSize:  batch,
 		}
 	}
-	// Reference client: one GET per tile.
+	// Reference client: one /batch round trip per tile.
 	ref, _ := newTestClient(t, mkOpts(0))
 	if _, err := ref.Load(); err != nil {
 		t.Fatal(err)
@@ -483,7 +483,7 @@ func TestTileBatchFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Batched client: same viewport, tiles over POST /batch.
+	// Batched client: same viewport, tiles sharing /batch round trips.
 	c, srv := newTestClient(t, mkOpts(4))
 	rep, err := c.Load()
 	if err != nil {
@@ -625,10 +625,11 @@ func TestBatchChunksRunConcurrently(t *testing.T) {
 	}
 }
 
-// TestStaticLayerAndPrefetchBoxRideBatch: with the per-layer GET /dbox
-// path gone, a static data layer and a one-layer box prefetch each cost
-// exactly one /batch round trip — even for a per-tile client — and both
-// declare the box already held as their delta base.
+// TestStaticLayerAndPrefetchBoxRideBatch: a per-tile client (BatchSize
+// 0) issues no GET: each missing tile is a /batch round trip carrying
+// that one tile item, in fetch.TilesNeeded order. A static data layer
+// and a one-layer box prefetch each ride one /batch round trip of one
+// dbox item, and both declare the box already held as their delta base.
 func TestStaticLayerAndPrefetchBoxRideBatch(t *testing.T) {
 	db, ca := multiLayerApp(t, 2000, func(a *spec.App) { a.Canvases[0].Layers[1].Static = true })
 	srv, hs := startBackend(t, db, ca)
@@ -653,17 +654,30 @@ func TestStaticLayerAndPrefetchBoxRideBatch(t *testing.T) {
 		return ct.batches[0].Items[0]
 	}
 
-	// Load: layer 0's tiles go tile by tile, the static layer rides one
-	// batch; there is no held box to declare yet.
+	// Load: layer 0's tiles go one round trip each, then the static
+	// layer rides one more; there is no held box to declare yet.
 	ct.reset()
-	if _, err := c.Load(); err != nil {
+	rep, err := c.Load()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ct.count("/tile") == 0 {
-		t.Fatal("per-tile layer issued no GET /tile")
+	tiles := fetch.TilesNeeded(c.Viewport(), 256, c.Canvas().W, c.Canvas().H)
+	if got := ct.count("/tile") + ct.count("/dbox"); got != 0 {
+		t.Fatalf("per-tile load issued %d GETs, want none", got)
 	}
-	if it := oneBatch("first load", 1); it.Base != nil {
-		t.Fatalf("first load declared base %+v with nothing held", it.Base)
+	if got := ct.count("/batch"); got != len(tiles)+1 || rep.Requests != got {
+		t.Fatalf("per-tile load: %d /batch round trips (report %d), want one per tile plus one: %d",
+			got, rep.Requests, len(tiles)+1)
+	}
+	for i, tid := range tiles {
+		if items := ct.batches[i].Items; len(items) != 1 || items[0].Kind != "tile" ||
+			items[0].Layer != 0 || items[0].Col != tid.Col || items[0].Row != tid.Row {
+			t.Fatalf("round trip %d carries %+v, want tile %+v of layer 0 alone", i, items, tid)
+		}
+	}
+	if items := ct.batches[len(tiles)].Items; len(items) != 1 || items[0].Kind != "dbox" ||
+		items[0].Layer != 1 || items[0].Base != nil {
+		t.Fatalf("last round trip carries %+v, want the static layer's dbox alone, declaring no base", items)
 	}
 	// Reloading declares the held canvas box, and the server proves it:
 	// an unchanged box ships as a delta.

@@ -1,17 +1,12 @@
 package frontend
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"kyrix/internal/geom"
 	"kyrix/internal/spec"
 	"kyrix/internal/storage"
 )
-
-func jsonUnmarshal(data []byte, v any) error { return json.Unmarshal(data, v) }
-
-func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }
 
 // JumpChoice is one jump a clicked object can trigger, with its display
 // label (the paper's Fig. 2b shows these as a menu during the zoom

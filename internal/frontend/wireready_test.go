@@ -182,13 +182,13 @@ func postFullV3(t testing.TB, url string, codec server.Codec, it server.BatchIte
 	return payload
 }
 
-// TestV3DeltaApplyReconstructsFullPayload: over random overlapping box
+// TestDeltaApplyReconstructsFullPayload: over random overlapping box
 // pairs and both codecs, the server's delta frame — assembled from byte
 // ranges of its cached payload, never from decoded rows — applied by
 // applyDelta to the base the client holds yields exactly the rows of
 // the full payload it stands for, and names that payload as the next
 // base id.
-func TestV3DeltaApplyReconstructsFullPayload(t *testing.T) {
+func TestDeltaApplyReconstructsFullPayload(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, codec := range []server.Codec{server.CodecJSON, server.CodecBinary} {
 		db, ca := taggedApp(t, rng, 4000)

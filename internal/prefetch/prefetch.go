@@ -198,8 +198,9 @@ func (p *Prefetcher) OnPan(viewport geom.Rect) {
 }
 
 // TileFetcher warms a cache with a set of tiles of one layer; the
-// frontend client's PrefetchTiles satisfies it (batched over the
-// backend's /batch endpoint when the client has a BatchSize).
+// frontend client's PrefetchTiles satisfies it (over the backend's
+// /batch endpoint: one round trip for the whole set when the client's
+// BatchSize > 1, one per tile otherwise).
 type TileFetcher interface {
 	PrefetchTiles(layerIdx int, size float64, tiles []geom.TileID) error
 }

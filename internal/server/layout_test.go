@@ -200,8 +200,11 @@ func TestClassOrderedMatchesColumnMajor(t *testing.T) {
 		for i := range all {
 			all[i] = uint32(i)
 		}
-		if ix == nil || !bytes.Equal(ix.subset(raw, all), raw) {
-			t.Fatalf("trial %d: the subset of every row is not the payload", trial)
+		if ix == nil {
+			t.Fatalf("trial %d: the payload does not index", trial)
+		}
+		if sub := ix.subset(raw, all); !bytes.Equal(sub, raw) || cap(sub) != len(sub) {
+			t.Fatalf("trial %d: the subset of every row is not the payload, or not sized exactly (len %d, cap %d)", trial, len(sub), cap(sub))
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"encoding/binary"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -384,9 +385,24 @@ func (ix *rowIndex) subset(raw []byte, rows []uint32) []byte {
 			lead[c] = leadMask(sample[:m])
 		}
 	}
-	// A subset of the rows is rarely larger than all of them: only its
-	// plane orders can be, by a few bytes.
-	out := make([]byte, 0, len(raw))
+	// The output's exact size: the header with each column's entry and
+	// plane order, then per row eight bytes of an INT or DOUBLE column,
+	// one of a BOOL, and a TEXT column's kept length varint and bytes.
+	size := uvarintLen(uint64(len(ix.cols))) + uvarintLen(uint64(n))
+	for c, col := range ix.cols {
+		size += col.name[1] - col.name[0] + 1 + bits.OnesCount8(lead[c])
+		switch col.typ {
+		case storage.TInt64, storage.TFloat64:
+			size += 8 * n
+		case storage.TBool:
+			size += n
+		case storage.TString:
+			for _, r := range rows {
+				size += int(col.lens[r+1]-col.lens[r]) + int(col.strs[r+1]-col.strs[r])
+			}
+		}
+	}
+	out := make([]byte, 0, size)
 	out = binary.AppendUvarint(out, uint64(len(ix.cols)))
 	for c, col := range ix.cols {
 		out = append(out, raw[col.name[0]:col.name[1]]...)
@@ -429,3 +445,6 @@ func (ix *rowIndex) subset(raw []byte, rows []uint32) []byte {
 	}
 	return out
 }
+
+// uvarintLen is the length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

@@ -266,10 +266,11 @@ func rowWriterDocument(cols []string, types ColTypes, rows []storage.Row) ([]byt
 // payload's byte planes, writes exactly what the row writer wrote for
 // the same rows — Encode's JSON, the JSON form of the cached binary
 // payload, and the entering rows of a JSON delta (a subset gathered out
-// of the binary payload, in any order) — over all four column types,
-// TEXT that needs escaping, floats on both sides of the 1e-6 and 1e21
-// format switches, empty results and schemas with no columns. A NaN or
-// an infinity fails both writers, and never the binary payload.
+// of the binary payload, in any order, into a buffer of exactly its
+// size) — over all four column types, TEXT that needs escaping, floats
+// on both sides of the 1e-6 and 1e21 format switches, empty results and
+// schemas with no columns. A NaN or an infinity fails both writers, and
+// never the binary payload.
 func FuzzJSONFormMatchesRowWriter(f *testing.F) {
 	for seed := int64(0); seed < 48; seed++ {
 		f.Add(seed, uint8(0), uint64(seed))
@@ -316,7 +317,11 @@ func FuzzJSONFormMatchesRowWriter(f *testing.F) {
 			}
 		}
 		wantSub, wantErr := rowWriterDocument(dr.Cols, dr.Types, picked)
-		sub, err := jsonPayload(ix.subset(raw, rows))
+		subRaw := ix.subset(raw, rows)
+		if cap(subRaw) != len(subRaw) {
+			t.Fatalf("seed %d rows %v: subset of %d bytes reserved %d", seed, rows, len(subRaw), cap(subRaw))
+		}
+		sub, err := jsonPayload(subRaw)
 		if (err != nil) != (wantErr != nil) || !bytes.Equal(sub, wantSub) {
 			t.Fatalf("seed %d rows %v: entering JSON %q (%v), row writer %q (%v)", seed, rows, sub, err, wantSub, wantErr)
 		}

@@ -529,18 +529,19 @@
 // wireMemoBytes, wireMemoEntries and wireMemoEvictions, and the
 // compress stage histogram counts real DEFLATE passes only.
 //
-// Every dynamic box, every static layer and [Client.PrefetchBoxes]
-// ride this stream. Tiles do when [ClientOptions].BatchSize > 1; at 0 or
-// 1 the client keeps the paper's one GET /tile per tile, the baseline
-// Figures 6 and 7 measure. The server DEFLATE-compresses a frame when
-// that makes it smaller. GET /tile and GET /dbox stay on the server for
-// single requests (curl, debugging): each turns its query string into
-// one batch item and serves it through the same check and cache path,
-// so a window the batch refuses (a bad layer, a tile size that is not
-// finite and positive, a box with a non-finite or inverted edge) is a
-// 400 there too. The benchmark in bench/ (`bash
-// bench/run.sh`) reports wire bytes per step, the wire/raw ratio and
-// time-to-first-frame.
+// Every client fetch rides this stream: dynamic boxes, static layers,
+// [Client.PrefetchBoxes] and tiles. When [ClientOptions].BatchSize > 1 a
+// viewport's tiles share its one round trip; at 0 or 1 the client keeps
+// the paper's per-tile protocol, one round trip of one tile item per
+// tile, the baseline Figures 6 and 7 measure. The server
+// DEFLATE-compresses a frame when that makes it smaller. GET /tile and
+// GET /dbox stay on the server for single requests (curl, debugging):
+// each turns its query string into one batch item and serves it
+// through the same check and cache path, so a window the batch refuses
+// (a bad layer, a tile size that is not finite and positive, a box with
+// a non-finite or inverted edge) is a 400 there too. The benchmark in
+// bench/ (`bash bench/run.sh`) reports wire bytes per step, the
+// wire/raw ratio and time-to-first-frame.
 //
 // # Observability
 //
